@@ -11,7 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import PipelineConfig, run_pipeline
+from repro import Pipeline, PipelineConfig
 from repro.mpi import ProcGrid, SimWorld, cori_haswell
 from repro.seq import (
     GenomeSpec,
@@ -46,7 +46,7 @@ def main() -> None:
     world = SimWorld(4, cori_haswell())
     grid = ProcGrid(world)
     store = load_distributed(grid, reads_path)
-    result = run_pipeline(
+    result = Pipeline.default().run(
         store, PipelineConfig(nprocs=4, k=21, reliable_lo=2, end_margin=10)
     )
 

@@ -40,11 +40,12 @@ def main() -> None:
 
     # 2. run the stage pipeline on a simulated 2x2 process grid.
     #    PipelineConfig(executor=...) picks the per-rank compute backend:
-    #    "serial" (the default) or "thread" (a worker pool; NumPy kernels
-    #    release the GIL, so wall-clock drops on multi-core hosts while
-    #    modeled seconds and every artifact stay bit-identical).  Left
-    #    unset here so the REPRO_EXECUTOR env var (or --executor on the
-    #    CLI) picks the backend: try REPRO_EXECUTOR=thread.
+    #    "serial" (the default, and the reference) or "process" (a
+    #    spawn-safe process pool; wall-clock drops on multi-core hosts
+    #    when the work per superstep is large, while modeled seconds and
+    #    every artifact stay bit-identical).  Left unset here so the
+    #    REPRO_EXECUTOR env var (or --executor on the CLI) picks the
+    #    backend: try REPRO_EXECUTOR=process.
     config = PipelineConfig(
         nprocs=4,
         k=21,

@@ -22,7 +22,7 @@ the assembly at repeat boundaries), then:
 Run:  python examples/scaffold_and_polish.py
 """
 
-from repro import PipelineConfig, run_pipeline
+from repro import Pipeline, PipelineConfig
 from repro.quality import evaluate_assembly
 from repro.scaffold import (
     PolishConfig,
@@ -58,7 +58,7 @@ def main() -> None:
     print(f"simulated {reads.count} reads at {reads.depth():.1f}x over "
           f"{genome.size} bp (6 interspersed repeats)")
 
-    result = run_pipeline(
+    result = Pipeline.default().run(
         reads,
         PipelineConfig(nprocs=4, k=21, reliable_lo=2, xdrop=15, end_margin=20),
     )

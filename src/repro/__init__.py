@@ -7,22 +7,24 @@ matrices, with the paper's contig-generation algorithm -- branch masking,
 connected components, greedy multiway partitioning, induced-subgraph
 redistribution and local depth-first assembly -- as the core contribution.
 
-Quickstart (classic one-call driver)::
+Quickstart::
 
-    from repro import PipelineConfig, run_pipeline
+    from repro import Pipeline, PipelineConfig
     from repro.seq import make_genome, GenomeSpec, sample_reads
 
     genome = make_genome(GenomeSpec(length=20_000, seed=1))
     reads = sample_reads(genome, depth=20, mean_length=600, rng=2)
-    result = run_pipeline(reads, PipelineConfig(nprocs=4, k=21))
+    # executor="process" runs the ranks on a process pool instead of one
+    # after another; the contigs are bit-identical, only wall time moves
+    cfg = PipelineConfig(nprocs=4, k=21)
+    result = Pipeline.default().run(reads, cfg)
     print(result.contigs.count, "contigs,", result.contigs.longest(), "bp longest")
 
-Stage engine (partial runs, injection, checkpoint/resume, hooks)::
+Partial runs, injection, checkpoint/resume, hooks::
 
-    from repro import Pipeline, PipelineConfig, TraceObserver
+    from repro import TraceObserver
 
     pipe = Pipeline.default(observers=[TraceObserver()])
-    cfg = PipelineConfig(nprocs=4, k=21)
 
     partial = pipe.run(reads, cfg, until="TrReduction")   # stop after S
     S = partial.artifacts["S"]
@@ -49,7 +51,6 @@ from .pipeline import (
     Stage,
     TraceObserver,
     register_stage,
-    run_pipeline,
 )
 from .scaffold import (
     PolishConfig,
@@ -65,7 +66,6 @@ __all__ = [
     "ReproError",
     "PipelineConfig",
     "PipelineResult",
-    "run_pipeline",
     "MAIN_STAGES",
     "Pipeline",
     "Stage",

@@ -164,9 +164,9 @@ GAPLESS_STRIPE = 128
 # which is a large fraction of the kernel cost.  Keyed by role; grown
 # geometrically and re-typed on demand.  Sized by pairs-per-batch times
 # stripe width, so the caller's batch size bounds the footprint.
-# Per-executor-worker: thread-local (the thread backend runs one rank's
-# batches per worker thread, and each worker needs its own workspace for
-# the gapless kernel to stay reentrant) AND pid-validated -- a forked
+# Per-executor-worker: thread-local (callers aligning from several
+# threads each need their own workspace for the gapless kernel to stay
+# reentrant) AND pid-validated -- a forked
 # process-pool worker inherits the parent's thread-local table, and
 # growing those pages would copy-on-write the parent's hot workspace,
 # so the table resets on first touch under a new pid.  (Spawned workers

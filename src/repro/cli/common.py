@@ -100,10 +100,9 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor", choices=tuple(EXECUTOR_BACKENDS), default=None,
-        help="per-rank compute backend: serial loop, thread pool, "
-        "spawn-safe process pool over shared-memory buffers, or mpi4py "
-        "(single-rank emulator without MPI); outputs are bit-identical "
-        "on every backend; default from $REPRO_EXECUTOR",
+        help="per-rank compute backend: serial loop or spawn-safe "
+        "process pool over shared-memory buffers; outputs are "
+        "bit-identical on both; default from $REPRO_EXECUTOR",
     )
     parser.add_argument(
         "--kernel-tier", choices=tuple(KERNEL_TIERS), default=None,

@@ -10,15 +10,14 @@ from .bigcount import MPI_COUNT_LIMIT, TransferPlan, chunk_buffer, plan_transfer
 from .comm import SimComm, SimWorld, block_owner, block_range, block_sizes, payload_nbytes
 from .executor import (
     EXECUTOR_BACKENDS,
-    IN_PROCESS_BACKENDS,
     Executor,
     RankContext,
     RankStep,
     SerialExecutor,
-    ThreadExecutor,
     default_executor,
     make_executor,
 )
+from .procexec import ProcessExecutor
 from .shm import SharedArrayHandle, SharedBufferRegistry
 from .costmodel import (
     MACHINE_PRESETS,
@@ -37,15 +36,12 @@ __all__ = [
     "SimComm",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "RankContext",
     "RankStep",
     "EXECUTOR_BACKENDS",
-    "IN_PROCESS_BACKENDS",
     "make_executor",
     "default_executor",
     "ProcessExecutor",
-    "MPIExecutor",
     "SharedArrayHandle",
     "SharedBufferRegistry",
     "ProcGrid",
@@ -72,16 +68,3 @@ __all__ = [
     "block_sizes",
     "block_owner",
 ]
-
-
-def __getattr__(name: str):
-    """Lazy re-exports: the heavy backends import only when first used."""
-    if name == "ProcessExecutor":
-        from .procexec import ProcessExecutor
-
-        return ProcessExecutor
-    if name == "MPIExecutor":
-        from .mpiexec import MPIExecutor
-
-        return MPIExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

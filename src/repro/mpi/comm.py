@@ -111,9 +111,9 @@ class SimWorld:
     """The simulated machine: P ranks, a cost model, clocks and logs.
 
     ``executor`` selects the backend that runs per-rank local compute
-    submitted through :meth:`map_ranks` -- ``"serial"`` (the default,
-    classic in-order semantics) or ``"thread"`` (a ``concurrent.futures``
-    pool; NumPy kernels release the GIL).  Backends are observationally
+    submitted through :meth:`map_ranks` -- ``"serial"`` (the default and
+    the reference: ranks in order on the calling thread) or ``"process"``
+    (a persistent spawn-safe process pool).  Backends are observationally
     identical: artifacts, clocks and logs do not depend on the choice.
     """
 
@@ -131,7 +131,7 @@ class SimWorld:
         self.log = CommLog()
         self.memory = MemoryMeter(nprocs)
         #: one lock funnels every clock/log/memory mutation, so collectives
-        #: and charges issued from executor worker threads cannot corrupt
+        #: and charges issued from several threads cannot corrupt
         #: the shared accounting state
         self.account_lock = threading.RLock()
         self._stage_local = threading.local()
@@ -208,14 +208,13 @@ class SimWorld:
         methods that buffer cost accounting per rank and merge it into
         the world's clocks in rank order once all ranks finish.  Results
         come back in rank order regardless of backend, so a superstep
-        behaves identically under ``serial``, ``thread``, ``process`` and
-        ``mpi`` execution.
+        behaves identically under ``serial`` and ``process`` execution.
 
-        Out-of-process backends receive the step and tasks *pickled*
+        The process backend receives the step and tasks *pickled*
         (contexts travel detached; buffered accounting records splice
-        back before the merge), so steps bound for those backends must
-        avoid capturing worlds, locks or open handles and must not rely
-        on mutating enclosing scopes -- pass state through per-rank
+        back before the merge), so steps bound for it must avoid
+        capturing worlds, locks or open handles and must not rely on
+        mutating enclosing scopes -- pass state through per-rank
         arguments and return it instead.
 
         Accounting is transactional per superstep: if any rank's step
@@ -223,8 +222,8 @@ class SimWorld:
         after all ranks drain) and *no* buffered charges are merged --
         a failed superstep charges nothing on any backend.
         """
-        # nesting is always a bug: a step calling map_ranks would deadlock
-        # a saturated thread pool instead of failing cleanly
+        # nesting is always a bug: a step has no business launching a
+        # superstep of its own
         self._check_not_in_rank_step("SimWorld.map_ranks")
         for pos, seq in enumerate(per_rank_args):
             if len(seq) != self.nprocs:
@@ -256,10 +255,9 @@ class SimWorld:
                     stall_actions.append(action)
 
         if getattr(self._executor, "in_process", True):
-            # while a step runs, direct world accounting is an error on
-            # every in-process backend (under threads it would silently
-            # mis-attribute stages; raising keeps the backend-identical
-            # contract enforceable)
+            # while a step runs in-process, direct world accounting is
+            # an error (a detached step could not do it at all; raising
+            # keeps the backend-identical contract enforceable)
             def _guarded(ctx, *args):
                 prior = getattr(self._in_rank_step, "active", False)
                 self._in_rank_step.active = True
@@ -400,8 +398,8 @@ class SimComm:
         # collectives are whole-world lockstep operations: between
         # supersteps only, never inside a rank step
         self.world._check_not_in_rank_step(f"collective {op!r}")
-        # clock + log mutate under one lock so a collective issued from an
-        # executor worker thread cannot interleave with another charge
+        # clock + log mutate under one lock so a collective issued from
+        # another thread cannot interleave with another charge
         with self.world.account_lock:
             stage = self.world.stage
             self.world.clock.charge_comm_all(stage, seconds, ranks=self.ranks)

@@ -1,4 +1,4 @@
-"""Pluggable executor backends for per-rank (SPMD) local compute.
+"""Executor backends for per-rank (SPMD) local compute.
 
 Every superstep of the simulated pipeline has the same shape: each rank
 performs *local* work on its own block, then a collective moves data
@@ -6,32 +6,31 @@ between ranks.  The collectives were always centralized in
 :class:`~repro.mpi.comm.SimComm`; this module centralizes the other half.
 A superstep's per-rank work is expressed as data -- a :data:`RankStep`
 callable plus per-rank argument lists -- and
-:meth:`~repro.mpi.comm.SimWorld.map_ranks` runs it through one of the
-:class:`Executor` backends registered here:
+:meth:`~repro.mpi.comm.SimWorld.map_ranks` runs it through one of two
+:class:`Executor` backends:
 
-* ``serial`` -- the classic semantics: ranks run one after another on the
-  calling thread (the default, and the reference behavior);
-* ``thread`` -- ranks run concurrently on a ``concurrent.futures`` thread
-  pool.  The heavy per-rank kernels are NumPy calls that release the GIL,
-  so on a multi-core host the simulator's wall-clock time drops while
-  *modeled* seconds stay untouched;
+* ``serial`` -- ranks run one after another on the calling thread: the
+  default, and the reference every test compares against;
 * ``process`` -- ranks run on a persistent spawn-safe process pool
-  (:class:`~repro.mpi.procexec.ProcessExecutor`): real multi-core
-  parallelism for pure-Python sections too, with large read-only arrays
-  shipped zero-copy via :mod:`~repro.mpi.shm`;
-* ``mpi`` -- ranks run through mpi4py collectives
-  (:class:`~repro.mpi.mpiexec.MPIExecutor`); without an MPI installation
-  a single-rank emulator executes the identical serialize/execute/merge
-  path in-process.
+  (:class:`~repro.mpi.procexec.ProcessExecutor`), the paper's execution
+  model (ranks are processes with private memory), with large read-only
+  arrays shipped zero-copy via :mod:`~repro.mpi.shm`.
+
+Measured on the ``BENCHMARK.json`` workloads (2 cores, CHANGES.md PR 15):
+``process`` wins when the work per superstep is large (1.35x on
+``lowerr_diag_p16``, 1.70x on ``hierr_dp_p4``) and loses when supersteps
+are many and tiny (0.53x on ``lowerr_budget_p16``, 0.97x on
+``contig_sweep_p16``): each one pays pickling and a pool round-trip.
 
 Backends must be observationally identical: results come back in rank
 order, and all cost accounting (compute charges, memory observations,
 stage attribution) is buffered per rank in a :class:`RankContext` and
 merged into the world's clocks in rank order at the superstep barrier.
-Out-of-process backends ship each rank a *detached* context -- the same
-buffered records, minus the world reference -- and splice the returned
-records into the parent-side contexts before that same merge, so a
-pipeline run produces bit-identical artifacts and identical
+The process backend ships each rank a *detached* context -- the same
+buffered records, minus the world reference -- gets one
+:class:`RankOutcome` per rank back, and splices those records into the
+parent-side contexts before that same merge, so a pipeline run produces
+bit-identical artifacts and identical
 :class:`~repro.mpi.stats.StageClock` / :class:`~repro.mpi.stats.CommLog`
 contents whichever backend executes it.
 """
@@ -39,9 +38,17 @@ contents whichever backend executes it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterator,
+    NamedTuple,
+    Protocol,
+    Sequence,
+)
 
 from ..errors import CommunicatorError
 
@@ -52,15 +59,43 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RankContext",
     "RankStep",
+    "KernelSpan",
+    "RankOutcome",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "EXECUTOR_BACKENDS",
-    "IN_PROCESS_BACKENDS",
     "make_executor",
     "default_executor",
     "apply_remote_outcomes",
 ]
+
+
+class KernelSpan(NamedTuple):
+    """One finished :meth:`RankContext.span` section."""
+
+    name: str
+    #: the stage the section closed under
+    stage: str
+    #: compute seconds charged inside the section (its modeled width)
+    modeled: float
+    wall: float
+    #: kernel tier that ran it, or None; kept out of the trace digest
+    tier: str | None = None
+
+
+@dataclass
+class RankOutcome:
+    """What one rank's step sends back from a worker process.
+
+    Either ``error`` is set (the step raised; nothing else is meaningful)
+    or ``result`` and the rank's buffered accounting records are.
+    """
+
+    result: Any = None
+    compute: list[tuple[str, float]] = field(default_factory=list)
+    memory: list[tuple[str, float]] = field(default_factory=list)
+    spans: list[KernelSpan] = field(default_factory=list)
+    error: BaseException | None = None
 
 
 def _restore_context(rank, machine, stack, compute, memory, spans=()):
@@ -79,7 +114,7 @@ class RankContext(int):
     can index per-rank state with it directly.  Cost accounting goes
     through the context instead of the world: charges and memory samples
     are buffered locally (no shared mutable state while ranks may be
-    running on worker threads or in worker processes) and merged into the
+    running in worker processes) and merged into the
     world's :class:`~repro.mpi.stats.StageClock` / memory meter in rank
     order at the superstep barrier -- making accounting bit-identical
     across executor backends.
@@ -112,12 +147,11 @@ class RankContext(int):
         self._stack = list(base_stage)
         self._compute: list[tuple[str, float]] = []
         self._memory: list[tuple[str, float]] = []
-        #: named kernel sections opened via :meth:`span`:
-        #: (name, stage, modeled_seconds, wall_seconds, tier) per section,
-        #: in completion order.  Buffered exactly like compute charges (and
-        #: spliced back from worker processes the same way) so an
-        #: attached tracer sees identical records on every backend.
-        self._spans: list[tuple[str, str, float, float, str | None]] = []
+        #: named kernel sections opened via :meth:`span`, in completion
+        #: order.  Buffered exactly like compute charges (and spliced
+        #: back from worker processes the same way) so an attached
+        #: tracer sees identical records on every backend.
+        self._spans: list[KernelSpan] = []
         return self
 
     def __reduce__(self):
@@ -136,11 +170,6 @@ class RankContext(int):
     @property
     def rank(self) -> int:
         return int(self)
-
-    @property
-    def detached(self) -> bool:
-        """True in a worker process (no world; accounting is buffered)."""
-        return self._world is None
 
     @property
     def world(self) -> "SimWorld":
@@ -214,7 +243,10 @@ class RankContext(int):
         finally:
             modeled = sum(sec for _, sec in self._compute) - modeled0
             self._spans.append(
-                (name, self.stage, modeled, _time.perf_counter() - wall0, tier)
+                KernelSpan(
+                    name, self.stage, modeled,
+                    _time.perf_counter() - wall0, tier,
+                )
             )
 
     def _merge(self) -> None:
@@ -282,16 +314,15 @@ class _RemoteGuardedStep:
 
 def apply_remote_outcomes(
     tasks: Sequence[tuple[RankContext, tuple]],
-    outcomes: Sequence[tuple],
+    outcomes: Sequence[RankOutcome],
 ) -> list[Any]:
     """Splice worker outcomes back into the parent-side contexts.
 
-    ``outcomes`` is rank-ordered, one entry per task:
-    ``("ok", result, compute_records, memory_records, span_records)`` or
-    ``("err", exception)``.  Matching the in-process backends, every rank
-    has already finished (the pool drained) and the lowest-ranked failure
-    propagates; on failure nothing is spliced, so the superstep's
-    transactional no-charge rollback holds.
+    ``outcomes`` is rank-ordered, one :class:`RankOutcome` per task.
+    Matching the serial backend, every rank has already finished (the
+    pool drained) and the lowest-ranked failure propagates; on failure
+    nothing is spliced, so the superstep's transactional no-charge
+    rollback holds.
     """
     if len(outcomes) != len(tasks):
         raise CommunicatorError(
@@ -299,16 +330,13 @@ def apply_remote_outcomes(
             f"{len(tasks)} rank tasks"
         )
     for outcome in outcomes:
-        if outcome[0] == "err":
-            raise outcome[1]
-    results: list[Any] = []
+        if outcome.error is not None:
+            raise outcome.error
     for (ctx, _args), outcome in zip(tasks, outcomes):
-        _tag, result, compute, memory, spans = outcome
-        ctx._compute.extend(compute)
-        ctx._memory.extend(memory)
-        ctx._spans.extend(spans)
-        results.append(result)
-    return results
+        ctx._compute.extend(outcome.compute)
+        ctx._memory.extend(outcome.memory)
+        ctx._spans.extend(outcome.spans)
+    return [outcome.result for outcome in outcomes]
 
 
 class Executor:
@@ -344,87 +372,13 @@ class SerialExecutor(Executor):
         return [fn(ctx, *args) for ctx, args in tasks]
 
 
-class ThreadExecutor(Executor):
-    """Concurrent backend on a ``concurrent.futures`` thread pool.
+#: Backend names, reference first.
+EXECUTOR_BACKENDS = ("serial", "process")
 
-    The pool is created lazily and reused across supersteps.  NumPy
-    kernels release the GIL, so per-rank work overlaps on multi-core
-    hosts; pure-Python sections serialize but stay correct.  Results are
-    collected in rank order and an exception from the lowest-ranked
-    failing task propagates, matching the serial backend.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise CommunicatorError(
-                f"thread executor needs >= 1 workers, got {max_workers}"
-            )
-        self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self.max_workers or (os.cpu_count() or 1)
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-rank"
-            )
-        return self._pool
-
-    def run(self, fn, tasks):
-        if len(tasks) <= 1:
-            return [fn(ctx, *args) for ctx, args in tasks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, ctx, *args) for ctx, args in tasks]
-        # drain every future before propagating a failure: no orphan rank
-        # step keeps mutating shared per-rank state after the error
-        # surfaces, and the lowest-ranked exception wins (the one the
-        # serial backend would have raised)
-        wait(futures)
-        for f in futures:
-            exc = f.exception()
-            if exc is not None:
-                raise exc
-        return [f.result() for f in futures]
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-#: Registered backend names, in documentation order.
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "mpi")
-
-#: Backends whose rank steps share the caller's address space (closures
-#: over worlds/locks are fine; enclosing-scope mutation is visible).
-IN_PROCESS_BACKENDS = ("serial", "thread")
-
-_EXECUTOR_CLASSES: dict[str, type[Executor]] = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-}
-
-
-def _backend_class(name: str) -> type[Executor]:
-    """Resolve a backend name, importing heavy backends lazily."""
-    cls = _EXECUTOR_CLASSES.get(name)
-    if cls is None:
-        if name == "process":
-            from .procexec import ProcessExecutor as cls
-        elif name == "mpi":
-            from .mpiexec import MPIExecutor as cls
-        else:  # pragma: no cover - guarded by make_executor
-            raise KeyError(name)
-        _EXECUTOR_CLASSES[name] = cls
-    return cls
-
-
-# one shared instance per backend name: every world resolving "thread"
-# reuses the same lazily-built pool, bounding worker threads (and
-# processes) process-wide no matter how many SimWorlds a session creates
-# (pools rebuild lazily after shutdown, so sharing is safe across world
+# one shared instance per backend name: every world resolving "process"
+# reuses the same lazily-built pool, bounding worker processes
+# process-wide no matter how many SimWorlds a session creates (the pool
+# rebuilds lazily after shutdown, so sharing is safe across world
 # lifetimes)
 _DEFAULT_INSTANCES: dict[str, Executor] = {}
 
@@ -433,7 +387,7 @@ def make_executor(spec: "str | Executor") -> Executor:
     """Resolve an executor spec to an instance.
 
     Backend *names* resolve to a process-shared default instance; pass a
-    constructed :class:`Executor` (e.g. ``ThreadExecutor(max_workers=2)``)
+    constructed :class:`Executor` (e.g. ``ProcessExecutor(max_workers=2)``)
     for a private one.
     """
     if isinstance(spec, Executor):
@@ -445,11 +399,18 @@ def make_executor(spec: "str | Executor") -> Executor:
         )
     inst = _DEFAULT_INSTANCES.get(spec)
     if inst is None:
-        inst = _DEFAULT_INSTANCES[spec] = _backend_class(spec)()
+        if spec == SerialExecutor.name:
+            inst = SerialExecutor()
+        else:
+            # imported on first use: procexec builds on this module
+            from .procexec import ProcessExecutor
+
+            inst = ProcessExecutor()
+        _DEFAULT_INSTANCES[spec] = inst
     return inst
 
 
 def default_executor() -> str:
     """The default backend name; the ``REPRO_EXECUTOR`` env var overrides
-    it (how CI runs the whole suite under the thread/process backends)."""
+    it (how CI runs the whole suite under the process backend)."""
     return os.environ.get("REPRO_EXECUTOR", SerialExecutor.name)

@@ -1,10 +1,10 @@
 """Process-pool executor: real multi-core parallelism for rank steps.
 
-The thread backend only overlaps NumPy sections (the GIL serializes the
-rest); this backend runs rank steps in worker *processes*, so the whole
-step parallelizes.  The contract is unchanged -- results in rank order,
-lowest-ranked failure wins, accounting merged at the superstep barrier --
-which out-of-process execution realizes in four moves:
+Rank steps run in worker *processes* -- the paper's execution model --
+so the whole step parallelizes, pure-Python sections included.  The
+contract is the serial backend's -- results in rank order, lowest-ranked
+failure wins, accounting merged at the superstep barrier -- which
+out-of-process execution realizes in four moves:
 
 1. the step callable is cloudpickled once per superstep and each rank's
    ``(detached RankContext, args)`` task once per rank, with every large
@@ -13,10 +13,9 @@ which out-of-process execution realizes in four moves:
    workers instead of a per-rank pickle of the same gigabytes);
 2. tasks are dispatched in contiguous chunks (one per worker) so a
    64-rank superstep costs ~``n_workers`` IPC round-trips, not 64;
-3. workers run their chunk and return buffered outcomes
-   (``("ok", result, compute, memory, spans)`` / ``("err", exc)``) --
-   never touching shared state, so a mid-superstep failure charges
-   nothing;
+3. workers run their chunk and return one buffered
+   :class:`~repro.mpi.executor.RankOutcome` per rank -- never touching
+   shared state, so a mid-superstep failure charges nothing;
 4. the parent splices outcomes into the parent-side contexts
    (:func:`~repro.mpi.executor.apply_remote_outcomes`) and the ordinary
    rank-ordered merge runs, bit-identical to the serial backend.
@@ -37,7 +36,12 @@ from multiprocessing import get_context
 from typing import Any, Sequence
 
 from ..errors import CommunicatorError
-from .executor import Executor, RankContext, apply_remote_outcomes
+from .executor import (
+    Executor,
+    RankContext,
+    RankOutcome,
+    apply_remote_outcomes,
+)
 from .shm import (
     SHM_THRESHOLD_DEFAULT,
     SharedBufferRegistry,
@@ -75,7 +79,7 @@ def _watch_parent(parent_pid: int) -> None:
     threading.Thread(target=watch, daemon=True, name="parent-watch").start()
 
 
-def _safe_outcome_dumps(outcomes: list[tuple]) -> bytes:
+def _safe_outcome_dumps(outcomes: list[RankOutcome]) -> bytes:
     """cloudpickle outcomes, degrading unpicklable entries to clear errors.
 
     A step may raise (or return) something that cannot cross back to the
@@ -88,21 +92,22 @@ def _safe_outcome_dumps(outcomes: list[tuple]) -> bytes:
     try:
         return cloudpickle.dumps(outcomes)
     except Exception:
-        safe: list[tuple] = []
+        safe: list[RankOutcome] = []
         for outcome in outcomes:
             try:
                 cloudpickle.dumps(outcome)
             except Exception as exc:
-                kind = "raised" if outcome[0] == "err" else "returned"
-                detail = outcome[1] if outcome[0] == "err" else outcome[1:2]
+                if outcome.error is not None:
+                    kind, detail = "raised", outcome.error
+                else:
+                    kind, detail = "returned", outcome.result
                 safe.append(
-                    (
-                        "err",
-                        CommunicatorError(
+                    RankOutcome(
+                        error=CommunicatorError(
                             f"rank step {kind} an unpicklable value that "
                             f"cannot cross back from the worker process "
                             f"({type(exc).__name__}: {exc}): {detail!r:.200}"
-                        ),
+                        )
                     )
                 )
             else:
@@ -120,16 +125,16 @@ def run_serialized_chunk(fn_blob: bytes, task_blobs: list[bytes]) -> bytes:
     guarantee), and outcomes come back buffered, never applied.
     """
     fn = shm_loads(fn_blob)
-    outcomes: list[tuple] = []
+    outcomes: list[RankOutcome] = []
     for blob in task_blobs:
         ctx, args = shm_loads(blob)
         try:
             result = fn(ctx, *args)
         except Exception as exc:
-            outcomes.append(("err", exc))
+            outcomes.append(RankOutcome(error=exc))
         else:
             outcomes.append(
-                ("ok", result, ctx._compute, ctx._memory, ctx._spans)
+                RankOutcome(result, ctx._compute, ctx._memory, ctx._spans)
             )
     return _safe_outcome_dumps(outcomes)
 

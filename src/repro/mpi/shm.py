@@ -322,7 +322,7 @@ def shm_loads(blob: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# validated step/task serialization (shared by process + mpi backends)
+# validated step/task serialization
 # ---------------------------------------------------------------------------
 
 
@@ -333,9 +333,7 @@ def step_label(fn: Any) -> str:
 
 
 def dumps_step(
-    fn: Any,
-    registry: SharedBufferRegistry | None = None,
-    threshold: int = SHM_THRESHOLD_DEFAULT,
+    fn: Any, registry: SharedBufferRegistry, threshold: int
 ) -> bytes:
     """Serialize a rank-step callable, mapping failures to our error type."""
     try:
@@ -345,17 +343,14 @@ def dumps_step(
     except Exception as exc:
         raise CommunicatorError(
             f"rank step {step_label(fn)} is not picklable and cannot cross "
-            f"a process boundary ({type(exc).__name__}: {exc}); out-of-"
-            "process executors need module-level step functions whose "
+            f"a process boundary ({type(exc).__name__}: {exc}); the "
+            "process executor needs module-level step functions whose "
             "closures avoid locks, worlds and open handles"
         ) from exc
 
 
 def dumps_task(
-    rank: int,
-    payload: Any,
-    registry: SharedBufferRegistry | None = None,
-    threshold: int = SHM_THRESHOLD_DEFAULT,
+    rank: int, payload: Any, registry: SharedBufferRegistry, threshold: int
 ) -> bytes:
     """Serialize one rank's (ctx, args) task with a rank-tagged error."""
     try:

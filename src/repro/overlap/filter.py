@@ -22,8 +22,8 @@ Within a rank the tasks are processed in chunks of
 vectorized classification per chunk instead of a Python loop over pairs,
 and a single :data:`~repro.sparse.types.OVERLAP_DTYPE` structured fill per
 rank.  The per-rank alignment superstep itself runs through
-``world.map_ranks`` so the executor backend (serial or thread pool) can
-overlap ranks on real cores without changing any output.  The classifier emits *both* directed edge payloads per dovetail, and
+``world.map_ranks`` so the process executor backend can overlap ranks
+on real cores without changing any output.  The classifier emits *both* directed edge payloads per dovetail, and
 a final all-to-all routes them to their 2D block owners, rebuilding the
 full symmetric R.
 """

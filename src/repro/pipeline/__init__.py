@@ -2,12 +2,13 @@
 
 from .checkpoint import CheckpointLoadError, CheckpointStore
 from .config import PipelineConfig
-from .elba import MAIN_STAGES, PipelineResult, run_pipeline
 from .engine import (
+    MAIN_STAGES,
     STAGE_REGISTRY,
     CollectingObserver,
     Pipeline,
     PipelineObserver,
+    PipelineResult,
     RunContext,
     Stage,
     StageTiming,
@@ -26,7 +27,6 @@ from .report import (
 
 __all__ = [
     "PipelineConfig",
-    "run_pipeline",
     "PipelineResult",
     "MAIN_STAGES",
     "Pipeline",

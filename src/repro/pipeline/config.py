@@ -26,13 +26,14 @@ class PipelineConfig:
     nprocs: int = 4
     machine: str | MachineModel = "cori-haswell"
     # per-rank compute backend for map_ranks supersteps: "serial" runs
-    # ranks in order on the calling thread, "thread" overlaps them on a
-    # worker pool, "process" runs whole rank steps in a spawn-safe
-    # process pool over shared read-only buffers, "mpi" drives mpi4py
-    # ranks (single-rank emulator without an MPI installation).
-    # Artifacts and modeled accounting are bit-identical across
-    # backends, so -- like align_batch_size -- this is deliberately
-    # not checkpoint-fingerprinted.  Env override: REPRO_EXECUTOR.
+    # ranks in order on the calling thread (the reference), "process"
+    # runs whole rank steps in a spawn-safe process pool.  Measured
+    # (CHANGES.md PR 15): process wins when per-superstep work is large
+    # (lowerr_diag_p16, hierr_dp_p4), loses when supersteps are many and
+    # tiny (lowerr_budget_p16, contig_sweep_p16).  Artifacts and modeled
+    # accounting are bit-identical across backends, so -- like
+    # align_batch_size -- this is deliberately not
+    # checkpoint-fingerprinted.  Env override: REPRO_EXECUTOR.
     executor: str = field(default_factory=default_executor)
     # inner-loop kernel implementation for the batched engines: "numpy"
     # (vectorized reference, always available) or "native" (the C

@@ -2,7 +2,7 @@
 
 The paper's figures are stacked-bar breakdowns (Figs. 5-6) and strong-
 scaling lines (Figs. 4, 6).  These helpers turn lists of
-:class:`~repro.pipeline.elba.PipelineResult` into the same tables as text,
+:class:`~repro.pipeline.engine.PipelineResult` into the same tables as text,
 plus the derived quantities the paper reports (speedup over the smallest
 run, parallel efficiency).
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elba import MAIN_STAGES, PipelineResult
+from .engine import MAIN_STAGES, PipelineResult
 
 __all__ = [
     "ScalingPoint",

@@ -39,7 +39,12 @@ def encode(seq: str | bytes) -> np.ndarray:
     (the simulator never emits ambiguity codes, so none are accepted).
     """
     if isinstance(seq, str):
-        raw = np.frombuffer(seq.encode("ascii", errors="strict"), dtype=np.uint8)
+        try:
+            raw = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
+        except UnicodeEncodeError as exc:
+            raise SequenceError(
+                f"invalid DNA character {seq[exc.start]!r}"
+            ) from None
     else:
         raw = np.frombuffer(bytes(seq), dtype=np.uint8)
     codes = _ENCODE_LUT[raw]

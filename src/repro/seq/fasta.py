@@ -30,6 +30,16 @@ def iter_fasta(handle: TextIO) -> Iterator[tuple[str, str]]:
         line = line.strip()
         if not line:
             continue
+        if not line.isascii():
+            bad = next(ch for ch in line if not ch.isascii())
+            # read_fasta opens paths with surrogateescape: U+DC80..U+DCFF
+            # stand for the raw bytes 0x80..0xff
+            shown = (
+                f"byte 0x{ord(bad) - 0xDC00:02x}"
+                if 0xDC80 <= ord(bad) <= 0xDCFF
+                else f"character {bad!r}"
+            )
+            raise SequenceError(f"FASTA line {lineno}: non-ASCII {shown}")
         if line.startswith(">"):
             if header is not None:
                 yield header, "".join(chunks)
@@ -50,7 +60,9 @@ def read_fasta(path: str | Path | TextIO) -> tuple[list[str], list[np.ndarray]]:
     if hasattr(path, "read"):
         pairs = list(iter_fasta(path))
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        # a stray byte must reach iter_fasta's check (a SequenceError
+        # naming the line), not die in the decoder
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             pairs = list(iter_fasta(fh))
     headers = [h for h, _ in pairs]
     seqs = [dna.encode(s) for _, s in pairs]

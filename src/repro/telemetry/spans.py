@@ -16,7 +16,7 @@ Every span is stamped with the **modeled** clock: the tracer keeps one
 cursor per rank and advances it with BSP semantics -- a superstep starts
 at the barrier (max cursor over ranks), each rank's lane runs for its
 buffered compute seconds, a collective synchronizes its participants.
-Modeled charges are bit-identical across the serial/thread/process/mpi
+Modeled charges are bit-identical across the serial and process
 executor backends (buffered per rank, merged in rank order), so the span
 tree is too: :meth:`Tracer.digest` hashes the tree *excluding wall time*
 and must agree across backends.  Wall-clock readings ride along on the
@@ -267,25 +267,25 @@ class Tracer:
         for ctx in ctxs:
             r = int(ctx)
             total = float(sum(sec for _, sec in ctx._compute))
-            named = list(ctx._spans)
+            named = ctx._spans
             if total == 0.0 and not named:
                 cur[r] = max(cur[r], t0)
                 continue
             lane = Span(f"rank {r}", "rank", t0, t0 + total, rank=r)
             t = t0
-            for name, span_stage, sec, span_wall, *extra in named:
+            for rec in named:
                 lane.children.append(
                     Span(
-                        name, "kernel", t, t + sec, rank=r,
+                        rec.name, "kernel", t, t + rec.modeled, rank=r,
                         attrs=(
-                            {"stage": span_stage}
-                            if span_stage != stage else {}
+                            {"stage": rec.stage}
+                            if rec.stage != stage else {}
                         ),
-                        wall=span_wall,
-                        tier=extra[0] if extra else None,
+                        wall=rec.wall,
+                        tier=rec.tier,
                     )
                 )
-                t += sec
+                t += rec.modeled
             node.children.append(lane)
             cur[r] = t0 + total
             t1 = max(t1, t0 + total)

@@ -79,7 +79,7 @@ class TestAssembleCli:
     def test_executor_flag(self, workspace):
         """Both executor backends assemble bit-identical contig sets."""
         seqs = {}
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "process"):
             out_fa = workspace["tmp"] / f"contigs_{executor}.fa"
             rc, text = run(
                 assemble_main,
@@ -90,8 +90,8 @@ class TestAssembleCli:
             assert "assembled 1 contigs" in text
             _, contigs = read_fasta(out_fa)
             seqs[executor] = contigs
-        assert len(seqs["serial"]) == len(seqs["thread"])
-        for a, b in zip(seqs["serial"], seqs["thread"]):
+        assert len(seqs["serial"]) == len(seqs["process"])
+        for a, b in zip(seqs["serial"], seqs["process"]):
             assert np.array_equal(a, b)
 
     def test_breakdown_lists_all_stages(self, workspace):

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro import CollectingObserver, Pipeline, PipelineConfig, run_pipeline
+from repro import CollectingObserver, Pipeline, PipelineConfig
 from repro.errors import PipelineError
 from repro.pipeline import MAIN_STAGES, STAGE_REGISTRY, Stage, register_stage
 from repro.seq import GenomeSpec, make_genome, tile_reads
@@ -260,13 +260,9 @@ class TestObserverHooks:
             )
 
 
-class TestCompatWrapper:
-    def test_run_pipeline_matches_engine(self, tiled, cfg, full_run):
-        _, rs = tiled
-        res = run_pipeline(rs, cfg)
-        assert _sequences(res) == _sequences(full_run)
-        assert res.counts["contigs"] == 1
-        # seed-era counters all present
+class TestResultSurface:
+    def test_seed_era_counters_present(self, full_run):
+        assert full_run.counts["contigs"] == 1
         for key in (
             "reads",
             "bases",
@@ -280,20 +276,14 @@ class TestCompatWrapper:
             "contigs",
             "peak_memory_bytes",
         ):
-            assert key in res.counts
-
-    def test_wrapper_exposes_engine_features(self, tiled, cfg):
-        _, rs = tiled
-        res = run_pipeline(rs, cfg, until="CountKmer")
-        assert res.stages_run == ["CountKmer"]
-        assert res.contigs is None
+            assert key in full_run.counts
 
     def test_keep_graphs_still_retains_matrices(self, tiled):
         _, rs = tiled
         config = PipelineConfig(
             nprocs=4, k=17, reliable_lo=1, end_margin=5, keep_graphs=True
         )
-        res = run_pipeline(rs, config)
+        res = Pipeline.default().run(rs, config)
         assert res.R is not None and res.S is not None
         assert res.reads is not None
 

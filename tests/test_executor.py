@@ -1,5 +1,5 @@
 """Executor-backend semantics: map_ranks, RankContext accounting, and the
-serial/thread equivalence contract.
+serial/process equivalence contract.
 
 The tentpole invariant: a pipeline run produces bit-identical artifacts
 and identical modeled cost/memory accounting whichever backend executes
@@ -10,6 +10,7 @@ and the full five-stage pipeline.
 
 from __future__ import annotations
 
+import pathlib
 import threading
 import time
 
@@ -20,22 +21,21 @@ from repro import Pipeline, PipelineConfig
 from repro.errors import CommunicatorError, PipelineError
 from repro.mpi import (
     EXECUTOR_BACKENDS,
-    IN_PROCESS_BACKENDS,
+    ProcessExecutor,
     RankContext,
     SerialExecutor,
     SimWorld,
-    ThreadExecutor,
     cori_haswell,
     make_executor,
 )
 from repro.seq import GenomeSpec, make_genome, sample_reads
 
-# These tests exercise in-process semantics: their steps are closures over
-# worlds and enclosing lists, which is exactly what out-of-process backends
-# reject (steps must be picklable, enclosing mutation is lost).  The
-# process/mpi backends get their own contract suite in
-# test_executor_parallel.py.
-BACKENDS = list(IN_PROCESS_BACKENDS)
+BACKENDS = list(EXECUTOR_BACKENDS)
+# Steps that close over the world or mutate enclosing lists only make
+# sense in-process: the process backend rejects them (steps must be
+# picklable, enclosing mutation is lost) and has its own contract suite
+# in test_executor_parallel.py.
+IN_PROCESS = ["serial"]
 
 
 # ---------------------------------------------------------------------------
@@ -46,21 +46,19 @@ BACKENDS = list(IN_PROCESS_BACKENDS)
 class TestMakeExecutor:
     def test_resolves_names(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
+        assert isinstance(make_executor("process"), ProcessExecutor)
 
     def test_all_backends_registered(self):
-        assert EXECUTOR_BACKENDS == ("serial", "thread", "process", "mpi")
+        assert EXECUTOR_BACKENDS == ("serial", "process")
         for name in EXECUTOR_BACKENDS:
             ex = make_executor(name)
             assert ex.name == name
             assert make_executor(name) is ex  # shared default instance
-        for name in IN_PROCESS_BACKENDS:
-            assert make_executor(name).in_process
+        assert make_executor("serial").in_process
         assert not make_executor("process").in_process
-        assert not make_executor("mpi").in_process
 
     def test_instance_passthrough(self):
-        ex = ThreadExecutor(max_workers=2)
+        ex = SerialExecutor()
         assert make_executor(ex) is ex
 
     def test_unknown_backend(self):
@@ -69,29 +67,30 @@ class TestMakeExecutor:
 
     def test_bad_worker_count(self):
         with pytest.raises(CommunicatorError):
-            ThreadExecutor(max_workers=0)
+            ProcessExecutor(max_workers=0)
 
     def test_shutdown_idempotent(self):
-        ex = ThreadExecutor(max_workers=2)
+        ex = ProcessExecutor(max_workers=2)
         w = SimWorld(4, executor=ex)
         w.map_ranks(lambda ctx: int(ctx) * 2)
         ex.shutdown()
         ex.shutdown()
         # pool is rebuilt lazily after shutdown
         assert w.map_ranks(lambda ctx: int(ctx)) == [0, 1, 2, 3]
+        ex.shutdown()
 
     def test_names_resolve_to_shared_instances(self):
         """Backend names share one instance (and one pool) process-wide."""
-        assert make_executor("thread") is make_executor("thread")
+        assert make_executor("process") is make_executor("process")
         assert make_executor("serial") is make_executor("serial")
         # explicit construction still yields private instances
-        assert ThreadExecutor() is not make_executor("thread")
+        assert ProcessExecutor() is not make_executor("process")
 
     def test_world_use_executor_swaps(self):
         w = SimWorld(4)
         assert w.executor.name == "serial"
-        w.use_executor("thread")
-        assert w.executor.name == "thread"
+        w.use_executor("process")
+        assert w.executor.name == "process"
         with pytest.raises(CommunicatorError):
             w.use_executor("nope")
 
@@ -101,32 +100,36 @@ class TestMakeExecutor:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestMapRanks:
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_results_in_rank_order(self, backend):
         w = SimWorld(6, executor=backend)
 
         def step(ctx, x):
-            # later ranks finish first under the thread backend
+            # later ranks finish first when ranks overlap
             time.sleep(0.002 * (6 - int(ctx)))
             return (int(ctx), x * 10)
 
         assert w.map_ranks(step, list(range(6))) == [(r, r * 10) for r in range(6)]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_multiple_per_rank_args(self, backend):
         w = SimWorld(4, executor=backend)
         out = w.map_ranks(lambda ctx, a, b: a + b, [1, 2, 3, 4], [10, 20, 30, 40])
         assert out == [11, 22, 33, 44]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_args(self, backend):
         w = SimWorld(3, executor=backend)
         assert w.map_ranks(lambda ctx: int(ctx) ** 2) == [0, 1, 4]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_arg_length_validated(self, backend):
         w = SimWorld(4, executor=backend)
         with pytest.raises(CommunicatorError, match="expects 4 per-rank entries"):
             w.map_ranks(lambda ctx, a: a, [1, 2, 3])
 
+    @pytest.mark.parametrize("backend", IN_PROCESS)
     def test_context_is_the_rank_integer(self, backend):
         w = SimWorld(4, executor=backend)
         slots = [None] * 4
@@ -140,6 +143,7 @@ class TestMapRanks:
         assert all(w.map_ranks(step))
         assert slots == [100, 101, 102, 103]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_exceptions_propagate(self, backend):
         w = SimWorld(4, cori_haswell(), executor=backend)
 
@@ -154,10 +158,10 @@ class TestMapRanks:
         assert w.clock.stages() == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", IN_PROCESS)
 class TestInStepGuards:
-    """Direct world accounting inside a step errors on BOTH backends --
-    under threads it would silently mis-attribute stages, so the guard
+    """Direct world accounting inside an in-process step errors -- a
+    detached step (process backend) could not do it at all, so the guard
     keeps the backend-identical contract enforceable."""
 
     def test_world_charge_compute_rejected(self, backend):
@@ -182,8 +186,7 @@ class TestInStepGuards:
         w.comm.barrier()
 
     def test_nested_map_ranks_rejected(self, backend):
-        """Nesting would deadlock a saturated thread pool; it fails fast
-        with the same error on both backends instead."""
+        """A step has no business launching a superstep; it fails fast."""
         w = SimWorld(4, cori_haswell(), executor=backend)
 
         def outer(ctx):
@@ -193,26 +196,26 @@ class TestInStepGuards:
             w.map_ranks(outer)
 
 
-class TestThreadFailureSemantics:
-    def test_lowest_rank_exception_wins_and_all_ranks_drain(self):
+class TestProcessFailureSemantics:
+    def test_lowest_rank_exception_wins_and_all_ranks_drain(self, tmp_path):
         """A later rank failing *first in time* does not mask the lowest
         failing rank, and no orphan step keeps running after the raise."""
-        w = SimWorld(4, executor="thread")
-        finished = [False] * 4
+        w = SimWorld(4, executor="process")
 
-        def step(ctx):
+        def step(ctx, done_dir):
             r = int(ctx)
             if r == 3:
-                finished[r] = True
+                pathlib.Path(done_dir, str(r)).touch()
                 raise RuntimeError("rank 3 failed fast")
             time.sleep(0.005 * (r + 1))
-            finished[r] = True
+            pathlib.Path(done_dir, str(r)).touch()
             if r == 1:
                 raise RuntimeError("rank 1 failed slow")
 
         with pytest.raises(RuntimeError, match="rank 1"):
-            w.map_ranks(step)
-        assert all(finished)  # every rank drained before the raise
+            w.map_ranks(step, [str(tmp_path)] * 4)
+        # every rank drained before the raise
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2", "3"]
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +240,17 @@ def _charged_world(backend):
 
 class TestRankContextAccounting:
     def test_backends_charge_identically(self):
-        serial, thread = _charged_world("serial"), _charged_world("thread")
-        assert serial.clock.stages() == thread.clock.stages() == ["Super", "Super/inner"]
+        serial, proc = _charged_world("serial"), _charged_world("process")
+        assert serial.clock.stages() == proc.clock.stages() == ["Super", "Super/inner"]
         for stage in serial.clock.stages():
             assert np.array_equal(
                 serial.clock.per_rank_seconds(stage),
-                thread.clock.per_rank_seconds(stage),
+                proc.clock.per_rank_seconds(stage),
             )
-        assert serial.memory.by_stage() == thread.memory.by_stage()
+        assert serial.memory.by_stage() == proc.memory.by_stage()
 
     def test_nested_scope_attribution(self):
-        w = _charged_world("thread")
+        w = _charged_world("process")
         machine = cori_haswell()
         outer = w.clock.per_rank_seconds("Super")
         inner = w.clock.per_rank_seconds("Super/inner")
@@ -256,23 +259,23 @@ class TestRankContextAccounting:
             assert inner[rank] == machine.op_time(ops * 2, kind="alignment")
 
     def test_memory_scaled_by_volume_scale(self):
-        w = SimWorld(2, cori_haswell().scaled(8.0), executor="thread")
+        w = SimWorld(2, cori_haswell().scaled(8.0), executor="process")
         w.map_ranks(lambda ctx: ctx.observe_memory(100.0))
         assert w.memory.peak(0) == 800.0
         assert w.memory.peak(1) == 800.0
 
     def test_worker_scopes_do_not_leak_to_main(self):
-        w = SimWorld(4, cori_haswell(), executor="thread")
-        with w.stage_scope("Outer"):
+        def step(ctx):
+            with ctx.stage_scope("Outer/deep"):
+                ctx.charge_compute(50)
 
-            def step(ctx):
-                with ctx.stage_scope("Outer/deep"):
-                    ctx.charge_compute(50)
-                return w.stage  # the *world* stack as this thread sees it
-
-            w.map_ranks(step)
-            # per-rank scopes never touched the calling thread's stack
-            assert w.stage == "Outer"
+        for backend in BACKENDS:
+            w = SimWorld(4, cori_haswell(), executor=backend)
+            with w.stage_scope("Outer"):
+                w.map_ranks(step)
+                # per-rank scopes never touched the calling thread's stack
+                assert w.stage == "Outer"
+            assert w.clock.stages() == ["Outer/deep"]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,7 @@ def _superstep_with_subcomms(backend, seed=11):
 class TestSubcommInterleaving:
     def test_results_identical_across_backends(self):
         (ws, sums_s, comb_s) = _superstep_with_subcomms("serial")
-        (wt, sums_t, comb_t) = _superstep_with_subcomms("thread")
+        (wt, sums_t, comb_t) = _superstep_with_subcomms("process")
         assert sums_s == sums_t
         assert comb_s == comb_t
         assert ws.clock.stages() == wt.clock.stages()
@@ -317,7 +320,7 @@ class TestSubcommInterleaving:
         assert ws.log.total_bytes() == wt.log.total_bytes()
 
     def test_subcomm_charges_only_member_ranks(self):
-        w, _sums, _comb = _superstep_with_subcomms("thread")
+        w, _sums, _comb = _superstep_with_subcomms("process")
         per_rank = w.clock.per_rank_seconds("Phase")
         assert per_rank.shape == (4,)
         assert (per_rank > 0).all()
@@ -455,7 +458,7 @@ class TestPipelineEquivalence:
     def test_artifacts_and_accounting_identical(self, small_readset):
         _genome, reads = small_readset
         a = _run(reads, "serial")
-        b = _run(reads, "thread")
+        b = _run(reads, "process")
         # artifacts: bit-identical contig set
         assert [c.sequence() for c in a.contigs.contigs] == [
             c.sequence() for c in b.contigs.contigs
@@ -486,7 +489,7 @@ class TestPipelineEquivalence:
     def test_polish_and_low_memory_identical(self, small_readset):
         _genome, reads = small_readset
         a = _run(reads, "serial", polish=True, memory_mode="low")
-        b = _run(reads, "thread", polish=True, memory_mode="low")
+        b = _run(reads, "process", polish=True, memory_mode="low")
         assert [c.sequence() for c in a.contigs.contigs] == [
             c.sequence() for c in b.contigs.contigs
         ]
@@ -499,8 +502,8 @@ class TestPipelineEquivalence:
             cfg.validate()
 
     def test_env_override_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        assert PipelineConfig().executor == "thread"
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        assert PipelineConfig().executor == "process"
         monkeypatch.delenv("REPRO_EXECUTOR")
         assert PipelineConfig().executor == "serial"
 
@@ -510,7 +513,7 @@ class TestPipelineEquivalence:
         ckpt = str(tmp_path / "ckpt")
         cfg_a = PipelineConfig(nprocs=4, k=21, end_margin=20, executor="serial")
         first = Pipeline.default().run(reads, cfg_a, checkpoint_dir=ckpt)
-        cfg_b = PipelineConfig(nprocs=4, k=21, end_margin=20, executor="thread")
+        cfg_b = PipelineConfig(nprocs=4, k=21, end_margin=20, executor="process")
         second = Pipeline.default().run(reads, cfg_b, checkpoint_dir=ckpt)
         assert second.stages_run == []
         assert [n for n, why in second.stages_skipped if why == "checkpoint"] == [
@@ -519,3 +522,48 @@ class TestPipelineEquivalence:
         assert [c.sequence() for c in second.contigs.contigs] == [
             c.sequence() for c in first.contigs.contigs
         ]
+
+
+# ---------------------------------------------------------------------------
+# the deleted backends are rejected, with a typed error, at every door
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gone", ["thread", "mpi"])
+class TestRemovedBackendsRejected:
+    def test_config(self, gone):
+        with pytest.raises(PipelineError, match=r"\['serial', 'process'\]"):
+            PipelineConfig(nprocs=4, executor=gone).validate()
+
+    def test_env(self, gone, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", gone)
+        with pytest.raises(PipelineError, match=r"\['serial', 'process'\]"):
+            PipelineConfig(nprocs=4).validate()
+
+    def test_cli_flags(self, gone, tmp_path, capsys):
+        from repro.cli import assemble_main
+        from repro.cli import jobs as jobs_cli
+
+        for main, argv in (
+            (assemble_main, ["--preset", "c_elegans", "--executor", gone]),
+            (jobs_cli.main, ["worker", "--root", str(tmp_path), "--executor", gone]),
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+    def test_service_job_fails_on_first_attempt(self, gone, tmp_path):
+        from repro.service import JobService
+
+        svc = JobService(tmp_path)
+        job_id = svc.submit(
+            {"kind": "simulate", "length": 2500, "seed": 51},
+            {"nprocs": 4, "k": 17, "executor": gone},
+        )
+        (record,) = svc.run_worker()
+        assert record.job_id == job_id and record.state == "failed"
+        assert "unknown executor" in record.error
+        # a spec error is terminal: no retry was scheduled, nothing left queued
+        assert record.attempts == 1
+        assert svc.run_worker() == []

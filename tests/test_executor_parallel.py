@@ -1,9 +1,9 @@
-"""Out-of-process executor contract: process pool, mpi emulator, shm.
+"""Out-of-process executor contract: process pool and shm transport.
 
 The PR 4 invariant extended across address spaces: a superstep produces
 bit-identical results, clocks, comm logs and memory accounting whether
-its ranks run serially, on threads, in spawned worker processes, or
-through the mpi4py emulator path.  These tests pin that contract at the
+its ranks run serially or in spawned worker processes.  These tests pin
+that contract at the
 raw map_ranks level (P=64 with interleaved subcomm collectives and a
 chaos leg), at the shared-memory transport level, and end-to-end through
 the pipeline and the job-engine worker.
@@ -21,13 +21,11 @@ from repro import Pipeline, PipelineConfig
 from repro.errors import CommunicatorError, RankFailure
 from repro.faults import FaultInjector, FaultPlan, rank_crash
 from repro.mpi import (
-    EXECUTOR_BACKENDS,
     SimWorld,
     SharedBufferRegistry,
     cori_haswell,
     make_executor,
 )
-from repro.mpi.mpiexec import EmulatedComm, MPIExecutor
 from repro.mpi.procexec import ProcessExecutor, _chunk_bounds
 from repro.mpi.shm import SHM_THRESHOLD_DEFAULT, attach_array, shm_dumps, shm_loads
 from repro.seq import GenomeSpec, make_genome, sample_reads
@@ -375,7 +373,7 @@ def _p64_workload(backend, injector=None):
 
 
 class TestP64Determinism:
-    @pytest.mark.parametrize("backend", ["thread", "process", "mpi"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_bit_identical_to_serial(self, backend):
         ws, sums_s, comb_s = _p64_workload("serial")
         wb, sums_b, comb_b = _p64_workload(backend)
@@ -414,63 +412,7 @@ class TestP64Determinism:
 
 
 # ---------------------------------------------------------------------------
-# the mpi emulator path
-# ---------------------------------------------------------------------------
-
-
-class _Rank1Comm(EmulatedComm):
-    def Get_rank(self):
-        return 1
-
-
-class TestMPIEmulator:
-    def test_emulated_comm_semantics(self):
-        comm = EmulatedComm()
-        assert comm.Get_rank() == 0 and comm.Get_size() == 1
-        assert comm.bcast({"x": 1}) == {"x": 1}
-        assert comm.scatter([10]) == 10
-        assert comm.gather(7) == [7]
-        assert comm.barrier() is None
-
-    def test_registry_instance_is_emulated(self):
-        ex = make_executor("mpi")
-        assert isinstance(ex, MPIExecutor) and ex.emulated
-
-    def test_accounting_identical_to_serial(self):
-        _assert_worlds_identical(
-            _charged_world("serial"), _charged_world("mpi")
-        )
-
-    def test_picklability_still_validated(self):
-        # the emulator runs the same serialize path, so an unpicklable
-        # step fails identically with or without an MPI installation
-        w = SimWorld(4, executor="mpi")
-        lock = threading.Lock()
-        with pytest.raises(CommunicatorError, match="not picklable"):
-            w.map_ranks(lambda ctx: lock.locked())
-
-    def test_empty_tasks(self):
-        assert MPIExecutor(EmulatedComm()).run(_sum_step, []) == []
-
-    def test_worker_rank_cannot_run(self):
-        ex = MPIExecutor(_Rank1Comm())
-        with pytest.raises(CommunicatorError, match="controller-only"):
-            ex.run(_sum_step, [])
-
-    def test_controller_cannot_serve(self):
-        with pytest.raises(CommunicatorError, match="controller"):
-            MPIExecutor(EmulatedComm()).serve()
-
-    def test_shutdown_noop_and_reusable(self):
-        ex = MPIExecutor(EmulatedComm())
-        ex.shutdown()
-        ex.shutdown()
-        w = SimWorld(2, executor=ex)
-        assert w.map_ranks(_sum_step, [np.ones(2)] * 2) == [2, 2]
-
-
-# ---------------------------------------------------------------------------
-# pipeline-level equivalence (the acceptance contract, all four backends)
+# pipeline-level equivalence (the acceptance contract)
 # ---------------------------------------------------------------------------
 
 
@@ -487,16 +429,16 @@ def readset():
     )
 
 
-def _run_pipeline(reads, executor):
+def _assemble(reads, executor):
     cfg = PipelineConfig(nprocs=4, k=21, end_margin=20, executor=executor)
     return Pipeline.default().run(reads, cfg)
 
 
 class TestPipelineEquivalenceParallel:
-    @pytest.mark.parametrize("backend", ["process", "mpi"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_artifacts_and_accounting_identical(self, readset, backend):
-        a = _run_pipeline(readset, "serial")
-        b = _run_pipeline(readset, backend)
+        a = _assemble(readset, "serial")
+        b = _assemble(readset, backend)
         assert a.contig_digest() == b.contig_digest()
         assert [c.sequence() for c in a.contigs.contigs] == [
             c.sequence() for c in b.contigs.contigs
@@ -532,22 +474,22 @@ class TestWorkerExecutorKnob:
     def test_worker_override_lands_in_summary(self, tmp_path):
         svc = JobService(tmp_path)
         job_id = svc.submit(SRC, CFG)
-        done = svc.run_worker(executor="thread")
+        done = svc.run_worker(executor="process")
         assert [r.job_id for r in done] == [job_id]
-        assert svc.result(job_id)["executor"] == "thread"
+        assert svc.result(job_id)["executor"] == "process"
 
     def test_spec_executor_used_when_no_override(self, tmp_path):
         svc = JobService(tmp_path)
-        job_id = svc.submit(SRC, dict(CFG, executor="thread"))
+        job_id = svc.submit(SRC, dict(CFG, executor="process"))
         svc.run_worker()
-        assert svc.result(job_id)["executor"] == "thread"
+        assert svc.result(job_id)["executor"] == "process"
 
     def test_env_default_applies(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         svc = JobService(tmp_path)
         job_id = svc.submit(SRC, CFG)
         svc.run_worker()
-        assert svc.result(job_id)["executor"] == "thread"
+        assert svc.result(job_id)["executor"] == "process"
 
     def test_bad_backend_fails_at_worker_start(self, tmp_path):
         svc = JobService(tmp_path)
@@ -560,7 +502,7 @@ class TestWorkerExecutorKnob:
         from repro.cli import jobs as jobs_cli
 
         rc = jobs_cli.main(
-            ["worker", "--root", str(tmp_path), "--executor", "thread"]
+            ["worker", "--root", str(tmp_path), "--executor", "process"]
         )
         assert rc == 0
         assert "processed 0 job(s)" in capsys.readouterr().out

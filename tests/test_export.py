@@ -12,7 +12,7 @@ from repro.kmer.kmermatrix import build_kmer_matrix
 from repro.mpi import ProcGrid, SimWorld, zero_cost
 from repro.overlap.detect import detect_overlaps
 from repro.overlap.filter import AlignmentParams, build_overlap_graph
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline import Pipeline, PipelineConfig
 from repro.seq import dna, tile_reads
 from repro.seq.readstore import DistReadStore
 from repro.strgraph.transitive import transitive_reduction
@@ -34,7 +34,7 @@ def assembled():
         C, store, AlignmentParams(k=21, xdrop=15, end_margin=5)
     )
     tr = transitive_reduction(R)
-    result = run_pipeline(rs, PipelineConfig(nprocs=4, k=21, end_margin=5))
+    result = Pipeline.default().run(rs, PipelineConfig(nprocs=4, k=21, end_margin=5))
     return {
         "genome": genome,
         "reads": list(rs.reads),

@@ -13,7 +13,7 @@ import pytest
 from repro.errors import PipelineError, SequenceError
 from repro.kmer.codec import encode_kmers
 from repro.mpi import ProcGrid, SimWorld, zero_cost
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline import Pipeline, PipelineConfig
 from repro.scaffold import polish_contigs, scaffold_contigs
 from repro.seq import dna, tile_reads
 from repro.seq.fasta import read_fasta
@@ -22,7 +22,7 @@ from repro.seq.readstore import DistReadStore
 
 def run(reads, **kwargs):
     cfg = PipelineConfig(nprocs=kwargs.pop("nprocs", 4), k=kwargs.pop("k", 21), **kwargs)
-    return run_pipeline(reads, cfg)
+    return Pipeline.default().run(reads, cfg)
 
 
 class TestDegenerateReadSets:
@@ -178,8 +178,8 @@ class TestCountLimitInjection:
         rng = np.random.default_rng(8)
         genome = dna.random_codes(rng, 2000)
         rs = tile_reads(genome, 250, 100)
-        normal = run_pipeline(rs, PipelineConfig(nprocs=4, k=21))
-        forced = run_pipeline(
+        normal = Pipeline.default().run(rs, PipelineConfig(nprocs=4, k=21))
+        forced = Pipeline.default().run(
             rs, PipelineConfig(nprocs=4, k=21, count_limit=64)
         )
         a = sorted(c.sequence() for c in normal.contigs.contigs)

@@ -10,7 +10,7 @@ serial baseline.
 import numpy as np
 import pytest
 
-from repro import PipelineConfig, run_pipeline
+from repro import Pipeline, PipelineConfig
 from repro.baselines import assemble_serial_olc
 from repro.quality import evaluate_assembly
 from repro.seq import GenomeSpec, dna, make_genome, sample_reads, tile_reads
@@ -28,7 +28,7 @@ class TestExactReconstruction:
     def test_tiling_reassembles_exactly(self, pattern, nprocs):
         genome = make_genome(GenomeSpec(length=2800, seed=81))
         rs = tile_reads(genome, 380, 150, pattern)
-        res = run_pipeline(
+        res = Pipeline.default().run(
             rs, PipelineConfig(nprocs=nprocs, k=21, reliable_lo=1, end_margin=5)
         )
         assert res.contigs.count == 1
@@ -40,7 +40,7 @@ class TestExactReconstruction:
         """Read/grid counts that do not divide evenly."""
         genome = make_genome(GenomeSpec(length=3107, seed=82))
         rs = tile_reads(genome, 389, 151)
-        res = run_pipeline(
+        res = Pipeline.default().run(
             rs, PipelineConfig(nprocs=16, k=21, reliable_lo=1, end_margin=5)
         )
         assert res.contigs.count == 1
@@ -51,7 +51,7 @@ class TestSampledReads:
     def test_error_free_sampling_high_completeness(self):
         genome = make_genome(GenomeSpec(length=5000, seed=83))
         rs = sample_reads(genome, depth=15, mean_length=450, rng=84, error_rate=0.0)
-        res = run_pipeline(
+        res = Pipeline.default().run(
             rs, PipelineConfig(nprocs=4, k=21, reliable_lo=2, end_margin=5)
         )
         report = evaluate_assembly(res.contigs.contigs, genome, k=21)
@@ -65,7 +65,7 @@ class TestSampledReads:
             genome, depth=20, mean_length=450, rng=86,
             error_rate=0.005, error_mix=(1.0, 0.0, 0.0),
         )
-        res = run_pipeline(
+        res = Pipeline.default().run(
             rs,
             PipelineConfig(
                 nprocs=4, k=17, reliable_lo=2, xdrop=15, end_margin=25
@@ -81,7 +81,7 @@ class TestSampledReads:
             genome, depth=15, mean_length=350, rng=88,
             error_rate=0.01, error_mix=(0.4, 0.3, 0.3),
         )
-        res = run_pipeline(
+        res = Pipeline.default().run(
             rs,
             PipelineConfig(
                 nprocs=4, k=17, reliable_lo=2, align_mode="dp",
@@ -101,7 +101,7 @@ class TestRepeats:
             )
         )
         rs = sample_reads(genome, depth=15, mean_length=500, rng=90, error_rate=0.0)
-        res = run_pipeline(
+        res = Pipeline.default().run(
             rs, PipelineConfig(nprocs=4, k=21, reliable_lo=2, end_margin=5)
         )
         # repeats should be detected as branches (or swallowed by reliable-
@@ -116,7 +116,7 @@ class TestAgainstBaseline:
         serial baseline must produce equivalent assemblies on clean data."""
         genome = make_genome(GenomeSpec(length=3000, seed=91))
         rs = tile_reads(genome, 350, 140)
-        res = run_pipeline(
+        res = Pipeline.default().run(
             rs, PipelineConfig(nprocs=4, k=21, reliable_lo=1, end_margin=5)
         )
         baseline = assemble_serial_olc(list(rs.reads), k=21, end_margin=5)
@@ -141,7 +141,7 @@ class TestScalingBehaviour:
         machine = cori_haswell().scaled(10_000)
         times = {}
         for p in (1, 4, 16):
-            res = run_pipeline(
+            res = Pipeline.default().run(
                 rs,
                 PipelineConfig(
                     nprocs=p, machine=machine, k=21, reliable_lo=1, end_margin=5
@@ -157,7 +157,7 @@ class TestScalingBehaviour:
         rs = tile_reads(genome, 400, 160)
         from repro.mpi import cori_haswell
 
-        res = run_pipeline(
+        res = Pipeline.default().run(
             rs,
             PipelineConfig(
                 nprocs=16, machine=cori_haswell().scaled(10_000),

@@ -254,7 +254,7 @@ class _NoteCollector(PipelineObserver):
 
 @requires_native
 class TestPipelineTierIdentity:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_contig_digest_identical(self, executor, tiny_reads):
         digests = {}
         for tier in KERNEL_TIERS:

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from repro.errors import DistributionError, PipelineError
 from repro.mpi import ProcGrid, SimWorld, zero_cost
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline import Pipeline, PipelineConfig
 from repro.seq import dna, tile_reads
 from repro.sparse import DistSparseMatrix
 from repro.sparse.semiring import arithmetic_semiring
@@ -92,10 +92,10 @@ class TestPipelinePlumbing:
         return tile_reads(genome, 200, 80)
 
     def test_memory_mode_low_same_contigs(self, readset):
-        fast = run_pipeline(
+        fast = Pipeline.default().run(
             readset, PipelineConfig(nprocs=4, k=21, memory_mode="fast")
         )
-        low = run_pipeline(
+        low = Pipeline.default().run(
             readset, PipelineConfig(nprocs=4, k=21, memory_mode="low")
         )
         a = sorted(c.sequence() for c in fast.contigs.contigs)
@@ -103,15 +103,15 @@ class TestPipelinePlumbing:
         assert a == b
 
     def test_peak_memory_reported(self, readset):
-        res = run_pipeline(readset, PipelineConfig(nprocs=4, k=21))
+        res = Pipeline.default().run(readset, PipelineConfig(nprocs=4, k=21))
         assert res.peak_memory_bytes > 0
         assert res.counts["peak_memory_bytes"] == res.peak_memory_bytes
 
     def test_low_mode_never_larger_peak(self, readset):
-        fast = run_pipeline(
+        fast = Pipeline.default().run(
             readset, PipelineConfig(nprocs=9, k=21, memory_mode="fast")
         )
-        low = run_pipeline(
+        low = Pipeline.default().run(
             readset, PipelineConfig(nprocs=9, k=21, memory_mode="low")
         )
         assert low.peak_memory_bytes <= fast.peak_memory_bytes
@@ -166,6 +166,6 @@ class TestCloudPreset:
         rng = np.random.default_rng(13)
         genome = dna.random_codes(rng, 2000)
         rs = tile_reads(genome, 200, 80)
-        res = run_pipeline(rs, PipelineConfig(nprocs=4, k=21, machine="aws-hpc"))
+        res = Pipeline.default().run(rs, PipelineConfig(nprocs=4, k=21, machine="aws-hpc"))
         assert res.contigs.count >= 1
         assert res.modeled_total > 0

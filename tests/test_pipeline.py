@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import MAIN_STAGES, PipelineConfig, run_pipeline
+from repro import MAIN_STAGES, Pipeline, PipelineConfig
 from repro.errors import PipelineError
 from repro.pipeline import breakdown_table, parallel_efficiency, scaling_table
 from repro.pipeline.report import ScalingPoint
@@ -81,7 +81,7 @@ class TestConfig:
 class TestRunPipeline:
     def test_full_run_counts(self, tiled):
         genome, rs = tiled
-        res = run_pipeline(rs, PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5))
+        res = Pipeline.default().run(rs, PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5))
         c = res.counts
         assert c["reads"] == rs.count
         assert c["reliable_kmers"] > 0
@@ -93,7 +93,7 @@ class TestRunPipeline:
 
     def test_all_main_stages_timed(self, tiled):
         genome, rs = tiled
-        res = run_pipeline(rs, PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5))
+        res = Pipeline.default().run(rs, PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5))
         breakdown = res.main_stage_breakdown()
         assert set(breakdown) == set(MAIN_STAGES)
         assert all(v >= 0 for v in breakdown.values())
@@ -102,7 +102,7 @@ class TestRunPipeline:
 
     def test_contig_substage_breakdown(self, tiled):
         genome, rs = tiled
-        res = run_pipeline(rs, PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5))
+        res = Pipeline.default().run(rs, PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5))
         sub = res.contig_substage_breakdown()
         assert "InducedSubgraph" in sub and "LocalAssembly" in sub
         assert sum(sub.values()) == pytest.approx(
@@ -111,12 +111,12 @@ class TestRunPipeline:
 
     def test_accepts_raw_read_list(self, tiled):
         genome, rs = tiled
-        res = run_pipeline(list(rs.reads), PipelineConfig(nprocs=1, k=17, reliable_lo=1, end_margin=5))
+        res = Pipeline.default().run(list(rs.reads), PipelineConfig(nprocs=1, k=17, reliable_lo=1, end_margin=5))
         assert res.contigs.count == 1
 
     def test_align_stats_exposed(self, tiled):
         genome, rs = tiled
-        res = run_pipeline(rs, PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5))
+        res = Pipeline.default().run(rs, PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5))
         assert res.align_stats.pairs_aligned > 0
         assert res.align_stats.dovetails > 0
 
@@ -160,7 +160,7 @@ class TestReports:
     def _fake_results(self, tiled, ps=(1, 4)):
         genome, rs = tiled
         return [
-            run_pipeline(rs, PipelineConfig(nprocs=p, k=17, reliable_lo=1, end_margin=5))
+            Pipeline.default().run(rs, PipelineConfig(nprocs=p, k=17, reliable_lo=1, end_margin=5))
             for p in ps
         ]
 

@@ -186,9 +186,9 @@ class TestInPipelinePolish:
         return genome, reads
 
     def run(self, reads, polish, nprocs=4):
-        from repro.pipeline import PipelineConfig, run_pipeline
+        from repro.pipeline import Pipeline, PipelineConfig
 
-        return run_pipeline(
+        return Pipeline.default().run(
             reads,
             PipelineConfig(nprocs=nprocs, k=21, end_margin=20, polish=polish),
         )

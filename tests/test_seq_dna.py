@@ -25,6 +25,12 @@ class TestCodec:
         with pytest.raises(SequenceError):
             dna.encode("ACGN")
 
+    def test_non_ascii_character_is_a_sequence_error(self):
+        with pytest.raises(SequenceError, match="'\u00e9'"):
+            dna.encode("AC\u00e9T")
+        with pytest.raises(SequenceError, match="invalid DNA character"):
+            dna.encode(b"AC\xc3\xa9T")
+
     def test_invalid_code(self):
         with pytest.raises(SequenceError):
             dna.decode(np.array([4], dtype=np.uint8))

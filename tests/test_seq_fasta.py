@@ -26,6 +26,19 @@ class TestReader:
         with pytest.raises(SequenceError):
             list(iter_fasta(io.StringIO("ACGT\n>late\nAC\n")))
 
+    def test_non_ascii_in_file_is_a_sequence_error(self, tmp_path):
+        path = tmp_path / "bad.fa"
+        path.write_bytes(b">r1\nACGT\n>r2\nAC\xc3\xa9T\n")
+        with pytest.raises(SequenceError, match="line 4: non-ASCII byte 0xc3"):
+            read_fasta(path)
+        path.write_bytes(b">r\xff1\nACGT\n")  # headers too
+        with pytest.raises(SequenceError, match="line 1: non-ASCII byte 0xff"):
+            read_fasta(path)
+
+    def test_non_ascii_in_handle_is_a_sequence_error(self):
+        with pytest.raises(SequenceError, match="line 2: non-ASCII character '\u00e9'"):
+            read_fasta(io.StringIO(">r1\nAC\u00e9T\n"))
+
     def test_empty_input(self):
         headers, seqs = read_fasta(io.StringIO(""))
         assert headers == [] and seqs == []
@@ -54,6 +67,10 @@ class TestLoadDistributed:
         store = load_distributed(grid4, text)
         assert store.nreads == 5
         assert dna.decode(store.codes_global(1)) == "TTTT"
+
+    def test_non_ascii_text_is_a_sequence_error(self, grid4):
+        with pytest.raises(SequenceError, match="line 2: non-ASCII"):
+            load_distributed(grid4, ">a\nACG\u00d1\n")
 
     def test_from_path(self, grid4, tmp_path):
         path = tmp_path / "in.fa"

@@ -4,7 +4,7 @@ The contracts under test (ISSUE 5):
 
 * ``spgemm_symbolic`` bounds are exact on flops and upper bounds on nnz;
 * bulk / stream / phased (b in {1, 2, 4}) SpGEMM produce *bit-identical*
-  matrices under both the serial and thread executor backends;
+  matrices under both the serial and process executor backends;
 * for a fixed mode, clocks, comm logs and memory peaks are bit-identical
   across backends;
 * ``phases=1`` reproduces the default path exactly (blocks, clocks,
@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import DistributionError, PipelineError
 from repro.mpi import MemoryBudget, MemoryMeter, ProcGrid, SimWorld, cori_haswell
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline import Pipeline, PipelineConfig
 from repro.seq import dna, tile_reads
 from repro.sparse import (
     DistSparseMatrix,
@@ -38,7 +38,7 @@ from repro.strgraph import transitive_reduction
 from tests.test_strgraph import build_R
 
 MODES = [("bulk", 1), ("bulk", 2), ("bulk", 4), ("stream", 1), ("stream", 2), ("stream", 4)]
-BACKENDS = ["serial", "thread"]
+BACKENDS = ["serial", "process"]
 
 
 def random_dist(grid, shape, density, seed):
@@ -194,7 +194,7 @@ class TestPhasedIdentity:
 
     @pytest.mark.parametrize("mode,b", MODES)
     def test_backends_identical_accounting(self, mode, b):
-        """For a fixed (mode, b), serial and thread executors produce
+        """For a fixed (mode, b), serial and process executors produce
         bit-identical matrices, clocks, comm logs and memory peaks."""
         results = {}
         for backend in BACKENDS:
@@ -209,10 +209,10 @@ class TestPhasedIdentity:
                 )
             results[backend] = (C, world_accounting(world))
         assert_blocks_identical(
-            results["serial"][0], results["thread"][0], ctx=(mode, b)
+            results["serial"][0], results["process"][0], ctx=(mode, b)
         )
         assert_accounting_equal(
-            results["serial"][1], results["thread"][1], ctx=(mode, b)
+            results["serial"][1], results["process"][1], ctx=(mode, b)
         )
 
     def test_stream_and_phased_peaks_never_exceed_bulk(self):
@@ -369,9 +369,9 @@ class TestGraphAndPipelineWiring:
         return tile_reads(genome, 200, 80)
 
     def test_pipeline_budget_bit_identical_and_fits(self, readset):
-        base = run_pipeline(readset, PipelineConfig(nprocs=16, k=21))
+        base = Pipeline.default().run(readset, PipelineConfig(nprocs=16, k=21))
         budget_mb = base.peak_memory_bytes * 0.6 / 1e6
-        res = run_pipeline(
+        res = Pipeline.default().run(
             readset,
             PipelineConfig(nprocs=16, k=21, memory_budget_mb=budget_mb),
         )
@@ -384,7 +384,7 @@ class TestGraphAndPipelineWiring:
         assert a == b
 
     def test_pipeline_impossible_budget_surfaces_violations(self, readset):
-        res = run_pipeline(
+        res = Pipeline.default().run(
             readset,
             PipelineConfig(nprocs=4, k=21, memory_budget_mb=1e-6),
         )
@@ -417,7 +417,7 @@ class TestGraphAndPipelineWiring:
     def test_memory_table_renders_budget(self, readset):
         from repro.pipeline import memory_table
 
-        res = run_pipeline(
+        res = Pipeline.default().run(
             readset, PipelineConfig(nprocs=4, k=21, memory_budget_mb=1e-6)
         )
         text = memory_table("demo", [res])

@@ -2,7 +2,7 @@
 
 The load-bearing property is **backend bit-identity**: the modeled span
 tree (and therefore :meth:`Tracer.digest`) must agree exactly across the
-serial, thread, process and mpi executor backends, standalone and through
+serial and process executor backends, standalone and through
 the full pipeline.  Wall-clock readings ride along but never enter the
 digest.
 """
@@ -29,7 +29,7 @@ from repro.telemetry import (
     write_jsonl,
 )
 
-BACKENDS = ("serial", "thread", "process", "mpi")
+BACKENDS = ("serial", "process")
 
 
 def step(ctx, arr):

@@ -8,9 +8,9 @@ It also measures the **kernel tiers** against each other: the three
 dominant inner loops (gapless striped scan, banded-DP wavefront, lockstep
 walk advance) each exist as a vectorized numpy reference and a compiled C
 implementation (:mod:`repro.kernels`), bit-identical by contract.  The
-per-tier throughput trajectory lands in ``BENCH_kernels.json`` (gated by
-``check_regression.py``); the ``smoke`` tests assert exact numpy/native
-equivalence and run in CI.
+per-tier throughput trajectory lands in ``BENCH_kernels.json`` (a record;
+the gate is ``benchmarks/e2e/compare.py A B``); the ``smoke`` tests assert
+exact numpy/native equivalence and run in CI.
 """
 
 import json

@@ -29,7 +29,7 @@ NPROCS = 16
 def traced_run(reads, executor: str):
     cfg = PipelineConfig(nprocs=NPROCS, k=17, reliable_lo=1, executor=executor)
     tracer = Tracer()
-    result = Pipeline.default().run(reads, cfg, tracer=tracer)
+    result = Pipeline.default().run(reads, cfg, observers=[tracer])
     return result, tracer
 
 

@@ -37,6 +37,11 @@ Partial runs, injection, checkpoint/resume, hooks::
     pipe.run(reads, cfg, checkpoint_dir="ckpt")
     cfg.partition_method = "greedy"
     resumed = pipe.run(reads, cfg, checkpoint_dir="ckpt")
+
+    # tracing and fault injection attach the same way, as observers
+    tracer = repro.telemetry.Tracer()
+    pipe.run(reads, cfg, observers=[tracer])
+    tracer.digest()                 # identical on every executor backend
 """
 
 from .errors import ReproError

@@ -52,10 +52,10 @@ def machine_stamp() -> dict:
     """Identify the physical machine and executor behind a bench entry.
 
     Wall-clock throughputs are only comparable between runs on the same
-    hardware with the same executor backend; the regression gate
-    (``benchmarks/check_regression.py``) uses this stamp to pick a
-    baseline it may legitimately compare against.  Modeled times need no
-    stamp -- they are deterministic by construction.
+    hardware with the same executor backend: ``benchmarks/e2e/run.py``
+    stamps every result file, and the perf gate (``benchmarks/e2e/
+    compare.py A B``) is meant for two files of one host.  Modeled times
+    need no stamp -- they are deterministic by construction.
     """
     import os
     import platform
@@ -170,13 +170,15 @@ def sweep_pipeline(
     """
     nprocs_list = nprocs_list or SCALING_P
     machine = MACHINE_PRESETS[machine_name]().scaled(dataset.scale)
-    pipeline = Pipeline.default(observers=observers, checkpoint_dir=checkpoint_dir)
-    results = []
-    for p in nprocs_list:
-        results.append(
-            pipeline.run(dataset.readset, dataset.config(p, machine))
+    pipeline = Pipeline.default(observers=observers)
+    return [
+        pipeline.run(
+            dataset.readset,
+            dataset.config(p, machine),
+            checkpoint_dir=checkpoint_dir,
         )
-    return results
+        for p in nprocs_list
+    ]
 
 
 @dataclass

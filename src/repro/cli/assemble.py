@@ -181,14 +181,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
             tracer = Tracer()
         observers = [TraceObserver(out)] if args.trace else []
-        pipeline = Pipeline.default(observers=observers)
-        result = pipeline.run(
+        observers += [o for o in (tracer, injector) if o is not None]
+        result = Pipeline.default().run(
             ds.readset if ds is not None else reads,
             cfg,
             until=args.until,
             checkpoint_dir=_checkpoint_dir(args),
-            fault_injector=injector,
-            tracer=tracer,
+            observers=observers,
         )
 
         if tracer is not None:
@@ -219,7 +218,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             )
         if injector is not None:
             print(
-                f"fault plan: injected {result.faults_injected} fault(s), "
+                f"fault plan: injected {len(injector.events)} fault(s), "
                 f"recovered {len(result.recoveries)} stage failure(s)",
                 file=out,
             )
@@ -239,12 +238,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if args.gfa:
             from ..export import write_gfa
 
-            n = write_gfa(args.gfa, result.S, reads, contigs)
+            n = write_gfa(args.gfa, result.artifacts["S"], reads, contigs)
             print(f"wrote {n} GFA lines to {args.gfa}", file=out)
         if args.paf:
             from ..export import write_paf
 
-            n = write_paf(args.paf, result.R, reads)
+            n = write_paf(args.paf, result.artifacts["R"], reads)
             print(f"wrote {n} PAF records to {args.paf}", file=out)
         if args.polish:
             polished = polish_contigs(contigs, reads, PolishConfig())

@@ -1,7 +1,10 @@
 """The runtime half of fault injection: deciding when armed rules fire.
 
-One :class:`FaultInjector` wraps one :class:`~repro.faults.plan.FaultPlan`
-and is consulted at three sites:
+One :class:`FaultInjector` wraps one :class:`~repro.faults.plan.FaultPlan`.
+To the pipeline engine it is an observer like any other
+(``Pipeline.run(..., observers=[injector])``, duck-typed hooks): it arms
+the run's world in ``on_run_start``, disarms it in ``on_run_end``, and
+is consulted at three sites:
 
 * **superstep boundaries** -- :class:`~repro.mpi.comm.SimWorld.map_ranks`
   asks :meth:`superstep_actions` before launching a superstep; matching
@@ -10,8 +13,8 @@ and is consulted at three sites:
   propagates identically on every executor backend and the transactional
   accounting charges nothing), matching ``stall`` rules charge modeled
   straggler seconds after the superstep succeeds;
-* **checkpoint save/load** -- the engine asks :meth:`checkpoint_faults`
-  to corrupt a just-saved artifact or tear one out from under a load
+* **checkpoint save/load** -- the engine's :meth:`on_checkpoint` hook
+  corrupts a just-saved artifact or tears one out from under a load
   (``cache_evict_race``), exercising the ``CheckpointLoadError`` ->
   recompute degradation path;
 * **worker kill sites** -- the service worker asks
@@ -19,18 +22,19 @@ and is consulted at three sites:
   SIGKILLs the process (``mode="sigkill"``) or tells the caller to raise
   :class:`InjectedWorkerDeath` (``mode="sim"``, for in-process tests).
 
-Every fired rule is appended to :attr:`events` and pushed to registered
-listeners *before* its effect lands, so even a fault that kills the
-worker an instant later is already visible in the event log.  Superstep
-indices are counted per stage for the injector's lifetime: an injector
-shared across worker generations keeps its memory of what already fired,
-which is how a plan "eventually stops injecting".
+Every fired rule is appended to :attr:`events` -- and, during a run,
+raised as an ``on_stage_note`` for the run's other observers -- *before*
+its effect lands, so even a fault that kills the worker an instant later
+is already visible in the event log.  Superstep indices are counted per
+stage for the injector's lifetime: an injector shared across worker
+generations keeps its memory of what already fired, which is how a plan
+"eventually stops injecting".
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..errors import RankFailure
 from .plan import FaultPlan, FaultRule
@@ -85,8 +89,10 @@ class FaultInjector:
         self.plan = plan
         #: every fired fault, in firing order (dicts with site/kind/...)
         self.events: list[dict] = []
-        #: callbacks invoked with each event the moment it fires
-        self.listeners: list[Callable[[dict], None]] = []
+        #: the run this injector is armed on (a RunContext), if any, and
+        #: the injector that run's world carried before
+        self._ctx: Any = None
+        self._prev_injector: Any = None
         self._fires = [0] * len(plan.rules)
         self._supersteps: dict[str, int] = {}
         self._kill_checks = 0
@@ -112,9 +118,20 @@ class FaultInjector:
         metrics = get_registry()
         metrics.counter("faults.injected").inc()
         metrics.counter(f"faults.{rule.kind}").inc()
-        for listener in list(self.listeners):
-            listener(event)
+        # the worker kill site records its own durable event: the process
+        # may not live long enough for any observer to see a note
+        if self._ctx is not None and site != "worker":
+            self._ctx.note(event.get("stage") or "-", describe_event(event))
         return event
+
+    # -- pipeline observer hooks (on_checkpoint: see the checkpoint site) --
+    def on_run_start(self, ctx) -> None:
+        self._ctx, self._prev_injector = ctx, ctx.world.fault_injector
+        ctx.world.fault_injector = self
+
+    def on_run_end(self, ctx, wall_seconds: float) -> None:
+        ctx.world.fault_injector = self._prev_injector
+        self._ctx = self._prev_injector = None
 
     # -- superstep site ----------------------------------------------------
     def superstep_actions(self, stage_stack: Iterable[str]) -> list[dict]:
@@ -143,17 +160,16 @@ class FaultInjector:
         return fired
 
     # -- checkpoint site ---------------------------------------------------
-    def checkpoint_faults(self, stage_name: str, path, when: str) -> list[dict]:
-        """Apply corrupt/evict rules to one checkpoint file.
+    def on_checkpoint(self, stage: str, ctx, path, when: str) -> None:
+        """Observer hook: apply corrupt/evict rules to one checkpoint file.
 
         ``when`` is ``"save"`` (the engine just wrote ``path``) or
         ``"load"`` (the engine saw ``has() == True`` and is about to
         load).  ``cache_evict_race`` only makes sense at the load site.
         """
         path = str(path)
-        fired: list[dict] = []
         for i, rule in self._armed(("checkpoint_corrupt", "cache_evict_race")):
-            if rule.stage is not None and rule.stage != stage_name:
+            if rule.stage is not None and rule.stage != stage:
                 continue
             if rule.kind == "cache_evict_race":
                 if when != "load":
@@ -170,10 +186,9 @@ class FaultInjector:
                     continue
                 action = f"corrupted:{rule.mode}"
             self._fires[i] += 1
-            fired.append(self._record(
-                "checkpoint", rule, stage=stage_name, when=when, action=action
-            ))
-        return fired
+            self._record(
+                "checkpoint", rule, stage=stage, when=when, action=action
+            )
 
     # -- worker kill site --------------------------------------------------
     def worker_kill_action(self, after_stage: str | None = None) -> FaultRule | None:

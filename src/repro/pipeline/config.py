@@ -11,7 +11,18 @@ from ..mpi.bigcount import MPI_COUNT_LIMIT
 from ..mpi.costmodel import MACHINE_PRESETS, MachineModel
 from ..mpi.executor import EXECUTOR_BACKENDS, default_executor
 
-__all__ = ["PipelineConfig"]
+__all__ = ["PipelineConfig", "EXECUTION_FIELDS"]
+
+#: Knobs that choose *how* a run executes, never *what* it computes: every
+#: artifact comes out bit-identical at any value (the identity tests gate
+#: this per knob), so a checkpoint written under one setting must resume
+#: under any other.  ``register_stage`` therefore rejects a stage whose
+#: ``config_fields`` names one of them -- none can reach a checkpoint
+#: fingerprint.
+EXECUTION_FIELDS = frozenset({
+    "executor", "kernel_tier", "align_batch_size", "contig_engine",
+    "memory_mode", "memory_budget_mb", "stage_max_retries", "keep_graphs",
+})
 
 
 @dataclass
@@ -30,17 +41,13 @@ class PipelineConfig:
     # runs whole rank steps in a spawn-safe process pool.  Measured
     # (CHANGES.md PR 15): process wins when per-superstep work is large
     # (lowerr_diag_p16, hierr_dp_p4), loses when supersteps are many and
-    # tiny (lowerr_budget_p16, contig_sweep_p16).  Artifacts and modeled
-    # accounting are bit-identical across backends, so -- like
-    # align_batch_size -- this is deliberately not
-    # checkpoint-fingerprinted.  Env override: REPRO_EXECUTOR.
+    # tiny (lowerr_budget_p16, contig_sweep_p16).  Env override:
+    # REPRO_EXECUTOR.
     executor: str = field(default_factory=default_executor)
     # inner-loop kernel implementation for the batched engines: "numpy"
     # (vectorized reference, always available) or "native" (the C
     # extension, which degrades gracefully to numpy when not built).
-    # Tiers are bit-identical, so -- like executor -- this is
-    # deliberately not checkpoint-fingerprinted.  Env override:
-    # REPRO_KERNEL_TIER.
+    # Env override: REPRO_KERNEL_TIER.
     kernel_tier: str = field(default_factory=default_kernel_tier)
     # k-mer stage
     k: int = 31
@@ -67,8 +74,7 @@ class PipelineConfig:
     count_limit: int = MPI_COUNT_LIMIT
     # local-assembly traversal implementation: "batch" (vectorized chain
     # extraction + one strided gather per rank) or "scalar" (the per-vertex
-    # reference walk).  Bit-identical results either way, so -- like
-    # align_batch_size -- this is deliberately not checkpoint-fingerprinted
+    # reference walk)
     contig_engine: str = "batch"
     # §7 polishing phase: each rank pileup-polishes its own contigs against
     # the reads the sequence exchange already placed on it
@@ -81,17 +87,13 @@ class PipelineConfig:
     # per-rank modeled-memory cap in MB for the SpGEMM kernels (None =
     # unlimited).  When set, the symbolic phase planner column-blocks each
     # SUMMA product so the transient working set fits, and every observed
-    # overshoot is recorded as a budget violation on the result.  Results
-    # are bit-identical at any phase count, so -- like align_batch_size --
-    # this is deliberately not checkpoint-fingerprinted.
+    # overshoot is recorded as a budget violation on the result.
     memory_budget_mb: float | None = None
     # how many times the engine re-executes a stage after a rank failure
     # (injected or detected) before giving up.  Recovery rolls the stage's
     # artifacts back and replays it from its checkpointed inputs --
     # transactional superstep accounting guarantees the failed attempt
-    # charged nothing -- so a recovered run is bit-identical to an
-    # undisturbed one and, like executor, this knob is deliberately not
-    # checkpoint-fingerprinted
+    # charged nothing
     stage_max_retries: int = 3
     # retain the intermediate R (overlap) and S (string) matrices on the
     # result for inspection/export (GFA/PAF); off by default since they

@@ -22,16 +22,18 @@ run:
   still matches and recomputes only what changed (an ablation sweep over
   contig-stage knobs never re-runs CountKmer/DetectOverlap/Alignment).
 
-Observers receive ``on_stage_start`` / ``on_stage_end`` /
-``on_stage_skip`` callbacks, which is how the CLI trace output and the
-bench harness watch a run without touching stage internals.
+Observers (``observers=[...]``, hooks on :class:`PipelineObserver`) are
+the only way anything attaches to a run: the CLI's progress lines, the
+job engine's progress records, span tracing (``repro.telemetry.Tracer``)
+and fault injection (``repro.faults.FaultInjector``) all watch -- or
+disturb -- a run without the loop below knowing any of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Sequence, TextIO
 
 import numpy as np
@@ -46,7 +48,13 @@ from ..mpi.stats import TimingReport
 from ..overlap.filter import AlignmentStats
 from ..seq.readstore import DistReadStore
 from ..seq.simulate import ReadSet
-from .config import PipelineConfig
+from .checkpoint import (
+    CheckpointLoadError,
+    CheckpointStore,
+    adopt_artifact,
+    base_fingerprint,
+)
+from .config import EXECUTION_FIELDS, PipelineConfig
 
 __all__ = [
     "MAIN_STAGES",
@@ -124,6 +132,13 @@ def register_stage(cls: type[Stage]) -> type[Stage]:
     """Class decorator adding a :class:`Stage` subclass to the registry."""
     if not cls.name:
         raise PipelineError(f"stage class {cls.__name__} has no name")
+    hashable = {f.name for f in fields(PipelineConfig)} - EXECUTION_FIELDS
+    bad = [f for f in cls.config_fields if f not in hashable]
+    if bad:
+        raise PipelineError(
+            f"stage {cls.name}: config_fields {bad} cannot feed a checkpoint "
+            f"fingerprint (execution-only knob or not a PipelineConfig field)"
+        )
     STAGE_REGISTRY[cls.name] = cls
     return cls
 
@@ -146,6 +161,12 @@ def _resolve_stage(spec: "Stage | str | type[Stage]") -> Stage:
 # ---------------------------------------------------------------------------
 
 
+def _call(observer: Any, hook: str, *args) -> None:
+    method = getattr(observer, hook, None)  # hooks are optional
+    if method is not None:
+        method(*args)
+
+
 @dataclass
 class RunContext:
     """Everything a stage can see: world, config, artifacts, counters."""
@@ -157,6 +178,18 @@ class RunContext:
     store: DistReadStore | None
     artifacts: dict[str, Any] = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
+    #: the observers whose ``on_run_start`` returned, in notification order
+    observers: list = field(default_factory=list)
+
+    def notify(self, hook: str, *args) -> None:
+        """Call ``hook(*args)`` on every observer that defines it."""
+        for obs in self.observers:
+            _call(obs, hook, *args)
+
+    def note(self, stage: str, text: str) -> None:
+        """Raise an ``on_stage_note`` -- open to observers too, so one can
+        tell its peers what it just did (an injected fault, say)."""
+        self.notify("on_stage_note", stage, self, text)
 
     def require(self, key: str) -> Any:
         try:
@@ -185,10 +218,21 @@ class StageTiming:
 
 
 class PipelineObserver:
-    """Base observer: subclass and override any subset of the hooks."""
+    """The eight hooks of a run.
+
+    Subclass and override any subset -- or subclass nothing: the fan-out
+    (:meth:`RunContext.notify`) skips hooks an object does not define.
+    """
+
+    def on_run_start(self, ctx: RunContext) -> None:
+        """``ctx.world`` exists, no stage has run: attach to it here."""
+
+    def on_run_end(self, ctx: RunContext, wall_seconds: float) -> None:
+        """The run is over, normally or by an exception: delivered in reverse
+        order to exactly the observers whose ``on_run_start`` returned."""
 
     def on_stage_start(self, stage: str, ctx: RunContext) -> None:
-        pass
+        """Before every execution attempt of ``stage``."""
 
     def on_stage_end(self, stage: str, ctx: RunContext, timing: StageTiming) -> None:
         pass
@@ -199,6 +243,16 @@ class PipelineObserver:
     def on_stage_note(self, stage: str, ctx: RunContext, note: str) -> None:
         """An advisory event that is neither a skip nor an execution --
         e.g. a checkpoint that vanished between ``has`` and ``load``."""
+
+    def on_stage_fail(
+        self, stage: str, ctx: RunContext, exc: Exception, attempt: int
+    ) -> None:
+        """Attempt ``attempt`` died of a rank failure and was rolled back;
+        the engine retries or re-raises next."""
+
+    def on_checkpoint(self, stage: str, ctx: RunContext, path, when: str) -> None:
+        """The stage's checkpoint at ``path`` was just written (``when``
+        is ``"save"``) or is about to be read (``"load"``)."""
 
 
 class TraceObserver(PipelineObserver):
@@ -264,9 +318,11 @@ class PipelineResult:
 
     ``contigs`` is ``None`` for partial runs that stop before
     ``ExtractContig``; the stage outputs of such runs live in
-    ``artifacts``.  ``stages_run`` / ``stages_skipped`` record what the
-    engine actually executed (skip reasons: ``"artifact"`` for injected or
-    undemanded products, ``"checkpoint"`` for resumed stages).
+    ``artifacts``, which injected and ``config.keep_graphs`` runs fill too
+    (``"R"``, ``"S"``, ``"reads"``, ...).  ``stages_run`` / ``stages_skipped``
+    record what the engine actually executed (skip reasons: ``"artifact"``
+    for injected or undemanded products, ``"checkpoint"`` for resumed
+    stages).
     """
 
     contigs: ContigSet | None = None
@@ -275,21 +331,12 @@ class PipelineResult:
     report: TimingReport | None = None
     align_stats: AlignmentStats | None = None
     counts: dict = field(default_factory=dict)
-    #: intermediate matrices, retained when ``config.keep_graphs`` is set
-    R: Any = None
-    S: Any = None
-    reads: DistReadStore | None = None
     artifacts: dict[str, Any] = field(default_factory=dict)
     stages_run: list[str] = field(default_factory=list)
     stages_skipped: list[tuple[str, str]] = field(default_factory=list)
     #: stage recoveries performed this run: each entry records the stage,
     #: the failing rank/superstep, and which attempt the re-execution was
     recoveries: list[dict] = field(default_factory=list)
-    #: faults an attached injector fired during this run
-    faults_injected: int = 0
-    #: the run's :class:`~repro.telemetry.Tracer` when one was passed to
-    #: ``run(tracer=...)``; its digest is backend-independent
-    trace: Any = None
     #: this run's MemoryBudget, snapshotted at run end (budgets are
     #: per-run objects, so a later run on the same world cannot rewrite
     #: an earlier result's audit)
@@ -388,7 +435,6 @@ class PipelineResult:
             "stages_run": list(self.stages_run),
             "stages_skipped": [list(t) for t in self.stages_skipped],
             "recoveries": [dict(r) for r in self.recoveries],
-            "faults_injected": self.faults_injected,
             "counts": counts,
         }
 
@@ -413,8 +459,7 @@ class Pipeline:
     def __init__(
         self,
         stages: Sequence[Stage | str | type[Stage]] | None = None,
-        observers: Sequence[PipelineObserver] = (),
-        checkpoint_dir: str | None = None,
+        observers: Sequence[Any] = (),
     ) -> None:
         from . import stages as _stages  # noqa: F401  (registers stages)
 
@@ -424,8 +469,7 @@ class Pipeline:
         names = [s.name for s in self.stages]
         if len(set(names)) != len(names):
             raise PipelineError(f"duplicate stage names: {names}")
-        self.observers: list[PipelineObserver] = list(observers)
-        self.checkpoint_dir = checkpoint_dir
+        self.observers: list = list(observers)
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -433,30 +477,19 @@ class Pipeline:
         cls,
         scaffold: bool = False,
         polish: bool = False,
-        observers: Sequence[PipelineObserver] = (),
-        checkpoint_dir: str | None = None,
+        observers: Sequence[Any] = (),
     ) -> "Pipeline":
         """The five paper stages, optionally extended with §7 phases."""
-        from . import stages as _stages  # noqa: F401  (registers stages)
-
         names = list(MAIN_STAGES)
         if scaffold:
             names.append("Scaffold")
         if polish:
             names.append("Polish")
-        return cls(names, observers=observers, checkpoint_dir=checkpoint_dir)
+        return cls(names, observers=observers)
 
     @property
     def stage_names(self) -> list[str]:
         return [s.name for s in self.stages]
-
-    def add_observer(self, observer: PipelineObserver) -> None:
-        self.observers.append(observer)
-
-    # -- hook dispatch ---------------------------------------------------
-    def _notify(self, hook: str, *args) -> None:
-        for obs in self.observers:
-            getattr(obs, hook)(*args)
 
     # -- planning --------------------------------------------------------
     def _slice(self, until: str | None) -> list[Stage]:
@@ -510,6 +543,11 @@ class Pipeline:
             store = reads
             world = store.grid.world
             grid = store.grid
+            if world.nprocs != config.nprocs:
+                raise PipelineError(
+                    f"the read store lives on a {world.nprocs}-rank world "
+                    f"but config.nprocs is {config.nprocs}"
+                )
             # a prebuilt store carries its own world; the run's config
             # governs the backend (backends are output-identical).  A
             # custom Executor instance survives as long as its name
@@ -517,15 +555,13 @@ class Pipeline:
             # config.executor to that backend's name.
             if world.executor.name != config.executor:
                 world.use_executor(config.executor)
-        elif reads is not None:
-            world = SimWorld(config.nprocs, machine, executor=config.executor)
-            grid = ProcGrid(world)
-            read_list = reads.reads if isinstance(reads, ReadSet) else reads
-            store = DistReadStore.from_global(grid, read_list)
         else:
             world = SimWorld(config.nprocs, machine, executor=config.executor)
             grid = ProcGrid(world)
             store = None
+            if reads is not None:
+                read_list = reads.reads if isinstance(reads, ReadSet) else reads
+                store = DistReadStore.from_global(grid, read_list)
         # one budget per run, attached to the meter so every working-set
         # observation is audited and the SpGEMM planners can size phases
         world.memory.set_budget(config.memory_budget())
@@ -548,10 +584,7 @@ class Pipeline:
         from_artifacts: dict[str, Any] | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_store: Any = None,
-        keep_artifacts: bool | None = None,
-        observers: Sequence[PipelineObserver] = (),
-        fault_injector: Any = None,
-        tracer: Any = None,
+        observers: Sequence[Any] = (),
     ) -> PipelineResult:
         """Execute the pipeline (or the demanded part of it).
 
@@ -566,270 +599,91 @@ class Pipeline:
             to observers as skipped.
         from_artifacts:
             Precomputed artifacts to inject (e.g. an overlap matrix from a
-            previous ``keep_artifacts`` run).  Distributed objects are
-            re-homed onto this run's grid so modeled time is charged to
+            previous partial or ``keep_graphs`` run).  Distributed objects
+            are re-homed onto this run's grid so modeled time is charged to
             this run's clocks.  Checkpointing is disabled for such runs --
             injected data has no config-derived provenance to fingerprint.
         checkpoint_dir:
-            Directory for stage checkpoints (created on demand); overrides
-            the pipeline-level directory for this run.
+            Directory for stage checkpoints (created on demand).
         checkpoint_store:
             A prebuilt :class:`~repro.pipeline.checkpoint.CheckpointStore`
             (or compatible wrapper, e.g. the job engine's
             :class:`~repro.service.cache.SharedArtifactCache`) to use
             instead of constructing one from ``checkpoint_dir``.
-        keep_artifacts:
-            Attach the artifact store to the result.  Defaults to on for
-            partial/injected runs and ``config.keep_graphs`` runs.
         observers:
             Extra observers for this run only, notified after the
-            pipeline-level ones.
-        fault_injector:
-            A :class:`~repro.faults.FaultInjector` to hook into this
-            run's superstep and checkpoint boundaries.  Injected rank
-            failures are recovered by re-executing the stage (up to
-            ``config.stage_max_retries`` times, recorded in
-            ``result.recoveries``); checkpoint faults degrade to
-            recompute via the ``CheckpointLoadError`` fallback.  Every
-            fired fault surfaces as an ``on_stage_note``.
-        tracer:
-            A :class:`~repro.telemetry.Tracer` to attach for this run.
-            Stages, supersteps, collectives and injected stalls are
-            recorded as a span tree over the modeled clock (available as
-            ``result.trace``); recovered rank failures appear as closed
-            stage spans with ``failed``/``attempt`` attributes, one per
-            retry.  The modeled tree is bit-identical across executor
-            backends.
+            pipeline-level ones -- e.g. a :class:`repro.telemetry.Tracer`
+            to record the run as a span tree, or a
+            :class:`repro.faults.FaultInjector` to fire a fault plan.
+
+        A rank failure, injected or real, is recovered by re-executing the
+        stage (up to ``config.stage_max_retries`` times, recorded in
+        ``result.recoveries``); a checkpoint that cannot be read degrades
+        to recomputing its stage.
         """
         config = config or PipelineConfig()
         config.validate()
-        machine = config.resolve_machine()
         t0 = time.perf_counter()
-
-        run_observers = self.observers + list(observers)
-
-        def notify(hook: str, *args) -> None:
-            for obs in run_observers:
-                getattr(obs, hook)(*args)
-
-        ctx = self._build_context(reads, config, machine)
         if reads is None and not from_artifacts:
             raise PipelineError("pipeline needs reads or from_artifacts")
-        resolved_tier = resolve_kernel_tier(config.kernel_tier)
-        if resolved_tier != config.kernel_tier:
-            # requested native, extension unavailable: results are
-            # unaffected (tiers are bit-identical) but surface the
-            # degradation so perf runs are not silently slower
-            notify(
-                "on_stage_note",
-                "-",
-                ctx,
-                f"kernel tier fallback: {config.kernel_tier!r} unavailable "
-                f"({native_import_error()}); using {resolved_tier!r}",
-            )
-        injected = bool(from_artifacts)
-        if injected:
-            from .checkpoint import adopt_artifact
+        ctx = self._build_context(reads, config, config.resolve_machine())
+        for key, value in (from_artifacts or {}).items():
+            ctx.artifacts[key] = adopt_artifact(key, value, ctx)
 
-            for key, value in from_artifacts.items():
-                ctx.artifacts[key] = adopt_artifact(key, value, ctx)
-
-        ckpt = checkpoint_store
-        if ckpt is None:
-            ckpt_root = checkpoint_dir or self.checkpoint_dir
-            if ckpt_root is not None:
-                from .checkpoint import CheckpointStore
-
-                ckpt = CheckpointStore(ckpt_root)
-        if injected:
-            # injected data has no config-derived provenance to fingerprint
-            ckpt = None
+        ckpt = None
+        if not from_artifacts:  # injected data has no provenance to fingerprint
+            ckpt = checkpoint_store
+            if ckpt is None and checkpoint_dir is not None:
+                ckpt = CheckpointStore(checkpoint_dir)
+        fingerprint = (
+            base_fingerprint(config, ctx.store) if ckpt is not None else None
+        )
 
         stage_slice = self._slice(until)
-        selected = self._plan(stage_slice, ctx.artifacts)
-        selected_names = {s.name for s in selected}
-
+        selected = {s.name for s in self._plan(stage_slice, ctx.artifacts)}
         result = PipelineResult(config=config, world=ctx.world, counts=ctx.counts)
 
-        if tracer is not None:
-            # the executor name is recorded on the tracer itself, not as a
-            # run attribute: attrs enter the digest, and the digest must
-            # agree across backends
-            tracer.attach(ctx.world)
-            tracer.begin_run(nprocs=ctx.world.nprocs, machine=machine.name)
-            result.trace = tracer
-
-        injector = fault_injector
-        prev_injector = None
-        fault_listener = None
-        events0 = 0
-        if injector is not None:
-            prev_injector = ctx.world.fault_injector
-            ctx.world.fault_injector = injector
-            events0 = len(injector.events)
-
-            def fault_listener(event: dict) -> None:
-                # surface every non-worker injection to the observers the
-                # moment it fires; the worker kill site records its own
-                # durable event because the process may not live long
-                # enough for any later hook to run
-                if event.get("site") == "worker":
-                    return
-                detail = ", ".join(
-                    f"{k}={v}" for k, v in sorted(event.items())
-                    if k not in ("n", "site", "kind") and v is not None
-                )
-                notify(
-                    "on_stage_note", event.get("stage") or "-", ctx,
-                    f"fault injected: {event['kind']}"
-                    + (f" ({detail})" if detail else ""),
-                )
-
-            injector.listeners.append(fault_listener)
-
-        fingerprint = None
-        if ckpt is not None:
-            from .checkpoint import base_fingerprint
-
-            fingerprint = base_fingerprint(config, ctx.store)
+        def skip(stage: Stage, reason: str) -> None:
+            result.stages_skipped.append((stage.name, reason))
+            ctx.notify("on_stage_skip", stage.name, ctx, reason)
 
         try:
+            for obs in self.observers + list(observers):
+                _call(obs, "on_run_start", ctx)
+                ctx.observers.append(obs)
+            resolved_tier = resolve_kernel_tier(config.kernel_tier)
+            if resolved_tier != config.kernel_tier:
+                # requested native, extension unavailable: results are
+                # unaffected (tiers are bit-identical) but surface the
+                # degradation so perf runs are not silently slower
+                ctx.note(
+                    "-",
+                    f"kernel tier fallback: {config.kernel_tier!r} unavailable "
+                    f"({native_import_error()}); using {resolved_tier!r}",
+                )
             for stage in stage_slice:
-                if stage.name not in selected_names:
-                    result.stages_skipped.append((stage.name, "artifact"))
-                    if tracer is not None:
-                        tracer.skip_stage(stage.name, "artifact")
-                    notify("on_stage_skip", stage.name, ctx, "artifact")
+                if stage.name not in selected:
+                    skip(stage, "artifact")
                     continue
                 if ckpt is not None:
                     fingerprint = ckpt.chain(fingerprint, stage, config)
-                    if ckpt.has(stage.name, fingerprint):
-                        from .checkpoint import CheckpointLoadError
-
-                        if injector is not None:
-                            # the TOCTOU window: the artifact may vanish or
-                            # rot between `has` and `load`
-                            injector.checkpoint_faults(
-                                stage.name,
-                                ckpt.path(stage.name, fingerprint),
-                                "load",
-                            )
-                        try:
-                            ckpt.load(stage, fingerprint, ctx)
-                        except CheckpointLoadError as exc:
-                            # evicted or torn between `has` and `load`: fall
-                            # back to recomputing the stage (TOCTOU-safe)
-                            notify(
-                                "on_stage_note", stage.name, ctx,
-                                f"checkpoint unavailable, recomputing: {exc}",
-                            )
-                        else:
-                            result.stages_skipped.append(
-                                (stage.name, "checkpoint")
-                            )
-                            if tracer is not None:
-                                tracer.skip_stage(stage.name, "checkpoint")
-                            notify(
-                                "on_stage_skip", stage.name, ctx, "checkpoint"
-                            )
-                            continue
-                missing = [k for k in stage.requires if k not in ctx.artifacts]
-                if missing:
-                    raise PipelineError(
-                        f"stage {stage.name} requires missing artifact(s) "
-                        f"{missing}; inject them via from_artifacts or include "
-                        f"the producing stage"
-                    )
-                attempt = 0
-                while True:
-                    notify("on_stage_start", stage.name, ctx)
-                    if tracer is not None:
-                        if attempt:
-                            tracer.begin_stage(stage.name, attempt=attempt)
-                        else:
-                            tracer.begin_stage(stage.name)
-                    modeled0 = _modeled_seconds(ctx.world, stage.name)
-                    wall0 = time.perf_counter()
-                    artifacts_before = dict(ctx.artifacts)
-                    counts_before = dict(ctx.counts)
-                    try:
-                        with ctx.world.stage_scope(stage.name):
-                            stage.run(ctx)
-                    except RankFailure as exc:
-                        # roll the stage's partial publishes back.  The
-                        # failed superstep itself charged nothing
-                        # (accounting is transactional), so re-execution
-                        # replays from exactly the inputs the last
-                        # checkpoint covers and stays bit-identical
-                        ctx.artifacts.clear()
-                        ctx.artifacts.update(artifacts_before)
-                        ctx.counts.clear()
-                        ctx.counts.update(counts_before)
-                        attempt += 1
-                        if tracer is not None:
-                            tracer.fail_stage(type(exc).__name__, attempt)
-                        if attempt > config.stage_max_retries:
-                            notify(
-                                "on_stage_note", stage.name, ctx,
-                                f"rank failure not recovered: {stage.name} "
-                                f"failed {attempt} time(s), retries "
-                                f"exhausted: {exc}",
-                            )
-                            raise
-                        result.recoveries.append({
-                            "stage": stage.name,
-                            "rank": exc.rank,
-                            "superstep": exc.superstep,
-                            "attempt": attempt,
-                        })
-                        notify(
-                            "on_stage_note", stage.name, ctx,
-                            f"recovery: rank {exc.rank} failed in superstep "
-                            f"{exc.superstep}; re-executing {stage.name} "
-                            f"(attempt {attempt + 1} of "
-                            f"{config.stage_max_retries + 1})",
-                        )
+                    if self._load(stage, ctx, ckpt, fingerprint):
+                        skip(stage, "checkpoint")
                         continue
-                    break
-                timing = StageTiming(
-                    stage=stage.name,
-                    modeled_seconds=(
-                        _modeled_seconds(ctx.world, stage.name) - modeled0
-                    ),
-                    wall_seconds=time.perf_counter() - wall0,
-                )
-                if tracer is not None:
-                    tracer.end_stage(wall=timing.wall_seconds)
-                result.stages_run.append(stage.name)
-                notify("on_stage_end", stage.name, ctx, timing)
+                counts_delta = self._execute(stage, ctx, result)
                 if ckpt is not None:
-                    counts_delta = {
-                        k: v
-                        for k, v in ctx.counts.items()
-                        if k not in counts_before or counts_before[k] != v
-                    }
                     ckpt.save(stage.name, fingerprint, stage, ctx, counts_delta)
-                    if injector is not None:
-                        injector.checkpoint_faults(
-                            stage.name,
-                            ckpt.path(stage.name, fingerprint),
-                            "save",
-                        )
-
+                    ctx.notify(
+                        "on_checkpoint", stage.name, ctx,
+                        ckpt.path(stage.name, fingerprint), "save",
+                    )
             # stages beyond `until` are reported as skipped, not dropped
             for stage in self.stages[len(stage_slice):]:
-                result.stages_skipped.append((stage.name, "until"))
-                if tracer is not None:
-                    tracer.skip_stage(stage.name, "until")
-                notify("on_stage_skip", stage.name, ctx, "until")
+                skip(stage, "until")
         finally:
-            if tracer is not None:
-                tracer.end_run(wall=time.perf_counter() - t0)
-                tracer.detach()
-            if injector is not None:
-                injector.listeners.remove(fault_listener)
-                ctx.world.fault_injector = prev_injector
-                result.faults_injected = len(injector.events) - events0
+            wall = time.perf_counter() - t0
+            for obs in reversed(ctx.observers):
+                _call(obs, "on_run_end", ctx, wall)
 
         ctx.counts["peak_memory_bytes"] = ctx.world.memory.peak_overall()
         budget = ctx.world.memory.budget
@@ -837,22 +691,102 @@ class Pipeline:
         if budget is not None and not budget.unlimited:
             ctx.counts["memory_budget_bytes"] = budget.limit_bytes
             ctx.counts["budget_violations"] = len(budget.violations)
-        wall = time.perf_counter() - t0
         result.report = TimingReport.from_clock(
             ctx.world.clock,
-            machine.name,
+            ctx.machine.name,
             comm_bytes=ctx.world.log.total_bytes(),
-            wall_seconds=wall,
+            wall_seconds=time.perf_counter() - t0,
         )
         result.contigs = ctx.artifacts.get("contigs")
         result.align_stats = ctx.artifacts.get("align_stats")
-        partial = until is not None or injected or result.contigs is None
-        if keep_artifacts is None:
-            keep_artifacts = partial or config.keep_graphs
-        if keep_artifacts:
+        partial = until is not None or from_artifacts or result.contigs is None
+        if partial or config.keep_graphs:
             result.artifacts = ctx.artifacts
-        if config.keep_graphs:
-            result.R = ctx.artifacts.get("R")
-            result.S = ctx.artifacts.get("S")
-            result.reads = ctx.store
         return result
+
+    @staticmethod
+    def _load(stage: Stage, ctx: RunContext, ckpt, fingerprint: str) -> bool:
+        """Rehydrate ``stage`` from its checkpoint; False means execute it."""
+        if not ckpt.has(stage.name, fingerprint):
+            return False
+        # the TOCTOU window: the artifact may vanish or rot between `has`
+        # and `load` (observers get to widen it: fault injection does)
+        ctx.notify(
+            "on_checkpoint", stage.name, ctx,
+            ckpt.path(stage.name, fingerprint), "load",
+        )
+        try:
+            ckpt.load(stage, fingerprint, ctx)
+        except CheckpointLoadError as exc:
+            # evicted or torn: a miss, not a failure (load commits nothing
+            # to ctx before it has unpacked everything)
+            ctx.note(stage.name, f"checkpoint unavailable, recomputing: {exc}")
+            return False
+        return True
+
+    @staticmethod
+    def _execute(stage: Stage, ctx: RunContext, result: PipelineResult) -> dict:
+        """Run ``stage``, re-executing it after a rank failure; returns the
+        counts it changed (its checkpoint stores them beside the artifacts)."""
+        missing = [k for k in stage.requires if k not in ctx.artifacts]
+        if missing:
+            raise PipelineError(
+                f"stage {stage.name} requires missing artifact(s) "
+                f"{missing}; inject them via from_artifacts or include "
+                f"the producing stage"
+            )
+        retries = ctx.config.stage_max_retries
+        artifacts_before = dict(ctx.artifacts)
+        counts_before = dict(ctx.counts)
+        attempt = 0
+        while True:
+            ctx.notify("on_stage_start", stage.name, ctx)
+            modeled0 = _modeled_seconds(ctx.world, stage.name)
+            wall0 = time.perf_counter()
+            try:
+                with ctx.world.stage_scope(stage.name):
+                    stage.run(ctx)
+                break
+            except RankFailure as exc:
+                # roll the stage's partial publishes back.  The failed
+                # superstep itself charged nothing (accounting is
+                # transactional), so re-execution replays from exactly
+                # the inputs the last checkpoint covers and stays
+                # bit-identical
+                ctx.artifacts.clear()
+                ctx.artifacts.update(artifacts_before)
+                ctx.counts.clear()
+                ctx.counts.update(counts_before)
+                attempt += 1
+                ctx.notify("on_stage_fail", stage.name, ctx, exc, attempt)
+                if attempt > retries:
+                    ctx.note(
+                        stage.name,
+                        f"rank failure not recovered: {stage.name} failed "
+                        f"{attempt} time(s), retries exhausted: {exc}",
+                    )
+                    raise
+                result.recoveries.append({
+                    "stage": stage.name,
+                    "rank": exc.rank,
+                    "superstep": exc.superstep,
+                    "attempt": attempt,
+                })
+                ctx.note(
+                    stage.name,
+                    f"recovery: rank {exc.rank} failed in superstep "
+                    f"{exc.superstep}; re-executing {stage.name} "
+                    f"(attempt {attempt + 1} of {retries + 1})",
+                )
+        timing = StageTiming(
+            stage=stage.name,
+            modeled_seconds=_modeled_seconds(ctx.world, stage.name) - modeled0,
+            wall_seconds=time.perf_counter() - wall0,
+        )
+        result.stages_run.append(stage.name)
+        ctx.notify("on_stage_end", stage.name, ctx, timing)
+        return {
+            k: v
+            for k, v in ctx.counts.items()
+            if k not in counts_before or counts_before[k] != v
+        }

@@ -63,7 +63,7 @@ class DetectOverlapStage(Stage):
     name = "DetectOverlap"
     requires = ("reads", "kmer_table")
     produces = ("A", "C")
-    config_fields = ("k", "reliable_lo", "reliable_hi", "min_shared_kmers", "memory_mode")
+    config_fields = ("k", "reliable_lo", "reliable_hi", "min_shared_kmers")
     # A is the run's largest matrix and nothing downstream consumes it;
     # resumed runs rehydrate only C
     checkpoint_keys = ("C",)
@@ -124,7 +124,7 @@ class TrReductionStage(Stage):
     name = "TrReduction"
     requires = ("R",)
     produces = ("tr", "S")
-    config_fields = ("tr_fuzz", "tr_max_rounds", "memory_mode")
+    config_fields = ("tr_fuzz", "tr_max_rounds")
     # "S" is tr.S: checkpoint only the result object and restore the alias
     # on load (avoids serializing the run's largest matrix twice)
     checkpoint_keys = ("tr",)

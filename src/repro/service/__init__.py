@@ -21,7 +21,6 @@ from ..faults import FaultInjector, FaultPlan, InjectedWorkerDeath, RetryPolicy
 from .api import JobService
 from .cache import CacheError, SharedArtifactCache
 from .scheduler import (
-    KILL_AFTER_ENV,
     JobCancelled,
     JobObserver,
     Worker,
@@ -51,7 +50,6 @@ __all__ = [
     "CacheError",
     "JOB_STATES",
     "TERMINAL_STATES",
-    "KILL_AFTER_ENV",
     "runnable_order",
     # re-exported fault/recovery surface (lives in repro.faults)
     "FaultPlan",

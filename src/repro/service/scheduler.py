@@ -10,11 +10,10 @@ is heartbeaten so a live worker is never mistaken for a dead one, and a
 cancel request observed at a stage boundary aborts the run.
 
 Fault injection: a worker built with a :class:`~repro.faults.FaultPlan`
-(or the legacy ``REPRO_WORKER_KILL_AFTER=<stage>`` env hook, which is
-translated into a one-rule plan) owns a :class:`~repro.faults
-.FaultInjector` that persists across the jobs it runs.  Superstep and
-checkpoint faults flow into the pipeline run; ``worker_kill`` rules fire
-through :class:`_WorkerKillObserver`, which records a durable
+owns a :class:`~repro.faults.FaultInjector` that persists across the
+jobs it runs.  The injector rides each run as an observer (superstep and
+checkpoint faults); ``worker_kill`` rules fire through
+:class:`_WorkerKillObserver`, which records a durable
 ``fault_injected`` event and then either SIGKILLs the process or raises
 :class:`~repro.faults.InjectedWorkerDeath` (a ``BaseException``, so the
 normal failure handling cannot catch it -- the job stays leased and
@@ -33,7 +32,7 @@ import signal
 import traceback
 from typing import TYPE_CHECKING, Sequence
 
-from ..faults import FaultInjector, FaultPlan, InjectedWorkerDeath, worker_kill
+from ..faults import FaultInjector, FaultPlan, InjectedWorkerDeath
 from ..pipeline import Pipeline, PipelineConfig, PipelineObserver
 from .store import JobError, JobRecord, JobSpec, JobStore
 
@@ -46,12 +45,7 @@ __all__ = [
     "JobObserver",
     "Worker",
     "materialize_spec",
-    "KILL_AFTER_ENV",
 ]
-
-#: legacy test/CI hook: SIGKILL the worker after this stage completes.
-#: Translated into a one-rule ``worker_kill`` fault plan at Worker init.
-KILL_AFTER_ENV = "REPRO_WORKER_KILL_AFTER"
 
 
 class JobCancelled(JobError):
@@ -280,14 +274,8 @@ class Worker:
                     f"{list(KERNEL_TIERS)}"
                 )
         self.kernel_tier = kernel_tier
-        if fault_injector is None:
-            kill_after = os.environ.get(KILL_AFTER_ENV)
-            if fault_plan is None and kill_after:
-                fault_plan = FaultPlan(
-                    rules=(worker_kill(after_stage=kill_after, mode="sigkill"),)
-                )
-            if fault_plan is not None:
-                fault_injector = FaultInjector(fault_plan)
+        if fault_injector is None and fault_plan is not None:
+            fault_injector = FaultInjector(fault_plan)
         # one injector per worker, shared across every job it runs; pass
         # a prebuilt injector to share fire-state across worker
         # generations (how chaos tests model a restarted worker fleet)
@@ -333,20 +321,23 @@ class Worker:
             record.progress.setdefault(name, "queued")
         self.store.save(record)
 
-        observers: list[PipelineObserver] = [JobObserver(self.store, record)]
-        if self.fault_injector is not None:
-            observers.append(
-                _WorkerKillObserver(self.fault_injector, self.store, record)
-            )
-        observers.extend(self.extra_observers)
-
+        observers: list = [JobObserver(self.store, record)]
         tracer = None
         if self.trace_jobs:
             from ..telemetry import Tracer
 
             tracer = Tracer()
+            observers.append(tracer)
+        injector = self.fault_injector
+        if injector is not None:
+            observers += [
+                injector, _WorkerKillObserver(injector, self.store, record)
+            ]
+        observers.extend(self.extra_observers)
 
         hits0, misses0 = self.cache.hits, self.cache.misses
+        fault_events = injector.events if injector is not None else ()
+        faults0 = len(fault_events)
         try:
             with self.cache.pin_scope(record.job_id):
                 result = pipeline.run(
@@ -355,8 +346,6 @@ class Worker:
                     until=record.spec.until,
                     checkpoint_store=self.cache,
                     observers=observers,
-                    fault_injector=self.fault_injector,
-                    tracer=tracer,
                 )
         except JobCancelled:
             record = self.store.finish(record, "cancelled")
@@ -369,6 +358,7 @@ class Worker:
             )
             summary["cache_hits"] = self.cache.hits - hits0
             summary["cache_misses"] = self.cache.misses - misses0
+            summary["faults_injected"] = len(fault_events) - faults0
             summary["executor"] = config.executor
             # record the tier that actually ran, not the one requested
             # (native silently degrades to numpy when the extension is

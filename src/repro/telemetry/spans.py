@@ -22,18 +22,21 @@ tree is too: :meth:`Tracer.digest` hashes the tree *excluding wall time*
 and must agree across backends.  Wall-clock readings ride along on the
 ``wall`` attribute for profiling but never enter the identity.
 
-The tracer is driven from three sites, all on the driver thread (the
+The tracer is driven from two sides, both on the driver thread (the
 runtime already forbids collectives and world charges inside rank steps):
 
-* :meth:`~repro.mpi.comm.SimWorld.map_ranks` calls :meth:`superstep`
-  with the parent-side rank contexts before the accounting merge;
-* :meth:`~repro.mpi.comm.SimComm._charge` calls :meth:`collective`;
-* the pipeline engine brackets stages with :meth:`begin_stage` /
+* the world it is attached to: :meth:`~repro.mpi.comm.SimWorld.map_ranks`
+  calls :meth:`superstep` with the parent-side rank contexts before the
+  accounting merge, and :meth:`~repro.mpi.comm.SimComm._charge` calls
+  :meth:`collective` -- ``if world.tracer is not None`` guards, so an
+  untraced run pays one attribute read per site;
+* the pipeline engine, to which a tracer is just one more observer
+  (``Pipeline.run(..., observers=[tracer])``): the ``on_*`` hooks attach
+  it for the run, bracket stages with :meth:`begin_stage` /
   :meth:`end_stage` (or :meth:`fail_stage` on a recovered rank failure,
-  so every retry attempt is visible) and reports skips.
-
-All hooks are ``if world.tracer is not None`` guards, so an untraced run
-pays one attribute read per site.
+  so every retry attempt is visible) and record skips.  They are
+  duck-typed, not inherited: ``mpi.comm`` imports this package, so this
+  module cannot import the engine.
 """
 
 from __future__ import annotations
@@ -121,8 +124,8 @@ class Tracer:
     Usage with the pipeline engine::
 
         tracer = Tracer()
-        result = pipeline.run(reads, cfg, tracer=tracer)
-        result.trace.digest()          # backend-independent identity
+        pipeline.run(reads, cfg, observers=[tracer])
+        tracer.digest()                # backend-independent identity
 
     or standalone over a bare world::
 
@@ -146,14 +149,14 @@ class Tracer:
         self._superstep_idx: dict[str, int] = {}
         self._world: "SimWorld | None" = None
         self._prev_tracer: Any = None
+        self._failed_attempts = 0  # of the stage being retried, else 0
 
     # -- attachment ------------------------------------------------------
     def attach(self, world: "SimWorld") -> "Tracer":
         """Bind to ``world`` (sets ``world.tracer``); returns self.
 
         The previously attached tracer (usually ``None``) is remembered
-        and restored by :meth:`detach`, mirroring how the engine nests
-        fault injectors.
+        and restored by :meth:`detach`.
         """
         if self.nprocs is None:
             self.nprocs = world.nprocs
@@ -174,6 +177,30 @@ class Tracer:
             self._world.tracer = self._prev_tracer
             self._world = None
             self._prev_tracer = None
+
+    # -- pipeline observer hooks (see repro.pipeline.PipelineObserver) ----
+    def on_run_start(self, ctx) -> None:
+        self.begin_run(nprocs=ctx.world.nprocs, machine=ctx.machine.name)
+        self.attach(ctx.world)
+
+    def on_run_end(self, ctx, wall_seconds: float) -> None:
+        self.end_run(wall=wall_seconds)
+        self.detach()
+
+    def on_stage_start(self, stage: str, ctx) -> None:
+        n = self._failed_attempts
+        self.begin_stage(stage, **({"attempt": n} if n else {}))
+
+    def on_stage_end(self, stage: str, ctx, timing) -> None:
+        self._failed_attempts = 0
+        self.end_stage(wall=timing.wall_seconds)
+
+    def on_stage_skip(self, stage: str, ctx, reason: str) -> None:
+        self.skip_stage(stage, reason)
+
+    def on_stage_fail(self, stage: str, ctx, exc, attempt: int) -> None:
+        self._failed_attempts = attempt
+        self.fail_stage(type(exc).__name__, attempt)
 
     # -- internals -------------------------------------------------------
     def _cursors(self) -> np.ndarray:

@@ -1,13 +1,26 @@
 """Unit tests for the composable stage-based pipeline engine."""
 
 import dataclasses
+import re
+from collections import Counter
 
 import pytest
 
 from repro import CollectingObserver, Pipeline, PipelineConfig
 from repro.errors import PipelineError
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    cache_evict_race,
+    checkpoint_corrupt,
+    rank_crash,
+)
+from repro.mpi import ProcGrid, SimWorld
 from repro.pipeline import MAIN_STAGES, STAGE_REGISTRY, Stage, register_stage
-from repro.seq import GenomeSpec, make_genome, tile_reads
+from repro.pipeline.config import EXECUTION_FIELDS
+from repro.seq import DistReadStore, GenomeSpec, make_genome, tile_reads
+from repro.service import JobCancelled
+from repro.telemetry import TelemetryError, Tracer
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +84,7 @@ class TestRegistryAndOrdering:
                 ctx.publish("s_nnz_audit", ctx.require("S").nnz())
 
         pipe = Pipeline(list(MAIN_STAGES) + [NnzAudit()])
-        res = pipe.run(rs, cfg, keep_artifacts=True)
+        res = pipe.run(rs, dataclasses.replace(cfg, keep_graphs=True))
         assert res.artifacts["s_nnz_audit"] == res.counts["S_nnz"]
         assert res.stages_run[-1] == "NnzAudit"
 
@@ -193,10 +206,7 @@ class TestCheckpointFidelity:
         _, rs = tiled
         pipe = Pipeline.default()
         pipe.run(rs, cfg, checkpoint_dir=tmp_path)
-        res = pipe.run(
-            rs, cfg, checkpoint_dir=tmp_path, until="TrReduction",
-            keep_artifacts=True,
-        )
+        res = pipe.run(rs, cfg, checkpoint_dir=tmp_path, until="TrReduction")
         assert res.artifacts["tr"].S is res.artifacts["S"]
 
     def test_extra_config_invalidates_optional_stage(self, tiled, cfg, tmp_path):
@@ -244,8 +254,10 @@ class TestObserverHooks:
         obs = CollectingObserver()
         pipe = Pipeline.default()
         pipe.run(rs, cfg, checkpoint_dir=tmp_path)
-        pipe.add_observer(obs)
-        pipe.run(rs, cfg, checkpoint_dir=tmp_path, until="TrReduction")
+        pipe.run(
+            rs, cfg, checkpoint_dir=tmp_path, until="TrReduction",
+            observers=[obs],
+        )
         assert obs.events == [("skip", n) for n in MAIN_STAGES]
         assert obs.skips["CountKmer"] == "checkpoint"
         assert obs.skips["ExtractContig"] == "until"
@@ -278,22 +290,248 @@ class TestResultSurface:
         ):
             assert key in full_run.counts
 
-    def test_keep_graphs_still_retains_matrices(self, tiled):
+    def test_keep_graphs_still_retains_matrices(self, tiled, full_run):
         _, rs = tiled
         config = PipelineConfig(
             nprocs=4, k=17, reliable_lo=1, end_margin=5, keep_graphs=True
         )
         res = Pipeline.default().run(rs, config)
-        assert res.R is not None and res.S is not None
-        assert res.reads is not None
+        assert {"R", "S", "reads"} <= set(res.artifacts)
+        assert full_run.artifacts == {}
 
 
 class TestOptionalStages:
     def test_scaffold_and_polish_stages(self, tiled, cfg):
         _, rs = tiled
         pipe = Pipeline.default(scaffold=True, polish=True)
-        res = pipe.run(rs, cfg, keep_artifacts=True)
+        res = pipe.run(rs, dataclasses.replace(cfg, keep_graphs=True))
         assert "scaffolds" in res.artifacts
         assert "polished" in res.artifacts
         assert res.counts["scaffolds"] >= 1
         assert res.stages_run == MAIN_STAGES + ["Scaffold", "Polish"]
+
+
+# ---------------------------------------------------------------------------
+# golden run: literals recorded on the commit *before* tracing and fault
+# injection became observers, with everything attached at once
+# ---------------------------------------------------------------------------
+
+_KIND = {"start": "+", "end": "-", "skip": "~", "note": "!"}
+
+
+def _everything_attached(reads, cfg, rules, ckpt):
+    tracer = Tracer()
+    injector = FaultInjector(FaultPlan(rules=rules))
+    obs = CollectingObserver()
+    res = Pipeline.default().run(
+        reads, cfg, checkpoint_dir=ckpt, observers=[tracer, injector, obs]
+    )
+
+    def scrub(note):  # fingerprints and tmp paths are not the subject
+        note = note.replace(str(ckpt), "<dir>")
+        return re.sub(r"-[0-9a-f]{20}\.ckpt", "-<fp>.ckpt", note)
+
+    return {
+        "events": " ".join(_KIND[kind] + stage for kind, stage in obs.events),
+        "notes": [f"{stage}: {scrub(note)}" for stage, note in obs.notes],
+        "recoveries": res.recoveries,
+        "run": res.stages_run,
+        "skipped": res.stages_skipped,
+        "stage_spans": [  # a stage span's attrs: skipped | failed, attempt
+            s.name + str(s.attrs or "")
+            for s in tracer.root.children if s.cat == "stage"
+        ],
+        "span_cats": " ".join(
+            f"{n} {cat}"
+            for cat, n in sorted(Counter(s.cat for s in tracer.spans()).items())
+        ),
+        "faults": len(injector.events),
+        "digest": res.contig_digest(),
+    }
+
+
+class TestGoldenRun:
+    def test_fault_free(self, tiled, cfg, full_run, tmp_path):
+        assert _everything_attached(tiled[1], cfg, (), tmp_path) == {
+            "events": " ".join(f"+{s} -{s}" for s in MAIN_STAGES),
+            "notes": [],
+            "recoveries": [],
+            "run": MAIN_STAGES,
+            "skipped": [],
+            "stage_spans": MAIN_STAGES,
+            "span_cats": "89 collective 5 kernel 61 rank 1 run 5 stage 16 superstep",
+            "faults": 0,
+            "digest": full_run.contig_digest(),
+        }
+
+    def test_crash_and_bitflip_then_resume_under_evict_race(
+        self, tiled, cfg, full_run, tmp_path
+    ):
+        first = _everything_attached(tiled[1], cfg, (
+            rank_crash(stage="Alignment", superstep=0, rank=2),
+            checkpoint_corrupt(stage="DetectOverlap", when="save", mode="bitflip"),
+        ), tmp_path)
+        assert first == {
+            "events": "+CountKmer -CountKmer +DetectOverlap -DetectOverlap "
+                      "!DetectOverlap +Alignment !Alignment !Alignment "
+                      "+Alignment -Alignment +TrReduction -TrReduction "
+                      "+ExtractContig -ExtractContig",
+            "notes": [
+                "DetectOverlap: fault injected: checkpoint_corrupt "
+                "(action=corrupted:bitflip, stage=DetectOverlap, when=save)",
+                "Alignment: fault injected: rank_crash "
+                "(rank=2, stage=Alignment, superstep=0)",
+                "Alignment: recovery: rank 2 failed in superstep 0; "
+                "re-executing Alignment (attempt 2 of 4)",
+            ],
+            "recoveries": [
+                {"stage": "Alignment", "rank": 2, "superstep": 0, "attempt": 1}
+            ],
+            "run": MAIN_STAGES,
+            "skipped": [],
+            "stage_spans": [
+                "CountKmer", "DetectOverlap",
+                "Alignment{'failed': 'RankFailure', 'attempt': 1}",
+                "Alignment{'attempt': 1}", "TrReduction", "ExtractContig",
+            ],
+            "span_cats": "93 collective 5 kernel 61 rank 1 run 6 stage 16 superstep",
+            "faults": 2,
+            "digest": full_run.contig_digest(),
+        }
+        # the same directory again: DetectOverlap's checkpoint is rotten,
+        # and TrReduction's is torn out between `has` and `load`
+        again = _everything_attached(
+            tiled[1], cfg, (cache_evict_race(stage="TrReduction"),), tmp_path
+        )
+        assert again == {
+            "events": "~CountKmer !DetectOverlap +DetectOverlap -DetectOverlap "
+                      "~Alignment !TrReduction !TrReduction +TrReduction "
+                      "-TrReduction ~ExtractContig",
+            "notes": [
+                "DetectOverlap: checkpoint unavailable, recomputing: "
+                "checkpoint DetectOverlap-<fp>.ckpt failed its integrity "
+                "check (corrupted on disk)",
+                "TrReduction: fault injected: cache_evict_race "
+                "(action=evicted, stage=TrReduction, when=load)",
+                "TrReduction: checkpoint unavailable, recomputing: cannot "
+                "read checkpoint TrReduction-<fp>.ckpt: [Errno 2] No such "
+                "file or directory: '<dir>/TrReduction-<fp>.ckpt'",
+            ],
+            "recoveries": [],
+            "run": ["DetectOverlap", "TrReduction"],
+            "skipped": [(s, "checkpoint")
+                        for s in ("CountKmer", "Alignment", "ExtractContig")],
+            "stage_spans": [
+                "CountKmer{'skipped': 'checkpoint'}", "DetectOverlap",
+                "Alignment{'skipped': 'checkpoint'}", "TrReduction",
+                "ExtractContig{'skipped': 'checkpoint'}",
+            ],
+            "span_cats": "31 collective 48 rank 1 run 5 stage 12 superstep",
+            "faults": 1,
+            "digest": full_run.contig_digest(),
+        }
+
+
+class _RunHooksOnly:
+    """Defines two of the eight hooks and inherits nothing."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def on_run_start(self, ctx):
+        self.log.append(("start", self.name))
+
+    def on_run_end(self, ctx, wall_seconds):
+        self.log.append(("end", self.name))
+
+
+class _Exploding(Stage):
+    name = "Exploding"
+    produces = ("nothing",)
+
+    def run(self, ctx):
+        raise ValueError("stage blew up")
+
+
+class _CancelAtFirstStage:
+    """One hook only -- and accepted as an observer all the same."""
+
+    def on_stage_start(self, stage, ctx):
+        raise JobCancelled("cancel observed")
+
+
+class TestObserverLifecycle:
+    @pytest.mark.parametrize("failure", ["run_start", "stage", "cancel"])
+    def test_run_end_mirrors_run_start(self, tiled, cfg, failure):
+        """``on_run_end`` reaches, in reverse order, exactly the observers
+        whose ``on_run_start`` returned, and whatever attached itself to
+        the world is detached again."""
+        world = SimWorld(cfg.nprocs, cfg.resolve_machine())
+        store = DistReadStore.from_global(ProcGrid(world), tiled[1].reads)
+        outer_tracer = Tracer().attach(world)
+        outer_injector = world.fault_injector = FaultInjector(FaultPlan())
+
+        log = []
+        observers = [
+            _RunHooksOnly("a", log), Tracer(), FaultInjector(FaultPlan()),
+            _RunHooksOnly("b", log),
+        ]
+        pipeline, raised = Pipeline.default(), JobCancelled
+        if failure == "run_start":  # a tracer sized for another world
+            raised = TelemetryError
+            observers += [Tracer(nprocs=64), _RunHooksOnly("never", log)]
+        elif failure == "stage":
+            pipeline, raised = Pipeline([_Exploding()]), ValueError
+        else:
+            observers.append(_CancelAtFirstStage())
+        with pytest.raises(raised):
+            pipeline.run(store, cfg, observers=observers)
+        assert log == [("start", "a"), ("start", "b"), ("end", "b"), ("end", "a")]
+        assert world.tracer is outer_tracer
+        assert world.fault_injector is outer_injector
+
+
+class TestFingerprintBoundary:
+    @pytest.mark.parametrize("field", sorted(EXECUTION_FIELDS) + ["no_such_knob"])
+    def test_register_stage_rejects_unhashable_field(self, field):
+        class Leaky(Stage):
+            name = "Leaky"
+            config_fields = ("k", field)
+
+        with pytest.raises(PipelineError, match=field):
+            register_stage(Leaky)
+        assert "Leaky" not in STAGE_REGISTRY
+
+    def test_every_scientific_field_is_claimed_by_a_main_stage(self):
+        Pipeline.default()  # force stage module import
+        claimed = {
+            f for name in MAIN_STAGES for f in STAGE_REGISTRY[name].config_fields
+        }
+        every = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert len(EXECUTION_FIELDS) == 8 and EXECUTION_FIELDS <= every
+        assert claimed == every - EXECUTION_FIELDS - {"nprocs", "machine", "extra"}
+
+    def test_memory_mode_flip_resumes_every_stage(self, tiled, cfg, tmp_path):
+        """C, R and S are bit-identical under either merge strategy, so a
+        ``"low"`` rerun must hit all five ``"fast"`` checkpoints."""
+        fast = Pipeline.default().run(tiled[1], cfg, checkpoint_dir=tmp_path)
+        low = Pipeline.default().run(
+            tiled[1], dataclasses.replace(cfg, memory_mode="low"),
+            checkpoint_dir=tmp_path,
+        )
+        assert low.stages_skipped == [(s, "checkpoint") for s in MAIN_STAGES]
+        assert low.contig_digest() == fast.contig_digest()
+
+
+class TestRunRefusals:
+    def test_prebuilt_store_with_wrong_rank_count(self, tiled, cfg):
+        world = SimWorld(16, cfg.resolve_machine())
+        store = DistReadStore.from_global(ProcGrid(world), tiled[1].reads)
+        with pytest.raises(PipelineError, match=r"16-rank.*nprocs is 4"):
+            Pipeline.default().run(store, cfg)
+
+    def test_refused_before_a_world_is_built(self, cfg, monkeypatch):
+        # (building one would now raise TypeError instead)
+        monkeypatch.setattr("repro.pipeline.engine.SimWorld", None)
+        with pytest.raises(PipelineError, match="needs reads or from_artifacts"):
+            Pipeline.default().run(None, cfg)

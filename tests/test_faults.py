@@ -224,14 +224,14 @@ class TestSuperstepInjection:
             rank_crash(stage="Alignment", superstep=0, rank=2),
         )))
         obs = CollectingObserver()
-        result = Pipeline.default(observers=[obs]).run(
-            reads, cfg, fault_injector=injector
+        result = Pipeline.default().run(
+            reads, cfg, observers=[obs, injector]
         )
         assert result.contig_digest() == reference.contig_digest()
         assert result.recoveries == [
             {"stage": "Alignment", "rank": 2, "superstep": 0, "attempt": 1}
         ]
-        assert result.faults_injected == 1
+        assert len(injector.events) == 1
         assert injector.exhausted
         notes = [n for _, n in obs.notes]
         assert any(n.startswith("fault injected: rank_crash") for n in notes)
@@ -246,7 +246,7 @@ class TestSuperstepInjection:
         injector = FaultInjector(FaultPlan(rules=(
             rank_crash(stage="DetectOverlap", superstep=1, rank=0),
         )))
-        result = Pipeline.default().run(reads, cfg, fault_injector=injector)
+        result = Pipeline.default().run(reads, cfg, observers=[injector])
         drop = {"peak_memory_bytes"}
         assert {k: v for k, v in result.counts.items() if k not in drop} == \
                {k: v for k, v in reference.counts.items() if k not in drop}
@@ -255,7 +255,7 @@ class TestSuperstepInjection:
         injector = FaultInjector(FaultPlan(rules=(
             stall(rank=1, seconds=50.0, stage="Alignment", superstep=0),
         )))
-        result = Pipeline.default().run(reads, cfg, fault_injector=injector)
+        result = Pipeline.default().run(reads, cfg, observers=[injector])
         assert result.contig_digest() == reference.contig_digest()
         assert result.modeled_total > reference.modeled_total + 40.0
         assert injector.events[0]["kind"] == "stall"
@@ -270,8 +270,8 @@ class TestSuperstepInjection:
         )))
         obs = CollectingObserver()
         with pytest.raises(RankFailure):
-            Pipeline.default(observers=[obs]).run(
-                reads, limited, fault_injector=injector
+            Pipeline.default().run(
+                reads, limited, observers=[obs, injector]
             )
         assert any(
             "not recovered" in n and "retries exhausted" in n
@@ -279,8 +279,8 @@ class TestSuperstepInjection:
         )
 
     def test_injector_restored_after_run(self, reads, cfg):
-        """The engine unhooks its injector and listener on the way out,
-        even when the run dies."""
+        """The injector lets go of the run on the way out, even when the
+        run dies (tests/test_engine.py checks the world's side of it)."""
         injector = FaultInjector(FaultPlan(rules=(
             rank_crash(stage="CountKmer", rank=0, max_fires=50),
         )))
@@ -288,8 +288,8 @@ class TestSuperstepInjection:
 
         limited = dataclasses.replace(cfg, stage_max_retries=0)
         with pytest.raises(RankFailure):
-            Pipeline.default().run(reads, limited, fault_injector=injector)
-        assert injector.listeners == []
+            Pipeline.default().run(reads, limited, observers=[injector])
+        assert injector._ctx is None
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ class TestCheckpointFaults:
             checkpoint_corrupt(stage="DetectOverlap", when="save", mode=mode),
         )))
         Pipeline.default().run(
-            reads, cfg, checkpoint_dir=tmp_path, fault_injector=injector
+            reads, cfg, checkpoint_dir=tmp_path, observers=[injector]
         )
         assert injector.events[0]["action"] == f"corrupted:{mode}"
         obs = CollectingObserver()
@@ -329,11 +329,11 @@ class TestCheckpointFaults:
             checkpoint_corrupt(stage="CountKmer", when="load", mode=mode),
         )))
         obs = CollectingObserver()
-        result = Pipeline.default(observers=[obs]).run(
-            reads, cfg, checkpoint_dir=tmp_path, fault_injector=injector
+        result = Pipeline.default().run(
+            reads, cfg, checkpoint_dir=tmp_path, observers=[obs, injector]
         )
         assert result.stages_run == ["CountKmer"]
-        assert result.faults_injected == 1
+        assert len(injector.events) == 1
         assert result.contig_digest() == reference.contig_digest()
         notes = [n for _, n in obs.notes]
         assert any(n.startswith("fault injected: checkpoint_corrupt") for n in notes)
@@ -347,8 +347,8 @@ class TestCheckpointFaults:
             cache_evict_race(stage="TrReduction"),
         )))
         obs = CollectingObserver()
-        result = Pipeline.default(observers=[obs]).run(
-            reads, cfg, checkpoint_dir=tmp_path, fault_injector=injector
+        result = Pipeline.default().run(
+            reads, cfg, checkpoint_dir=tmp_path, observers=[obs, injector]
         )
         assert result.stages_run == ["TrReduction"]
         assert injector.events[0]["action"] == "evicted"

@@ -271,7 +271,7 @@ class TestPipelineTierIdentity:
         for tier in KERNEL_TIERS:
             tracer = Tracer()
             cfg = PipelineConfig(nprocs=4, k=15, kernel_tier=tier)
-            Pipeline().run(tiny_reads, config=cfg, tracer=tracer)
+            Pipeline().run(tiny_reads, config=cfg, observers=[tracer])
             digests[tier] = tracer.digest()
             tiers_seen[tier] = {
                 s.tier for s in tracer.root.walk() if s.cat == "kernel"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import KILL_AFTER_ENV, JobService
+from repro.service import JobService
 
 SRC = {
     "kind": "simulate",
@@ -29,10 +29,15 @@ CFG = {"nprocs": 4, "k": 17, "reliable_lo": 1, "end_margin": 5}
 
 LEASE_TTL = 0.5
 
+#: argv: store root, then optionally the stage after which the worker
+#: SIGKILLs itself (a one-rule ``worker_kill`` fault plan)
 WORKER_DRIVER = (
     "import sys\n"
+    "from repro.faults import FaultPlan, worker_kill\n"
     "from repro.service import JobService\n"
-    f"JobService(sys.argv[1], lease_ttl={LEASE_TTL}).run_worker()\n"
+    "kill = [worker_kill(after_stage=s, mode='sigkill') for s in sys.argv[2:]]\n"
+    f"JobService(sys.argv[1], lease_ttl={LEASE_TTL}).run_worker(\n"
+    "    fault_plan=FaultPlan(rules=tuple(kill)) if kill else None)\n"
 )
 
 #: fields of the job summary that must be bit-identical across resume
@@ -43,12 +48,9 @@ def _spawn_worker(root, kill_after=None):
     env = dict(os.environ)
     src_dir = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = f"{src_dir}{os.pathsep}" + env.get("PYTHONPATH", "")
-    if kill_after is not None:
-        env[KILL_AFTER_ENV] = kill_after
-    else:
-        env.pop(KILL_AFTER_ENV, None)
     return subprocess.run(
-        [sys.executable, "-c", WORKER_DRIVER, str(root)],
+        [sys.executable, "-c", WORKER_DRIVER, str(root),
+         *([kill_after] if kill_after else [])],
         env=env,
         capture_output=True,
         text=True,

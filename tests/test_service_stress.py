@@ -20,7 +20,7 @@ import pytest
 
 from repro.pipeline import Pipeline, PipelineConfig
 from repro.seq import GenomeSpec, make_genome, tile_reads
-from repro.service import KILL_AFTER_ENV, JobService
+from repro.service import JobService
 
 CFG = {"nprocs": 4, "k": 17, "reliable_lo": 1, "end_margin": 5}
 
@@ -42,11 +42,17 @@ def _source(seed: int) -> dict:
     }
 
 
-def _driver(lease_ttl: float) -> str:
+def _driver(lease_ttl: float, kill_after: str | None = None) -> str:
+    """A worker process; ``kill_after`` makes it SIGKILL itself after
+    that stage (a one-rule ``worker_kill`` fault plan)."""
+    rule = f"worker_kill(after_stage={kill_after!r}, mode='sigkill')"
+    plan = f"FaultPlan(rules=({rule},))" if kill_after else "None"
     return (
         "import sys\n"
+        "from repro.faults import FaultPlan, worker_kill\n"
         "from repro.service import JobService\n"
-        f"JobService(sys.argv[1], lease_ttl={lease_ttl}).run_worker()\n"
+        f"JobService(sys.argv[1], lease_ttl={lease_ttl})"
+        f".run_worker(fault_plan={plan})\n"
     )
 
 
@@ -54,7 +60,6 @@ def _env():
     env = dict(os.environ)
     src_dir = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = f"{src_dir}{os.pathsep}" + env.get("PYTHONPATH", "")
-    env.pop(KILL_AFTER_ENV, None)
     return env
 
 
@@ -88,11 +93,10 @@ class TestWorkerFleet:
             svc.submit(_source(seed), CFG) for seed in JOB_SEEDS[1:]
         ]
 
-        env = _env()
-        env[KILL_AFTER_ENV] = "Alignment"
         doomed = subprocess.run(
-            [sys.executable, "-c", _driver(ORPHAN_TTL), str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=180,
+            [sys.executable, "-c", _driver(ORPHAN_TTL, "Alignment"),
+             str(tmp_path)],
+            env=_env(), capture_output=True, text=True, timeout=180,
         )
         assert doomed.returncode == -signal.SIGKILL, doomed.stderr
         assert svc.status(orphan_id).state == "running"

@@ -231,12 +231,14 @@ class TestPipelineIntegration:
             nprocs=4, k=17, reliable_lo=1, end_margin=5, executor=executor
         )
         tracer = Tracer()
-        result = Pipeline.default().run(reads, cfg, tracer=tracer, **kwargs)
+        result = Pipeline.default().run(
+            reads, cfg, observers=[tracer], **kwargs
+        )
         return result, tracer
 
-    def test_trace_rides_on_result(self, tiny_reads):
+    def test_tracer_observes_the_run(self, tiny_reads):
         result, tracer = self._run(tiny_reads, "serial")
-        assert result.trace is tracer
+        assert result.world.tracer is None  # detached again
         stage_names = [
             s.name for s in tracer.root.children if s.cat == "stage"
         ]
@@ -262,7 +264,9 @@ class TestPipelineIntegration:
     def test_untraced_run_unaffected(self, tiny_reads):
         cfg = PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5)
         result = Pipeline.default().run(tiny_reads, cfg)
-        assert result.trace is None
+        traced, _ = self._run(tiny_reads, cfg.executor)
+        assert result.world.tracer is None
+        assert result.modeled_total == traced.modeled_total
 
 
 class TestMetricsPrimitives:

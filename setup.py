@@ -64,7 +64,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24"],
+    # nothing in src/ imports these; the test suite does, at module level
+    extras_require={"test": ["pytest", "scipy>=1.10", "hypothesis"]},
     ext_modules=_native_extensions(),
     cmdclass={"build_ext": optional_build_ext},
 )

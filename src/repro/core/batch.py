@@ -41,6 +41,7 @@ from ..errors import AssemblyError
 from ..kernels import native_kernels, resolve_kernel_tier
 from ..seq.readstore import PackedReads, gather_pieces
 from ..sparse.dcsc import Dcsc
+from ..util import cumsum0
 from .induced import InducedGraph
 
 __all__ = [
@@ -50,12 +51,6 @@ __all__ = [
     "component_labels",
     "local_assembly_batch",
 ]
-
-
-def _cumsum0(counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
 
 
 @dataclass
@@ -103,7 +98,7 @@ def build_edge_table(csc, degrees: np.ndarray) -> VertexEdgeTable:
             "local matrix pattern is not symmetric: every edge needs its "
             "mirror for the walk"
         )
-    slot = np.arange(srows.size, dtype=np.int64) - _cumsum0(outdeg)[srows]
+    slot = np.arange(srows.size, dtype=np.int64) - cumsum0(outdeg)[srows]
     nbr = np.full((nv, 2), -1, dtype=np.int64)
     edir = np.zeros((nv, 2), dtype=np.int64)
     epre = np.zeros((nv, 2), dtype=np.int64)
@@ -166,7 +161,7 @@ class BatchWalks:
 
     @property
     def edge_offsets(self) -> np.ndarray:
-        return _cumsum0(self.n_edges)
+        return cumsum0(self.n_edges)
 
     @property
     def count(self) -> int:
@@ -332,9 +327,9 @@ def _merge_walks(rounds: list[BatchWalks]) -> BatchWalks:
     post = np.concatenate([r.post for r in rounds])
     keep = np.flatnonzero(n_edges > 0)
     perm = keep[np.argsort(start[keep], kind="stable")]
-    old_off = _cumsum0(n_edges)
+    old_off = cumsum0(n_edges)
     kept_edges = n_edges[perm]
-    new_off = _cumsum0(kept_edges)
+    new_off = cumsum0(kept_edges)
     total = int(new_off[-1])
     # segment gather: element j of the reordered flat arrays reads
     # old_off[perm[w]] + (j - new_off[w]) for its walk w
@@ -366,7 +361,7 @@ def _concatenate_batch(
         return []
     m = walks.n_edges
     nverts = m + 1
-    voff = _cumsum0(nverts)
+    voff = cumsum0(nverts)
     total_v = int(voff[-1])
     # path vertices, walk-major: start then the dst sequence
     vert = np.empty(total_v, dtype=np.int64)
@@ -417,7 +412,7 @@ def _concatenate_batch(
 
     # per-walk character ranges and provenance
     walk_chars = np.add.reduceat(plen, voff[:-1]) if total_v else _EMPTY
-    woff = _cumsum0(walk_chars)
+    woff = cumsum0(walk_chars)
     orient = np.where(fwd, 1, -1)
     contigs = []
     for w in range(W):

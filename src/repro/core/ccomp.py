@@ -28,6 +28,7 @@ import numpy as np
 
 from ..sparse.distmat import DistSparseMatrix
 from ..sparse.distvec import DistVector
+from ..util import cumsum0
 
 __all__ = ["connected_components", "contig_sizes_distributed", "ConnectedComponentsResult"]
 
@@ -86,12 +87,7 @@ def connected_components(
     f = DistVector.arange(grid, n)
 
     # per-rank edge endpoint lists in global coordinates (fixed for the run)
-    edge_u: list[np.ndarray] = []
-    edge_v: list[np.ndarray] = []
-    for rank, blk in enumerate(L.blocks):
-        rlo, clo = L.block_offsets(rank)
-        edge_u.append(blk.rows + rlo)
-        edge_v.append(blk.cols + clo)
+    edge_u, edge_v, _vals = zip(*L.edge_triples_per_rank())
 
     rounds = 0
     for rounds in range(1, max_rounds + 1):
@@ -165,23 +161,17 @@ def contig_sizes_distributed(labels: DistVector) -> DistVector:
         d[np.searchsorted(union, uniq[rank])] = per_counts[rank]
         dense.append(d)
         world.charge_compute(rank, uniq[rank].size)
-    owner = (
-        np.asarray(grid.owner_of_vec(n, union), dtype=np.int64)
-        if union.size
-        else np.empty(0, dtype=np.int64)
-    )
-    owner_sizes = np.bincount(owner, minlength=P)
+    owner_sizes = np.bincount(grid.owner_of_vec(n, union), minlength=P)
     scattered = world.comm.reduce_scatter(
         dense, block_sizes=[int(s) for s in owner_sizes]
     )
 
     # scatter the compacted totals back into the vertex-aligned vector
     out = DistVector.zeros(grid, n, dtype=np.int64)
-    bounds = np.zeros(P + 1, dtype=np.int64)
-    np.cumsum(owner_sizes, out=bounds[1:])
+    bounds = cumsum0(owner_sizes)
+    lows = grid.vec_bounds(n)
     for rank in range(P):
-        lo, _hi = grid.vec_block(n, rank)
         owned = union[bounds[rank] : bounds[rank + 1]]
-        out.blocks[rank][owned - lo] = scattered[rank]
+        out.blocks[rank][owned - lows[rank]] = scattered[rank]
         world.charge_compute(rank, owned.size)
     return out

@@ -15,8 +15,8 @@ allgather:
    pairwise exchange with the transposed processor delivers ``p[v]`` for
    every local column ``v``;
 3. **triple routing** -- each nonzero ``(u, v, L(u, v))`` with
-   ``p[u] == p[v] == dest`` is packed onto the outgoing buffer for ``dest``
-   and a custom all-to-all redistributes the edges;
+   ``p[u] == p[v] == dest`` is routed to ``dest``
+   (:meth:`SimComm.route <repro.mpi.comm.SimComm.route>`);
 4. **local re-indexing** -- every rank compacts its received edge set into a
    local matrix while keeping the map back to global vertex ids (needed by
    the final assembly stage).
@@ -62,74 +62,28 @@ def induced_subgraph(
 ) -> list[InducedGraph]:
     """Redistribute L's edges so each rank holds its assigned contigs."""
     grid, world = L.grid, L.grid.world
-    P, q = grid.nprocs, grid.q
-    n = L.shape[0]
+    q = grid.q
 
     # -- step 1: allgather p's sub-blocks over the row dimension ---------
-    row_assignment: list[np.ndarray] = [None] * P  # p over each rank's rows
+    row_assignment: list[np.ndarray] = [None] * grid.nprocs  # p over each rank's rows
     for i in range(q):
         members = [grid.rank_of(i, j) for j in range(q)]
         gathered = grid.row_comms[i].allgather([p.blocks[r] for r in members])
         stitched = np.concatenate(gathered)
-        for j in range(q):
-            row_assignment[grid.rank_of(i, j)] = stitched
+        for r in members:
+            row_assignment[r] = stitched
 
     # -- step 2: point-to-point exchange with the transposed processor ---
     partners = grid.transpose_partners()
     col_assignment = world.comm.sendrecv(row_assignment, partners)
 
-    # -- step 3: build and route triples ---------------------------------
-    send: list[list[tuple]] = [[None] * P for _ in range(P)]
-    for rank, blk in enumerate(L.blocks):
-        i, j = grid.coords_of(rank)
-        rlo, _rhi = grid.row_block(n, i)
-        clo, _chi = grid.col_block(n, j)
-        gu = blk.rows + rlo
-        gv = blk.cols + clo
-        pu = row_assignment[rank][blk.rows] if blk.nnz else np.empty(0, np.int64)
-        pv = col_assignment[rank][blk.cols] if blk.nnz else np.empty(0, np.int64)
-        live = (pu >= 0) & (pv >= 0)
-        if np.any(pu[live] != pv[live]):
-            raise AssemblyError(
-                "edge endpoints assigned to different ranks: contigs must "
-                "move as units"
-            )
-        dest = np.where(live, pu, np.int64(-1))
-        order = np.argsort(dest, kind="stable")
-        gu, gv, vals, dest = gu[order], gv[order], blk.vals[order], dest[order]
-        start = int(np.searchsorted(dest, 0))  # skip dest == -1
-        counts = np.bincount(dest[start:], minlength=P)
-        bounds = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        bounds += start
-        for o in range(P):
-            sl = slice(bounds[o], bounds[o + 1])
-            send[rank][o] = (gu[sl], gv[sl], vals[sl])
-        world.charge_compute(rank, blk.nnz)
-    recv = world.comm.alltoall(send)
-
-    # -- step 4: local re-indexing ---------------------------------------
-    graphs: list[InducedGraph] = []
-    for rank in range(P):
-        us = [t[0] for t in recv[rank]]
-        vs = [t[1] for t in recv[rank]]
-        ws = [t[2] for t in recv[rank]]
-        gu = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-        gv = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-        vals = (
-            np.concatenate(ws)
-            if ws and any(w.size for w in ws)
-            else np.empty(0, dtype=L.dtype)
-        )
-        ids = np.unique(np.concatenate([gu, gv])) if gu.size else np.empty(
-            0, dtype=np.int64
-        )
-        lu = np.searchsorted(ids, gu)
-        lv = np.searchsorted(ids, gv)
-        coo = LocalCoo((ids.size, ids.size), lu, lv, vals)
-        graphs.append(InducedGraph(coo=coo, global_ids=ids))
-        world.charge_compute(rank, gu.size)
-    return graphs
+    return _route_and_reindex(
+        L,
+        [
+            (row_assignment[rank][blk.rows], col_assignment[rank][blk.cols])
+            for rank, blk in enumerate(L.blocks)
+        ],
+    )
 
 
 def induced_subgraph_naive(
@@ -141,49 +95,42 @@ def induced_subgraph_naive(
     Produces identical graphs; exists so the benchmark can compare the
     modeled communication cost of the two schemes.
     """
-    grid, world = L.grid, L.grid.world
-    P = grid.nprocs
-    gathered = world.comm.allgather(list(p.blocks))
-    full = np.concatenate(gathered)
-    send: list[list[tuple]] = [[None] * P for _ in range(P)]
-    n = L.shape[0]
-    for rank, blk in enumerate(L.blocks):
-        i, j = grid.coords_of(rank)
-        rlo, _ = grid.row_block(n, i)
-        clo, _ = grid.col_block(n, j)
-        gu = blk.rows + rlo
-        gv = blk.cols + clo
-        pu = full[gu]
-        pv = full[gv]
+    full = np.concatenate(L.grid.world.comm.allgather(list(p.blocks)))
+    return _route_and_reindex(
+        L, [(full[gu], full[gv]) for gu, gv, _vals in L.edge_triples_per_rank()]
+    )
+
+
+def _route_and_reindex(
+    L: DistSparseMatrix, assigned: list[tuple[np.ndarray, np.ndarray]]
+) -> list[InducedGraph]:
+    """Steps 3-4, given ``assigned[rank] = (p[u], p[v])`` for every local
+    nonzero ``(u, v)``: route each live edge to its contig's rank, then
+    compact the received edge set into local numbering."""
+    world = L.grid.world
+
+    # -- step 3: build and route triples ---------------------------------
+    dest, us, vs, ws = [], [], [], []
+    for rank, ((gu, gv, vals), (pu, pv)) in enumerate(
+        zip(L.edge_triples_per_rank(), assigned)
+    ):
         live = (pu >= 0) & (pv >= 0)
-        dest = np.where(live, pu, np.int64(-1))
-        order = np.argsort(dest, kind="stable")
-        gu, gv, vals, dest = gu[order], gv[order], blk.vals[order], dest[order]
-        start = int(np.searchsorted(dest, 0))
-        counts = np.bincount(dest[start:], minlength=P)
-        bounds = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        bounds += start
-        for o in range(P):
-            sl = slice(bounds[o], bounds[o + 1])
-            send[rank][o] = (gu[sl], gv[sl], vals[sl])
-        world.charge_compute(rank, blk.nnz)
-    recv = world.comm.alltoall(send)
+        if np.any(pu[live] != pv[live]):
+            raise AssemblyError(
+                "edge endpoints assigned to different ranks: contigs must "
+                "move as units"
+            )
+        dest.append(pu[live])
+        us.append(gu[live])
+        vs.append(gv[live])
+        ws.append(vals[live])
+        world.charge_compute(rank, gu.size)
+    received = world.comm.route(dest).send(us, vs, ws)
+
+    # -- step 4: local re-indexing ---------------------------------------
     graphs: list[InducedGraph] = []
-    for rank in range(P):
-        us = [t[0] for t in recv[rank]]
-        vs = [t[1] for t in recv[rank]]
-        ws = [t[2] for t in recv[rank]]
-        gu = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-        gv = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-        vals = (
-            np.concatenate(ws)
-            if ws and any(w.size for w in ws)
-            else np.empty(0, dtype=L.dtype)
-        )
-        ids = np.unique(np.concatenate([gu, gv])) if gu.size else np.empty(
-            0, dtype=np.int64
-        )
+    for rank, (gu, gv, vals) in enumerate(zip(*received)):
+        ids = np.unique(np.concatenate([gu, gv]))
         coo = LocalCoo(
             (ids.size, ids.size),
             np.searchsorted(ids, gu),

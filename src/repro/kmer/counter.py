@@ -3,8 +3,9 @@
 The standard owner-computes pattern of diBELLA/HipMer-family assemblers:
 
 1. every rank extracts the canonical k-mers of its local reads;
-2. a hash of the k-mer value assigns each k-mer an *owner* rank;
-   one all-to-all routes the k-mers to their owners;
+2. a hash of the k-mer value assigns each k-mer an *owner* rank; one
+   routed exchange (:meth:`SimComm.route <repro.mpi.comm.SimComm.route>`)
+   sends the k-mers to their owners;
 3. owners count occurrences and keep only **reliable** k-mers -- those whose
    multiplicity lies in ``[reliable_lo, reliable_hi]``.  Singletons are
    almost surely sequencing errors; k-mers far above the coverage depth come
@@ -12,8 +13,8 @@ The standard owner-computes pattern of diBELLA/HipMer-family assemblers:
 4. owners number their retained k-mers into a global contiguous id space
    (exclusive scan over per-owner counts), so k-mers become matrix columns.
 
-The resulting :class:`KmerTable` answers distributed id lookups (a second
-request/response all-to-all), which is how the matrix-A builder turns k-mer
+The resulting :class:`KmerTable` answers distributed id lookups (the same
+route, with a reply), which is how the matrix-A builder turns k-mer
 occurrences into column indices.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from ..errors import KmerError
 from ..mpi.grid import ProcGrid
-from ..util import sorted_lookup
+from ..util import cumsum0, sorted_lookup
 from ..seq.readstore import DistReadStore
 from .codec import canonical_kmers, encode_kmers
 
@@ -35,12 +36,17 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _owner_of(kmers: np.ndarray, nprocs: int) -> np.ndarray:
-    """Hash-partition k-mer values over ranks (splitmix-style mixing)."""
+    """Hash-partition k-mer values over ranks (splitmix-style mixing).
+
+    Owners come back in the narrowest dtype that holds a rank: between the
+    hashing superstep and the route plan all P owner arrays are alive at
+    once, one entry per k-mer occurrence.
+    """
     x = kmers * _MIX
     x ^= x >> np.uint64(29)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(32)
-    return (x % np.uint64(nprocs)).astype(np.int64)
+    return (x % np.uint64(nprocs)).astype(np.min_scalar_type(nprocs))
 
 
 @dataclass
@@ -65,53 +71,33 @@ class KmerTable:
     def lookup(self, requests: list[np.ndarray]) -> list[np.ndarray]:
         """Resolve k-mer values to global ids (-1 = not reliable).
 
-        ``requests[r]`` are rank r's k-mer values; one all-to-all routes
-        them to owners, owners bisect their sorted tables, and a second
-        all-to-all returns the ids in request order.
+        ``requests[r]`` are rank r's k-mer values; they are routed to
+        their owners, owners bisect their sorted tables, and the reply
+        returns the ids in request order.
         """
         grid, world = self.grid, self.grid.world
         P = grid.nprocs
+        requests = [np.asarray(req, dtype=np.uint64) for req in requests]
 
-        # local superstep: split each rank's requests by owner
-        def _split_step(ctx, req):
-            vals = np.asarray(req, dtype=np.uint64)
-            owner = _owner_of(vals, P)
-            perm = np.argsort(owner, kind="stable")
-            svals, sowner = vals[perm], owner[perm]
-            counts = np.bincount(sowner, minlength=P)
-            bounds = np.zeros(P + 1, dtype=np.int64)
-            np.cumsum(counts, out=bounds[1:])
+        # local superstep: hash each rank's requests to their owners
+        def _owner_step(ctx, vals):
             ctx.charge_compute(vals.size)
-            return perm, [svals[bounds[o] : bounds[o + 1]] for o in range(P)]
+            return _owner_of(vals, P)
 
-        split = world.map_ranks(_split_step, requests)
-        perms = [perm for perm, _rows in split]
-        recv = world.comm.alltoall([rows for _perm, rows in split])
+        plan = world.comm.route(world.map_ranks(_owner_step, requests))
+        (asked,) = plan.send(requests)
 
         # owner superstep: bisect the sorted tables
-        def _bisect_step(ctx, received, table, base):
-            reply_row = []
-            for vals in received:
-                hit, pos = sorted_lookup(table, vals)
-                reply_row.append(np.where(hit, base + pos, np.int64(-1)).astype(np.int64))
-            ctx.charge_compute(sum(v.size for v in received))
-            return reply_row
+        def _bisect_step(ctx, vals, table, base):
+            hit, pos = sorted_lookup(table, vals)
+            ctx.charge_compute(vals.size)
+            return np.where(hit, base + pos, np.int64(-1)).astype(np.int64)
 
-        reply = world.map_ranks(
-            _bisect_step, recv, self.kmers_by_owner, list(self.offsets[:P])
-        )
-        answers = world.comm.alltoall(reply)
-        out = []
-        for r in range(P):
-            flat = (
-                np.concatenate(answers[r])
-                if any(a.size for a in answers[r])
-                else np.empty(0, dtype=np.int64)
+        return plan.reply(
+            world.map_ranks(
+                _bisect_step, asked, self.kmers_by_owner, list(self.offsets[:P])
             )
-            restored = np.empty_like(flat)
-            restored[perms[r]] = flat
-            out.append(restored)
-        return out
+        )
 
 
 def count_kmers(
@@ -154,32 +140,21 @@ def count_kmers(
         mine = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
         )
-        owner = _owner_of(mine, P)
-        perm = np.argsort(owner, kind="stable")
-        mine, owner = mine[perm], owner[perm]
-        counts = np.bincount(owner, minlength=P)
-        bounds = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
         ctx.charge_compute(shard.total_bases * 2)
-        return [mine[bounds[o] : bounds[o + 1]] for o in range(P)]
+        return mine, _owner_of(mine, P)
 
-    send = world.map_ranks(_extract_step, reads.shards)
-    recv = world.comm.alltoall(send)
+    extracted = world.map_ranks(_extract_step, reads.shards)
+    plan = world.comm.route(owner for _mine, owner in extracted)
+    (recv,) = plan.send([mine for mine, _owner in extracted])
 
     # 3) owners count and filter
     def _count_step(ctx, received):
-        pieces = [p for p in received if p.size]
-        if pieces:
-            allk = np.concatenate(pieces)
-            uniq, cnt = np.unique(allk, return_counts=True)
-            keep = cnt >= reliable_lo
-            if reliable_hi is not None:
-                keep &= cnt <= reliable_hi
-            uniq, cnt = uniq[keep], cnt[keep]
-        else:
-            uniq = np.empty(0, dtype=np.uint64)
-            cnt = np.empty(0, dtype=np.int64)
-        ctx.charge_compute(sum(p.size for p in received) + uniq.size)
+        uniq, cnt = np.unique(received, return_counts=True)
+        keep = cnt >= reliable_lo
+        if reliable_hi is not None:
+            keep &= cnt <= reliable_hi
+        uniq, cnt = uniq[keep], cnt[keep]
+        ctx.charge_compute(received.size + uniq.size)
         return uniq, cnt.astype(np.int64)
 
     counted = world.map_ranks(_count_step, recv)
@@ -189,8 +164,7 @@ def count_kmers(
 
     # 4) global contiguous ids via exclusive scan (allgather of counts)
     gathered = world.comm.allgather([int(x) for x in retained])
-    offsets = np.zeros(P + 1, dtype=np.int64)
-    np.cumsum(np.asarray(gathered, dtype=np.int64), out=offsets[1:])
+    offsets = cumsum0(gathered)
     return KmerTable(
         grid=grid,
         k=k,

@@ -7,7 +7,15 @@ process grid (:class:`ProcGrid`), machine cost models, and instrumentation.
 """
 
 from .bigcount import MPI_COUNT_LIMIT, TransferPlan, chunk_buffer, plan_transfer, reassemble
-from .comm import SimComm, SimWorld, block_owner, block_range, block_sizes, payload_nbytes
+from .comm import (
+    RoutePlan,
+    SimComm,
+    SimWorld,
+    block_owner,
+    block_range,
+    block_sizes,
+    payload_nbytes,
+)
 from .executor import (
     EXECUTOR_BACKENDS,
     Executor,
@@ -34,6 +42,7 @@ from .stats import CommEvent, CommLog, StageClock, TimingReport
 __all__ = [
     "SimWorld",
     "SimComm",
+    "RoutePlan",
     "Executor",
     "SerialExecutor",
     "RankContext",

@@ -15,19 +15,30 @@ buffer lengths where available.  Returned objects may alias the sender's
 objects (the simulator lives in one address space); distributed code must
 not mutate received payloads in place, mirroring MPI's treatment of receive
 buffers as owned data.
+
+The move every distributed data structure here is built from -- *compute
+locally, send each row to the rank that owns it, sometimes answer back* --
+is :meth:`SimComm.route`: the caller names a destination rank per row, and
+the returned :class:`RoutePlan` sends any number of row-aligned NumPy
+columns in one ``alltoallv`` (``send``) and returns answers in request
+order (``reply``).  ``alltoall`` is the generic-object form of the same
+collective, kept for the ragged packed-read payloads and as the reference
+the route tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import CommunicatorError
 from ..telemetry.metrics import get_registry
+from ..util import cumsum0
 from .costmodel import MachineModel, zero_cost
 from .executor import (
     Executor,
@@ -39,7 +50,14 @@ from .executor import (
 from .memory import MemoryMeter
 from .stats import CommEvent, CommLog, StageClock
 
-__all__ = ["payload_nbytes", "SimWorld", "SimComm", "block_range", "block_sizes"]
+__all__ = [
+    "payload_nbytes",
+    "SimWorld",
+    "SimComm",
+    "RoutePlan",
+    "block_range",
+    "block_sizes",
+]
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -485,6 +503,19 @@ class SimComm:
         )
         return [[send[i][j] for i in range(self.size)] for j in range(self.size)]
 
+    def route(self, dests: Iterable[np.ndarray]) -> "RoutePlan":
+        """Plan an owner-routed exchange: ``dests[r][k]`` is the local rank
+        that row ``k`` of rank ``r`` goes to.
+
+        Planning is local and records nothing; the returned
+        :class:`RoutePlan` moves any number of row-aligned columns
+        (:meth:`RoutePlan.send`) and carries answers back in request order
+        (:meth:`RoutePlan.reply`), one ``alltoallv`` event each.  ``dests``
+        may be a generator, so a caller can derive one rank's owners at a
+        time instead of holding all P arrays.
+        """
+        return RoutePlan(self, dests)
+
     def allreduce(self, per_rank: Sequence[Any], op: Callable[[Any, Any], Any]) -> Any:
         """Reduce per-rank values with ``op``; every rank gets the result."""
         self._check_input(per_rank, "allreduce")
@@ -590,3 +621,107 @@ class SimComm:
             ]
             self._charge("ptp", nbytes, max(sizes, default=0), messages)
         return [payloads[partners[i]] for i in range(self.size)]
+
+
+def _regroup(arrays: Sequence[np.ndarray], counts: np.ndarray) -> Iterator[np.ndarray]:
+    """The data movement of an alltoallv over flat per-sender arrays.
+
+    ``arrays[s]`` is sender ``s``'s rows as consecutive runs of
+    ``counts[s, t]`` rows for receivers ``t = 0..P-1``; receiver ``t`` gets
+    its runs concatenated in sender order.  Runs are views of the senders'
+    arrays until the one concatenation per receiver, and receivers are
+    produced one at a time.
+    """
+    bounds = [cumsum0(row) for row in counts]
+    for t in range(len(arrays)):
+        yield np.concatenate([a[b[t] : b[t + 1]] for a, b in zip(arrays, bounds)])
+
+
+class RoutePlan:
+    """A planned owner-routed exchange (see :meth:`SimComm.route`).
+
+    The one implementation of *send each row to the rank that owns it,
+    sometimes answer back*: a stable sort by destination per rank groups
+    the rows, and a P x P count matrix says how many go where -- from it
+    follow both the slices to move and the bytes to charge.
+    """
+
+    __slots__ = ("comm", "counts", "_perms")
+
+    def __init__(self, comm: SimComm, dests: Iterable[np.ndarray]) -> None:
+        P = comm.size
+        # the narrowest dtype that holds a rank: 8- and 16-bit keys make
+        # numpy's stable sort a radix sort, and the cast copy is small
+        narrow = np.min_scalar_type(P)
+        perms, counts = [], []
+        for r, dest in enumerate(dests):
+            dest = np.asarray(dest)
+            if dest.size and not (0 <= dest.min() and dest.max() < P):
+                raise CommunicatorError(
+                    f"route: rank {r} has a destination outside [0, {P})"
+                )
+            dest = dest.astype(narrow, copy=False)
+            perm = np.argsort(dest, kind="stable")
+            if dest.size <= np.iinfo(np.int32).max:
+                # the plan holds one entry per row for its whole life
+                perm = perm.astype(np.int32)
+            perms.append(perm)
+            counts.append(np.bincount(dest, minlength=P))
+        comm._check_input(perms, "route")
+        self.comm = comm
+        #: ``counts[r, o]``: rows rank ``r`` sends to rank ``o``
+        self.counts = np.array(counts, dtype=np.int64)
+        self._perms = perms
+
+    def _record(
+        self, columns: Sequence[Sequence[np.ndarray]], counts: np.ndarray
+    ) -> list[list[np.ndarray]]:
+        """Validate ``columns`` against ``counts`` and record the event
+        :meth:`SimComm.alltoall` records for the same rows: every sender's
+        off-diagonal row count times its bytes per row."""
+        comm = self.comm
+        rows = counts.sum(axis=1)
+        row_bytes = np.zeros(comm.size, dtype=np.int64)
+        checked = []
+        for col in columns:
+            comm._check_input(col, "route column")
+            col = [np.asarray(a) for a in col]
+            for r, a in enumerate(col):
+                if a.shape[:1] != (rows[r],):
+                    raise CommunicatorError(
+                        f"route: rank {r} column has shape {a.shape}, "
+                        f"expected {rows[r]} rows"
+                    )
+                row_bytes[r] += a.dtype.itemsize * math.prod(a.shape[1:])
+            checked.append(col)
+        sent = (rows - counts.diagonal()) * row_bytes
+        comm._charge(
+            "alltoallv", int(sent.sum()), int(sent.max()), comm.size * (comm.size - 1)
+        )
+        return checked
+
+    def send(self, *columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], ...]:
+        """Move row-aligned columns to their destinations in one event.
+
+        ``columns[c][r]`` holds one row (first axis) per destination of
+        rank ``r``.  Returns one per-receiver list per column: receiver
+        ``o``'s array is the rows addressed to it, grouped by source rank
+        with each sender's order kept.
+        """
+        return tuple(
+            list(_regroup([a[p] for a, p in zip(col, self._perms)], self.counts))
+            for col in self._record(columns, self.counts)
+        )
+
+    def reply(self, answers: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The trip back: ``answers[o]`` holds one row per row receiver
+        ``o`` got from :meth:`send`, in that order.  Returns, per original
+        sender, the answers to its rows in its own row order."""
+        back = self.counts.T
+        (answers,) = self._record((answers,), back)
+        out = []
+        for flat, perm in zip(_regroup(answers, back), self._perms):
+            restored = np.empty_like(flat)
+            restored[perm] = flat
+            out.append(restored)
+        return out

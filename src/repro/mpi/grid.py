@@ -2,10 +2,14 @@
 
 ELBA organizes its P processes logically as a sqrt(P) x sqrt(P) grid
 (§4.3).  Matrix rows are split over grid rows and matrix columns over grid
-columns; vectors are split P ways in rank order.  The grid also provides the
-row/column sub-communicators used by SUMMA SpGEMM and by the
-induced-subgraph algorithm's row-dimension allgather, plus the *transposed
-processor* partner map used for its point-to-point step.
+columns; vectors are split P ways in rank order.  That block layout is
+derived here and nowhere else: :meth:`ProcGrid.block_bounds` and
+:meth:`ProcGrid.owner_of_entry` for matrices, :meth:`ProcGrid.vec_bounds`
+and :meth:`ProcGrid.owner_of_vec` for vectors -- the distributed types read
+them.  The grid also provides the row/column sub-communicators used by
+SUMMA SpGEMM and by the induced-subgraph algorithm's row-dimension
+allgather, plus the *transposed processor* partner map used for its
+point-to-point step.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import math
 
 import numpy as np
 
-from ..errors import GridError
-from .comm import SimComm, SimWorld, block_range, block_sizes
+from ..errors import DistributionError, GridError
+from ..util import cumsum0
+from .comm import SimComm, SimWorld, block_owner, block_range, block_sizes
 
 __all__ = ["ProcGrid"]
 
@@ -77,8 +82,36 @@ class ProcGrid:
         """Global column range owned by grid column ``j``."""
         return block_range(n, self.q, j)
 
-    def vec_block(self, n: int, rank: int) -> tuple[int, int]:
-        """Global index range of the vector sub-block owned by ``rank``.
+    def block_bounds(self, shape: tuple[int, int]) -> list[tuple[int, int, int, int]]:
+        """Every rank's block ``(rlo, rhi, clo, chi)`` of a ``shape`` matrix,
+        in rank order: grid row ``i`` owns rows ``row_block(n, i)`` and grid
+        column ``j`` columns ``col_block(m, j)``."""
+        rb = cumsum0(block_sizes(shape[0], self.q)).tolist()
+        cb = cumsum0(block_sizes(shape[1], self.q)).tolist()
+        return [
+            (rb[i], rb[i + 1], cb[j], cb[j + 1])
+            for i in range(self.q)
+            for j in range(self.q)
+        ]
+
+    def owner_of_entry(self, shape: tuple[int, int], rows, cols):
+        """Rank owning matrix entry/entries ``(rows, cols)`` of a ``shape``
+        matrix.  The one place coordinates are checked against the global
+        shape: anything outside raises :class:`DistributionError`."""
+        n, m = shape
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= m)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DistributionError(
+                f"entry ({rows.flat[k]}, {cols.flat[k]}) outside matrix of "
+                f"shape ({n}, {m})"
+            )
+        return block_owner(n, self.q, rows) * self.q + block_owner(m, self.q, cols)
+
+    def vec_bounds(self, n: int) -> np.ndarray:
+        """The P+1 boundaries of the vector layout: rank ``r`` owns global
+        indices ``[bounds[r], bounds[r + 1])``.
 
         Vectors are split P ways (§4.3: "the vector v ... is divided into P
         subvectors, each of size ~ n/P"), but *hierarchically*, as CombBLAS
@@ -86,41 +119,25 @@ class ProcGrid:
         matrix row block.  This nesting is what lets the induced-subgraph
         algorithm reconstruct a full row block from one allgather over the
         row communicator -- a flat P-way split would misalign whenever the
-        two remainders disagree.
+        two remainders disagree.  The boundaries are monotone in rank order
+        (repeated where a sub-block is empty).
         """
-        i, j = self.coords_of(rank)
-        rlo, rhi = self.row_block(n, i)
-        slo, shi = block_range(rhi - rlo, self.q, j)
-        return rlo + slo, rlo + shi
+        rows = block_sizes(n, self.q)
+        sub = rows[:, None] // self.q + (np.arange(self.q) < rows[:, None] % self.q)
+        return cumsum0(sub.ravel())
 
-    def vec_sizes(self, n: int) -> np.ndarray:
-        """Sizes of all P vector sub-blocks, in rank order."""
-        sizes = np.empty(self.nprocs, dtype=np.int64)
-        for rank in range(self.nprocs):
-            lo, hi = self.vec_block(n, rank)
-            sizes[rank] = hi - lo
-        return sizes
+    def vec_block(self, n: int, rank: int) -> tuple[int, int]:
+        """Global index range of the vector sub-block owned by ``rank``."""
+        if not 0 <= rank < self.nprocs:
+            raise GridError(f"rank {rank} outside grid of {self.nprocs}")
+        bounds = self.vec_bounds(n)
+        return int(bounds[rank]), int(bounds[rank + 1])
 
-    def owner_of_row(self, n: int, row: np.ndarray | int):
-        """Grid row index owning global matrix row(s) ``row``."""
-        from .comm import block_owner
-
-        return block_owner(n, self.q, row)
-
-    def owner_of_vec(self, n: int, idx: np.ndarray | int):
-        """Rank owning vector element(s) ``idx`` under the nested layout."""
-        from .comm import block_owner
-
-        scalar = not isinstance(idx, np.ndarray)
-        arr = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        grid_row = np.asarray(block_owner(n, self.q, arr), dtype=np.int64)
-        owner = np.empty(arr.shape, dtype=np.int64)
-        for i in np.unique(grid_row):
-            rlo, rhi = self.row_block(n, int(i))
-            sel = grid_row == i
-            j = np.asarray(block_owner(rhi - rlo, self.q, arr[sel] - rlo))
-            owner[sel] = int(i) * self.q + j
-        return int(owner[0]) if scalar else owner
+    def owner_of_vec(self, n: int, idx):
+        """Rank owning vector element(s) ``idx`` (in ``[0, n)``; callers
+        range-check).  ``side="right"`` steps over the repeated boundaries
+        of empty sub-blocks."""
+        return np.searchsorted(self.vec_bounds(n), idx, side="right") - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcGrid({self.q}x{self.q}, P={self.nprocs})"

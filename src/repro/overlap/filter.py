@@ -43,7 +43,8 @@ from ..align.batch import (
 )
 from ..seq.readstore import DistReadStore, PackedReads
 from ..sparse.distmat import DistSparseMatrix
-from ..sparse.types import OVERLAP_DTYPE, SEED_DTYPE
+from ..sparse.types import OVERLAP_DTYPE
+from ..util import cumsum0
 
 __all__ = ["AlignmentParams", "AlignmentStats", "build_overlap_graph"]
 
@@ -112,42 +113,21 @@ def _redistribute_tasks(
 
     The upper triangle of C lives mostly in the above-diagonal grid blocks,
     so aligning in place would idle half the ranks.  A global round-robin by
-    task index (exclusive scan over per-rank counts, then one all-to-all)
-    restores balance at the cost of shipping the small seed payloads.
+    task index (exclusive scan over per-rank counts, then one routed
+    exchange) restores balance at the cost of shipping the small seed
+    payloads.
     """
-    grid, world = C_upper.grid, C_upper.grid.world
-    P = grid.nprocs
+    world = C_upper.grid.world
+    P = world.nprocs
     counts = [blk.nnz for blk in C_upper.blocks]
-    gathered = world.comm.allgather([int(c) for c in counts])
-    offsets = np.zeros(P + 1, dtype=np.int64)
-    np.cumsum(np.asarray(gathered, dtype=np.int64), out=offsets[1:])
-
-    send: list[list[tuple]] = [[None] * P for _ in range(P)]
-    for rank, blk in enumerate(C_upper.blocks):
-        rlo, clo = C_upper.block_offsets(rank)
-        gi = blk.rows + rlo
-        gj = blk.cols + clo
-        task_ids = offsets[rank] + np.arange(blk.nnz, dtype=np.int64)
-        dest = task_ids % P
-        for o in range(P):
-            sel = dest == o
-            send[rank][o] = (gi[sel], gj[sel], blk.vals[sel])
+    offsets = cumsum0(world.comm.allgather(counts))
+    dest = [
+        (offsets[rank] + np.arange(nnz, dtype=np.int64)) % P
+        for rank, nnz in enumerate(counts)
+    ]
     world.charge_compute_all(counts)
-    recv = world.comm.alltoall(send)
-
-    tasks = []
-    for rank in range(P):
-        gis = [t[0] for t in recv[rank]]
-        gjs = [t[1] for t in recv[rank]]
-        vs = [t[2] for t in recv[rank]]
-        tasks.append(
-            (
-                np.concatenate(gis) if gis else np.empty(0, dtype=np.int64),
-                np.concatenate(gjs) if gjs else np.empty(0, dtype=np.int64),
-                np.concatenate(vs) if vs else np.empty(0, dtype=SEED_DTYPE),
-            )
-        )
-    return tasks
+    gi, gj, seeds = zip(*C_upper.edge_triples_per_rank())
+    return list(zip(*world.comm.route(dest).send(gi, gj, seeds)))
 
 
 def _align_rank_tasks(

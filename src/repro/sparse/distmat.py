@@ -3,18 +3,23 @@
 A global ``n x m`` matrix is split into ``sqrt(P) x sqrt(P)`` blocks: grid
 row ``i`` owns global rows ``row_block(n, i)`` and grid column ``j`` owns
 global columns ``col_block(m, j)``; rank ``(i, j)`` stores the intersection
-as a :class:`~repro.sparse.coo.LocalCoo` in local coordinates.
+as a :class:`~repro.sparse.coo.LocalCoo` in local coordinates.  The layout
+itself lives in :class:`~repro.mpi.grid.ProcGrid` (``block_bounds``,
+``owner_of_entry``, ``vec_bounds``); this module only reads it.
 
 Implemented CombBLAS-style operations (each with the same communication
 pattern the real library uses, charged to the cost model):
 
+* :meth:`DistSparseMatrix.from_rank_triples` -- matrix assembly: one
+  :meth:`SimComm.route <repro.mpi.comm.SimComm.route>` plan sends every
+  locally produced triple to its block owner;
 * :meth:`DistSparseMatrix.spgemm` -- SUMMA: sqrt(P) stages of row/column
   broadcasts followed by local semiring multiplies;
 * :meth:`DistSparseMatrix.transpose` -- pairwise exchange with the grid-
   transposed partner;
 * :meth:`DistSparseMatrix.apply` / :meth:`prune` -- embarrassingly local;
 * :meth:`DistSparseMatrix.row_reduce` -- local reduction + row-communicator
-  allreduce + redistribution to the P-way vector layout;
+  allreduce + a routed redistribution to the P-way vector layout;
 * :meth:`DistSparseMatrix.clear_rows_and_cols` -- the branch-masking
   primitive (allgather the small branch-index lists, prune locally);
 * :meth:`DistSparseMatrix.lookup_join` -- aligned elementwise lookup between
@@ -24,7 +29,7 @@ pattern the real library uses, charged to the cost model):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from ..errors import DistributionError
 from ..mpi.comm import block_range
 from ..mpi.grid import ProcGrid
 from ..mpi.memory import MemoryBudget
-from ..util import sorted_lookup
+from ..util import cumsum0, sorted_lookup
 from .coo import LocalCoo, segment_starts
 from .semiring import Semiring
 from .spgemm import spgemm_local, spgemm_symbolic
@@ -111,11 +116,10 @@ class SpgemmPlan:
         # per-rank symbolic column profiles, summed over the q SUMMA stages
         per_rank = []
         sym_ops = []
-        for rank in range(grid.nprocs):
+        out_bounds = grid.block_bounds((a.shape[0], b.shape[1]))
+        for rank, (rlo, rhi, clo, chi) in enumerate(out_bounds):
             i, j = grid.coords_of(rank)
-            clo, chi = grid.col_block(b.shape[1], j)
             width = chi - clo
-            rlo, rhi = grid.row_block(a.shape[0], i)
             nrows = rhi - rlo
             partial_ub = np.zeros(width, dtype=np.int64)
             stage_counts = np.zeros((q, width), dtype=np.int64)
@@ -131,8 +135,8 @@ class SpgemmPlan:
                 a_panel = max(a_panel, a_blk.nbytes)
                 ops += a_blk.nnz + b_blk.nnz
             out_ub = np.minimum(partial_ub, nrows)
-            cum_partial = _cumsum0(partial_ub)
-            cum_out = _cumsum0(out_ub)
+            cum_partial = cumsum0(partial_ub)
+            cum_out = cumsum0(out_ub)
             cum_counts = np.zeros((q, width + 1), dtype=np.int64)
             np.cumsum(stage_counts, axis=1, out=cum_counts[:, 1:])
             per_rank.append((a_panel, cum_partial, cum_out, cum_counts))
@@ -161,10 +165,7 @@ class SpgemmPlan:
                 worst = max(worst, peak)
             return worst * scale
 
-        max_width = max(
-            grid.col_block(b.shape[1], j)[1] - grid.col_block(b.shape[1], j)[0]
-            for j in range(q)
-        )
+        max_width = max(chi - clo for _rlo, _rhi, clo, chi in out_bounds)
         candidates = [1]
         while candidates[-1] * 2 <= min(max_phases, max(max_width, 1)):
             candidates.append(candidates[-1] * 2)
@@ -191,10 +192,11 @@ class SpgemmPlan:
         )
 
 
-def _cumsum0(counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
+def _block_shapes(grid: ProcGrid, shape: tuple[int, int]) -> list[tuple[int, int]]:
+    """Local block shape of every rank, in rank order."""
+    return [
+        (rhi - rlo, chi - clo) for rlo, rhi, clo, chi in grid.block_bounds(shape)
+    ]
 
 
 def _concat_coo(shape: tuple[int, int], parts: list[LocalCoo], dtype) -> LocalCoo:
@@ -310,18 +312,13 @@ class DistSparseMatrix:
             raise DistributionError(
                 f"expected {grid.nprocs} blocks, got {len(blocks)}"
             )
-        n, m = shape
-        for rank, blk in enumerate(blocks):
-            i, j = grid.coords_of(rank)
-            rlo, rhi = grid.row_block(n, i)
-            clo, chi = grid.col_block(m, j)
-            if blk.shape != (rhi - rlo, chi - clo):
+        for rank, (blk, want) in enumerate(zip(blocks, _block_shapes(grid, shape))):
+            if blk.shape != want:
                 raise DistributionError(
-                    f"rank {rank} block shape {blk.shape} != "
-                    f"expected {(rhi - rlo, chi - clo)}"
+                    f"rank {rank} block shape {blk.shape} != expected {want}"
                 )
         self.grid = grid
-        self.shape = (int(n), int(m))
+        self.shape = (int(shape[0]), int(shape[1]))
         self.blocks = blocks
 
     # ------------------------------------------------------------------
@@ -331,12 +328,7 @@ class DistSparseMatrix:
     def empty(
         cls, grid: ProcGrid, shape: tuple[int, int], dtype: np.dtype
     ) -> "DistSparseMatrix":
-        blocks = []
-        for rank in range(grid.nprocs):
-            i, j = grid.coords_of(rank)
-            rlo, rhi = grid.row_block(shape[0], i)
-            clo, chi = grid.col_block(shape[1], j)
-            blocks.append(LocalCoo.empty((rhi - rlo, chi - clo), dtype))
+        blocks = [LocalCoo.empty(bs, dtype) for bs in _block_shapes(grid, shape)]
         return cls(grid, shape, blocks)
 
     @classmethod
@@ -352,20 +344,10 @@ class DistSparseMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals)
-        n, m = shape
-        q = grid.q
-        owner_row = np.asarray(grid.owner_of_row(n, rows))
-        owner_col = np.asarray(grid.owner_of_row(m, cols))
-        owner = owner_row * q + owner_col
+        owner = grid.owner_of_entry(shape, rows, cols)
         blocks = []
-        for rank in range(grid.nprocs):
-            i, j = grid.coords_of(rank)
-            rlo, _ = grid.row_block(n, i)
-            clo, _ = grid.col_block(m, j)
+        for rank, (rlo, rhi, clo, chi) in enumerate(grid.block_bounds(shape)):
             mask = owner == rank
-            i2, j2 = grid.coords_of(rank)
-            rhi = grid.row_block(n, i2)[1]
-            chi = grid.col_block(m, j2)[1]
             blocks.append(
                 LocalCoo(
                     (rhi - rlo, chi - clo),
@@ -389,50 +371,24 @@ class DistSparseMatrix:
 
         The distributed analogue of matrix assembly: every rank contributes
         triples it produced locally (e.g. k-mer occurrences from its reads),
-        an all-to-all routes them to the 2D block owners, and duplicates are
-        combined with ``add_reduce`` (kept as-is when ``None``).
+        one routed exchange sends them to the 2D block owners, and
+        duplicates are combined with ``add_reduce`` (kept as-is when
+        ``None``).  ``dtype`` is the payload dtype (default: as given).
         """
         world = grid.world
-        P = grid.nprocs
-        q = grid.q
-        n, m = shape
-        if dtype is None:
-            dtype = next(
-                (np.asarray(v).dtype for (_r, _c, v) in per_rank if len(v)),
-                np.dtype(np.int64),
-            )
-        send: list[list[tuple]] = [[None] * P for _ in range(P)]
-        for r, (gr, gc, gv) in enumerate(per_rank):
-            gr = np.asarray(gr, dtype=np.int64)
-            gc = np.asarray(gc, dtype=np.int64)
-            gv = np.asarray(gv)
-            owner = (
-                np.asarray(grid.owner_of_row(n, gr)) * q
-                + np.asarray(grid.owner_of_row(m, gc))
-            )
-            perm = np.argsort(owner, kind="stable")
-            gr, gc, gv, owner = gr[perm], gc[perm], gv[perm], owner[perm]
-            counts = np.bincount(owner, minlength=P)
-            bounds = _cumsum0(counts)
-            for o in range(P):
-                sl = slice(bounds[o], bounds[o + 1])
-                send[r][o] = (gr[sl], gc[sl], gv[sl])
+        rows = [np.asarray(gr, dtype=np.int64) for gr, _gc, _gv in per_rank]
+        cols = [np.asarray(gc, dtype=np.int64) for _gr, gc, _gv in per_rank]
+        vals = [np.asarray(gv, dtype=dtype) for _gr, _gc, gv in per_rank]
+        plan = world.comm.route(
+            grid.owner_of_entry(shape, gr, gc) for gr, gc in zip(rows, cols)
+        )
+        for r, gr in enumerate(rows):
             world.charge_compute(r, gr.size)
-        recv = world.comm.alltoall(send)
         blocks = []
-        for rank in range(P):
-            i, j = grid.coords_of(rank)
-            rlo, rhi = grid.row_block(n, i)
-            clo, chi = grid.col_block(m, j)
-            rs = [t[0] for t in recv[rank]]
-            cs = [t[1] for t in recv[rank]]
-            vs = [t[2] for t in recv[rank]]
-            rows = np.concatenate(rs) if rs else np.empty(0, dtype=np.int64)
-            cols = np.concatenate(cs) if cs else np.empty(0, dtype=np.int64)
-            vals = (
-                np.concatenate(vs) if vs else np.empty(0, dtype=dtype)
-            )
-            blk = LocalCoo((rhi - rlo, chi - clo), rows - rlo, cols - clo, vals)
+        for (rlo, rhi, clo, chi), gr, gc, gv in zip(
+            grid.block_bounds(shape), *plan.send(rows, cols, vals)
+        ):
+            blk = LocalCoo((rhi - rlo, chi - clo), gr - rlo, gc - clo, gv)
             if add_reduce is not None:
                 blk = blk.deduped(add_reduce)
             blocks.append(blk)
@@ -451,27 +407,22 @@ class DistSparseMatrix:
 
     def block_offsets(self, rank: int) -> tuple[int, int]:
         """Global (row, col) offset of a rank's block."""
-        i, j = self.grid.coords_of(rank)
-        return (
-            self.grid.row_block(self.shape[0], i)[0],
-            self.grid.col_block(self.shape[1], j)[0],
-        )
+        rlo, _rhi, clo, _chi = self.grid.block_bounds(self.shape)[rank]
+        return rlo, clo
+
+    def edge_triples_per_rank(
+        self,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each rank's ``(rows, cols, vals)`` in *global* coordinates, in
+        rank order -- lazily, so a loop holds one block's coordinates."""
+        for blk, (rlo, _rhi, clo, _chi) in zip(
+            self.blocks, self.grid.block_bounds(self.shape)
+        ):
+            yield blk.rows + rlo, blk.cols + clo, blk.vals
 
     def to_global_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gather all triples in global coordinates (test convenience)."""
-        rows, cols, vals = [], [], []
-        for rank, blk in enumerate(self.blocks):
-            rlo, clo = self.block_offsets(rank)
-            rows.append(blk.rows + rlo)
-            cols.append(blk.cols + clo)
-            vals.append(blk.vals)
-        r = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        c = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        v = (
-            np.concatenate(vals)
-            if vals
-            else np.empty(0, dtype=self.dtype)
-        )
+        r, c, v = map(np.concatenate, zip(*self.edge_triples_per_rank()))
         perm = np.lexsort((c, r))
         return r[perm], c[perm], v[perm]
 
@@ -486,14 +437,10 @@ class DistSparseMatrix:
         (``Apply(C, Alignment())``).
         """
         world = self.grid.world
-        out = []
-        for rank, blk in enumerate(self.blocks):
-            rlo, clo = self.block_offsets(rank)
-            out.append(
-                blk.map_vals(
-                    lambda v, r, c, rlo=rlo, clo=clo: func(v, r + rlo, c + clo)
-                )
-            )
+        out = [
+            blk.map_vals(lambda v, _r, _c: func(v, rows, cols))
+            for blk, (rows, cols, _v) in zip(self.blocks, self.edge_triples_per_rank())
+        ]
         world.charge_compute_all([blk.nnz for blk in self.blocks])
         return DistSparseMatrix(self.grid, self.shape, out)
 
@@ -504,12 +451,9 @@ class DistSparseMatrix:
         """
         world = self.grid.world
         out = []
-        for rank, blk in enumerate(self.blocks):
-            rlo, clo = self.block_offsets(rank)
+        for blk, (rows, cols, vals) in zip(self.blocks, self.edge_triples_per_rank()):
             if blk.nnz:
-                mask = np.asarray(
-                    pred(blk.vals, blk.rows + rlo, blk.cols + clo), dtype=bool
-                )
+                mask = np.asarray(pred(vals, rows, cols), dtype=bool)
                 out.append(blk.select(~mask))
             else:
                 out.append(blk)
@@ -641,19 +585,15 @@ class DistSparseMatrix:
         nprocs = grid.nprocs
         out_shape = (self.shape[0], other.shape[1])
 
-        out_block_shape = []
-        offsets = []
-        for rank in range(nprocs):
-            i, j = grid.coords_of(rank)
-            rlo, rhi = grid.row_block(out_shape[0], i)
-            clo, chi = grid.col_block(out_shape[1], j)
-            out_block_shape.append((rhi - rlo, chi - clo))
-            offsets.append((rlo, clo))
+        out_block_shape = _block_shapes(grid, out_shape)
+        offsets = [
+            (rlo, clo) for rlo, _rhi, clo, _chi in grid.block_bounds(out_shape)
+        ]
 
         # phase column bounds are local to each grid column's block
+        # (rank j sits at grid position (0, j), so its width is column j's)
         def _phase_bounds(j: int, p: int) -> tuple[int, int]:
-            clo, chi = grid.col_block(out_shape[1], j)
-            return block_range(chi - clo, phases, p)
+            return block_range(out_block_shape[j][1], phases, p)
 
         # per-rank accumulation state.  The rank steps are module-level
         # functions (out-of-process executors pickle them), so the state
@@ -771,28 +711,17 @@ class DistSparseMatrix:
         for i in range(q):
             parts = [local[grid.rank_of(i, j)] for j in range(q)]
             row_sums[i] = grid.row_comms[i].allreduce(parts, np.add)
-        # 3) diagonal ranks scatter segments to the P-way vector owners
-        send: list[list[np.ndarray]] = [
-            [np.empty(0, dtype=np.int64) for _ in range(grid.nprocs)]
-            for _ in range(grid.nprocs)
-        ]
+        # 3) diagonal ranks route their segments to the P-way vector owners
+        bounds = grid.vec_bounds(n)
+        nothing = np.empty(0, dtype=np.int64)
+        dest = [nothing] * grid.nprocs
+        sums = [nothing] * grid.nprocs
         for i in range(q):
             diag = grid.rank_of(i, i)
-            rlo, rhi = grid.row_block(n, i)
-            for dest in range(grid.nprocs):
-                vlo, vhi = grid.vec_block(n, dest)
-                lo, hi = max(rlo, vlo), min(rhi, vhi)
-                if lo < hi:
-                    send[diag][dest] = row_sums[i][lo - rlo : hi - rlo]
-        recv = world.comm.alltoall(send)
-        blocks = []
-        for rank in range(grid.nprocs):
-            pieces = [p for p in recv[rank] if p.size]
-            vlo, vhi = grid.vec_block(n, rank)
-            if pieces:
-                blocks.append(np.concatenate(pieces))
-            else:
-                blocks.append(np.zeros(vhi - vlo, dtype=np.int64))
+            row_ids = np.arange(bounds[i * q], bounds[(i + 1) * q])
+            dest[diag] = grid.owner_of_vec(n, row_ids)
+            sums[diag] = row_sums[i]
+        (blocks,) = world.comm.route(dest).send(sums)
         return DistVector(grid, n, blocks)
 
     def clear_rows_and_cols(
@@ -809,33 +738,13 @@ class DistSparseMatrix:
         gathered = world.comm.allgather(
             [np.asarray(ix, dtype=np.int64) for ix in global_indices_per_rank]
         )
-        marked = (
-            np.unique(np.concatenate(gathered))
-            if any(a.size for a in gathered)
-            else np.empty(0, dtype=np.int64)
+        marked = np.unique(np.concatenate(gathered))
+        if not marked.size:  # nothing to clear: same blocks, same charge
+            world.charge_compute_all([blk.nnz for blk in self.blocks])
+            return DistSparseMatrix(self.grid, self.shape, list(self.blocks))
+        return self.prune(
+            lambda _v, rows, cols: np.isin(rows, marked) | np.isin(cols, marked)
         )
-        out = []
-        for rank, blk in enumerate(self.blocks):
-            rlo, clo = self.block_offsets(rank)
-            if blk.nnz and marked.size:
-                bad = np.isin(blk.rows + rlo, marked) | np.isin(
-                    blk.cols + clo, marked
-                )
-                out.append(blk.select(~bad))
-            else:
-                out.append(blk)
-        world.charge_compute_all([blk.nnz for blk in self.blocks])
-        return DistSparseMatrix(self.grid, self.shape, out)
-
-    def edge_triples_per_rank(
-        self,
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-rank global-coordinate triples (the induced-subgraph input)."""
-        out = []
-        for rank, blk in enumerate(self.blocks):
-            rlo, clo = self.block_offsets(rank)
-            out.append((blk.rows + rlo, blk.cols + clo, blk.vals))
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -2,10 +2,15 @@
 
 Vectors (degree vector **d**, contig-membership vector **v**, assignment
 vector **p**, ...) are split P ways in rank order, each rank owning a
-contiguous sub-block of ~n/P elements (§4.3).  The key communication
-primitive is :meth:`DistVector.gather`: ranks fetch arbitrary remote elements
-by global index through a request/response pair of all-to-alls -- the same
-owner-computes pattern LACC and the induced-subgraph function use.
+contiguous sub-block of ~n/P elements (§4.3; the boundaries are
+:meth:`ProcGrid.vec_bounds <repro.mpi.grid.ProcGrid.vec_bounds>`).  The key
+communication primitive is :meth:`DistVector.gather`: ranks fetch arbitrary
+remote elements by global index -- the owner-computes pattern LACC and the
+induced-subgraph function use -- as one
+:meth:`SimComm.route <repro.mpi.comm.SimComm.route>` plan: *send* the
+requests to their owners, *reply* with the values.
+:meth:`DistVector.scatter_update` is the same plan with two sends (indices,
+values) and no reply.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from ..mpi.grid import ProcGrid
 __all__ = ["DistVector"]
 
 
-def _cumsum0(counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
+def _overwrite(block: np.ndarray, idx: np.ndarray, val: np.ndarray) -> None:
+    block[idx] = val
+
+
+#: ``scatter_update`` combine modes: ``apply(block, local_idx, values)``
+_COMBINE = {"overwrite": _overwrite, "min": np.minimum.at, "add": np.add.at}
 
 
 class DistVector:
@@ -36,12 +43,11 @@ class DistVector:
             raise DistributionError(
                 f"expected {grid.nprocs} blocks, got {len(blocks)}"
             )
-        for rank, blk in enumerate(blocks):
-            lo, hi = grid.vec_block(n, rank)
-            if blk.shape[0] != hi - lo:
+        for rank, (blk, size) in enumerate(zip(blocks, np.diff(grid.vec_bounds(n)))):
+            if blk.shape[0] != size:
                 raise DistributionError(
                     f"rank {rank} block has {blk.shape[0]} elements, "
-                    f"expected {hi - lo}"
+                    f"expected {size}"
                 )
         self.grid = grid
         self.n = int(n)
@@ -52,19 +58,14 @@ class DistVector:
     def from_global(cls, grid: ProcGrid, arr: np.ndarray) -> "DistVector":
         """Distribute a global array (testing / root-side convenience)."""
         arr = np.asarray(arr)
-        blocks = []
-        for rank in range(grid.nprocs):
-            lo, hi = grid.vec_block(arr.shape[0], rank)
-            blocks.append(arr[lo:hi].copy())
+        bounds = grid.vec_bounds(arr.shape[0])
+        blocks = [arr[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
         return cls(grid, arr.shape[0], blocks)
 
     @classmethod
     def full(cls, grid: ProcGrid, n: int, fill, dtype) -> "DistVector":
-        blocks = []
-        for rank in range(grid.nprocs):
-            lo, hi = grid.vec_block(n, rank)
-            blocks.append(np.full(hi - lo, fill, dtype=dtype))
-        return cls(grid, n, blocks)
+        sizes = np.diff(grid.vec_bounds(n))
+        return cls(grid, n, [np.full(size, fill, dtype=dtype) for size in sizes])
 
     @classmethod
     def zeros(cls, grid: ProcGrid, n: int, dtype=np.int64) -> "DistVector":
@@ -73,10 +74,11 @@ class DistVector:
     @classmethod
     def arange(cls, grid: ProcGrid, n: int) -> "DistVector":
         """The identity map: element i holds i (seed of pointer-jumping)."""
-        blocks = []
-        for rank in range(grid.nprocs):
-            lo, hi = grid.vec_block(n, rank)
-            blocks.append(np.arange(lo, hi, dtype=np.int64))
+        bounds = grid.vec_bounds(n)
+        blocks = [
+            np.arange(lo, hi, dtype=np.int64)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
         return cls(grid, n, blocks)
 
     # -- basics ---------------------------------------------------------
@@ -133,52 +135,37 @@ class DistVector:
         return out
 
     # -- communication --------------------------------------------------
+    def _owners(self, indices: Sequence[np.ndarray], what: str):
+        """Owner rank of every global index, one rank's array at a time
+        (range-checked: nothing is routed or charged on a bad index)."""
+        for idx in indices:
+            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+                raise DistributionError(
+                    f"{what} index out of range [0, {self.n})"
+                )
+            yield self.grid.owner_of_vec(self.n, idx)
+
     def gather(self, requests: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Fetch remote elements by global index for every rank.
 
         ``requests[r]`` is rank r's array of global indices; the result's
-        r-th entry holds the corresponding values in request order.  Two
-        all-to-alls: requests routed to owners, owners reply with values.
+        r-th entry holds the corresponding values in request order.  One
+        route plan: requests sent to owners, owners reply with values.
         """
         grid, world = self.grid, self.grid.world
-        P = grid.nprocs
-        if len(requests) != P:
-            raise DistributionError(f"expected {P} request arrays")
-        send: list[list[np.ndarray]] = [[None] * P for _ in range(P)]
-        perms: list[np.ndarray] = []
-        for r in range(P):
-            idx = np.asarray(requests[r], dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-                raise DistributionError("gather index out of range")
-            owner = np.asarray(grid.owner_of_vec(self.n, idx), dtype=np.int64)
-            perm = np.argsort(owner, kind="stable")
-            perms.append(perm)
-            sorted_idx = idx[perm]
-            counts = np.bincount(owner, minlength=P)
-            bounds = _cumsum0(counts)
-            for o in range(P):
-                send[r][o] = sorted_idx[bounds[o] : bounds[o + 1]]
+        if len(requests) != grid.nprocs:
+            raise DistributionError(f"expected {grid.nprocs} request arrays")
+        requests = [np.asarray(idx, dtype=np.int64) for idx in requests]
+        plan = world.comm.route(self._owners(requests, "gather"))
+        for r, idx in enumerate(requests):
             world.charge_compute(r, idx.size)
-        recv = world.comm.alltoall(send)  # recv[o][r]: indices r asks of o
-        reply: list[list[np.ndarray]] = [[None] * P for _ in range(P)]
-        for o in range(P):
-            lo, _hi = self.local_range(o)
-            blk = self.blocks[o]
-            for r in range(P):
-                reply[o][r] = blk[recv[o][r] - lo]
-            world.charge_compute(o, sum(a.size for a in recv[o]))
-        answers = world.comm.alltoall(reply)  # answers[r][o]
-        out = []
-        for r in range(P):
-            flat = (
-                np.concatenate(answers[r])
-                if any(a.size for a in answers[r])
-                else np.empty(0, dtype=self.dtype)
-            )
-            restored = np.empty_like(flat)
-            restored[perms[r]] = flat
-            out.append(restored)
-        return out
+        (asked,) = plan.send(requests)
+        lows = grid.vec_bounds(self.n)
+        answers = []
+        for o, idx in enumerate(asked):
+            answers.append(self.blocks[o][idx - lows[o]])
+            world.charge_compute(o, idx.size)
+        return plan.reply(answers)
 
     def scatter_update(
         self,
@@ -190,42 +177,22 @@ class DistVector:
 
         ``combine`` is ``"overwrite"`` (last writer wins deterministically in
         rank order), ``"min"``, or ``"add"`` -- the modes hooking and counting
-        need.
+        need.  Arguments are validated before anything is sent or written.
         """
         grid, world = self.grid, self.grid.world
-        P = grid.nprocs
-        send_i: list[list[np.ndarray]] = [[None] * P for _ in range(P)]
-        send_v: list[list[np.ndarray]] = [[None] * P for _ in range(P)]
-        for r in range(P):
-            idx = np.asarray(indices[r], dtype=np.int64)
-            val = np.asarray(values[r])
-            if idx.shape != val.shape[:1]:
-                raise DistributionError("indices/values length mismatch")
-            owner = np.asarray(grid.owner_of_vec(self.n, idx), dtype=np.int64)
-            perm = np.argsort(owner, kind="stable")
-            idx, val, owner = idx[perm], val[perm], owner[perm]
-            counts = np.bincount(owner, minlength=P)
-            bounds = _cumsum0(counts)
-            for o in range(P):
-                send_i[r][o] = idx[bounds[o] : bounds[o + 1]]
-                send_v[r][o] = val[bounds[o] : bounds[o + 1]]
+        if combine not in _COMBINE:
+            raise ValueError(f"unknown combine mode {combine!r}")
+        indices = [np.asarray(idx, dtype=np.int64) for idx in indices]
+        values = [np.asarray(val) for val in values]
+        if [idx.shape for idx in indices] != [val.shape[:1] for val in values]:
+            raise DistributionError("indices/values length mismatch")
+        plan = world.comm.route(self._owners(indices, "scatter_update"))
+        for r, idx in enumerate(indices):
             world.charge_compute(r, idx.size)
-        recv_i = world.comm.alltoall(send_i)
-        recv_v = world.comm.alltoall(send_v)
-        for o in range(P):
-            lo, _hi = self.local_range(o)
-            blk = self.blocks[o]
-            for r in range(P):
-                li = recv_i[o][r] - lo
-                lv = recv_v[o][r]
-                if li.size == 0:
-                    continue
-                if combine == "overwrite":
-                    blk[li] = lv
-                elif combine == "min":
-                    np.minimum.at(blk, li, lv)
-                elif combine == "add":
-                    np.add.at(blk, li, lv)
-                else:
-                    raise ValueError(f"unknown combine mode {combine!r}")
-            world.charge_compute(o, sum(a.size for a in recv_i[o]))
+        (recv_i,) = plan.send(indices)
+        (recv_v,) = plan.send(values)
+        lows = grid.vec_bounds(self.n)
+        for o, (idx, val) in enumerate(zip(recv_i, recv_v)):
+            if idx.size:
+                _COMBINE[combine](self.blocks[o], idx - lows[o], val)
+            world.charge_compute(o, idx.size)

@@ -17,18 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SparseFormatError
-from ..util import sorted_lookup
+from ..util import cumsum0 as _cumsum0, sorted_lookup
 from .coo import LocalCoo, segment_starts
 from .semiring import Semiring
 
 __all__ = ["spgemm_local", "spgemm_symbolic", "expand_join"]
-
-
-def _cumsum0(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum: offsets of each group in a packed layout."""
-    out = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
 
 
 def expand_join(

@@ -137,3 +137,14 @@ class TestInducedSubgraph:
             [g.global_ids for g in graphs if g.n_vertices]
         )
         assert 4 not in all_ids
+
+    @pytest.mark.parametrize("fn", [induced_subgraph, induced_subgraph_naive])
+    def test_contigs_must_move_as_units(self, grid4, fn):
+        """An edge whose endpoints are assigned to different ranks is an
+        error in both variants (they share the routing tail)."""
+        from repro.errors import AssemblyError
+
+        L = chain_graph(grid4, 4, [[0, 1, 2, 3]])
+        p = DistVector.from_global(grid4, np.array([0, 0, 1, 1]))
+        with pytest.raises(AssemblyError, match="move as units"):
+            fn(L, p)

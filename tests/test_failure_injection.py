@@ -79,6 +79,21 @@ class TestDegenerateReadSets:
         assert res.contigs.count == 0
         assert res.counts["reads"] == 0
 
+    @pytest.mark.parametrize("nreads, contigs", [(0, 0), (1, 0), (3, 1)])
+    def test_fewer_reads_than_ranks(self, nreads, contigs):
+        """P = 16 with 0, 1 and 3 reads: most ranks own no read, no matrix
+        block and no vector element, and the result is still defined --
+        three reads tiled at stride 150 chain into one contig."""
+        genome = dna.random_codes(np.random.default_rng(7), 1500)
+        reads = list(tile_reads(genome, 250, 150).reads)[:nreads]
+        res = run(reads, nprocs=16)
+        assert res.counts["reads"] == nreads
+        assert res.contigs.count == contigs
+        if contigs:
+            want = dna.decode(genome[: 150 * (nreads - 1) + 250])
+            got = res.contigs.contigs[0].sequence()
+            assert got == want or got == dna.revcomp_str(want)
+
 
 class TestInvalidSequences:
     def test_encode_rejects_bad_characters(self):

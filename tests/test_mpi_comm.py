@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import CommunicatorError
 from repro.mpi import SimWorld, block_owner, block_range, block_sizes, cori_haswell, payload_nbytes, zero_cost
+from repro.sparse.types import SEED_DTYPE
 
 
 class TestBlockDistribution:
@@ -198,3 +199,146 @@ class TestChargesAndStages:
         assert sub.local_rank(3) == 1
         with pytest.raises(CommunicatorError):
             sub.local_rank(0)
+
+
+def _route_case(P, scenario, rng):
+    """Per-rank destinations for one named traffic shape."""
+    sizes = rng.integers(0, 40, size=P)
+    if scenario == "empty_ranks":
+        sizes[::2] = 0
+    dests = [rng.integers(0, P, size=n) for n in sizes]
+    if scenario == "all_to_one":
+        dests = [np.full(n, P - 1) for n in sizes]
+    elif scenario == "self_only":
+        dests = [np.full(n, r) for r, n in enumerate(sizes)]
+    return dests
+
+
+def _route_columns(dests, rng):
+    """An int64, a structured (``SEED_DTYPE``) and a 2-D column per rank."""
+    ids, seeds, boxes = [], [], []
+    for d in dests:
+        ids.append(rng.integers(0, 10**9, size=d.size))
+        s = np.zeros(d.size, dtype=SEED_DTYPE)
+        s["pos_a"] = rng.integers(0, 1000, size=d.size)
+        s["count"] = rng.integers(1, 5, size=d.size)
+        seeds.append(s)
+        boxes.append(rng.random((d.size, 3)).astype(np.float32))
+    return ids, seeds, boxes
+
+
+def _event_fields(world):
+    e = world.log.events[-1]
+    return (e.op, e.stage, e.nprocs, e.total_bytes, e.max_bytes, e.messages,
+            e.modeled_seconds)
+
+
+@pytest.mark.parametrize("P", [1, 4, 9, 16])
+@pytest.mark.parametrize(
+    "scenario", ["random", "empty_ranks", "all_to_one", "self_only"]
+)
+class TestRouteAgainstAlltoall:
+    """``RoutePlan`` must deliver the rows, and record the event, that the
+    hand-split ``alltoall`` (the reference) does for the same slices."""
+
+    def test_send_matches_the_reference(self, P, scenario):
+        rng = np.random.default_rng(P * 31 + len(scenario))
+        world, twin = SimWorld(P, cori_haswell()), SimWorld(P, cori_haswell())
+        dests = _route_case(P, scenario, rng)
+        plan = world.comm.route(iter(dests))  # a generator is enough
+        assert len(world.log) == 0  # planning is local
+        assert np.array_equal(
+            plan.counts, [np.bincount(d, minlength=P) for d in dests]
+        )
+        for columns in (
+            _route_columns(dests, rng)[:1],  # one column
+            _route_columns(dests, rng)[1:],  # structured + 2-D in one send
+            _route_columns(dests, rng),  # all three in one send
+        ):
+            got = plan.send(*columns)
+            cells = [
+                [tuple(col[r][dests[r] == o] for col in columns) for o in range(P)]
+                for r in range(P)
+            ]
+            recv = twin.comm.alltoall(cells)
+            assert _event_fields(world) == _event_fields(twin)
+            assert len(got) == len(columns)
+            for c, per_receiver in enumerate(got):
+                assert len(per_receiver) == P
+                for o in range(P):
+                    want = np.concatenate([recv[o][r][c] for r in range(P)])
+                    assert per_receiver[o].dtype == want.dtype
+                    assert np.array_equal(per_receiver[o], want)
+        assert len(world.log) == len(twin.log) == 3
+
+    def test_reply_restores_request_order(self, P, scenario):
+        rng = np.random.default_rng(P * 17 + len(scenario))
+        world, twin = SimWorld(P, cori_haswell()), SimWorld(P, cori_haswell())
+        dests = _route_case(P, scenario, rng)
+        # duplicates on purpose: few distinct keys per destination
+        keys = [d * 3 + rng.integers(0, 3, size=d.size) for d in dests]
+        plan = world.comm.route(dests)
+        (asked,) = plan.send(keys)
+        answers = [a.astype(np.int32) * 7 for a in asked]
+        got = plan.reply(answers)
+        for key, ans in zip(keys, got):
+            assert ans.dtype == np.int32
+            assert np.array_equal(ans, key * 7)
+        # the reply event: owner o sends rank r the answers to r's requests
+        twin.comm.alltoall(
+            [
+                [(keys[r][dests[r] == o] * 7).astype(np.int32) for r in range(P)]
+                for o in range(P)
+            ]
+        )
+        assert _event_fields(world) == _event_fields(twin)
+
+
+class TestRouteValidation:
+    def _plan(self, world):
+        return world.comm.route([np.array([0, 1, 1]), np.array([3]),
+                                 np.empty(0, np.int64), np.array([2, 2])])
+
+    def test_destination_outside_the_communicator(self):
+        world = SimWorld(4, cori_haswell())
+        for bad in (-1, 4):
+            with pytest.raises(CommunicatorError, match="outside"):
+                world.comm.route([np.array([0, bad])] + [np.empty(0, np.int64)] * 3)
+        assert len(world.log) == 0
+
+    def test_wrong_number_of_arrays(self):
+        world = SimWorld(4, cori_haswell())
+        with pytest.raises(CommunicatorError):
+            world.comm.route([np.empty(0, np.int64)] * 3)
+        with pytest.raises(CommunicatorError):
+            world.comm.route([np.empty(0, np.int64)] * 5)
+        plan = self._plan(world)
+        with pytest.raises(CommunicatorError):
+            plan.send([np.zeros(3), np.zeros(1), np.zeros(0)])
+        with pytest.raises(CommunicatorError):
+            plan.reply([np.zeros(1)] * 3)
+        assert len(world.log) == 0
+
+    def test_wrong_row_count(self):
+        world = SimWorld(4, cori_haswell())
+        plan = self._plan(world)
+        good = [np.zeros(3), np.zeros(1), np.zeros(0), np.zeros(2)]
+        with pytest.raises(CommunicatorError, match="rows"):
+            plan.send(good, [np.zeros(3), np.zeros(2), np.zeros(0), np.zeros(2)])
+        # receivers hold 1, 2, 2, 1 rows: an answer array must match
+        with pytest.raises(CommunicatorError, match="rows"):
+            plan.reply([np.zeros(1), np.zeros(2), np.zeros(2), np.zeros(2)])
+        assert len(world.log) == 0
+        plan.send(good)
+        plan.reply([np.zeros(1), np.zeros(2), np.zeros(2), np.zeros(1)])
+        assert len(world.log) == 2
+
+    def test_not_inside_a_rank_step(self):
+        world = SimWorld(4, zero_cost())
+        plan = self._plan(world)
+
+        def step(ctx):
+            plan.send([np.zeros(3), np.zeros(1), np.zeros(0), np.zeros(2)])
+
+        with pytest.raises(CommunicatorError):
+            world.map_ranks(step)

@@ -55,6 +55,41 @@ class TestDistribution:
         assert np.allclose(np.diag(d), 1.0)
 
 
+class TestCoordinatesOutsideTheMatrix:
+    """Both constructors used to drop, or mis-report, entries that no rank
+    owns; now one check in ``ProcGrid.owner_of_entry`` rejects them before
+    anything is routed or charged."""
+
+    @pytest.mark.parametrize(
+        "row, col", [(10, 3), (5, 17), (-1, 0), (4, -3)]
+    )
+    def test_rejected_by_both_constructors(self, row, col):
+        w = SimWorld(4, cori_haswell())
+        g = ProcGrid(w)
+        rows, cols = np.array([0, 5, row]), np.array([0, 5, col])
+        vals = np.ones(3)
+        with pytest.raises(DistributionError, match=r"\(10, 10\)") as err:
+            DistSparseMatrix.from_global_coo(g, (10, 10), rows, cols, vals)
+        assert f"({row}, {col})" in str(err.value)
+        nothing = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        # the bad triple sits on the last rank: the others are fine
+        per_rank = [nothing, nothing, nothing, (rows, cols, vals)]
+        with pytest.raises(DistributionError, match=r"\(10, 10\)") as err:
+            DistSparseMatrix.from_rank_triples(g, (10, 10), per_rank)
+        assert f"({row}, {col})" in str(err.value)
+        assert len(w.log) == 0
+        assert w.clock.total_seconds() == 0.0
+
+    def test_in_range_entries_all_kept(self, grid4):
+        rows, cols = np.array([0, 5, 9]), np.array([0, 5, 9])
+        a = DistSparseMatrix.from_global_coo(grid4, (10, 10), rows, cols, np.ones(3))
+        b = DistSparseMatrix.from_rank_triples(
+            grid4, (10, 10), [(rows, cols, np.ones(3))] * 4,
+            add_reduce=lambda v, s: v[s],
+        )
+        assert a.nnz() == b.nnz() == 3
+
+
 class TestLocalOps:
     def test_apply_transforms_with_global_coords(self, grid4):
         M, dist = random_dist(grid4, 9, 9, seed=5)

@@ -131,3 +131,51 @@ class TestScatterUpdate:
                 [np.array([0, 1])] + [np.empty(0, np.int64)] * 3,
                 [np.array([1])] + [np.empty(0, np.int64)] * 3,
             )
+
+
+class TestScatterUpdateValidatesUpFront:
+    """A bad ``combine`` or index must raise before any comm event is
+    recorded, any compute is charged or any block is written."""
+
+    def _vector(self):
+        w = SimWorld(4, cori_haswell())
+        v = DistVector.from_global(ProcGrid(w), np.arange(10) * 10)
+        return w, v, v.to_global().copy()
+
+    def _untouched(self, w, v, before):
+        assert len(w.log) == 0
+        assert w.clock.total_seconds() == 0.0
+        assert np.array_equal(v.to_global(), before)
+
+    def test_unknown_combine_with_updates(self):
+        w, v, before = self._vector()
+        # the mode used to be looked at only when the first owner applied
+        # its first update, two charged all-to-alls later
+        idx = [np.array([9]), np.array([0]), np.array([5]), np.empty(0, np.int64)]
+        with pytest.raises(ValueError, match="xor"):
+            v.scatter_update(idx, [i + 1 for i in idx], combine="xor")
+        self._untouched(w, v, before)
+
+    def test_unknown_combine_with_nothing_to_send(self):
+        w, v, before = self._vector()
+        nothing = [np.empty(0, np.int64)] * 4
+        with pytest.raises(ValueError, match="xor"):
+            v.scatter_update(nothing, nothing, combine="xor")
+        self._untouched(w, v, before)
+
+    @pytest.mark.parametrize("bad", [10, -1])
+    def test_index_out_of_range_like_gather(self, bad):
+        w, v, before = self._vector()
+        idx = [np.array([1]), np.array([2, bad]), np.empty(0, np.int64), np.array([3])]
+        with pytest.raises(DistributionError, match="out of range"):
+            v.scatter_update(idx, [i * 0 for i in idx], combine="min")
+        with pytest.raises(DistributionError, match="out of range"):
+            v.gather(idx)
+        self._untouched(w, v, before)
+
+    def test_overwrite_last_writer_wins_in_rank_order(self, grid4):
+        v = DistVector.zeros(grid4, 10)
+        idx = [np.array([7, 7]), np.array([7]), np.empty(0, np.int64), np.array([7])]
+        val = [np.array([1, 2]), np.array([3]), np.empty(0, np.int64), np.array([4])]
+        v.scatter_update(idx, val)
+        assert v.to_global()[7] == 4

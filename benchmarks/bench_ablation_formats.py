@@ -10,7 +10,7 @@ traversal cost in each format.
 import numpy as np
 import pytest
 
-from repro.bench import render_matrix
+from figures import render_matrix
 from repro.sparse import Dcsc, LocalCoo, LocalCsc
 
 

@@ -9,7 +9,7 @@ and compares modeled time and the per-collective cost.
 import numpy as np
 import pytest
 
-from repro.bench import render_matrix
+from figures import render_matrix
 from repro.core import (
     connected_components,
     contig_sizes_distributed,

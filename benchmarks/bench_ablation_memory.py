@@ -15,7 +15,7 @@ verifies:
 
 import pytest
 
-from repro.bench import render_matrix
+from figures import render_matrix
 from repro.pipeline import Pipeline
 
 P_LIST = [4, 16]

@@ -9,7 +9,7 @@ ones) and on the sizes produced by a real pipeline run.
 import numpy as np
 import pytest
 
-from repro.bench import render_matrix
+from figures import render_matrix
 from repro.core import multiway_partition
 
 

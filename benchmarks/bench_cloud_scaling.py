@@ -16,7 +16,8 @@ elegans pipeline over P on both machines and checks the expected shape:
 
 import pytest
 
-from repro.bench import SCALING_P, render_matrix, sweep_pipeline
+from figures import render_matrix
+from repro.bench import SCALING_P, sweep_pipeline
 
 MACHINES = ("cori-haswell", "aws-hpc")
 COMPUTE_STAGES = ("CountKmer", "DetectOverlap", "Alignment")

@@ -12,6 +12,7 @@ shape claims of §6.1:
 
 import pytest
 
+from figures import ascii_line_chart
 from repro.bench import SCALING_P, sweep_pipeline
 from repro.pipeline import parallel_efficiency, scaling_table
 from repro.pipeline.report import ScalingPoint
@@ -42,8 +43,6 @@ def osativa_sweeps(o_sativa):
 
 def _chart(celegans_sweeps, osativa_sweeps) -> str:
     """The figure itself: log-log time-vs-P curves, one marker per line."""
-    from repro.pipeline import ascii_line_chart
-
     series = {}
     for label, sweeps in (
         ("C.e", celegans_sweeps),

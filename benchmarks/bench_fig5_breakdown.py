@@ -15,6 +15,7 @@ and asserts the paper's structural claims:
 
 import pytest
 
+from figures import stacked_bar_chart
 from repro.bench import sweep_pipeline
 from repro.pipeline import MAIN_STAGES, breakdown_table
 
@@ -32,8 +33,6 @@ def sweeps(c_elegans, o_sativa):
 
 def _charts(sweeps) -> list[str]:
     """Stacked bars, one chart per (dataset, machine) -- the figure."""
-    from repro.pipeline import stacked_bar_chart
-
     charts = []
     for (name, machine), results in sweeps.items():
         stacks = {

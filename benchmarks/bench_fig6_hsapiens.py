@@ -9,13 +9,13 @@ preserving error, banded-DP alignment, k=17, x=7) over P = {16, 36, 64}.
 
 import pytest
 
+from figures import stacked_bar_chart
 from repro.bench import sweep_pipeline
 from repro.pipeline import (
     MAIN_STAGES,
     breakdown_table,
     parallel_efficiency,
     scaling_table,
-    stacked_bar_chart,
 )
 from repro.pipeline.report import ScalingPoint
 

@@ -1,10 +1,12 @@
-"""Plain-text renderings of the paper's figures.
+"""Plain-text renderings of the paper's figures and tables.
 
 The evaluation figures are line charts (strong scaling, Figs. 4/6) and
 stacked bars (runtime breakdown, Figs. 5/6).  These renderers draw them as
 deterministic ASCII art so benchmark artifacts capture the *shape* of each
 figure -- slopes, crossovers, dominant layers -- in a terminal and in
-EXPERIMENTS.md, without a plotting dependency.
+EXPERIMENTS.md, without a plotting dependency.  Only the ``bench_*.py``
+scripts beside this file draw them (``from figures import ...``: pytest and
+``python benchmarks/bench_x.py`` both put this directory on ``sys.path``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-__all__ = ["ascii_line_chart", "stacked_bar_chart"]
+__all__ = ["ascii_line_chart", "stacked_bar_chart", "render_matrix"]
 
 #: Per-series plot markers, assigned in insertion order.
 MARKERS = "ox+*#@%&"
@@ -150,4 +152,16 @@ def stacked_bar_chart(
         f"{FILLS[j % len(FILLS)]} {layer}" for j, layer in enumerate(stacks)
     )
     lines.append(f"legend: {legend}")
+    return "\n".join(lines)
+
+
+def render_matrix(title: str, col_names: list[str], rows: list[tuple[str, list]]) -> str:
+    """Generic fixed-width table renderer for bench output."""
+    header = f"{'':<18}" + "".join(f"{c:>12}" for c in col_names)
+    lines = [title, header]
+    for name, values in rows:
+        cells = "".join(
+            f"{v:>12.4f}" if isinstance(v, float) else f"{v:>12}" for v in values
+        )
+        lines.append(f"{name:<18}{cells}")
     return "\n".join(lines)

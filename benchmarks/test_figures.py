@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline import ascii_line_chart, stacked_bar_chart
+from figures import ascii_line_chart, stacked_bar_chart
 
 
 class TestLineChart:

@@ -1,20 +1,15 @@
-"""Assembly quality comparison in the style of the paper's Table 4.
+"""Assembly quality against the reference, in the style of the paper's Table 4.
 
-Assembles the O. sativa bench dataset with distributed ELBA and with both
-shared-memory baseline assemblers, then prints the QUAST-style metric table
-(completeness, longest contig, contig count, misassemblies) for all three,
-plus ELBA's speedup over the baselines (Table 3's view).
+Assembles the O. sativa bench dataset with distributed ELBA at three grid
+sizes and prints the QUAST-style metrics (completeness, longest contig,
+contig count, misassemblies) of each assembly against the simulated genome.
+The paper's tool-vs-tool rows (Hifiasm, HiCanu) are not reproduced.
 
 Run:  python examples/assembly_quality_report.py
 """
 
-from repro.bench import (
-    build_bench_dataset,
-    quality_table,
-    run_baselines,
-    speedup_table,
-    sweep_pipeline,
-)
+from repro.bench import build_bench_dataset, sweep_pipeline
+from repro.quality import evaluate_assembly
 
 
 def main() -> None:
@@ -26,28 +21,16 @@ def main() -> None:
     )
 
     print("\nrunning distributed ELBA (P = 4, 16, 64)...")
-    elba_results = sweep_pipeline(dataset, "cori-haswell", [4, 16, 64])
-
-    print("running shared-memory baselines...")
-    baselines = run_baselines(dataset, "cori-haswell")
-    print(
-        f"  serial-olc wall: {baselines.serial_olc_wall:.2f}s   "
-        f"greedy-bog wall: {baselines.greedy_bog_wall:.2f}s"
-    )
-
-    print()
-    text, reports = quality_table(dataset, elba_results[0], baselines)
-    print(text)
-
-    print()
-    print(speedup_table(dataset, elba_results, baselines))
-
-    elba = reports["ELBA"]
-    print(
-        f"\nELBA assembly detail: N50={elba.n50}, NG50={elba.ng50}, "
-        f"duplication={elba.duplication_ratio:.2f}, "
-        f"unaligned={elba.unaligned_contigs}"
-    )
+    for result in sweep_pipeline(dataset, "cori-haswell", [4, 16, 64]):
+        report = evaluate_assembly(
+            result.contigs.contigs, dataset.genome, k=dataset.k
+        )
+        print(
+            f"P={result.config.nprocs:<3} modeled={result.modeled_total:9.2f}s  "
+            f"{report.row()}  N50={report.n50}  NG50={report.ng50}  "
+            f"duplication={report.duplication_ratio:.2f}  "
+            f"unaligned={report.unaligned_contigs}"
+        )
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
-"""Legacy setup shim.
+"""Project metadata and build.
 
-The project metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` works on environments whose setuptools lacks the
-``wheel`` package needed for PEP 660 editable builds (pip falls back to the
-classic ``setup.py develop`` path when no [build-system] table is declared).
+This file is the only place the project is declared (there is no
+pyproject.toml): the package under ``src/``, the four ``repro-*`` console
+scripts, and the version, which is read from ``repro.__version__`` so it is
+stated once.  ``pip install -e .`` falls back to the classic
+``setup.py develop`` path when no [build-system] table is declared, which
+works on environments whose setuptools lacks the ``wheel`` package.
 
 It also wires the **optional** native kernel extension
 (``repro._native._kernels``): ``python setup.py build_ext --inplace``
@@ -13,8 +15,23 @@ C toolchain (or numpy headers) installs the pure-Python package unchanged
 and the kernel registry falls back to the numpy tier.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
 from setuptools.command.build_ext import build_ext
+
+#: The ``repro-*`` commands the README documents; each ``main`` returns an
+#: exit code.
+CONSOLE_SCRIPTS = [
+    f"repro-{name} = repro.cli.{name}:main"
+    for name in ("assemble", "scaling", "quality", "jobs")
+]
+
+
+def _version() -> str:
+    init = Path(__file__).parent / "src" / "repro" / "__init__.py"
+    return re.search(r'^__version__ = "([^"]+)"', init.read_text(), re.M).group(1)
 
 
 def _native_extensions():
@@ -56,7 +73,7 @@ class optional_build_ext(build_ext):
 
 setup(
     name="repro",
-    version="1.2.0",
+    version=_version(),
     description=(
         "Distributed-memory parallel contig generation for de novo "
         "long-read genome assembly (ELBA reproduction)"
@@ -67,6 +84,7 @@ setup(
     install_requires=["numpy>=1.24"],
     # nothing in src/ imports these; the test suite does, at module level
     extras_require={"test": ["pytest", "scipy>=1.10", "hypothesis"]},
+    entry_points={"console_scripts": CONSOLE_SCRIPTS},
     ext_modules=_native_extensions(),
     cmdclass={"build_ext": optional_build_ext},
 )

@@ -64,7 +64,7 @@ from .scaffold import (
     scaffold_contigs,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "__version__",

@@ -3,7 +3,7 @@
 The scalar functions (:func:`xdrop_extend`, :func:`classify_overlap`) are
 the readable reference; the :mod:`~repro.align.batch` engine runs the same
 computations across whole arrays of candidate pairs and is the hot path
-used by the pipeline and the baselines.
+used by the pipeline.
 """
 
 from .batch import (

@@ -22,9 +22,9 @@ whole seed-and-extend pipeline over *arrays* of pairs at once:
   pairs whose bands die (the x-drop rule) without stalling the rest.
 
 Both kernels are **bit-identical** to the scalar reference (enforced by
-property tests and the CI kernel smoke step).  The scalar functions remain
-the readable specification; this module is the throughput path used by the
-``Alignment`` stage and the shared-memory baselines.
+the property tests of ``tests/test_align_batch.py``).  The scalar functions
+remain the readable specification; this module is the throughput path used
+by the ``Alignment`` stage.
 
 :func:`classify_overlaps` is the array analogue of
 :func:`~repro.align.classify.classify_overlap`: dovetail / contained /

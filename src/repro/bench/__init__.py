@@ -1,16 +1,11 @@
-"""Benchmark harness shared by the table/figure reproduction benches."""
+"""Bench-scale datasets and pipeline sweeps (CLI, service, benchmarks)."""
 
 from .harness import (
     SCALING_P,
-    BaselineRuns,
     BenchDataset,
     build_bench_dataset,
     machine_stamp,
-    quality_table,
-    render_matrix,
-    run_baselines,
     seed_preserving_error,
-    speedup_table,
     sweep_pipeline,
 )
 
@@ -20,10 +15,5 @@ __all__ = [
     "build_bench_dataset",
     "seed_preserving_error",
     "sweep_pipeline",
-    "run_baselines",
-    "BaselineRuns",
-    "speedup_table",
-    "quality_table",
-    "render_matrix",
     "machine_stamp",
 ]

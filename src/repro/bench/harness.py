@@ -1,10 +1,10 @@
-"""Shared experiment harness for the table/figure benchmarks.
+"""Shared experiment harness: bench-scale datasets and pipeline sweeps.
 
-Each ``benchmarks/bench_*.py`` regenerates one table or figure of the paper.
-This module holds the common machinery: bench-scale dataset construction
-(with the seed-statistics-preserving error adjustment for the high-error
-dataset), pipeline sweeps over P and machines, baseline runs, and plain-text
-rendering of the resulting tables.
+Each ``benchmarks/bench_*.py`` regenerates one table or figure of the paper;
+``repro-scaling`` / ``repro-quality`` and the job service run the same
+sweeps.  This module holds what they share: bench-scale dataset
+construction (with the seed-statistics-preserving error adjustment for the
+high-error dataset) and pipeline sweeps over P and machines.
 
 Modeled times are extrapolated to paper-scale volumes through
 ``MachineModel.scaled(scale)``: payload bytes and op counts scale linearly
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..baselines import assemble_greedy_bog, assemble_serial_olc
 from ..mpi.costmodel import MACHINE_PRESETS, MachineModel
 from ..pipeline import (
     Pipeline,
@@ -26,7 +25,6 @@ from ..pipeline import (
     PipelineObserver,
     PipelineResult,
 )
-from ..quality import QualityReport, evaluate_assembly
 from ..seq import PRESETS, ReadSet, build_dataset
 from ..seq.datasets import DatasetPreset
 
@@ -35,11 +33,6 @@ __all__ = [
     "build_bench_dataset",
     "seed_preserving_error",
     "sweep_pipeline",
-    "run_baselines",
-    "BaselineRuns",
-    "speedup_table",
-    "quality_table",
-    "render_matrix",
     "machine_stamp",
 ]
 
@@ -179,121 +172,3 @@ def sweep_pipeline(
         )
         for p in nprocs_list
     ]
-
-
-@dataclass
-class BaselineRuns:
-    """Wall and modeled times of the shared-memory comparators."""
-
-    serial_olc_wall: float
-    greedy_bog_wall: float
-    serial_olc_modeled: float
-    greedy_bog_modeled: float
-    serial_contigs: list
-    bog_contigs: list
-
-
-def run_baselines(dataset: BenchDataset, machine_name: str) -> BaselineRuns:
-    """Run both baselines; model their single-node time via the P=1 cost.
-
-    The modeled time charges the same per-op rates as ELBA's cost model to
-    the serially-measured work, which is what makes Table 3's comparison
-    apples-to-apples under simulation.
-    """
-    machine = MACHINE_PRESETS[machine_name]().scaled(dataset.scale)
-    reads = list(dataset.readset.reads)
-    kwargs = dataset.config_kwargs
-    olc = assemble_serial_olc(
-        reads,
-        k=dataset.k,
-        xdrop=kwargs.get("xdrop", 15),
-        mode=kwargs.get("align_mode", "diag"),
-        end_margin=kwargs.get("end_margin", 10),
-    )
-    bog = assemble_greedy_bog(
-        reads,
-        k=dataset.k,
-        xdrop=kwargs.get("xdrop", 15),
-        mode=kwargs.get("align_mode", "diag"),
-        end_margin=kwargs.get("end_margin", 10),
-    )
-    # modeled single-node time: total bases aligned ~ serial work measured
-    # by running ELBA's own P=1 cost accounting
-    p1 = Pipeline.default().run(dataset.readset, dataset.config(1, machine))
-    serial_modeled = p1.modeled_total
-    # the bog baseline skips transitive reduction: subtract that stage
-    bog_modeled = serial_modeled - p1.stage_seconds("TrReduction")
-    return BaselineRuns(
-        serial_olc_wall=olc.wall_seconds,
-        greedy_bog_wall=bog.wall_seconds,
-        serial_olc_modeled=serial_modeled,
-        greedy_bog_modeled=bog_modeled,
-        serial_contigs=olc.contigs,
-        bog_contigs=bog.contigs,
-    )
-
-
-def speedup_table(
-    dataset: BenchDataset,
-    elba_results: list[PipelineResult],
-    baselines: BaselineRuns,
-) -> str:
-    """Render a Table 3-style speedup summary."""
-    lines = [
-        f"Table 3 style -- {dataset.name} (scale 1/{dataset.scale})",
-        f"{'tool':<14}{'modeled(s)':>12}{'P':>6}{'ELBA speedup':>14}",
-    ]
-    for label, modeled in (
-        ("serial-olc", baselines.serial_olc_modeled),
-        ("greedy-bog", baselines.greedy_bog_modeled),
-    ):
-        for res in elba_results:
-            sp = modeled / res.modeled_total if res.modeled_total else 0.0
-            lines.append(
-                f"{label:<14}{modeled:>12.2f}{res.config.nprocs:>6}{sp:>13.1f}x"
-            )
-    return "\n".join(lines)
-
-
-def quality_table(
-    dataset: BenchDataset,
-    elba_result: PipelineResult,
-    baselines: BaselineRuns,
-    k: int | None = None,
-) -> tuple[str, dict[str, QualityReport]]:
-    """Render a Table 4-style quality comparison; returns text + reports."""
-    k = k or dataset.k
-    reports = {
-        "ELBA": evaluate_assembly(
-            elba_result.contigs.contigs, dataset.genome, k=k
-        ),
-        "serial-olc": evaluate_assembly(
-            baselines.serial_contigs, dataset.genome, k=k
-        ),
-        "greedy-bog": evaluate_assembly(
-            baselines.bog_contigs, dataset.genome, k=k
-        ),
-    }
-    lines = [
-        f"Table 4 style -- {dataset.name}",
-        f"{'tool':<12}{'completeness':>13}{'longest':>9}{'contigs':>9}"
-        f"{'misassembled':>14}",
-    ]
-    for tool, rep in reports.items():
-        lines.append(
-            f"{tool:<12}{rep.completeness:>12.2%}{rep.longest_contig:>9}"
-            f"{rep.n_contigs:>9}{rep.misassemblies:>14}"
-        )
-    return "\n".join(lines), reports
-
-
-def render_matrix(title: str, col_names: list[str], rows: list[tuple[str, list]]) -> str:
-    """Generic fixed-width table renderer for bench output."""
-    header = f"{'':<18}" + "".join(f"{c:>12}" for c in col_names)
-    lines = [title, header]
-    for name, values in rows:
-        cells = "".join(
-            f"{v:>12.4f}" if isinstance(v, float) else f"{v:>12}" for v in values
-        )
-        lines.append(f"{name:<18}{cells}")
-    return "\n".join(lines)

@@ -7,7 +7,7 @@ import os
 import sys
 
 from ..bench.harness import build_bench_dataset
-from ..errors import FaultPlanError
+from ..errors import ReproError
 from ..pipeline import MAIN_STAGES, Pipeline, TraceObserver
 from ..quality import evaluate_assembly
 from ..scaffold import (
@@ -293,10 +293,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             )
             print(f"wrote {len(seqs)} contigs to {args.output}", file=out)
         return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FaultPlanError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 
+from ..errors import ReproError
 from ..kernels import KERNEL_TIERS
 from ..mpi.costmodel import MACHINE_PRESETS
 from ..mpi.executor import EXECUTOR_BACKENDS
@@ -21,8 +22,12 @@ __all__ = [
 ]
 
 
-class CliError(Exception):
-    """A user-facing command-line error (bad arguments, missing files)."""
+class CliError(ReproError):
+    """A user-facing command-line error (bad arguments, missing files).
+
+    Every console script's ``main`` reports a :class:`ReproError` -- this
+    one or any the library raises -- as one ``error:`` line and exit 1.
+    """
 
 
 def positive_int(text: str) -> int:

@@ -25,11 +25,11 @@ import os
 import sys
 import time
 
-from ..errors import FaultPlanError
+from ..errors import ReproError
 from ..faults import FaultPlan, RetryPolicy
 from ..kernels import KERNEL_TIERS
 from ..mpi.executor import EXECUTOR_BACKENDS
-from ..service import JobError, JobService, TERMINAL_STATES
+from ..service import JobService, TERMINAL_STATES
 from .common import CliError, positive_float, positive_int
 
 __all__ = ["build_parser", "main"]
@@ -422,7 +422,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](_service(args), args, out)
-    except (CliError, JobError, FaultPlanError) as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..errors import ReproError
 from ..quality import evaluate_assembly
 from ..seq.fasta import read_fasta
 from .common import CliError, positive_int
@@ -86,7 +87,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
                     file=out,
                 )
         return 0
-    except CliError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ import math
 import sys
 
 from ..bench.harness import build_bench_dataset, sweep_pipeline
+from ..errors import ReproError
 from ..pipeline.report import breakdown_table, scaling_table
 from ..seq.datasets import PRESETS
 from .common import CliError, add_machine_arg, positive_int
@@ -68,7 +69,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             print("", file=out)
             print(breakdown_table(label, results), file=out)
         return 0
-    except CliError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,10 +24,6 @@ class SparseFormatError(ReproError):
     """A sparse matrix was built from or converted into an invalid state."""
 
 
-class SemiringError(ReproError):
-    """A semiring operation was applied to incompatible payload dtypes."""
-
-
 class DistributionError(ReproError):
     """Distributed object invariants violated (block sizes, alignment)."""
 

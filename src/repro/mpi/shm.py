@@ -51,7 +51,6 @@ __all__ = [
     "SharedBufferRegistry",
     "SHM_THRESHOLD_DEFAULT",
     "attach_array",
-    "detach_all",
     "shm_dumps",
     "shm_loads",
     "dumps_step",
@@ -249,18 +248,6 @@ def attach_array(handle: SharedArrayHandle) -> np.ndarray:
             except OSError:  # pragma: no cover
                 pass
         return arr
-
-
-def detach_all() -> None:
-    """Drop this process's attach cache (test isolation / worker exit)."""
-    with _ATTACH_LOCK:
-        entries = list(_ATTACHED.values())
-        _ATTACHED.clear()
-    for segment, _view in entries:
-        try:
-            segment.close()
-        except OSError:  # pragma: no cover
-            pass
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .engine import (
     TraceObserver,
     register_stage,
 )
-from .figures import ascii_line_chart, stacked_bar_chart
 from .report import (
     ScalingPoint,
     breakdown_table,
@@ -46,6 +45,4 @@ __all__ = [
     "rank_breakdown_table",
     "memory_table",
     "parallel_efficiency",
-    "ascii_line_chart",
-    "stacked_bar_chart",
 ]

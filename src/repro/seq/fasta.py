@@ -9,6 +9,7 @@ ELBA's parallel FASTA reader partitions its input.
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -21,9 +22,22 @@ from .readstore import DistReadStore
 
 __all__ = ["read_fasta", "write_fasta", "iter_fasta", "load_distributed"]
 
+_NOT_ACGT = re.compile("[^ACGTacgt]")
+
+
+def _fasta_error(record: str | None, lineno: int, what: str) -> SequenceError:
+    where = f"line {lineno}" if record is None else f"record {record!r}, line {lineno}"
+    return SequenceError(f"FASTA {where}: {what}")
+
 
 def iter_fasta(handle: TextIO) -> Iterator[tuple[str, str]]:
-    """Yield ``(header, sequence)`` pairs from a FASTA stream."""
+    """Yield ``(header, sequence)`` pairs from a FASTA stream.
+
+    Anything but ACGT (either case) in a sequence line -- ``N``, an IUPAC
+    ambiguity code, a stray byte -- is rejected with a
+    :class:`~repro.errors.SequenceError` naming the line, the record and
+    the character: ambiguous reads are neither split nor repaired.
+    """
     header: str | None = None
     chunks: list[str] = []
     for lineno, line in enumerate(handle, 1):
@@ -39,7 +53,8 @@ def iter_fasta(handle: TextIO) -> Iterator[tuple[str, str]]:
                 if 0xDC80 <= ord(bad) <= 0xDCFF
                 else f"character {bad!r}"
             )
-            raise SequenceError(f"FASTA line {lineno}: non-ASCII {shown}")
+            record = line[1:].strip() if line.startswith(">") else header
+            raise _fasta_error(record, lineno, f"non-ASCII {shown}")
         if line.startswith(">"):
             if header is not None:
                 yield header, "".join(chunks)
@@ -47,8 +62,13 @@ def iter_fasta(handle: TextIO) -> Iterator[tuple[str, str]]:
             chunks = []
         else:
             if header is None:
-                raise SequenceError(
-                    f"FASTA line {lineno}: sequence data before any header"
+                raise _fasta_error(
+                    None, lineno, "sequence data before any header"
+                )
+            bad = _NOT_ACGT.search(line)
+            if bad:
+                raise _fasta_error(
+                    header, lineno, f"invalid DNA character {bad.group()!r}"
                 )
             chunks.append(line)
     if header is not None:

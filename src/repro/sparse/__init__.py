@@ -1,13 +1,13 @@
 """Distributed sparse linear algebra with semirings (CombBLAS equivalent).
 
-Local formats (:class:`LocalCoo`, :class:`LocalCsc`, :class:`LocalCsr`,
-:class:`Dcsc`) carry arbitrary structured payloads; :class:`DistSparseMatrix`
-and :class:`DistVector` distribute them over the sqrt(P) x sqrt(P) grid with
+Local formats (:class:`LocalCoo`, :class:`LocalCsc`, :class:`Dcsc`) carry
+arbitrary structured payloads; :class:`DistSparseMatrix` and
+:class:`DistVector` distribute them over the sqrt(P) x sqrt(P) grid with
 SUMMA SpGEMM, apply/prune, reductions and owner-computes vector gathers.
 """
 
 from .coo import LocalCoo, segment_starts
-from .csr import LocalCsc, LocalCsr
+from .csr import LocalCsc
 from .dcsc import Dcsc
 from .distmat import DistSparseMatrix, SpgemmPlan
 from .distvec import DistVector
@@ -32,7 +32,6 @@ from .types import (
 __all__ = [
     "LocalCoo",
     "LocalCsc",
-    "LocalCsr",
     "Dcsc",
     "DistSparseMatrix",
     "SpgemmPlan",

@@ -1,11 +1,7 @@
-"""Local compressed sparse row/column formats with structured payloads.
+"""Local compressed sparse column format with structured payloads.
 
 The compressed format the paper's local assembly walks is CSC: ``JC`` (column
 pointers), ``IR`` (row indices) and ``VAL`` (edge payloads) -- see §4.4.
-Because every matrix in the contig phase is *pattern-symmetric*, a CSC of the
-matrix equals a CSR of its transpose; the class below compresses along a
-chosen axis so both views share one implementation.
-
 Attribute names follow the paper: :attr:`LocalCsc.jc`, :attr:`LocalCsc.ir`,
 :attr:`LocalCsc.val`.
 """
@@ -17,15 +13,11 @@ import numpy as np
 from ..errors import SparseFormatError
 from .coo import LocalCoo
 
-__all__ = ["LocalCsc", "LocalCsr"]
+__all__ = ["LocalCsc"]
 
 
-class _Compressed:
-    """Shared implementation of compressed-axis local sparse storage."""
-
-    #: "col" compresses columns (CSC: jc over columns, ir holds rows);
-    #: "row" compresses rows (CSR: jc over rows, ir holds cols).
-    axis: str = "col"
+class LocalCsc:
+    """Compressed sparse column block: ``jc`` over columns, ``ir`` = rows."""
 
     __slots__ = ("shape", "jc", "ir", "val")
 
@@ -38,17 +30,15 @@ class _Compressed:
     ) -> None:
         jc = np.asarray(jc, dtype=np.int64)
         ir = np.asarray(ir, dtype=np.int64)
-        n_compressed = shape[1] if self.axis == "col" else shape[0]
-        n_other = shape[0] if self.axis == "col" else shape[1]
-        if jc.shape != (n_compressed + 1,):
+        if jc.shape != (shape[1] + 1,):
             raise SparseFormatError(
-                f"pointer array length {jc.shape[0]} != {n_compressed + 1}"
+                f"pointer array length {jc.shape[0]} != {shape[1] + 1}"
             )
         if jc[0] != 0 or jc[-1] != ir.shape[0]:
             raise SparseFormatError("pointer array must start at 0 and end at nnz")
         if np.any(np.diff(jc) < 0):
             raise SparseFormatError("pointer array must be non-decreasing")
-        if ir.size and (ir.min() < 0 or ir.max() >= n_other):
+        if ir.size and (ir.min() < 0 or ir.max() >= shape[0]):
             raise SparseFormatError(f"index out of range for shape {shape}")
         if val.shape[0] != ir.shape[0]:
             raise SparseFormatError(
@@ -68,56 +58,33 @@ class _Compressed:
         return self.val.dtype
 
     @classmethod
-    def from_coo(cls, coo: LocalCoo):
-        """Compress a (possibly unsorted) COO block along this class's axis."""
-        if cls.axis == "col":
-            order = np.lexsort((coo.rows, coo.cols))
-            keys = coo.cols[order]
-            others = coo.rows[order]
-            n_compressed = coo.shape[1]
-        else:
-            order = np.lexsort((coo.cols, coo.rows))
-            keys = coo.rows[order]
-            others = coo.cols[order]
-            n_compressed = coo.shape[0]
-        counts = np.bincount(keys, minlength=n_compressed)
-        jc = np.zeros(n_compressed + 1, dtype=np.int64)
+    def from_coo(cls, coo: LocalCoo) -> "LocalCsc":
+        """Compress a (possibly unsorted) COO block by column."""
+        order = np.lexsort((coo.rows, coo.cols))
+        counts = np.bincount(coo.cols[order], minlength=coo.shape[1])
+        jc = np.zeros(coo.shape[1] + 1, dtype=np.int64)
         np.cumsum(counts, out=jc[1:])
-        return cls(coo.shape, jc, others, coo.vals[order])
+        return cls(coo.shape, jc, coo.rows[order], coo.vals[order])
 
     def to_coo(self) -> LocalCoo:
-        n_compressed = self.shape[1] if self.axis == "col" else self.shape[0]
-        keys = np.repeat(np.arange(n_compressed, dtype=np.int64), np.diff(self.jc))
-        if self.axis == "col":
-            return LocalCoo(self.shape, self.ir, keys, self.val)
-        return LocalCoo(self.shape, keys, self.ir, self.val)
+        cols = np.repeat(np.arange(self.shape[1], dtype=np.int64), np.diff(self.jc))
+        return LocalCoo(self.shape, self.ir, cols, self.val)
 
     # -- queries used by traversal ------------------------------------------
     def degree(self, index: int) -> int:
-        """Number of stored entries in compressed slice ``index``
+        """Number of stored entries in column ``index``
         (``JC[i+1] - JC[i]``, exactly the degree test of §4.4)."""
         return int(self.jc[index + 1] - self.jc[index])
 
     def degrees(self) -> np.ndarray:
-        """Degrees of all compressed slices."""
+        """Degrees of all columns."""
         return np.diff(self.jc)
 
     def slice_indices(self, index: int) -> np.ndarray:
-        """The neighbor indices stored in compressed slice ``index``."""
+        """The row indices stored in column ``index``."""
         return self.ir[self.jc[index] : self.jc[index + 1]]
 
     def slice_vals(self, index: int) -> np.ndarray:
-        """The payloads stored in compressed slice ``index``."""
+        """The payloads stored in column ``index``."""
         return self.val[self.jc[index] : self.jc[index + 1]]
 
-
-class LocalCsc(_Compressed):
-    """Compressed sparse column block: ``jc`` over columns, ``ir`` = rows."""
-
-    axis = "col"
-
-
-class LocalCsr(_Compressed):
-    """Compressed sparse row block: ``jc`` over rows, ``ir`` = columns."""
-
-    axis = "row"

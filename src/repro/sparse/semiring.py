@@ -34,26 +34,7 @@ __all__ = [
     "minplus_semiring",
     "seed_semiring",
     "dirmin_semiring",
-    "segment_reduce_generic",
 ]
-
-
-def segment_reduce_generic(
-    vals: np.ndarray, starts: np.ndarray, pick: Callable[[np.ndarray], int] | None = None
-) -> np.ndarray:
-    """Fallback segmented reduction: keep one representative per segment.
-
-    By default keeps the first entry of each segment (deterministic because
-    SpGEMM sorts by coordinate before reducing).
-    """
-    if pick is None:
-        return vals[starts]
-    bounds = np.append(starts, vals.shape[0])
-    out = np.empty(starts.size, dtype=vals.dtype)
-    for i in range(starts.size):
-        seg = vals[bounds[i] : bounds[i + 1]]
-        out[i] = seg[pick(seg)]
-    return out
 
 
 @dataclass(frozen=True)

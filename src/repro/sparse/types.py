@@ -31,7 +31,6 @@ __all__ = [
     "OVERLAP_DTYPE",
     "DIRMIN_DTYPE",
     "SUFFIX_INF",
-    "empty_vals",
 ]
 
 #: Entry of the reads-by-kmers matrix A: k-mer position within the read and
@@ -64,8 +63,3 @@ SUFFIX_INF = np.int32(np.iinfo(np.int32).max // 2)
 
 #: Transitive-reduction intermediate: minimum composed suffix per direction.
 DIRMIN_DTYPE = np.dtype([("minsuf", np.int32, (4,))])
-
-
-def empty_vals(dtype: np.dtype) -> np.ndarray:
-    """An empty value array of the given payload dtype."""
-    return np.empty(0, dtype=dtype)

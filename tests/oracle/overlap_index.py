@@ -1,10 +1,8 @@
-"""Shared-memory overlap discovery used by both baseline assemblers.
+"""Overlap discovery for the serial oracle assembler.
 
 This is the hash-table analogue of the matrix pipeline: a Python-dict k-mer
 index replaces the distributed A matrix, candidate pairs come from shared
-canonical k-mers, and the same x-drop aligner scores them.  It represents
-the single-node style of the comparators in the paper's Table 3 (Hifiasm,
-HiCanu, miniasm, Canu all build in-memory indexes).
+canonical k-mers, and the same x-drop aligner scores them.
 
 Scoring routes through the batched engine (:mod:`repro.align.batch`): the
 candidate pairs surviving ``min_shared`` are extended and classified in
@@ -18,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..align.batch import (
+from repro.align.batch import (
     KIND_CONTAINED_A,
     KIND_CONTAINED_B,
     KIND_DOVETAIL,
     iter_classified_chunks,
     pack_codes,
 )
-from ..align.classify import EdgeFields
-from ..kmer.codec import canonical_kmers, encode_kmers
+from repro.align.classify import EdgeFields
+from repro.kmer.codec import canonical_kmers, encode_kmers
 
 __all__ = ["SerialOverlap", "find_overlaps"]
 

@@ -1,10 +1,9 @@
-"""Serial OLC baseline assembler ("miniasm-like").
+"""Serial OLC assembler ("miniasm-like"): the oracle for the contig set.
 
-A faithful single-process implementation of the same
+A single-process implementation of the same
 overlap -> transitive-reduction -> contig paradigm, built on hash maps
-instead of distributed sparse matrices.  Plays the role of the shared-
-memory comparators in Table 3: its wall-clock time on "one node" is the
-denominator of ELBA's speedup, and its assembly quality the Table 4 rival.
+instead of distributed sparse matrices.  The distributed pipeline must
+produce its contig set (up to order and strand) at every grid size.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..strgraph.edgecodec import compose_direction, walk_compatible
+from repro.strgraph.edgecodec import compose_direction, walk_compatible
 from .overlap_index import find_overlaps
 from .walker import SerialGraph, walk_contigs
 
@@ -23,7 +22,7 @@ __all__ = ["SerialAssemblyResult", "assemble_serial_olc"]
 
 @dataclass
 class SerialAssemblyResult:
-    """Contigs plus timing of one baseline run."""
+    """Contigs plus timing of one serial run."""
 
     contigs: list[np.ndarray]
     wall_seconds: float

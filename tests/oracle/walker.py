@@ -1,4 +1,4 @@
-"""Serial string-graph walker shared by the baseline assemblers.
+"""Serial string-graph walker of the oracle assembler.
 
 Takes a per-read adjacency of directed edges (with
 :class:`~repro.align.classify.EdgeFields` payloads), masks branch vertices,
@@ -12,9 +12,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..align.classify import EdgeFields
-from ..seq import dna
-from ..strgraph.edgecodec import dst_end_bit, src_end_bit
+from repro.align.classify import EdgeFields
+from repro.seq import dna
+from repro.strgraph.edgecodec import dst_end_bit, src_end_bit
 
 __all__ = ["SerialGraph", "walk_contigs"]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import assemble_main, quality_main, scaling_main
+from repro.errors import AssemblyError
 from repro.seq import dna, tile_reads
 from repro.seq.fasta import read_fasta, write_fasta
 
@@ -303,3 +304,53 @@ class TestScalingCli:
     def test_machine_choice_validated(self):
         with pytest.raises(SystemExit):
             scaling_main(["--machine", "cray-1"])
+
+
+#: name -> (FASTA bytes, the record and line the error must name, the character)
+BAD_FASTAS = {
+    "N": (b">r0\nACGT\n>r1 ambiguous\nACGTNACGT\n", "record 'r1 ambiguous', line 4", "'N'"),
+    "lower-case-iupac": (b">r0\nACGT\n>r1\nACGT\nACrT\n", "record 'r1', line 5", "'r'"),
+    "non-ascii-byte": (b">r1\nAC\xffGT\n", "record 'r1', line 2", "0xff"),
+}
+
+
+def assert_one_error_line(rc, capsys, *needles):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+class TestLibraryErrorsAreOneLine:
+    """Any ``ReproError`` leaves a console script as one ``error:`` line and
+    exit status 1 -- never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_FASTAS))
+    def test_bad_fasta_names_record_line_and_character(
+        self, name, tmp_path, capsys
+    ):
+        data, where, char = BAD_FASTAS[name]
+        path = tmp_path / "bad.fa"
+        path.write_bytes(data)
+        rc, _ = run(assemble_main, ["--fasta", str(path), "-P", "4"])
+        assert_one_error_line(rc, capsys, where, char)
+
+    def test_bad_fasta_in_quality(self, workspace, tmp_path, capsys):
+        path = tmp_path / "bad.fa"
+        path.write_bytes(BAD_FASTAS["N"][0])
+        rc, _ = run(quality_main, [str(path), str(workspace["ref_fa"])])
+        assert_one_error_line(rc, capsys, "line 4", "'N'")
+
+    def test_error_raised_inside_a_run(self, workspace, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise AssemblyError("walk left the component")
+
+        monkeypatch.setattr("repro.pipeline.Pipeline.run", boom)
+        rc, _ = run(
+            assemble_main, ["--fasta", str(workspace["reads_fa"]), "-k", "21"]
+        )
+        assert_one_error_line(rc, capsys, "walk left the component")
+        rc, _ = run(scaling_main, FAST_PRESET + ["-P", "1"])
+        assert_one_error_line(rc, capsys, "walk left the component")

@@ -4,14 +4,14 @@ These are the tests that pin down the paper-level behaviour: exact genome
 reconstruction from clean tilings (both strand patterns, all grid sizes),
 high completeness on error-bearing sampled reads, branch masking on
 repeat-bearing genomes, and agreement between distributed ELBA and the
-serial baseline.
+serial OLC oracle (``tests/oracle``).
 """
 
 import numpy as np
 import pytest
 
+from oracle import assemble_serial_olc
 from repro import Pipeline, PipelineConfig
-from repro.baselines import assemble_serial_olc
 from repro.quality import evaluate_assembly
 from repro.seq import GenomeSpec, dna, make_genome, sample_reads, tile_reads
 
@@ -110,25 +110,70 @@ class TestRepeats:
         assert report.misassemblies <= 1
 
 
+def _canonical(sequences):
+    """A contig set up to order and strand."""
+    return sorted(min(s, dna.revcomp_str(s)) for s in sequences)
+
+
+def _oracle_case(name):
+    """A read set and the pipeline knobs the serial oracle shares."""
+    genome = make_genome(GenomeSpec(length=3000, seed=91))
+    clean = dict(reliable_lo=1, end_margin=5)
+    if name == "tiled":
+        return tile_reads(genome, 350, 140), clean
+    if name == "strand-alternating":
+        return tile_reads(genome, 350, 140, "alternate"), clean
+    if name == "sampled":
+        return sample_reads(genome, 12, 350, rng=5, error_rate=0.0), clean
+    if name == "sampled-0.5%-substitutions":
+        reads = sample_reads(
+            genome, 14, 350, rng=6, error_rate=0.005, error_mix=(1.0, 0.0, 0.0)
+        )
+        return reads, dict(reliable_lo=2, end_margin=25)
+    assert name == "two-copy-300bp-repeat"
+    repeat = make_genome(
+        GenomeSpec(
+            length=4000, n_repeats=1, repeat_length=300, repeat_copies=2, seed=94
+        )
+    )
+    return sample_reads(repeat, 12, 400, rng=7, error_rate=0.0), clean
+
+
 class TestAgainstBaseline:
+    """The distributed contig set equals the serial OLC oracle's at every
+    grid size -- which bit-identity across backends at one P does not imply."""
+
+    def _assert_equals_oracle(self, case):
+        rs, knobs = _oracle_case(case)
+        oracle = assemble_serial_olc(
+            list(rs.reads), k=21, end_margin=knobs["end_margin"]
+        )
+        want = _canonical(dna.decode(c) for c in oracle.contigs)
+        assert want, "the oracle assembled nothing: the case tests nothing"
+        for nprocs in (1, 4, 9, 16):
+            res = Pipeline.default().run(
+                rs, PipelineConfig(nprocs=nprocs, k=21, **knobs)
+            )
+            got = _canonical(c.sequence() for c in res.contigs.contigs)
+            assert got == want, f"P={nprocs}"
+        return want
+
     def test_elba_matches_serial_olc_output(self):
         """Same paradigm, same substrate: the distributed pipeline and the
-        serial baseline must produce equivalent assemblies on clean data."""
-        genome = make_genome(GenomeSpec(length=3000, seed=91))
-        rs = tile_reads(genome, 350, 140)
-        res = Pipeline.default().run(
-            rs, PipelineConfig(nprocs=4, k=21, reliable_lo=1, end_margin=5)
-        )
-        baseline = assemble_serial_olc(list(rs.reads), k=21, end_margin=5)
-        elba_seqs = {
-            min(c.sequence(), dna.revcomp_str(c.sequence()))
-            for c in res.contigs.contigs
-        }
-        base_seqs = {
-            min(dna.decode(c), dna.revcomp_str(dna.decode(c)))
-            for c in baseline.contigs
-        }
-        assert elba_seqs == base_seqs
+        serial oracle must produce equivalent assemblies on clean data."""
+        assert len(self._assert_equals_oracle("tiled")) == 1
+
+    @pytest.mark.parametrize(
+        "case",
+        ["strand-alternating", "sampled", "sampled-0.5%-substitutions"],
+    )
+    def test_contig_set_equals_oracle_at_every_p(self, case):
+        self._assert_equals_oracle(case)
+
+    def test_repeat_breaks_oracle_and_elba_alike(self):
+        """Branch masking at the planted repeat fragments both assemblies
+        into the same pieces."""
+        assert len(self._assert_equals_oracle("two-copy-300bp-repeat")) > 1
 
 
 class TestScalingBehaviour:

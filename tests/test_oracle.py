@@ -1,15 +1,9 @@
-"""Unit tests for the shared-memory baseline assemblers."""
+"""Unit tests for the serial OLC oracle (``tests/oracle``)."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    assemble_greedy_bog,
-    assemble_serial_olc,
-    find_overlaps,
-    walk_contigs,
-)
-from repro.baselines.walker import SerialGraph
+from oracle import SerialGraph, assemble_serial_olc, find_overlaps
 from repro.quality import evaluate_assembly
 from repro.seq import GenomeSpec, dna, make_genome, sample_reads, tile_reads
 
@@ -78,25 +72,3 @@ class TestSerialOlc:
         assert report.completeness > 0.9
         assert report.misassemblies == 0
 
-
-class TestGreedyBog:
-    def test_reconstructs_tiled_genome(self, dataset):
-        genome, reads = dataset
-        result = assemble_greedy_bog(reads, k=15, end_margin=5)
-        assert len(result.contigs) >= 1
-        report = evaluate_assembly(result.contigs, genome, k=15)
-        assert report.completeness > 0.95
-        assert report.misassemblies == 0
-
-    def test_mutual_best_filters_edges(self, dataset):
-        genome, reads = dataset
-        result = assemble_greedy_bog(reads, k=15, end_margin=5)
-        assert result.n_best_edges <= result.n_overlaps
-
-    def test_agrees_with_serial_olc_on_clean_chain(self, dataset):
-        genome, reads = dataset
-        a = assemble_serial_olc(reads, k=15, end_margin=5)
-        b = assemble_greedy_bog(reads, k=15, end_margin=5)
-        qa = evaluate_assembly(a.contigs, genome, k=15)
-        qb = evaluate_assembly(b.contigs, genome, k=15)
-        assert abs(qa.completeness - qb.completeness) < 0.05

@@ -101,6 +101,25 @@ class TestInspection:
         code, out = run_cli("watch", "--root", str(root), job_id)
         assert code == 1 and "state: failed" in out
 
+    def test_bad_fasta_fails_on_first_attempt(self, root, tmp_path):
+        """An ``N`` in the reads is a spec error: terminal, never retried."""
+        from repro.service import JobService
+
+        bad = tmp_path / "n.fa"
+        bad.write_text(">r1\nACGTNACGT\n")
+        code, out = run_cli(
+            "submit", "--root", str(root), "--fasta", str(bad), *CFG
+        )
+        assert code == 0
+        job_id = out.strip()
+        code, out = run_cli("worker", "--root", str(root))
+        assert code == 0 and "processed 1 job(s)" in out
+        record = JobService(root).status(job_id)
+        assert record.state == "failed" and record.attempts == 1
+        assert record.error.startswith("spec error: FASTA record 'r1', line 2")
+        code, out = run_cli("worker", "--root", str(root))
+        assert "processed 0 job(s)" in out
+
 
 class TestCancelAndGc:
     def test_cancel_queued(self, root):

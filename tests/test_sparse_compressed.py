@@ -1,10 +1,10 @@
-"""Unit tests for CSC/CSR and DCSC local formats."""
+"""Unit tests for the CSC and DCSC local formats."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SparseFormatError
-from repro.sparse import Dcsc, LocalCoo, LocalCsc, LocalCsr
+from repro.sparse import Dcsc, LocalCoo, LocalCsc
 
 
 def sample_coo():
@@ -50,19 +50,6 @@ class TestCsc:
             LocalCsc((2, 2), np.array([0, 1]), np.array([0]), np.array([1]))
         with pytest.raises(SparseFormatError):
             LocalCsc((2, 2), np.array([1, 0, 1]), np.array([0]), np.array([1]))
-
-
-class TestCsr:
-    def test_csr_compresses_rows(self):
-        csr = LocalCsr.from_coo(sample_coo())
-        assert list(csr.degrees()) == [1, 2, 2, 1, 0]
-        assert sorted(csr.slice_indices(1)) == [0, 2]
-
-    def test_csr_csc_agree_on_symmetric_pattern(self):
-        coo = sample_coo()
-        csr = LocalCsr.from_coo(coo)
-        csc = LocalCsc.from_coo(coo)
-        assert list(csr.degrees()) == list(csc.degrees())
 
 
 class TestDcsc:

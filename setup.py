@@ -81,7 +81,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
+    # 1.25 is where ufunc.at got its fast indexed loops: the seed semiring's
+    # slot reduction is one np.minimum.at per local multiply
+    install_requires=["numpy>=1.25"],
     # nothing in src/ imports these; the test suite does, at module level
     extras_require={"test": ["pytest", "scipy>=1.10", "hypothesis"]},
     entry_points={"console_scripts": CONSOLE_SCRIPTS},

@@ -42,6 +42,7 @@ class ProcGrid:
         self.world = world
         self.q = q
         self.nprocs = world.nprocs
+        self._vec_bounds: dict[int, np.ndarray] = {}
         self.row_comms: list[SimComm] = [
             world.subcomm([self.rank_of(i, j) for j in range(q)], label=f"row{i}")
             for i in range(q)
@@ -120,11 +121,17 @@ class ProcGrid:
         algorithm reconstruct a full row block from one allgather over the
         row communicator -- a flat P-way split would misalign whenever the
         two remainders disagree.  The boundaries are monotone in rank order
-        (repeated where a sub-block is empty).
+        (repeated where a sub-block is empty).  Computed once per ``n``
+        (every ``owner_of_vec`` / ``vec_block`` call reads it) and shared
+        read-only.
         """
-        rows = block_sizes(n, self.q)
-        sub = rows[:, None] // self.q + (np.arange(self.q) < rows[:, None] % self.q)
-        return cumsum0(sub.ravel())
+        bounds = self._vec_bounds.get(n)
+        if bounds is None:
+            rows = block_sizes(n, self.q)
+            sub = rows[:, None] // self.q + (np.arange(self.q) < rows[:, None] % self.q)
+            bounds = self._vec_bounds[n] = cumsum0(sub.ravel())
+            bounds.flags.writeable = False
+        return bounds
 
     def vec_block(self, n: int, rank: int) -> tuple[int, int]:
         """Global index range of the vector sub-block owned by ``rank``."""

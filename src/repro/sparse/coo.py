@@ -44,9 +44,13 @@ class LocalCoo:
         ``int64`` coordinate arrays of equal length.
     vals:
         Payload array of equal length; any dtype including structured.
+    order:
+        The caller's promise that the entries already are as
+        ``sorted_by(order)`` would leave them (``"row"``, ``"col"`` or
+        ``None`` for unknown); it is what lets ``sorted_by`` skip the sort.
     """
 
-    __slots__ = ("shape", "rows", "cols", "vals")
+    __slots__ = ("shape", "rows", "cols", "vals", "order")
 
     def __init__(
         self,
@@ -54,16 +58,19 @@ class LocalCoo:
         rows: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
+        order: str | None = None,
     ) -> None:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals)
-        if not (rows.shape == cols.shape == (vals.shape[0],) if vals.ndim else False):
-            if rows.shape != cols.shape or rows.shape[0] != vals.shape[0]:
-                raise SparseFormatError(
-                    f"coordinate arrays disagree: rows {rows.shape}, "
-                    f"cols {cols.shape}, vals {vals.shape}"
-                )
+        if not (
+            rows.ndim == cols.ndim == 1 <= vals.ndim
+            and rows.shape[0] == cols.shape[0] == vals.shape[0]
+        ):
+            raise SparseFormatError(
+                f"coordinate arrays disagree: rows {rows.shape}, "
+                f"cols {cols.shape}, vals {vals.shape}"
+            )
         nr, nc = shape
         if rows.size:
             if rows.min() < 0 or rows.max() >= nr:
@@ -78,6 +85,7 @@ class LocalCoo:
         self.rows = rows
         self.cols = cols
         self.vals = vals
+        self.order = order
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -106,18 +114,26 @@ class LocalCoo:
         return int(self.rows.nbytes + self.cols.nbytes + self.vals.nbytes)
 
     def copy(self) -> "LocalCoo":
-        return LocalCoo(self.shape, self.rows.copy(), self.cols.copy(), self.vals.copy())
+        return LocalCoo(
+            self.shape, self.rows.copy(), self.cols.copy(), self.vals.copy(),
+            order=self.order,
+        )
 
     # -- transforms -----------------------------------------------------------
     def transpose(self) -> "LocalCoo":
         """Swap rows and columns (values unchanged -- payload mirroring, if
         needed, is the caller's responsibility)."""
+        flipped = {"row": "col", "col": "row", None: None}[self.order]
         return LocalCoo(
-            (self.shape[1], self.shape[0]), self.cols, self.rows, self.vals
+            (self.shape[1], self.shape[0]), self.cols, self.rows, self.vals,
+            order=flipped,
         )
 
     def sorted_by(self, order: str = "row") -> "LocalCoo":
-        """Return a copy sorted row-major (``"row"``) or col-major (``"col"``)."""
+        """Sorted row-major (``"row"``) or col-major (``"col"``): a sorted
+        copy, or ``self`` when it is known to be in that order already."""
+        if order == self.order:
+            return self
         if order == "row":
             perm = np.lexsort((self.cols, self.rows))
         elif order == "col":
@@ -125,7 +141,8 @@ class LocalCoo:
         else:
             raise ValueError(f"order must be 'row' or 'col', got {order!r}")
         return LocalCoo(
-            self.shape, self.rows[perm], self.cols[perm], self.vals[perm]
+            self.shape, self.rows[perm], self.cols[perm], self.vals[perm],
+            order=order,
         )
 
     def deduped(
@@ -143,9 +160,9 @@ class LocalCoo:
         keys = r * self.shape[1] + c
         starts = segment_starts(keys)
         if starts.size == r.size:  # already duplicate-free
-            return LocalCoo(self.shape, r, c, v)
+            return LocalCoo(self.shape, r, c, v, order="row")
         return LocalCoo(
-            self.shape, r[starts], c[starts], add_reduce(v, starts)
+            self.shape, r[starts], c[starts], add_reduce(v, starts), order="row"
         )
 
     def select(self, mask: np.ndarray) -> "LocalCoo":
@@ -156,7 +173,8 @@ class LocalCoo:
                 f"mask shape {mask.shape} != nnz shape {self.rows.shape}"
             )
         return LocalCoo(
-            self.shape, self.rows[mask], self.cols[mask], self.vals[mask]
+            self.shape, self.rows[mask], self.cols[mask], self.vals[mask],
+            order=self.order,
         )
 
     def map_vals(self, func: Callable[..., np.ndarray]) -> "LocalCoo":

@@ -602,6 +602,11 @@ class DistSparseMatrix:
         # per-phase (rebound at each phase start); finished_bytes tracks
         # the bytes of already finalized phase outputs, which stay live
         # to the end.
+        # sorted once here, the broadcast panels reach every stage of every
+        # phase in the order the local kernel joins on (a phase's column
+        # sub-panel ``select`` keeps it)
+        a_blocks = [blk.sorted_by("col") for blk in self.blocks]
+        b_blocks = [blk.sorted_by("row") for blk in other.blocks]
         bulk = merge_mode == "bulk"
         finished: list[list[LocalCoo]] = [[] for _ in range(nprocs)]
         finished_bytes = [0] * nprocs
@@ -618,7 +623,7 @@ class DistSparseMatrix:
                 for i in range(q):
                     root_world_rank = grid.rank_of(i, s)
                     got = grid.row_comms[i].bcast(
-                        self.blocks[root_world_rank], root=s
+                        a_blocks[root_world_rank], root=s
                     )
                     for j in range(q):
                         a_recv[grid.rank_of(i, j)] = got[j]
@@ -626,7 +631,7 @@ class DistSparseMatrix:
                 b_recv: list[LocalCoo] = [None] * nprocs
                 for j in range(q):
                     root_world_rank = grid.rank_of(s, j)
-                    blk = other.blocks[root_world_rank]
+                    blk = b_blocks[root_world_rank]
                     if phases > 1:
                         lo, hi = _phase_bounds(j, p)
                         blk = blk.select((blk.cols >= lo) & (blk.cols < hi))

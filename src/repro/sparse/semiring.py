@@ -54,6 +54,13 @@ class Semiring:
     valid_mask:
         Optional ``f(cvals) -> bool mask``; products flagged False are
         dropped before reduction (e.g. incompatible bidirected directions).
+    slot_reduce:
+        Optional ``f(avals, a_take, bvals, b_take, slots, nslots) ->
+        reduced``: product ``p`` is ``avals[a_take[p]] x bvals[b_take[p]]``
+        and lands in output slot ``slots[p]``.  Must equal ``multiply`` +
+        stable sort by slot + ``add_reduce``; a semiring (one without a
+        ``valid_mask``) defines it to reduce without materializing or
+        sorting the products.
     """
 
     name: str
@@ -61,6 +68,7 @@ class Semiring:
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     add_reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
     valid_mask: Callable[[np.ndarray], np.ndarray] | None = None
+    slot_reduce: Callable[..., np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +181,26 @@ def seed_semiring() -> Semiring:
         out["count"] = counts
         return out
 
+    def slot_reduce(avals, a_take, bvals, b_take, slots, nslots) -> np.ndarray:
+        # min over (pos_a, product index) finds each slot's minimal pos_a,
+        # first product on ties, in one pass and with no seed record formed
+        # (widened per A entry first: gathering the packed record's
+        # unaligned field per product is ~6x slower)
+        packed = (avals["pos"].astype(np.int64) << 32)[a_take]
+        packed |= np.arange(packed.size)
+        best = np.full(nslots, np.iinfo(np.int64).max)
+        np.minimum.at(best, slots, packed)
+        winner = best & 0xFFFFFFFF
+        out = mul(avals[a_take[winner]], bvals[b_take[winner]])
+        out["count"] = np.bincount(slots, minlength=nslots)
+        return out
+
     return Semiring(
         name="seed",
         out_dtype=SEED_DTYPE,
         multiply=mul,
         add_reduce=add,
+        slot_reduce=slot_reduce,
     )
 
 

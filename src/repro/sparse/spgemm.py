@@ -1,11 +1,18 @@
 """Local sparse x sparse multiplication over an arbitrary semiring.
 
-The kernel is a vectorized sort-merge join on the contraction index: sort A's
-entries by column and B's entries by row, intersect the key sets, expand all
-(A-entry, B-entry) pairs per shared key with index arithmetic (no Python loop
-over nonzeros), apply ``semiring.multiply`` to the aligned payload arrays,
-then combine duplicates per output coordinate with the segmented
-``semiring.add_reduce``.
+The kernel joins on the contraction index and accumulates into output
+slots, as CombBLAS's hash / SPA kernel does per column.  With A's entries
+sorted by column and B's by row (the distributed layer sorts each block
+once; a :class:`LocalCoo` remembers its order), :func:`expand_join` lays
+out all (A-entry, B-entry) pairs per shared key with index arithmetic (no
+Python loop over nonzeros).  Each product's fused ``row * ncols + col`` key
+is then ranked among the distinct keys -- through a dense presence table
+when the block has few cells per product, ``np.unique`` otherwise -- and
+that rank is the product's output slot; the products themselves are never
+sorted by coordinate.  A semiring with a ``slot_reduce`` (the seed semiring)
+reduces straight into the slots; any other forms its products with
+``multiply`` and combines them with the segmented ``add_reduce`` behind one
+stable argsort of the slot ids.
 
 Returns both the product and the number of elementary products formed (the
 "flops" of the multiplication) so the distributed layer can charge modeled
@@ -24,6 +31,14 @@ from .semiring import Semiring
 __all__ = ["spgemm_local", "spgemm_symbolic", "expand_join"]
 
 
+def _ragged_arange(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(f, f + c) for f, c in zip(firsts, counts)])``."""
+    offsets = _cumsum0(counts)
+    out = np.arange(offsets[-1], dtype=np.int64)
+    out -= np.repeat(offsets[:-1] - firsts, counts)
+    return out
+
+
 def expand_join(
     a_keys_sorted: np.ndarray, b_keys_sorted: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -33,30 +48,38 @@ def expand_join(
     vectorized: for a key shared by ``ca`` A-entries and ``cb`` B-entries it
     emits the ``ca * cb`` cross product, in deterministic (A-major) order.
     """
-    ka, starts_a = np.unique(a_keys_sorted, return_index=True)
-    kb, starts_b = np.unique(b_keys_sorted, return_index=True)
-    counts_a = np.diff(np.append(starts_a, a_keys_sorted.size))
-    counts_b = np.diff(np.append(starts_b, b_keys_sorted.size))
-
-    common, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-    if common.size == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy()
-
-    ca = counts_a[ia]
-    cb = counts_b[ib]
-    sa = starts_a[ia]
-    sb = starts_b[ib]
-
-    pair_counts = ca * cb
-    offsets = _cumsum0(pair_counts)
-    total = int(offsets[-1])
-    key_of_pair = np.repeat(np.arange(common.size, dtype=np.int64), pair_counts)
-    within = np.arange(total, dtype=np.int64) - offsets[key_of_pair]
-    cb_of_pair = cb[key_of_pair]
-    a_take = sa[key_of_pair] + within // cb_of_pair
-    b_take = sb[key_of_pair] + within % cb_of_pair
+    # B's key runs from its boundaries, A's by bisection: in a phased SUMMA
+    # B is the thin column sub-panel, and A is never walked in full
+    starts_b = segment_starts(b_keys_sorted)
+    keys = b_keys_sorted[starts_b]
+    bounds_b = np.append(starts_b, b_keys_sorted.size)
+    cb = bounds_b[1:] - starts_b
+    starts_a = np.searchsorted(a_keys_sorted, keys, side="left")
+    ca = np.searchsorted(a_keys_sorted, keys, side="right") - starts_a
+    # per matched A entry, the run of B entries sharing its key (a key A
+    # lacks has ca == 0 and repeats away); np.repeat then lays the cross
+    # products out A-major with no division
+    a_idx = _ragged_arange(starts_a, ca)
+    run = np.repeat(cb, ca)
+    a_take = np.repeat(a_idx, run)
+    b_take = _ragged_arange(np.repeat(starts_b, ca), run)
     return a_take, b_take
+
+
+#: slot ids come from a dense presence table while the output block has at
+#: most this many cells per product; past it, touching every cell costs more
+#: than ``np.unique``'s sort of the keys
+_DENSE_CELLS_PER_PRODUCT = 4
+
+
+def _output_slots(keys: np.ndarray, ncells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct keys, and those keys ascending."""
+    if ncells <= _DENSE_CELLS_PER_PRODUCT * keys.size:
+        present = np.zeros(ncells, dtype=bool)
+        present[keys] = True
+        return np.cumsum(present)[keys] - 1, np.flatnonzero(present)
+    out_keys, slots = np.unique(keys, return_inverse=True)
+    return slots, out_keys
 
 
 def spgemm_symbolic(a: LocalCoo, b: LocalCoo) -> tuple[np.ndarray, np.ndarray]:
@@ -132,30 +155,35 @@ def spgemm_local(
     if a.nnz == 0 or b.nnz == 0:
         return LocalCoo.empty(out_shape, semiring.out_dtype), 0
 
-    a_sorted = a.sorted_by("col")
-    b_sorted = b.sorted_by("row")
-    a_take, b_take = expand_join(a_sorted.cols, b_sorted.rows)
+    a = a.sorted_by("col")
+    b = b.sorted_by("row")
+    a_take, b_take = expand_join(a.cols, b.rows)
     flops = int(a_take.size)
-    if flops == 0:
-        return LocalCoo.empty(out_shape, semiring.out_dtype), 0
-
-    rows = a_sorted.rows[a_take]
-    cols = b_sorted.cols[b_take]
-    vals = semiring.multiply(a_sorted.vals[a_take], b_sorted.vals[b_take])
-
+    ncols = out_shape[1]
+    # one fused row-major key per product: its rank among the distinct keys
+    # is the product's output slot
+    keys = a.rows[a_take] * ncols
+    keys += b.cols[b_take]
     if exclude_diagonal:
-        keep = rows != cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if semiring.valid_mask is not None and rows.size:
-        keep = semiring.valid_mask(vals)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if rows.size == 0:
+        keep = a.rows[a_take] != b.cols[b_take]
+        keys, a_take, b_take = keys[keep], a_take[keep], b_take[keep]
+    fused = semiring.slot_reduce is not None
+    if not fused:
+        vals = semiring.multiply(a.vals[a_take], b.vals[b_take])
+        if semiring.valid_mask is not None and keys.size:
+            keep = semiring.valid_mask(vals)
+            keys, vals = keys[keep], vals[keep]
+    if keys.size == 0:
         return LocalCoo.empty(out_shape, semiring.out_dtype), flops
 
-    # combine duplicates per output coordinate
-    perm = np.lexsort((cols, rows))
-    rows, cols, vals = rows[perm], cols[perm], vals[perm]
-    keys = rows * out_shape[1] + cols
-    starts = segment_starts(keys)
-    reduced = semiring.add_reduce(vals, starts)
-    return LocalCoo(out_shape, rows[starts], cols[starts], reduced), flops
+    slots, out_keys = _output_slots(keys, out_shape[0] * ncols)
+    if fused:
+        reduced = semiring.slot_reduce(
+            a.vals, a_take, b.vals, b_take, slots, out_keys.size
+        )
+    else:
+        starts = _cumsum0(np.bincount(slots, minlength=out_keys.size))[:-1]
+        order = np.argsort(slots, kind="stable")
+        reduced = semiring.add_reduce(vals[order], starts)
+    rows, cols = np.divmod(out_keys, ncols)
+    return LocalCoo(out_shape, rows, cols, reduced, order="row"), flops

@@ -66,6 +66,19 @@ class TestPayloadNbytes:
         assert payload_nbytes(None) == 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="payload_nbytes looks for __dict__ and LocalCoo has __slots__, so "
+    "every SUMMA panel bcast and the transpose sendrecv are charged 8 bytes; "
+    "fixing it moves modeled_s, so it waits for the next cost-model PR",
+)
+def test_payload_nbytes_counts_localcoo():
+    from repro.sparse import LocalCoo
+
+    blk = LocalCoo((4, 4), np.arange(4), np.arange(4), np.zeros(4, dtype=SEED_DTYPE))
+    assert payload_nbytes(blk) >= blk.nbytes
+
+
 class TestCollectives:
     def test_bcast_delivers_to_all(self):
         w = SimWorld(4, zero_cost())

@@ -94,6 +94,19 @@ class TestBlockLayouts:
         assert bounds[0] == 0 and bounds[-1] == 100
         assert np.diff(bounds).sum() == 100
 
+    def test_vec_bounds_cached_per_n_and_read_only(self):
+        """One array per ``n`` is shared by every caller, so no caller may
+        be able to write to it."""
+        g = ProcGrid(SimWorld(9, zero_cost()))
+        bounds = g.vec_bounds(100)
+        assert g.vec_bounds(100) is bounds
+        assert g.vec_bounds(101) is not bounds
+        with pytest.raises(ValueError):
+            bounds[1] = 0
+        with pytest.raises(ValueError):
+            bounds += 1
+        assert g.vec_block(100, 8) == (int(bounds[8]), 100)
+
 
 def _nested_vec_block(g, n, rank):
     """The layout's definition: rank P(i, j) owns the j-th q-way sub-block

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SparseFormatError
+from repro.mpi.shm import SharedBufferRegistry, shm_dumps, shm_loads
 from repro.sparse import LocalCoo, segment_starts
 from repro.sparse.types import OVERLAP_DTYPE
 
@@ -33,6 +34,15 @@ class TestConstruction:
     def test_length_mismatch_rejected(self):
         with pytest.raises(SparseFormatError):
             LocalCoo((2, 2), np.array([0]), np.array([0, 1]), np.array([1.0]))
+
+    def test_zero_d_and_2d_inputs_rejected(self):
+        # a 0-d payload used to escape as IndexError, 2-D coordinates passed
+        with pytest.raises(SparseFormatError):
+            LocalCoo((2, 2), [0], [0], np.float64(5.0))
+        with pytest.raises(SparseFormatError):
+            LocalCoo((2, 2), 0, 0, np.array([5.0]))
+        with pytest.raises(SparseFormatError):
+            LocalCoo((2, 2), [[0, 1]], [[0, 1]], np.array([5.0]))
 
     def test_empty(self):
         m = LocalCoo.empty((3, 3), np.dtype(np.int64))
@@ -117,6 +127,58 @@ class TestTransforms:
         c = m.copy()
         c.vals[0] = 99.0
         assert m.vals[0] == 1.0
+
+
+class TestOrder:
+    """``order`` is the remembered sort: kept by what keeps it true."""
+
+    def test_unknown_until_sorted(self):
+        assert small().order is None
+        assert small().sorted_by("col").order == "col"
+        assert small().deduped(lambda v, s: np.add.reduceat(v, s)).order == "row"
+
+    def test_sorted_by_returns_self_when_already_so(self):
+        m = small().sorted_by("col")
+        assert m.sorted_by("col") is m
+        again = m.sorted_by("row")
+        assert again is not m and again.order == "row"
+
+    def test_survives_select_and_copy(self):
+        m = small().sorted_by("col")
+        kept = m.select(np.array([True, False, True, True]))
+        assert kept.order == "col" and m.copy().order == "col"
+        assert np.array_equal(kept.cols, np.sort(kept.cols))
+
+    def test_flips_under_transpose(self):
+        m = small().sorted_by("col")
+        t = m.transpose()
+        assert t.order == "row"
+        resorted = LocalCoo(t.shape, t.rows, t.cols, t.vals).sorted_by("row")
+        assert np.array_equal(resorted.rows, t.rows)
+        assert np.array_equal(resorted.cols, t.cols)
+        assert small().transpose().order is None
+
+    def test_dropped_by_anything_that_reorders(self):
+        m = small().sorted_by("row")
+        perm = np.array([3, 0, 2, 1])
+        assert LocalCoo(m.shape, m.rows[perm], m.cols[perm], m.vals[perm]).order is None
+        assert m.map_vals(lambda v, r, c: v).order is None
+        assert m.sorted_by("col").order == "col"
+
+    def test_round_trips_shm_pickling(self):
+        big = LocalCoo(
+            (70_000, 3), np.arange(70_000), np.zeros(70_000, dtype=np.int64),
+            np.ones(70_000),
+        ).sorted_by("row")
+        reg = SharedBufferRegistry()
+        try:
+            for m in (small().sorted_by("col"), big):
+                for blob in (shm_dumps(m), shm_dumps(m, reg)):
+                    back = shm_loads(blob)
+                    assert back.order == m.order and back.shape == m.shape
+                    assert np.array_equal(back.rows, m.rows)
+        finally:
+            reg.close()
 
 
 class TestSegmentStarts:

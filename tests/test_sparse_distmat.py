@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from repro.errors import DistributionError
 from repro.mpi import ProcGrid, SimWorld, cori_haswell, zero_cost
-from repro.sparse import DistSparseMatrix, arithmetic_semiring
+from repro.sparse import DistSparseMatrix, LocalCoo, arithmetic_semiring
+from repro.sparse import distmat
 
 
 def random_dist(grid, n, m, density=0.2, seed=0):
@@ -178,6 +179,35 @@ class TestSpgemm:
         a.spgemm(a, arithmetic_semiring())
         assert w.clock.total_seconds() > 0
         assert w.log.total_bytes(op="bcast") > 0
+
+    def test_panels_are_sorted_once_not_per_rank_step(self, monkeypatch):
+        """A phased SUMMA sorts each operand block once (2P sorts); every
+        panel a rank step receives already is in the order the local
+        kernel joins on, across all phases and stages."""
+        g = ProcGrid(SimWorld(16, zero_cost()))
+        _, a = random_dist(g, 40, 40, density=0.3, seed=15)
+        real_sorts, multiplies = [], []
+        sorted_by, spgemm_local = LocalCoo.sorted_by, distmat.spgemm_local
+
+        def counting_sorted_by(self, order="row"):
+            real_sorts.append(self.order != order)
+            return sorted_by(self, order)
+
+        def checking_spgemm_local(a_blk, b_blk, semiring):
+            multiplies.append((a_blk.order, b_blk.order))
+            return spgemm_local(a_blk, b_blk, semiring)
+
+        monkeypatch.setattr(LocalCoo, "sorted_by", counting_sorted_by)
+        monkeypatch.setattr(distmat, "spgemm_local", checking_spgemm_local)
+        phased = a.spgemm(a, arithmetic_semiring(), phases=32)
+        monkeypatch.undo()
+
+        assert len(multiplies) == 32 * g.q * g.nprocs
+        assert set(multiplies) == {("col", "row")}
+        assert sum(real_sorts) == 2 * g.nprocs
+        assert np.array_equal(
+            dense_of(phased), dense_of(a.spgemm(a, arithmetic_semiring()))
+        )
 
 
 class TestRowReduce:

@@ -1,5 +1,7 @@
 """Unit and property tests for the local SpGEMM kernel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SparseFormatError
-from repro.sparse import LocalCoo, arithmetic_semiring, count_semiring, expand_join, spgemm_local
+from repro.sparse import (
+    KMER_POS_DTYPE,
+    SEED_DTYPE,
+    LocalCoo,
+    arithmetic_semiring,
+    count_semiring,
+    expand_join,
+    seed_semiring,
+    spgemm_local,
+)
 
 
 def to_coo(m: sp.coo_matrix) -> LocalCoo:
@@ -103,3 +114,125 @@ class TestSpgemmLocal:
         if C.nnz:
             got[C.rows, C.cols] = C.vals
         assert np.allclose(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the seed semiring's slot reduction against the default sort + add_reduce
+# ---------------------------------------------------------------------------
+
+
+def kmer_block(rng, shape, nnz, max_pos):
+    """A random KMER_POS_DTYPE block; a small ``max_pos`` forces pos ties."""
+    cells = rng.choice(shape[0] * shape[1], size=min(nnz, shape[0] * shape[1]), replace=False)
+    vals = np.zeros(cells.size, dtype=KMER_POS_DTYPE)
+    vals["pos"] = rng.integers(0, max_pos, size=cells.size)
+    vals["orient"] = rng.choice([-1, 1], size=cells.size)
+    return LocalCoo(shape, cells // shape[1], cells % shape[1], vals)
+
+
+def seed_reference(a, b, exclude_diagonal):
+    """The definition, one product at a time: count the products of each
+    output cell and keep the seed of the smallest pos_a, first on ties."""
+    a, b = a.sorted_by("col"), b.sorted_by("row")
+    cells = {}
+    for ia, ib in zip(*expand_join(a.cols, b.rows)):
+        cell = (int(a.rows[ia]), int(b.cols[ib]))
+        if exclude_diagonal and cell[0] == cell[1]:
+            continue
+        count, best = cells.get(cell, (0, None))
+        if best is None or a.vals["pos"][ia] < a.vals["pos"][best[0]]:
+            best = (ia, ib)
+        cells[cell] = (count + 1, best)
+    out = np.zeros(len(cells), dtype=SEED_DTYPE)
+    for slot, cell in enumerate(sorted(cells)):
+        count, (ia, ib) = cells[cell]
+        out[slot] = (
+            count, a.vals["pos"][ia], b.vals["pos"][ib],
+            a.vals["orient"][ia] == b.vals["orient"][ib],
+        )
+    coords = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2)
+    return coords[:, 0], coords[:, 1], out
+
+
+def assert_seed_paths_agree(a, b, exclude_diagonal):
+    """Slot reduction == default path == the loop reference, field for field."""
+    default = dataclasses.replace(seed_semiring(), slot_reduce=None)
+    fast, flops = spgemm_local(a, b, seed_semiring(), exclude_diagonal)
+    slow, slow_flops = spgemm_local(a, b, default, exclude_diagonal)
+    rows, cols, vals = seed_reference(a, b, exclude_diagonal)
+    assert flops == slow_flops
+    for got in (fast, slow):
+        assert got.dtype == SEED_DTYPE
+        assert np.array_equal(got.rows, rows) and np.array_equal(got.cols, cols)
+        assert np.array_equal(got.vals, vals)
+    return fast, flops
+
+
+class TestSeedSlotReduction:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 40),
+        k=st.integers(1, 8),
+        m=st.integers(1, 40),
+        fill_a=st.floats(0.0, 1.0),
+        fill_b=st.floats(0.0, 1.0),
+        max_pos=st.sampled_from([1, 3, 1000]),
+        exclude_diagonal=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_equals_default_path(
+        self, seed, n, k, m, fill_a, fill_b, max_pos, exclude_diagonal
+    ):
+        rng = np.random.default_rng(seed)
+        a = kmer_block(rng, (n, k), int(fill_a * n * k), max_pos)
+        b = kmer_block(rng, (k, m), int(fill_b * k * m), max_pos)
+        assert_seed_paths_agree(a, b, exclude_diagonal)
+
+    @pytest.mark.parametrize(
+        "shape, nnz, dense", [((12, 3), 30, True), ((400, 50), 120, False)]
+    )
+    def test_both_sides_of_the_slot_id_choice(self, shape, nnz, dense):
+        """Few cells per product: the dense presence table; many: np.unique."""
+        from repro.sparse.spgemm import _DENSE_CELLS_PER_PRODUCT
+
+        a = kmer_block(np.random.default_rng(5), shape, nnz, 4)
+        prod, flops = assert_seed_paths_agree(a, a.transpose(), False)
+        assert prod.nnz and prod.order == "row" and (
+            shape[0] ** 2 <= _DENSE_CELLS_PER_PRODUCT * flops
+        ) == dense
+
+    def test_empty_operand(self):
+        a = kmer_block(np.random.default_rng(1), (5, 4), 10, 9)
+        empty = LocalCoo.empty((4, 5), KMER_POS_DTYPE)
+        prod, flops = assert_seed_paths_agree(a, empty, False)
+        assert prod.nnz == 0 and flops == 0
+
+    def test_no_product_sort_and_no_per_product_seed_record(self, monkeypatch):
+        """On sorted panels the seed path sorts nothing, and the only seed
+        records it forms are the winners'."""
+        a = kmer_block(np.random.default_rng(2), (30, 6), 150, 5).sorted_by("col")
+        b = a.transpose()
+        assert b.order == "row"
+        want, want_flops = spgemm_local(
+            a, b, dataclasses.replace(seed_semiring(), slot_reduce=None)
+        )
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("the seed path sorted")
+
+        seed_records = []
+        real_empty = np.empty
+
+        def spy_empty(shape, dtype=float, **kwargs):
+            if dtype == SEED_DTYPE:
+                seed_records.append(int(np.prod(shape)))
+            return real_empty(shape, dtype=dtype, **kwargs)
+
+        for name in ("lexsort", "argsort", "sort", "unique"):
+            monkeypatch.setattr(np, name, no_sort)
+        monkeypatch.setattr(np, "empty", spy_empty)
+        got, flops = spgemm_local(a, b, seed_semiring())
+        monkeypatch.undo()
+
+        assert flops == want_flops and np.array_equal(got.vals, want.vals)
+        assert seed_records == [got.nnz] and got.nnz < flops

@@ -20,8 +20,8 @@ from the overlap stage.  This module runs the whole stage on arrays:
   array arithmetic.
 * **Batched concatenation** -- cut points for every path vertex of every
   walk are derived in one pass; all read pieces are pulled out of the packed
-  buffer by a single strided gather (:func:`~repro.seq.readstore.
-  gather_pieces`-style indexing, reverse-complement folded in), and each
+  buffer by a single strided gather (:func:`~repro.util.gather_pieces`,
+  reverse-complement folded in), and each
   contig is one slice of the result.
 
 The output is **bit-identical** to the scalar reference -- same contigs in
@@ -39,9 +39,9 @@ import numpy as np
 
 from ..errors import AssemblyError
 from ..kernels import native_kernels, resolve_kernel_tier
-from ..seq.readstore import PackedReads, gather_pieces
+from ..seq.readstore import PackedReads
 from ..sparse.dcsc import Dcsc
-from ..util import cumsum0
+from ..util import cumsum0, gather_pieces
 from .induced import InducedGraph
 
 __all__ = [

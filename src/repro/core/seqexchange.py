@@ -3,11 +3,13 @@
 Sequences live outside the sparse matrix, in the packed char buffers of the
 distributed read store, so they are communicated separately: each rank packs
 the reads destined for every other rank into one contiguous byte buffer and
-the buffers move point-to-point in an all-to-all fashion.  A buffer can
-exceed MPI's 2^31 - 1 count limit; following the paper, each transfer is
-planned through :func:`~repro.mpi.bigcount.plan_transfer`, which switches to
-a user-defined contiguous datatype (count = 1) when needed.  The limit is
-injectable so tests can exercise that path.
+the buffers move in one owner-routed exchange (:meth:`SimComm.route
+<repro.mpi.comm.SimComm.route>`: the packed reads are a ragged column beside
+their ids).  A buffer can exceed MPI's 2^31 - 1 count limit; following the
+paper, each transfer is planned through
+:func:`~repro.mpi.bigcount.plan_transfer`, which switches to a user-defined
+contiguous datatype (count = 1) when needed.  The limit is injectable so
+tests can exercise that path.
 
 The assignment vector **p** is aligned with the read-store layout (both are
 P-way block distributions over read ids), so no extra communication is
@@ -49,61 +51,39 @@ def exchange_sequences(
     """Send every read to the rank its contig was assigned to.
 
     Reads whose assignment is -1 (masked branch vertices, contained reads,
-    singletons) are not needed by any local assembly and are dropped.
+    singletons) are not needed by any local assembly and are dropped; any
+    other value outside ``[0, P)`` is a :class:`DistributionError`.
     Received shards are id-sorted so lookups can bisect.
     """
-    grid, world = reads.grid, reads.grid.world
-    P = grid.nprocs
+    world, P = reads.grid.world, reads.grid.nprocs
     if p.n != reads.nreads:
         raise DistributionError(
             f"assignment vector length {p.n} != read count {reads.nreads}"
         )
-
-    send: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
-        [None] * P for _ in range(P)
-    ]
-    plans: list[TransferPlan] = []
-    total_bytes = 0
-    for r in range(P):
-        shard = reads.shards[r]
+    dests, packed, plans = [], [], []
+    for r, shard in enumerate(reads.shards):
         dest = np.asarray(p.blocks[r], dtype=np.int64)
         if dest.size != shard.count:
             raise DistributionError(
                 f"rank {r}: assignment block ({dest.size}) does not align "
                 f"with read shard ({shard.count})"
             )
-        for o in range(P):
-            mine = np.flatnonzero(dest == o)
-            packed = shard.select(mine)
-            send[r][o] = (packed.buffer, packed.offsets, packed.ids)
-            if o != r and packed.buffer.size:
-                plan = plan_transfer(int(packed.buffer.size), count_limit)
-                plans.append(plan)
-                total_bytes += plan.nbytes
-        world.charge_compute(r, shard.total_bases)
-    recv = world.comm.alltoall(send)
-
-    shards: list[PackedReads] = []
-    for rank in range(P):
-        buffers, lengths, ids = [], [], []
-        for src in range(P):
-            buf, offs, rid = recv[rank][src]
-            if rid.size:
-                buffers.append(buf)
-                lengths.append(np.diff(offs))
-                ids.append(rid)
-        if not ids:
-            shards.append(PackedReads.empty())
-            continue
-        all_ids = np.concatenate(ids)
-        all_lengths = np.concatenate(lengths)
-        big = np.concatenate(buffers)
-        offsets = np.zeros(all_ids.size + 1, dtype=np.int64)
-        np.cumsum(all_lengths, out=offsets[1:])
-        order = np.argsort(all_ids, kind="stable")
-        pieces = [big[offsets[i] : offsets[i + 1]] for i in order]
-        shards.append(PackedReads.from_codes(pieces, all_ids[order]))
-        world.charge_compute(rank, int(big.size))
-    return SequenceExchangeResult(
-        shards=shards, plans=plans, total_bytes=total_bytes
+        if dest.size and not (-1 <= dest.min() and dest.max() < P):
+            raise DistributionError(f"rank {r}: contig assignment outside [-1, {P})")
+        needed = np.flatnonzero(dest >= 0)
+        dests.append(dest[needed])
+        packed.append(shard.select(needed))
+        # one buffer per destination rank, planned under the count limit
+        bases = np.bincount(dest[needed], shard.lengths()[needed], minlength=P)
+        bases[r] = 0
+        plans += [plan_transfer(int(n), count_limit) for n in bases[bases > 0]]
+    plan = world.comm.route(dests)
+    world.charge_compute_all([shard.total_bases for shard in reads.shards])
+    ids, seqs = plan.send(
+        [s.ids for s in packed], [(s.buffer, s.offsets) for s in packed]
     )
+    # ranks own ascending id ranges and rows arrive grouped by source rank,
+    # each sender's order kept: every received shard is already id-sorted
+    shards = [PackedReads(*seq, i) for seq, i in zip(seqs, ids)]
+    world.charge_compute_all([shard.total_bases for shard in shards])
+    return SequenceExchangeResult(shards, plans, sum(t.nbytes for t in plans))

@@ -19,11 +19,11 @@ buffers as owned data.
 The move every distributed data structure here is built from -- *compute
 locally, send each row to the rank that owns it, sometimes answer back* --
 is :meth:`SimComm.route`: the caller names a destination rank per row, and
-the returned :class:`RoutePlan` sends any number of row-aligned NumPy
-columns in one ``alltoallv`` (``send``) and returns answers in request
-order (``reply``).  ``alltoall`` is the generic-object form of the same
-collective, kept for the ragged packed-read payloads and as the reference
-the route tests compare against.
+the returned :class:`RoutePlan` sends any number of row-aligned columns
+-- NumPy arrays, or ragged ``(values, offsets)`` pairs such as packed reads
+-- in one ``alltoallv`` (``send``) and returns answers in request order
+(``reply``).  ``alltoall`` is the generic-object form of the same
+collective, kept as the reference the route tests compare against.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import CommunicatorError
 from ..telemetry.metrics import get_registry
-from ..util import cumsum0
+from ..util import cumsum0, gather_pieces
 from .costmodel import MachineModel, zero_cost
 from .executor import (
     Executor,
@@ -644,6 +644,11 @@ class RoutePlan:
     sometimes answer back*: a stable sort by destination per rank groups
     the rows, and a P x P count matrix says how many go where -- from it
     follow both the slices to move and the bytes to charge.
+
+    A column is, per rank, an array with one row per destination or -- a
+    *ragged* column, for rows of varying length such as packed reads -- a
+    ``(values, offsets)`` tuple with row ``k`` at
+    ``values[offsets[k]:offsets[k + 1]]``; it is received in the same form.
     """
 
     __slots__ = ("comm", "counts", "_perms")
@@ -674,17 +679,43 @@ class RoutePlan:
         self._perms = perms
 
     def _record(
-        self, columns: Sequence[Sequence[np.ndarray]], counts: np.ndarray
-    ) -> list[list[np.ndarray]]:
+        self, columns: Sequence[Sequence[Any]], counts: np.ndarray, perms: Any
+    ) -> list[Any]:
         """Validate ``columns`` against ``counts`` and record the event
         :meth:`SimComm.alltoall` records for the same rows: every sender's
-        off-diagonal row count times its bytes per row."""
+        off-diagonal row count times its bytes per row, plus, per ragged
+        column, the values of those rows and one offsets array per message.
+        ``perms`` puts each sender's rows in destination order (``None``:
+        they are); a ragged column comes back in that order."""
         comm = self.comm
         rows = counts.sum(axis=1)
-        row_bytes = np.zeros(comm.size, dtype=np.int64)
-        checked = []
+        away = rows - counts.diagonal()
+        row_bytes, ragged_bytes = np.zeros((2, comm.size), dtype=np.int64)
+        checked: list[Any] = []
         for col in columns:
             comm._check_input(col, "route column")
+            if isinstance(col[0], tuple):
+                values, lengths, nvals = [], [], np.empty_like(counts)
+                for r, (v, o) in enumerate(col):
+                    v, o = np.asarray(v), np.asarray(o)
+                    if (
+                        o.shape != (rows[r] + 1,)
+                        or (o[0], o[-1]) != (0, len(v))
+                        or (np.diff(o) < 0).any()
+                    ):
+                        raise CommunicatorError(
+                            f"route: rank {r} ragged column needs {rows[r] + 1} "
+                            f"non-decreasing offsets spanning its {len(v)} values"
+                        )
+                    ragged_bytes[r] += (away[r] + comm.size - 1) * o.itemsize
+                    if perms is not None:
+                        v, o = gather_pieces(v, o[perms[r]], np.diff(o)[perms[r]])
+                    nvals[r] = np.diff(o[cumsum0(counts[r])])
+                    ragged_bytes[r] += (len(v) - nvals[r, r]) * v.itemsize
+                    values.append(v)
+                    lengths.append(np.diff(o))
+                checked.append((values, lengths, nvals))
+                continue
             col = [np.asarray(a) for a in col]
             for r, a in enumerate(col):
                 if a.shape[:1] != (rows[r],):
@@ -694,13 +725,23 @@ class RoutePlan:
                     )
                 row_bytes[r] += a.dtype.itemsize * math.prod(a.shape[1:])
             checked.append(col)
-        sent = (rows - counts.diagonal()) * row_bytes
+        sent = away * row_bytes + ragged_bytes
         comm._charge(
             "alltoallv", int(sent.sum()), int(sent.max()), comm.size * (comm.size - 1)
         )
         return checked
 
-    def send(self, *columns: Sequence[np.ndarray]) -> tuple[list[np.ndarray], ...]:
+    @staticmethod
+    def _move(col: Any, counts: np.ndarray, perms: Any) -> Iterator[Any]:
+        """One checked column, receiver by receiver."""
+        if isinstance(col, list):
+            if perms is not None:
+                col = [a[p] for a, p in zip(col, perms)]
+            return _regroup(col, counts)
+        values, lengths, nvals = col
+        return zip(_regroup(values, nvals), map(cumsum0, _regroup(lengths, counts)))
+
+    def send(self, *columns: Sequence[Any]) -> tuple[list[Any], ...]:
         """Move row-aligned columns to their destinations in one event.
 
         ``columns[c][r]`` holds one row (first axis) per destination of
@@ -709,18 +750,25 @@ class RoutePlan:
         with each sender's order kept.
         """
         return tuple(
-            list(_regroup([a[p] for a, p in zip(col, self._perms)], self.counts))
-            for col in self._record(columns, self.counts)
+            list(self._move(col, self.counts, self._perms))
+            for col in self._record(columns, self.counts, self._perms)
         )
 
-    def reply(self, answers: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def reply(self, answers: Sequence[Any]) -> list[Any]:
         """The trip back: ``answers[o]`` holds one row per row receiver
         ``o`` got from :meth:`send`, in that order.  Returns, per original
         sender, the answers to its rows in its own row order."""
         back = self.counts.T
-        (answers,) = self._record((answers,), back)
+        (answers,) = self._record((answers,), back, None)
         out = []
-        for flat, perm in zip(_regroup(answers, back), self._perms):
+        for flat, perm in zip(self._move(answers, back, None), self._perms):
+            if isinstance(flat, tuple):
+                values, offsets = flat
+                asked = np.argsort(perm)
+                out.append(
+                    gather_pieces(values, offsets[asked], np.diff(offsets)[asked])
+                )
+                continue
             restored = np.empty_like(flat)
             restored[perm] = flat
             out.append(restored)

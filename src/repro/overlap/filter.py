@@ -251,7 +251,6 @@ def build_overlap_graph(
 ) -> tuple[DistSparseMatrix, AlignmentStats]:
     """Align candidates and return the pruned overlap graph R plus stats."""
     grid, world = C.grid, C.grid.world
-    P = grid.nprocs
     stats = AlignmentStats()
 
     # upper triangle only: each unordered pair aligned exactly once;
@@ -260,15 +259,9 @@ def build_overlap_graph(
     tasks = _redistribute_tasks(upper)
 
     # which reads does each rank need for its tasks?
-    requests = []
-    for rank in range(P):
-        gi, gj, _ = tasks[rank]
-        requests.append(
-            np.unique(np.concatenate([gi, gj]))
-            if gi.size
-            else np.empty(0, dtype=np.int64)
-        )
-    fetched = reads.fetch(requests)
+    fetched = reads.fetch(
+        [np.unique(np.concatenate([gi, gj])) for gi, gj, _seeds in tasks]
+    )
 
     # per-rank batched alignment: each rank's tasks go through the batch
     # engine in `params.batch_size` chunks.  The superstep runs through the

@@ -18,49 +18,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import SequenceError
-from ..mpi.comm import block_range  # noqa: F401  (re-exported for callers)
 from ..mpi.grid import ProcGrid
+from ..util import gather_pieces
 from . import dna
 
-__all__ = ["PackedReads", "DistReadStore", "gather_pieces"]
-
-
-def gather_pieces(
-    buffer: np.ndarray,
-    base: np.ndarray,
-    lengths: np.ndarray,
-    sign: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate strided buffer pieces in one gather.
-
-    Piece ``i`` is ``buffer[base[i] + sign[i] * t]`` for ``t < lengths[i]``
-    (``sign`` defaults to all ``+1``); returns ``(codes, offsets)`` where
-    piece ``i`` occupies ``codes[offsets[i]:offsets[i+1]]``.  This is the
-    array form of the per-read slice loop: one index build and one fancy
-    gather instead of O(pieces) Python slices -- the pattern both
-    :meth:`PackedReads.select` and the batched contig concatenation use.
-    """
-    base = np.asarray(base, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    # int32 indices halve the gather's memory traffic; int64 only when the
-    # pool or the expanded index stream could overflow them
-    idtype = np.int32 if max(buffer.size, total) < (1 << 31) - 1 else np.int64
-    # piece i's element j reads base[i] + sign[i]*(j - offsets[i]): folding
-    # the per-piece constant into one repeat keeps this at two expansions
-    if sign is None:
-        idx = np.repeat((base - offsets[:-1]).astype(idtype), lengths)
-        idx += np.arange(total, dtype=idtype)
-    else:
-        sign = np.asarray(sign)
-        idx = np.repeat(sign.astype(idtype), lengths)
-        idx *= np.arange(total, dtype=idtype)
-        idx += np.repeat(
-            (base - sign * offsets[:-1]).astype(idtype), lengths
-        )
-    return buffer[idx], offsets
+__all__ = ["PackedReads", "DistReadStore"]
 
 
 class PackedReads:
@@ -135,9 +97,6 @@ class PackedReads:
     @property
     def total_bases(self) -> int:
         return int(self.buffer.size)
-
-    def length_of(self, local_index: int) -> int:
-        return int(self.offsets[local_index + 1] - self.offsets[local_index])
 
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -250,48 +209,30 @@ class DistReadStore:
         return self.shards[owner].codes(self.shards[owner].index_of(read_id))
 
     def fetch(self, requests: list[np.ndarray]) -> list[PackedReads]:
-        """Distributed fetch: rank r receives the reads ``requests[r]``.
+        """Distributed fetch: rank r receives the reads ``requests[r]``, each
+        once and in id order (ids outside the store: :class:`SequenceError`).
 
-        Request ids are routed to owner ranks with one all-to-all; owners
-        slice their packed buffers and reply with packed shards (second
-        all-to-all).  Used by the alignment stage, where each rank needs the
-        sequences behind its block's candidate overlap pairs.
+        One owner-routed exchange: request ids go to the owner ranks, each
+        cuts them out of its packed buffer in one ``select`` and replies
+        with a ragged column.  Used by the alignment stage, where each rank
+        needs the sequences behind its block's candidate overlap pairs.
         """
-        grid = self.grid
-        world = grid.world
-        P = grid.nprocs
-        send: list[list[np.ndarray]] = [[None] * P for _ in range(P)]
-        for r in range(P):
-            ids = np.unique(np.asarray(requests[r], dtype=np.int64))
-            owner = np.asarray(self.owner_of(ids))
-            for o in range(P):
-                send[r][o] = ids[owner == o]
-            world.charge_compute(r, ids.size)
-        recv = world.comm.alltoall(send)
-        reply: list[list[PackedReads]] = [[None] * P for _ in range(P)]
-        for o in range(P):
-            shard = self.shards[o]
-            lo, _hi = grid.vec_block(self.nreads, o)
-            for r in range(P):
-                ids = recv[o][r]
-                reply[o][r] = shard.select(ids - lo)
-            world.charge_compute(o, sum(a.size for a in recv[o]))
-        answers = world.comm.alltoall(reply)
-        out = []
-        for r in range(P):
-            pieces = [p for p in answers[r] if p.count]
-            if not pieces:
-                out.append(PackedReads.empty())
-                continue
-            buffer = np.concatenate([p.buffer for p in pieces])
-            lengths = np.concatenate([p.lengths() for p in pieces])
-            ids = np.concatenate([p.ids for p in pieces])
-            order = np.argsort(ids, kind="stable")
-            # repack in id order so index_of can bisect
-            offsets = np.zeros(ids.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            reordered = [
-                buffer[offsets[i] : offsets[i + 1]] for i in order
-            ]
-            out.append(PackedReads.from_codes(reordered, ids[order]))
-        return out
+        world = self.grid.world
+        wanted = []
+        for r, ids in enumerate(requests):
+            ids = np.asarray(ids, dtype=np.int64)
+            if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+                ids = np.unique(ids)
+            if ids.size and not (0 <= ids[0] and ids[-1] < self.nreads):
+                raise SequenceError(
+                    f"fetch: rank {r} requests a read outside [0, {self.nreads})"
+                )
+            wanted.append(ids)
+        plan = world.comm.route(self.owner_of(ids) for ids in wanted)
+        world.charge_compute_all([ids.size for ids in wanted])
+        (asked,) = plan.send(wanted)
+        # ascending ids have ascending owners: answers arrive id-sorted
+        picked = [s.select(s.indices_of(ids)) for s, ids in zip(self.shards, asked)]
+        world.charge_compute_all([ids.size for ids in asked])
+        answers = plan.reply([(s.buffer, s.offsets) for s in picked])
+        return [PackedReads(*seqs, ids) for seqs, ids in zip(answers, wanted)]

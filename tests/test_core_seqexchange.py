@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import exchange_sequences
+from repro.core import SequenceExchangeResult, exchange_sequences
 from repro.errors import DistributionError
-from repro.seq import DistReadStore, dna
+from repro.mpi import ProcGrid, SimWorld, cori_haswell
+from repro.mpi.bigcount import MPI_COUNT_LIMIT, plan_transfer
+from repro.seq import DistReadStore, PackedReads, dna
 from repro.sparse import DistVector
 
 
@@ -52,6 +54,19 @@ class TestExchange:
         with pytest.raises(DistributionError):
             exchange_sequences(store, p)
 
+    @pytest.mark.parametrize("bad", [4, 7, -2])
+    def test_assignment_outside_the_ranks_rejected(self, grid4, bad):
+        """``-1`` means "needed by no local assembly"; any other value
+        outside ``[0, P)`` used to drop the read silently."""
+        reads, store = make_store(grid4, n=10)
+        assignment = np.arange(10, dtype=np.int64) % 4
+        assignment[6] = bad  # read 6 lives on rank 2
+        p = DistVector.from_global(grid4, assignment)
+        with pytest.raises(DistributionError, match="rank 2"):
+            exchange_sequences(store, p)
+        assert len(grid4.world.log) == 0
+        assert grid4.world.clock.total_seconds() == 0.0
+
 
 class TestCountLimit:
     def test_small_limit_triggers_contiguous_datatype(self, grid4):
@@ -96,3 +111,110 @@ class TestCountLimit:
                 if rid % 4 != r:
                     moved += len(reads[rid])
         assert result.total_bytes == moved
+
+
+def _exchange_reference(reads, p, count_limit=MPI_COUNT_LIMIT):
+    """``exchange_sequences`` as it was before it moved onto
+    ``SimComm.route``: P x P ``select``s, one hand-split ``alltoall`` and a
+    per-read repack.  Kept verbatim as the oracle."""
+    grid, world = reads.grid, reads.grid.world
+    P = grid.nprocs
+    if p.n != reads.nreads:
+        raise DistributionError(
+            f"assignment vector length {p.n} != read count {reads.nreads}"
+        )
+
+    send = [[None] * P for _ in range(P)]
+    plans = []
+    total_bytes = 0
+    for r in range(P):
+        shard = reads.shards[r]
+        dest = np.asarray(p.blocks[r], dtype=np.int64)
+        if dest.size != shard.count:
+            raise DistributionError(
+                f"rank {r}: assignment block ({dest.size}) does not align "
+                f"with read shard ({shard.count})"
+            )
+        for o in range(P):
+            mine = np.flatnonzero(dest == o)
+            packed = shard.select(mine)
+            send[r][o] = (packed.buffer, packed.offsets, packed.ids)
+            if o != r and packed.buffer.size:
+                plan = plan_transfer(int(packed.buffer.size), count_limit)
+                plans.append(plan)
+                total_bytes += plan.nbytes
+        world.charge_compute(r, shard.total_bases)
+    recv = world.comm.alltoall(send)
+
+    shards = []
+    for rank in range(P):
+        buffers, lengths, ids = [], [], []
+        for src in range(P):
+            buf, offs, rid = recv[rank][src]
+            if rid.size:
+                buffers.append(buf)
+                lengths.append(np.diff(offs))
+                ids.append(rid)
+        if not ids:
+            shards.append(PackedReads.empty())
+            continue
+        all_ids = np.concatenate(ids)
+        all_lengths = np.concatenate(lengths)
+        big = np.concatenate(buffers)
+        offsets = np.zeros(all_ids.size + 1, dtype=np.int64)
+        np.cumsum(all_lengths, out=offsets[1:])
+        order = np.argsort(all_ids, kind="stable")
+        pieces = [big[offsets[i] : offsets[i + 1]] for i in order]
+        shards.append(PackedReads.from_codes(pieces, all_ids[order]))
+        world.charge_compute(rank, int(big.size))
+    return SequenceExchangeResult(
+        shards=shards, plans=plans, total_bytes=total_bytes
+    )
+
+
+@pytest.mark.parametrize("P", [1, 4, 9, 16])
+@pytest.mark.parametrize("nreads", [0, 3, 60])
+def test_exchange_matches_the_hand_split_reference(P, nreads):
+    """Same shards, plans and bytes, the same single event and clocks."""
+    rng = np.random.default_rng(P * 11 + nreads)
+    reads = [dna.random_codes(rng, int(rng.integers(0, 30))) for _ in range(nreads)]
+    assignment = rng.integers(-1, P, size=nreads).astype(np.int64)
+    store, twin_store = (
+        DistReadStore.from_global(ProcGrid(SimWorld(P, cori_haswell())), reads)
+        for _ in range(2)
+    )
+    got, want = (
+        fn(s, DistVector.from_global(s.grid, assignment.copy()), count_limit=16)
+        for fn, s in ((exchange_sequences, store), (_exchange_reference, twin_store))
+    )
+    for g, w in zip(got.shards, want.shards):
+        for name in ("buffer", "offsets", "ids"):
+            assert getattr(g, name).dtype == getattr(w, name).dtype
+            assert np.array_equal(getattr(g, name), getattr(w, name))
+    assert got.plans == want.plans
+    assert got.total_bytes == want.total_bytes
+    world, twin = store.grid.world, twin_store.grid.world
+    assert len(world.log) == len(twin.log) == 1
+    assert world.log.events == twin.log.events
+    assert np.array_equal(
+        world.clock.per_rank_seconds("default"), twin.clock.per_rank_seconds("default")
+    )
+
+
+def test_read_transports_select_once_per_rank(monkeypatch):
+    """A structural guard, not a timing: one ``fetch`` plus one
+    ``exchange_sequences`` cut each rank's packed buffer once -- the
+    hand-split versions called ``select`` 2 P^2 times."""
+    P = 64
+    rng = np.random.default_rng(64)
+    reads = [dna.random_codes(rng, int(rng.integers(5, 30))) for _ in range(150)]
+    store = DistReadStore.from_global(ProcGrid(SimWorld(P, cori_haswell())), reads)
+    p = DistVector.from_global(store.grid, rng.integers(-1, P, size=150))
+    calls = []
+    select = PackedReads.select
+    monkeypatch.setattr(
+        PackedReads, "select", lambda self, idx: calls.append(1) or select(self, idx)
+    )
+    store.fetch([rng.integers(0, 150, size=8) for _ in range(P)])
+    exchange_sequences(store, p)
+    assert 0 < len(calls) <= 2 * P

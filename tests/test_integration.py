@@ -195,6 +195,18 @@ class TestScalingBehaviour:
             times[p] = res.modeled_total
         assert times[4] < times[1]
 
+    def test_same_contigs_at_the_largest_p(self):
+        """P = 256 on the c_elegans bench preset (1070 reads): the first run
+        in which most ranks own fewer than five reads."""
+        from repro.bench import build_bench_dataset
+
+        ds = build_bench_dataset("c_elegans")
+        digests = {
+            p: Pipeline.default().run(ds.readset, ds.config(p, "cori-haswell")).contig_digest()
+            for p in (16, 256)
+        }
+        assert digests[256] == digests[16]
+
     def test_induced_subgraph_dominates_contig_phase(self):
         """§6.1: the induced subgraph function takes the bulk of contig
         generation; local assembly is a small fraction."""

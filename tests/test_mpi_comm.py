@@ -6,6 +6,7 @@ import pytest
 from repro.errors import CommunicatorError
 from repro.mpi import SimWorld, block_owner, block_range, block_sizes, cori_haswell, payload_nbytes, zero_cost
 from repro.sparse.types import SEED_DTYPE
+from repro.util import cumsum0
 
 
 class TestBlockDistribution:
@@ -240,6 +241,48 @@ def _route_columns(dests, rng):
     return ids, seeds, boxes
 
 
+def _ragged_column(dests, rng):
+    """A ragged ``(values, offsets)`` column per rank: uint8 rows of 0-5
+    values (zero-length rows included)."""
+    col = []
+    for d in dests:
+        offsets = cumsum0(rng.integers(0, 6, size=d.size))
+        col.append((rng.integers(0, 4, size=offsets[-1]).astype(np.uint8), offsets))
+    return col
+
+
+def _rows(entry, mask):
+    """The hand split: the rows of one rank's column entry under ``mask``."""
+    if not isinstance(entry, tuple):
+        return entry[mask]
+    values, offsets = entry
+    picked = [values[offsets[k] : offsets[k + 1]] for k in np.flatnonzero(mask)]
+    return (
+        np.concatenate(picked + [values[:0]]),
+        cumsum0([len(row) for row in picked]),
+    )
+
+
+def _joined(cells):
+    """What a receiver holds after concatenating its P incoming cells."""
+    if not isinstance(cells[0], tuple):
+        return np.concatenate(cells)
+    return (
+        np.concatenate([values for values, _ in cells]),
+        cumsum0(np.concatenate([np.diff(offsets) for _, offsets in cells])),
+    )
+
+
+def _assert_same(got, want):
+    """Equal arrays, or equal ``(values, offsets)`` pairs, dtype included."""
+    if not isinstance(want, tuple):
+        got, want = (got,), (want,)
+    assert isinstance(got, tuple) and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def _event_fields(world):
     e = world.log.events[-1]
     return (e.op, e.stage, e.nprocs, e.total_bytes, e.max_bytes, e.messages,
@@ -263,14 +306,17 @@ class TestRouteAgainstAlltoall:
         assert np.array_equal(
             plan.counts, [np.bincount(d, minlength=P) for d in dests]
         )
-        for columns in (
+        column_sets = (
             _route_columns(dests, rng)[:1],  # one column
             _route_columns(dests, rng)[1:],  # structured + 2-D in one send
             _route_columns(dests, rng),  # all three in one send
-        ):
+            (_ragged_column(dests, rng),),  # a ragged column alone
+            (_route_columns(dests, rng)[0], _ragged_column(dests, rng)),
+        )
+        for columns in column_sets:
             got = plan.send(*columns)
             cells = [
-                [tuple(col[r][dests[r] == o] for col in columns) for o in range(P)]
+                [tuple(_rows(col[r], dests[r] == o) for col in columns) for o in range(P)]
                 for r in range(P)
             ]
             recv = twin.comm.alltoall(cells)
@@ -279,10 +325,10 @@ class TestRouteAgainstAlltoall:
             for c, per_receiver in enumerate(got):
                 assert len(per_receiver) == P
                 for o in range(P):
-                    want = np.concatenate([recv[o][r][c] for r in range(P)])
-                    assert per_receiver[o].dtype == want.dtype
-                    assert np.array_equal(per_receiver[o], want)
-        assert len(world.log) == len(twin.log) == 3
+                    _assert_same(
+                        per_receiver[o], _joined([recv[o][r][c] for r in range(P)])
+                    )
+        assert len(world.log) == len(twin.log) == len(column_sets)
 
     def test_reply_restores_request_order(self, P, scenario):
         rng = np.random.default_rng(P * 17 + len(scenario))
@@ -303,6 +349,28 @@ class TestRouteAgainstAlltoall:
                 [(keys[r][dests[r] == o] * 7).astype(np.int32) for r in range(P)]
                 for o in range(P)
             ]
+        )
+        assert _event_fields(world) == _event_fields(twin)
+
+    def test_ragged_reply_restores_request_order(self, P, scenario):
+        """Key ``k`` is answered with ``k % 4`` copies of ``k`` (so some
+        answers are empty rows, and duplicate keys get equal rows)."""
+
+        def answer(keys):
+            lengths = keys % 4
+            return np.repeat(keys, lengths).astype(np.uint16), cumsum0(lengths)
+
+        rng = np.random.default_rng(P * 13 + len(scenario))
+        world, twin = SimWorld(P, cori_haswell()), SimWorld(P, cori_haswell())
+        dests = _route_case(P, scenario, rng)
+        keys = [d * 3 + rng.integers(0, 3, size=d.size) for d in dests]
+        plan = world.comm.route(dests)
+        (asked,) = plan.send(keys)
+        got = plan.reply([answer(a) for a in asked])
+        for key, ans in zip(keys, got):
+            _assert_same(ans, answer(key))
+        twin.comm.alltoall(
+            [[answer(keys[r][dests[r] == o]) for r in range(P)] for o in range(P)]
         )
         assert _event_fields(world) == _event_fields(twin)
 
@@ -345,6 +413,22 @@ class TestRouteValidation:
         plan.send(good)
         plan.reply([np.zeros(1), np.zeros(2), np.zeros(2), np.zeros(1)])
         assert len(world.log) == 2
+
+    def test_wrong_ragged_offsets(self):
+        """A ragged entry needs one offset more than the rank has rows,
+        non-decreasing from 0 to the number of values."""
+        world = SimWorld(4, cori_haswell())
+        plan = self._plan(world)
+        values = np.zeros(6, np.uint8)
+        flat = lambda n: (values[:0], np.zeros(n + 1, np.int64))  # noqa: E731
+        for bad in ([0, 2, 6], [0, 1, 2, 6, 6], [1, 2, 4, 6], [0, 2, 4, 5], [0, 4, 2, 6]):
+            with pytest.raises(CommunicatorError, match="offsets"):
+                plan.send([(values, np.array(bad)), flat(1), flat(0), flat(2)])
+        with pytest.raises(CommunicatorError, match="offsets"):
+            plan.reply([flat(1), flat(2), (values, np.array([0, 6])), flat(1)])
+        assert len(world.log) == 0
+        plan.send([(values, np.array([0, 2, 4, 6])), flat(1), flat(0), flat(2)])
+        assert len(world.log) == 1
 
     def test_not_inside_a_rank_step(self):
         world = SimWorld(4, zero_cost())

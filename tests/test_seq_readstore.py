@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SequenceError
+from repro.mpi import ProcGrid, SimWorld, cori_haswell
 from repro.seq import DistReadStore, PackedReads, dna
-from repro.seq.readstore import gather_pieces
+from repro.util import gather_pieces
 
 
 class TestPackedReads:
@@ -153,6 +154,18 @@ class TestDistReadStore:
         )
         assert fetched[0].count == 1
 
+    @pytest.mark.parametrize("bad", [-1, 23, 40])
+    def test_fetch_rejects_ids_outside_the_store(self, grid4, bad):
+        """Raised before anything is recorded or charged (the hand-split
+        fetch returned empty shards and recorded two events)."""
+        store = DistReadStore.from_global(grid4, self._reads())
+        requests = [np.array([1, 2]), np.empty(0, np.int64), np.array([5, bad]),
+                    np.array([0])]
+        with pytest.raises(SequenceError, match="rank 2"):
+            store.fetch(requests)
+        assert len(grid4.world.log) == 0
+        assert grid4.world.clock.total_seconds() == 0.0
+
     def test_lengths_and_total(self, grid4):
         reads = self._reads()
         store = DistReadStore.from_global(grid4, reads)
@@ -160,3 +173,82 @@ class TestDistReadStore:
         assert np.array_equal(
             store.lengths_global(), np.array([len(r) for r in reads])
         )
+
+
+def _fetch_reference(self, requests):
+    """``DistReadStore.fetch`` as it was before it moved onto
+    ``SimComm.route``: two hand-split ``alltoall``s, P x P ``select``s and a
+    per-read repack.  Kept verbatim as the oracle (it also returns the reply
+    cells, whose ``(buffer, offsets)`` are what the new reply is charged for).
+    """
+    grid = self.grid
+    world = grid.world
+    P = grid.nprocs
+    send = [[None] * P for _ in range(P)]
+    for r in range(P):
+        ids = np.unique(np.asarray(requests[r], dtype=np.int64))
+        owner = np.asarray(self.owner_of(ids))
+        for o in range(P):
+            send[r][o] = ids[owner == o]
+        world.charge_compute(r, ids.size)
+    recv = world.comm.alltoall(send)
+    reply = [[None] * P for _ in range(P)]
+    for o in range(P):
+        shard = self.shards[o]
+        lo, _hi = grid.vec_block(self.nreads, o)
+        for r in range(P):
+            ids = recv[o][r]
+            reply[o][r] = shard.select(ids - lo)
+        world.charge_compute(o, sum(a.size for a in recv[o]))
+    answers = world.comm.alltoall(reply)
+    out = []
+    for r in range(P):
+        pieces = [p for p in answers[r] if p.count]
+        if not pieces:
+            out.append(PackedReads.empty())
+            continue
+        buffer = np.concatenate([p.buffer for p in pieces])
+        lengths = np.concatenate([p.lengths() for p in pieces])
+        ids = np.concatenate([p.ids for p in pieces])
+        order = np.argsort(ids, kind="stable")
+        # repack in id order so index_of can bisect
+        offsets = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        reordered = [buffer[offsets[i] : offsets[i + 1]] for i in order]
+        out.append(PackedReads.from_codes(reordered, ids[order]))
+    return out, reply
+
+
+@pytest.mark.parametrize("P", [1, 4, 9, 16])
+@pytest.mark.parametrize("nreads", [0, 3, 60])
+def test_fetch_matches_the_hand_split_reference(P, nreads):
+    """Same shards, same request event, same compute; the reply event is
+    what ``alltoall`` records for per-message ``(buffer, offsets)``."""
+    rng = np.random.default_rng(P * 7 + nreads)
+    # reads of length 0 included; unsorted requests with duplicates, and
+    # some ranks asking for nothing
+    reads = [dna.random_codes(rng, int(rng.integers(0, 30))) for _ in range(nreads)]
+    requests = [
+        rng.integers(0, nreads, size=rng.integers(0, 25) if nreads and r % 3 else 0)
+        for r in range(P)
+    ]
+    store, twin_store = (
+        DistReadStore.from_global(ProcGrid(SimWorld(P, cori_haswell())), reads)
+        for _ in range(2)
+    )
+    got = store.fetch(requests)
+    want, reply = _fetch_reference(twin_store, requests)
+    for g, w in zip(got, want):
+        for name in ("buffer", "offsets", "ids"):
+            assert getattr(g, name).dtype == getattr(w, name).dtype
+            assert np.array_equal(getattr(g, name), getattr(w, name))
+    world, twin = store.grid.world, twin_store.grid.world
+    assert len(world.log) == len(twin.log) == 2
+    assert world.log.events[0] == twin.log.events[0]
+    assert world.clock.stage_compute_seconds("default") == (
+        twin.clock.stage_compute_seconds("default")
+    )
+    twin.comm.alltoall(
+        [[(cell.buffer, cell.offsets) for cell in row] for row in reply]
+    )
+    assert world.log.events[1] == twin.log.events[2]

@@ -10,10 +10,10 @@ the assembly at repeat boundaries), then:
 
 1. **polishes** the contigs -- each contig's reads vote per column,
    correcting the single-read errors that verbatim concatenation inherits;
-2. **scaffolds** the polished contigs -- the contig set is re-fed through
-   the same sparse-matrix OLC machinery (k-mer seeding, SpGEMM candidates,
-   x-drop alignment, transitive reduction, Algorithm 2 walk) and adjacent
-   contigs merge into longer sequences;
+2. **scaffolds** the polished contigs -- each round is one run of the
+   pipeline itself (k-mer seeding, SpGEMM candidates, x-drop alignment,
+   transitive reduction, Algorithm 2 walk) over the contig set, and
+   adjacent contigs merge into longer sequences;
 3. scores all three assemblies (raw / polished / scaffolded) against the
    reference, showing completeness holding while contig count drops and
    the longest contig grows -- exactly the effect the paper attributes to

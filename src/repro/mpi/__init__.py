@@ -6,7 +6,7 @@ the collectives the paper names (:class:`SimComm`), the sqrt(P) x sqrt(P)
 process grid (:class:`ProcGrid`), machine cost models, and instrumentation.
 """
 
-from .bigcount import MPI_COUNT_LIMIT, TransferPlan, chunk_buffer, plan_transfer, reassemble
+from .bigcount import MPI_COUNT_LIMIT, TransferPlan, plan_transfer
 from .comm import (
     RoutePlan,
     SimComm,
@@ -70,8 +70,6 @@ __all__ = [
     "MPI_COUNT_LIMIT",
     "TransferPlan",
     "plan_transfer",
-    "chunk_buffer",
-    "reassemble",
     "payload_nbytes",
     "block_range",
     "block_sizes",

@@ -6,31 +6,20 @@ large dataset's packed char buffers can exceed this, and ELBA's fix: build a
 *user-defined contiguous MPI datatype whose size equals the buffer length*,
 so the whole buffer still moves in a single call with ``count == 1``.
 
-This module reproduces both strategies over simulated byte buffers:
-
-* :func:`plan_transfer` -- decide how a buffer of ``nbytes`` is shipped under
-  a given count limit, returning the message layout (the paper's contiguous-
-  datatype trick keeps it to one message);
-* :func:`chunk_buffer` / :func:`reassemble` -- the naive alternative that
-  splits the buffer into limit-sized chunks, kept for the ablation test that
-  shows both strategies are byte-identical.
-
-The limit is injectable so tests can exercise the >2 GiB code path with tiny
-buffers.
+:func:`plan_transfer` reproduces that decision over simulated byte buffers:
+it returns how a buffer of ``nbytes`` is shipped under a given count limit
+(the contiguous-datatype trick keeps it to one message).  The limit is
+injectable so tests can exercise the >2 GiB code path with tiny buffers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "MPI_COUNT_LIMIT",
     "TransferPlan",
     "plan_transfer",
-    "chunk_buffer",
-    "reassemble",
 ]
 
 #: The 2^31 - 1 element limit of 32-bit MPI counts.
@@ -80,24 +69,3 @@ def plan_transfer(nbytes: int, limit: int = MPI_COUNT_LIMIT) -> TransferPlan:
     if nbytes <= limit:
         return TransferPlan(method="single", count=nbytes, type_size=1)
     return TransferPlan(method="contiguous-datatype", count=1, type_size=nbytes)
-
-
-def chunk_buffer(buf: np.ndarray, limit: int = MPI_COUNT_LIMIT) -> list[np.ndarray]:
-    """Split a byte buffer into <= ``limit``-sized chunks (naive strategy).
-
-    Returns views, not copies, so chunking a large buffer is free.
-    """
-    if buf.dtype != np.uint8:
-        raise TypeError(f"expected uint8 buffer, got {buf.dtype}")
-    if limit < 1:
-        raise ValueError(f"count limit must be >= 1, got {limit}")
-    if buf.size == 0:
-        return []
-    return [buf[i : i + limit] for i in range(0, buf.size, limit)]
-
-
-def reassemble(chunks: list[np.ndarray]) -> np.ndarray:
-    """Concatenate chunks back into one contiguous byte buffer."""
-    if not chunks:
-        return np.empty(0, dtype=np.uint8)
-    return np.concatenate(chunks)

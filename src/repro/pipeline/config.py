@@ -99,7 +99,6 @@ class PipelineConfig:
     # result for inspection/export (GFA/PAF); off by default since they
     # are the run's largest objects
     keep_graphs: bool = False
-    extra: dict = field(default_factory=dict)
 
     @property
     def merge_mode(self) -> str:

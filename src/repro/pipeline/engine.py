@@ -124,7 +124,7 @@ class Stage:
         return f"<Stage {self.name}>"
 
 
-#: Registered stage classes by name (the five paper stages plus extensions).
+#: Registered stage classes by name (the five paper stages plus custom ones).
 STAGE_REGISTRY: dict[str, type[Stage]] = {}
 
 
@@ -473,19 +473,9 @@ class Pipeline:
 
     # -- construction helpers -------------------------------------------
     @classmethod
-    def default(
-        cls,
-        scaffold: bool = False,
-        polish: bool = False,
-        observers: Sequence[Any] = (),
-    ) -> "Pipeline":
-        """The five paper stages, optionally extended with §7 phases."""
-        names = list(MAIN_STAGES)
-        if scaffold:
-            names.append("Scaffold")
-        if polish:
-            names.append("Polish")
-        return cls(names, observers=observers)
+    def default(cls, observers: Sequence[Any] = ()) -> "Pipeline":
+        """The five paper stages, in Fig. 1 order."""
+        return cls(list(MAIN_STAGES), observers=observers)
 
     @property
     def stage_names(self) -> list[str]:

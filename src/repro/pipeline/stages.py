@@ -1,4 +1,4 @@
-"""The registered pipeline stages (Algorithm 1, plus §7 extensions).
+"""The registered pipeline stages (Algorithm 1).
 
 Each class wraps one phase of the paper's Fig. 1 as a :class:`Stage`:
 
@@ -6,16 +6,15 @@ Each class wraps one phase of the paper's Fig. 1 as a :class:`Stage`:
 2. ``DetectOverlap``  A, A^T, C = A . A^T (SUMMA SpGEMM, seed semiring)
 3. ``Alignment``      x-drop on every candidate, prune, containment removal
 4. ``TrReduction``    bidirected transitive reduction -> S
-5. ``ExtractContig``  Algorithm 2 (this paper's contribution)
+5. ``ExtractContig``  Algorithm 2 (this paper's contribution), with the §7
+                      per-rank polish when ``config.polish`` is set
 
-plus the optional future-work phases the scaffold package implements:
-
-6. ``Scaffold``       re-OLC the contig set into longer sequences
-7. ``Polish``         pileup-polish contigs against their reads
+The §7 scaffolding in :mod:`repro.scaffold` is no stage: it post-processes
+a result's contigs, each scaffold round being one run of these five.
 
 Artifact keys: ``reads`` (DistReadStore, provided by the engine),
 ``kmer_table``, ``A``, ``C``, ``R``, ``align_stats``, ``tr``, ``S``,
-``contigs``, ``scaffolds``, ``polished``.
+``contigs``.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ __all__ = [
     "AlignmentStage",
     "TrReductionStage",
     "ExtractContigStage",
-    "ScaffoldStage",
-    "PolishStage",
 ]
 
 
@@ -181,63 +178,3 @@ class ExtractContigStage(Stage):
         ctx.counts["contig_cycles"] = contigs.n_cycles
         ctx.publish("contigs", contigs)
 
-
-@register_stage
-class ScaffoldStage(Stage):
-    """Optional §7 phase: re-OLC the contig set into longer sequences.
-
-    Reads its :class:`~repro.scaffold.merge.ScaffoldConfig` from
-    ``config.extra["scaffold"]`` when present.
-    """
-
-    name = "Scaffold"
-    requires = ("contigs",)
-    produces = ("scaffolds",)
-
-    def config_signature(self, config) -> dict:
-        # the knobs live in config.extra, not as named fields; repr() of
-        # the (dataclass) config is content-bearing and deterministic
-        return {"scaffold": repr(config.extra.get("scaffold"))}
-
-    def run(self, ctx: RunContext) -> None:
-        from ..scaffold.merge import ScaffoldConfig, scaffold_contigs
-
-        contigs = ctx.require("contigs")
-        seqs = [c.codes for c in contigs.contigs]
-        scfg = ctx.config.extra.get("scaffold")
-        if scfg is None:
-            # inherit the run's executor backend (not fingerprinted)
-            scfg = ScaffoldConfig(executor=ctx.config.executor)
-        result = scaffold_contigs(seqs, scfg)
-        ctx.counts["scaffolds"] = result.count
-        ctx.publish("scaffolds", result)
-
-
-@register_stage
-class PolishStage(Stage):
-    """Optional §7 phase: pileup-polish the final contigs against all reads.
-
-    Distinct from ``config.polish`` (the per-rank ``ExtractContig/Polish``
-    substage): this stage polishes the gathered contig set, reading its
-    :class:`~repro.scaffold.polish.PolishConfig` from
-    ``config.extra["polish"]`` when present.
-    """
-
-    name = "Polish"
-    requires = ("reads", "contigs")
-    produces = ("polished",)
-
-    def config_signature(self, config) -> dict:
-        return {"polish": repr(config.extra.get("polish"))}
-
-    def run(self, ctx: RunContext) -> None:
-        from ..scaffold.polish import polish_contigs
-
-        contigs = ctx.require("contigs")
-        store = ctx.require("reads")
-        reads = [codes for shard in store.shards for _, codes in shard]
-        result = polish_contigs(
-            list(contigs.contigs), reads, ctx.config.extra.get("polish")
-        )
-        ctx.counts["polished_bases_changed"] = result.total_changed
-        ctx.publish("polished", result)

@@ -1,13 +1,14 @@
 """Contig scaffolding by recursive sparse-matrix OLC (paper §7 future work).
 
-Each scaffold **round** treats the current contig set as a read set and runs
-the same distributed machinery as the main pipeline: distributed k-mer
-counting over the contigs, ``C = A . A^T`` candidate detection, x-drop
-alignment with containment pruning, transitive reduction and the Algorithm 2
-chain walk.  Chains of two or more contigs become merged sequences;
-contained contigs are absorbed into their container; untouched contigs pass
-through unchanged.  Rounds repeat until a fixpoint (no chain emitted and no
-contig absorbed) or ``max_rounds``.
+Each scaffold **round** is one run of the main pipeline with the current
+contig set as its read set (:meth:`ScaffoldConfig.pipeline_config` maps the
+scaffold knobs onto a :class:`~repro.pipeline.config.PipelineConfig`):
+distributed k-mer counting over the contigs, ``C = A . A^T`` candidate
+detection, x-drop alignment with containment pruning, transitive reduction
+and the Algorithm 2 chain walk.  Chains of two or more contigs become merged
+sequences; contained contigs are absorbed into their container; untouched
+contigs pass through unchanged.  Rounds repeat until a fixpoint (no chain
+emitted and no contig absorbed) or ``max_rounds``.
 
 Why contig ends still overlap: branch masking (§4.2) clears *all* edges of
 a branching vertex, splitting its neighborhood into separate chains even
@@ -20,23 +21,15 @@ contig set finds it again and joins the chains.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..core.assembly import Contig
-from ..core.contig import contig_generation
 from ..errors import PipelineError
-from ..kmer.counter import count_kmers
-from ..kmer.kmermatrix import build_kmer_matrix
-from ..mpi.comm import SimWorld
-from ..mpi.costmodel import MACHINE_PRESETS, MachineModel
-from ..mpi.executor import EXECUTOR_BACKENDS, default_executor
-from ..mpi.grid import ProcGrid
-from ..overlap.detect import detect_overlaps
-from ..overlap.filter import AlignmentParams, build_overlap_graph
-from ..seq.readstore import DistReadStore
-from ..strgraph.transitive import transitive_reduction
+from ..mpi.costmodel import MachineModel
+from ..mpi.executor import default_executor
+from ..pipeline import Pipeline, PipelineConfig
 
 __all__ = [
     "ScaffoldConfig",
@@ -45,9 +38,6 @@ __all__ = [
     "scaffold_contigs",
     "gap_fill",
 ]
-
-#: Stage label scaffold rounds charge their modeled time to.
-STAGE = "Scaffold"
 
 
 @dataclass(frozen=True)
@@ -65,10 +55,8 @@ class ScaffoldConfig:
     nprocs: int = 1
     machine: str | MachineModel = "cori-haswell"
     # per-rank compute backend for the scaffold rounds' worlds; same
-    # REPRO_EXECUTOR-aware default as PipelineConfig.executor.  repr=False
-    # keeps it out of the Scaffold stage's repr-based checkpoint
-    # fingerprint (backends are output-identical)
-    executor: str = field(default_factory=default_executor, repr=False)
+    # REPRO_EXECUTOR-aware default as PipelineConfig.executor
+    executor: str = field(default_factory=default_executor)
     min_shared_kmers: int = 1
     xdrop: int = 15
     align_mode: str = "diag"
@@ -80,38 +68,27 @@ class ScaffoldConfig:
     max_rounds: int = 4
     min_contig_reads: int = 2
 
-    def validate(self) -> None:
-        import math
+    def pipeline_config(self) -> PipelineConfig:
+        """The configuration of one scaffold round's pipeline run.
 
-        if self.nprocs < 1 or math.isqrt(self.nprocs) ** 2 != self.nprocs:
-            raise PipelineError(
-                f"scaffold nprocs must be a positive perfect square, "
-                f"got {self.nprocs}"
-            )
-        if not 1 <= self.k <= 31:
-            raise PipelineError(f"scaffold k must be in [1, 31], got {self.k}")
+        Every field but ``max_rounds`` is a :class:`PipelineConfig` field of
+        the same name; the rest keep their defaults.  In particular the
+        reliable filter keeps multiplicity >= 2 with no upper bound: k-mers
+        unique to one contig cannot seed a contig-contig overlap (repeats
+        get past it; the alignment prunes them).
+        """
+        return PipelineConfig(**{
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "max_rounds"
+        })
+
+    def validate(self) -> None:
         if self.max_rounds < 1:
             raise PipelineError(
                 f"max_rounds must be >= 1, got {self.max_rounds}"
             )
-        if self.align_mode not in ("diag", "dp"):
-            raise PipelineError(f"unknown align_mode {self.align_mode!r}")
-        if self.executor not in EXECUTOR_BACKENDS:
-            raise PipelineError(
-                f"unknown executor {self.executor!r}; "
-                f"options: {list(EXECUTOR_BACKENDS)}"
-            )
-
-    def resolve_machine(self) -> MachineModel:
-        if isinstance(self.machine, MachineModel):
-            return self.machine
-        try:
-            return MACHINE_PRESETS[self.machine]()
-        except KeyError:
-            raise PipelineError(
-                f"unknown machine preset {self.machine!r}; "
-                f"options: {sorted(MACHINE_PRESETS)}"
-            ) from None
+        self.pipeline_config().validate()
 
 
 @dataclass
@@ -138,6 +115,8 @@ class ScaffoldResult:
 
     contigs: list[np.ndarray]
     rounds: list[ScaffoldRoundStats] = field(default_factory=list)
+    #: sum of the rounds' ``PipelineResult.modeled_total`` (each round runs
+    #: in its own simulated world)
     modeled_seconds: float = 0.0
     wall_seconds: float = 0.0
 
@@ -168,70 +147,54 @@ def _as_code_arrays(contigs) -> list[np.ndarray]:
     return out
 
 
-def _scaffold_round(
+def _merge_round(
+    result: ScaffoldResult,
     seqs: list[np.ndarray],
     cfg: ScaffoldConfig,
-    world: SimWorld,
-    round_index: int,
-) -> tuple[list[np.ndarray], ScaffoldRoundStats]:
-    """One merge round over the current contig set."""
-    longest_in = max((s.size for s in seqs), default=0)
-    grid = ProcGrid(world)
-    store = DistReadStore.from_global(grid, seqs)
+    n_contigs: int,
+) -> ScaffoldRoundStats:
+    """One merge round: one pipeline run over ``seqs``.
 
-    # k-mers unique to one contig cannot seed a contig-contig overlap, so
-    # the reliable filter keeps only multiplicity >= 2 (ends shared between
-    # adjacent contigs, or repeats -- the alignment prunes the latter).
-    table = count_kmers(store, cfg.k, reliable_lo=2, reliable_hi=None)
-    params = AlignmentParams(
-        k=cfg.k,
-        xdrop=cfg.xdrop,
-        mode=cfg.align_mode,
-        min_score=cfg.min_score,
-        min_overlap=cfg.min_overlap,
-        end_margin=cfg.end_margin,
-    )
-    if table.total == 0:
-        # no shared anchors anywhere: nothing can merge
-        stats = ScaffoldRoundStats(
-            round_index=round_index,
-            n_input=len(seqs),
-            n_chains=0,
-            n_absorbed=0,
-            n_passthrough=len(seqs),
-            n_output=len(seqs),
-            longest_in=longest_in,
-            longest_out=longest_in,
-        )
-        return list(seqs), stats
-
-    A = build_kmer_matrix(store, table)
-    C, _ = detect_overlaps(A, min_shared=cfg.min_shared_kmers)
-    R, astats = build_overlap_graph(C, store, params)
-    tr = transitive_reduction(R, fuzz=cfg.tr_fuzz, max_rounds=cfg.tr_max_rounds)
-    cset = contig_generation(
-        tr.S, store, min_contig_reads=cfg.min_contig_reads
-    )
-
-    used: set[int] = set(int(i) for i in astats.contained_ids)
+    The first ``n_contigs`` sequences are contigs, the rest gap-fill reads.
+    A chain joins the output only when it contains a contig, and only
+    untouched contigs pass through -- reads never do.  Sets
+    ``result.contigs`` to the round's output and records the round.
+    """
+    run = Pipeline.default().run(seqs, cfg.pipeline_config())
+    used: set[int] = set(int(i) for i in run.align_stats.contained_ids)
     merged: list[np.ndarray] = []
-    for chain in cset.contigs:
-        merged.append(chain.codes)
-        used.update(int(g) for g in chain.read_path)
-
-    passthrough = [s for i, s in enumerate(seqs) if i not in used]
-    out = merged + passthrough
+    for chain in run.contigs.contigs:
+        members = [int(g) for g in chain.read_path]
+        # chains of gap-fill reads alone re-do the pipeline's job, badly
+        if any(m < n_contigs for m in members):
+            merged.append(chain.codes)
+            used.update(members)
+    passthrough = [s for i, s in enumerate(seqs[:n_contigs]) if i not in used]
+    result.contigs = merged + passthrough
     stats = ScaffoldRoundStats(
-        round_index=round_index,
+        round_index=result.n_rounds,
         n_input=len(seqs),
         n_chains=len(merged),
-        n_absorbed=int(astats.contained_ids.size),
+        n_absorbed=int(run.align_stats.contained_ids.size),
         n_passthrough=len(passthrough),
-        n_output=len(out),
-        longest_in=longest_in,
-        longest_out=max((s.size for s in out), default=0),
+        n_output=len(result.contigs),
+        longest_in=max((s.size for s in seqs), default=0),
+        longest_out=max((s.size for s in result.contigs), default=0),
     )
-    return out, stats
+    result.rounds.append(stats)
+    result.modeled_seconds += run.modeled_total
+    return stats
+
+
+def _merge_to_fixpoint(result: ScaffoldResult, cfg: ScaffoldConfig) -> None:
+    """Merge rounds until nothing merges, one sequence is left, or
+    ``cfg.max_rounds`` rounds have run."""
+    for _ in range(cfg.max_rounds):
+        if len(result.contigs) < 2:
+            return
+        stats = _merge_round(result, result.contigs, cfg, len(result.contigs))
+        if not stats.merged_anything:
+            return
 
 
 def scaffold_contigs(
@@ -253,29 +216,13 @@ def scaffold_contigs(
     -------
     ScaffoldResult
         The scaffolded sequences, one :class:`ScaffoldRoundStats` per round
-        executed, and the modeled distributed time of all rounds combined
-        (charged to the ``Scaffold`` stage of a fresh simulated world).
+        executed, and the modeled distributed time of all rounds combined.
     """
     cfg = config or ScaffoldConfig()
     cfg.validate()
     t0 = time.perf_counter()
-
-    seqs = _as_code_arrays(contigs)
-    world = SimWorld(cfg.nprocs, cfg.resolve_machine(), executor=cfg.executor)
-    result = ScaffoldResult(contigs=seqs)
-    if len(seqs) < 2:
-        result.wall_seconds = time.perf_counter() - t0
-        return result
-
-    with world.stage_scope(STAGE):
-        for rnd in range(cfg.max_rounds):
-            seqs, stats = _scaffold_round(seqs, cfg, world, rnd)
-            result.rounds.append(stats)
-            if not stats.merged_anything or len(seqs) < 2:
-                break
-
-    result.contigs = seqs
-    result.modeled_seconds = world.clock.total_seconds()
+    result = ScaffoldResult(contigs=_as_code_arrays(contigs))
+    _merge_to_fixpoint(result, cfg)
     result.wall_seconds = time.perf_counter() - t0
     return result
 
@@ -380,91 +327,14 @@ def gap_fill(
     cfg = config or ScaffoldConfig()
     cfg.validate()
     t0 = time.perf_counter()
-
     contig_seqs = _as_code_arrays(contigs)
     read_list = [
         np.asarray(r, dtype=np.uint8) for r in getattr(reads, "reads", reads)
     ]
-    n_contigs = len(contig_seqs)
-    if n_contigs == 0 or not read_list:
-        base = scaffold_contigs(contig_seqs, cfg)
-        base.wall_seconds = time.perf_counter() - t0
-        return base
-
-    bridges = _bridge_candidates(contig_seqs, read_list, min(cfg.k, 15))
-    seqs = contig_seqs + bridges
-    world = SimWorld(cfg.nprocs, cfg.resolve_machine(), executor=cfg.executor)
-    grid = ProcGrid(world)
-
-    with world.stage_scope(STAGE):
-        store = DistReadStore.from_global(grid, seqs)
-        table = count_kmers(store, cfg.k, reliable_lo=2, reliable_hi=None)
-        params = AlignmentParams(
-            k=cfg.k,
-            xdrop=cfg.xdrop,
-            mode=cfg.align_mode,
-            min_score=cfg.min_score,
-            min_overlap=cfg.min_overlap,
-            end_margin=cfg.end_margin,
-        )
-        longest_in = max((s.size for s in seqs), default=0)
-        if table.total == 0:
-            bridged = contig_seqs
-            stats = ScaffoldRoundStats(
-                round_index=0,
-                n_input=len(seqs),
-                n_chains=0,
-                n_absorbed=0,
-                n_passthrough=n_contigs,
-                n_output=n_contigs,
-                longest_in=longest_in,
-                longest_out=longest_in,
-            )
-        else:
-            A = build_kmer_matrix(store, table)
-            C, _ = detect_overlaps(A, min_shared=cfg.min_shared_kmers)
-            R, astats = build_overlap_graph(C, store, params)
-            tr = transitive_reduction(
-                R, fuzz=cfg.tr_fuzz, max_rounds=cfg.tr_max_rounds
-            )
-            cset = contig_generation(
-                tr.S, store, min_contig_reads=cfg.min_contig_reads
-            )
-            used: set[int] = set(int(i) for i in astats.contained_ids)
-            merged: list[np.ndarray] = []
-            for chain in cset.contigs:
-                members = [int(g) for g in chain.read_path]
-                # a chain must contain at least one input contig; chains of
-                # bridge reads alone re-do the pipeline's job, badly
-                if any(m < n_contigs for m in members):
-                    merged.append(chain.codes)
-                    used.update(members)
-            # contigs pass through when untouched; unused reads never do
-            passthrough = [
-                s
-                for i, s in enumerate(contig_seqs)
-                if i not in used
-            ]
-            bridged = merged + passthrough
-            stats = ScaffoldRoundStats(
-                round_index=0,
-                n_input=len(seqs),
-                n_chains=len(merged),
-                n_absorbed=int(astats.contained_ids.size),
-                n_passthrough=len(passthrough),
-                n_output=len(bridged),
-                longest_in=longest_in,
-                longest_out=max((s.size for s in bridged), default=0),
-            )
-
-    followup = scaffold_contigs(bridged, cfg)
-    for r in followup.rounds:
-        r.round_index += 1
-    result = ScaffoldResult(
-        contigs=followup.contigs,
-        rounds=[stats] + followup.rounds,
-        modeled_seconds=world.clock.total_seconds()
-        + followup.modeled_seconds,
-        wall_seconds=time.perf_counter() - t0,
-    )
+    result = ScaffoldResult(contigs=contig_seqs)
+    if contig_seqs and read_list:
+        bridges = _bridge_candidates(contig_seqs, read_list, min(cfg.k, 15))
+        _merge_round(result, contig_seqs + bridges, cfg, len(contig_seqs))
+    _merge_to_fixpoint(result, cfg)
+    result.wall_seconds = time.perf_counter() - t0
     return result

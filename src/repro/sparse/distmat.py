@@ -499,12 +499,10 @@ class DistSparseMatrix:
         and swap local coordinates.  Payloads are carried unchanged."""
         grid, world = self.grid, self.grid.world
         partners = grid.transpose_partners()
-        payloads = [self.blocks[partners[r]] for r in range(grid.nprocs)]
         # sendrecv wants payloads indexed by *sender*: rank r sends its own
         # block to its partner, so the payload list is simply our blocks.
         received = world.comm.sendrecv(list(self.blocks), partners)
         new_blocks = [blk.transpose() for blk in received]
-        del payloads
         return DistSparseMatrix(
             grid, (self.shape[1], self.shape[0]), new_blocks
         )

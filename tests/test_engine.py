@@ -53,10 +53,6 @@ class TestRegistryAndOrdering:
     def test_default_order_matches_paper(self):
         assert Pipeline.default().stage_names == MAIN_STAGES
 
-    def test_optional_stages_appended(self):
-        pipe = Pipeline.default(scaffold=True, polish=True)
-        assert pipe.stage_names == MAIN_STAGES + ["Scaffold", "Polish"]
-
     def test_unknown_stage_rejected(self):
         with pytest.raises(PipelineError):
             Pipeline(["CountKmer", "NoSuchStage"])
@@ -209,18 +205,6 @@ class TestCheckpointFidelity:
         res = pipe.run(rs, cfg, checkpoint_dir=tmp_path, until="TrReduction")
         assert res.artifacts["tr"].S is res.artifacts["S"]
 
-    def test_extra_config_invalidates_optional_stage(self, tiled, cfg, tmp_path):
-        from repro.scaffold import ScaffoldConfig
-
-        _, rs = tiled
-        pipe = Pipeline.default(scaffold=True)
-        pipe.run(rs, cfg, checkpoint_dir=tmp_path)
-        changed = dataclasses.replace(
-            cfg, extra={"scaffold": ScaffoldConfig(min_overlap=9999)}
-        )
-        res = pipe.run(rs, changed, checkpoint_dir=tmp_path)
-        assert res.stages_run == ["Scaffold"]
-
     def test_string_stage_names_resolve_in_fresh_process(self):
         import subprocess
         import sys
@@ -298,17 +282,6 @@ class TestResultSurface:
         res = Pipeline.default().run(rs, config)
         assert {"R", "S", "reads"} <= set(res.artifacts)
         assert full_run.artifacts == {}
-
-
-class TestOptionalStages:
-    def test_scaffold_and_polish_stages(self, tiled, cfg):
-        _, rs = tiled
-        pipe = Pipeline.default(scaffold=True, polish=True)
-        res = pipe.run(rs, dataclasses.replace(cfg, keep_graphs=True))
-        assert "scaffolds" in res.artifacts
-        assert "polished" in res.artifacts
-        assert res.counts["scaffolds"] >= 1
-        assert res.stages_run == MAIN_STAGES + ["Scaffold", "Polish"]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +482,7 @@ class TestFingerprintBoundary:
         }
         every = {f.name for f in dataclasses.fields(PipelineConfig)}
         assert len(EXECUTION_FIELDS) == 8 and EXECUTION_FIELDS <= every
-        assert claimed == every - EXECUTION_FIELDS - {"nprocs", "machine", "extra"}
+        assert claimed == every - EXECUTION_FIELDS - {"nprocs", "machine"}
 
     def test_memory_mode_flip_resumes_every_stage(self, tiled, cfg, tmp_path):
         """C, R and S are bit-identical under either merge strategy, so a

@@ -1,11 +1,8 @@
 """Unit tests for the MPI count-limit emulation (contiguous datatype trick)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.mpi import MPI_COUNT_LIMIT, chunk_buffer, plan_transfer, reassemble
+from repro.mpi import MPI_COUNT_LIMIT, plan_transfer
 
 
 class TestPlanTransfer:
@@ -45,33 +42,3 @@ class TestPlanTransfer:
         with pytest.raises(ValueError):
             plan_transfer(10, limit=0)
 
-
-class TestChunking:
-    def test_chunks_are_views(self):
-        buf = np.arange(100, dtype=np.uint8)
-        chunks = chunk_buffer(buf, limit=30)
-        assert len(chunks) == 4
-        assert chunks[0].base is buf
-
-    def test_roundtrip_identity(self):
-        buf = np.arange(256, dtype=np.uint8)
-        assert np.array_equal(reassemble(chunk_buffer(buf, limit=7)), buf)
-
-    def test_empty_buffer(self):
-        assert chunk_buffer(np.empty(0, dtype=np.uint8), limit=5) == []
-        assert reassemble([]).size == 0
-
-    def test_wrong_dtype_rejected(self):
-        with pytest.raises(TypeError):
-            chunk_buffer(np.zeros(4, dtype=np.int32), limit=2)
-
-    @given(
-        n=st.integers(min_value=0, max_value=2000),
-        limit=st.integers(min_value=1, max_value=500),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_property_chunk_reassemble_identity(self, n, limit):
-        buf = (np.arange(n) % 251).astype(np.uint8)
-        chunks = chunk_buffer(buf, limit=limit)
-        assert all(c.size <= limit for c in chunks)
-        assert np.array_equal(reassemble(chunks), buf)

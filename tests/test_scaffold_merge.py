@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.assembly import Contig
 from repro.errors import PipelineError
+from repro.pipeline import Pipeline
 from repro.scaffold import ScaffoldConfig, gap_fill, scaffold_contigs
 from repro.seq import dna
 
@@ -108,8 +109,8 @@ class TestEdgeCasesAndInputs:
         assert matches_reference(res.contigs[0], g)
 
     def test_no_shared_kmers_fast_path(self):
-        # two short unrelated sequences share no 25-mers: round reports a
-        # clean no-op without running the pipeline
+        # two short unrelated sequences share no 25-mers: the round's
+        # pipeline run finds no chain and nothing contained
         res = scaffold_contigs([genome_of(200, seed=11), genome_of(200, seed=12)])
         assert res.count == 2
         assert res.rounds[0].n_chains == 0
@@ -164,6 +165,40 @@ class TestRoundsAndFixpoint:
             assert r.n_input >= r.n_output or r.n_chains == 0
 
 
+class TestRoundIsOnePipelineRun:
+    """Each round is exactly one ``Pipeline.run``: a hand copy of the stage
+    chain cannot come back unnoticed."""
+
+    @pytest.fixture
+    def run_calls(self, monkeypatch):
+        calls = []
+        real = Pipeline.run
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "run", counting)
+        return calls
+
+    def test_scaffold_contigs(self, run_calls):
+        g = genome_of(2000, seed=2)
+        res = scaffold_contigs(
+            windows(g, [(0, 600), (500, 1100), (1000, 1600), (1500, 2000)])
+        )
+        assert res.count == 1
+        assert len(run_calls) == res.n_rounds == 1
+
+    def test_gap_fill(self, run_calls):
+        g = genome_of(2000, seed=41)
+        contigs = [g[0:900].copy(), g[950:2000].copy()]
+        res = gap_fill(contigs, [g[820:1080].copy()])
+        assert res.count == 1
+        assert len(run_calls) == res.n_rounds >= 1
+        # the bridging round sees the contigs plus the selected read
+        assert len(run_calls[0]) == 3
+
+
 class TestDistributedInvariance:
     @pytest.mark.parametrize("nprocs", [1, 4, 9])
     def test_result_independent_of_grid_size(self, nprocs):
@@ -201,6 +236,17 @@ class TestConfigValidation:
     def test_bad_align_mode_rejected(self):
         with pytest.raises(PipelineError):
             scaffold_contigs([], ScaffoldConfig(align_mode="banana"))
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(xdrop=-1), dict(tr_fuzz=-1), dict(min_shared_kmers=0)]
+    )
+    def test_knobs_the_pipeline_rejects_are_rejected(self, kwargs):
+        # xdrop=-1 used to pass and silently leave these windows unmerged
+        g = genome_of(1200, seed=20)
+        with pytest.raises(PipelineError):
+            scaffold_contigs(
+                windows(g, [(0, 700), (600, 1200)]), ScaffoldConfig(**kwargs)
+            )
 
     def test_unknown_machine_rejected(self):
         with pytest.raises(PipelineError):

@@ -242,6 +242,20 @@ class TestInPipelinePolish:
         b = sorted(c.sequence() for c in other.contigs.contigs)
         assert a == b
 
+    @pytest.mark.parametrize("nprocs", [1, 4, 9])
+    def test_equals_polishing_the_result(self, noisy_reads, nprocs):
+        """The in-run phase is ``polish_contigs`` over the plain run's
+        contigs, contig for contig and in order: one way to polish inside a
+        run, one to post-process a result, and no third."""
+        _genome, reads = noisy_reads
+        plain = self.run(reads, polish=False, nprocs=nprocs)
+        polished = self.run(reads, polish=True, nprocs=nprocs)
+        post = polish_contigs(plain.contigs.contigs, reads)
+        assert post.total_changed >= 1
+        assert [c.sequence() for c in polished.contigs.contigs] == [
+            c.sequence() for c in post.contigs
+        ]
+
     def test_error_free_input_is_noop(self):
         rng = np.random.default_rng(6)
         g = genome_of(2000, seed=20)

@@ -184,9 +184,10 @@ fail:
  * Per pair: the antidiagonal DP of ``_banded_one_side`` over gathered
  * (already oriented) code matrices.  Slot w holds offset d = w - band;
  * antidiagonal s visits (i, j) with i + j == s.  Order of operations
- * mirrors the reference exactly: compute every slot, break when no slot
- * is geometrically valid, update the best from the first-argmax cell,
- * then kill cells below best - x with the *updated* best.
+ * mirrors the reference exactly: compute every slot, update the best
+ * from the first-argmax cell, kill cells below best - x with the
+ * *updated* best, and stop after two consecutive antidiagonals without a
+ * live cell (a diagonal move still reaches s + 1 from a live s - 1).
  */
 static PyObject *
 banded_batch(PyObject *self, PyObject *args)
@@ -256,6 +257,7 @@ banded_batch(PyObject *self, PyObject *args)
                 npy_int64 *cur = work + 2 * width;
                 npy_int64 best = 0, bi = 0, bj = 0;
                 npy_int64 s, w, max_anti;
+                int dead_run = 0;
 
                 if (na_p <= 0 || nb_p <= 0)
                     continue;
@@ -266,7 +268,7 @@ banded_batch(PyObject *self, PyObject *args)
                 prev[band] = 0; /* empty extension */
                 max_anti = na_p + nb_p;
                 for (s = 1; s <= max_anti; s++) {
-                    int any_valid = 0, alive = 0;
+                    int alive = 0;
                     npy_int64 round_best = KNEG;
                     npy_int64 round_pos = -1;
                     npy_int64 *tmp;
@@ -287,7 +289,6 @@ banded_batch(PyObject *self, PyObject *args)
                                 npy_int64 gs = (gb > KNEG) ? gb + gap : KNEG;
                                 npy_int64 ds = KNEG;
 
-                                any_valid = 1;
                                 if (i >= 1 && j >= 1 && prev2[w] > KNEG) {
                                     npy_int64 sub =
                                         (arow[i - 1] == brow[j - 1])
@@ -304,8 +305,6 @@ banded_batch(PyObject *self, PyObject *args)
                             round_pos = w;
                         }
                     }
-                    if (!any_valid)
-                        break; /* band left the matrix: reference break 1 */
                     if (round_best > best) {
                         npy_int64 i = (s + (round_pos - (npy_int64)band)) >> 1;
 
@@ -319,8 +318,9 @@ banded_batch(PyObject *self, PyObject *args)
                         if (cur[w] > KNEG)
                             alive = 1;
                     }
-                    if (!alive)
-                        break; /* every cell x-dropped: reference break 2 */
+                    dead_run = alive ? 0 : dead_run + 1;
+                    if (dead_run == 2)
+                        break;
                     tmp = prev2;
                     prev2 = prev;
                     prev = cur;

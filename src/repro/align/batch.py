@@ -18,8 +18,11 @@ whole seed-and-extend pipeline over *arrays* of pairs at once:
   workspace so no stripe-sized temporaries are allocated per batch.
 * **Banded DP kernel** (``mode="dp"``) -- a wavefront formulation of
   :func:`~repro.align.xdrop.extend_banded`: all pairs advance their
-  anti-diagonals in lockstep, with a per-pair ``running`` mask retiring
-  pairs whose bands die (the x-drop rule) without stalling the rest.
+  anti-diagonals in lockstep over int32 parity planes that hold only the
+  cells of the antidiagonal's parity.  A pair retires after two
+  consecutive dead antidiagonals (the x-drop rule), and retired pairs are
+  compacted out of the working set whenever the live count halves, so
+  the pairs that terminate early stop costing work.
 
 Both kernels are **bit-identical** to the scalar reference (enforced by
 the property tests of ``tests/test_align_batch.py``).  The scalar functions
@@ -63,7 +66,7 @@ __all__ = [
     "release_scratch",
 ]
 
-#: Dead-cell / masked-score sentinel (mirrors the scalar banded kernel).
+#: Masked-score sentinel of the gapless kernel's int64 path.
 _NEG = np.int64(-(1 << 40))
 
 #: Overlap kind codes of :func:`classify_overlaps` (array analogue of
@@ -386,10 +389,32 @@ def _banded_side_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch analogue of ``_banded_one_side``: (a_steps, b_steps, score).
 
-    One wavefront iteration advances the antidiagonal of *every* running
-    pair; ``running`` retires pairs whose band emptied or whose cells all
-    died (the scalar's two ``break`` conditions collapse into one check
-    because a dead band scores nothing).
+    One compacting wavefront: each iteration advances antidiagonal ``s``
+    of every lane (pair) still in the working set, position-major so
+    every operation is one contiguous slab of ``cells x lanes``.
+
+    * **Parity planes.**  Antidiagonal ``s`` only has cells on every other
+      band slot (``k = d + band`` with ``k = s + band (mod 2)``), so the
+      slots live in two planes, one per parity, each with an always-dead
+      guard row per side.  ``s`` overwrites its own plane -- which held
+      ``s - 2``, the diagonal move's source -- and reads its gap moves
+      as two shifted slices of the other plane (``s - 1``); no cell of
+      the wrong parity is ever computed.
+    * **Codes gathered once.**  ``a`` is laid out forward and ``b``
+      reversed, so the cells of ``s`` read ``a[i - 1]`` and ``b[j - 1]``
+      as two contiguous row ranges.  A penalty matrix on the same rows
+      pushes cells outside a lane's sequences (or before their starts)
+      below every threshold, which replaces the per-cell validity mask.
+    * **Offset, scaled int32 scores.**  A cell stores ``off + score *
+      2**low`` and a dead cell is 0, so the x-drop is one compare and one
+      multiply.  A descending slot ramp in the low bits makes the round's
+      one reduction yield both the round max and its first-argmax slot.
+      The dtype is int32 unless ``(na + nb)·max|score| + x`` could
+      overflow it (the rule of :func:`_gapless_side_batch`); then int64.
+    * **Termination.**  A lane is live while the round max clears
+      ``best - x`` on ``s`` or ``s - 1``: it ends after two consecutive
+      dead antidiagonals, exactly like the scalar oracle.  Once the live
+      count halves, retired lanes are compacted out of every matrix.
 
     ``kernel_tier="native"`` runs the per-pair antidiagonal recurrence in
     the C extension instead (bit-identical outputs).
@@ -401,63 +426,119 @@ def _banded_side_batch(
             na, nb, int(x), int(match), int(mismatch), int(gap), int(band),
         )
     npairs = na.size
-    width = 2 * band + 1
-    best_score = np.zeros(npairs, dtype=np.int64)
     best_i = np.zeros(npairs, dtype=np.int64)
     best_j = np.zeros(npairs, dtype=np.int64)
-    running = (na > 0) & (nb > 0)
-    if not running.any():
+    best_score = np.zeros(npairs, dtype=np.int64)
+    lanes = np.flatnonzero((na > 0) & (nb > 0))
+    if not lanes.size:
         return best_i, best_j, best_score
-    prev = np.full((npairs, width), _NEG, dtype=np.int64)
-    prev2 = np.full((npairs, width), _NEG, dtype=np.int64)
-    prev[:, band] = 0  # empty extension
-    acols = max(amat.shape[1], 1)
-    bcols = max(bmat.shape[1], 1)
-    d = np.arange(-band, band + 1, dtype=np.int64)
-    max_anti = int((na + nb)[running].max())
+    na, nb = na[lanes], nb[lanes]
+    # the last antidiagonal with a cell inside both sequences and the band
+    max_anti = int(np.minimum(na + nb, 2 * np.minimum(na, nb) + band).max())
+    low = int(band + 1).bit_length()
+    top = max(abs(match), abs(mismatch), abs(gap))
+    # scores stay within +-max_anti * top, so a wider x-drop never fires
+    x = min(x, 2 * max_anti * top + 1)
+    # with off = 2**bits a cell inside the sequences lies in (0, 2 * off),
+    # a dead one is 0 and a penalized one stays above -5 * off
+    bits = 28 if ((max_anti + 4) * top + x) << low < 1 << 28 else 60
+    dtype = np.int32 if bits == 28 else np.int64
+    off, pen = 1 << bits, dtype(-(1 << (bits + 1)))
+
+    # position-major codes: row pad + t holds a[t], row bo + pad + bcols
+    # - 1 - t holds b[t]; every other row is outside the sequences
+    pad = band + 2
+    acols, bcols = amat.shape[1], bmat.shape[1]
+    bo = acols + 2 * pad
+    codes = np.zeros((bo + bcols + 2 * pad, lanes.size), dtype=np.uint8)
+    codes[pad : pad + acols] = amat[lanes].T
+    codes[bo + pad : bo + pad + bcols] = bmat[lanes, ::-1].T
+    # penalties on the same rows: the mismatch score (folded in here, see
+    # gap_s below) where cell i lies inside a, `pen` outside a or b
+    row_i = np.arange(bo)[:, None] - pad + 1
+    row_j = bo + pad + bcols - np.arange(bo, codes.shape[0])[:, None]
+    pens = np.concatenate(
+        [
+            np.where((row_i < 0) | (row_i > na), pen, dtype(mismatch << low)),
+            np.where((row_j < 0) | (row_j > nb), pen, dtype(0)),
+        ]
+    )
+    # parity plane c = rows base[c] .. base[c] + cnt[c] + 1 of `planes`;
+    # slot k = c + 2m sits at row base[c] + 1 + m, guards either side
+    cnt = (band + 1, band)
+    base = (0, band + 3)
+    planes = np.zeros((2 * band + 5, lanes.size), dtype=dtype)
+    planes[base[band & 1] + 1 + band // 2] = off  # the empty extension
+    ramp = [
+        np.arange((1 << low) - 1, (1 << low) - 1 - n, -1, dtype=dtype)[:, None]
+        for n in cnt
+    ]
+    high = dtype(-(1 << low))
+    gap_s = dtype((gap - mismatch) << low)
+    sub_s = dtype((match - mismatch) << low)
+    x_s = x << low
+
+    best = np.full(lanes.size, off, dtype=dtype)
+    best_key = np.full(lanes.size, (1 << low) - 1 - band // 2, dtype=dtype)
+    best_s = np.zeros(lanes.size, dtype=np.int64)
+    alive_prev = np.ones(lanes.size, dtype=bool)
+
+    def retire(rows):
+        s = best_s[rows]
+        m = (1 << low) - 1 - (best_key[rows] & ((1 << low) - 1))
+        i = ((s + ((s + band) & 1) - band) >> 1) + m
+        best_i[lanes[rows]] = i
+        best_j[lanes[rows]] = s - i
+        best_score[lanes[rows]] = (best[rows] - off) >> low
+
+    work = np.empty((2, band + 1, lanes.size), dtype=dtype)
+    hit = np.empty((band + 1, lanes.size), dtype=bool)
     for s in range(1, max_anti + 1):
-        # cells on antidiagonal s: i + j == s, i = (s + d) / 2 -- the
-        # (i, j, parity) geometry is shared by every pair
-        i2 = s + d
-        parity = (i2 >= 0) & (i2 % 2 == 0)
-        i = i2 // 2
-        j = s - i
-        valid = (
-            parity[None, :]
-            & (i >= 0)[None, :]
-            & (j >= 0)[None, :]
-            & (i[None, :] <= na[:, None])
-            & (j[None, :] <= nb[:, None])
-            & running[:, None]
-        )
-        from_del = np.full((npairs, width), _NEG, dtype=np.int64)
-        from_ins = np.full((npairs, width), _NEG, dtype=np.int64)
-        from_del[:, 1:] = prev[:, :-1]
-        from_ins[:, :-1] = prev[:, 1:]
-        gap_best = np.maximum(from_del, from_ins)
-        gap_score = np.where(gap_best > _NEG, gap_best + gap, _NEG)
-        # diagonal move consumes a[i-1], b[j-1]; clamped reads land on
-        # garbage only for cells `valid` already rules out
-        ai = np.clip(i - 1, 0, acols - 1)
-        bj = np.clip(j - 1, 0, bcols - 1)
-        sub = np.where(amat[:, ai] == bmat[:, bj], np.int64(match), np.int64(mismatch))
-        diag_ok = (i >= 1)[None, :] & (j >= 1)[None, :] & (prev2 > _NEG)
-        diag_score = np.where(diag_ok, prev2 + sub, _NEG)
-        cur = np.maximum(gap_score, diag_score)
-        cur = np.where(valid, cur, _NEG)
-        round_best = cur.max(axis=1)
-        improve = round_best > best_score
-        if improve.any():
-            pos = cur.argmax(axis=1)
-            best_score = np.where(improve, round_best, best_score)
-            best_i = np.where(improve, i[pos], best_i)
-            best_j = np.where(improve, j[pos], best_j)
+        c = (s + band) & 1
+        n = cnt[c]
+        i0 = (s + c - band) >> 1  # i of the plane's first cell
+        ra = pad + i0 - 1
+        rb = bo + pad + bcols - (s - i0)
+        cur = planes[base[c] + 1 : base[c] + 1 + n]  # still s - 2 here
+        side = base[1 - c] + c
+        g, d, h = work[0, :n], work[1, :n], hit[:n]
+        # gap moves: the better neighbour slot (k -+ 1) on s - 1
+        np.maximum(planes[side : side + n], planes[side + 1 : side + 1 + n], out=g)
+        g += gap_s
+        # diagonal move: the same slot on s - 2, plus match or mismatch
+        np.equal(codes[ra : ra + n], codes[rb : rb + n], out=h)
+        np.multiply(h, sub_s, out=d)
+        d += cur
+        np.maximum(g, d, out=cur)
+        cur += pens[ra : ra + n]
+        cur += pens[rb : rb + n]
+        # round max and its first slot in one reduction
+        np.add(cur, ramp[c], out=g)
+        key = np.maximum.reduce(g, axis=0, initial=0)  # band 0: n may be 0
+        rmax = key & high
+        improve = rmax > best
+        np.copyto(best_key, key, where=improve)
+        np.copyto(best_s, s, where=improve)
+        np.maximum(best, rmax, out=best)
         # x-drop: kill cells too far below the (freshly updated) best
-        cur = np.where(cur < best_score[:, None] - x, _NEG, cur)
-        running = running & (cur > _NEG).any(axis=1)
-        if not running.any():
+        thr = best - x_s
+        np.greater_equal(cur, thr, out=h)
+        np.multiply(cur, h, out=cur)
+        alive = rmax >= thr
+        live = alive | alive_prev
+        alive_prev = alive
+        nlive = int(np.count_nonzero(live))
+        if nlive == 0:
             break
-        prev2, prev = prev, cur
+        if 2 * nlive <= lanes.size:
+            retire(np.flatnonzero(~live))
+            keep = np.flatnonzero(live)
+            planes, codes, pens = planes[:, keep], codes[:, keep], pens[:, keep]
+            best, best_key, best_s = best[keep], best_key[keep], best_s[keep]
+            alive_prev, lanes = alive_prev[keep], lanes[keep]
+            work = np.empty((2, band + 1, keep.size), dtype=dtype)
+            hit = np.empty((band + 1, keep.size), dtype=bool)
+    retire(np.arange(lanes.size))
     return best_i, best_j, best_score
 
 

@@ -126,6 +126,12 @@ def _banded_one_side(
     Classic x-drop extension DP over offsets ``d = i - j`` within
     ``[-band, band]``; a cell dies once its score falls more than ``x``
     below the global best.  Each antidiagonal is one vectorized update.
+
+    The extension ends after **two** consecutive antidiagonals without a
+    live cell (none inside the band and the sequences, or every one
+    x-dropped): a cell on antidiagonal ``s + 1`` is still reachable by a
+    diagonal move from a live cell on ``s - 1``, so one dead antidiagonal
+    is not yet the end.
     """
     na, nb = a.size, b.size
     if na == 0 or nb == 0:
@@ -139,6 +145,7 @@ def _banded_one_side(
     prev[band] = 0  # empty extension
     best_score, best_i, best_j = 0, 0, 0
     max_anti = na + nb
+    dead_run = 0
     for s in range(1, max_anti + 1):
         # cells on antidiagonal s: i + j == s, i = (s + d) / 2
         d = np.arange(-band, band + 1, dtype=np.int64)
@@ -147,8 +154,6 @@ def _banded_one_side(
         i = i2 // 2
         j = s - i
         valid &= (i >= 0) & (i <= na) & (j >= 0) & (j <= nb)
-        if not valid.any():
-            break
         # gap moves come from the same-parity neighbors on antidiagonal s-1
         from_del = np.full(width, NEG, dtype=np.int64)  # i-1, j  (d - 1)
         from_ins = np.full(width, NEG, dtype=np.int64)  # i, j-1  (d + 1)
@@ -174,7 +179,8 @@ def _banded_one_side(
                 best_i = int(i[pos])
                 best_j = int(j[pos])
             cur[alive & (cur < best_score - x)] = NEG
-        if not (cur > NEG).any():
+        dead_run = 0 if (cur > NEG).any() else dead_run + 1
+        if dead_run == 2:
             break
         prev2, prev = prev, cur
     return best_i, best_j, best_score

@@ -38,10 +38,13 @@ class PipelineConfig:
     machine: str | MachineModel = "cori-haswell"
     # per-rank compute backend for map_ranks supersteps: "serial" runs
     # ranks in order on the calling thread (the reference), "process"
-    # runs whole rank steps in a spawn-safe process pool.  Measured
-    # (CHANGES.md PR 15): process wins when per-superstep work is large
-    # (lowerr_diag_p16, hierr_dp_p4), loses when supersteps are many and
-    # tiny (lowerr_budget_p16, contig_sweep_p16).  Env override:
+    # runs whole rank steps in a spawn-safe process pool.  Measured (see
+    # CHANGES.md): process wins when per-superstep work is large
+    # (lowerr_diag_p16), loses when supersteps are many and tiny
+    # (lowerr_budget_p16, contig_sweep_p16).  On hierr_dp_p4 (2 cores,
+    # seed 3, median of 10 alternating ops) it was 1.67x serial (1.29 vs
+    # 2.15 s per op) with the per-iteration banded kernel, and is 1.06x
+    # (0.317 vs 0.337 s) with the compacting wavefront.  Env override:
     # REPRO_EXECUTOR.
     executor: str = field(default_factory=default_executor)
     # inner-loop kernel implementation for the batched engines: "numpy"

@@ -23,8 +23,13 @@ from repro.align import (
     pack_codes,
     xdrop_extend,
 )
+from repro.align.batch import _banded_side_batch
+from repro.align.xdrop import _banded_one_side
 from repro.errors import AlignmentError
-from repro.seq import dna
+from repro.kmer import build_kmer_matrix, count_kmers
+from repro.mpi import ProcGrid, SimWorld, zero_cost
+from repro.overlap import detect_overlaps
+from repro.seq import DistReadStore, GenomeSpec, dna, make_genome, sample_reads
 
 KIND_OF_CLASS = {
     OverlapClass.DOVETAIL: KIND_DOVETAIL,
@@ -213,6 +218,140 @@ class TestBatchEqualsScalar:
         reads = [np.zeros(10, dtype=np.uint8), np.zeros(10, dtype=np.uint8)]
         with pytest.raises(AlignmentError):
             run_batch(reads, [(0, 1, 0, 0, True)], 5, 15, "smith-waterman")
+
+
+def mutate_indels(rng, seq, rate):
+    """Copy ``seq`` with substitutions, insertions and deletions (1/3 each)."""
+    out = []
+    for code in seq.tolist():
+        r = rng.random()
+        if r < rate / 3:
+            continue
+        if r < 2 * rate / 3:
+            out.append(int(rng.integers(0, 4)))
+            out.append(code)
+        elif r < rate:
+            out.append((code + 1) % 4)
+        else:
+            out.append(code)
+    return np.array(out, dtype=np.uint8)
+
+
+def banded_lanes(pairs):
+    """``(amat, bmat, na, nb)`` of outward-facing slices, padded with junk."""
+    na = np.array([a.size for a, _ in pairs], dtype=np.int64)
+    nb = np.array([b.size for _, b in pairs], dtype=np.int64)
+    amat = np.full((len(pairs), max(int(na.max()), 1)), 2, dtype=np.uint8)
+    bmat = np.full((len(pairs), max(int(nb.max()), 1)), 2, dtype=np.uint8)
+    for p, (a, b) in enumerate(pairs):
+        amat[p, : a.size] = a
+        bmat[p, : b.size] = b
+    return amat, bmat, na, nb
+
+
+def assert_banded_matches_scalar(pairs, x, match=1, mismatch=-1, gap=-1, band=16):
+    """``_banded_side_batch`` equals ``_banded_one_side`` on every lane."""
+    amat, bmat, na, nb = banded_lanes(pairs)
+    got = _banded_side_batch(amat, bmat, na, nb, x, match, mismatch, gap, band)
+    for p, (a, b) in enumerate(pairs):
+        ref = _banded_one_side(a, b, x, match, mismatch, gap, band)
+        assert tuple(int(v[p]) for v in got) == ref, f"lane {p} ({a.size}, {b.size})"
+    return got
+
+
+class TestBandedWavefront:
+    """The compacting wavefront lane by lane against the scalar oracle."""
+
+    @pytest.mark.parametrize("gap", [-1, -2])
+    @pytest.mark.parametrize("x", [0, 1, 7])
+    @pytest.mark.parametrize("band", [0, 1, 5, 16])
+    def test_indel_corpus_with_mixed_lengths(self, band, x, gap):
+        """Indels; lane lengths 10x apart in halving groups, so the working
+        set compacts several times; empty sides on either sequence."""
+        rng = np.random.default_rng(1000 + 10 * band + 3 * x - gap)
+        pairs = []
+        for length, count in ((3, 16), (30, 8), (300, 4)):
+            for _ in range(count):
+                a = dna.random_codes(rng, length + int(rng.integers(0, length + 1)))
+                b = mutate_indels(rng, a, float(rng.choice([0.0, 0.04, 0.12])))
+                pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+        pairs.append((dna.random_codes(rng, 200), dna.random_codes(rng, 150)))
+        pairs.append((np.empty(0, dtype=np.uint8), dna.random_codes(rng, 40)))
+        pairs.append((dna.random_codes(rng, 40), np.empty(0, dtype=np.uint8)))
+        order = rng.permutation(len(pairs))
+        assert_banded_matches_scalar([pairs[i] for i in order], x, gap=gap, band=band)
+
+    def test_retired_lane_stays_retired(self):
+        """A lane that x-drops out while its neighbours run on never comes
+        back: its last live cells must not feed a later diagonal move, even
+        though an identical tail follows the junk that killed it."""
+        rng = np.random.default_rng(31)
+        head, tail = dna.random_codes(rng, 6), dna.random_codes(rng, 150)
+        junk = dna.random_codes(rng, 12)
+        trap = (
+            np.concatenate([head, junk, tail]),
+            np.concatenate([head, (junk + 1) % 4, tail]),
+        )
+        runners = [(c, c.copy()) for c in (dna.random_codes(rng, 160) for _ in range(3))]
+        got = assert_banded_matches_scalar([trap, *runners], x=2)
+        assert got[2][0] < 10  # stopped in the junk
+        assert got[2][1:].tolist() == [160] * 3
+        # one dead antidiagonal is not the end: at x = 0 antidiagonal 1
+        # (two gap cells) dies, antidiagonal 2 continues diagonally
+        got = assert_banded_matches_scalar(runners, x=0)
+        assert got[0].tolist() == [160] * 3
+
+    def test_int64_scores(self):
+        """Scores of 2**22 per base cannot fit the int32 planes."""
+        rng = np.random.default_rng(32)
+        same = dna.random_codes(rng, 60)
+        pairs = [(same, same.copy())]
+        for length in (5, 20, 60):
+            a = dna.random_codes(rng, length)
+            pairs.append((a, mutate_indels(rng, a, 0.1)))
+        pairs.append((dna.random_codes(rng, 30), dna.random_codes(rng, 45)))
+        big = 1 << 22
+        got = assert_banded_matches_scalar(
+            pairs, x=7 * big, match=big, mismatch=-big, gap=-big, band=5
+        )
+        assert got[2][0] == 60 * big
+
+    def test_unbounded_xdrop(self):
+        """``x = 2**40`` never fires: every lane runs to its last cell, and
+        a 30-mismatch valley does not stop the one that climbs out of it."""
+        rng = np.random.default_rng(33)
+        valley = dna.random_codes(rng, 130)
+        pairs = [(valley, np.concatenate([valley[:20], (valley[20:50] + 1) % 4, valley[50:]]))]
+        for length in (5, 20, 60):
+            a = dna.random_codes(rng, length)
+            pairs.append((a, mutate_indels(rng, a, 0.1)))
+        pairs.append((dna.random_codes(rng, 30), dna.random_codes(rng, 45)))
+        got = assert_banded_matches_scalar(pairs, x=2**40, band=5)
+        assert got[2][0] > 80  # past the valley
+
+    def test_real_candidate_geometry(self):
+        """4 %-error reads with indels at the paper's high-error k = 17,
+        x = 7: batch ``dp`` equals scalar on every upper-triangle candidate
+        of C, seeds and strands as ``detect_overlaps`` emits them."""
+        genome = make_genome(GenomeSpec(length=1600, seed=17))
+        reads = sample_reads(
+            genome, depth=8, mean_length=200, rng=4, error_rate=0.04,
+            error_mix=(0.2, 0.4, 0.4),
+        ).reads
+        store = DistReadStore.from_global(ProcGrid(SimWorld(1, zero_cost())), reads)
+        table = count_kmers(store, 17, reliable_lo=2)
+        C, _ = detect_overlaps(build_kmer_matrix(store, table))
+        rows, cols, vals = C.to_global_coo()
+        upper = rows < cols
+        tasks = [
+            (int(r), int(c), int(v["pos_a"]), int(v["pos_b"]), bool(v["same_strand"]))
+            for r, c, v in zip(rows[upper], cols[upper], vals[upper])
+        ]
+        assert len(tasks) >= 400
+        assert_identical(
+            run_batch(reads, tasks, 17, 7, "dp"),
+            scalar_reference(reads, tasks, 17, 7, "dp"),
+        )
 
 
 class TestClassifyBatch:

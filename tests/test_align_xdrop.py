@@ -111,6 +111,23 @@ class TestBanded:
         with pytest.raises(AlignmentError):
             extend_banded(a, a, 0, 2, 4, x=5)
 
+    def test_one_dead_antidiagonal_is_not_the_end(self):
+        """At x = 0 both cells of antidiagonal 1 (one gap each) die, but
+        antidiagonal 2 is one diagonal move from the seed."""
+        rng = np.random.default_rng(4)
+        a = dna.random_codes(rng, 500)
+        res = xdrop_extend(a, a.copy(), 200, 200, 17, 0, mode="dp")
+        assert res == xdrop_extend(a, a.copy(), 200, 200, 17, 0, mode="diag")
+        assert (res.a_begin, res.a_end, res.score) == (0, 500, 500)
+
+    def test_band_zero_runs_on_the_seed_diagonal(self):
+        """Band 0 leaves every odd antidiagonal empty; each is one dead
+        antidiagonal, never two in a row."""
+        rng = np.random.default_rng(5)
+        a = dna.random_codes(rng, 80)
+        res = extend_banded(a, a.copy(), 30, 30, 10, x=3, band=0)
+        assert (res.a_begin, res.a_end, res.b_begin, res.b_end) == (0, 80, 0, 80)
+
 
 class TestDispatch:
     def test_modes(self):

@@ -186,6 +186,7 @@ class TestAlignmentTierIdentity:
             {"match": 2, "mismatch": -3},
             {"gap": -2, "band": 3},
             {"gap": -5, "band": 1},
+            {"gap": -1, "band": 0},
         ):
             mode = "dp" if ("gap" in kwargs or "band" in kwargs) else "diag"
             ref = align_fixtures.run_batch(

@@ -120,6 +120,26 @@ class TestRunPipeline:
         assert res.align_stats.pairs_aligned > 0
         assert res.align_stats.dovetails > 0
 
+    def test_dp_at_zero_xdrop_assembles_error_free_tiles(self):
+        """Error-free tiles at x = 0: the banded DP must extend through the
+        dead gap-only antidiagonal next to the seed, as the gapless engine
+        does, so both modes find every dovetail and one contig."""
+        genome = dna.random_codes(np.random.default_rng(1), 3000)
+        reads = tile_reads(genome, 500, 150).reads
+        runs = {
+            mode: Pipeline.default().run(
+                reads,
+                PipelineConfig(
+                    nprocs=1, k=17, align_mode=mode, xdrop=0, end_margin=40,
+                    tr_fuzz=150,
+                ),
+            )
+            for mode in ("diag", "dp")
+        }
+        assert runs["dp"].align_stats.dovetails == runs["diag"].align_stats.dovetails
+        assert runs["dp"].align_stats.internal == 0
+        assert [c.length for c in runs["dp"].contigs.contigs] == [3000]
+
 
 class TestStageSeconds:
     """stage_seconds must match the exact name and '/'-substages only."""

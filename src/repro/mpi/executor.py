@@ -16,9 +16,9 @@ callable plus per-rank argument lists -- and
   model (ranks are processes with private memory), with large read-only
   arrays shipped zero-copy via :mod:`~repro.mpi.shm`.
 
-Measured on the ``BENCHMARK.json`` workloads (2 cores, CHANGES.md PR 15):
+Measured on the ``BENCHMARK.json`` workloads (2 cores, see CHANGES.md):
 ``process`` wins when the work per superstep is large (1.35x on
-``lowerr_diag_p16``, 1.70x on ``hierr_dp_p4``) and loses when supersteps
+``lowerr_diag_p16``, 1.06x on ``hierr_dp_p4``) and loses when supersteps
 are many and tiny (0.53x on ``lowerr_budget_p16``, 0.97x on
 ``contig_sweep_p16``): each one pays pickling and a pool round-trip.
 

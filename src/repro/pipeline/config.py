@@ -148,29 +148,25 @@ class PipelineConfig:
                 f"unknown kernel_tier {self.kernel_tier!r}; "
                 f"options: {list(KERNEL_TIERS)}"
             )
-        if self.stage_max_retries < 0:
-            raise PipelineError(
-                f"stage_max_retries must be >= 0, got {self.stage_max_retries}"
-            )
+        # integer knobs with a floor: below it a stage fails mid-run or the
+        # run silently assembles nothing
+        for name, floor in (
+            ("stage_max_retries", 0), ("reliable_lo", 1),
+            ("min_shared_kmers", 1), ("xdrop", 0), ("tr_fuzz", 0),
+            ("align_batch_size", 1), ("count_limit", 1), ("tr_max_rounds", 0),
+            ("end_margin", 0), ("min_overlap", 0), ("min_contig_reads", 1),
+        ):
+            if getattr(self, name) < floor:
+                raise PipelineError(
+                    f"{name} must be >= {floor}, got {getattr(self, name)}"
+                )
         if self.reliable_hi is not None and self.reliable_hi < self.reliable_lo:
             raise PipelineError(
                 f"reliable_hi ({self.reliable_hi}) must be >= reliable_lo "
                 f"({self.reliable_lo})"
             )
-        if self.min_shared_kmers < 1:
-            raise PipelineError(
-                f"min_shared_kmers must be >= 1, got {self.min_shared_kmers}"
-            )
-        if self.xdrop < 0:
-            raise PipelineError(f"xdrop must be >= 0, got {self.xdrop}")
-        if self.tr_fuzz < 0:
-            raise PipelineError(f"tr_fuzz must be >= 0, got {self.tr_fuzz}")
         if self.align_mode not in ("diag", "dp"):
             raise PipelineError(f"unknown align_mode {self.align_mode!r}")
-        if self.align_batch_size < 1:
-            raise PipelineError(
-                f"align_batch_size must be >= 1, got {self.align_batch_size}"
-            )
         if self.contig_engine not in ("batch", "scalar"):
             raise PipelineError(
                 f"unknown contig_engine {self.contig_engine!r}; "

@@ -20,7 +20,7 @@ from .semiring import (
     minplus_semiring,
     seed_semiring,
 )
-from .spgemm import expand_join, spgemm_local, spgemm_symbolic
+from .spgemm import column_pointers, spgemm_local, spgemm_symbolic
 from .types import (
     DIRMIN_DTYPE,
     KMER_POS_DTYPE,
@@ -45,7 +45,7 @@ __all__ = [
     "dirmin_semiring",
     "spgemm_local",
     "spgemm_symbolic",
-    "expand_join",
+    "column_pointers",
     "segment_starts",
     "KMER_POS_DTYPE",
     "SEED_DTYPE",

@@ -14,7 +14,8 @@ pattern the real library uses, charged to the cost model):
   :meth:`SimComm.route <repro.mpi.comm.SimComm.route>` plan sends every
   locally produced triple to its block owner;
 * :meth:`DistSparseMatrix.spgemm` -- SUMMA: sqrt(P) stages of row/column
-  broadcasts followed by local semiring multiplies;
+  broadcasts followed by local semiring multiplies, which join through
+  column pointers built once per A block and per multiplication;
 * :meth:`DistSparseMatrix.transpose` -- pairwise exchange with the grid-
   transposed partner;
 * :meth:`DistSparseMatrix.apply` / :meth:`prune` -- embarrassingly local;
@@ -38,9 +39,9 @@ from ..mpi.comm import block_range
 from ..mpi.grid import ProcGrid
 from ..mpi.memory import MemoryBudget
 from ..util import cumsum0, sorted_lookup
-from .coo import LocalCoo, segment_starts
+from .coo import LocalCoo
 from .semiring import Semiring
-from .spgemm import spgemm_local, spgemm_symbolic
+from .spgemm import column_pointers, spgemm_local, spgemm_symbolic
 from .distvec import DistVector
 
 __all__ = ["DistSparseMatrix", "SpgemmPlan"]
@@ -113,34 +114,30 @@ class SpgemmPlan:
         b_entry = _entry_nbytes(b.dtype)
         scale = world.machine.volume_scale
 
-        # per-rank symbolic column profiles, summed over the q SUMMA stages
+        # per-rank symbolic column profiles, summed over the q SUMMA stages,
+        # from each block's column counts (read once, not once per stage)
+        a_counts = [blk.col_counts() for blk in a.blocks]
+        b_counts = [blk.col_counts() for blk in b.blocks]
         per_rank = []
         sym_ops = []
         out_bounds = grid.block_bounds((a.shape[0], b.shape[1]))
         for rank, (rlo, rhi, clo, chi) in enumerate(out_bounds):
             i, j = grid.coords_of(rank)
-            width = chi - clo
-            nrows = rhi - rlo
-            partial_ub = np.zeros(width, dtype=np.int64)
-            stage_counts = np.zeros((q, width), dtype=np.int64)
-            a_panel = 0
-            ops = 0
-            for s in range(q):
-                a_blk = a.blocks[grid.rank_of(i, s)]
-                b_blk = b.blocks[grid.rank_of(s, j)]
-                _flops_s, nnz_s = spgemm_symbolic(a_blk, b_blk)
-                partial_ub += nnz_s
-                if b_blk.nnz:
-                    stage_counts[s] = np.bincount(b_blk.cols, minlength=width)
-                a_panel = max(a_panel, a_blk.nbytes)
-                ops += a_blk.nnz + b_blk.nnz
-            out_ub = np.minimum(partial_ub, nrows)
-            cum_partial = cumsum0(partial_ub)
-            cum_out = cumsum0(out_ub)
-            cum_counts = np.zeros((q, width + 1), dtype=np.int64)
-            np.cumsum(stage_counts, axis=1, out=cum_counts[:, 1:])
-            per_rank.append((a_panel, cum_partial, cum_out, cum_counts))
-            sym_ops.append(ops)
+            a_ranks = [grid.rank_of(i, s) for s in range(q)]
+            b_ranks = [grid.rank_of(s, j) for s in range(q)]
+            partial_ub = sum(
+                spgemm_symbolic(a.blocks[ar], b.blocks[br], a_counts[ar])[1]
+                for ar, br in zip(a_ranks, b_ranks)
+            )
+            out_ub = np.minimum(partial_ub, rhi - rlo)
+            cum_counts = np.zeros((q, chi - clo + 1), dtype=np.int64)
+            np.cumsum([b_counts[br] for br in b_ranks], axis=1, out=cum_counts[:, 1:])
+            a_panel = max(a.blocks[ar].nbytes for ar in a_ranks)
+            per_rank.append((a_panel, cumsum0(partial_ub), cumsum0(out_ub), cum_counts))
+            sym_ops.append(
+                sum(a.blocks[ar].nnz for ar in a_ranks)
+                + sum(b.blocks[br].nnz for br in b_ranks)
+            )
         world.charge_compute_all(sym_ops)
 
         def estimate(phase_count: int) -> float:
@@ -209,6 +206,22 @@ def _concat_coo(shape: tuple[int, int], parts: list[LocalCoo], dtype) -> LocalCo
     return LocalCoo(shape, rows, cols, vals)
 
 
+def _phase_panels(blk: LocalCoo, phases: int) -> list[LocalCoo]:
+    """``blk``'s column-phase sub-panels, row-sorted: slices of one sort by
+    (phase, row, col), equal to column masks of the row-sorted block."""
+    if phases == 1:
+        return [blk.sorted_by("row")]
+    lows = [block_range(blk.shape[1], phases, p)[0] for p in range(phases)]
+    phase = np.searchsorted(lows, blk.cols, side="right") - 1
+    perm = np.lexsort((blk.cols, blk.rows, phase))
+    rows, cols, vals = blk.rows[perm], blk.cols[perm], blk.vals[perm]
+    cuts = cumsum0(np.bincount(phase, minlength=phases))
+    return [
+        LocalCoo(blk.shape, rows[lo:hi], cols[lo:hi], vals[lo:hi], order="row")
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
 # ---------------------------------------------------------------------------
 # SpGEMM rank steps (module level, state-through-arguments)
 #
@@ -221,14 +234,17 @@ def _concat_coo(shape: tuple[int, int], parts: list[LocalCoo], dtype) -> LocalCo
 # ---------------------------------------------------------------------------
 
 
-def _spgemm_multiply_bulk_step(ctx, a_blk, b_blk, partial_nbytes, base_bytes, semiring):
+def _spgemm_multiply_bulk_step(
+    ctx, a_blk, a_ptr, b_blk, partial_nbytes, base_bytes, semiring
+):
     """One SUMMA stage's local multiply under bulk (once-per-phase) merge.
 
+    ``a_ptr`` is the A panel's column pointers, built once per SpGEMM.
     Returns the stage's partial product; the driver appends it to the
     rank's phase partials (when nonempty) and tracks their byte total,
     which arrives here as ``partial_nbytes`` the next stage.
     """
-    part, flops = spgemm_local(a_blk, b_blk, semiring)
+    part, flops = spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr)
     ctx.charge_compute(max(flops, 1))
     received = a_blk.nbytes + b_blk.nbytes
     live = partial_nbytes + (part.nbytes if part.nnz else 0)
@@ -236,9 +252,11 @@ def _spgemm_multiply_bulk_step(ctx, a_blk, b_blk, partial_nbytes, base_bytes, se
     return part
 
 
-def _spgemm_multiply_stream_step(ctx, a_blk, b_blk, prev, base_bytes, shape, semiring):
+def _spgemm_multiply_stream_step(
+    ctx, a_blk, a_ptr, b_blk, prev, base_bytes, shape, semiring
+):
     """One SUMMA stage's local multiply folded into a running accumulator."""
-    part, flops = spgemm_local(a_blk, b_blk, semiring)
+    part, flops = spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr)
     ctx.charge_compute(max(flops, 1))
     received = a_blk.nbytes + b_blk.nbytes
     live = (prev.nbytes if prev is not None else 0) + part.nbytes
@@ -537,7 +555,10 @@ class DistSparseMatrix:
         multiplies and accumulates locally -- and then finalizes that
         phase's output columns before the next phase starts.  Peak live
         bytes is therefore (broadcast panel + one phase's partials +
-        finished output) instead of a whole-stage working set.
+        finished output) instead of a whole-stage working set.  Operands
+        are prepared once per call, not per phase: A's blocks sorted by
+        column with their column pointers, B's blocks sorted by (phase,
+        row, col) so each phase's sub-panel is a slice.
 
         ``phases=1`` (the default) reproduces the classic unphased SUMMA
         bit-identically.  Passing a :class:`~repro.mpi.memory.MemoryBudget`
@@ -588,11 +609,6 @@ class DistSparseMatrix:
             (rlo, clo) for rlo, _rhi, clo, _chi in grid.block_bounds(out_shape)
         ]
 
-        # phase column bounds are local to each grid column's block
-        # (rank j sits at grid position (0, j), so its width is column j's)
-        def _phase_bounds(j: int, p: int) -> tuple[int, int]:
-            return block_range(out_block_shape[j][1], phases, p)
-
         # per-rank accumulation state.  The rank steps are module-level
         # functions (out-of-process executors pickle them), so the state
         # lives HERE, flowing into each superstep through per-rank
@@ -600,11 +616,13 @@ class DistSparseMatrix:
         # per-phase (rebound at each phase start); finished_bytes tracks
         # the bytes of already finalized phase outputs, which stay live
         # to the end.
-        # sorted once here, the broadcast panels reach every stage of every
-        # phase in the order the local kernel joins on (a phase's column
-        # sub-panel ``select`` keeps it)
+        # Derived once here, not per phase x stage x rank: A's blocks are
+        # sorted by column with their column pointers beside them, B's
+        # are cut into row-sorted phase sub-panels.  The pointers are
+        # read off the broadcast panel, so nothing is charged for them.
         a_blocks = [blk.sorted_by("col") for blk in self.blocks]
-        b_blocks = [blk.sorted_by("row") for blk in other.blocks]
+        a_ptrs = [column_pointers(blk) for blk in a_blocks]
+        b_panels = [_phase_panels(blk, phases) for blk in other.blocks]
         bulk = merge_mode == "bulk"
         finished: list[list[LocalCoo]] = [[] for _ in range(nprocs)]
         finished_bytes = [0] * nprocs
@@ -618,6 +636,7 @@ class DistSparseMatrix:
             for s in range(q):
                 # broadcast A(:, s) along grid rows (full blocks, every phase)
                 a_recv: list[LocalCoo] = [None] * nprocs
+                a_ptr_recv: list[np.ndarray] = [None] * nprocs
                 for i in range(q):
                     root_world_rank = grid.rank_of(i, s)
                     got = grid.row_comms[i].bcast(
@@ -625,29 +644,25 @@ class DistSparseMatrix:
                     )
                     for j in range(q):
                         a_recv[grid.rank_of(i, j)] = got[j]
+                        a_ptr_recv[grid.rank_of(i, j)] = a_ptrs[root_world_rank]
                 # broadcast B(s, :)'s phase column sub-panels along grid columns
                 b_recv: list[LocalCoo] = [None] * nprocs
                 for j in range(q):
                     root_world_rank = grid.rank_of(s, j)
-                    blk = b_blocks[root_world_rank]
-                    if phases > 1:
-                        lo, hi = _phase_bounds(j, p)
-                        blk = blk.select((blk.cols >= lo) & (blk.cols < hi))
-                    got = grid.col_comms[j].bcast(blk, root=s)
+                    got = grid.col_comms[j].bcast(
+                        b_panels[root_world_rank][p], root=s
+                    )
                     for i in range(q):
                         b_recv[grid.rank_of(i, j)] = got[i]
                 # local multiply-accumulate superstep.  Each grid row/
-                # column shares ONE broadcast panel object across its
-                # ranks' tasks, so the process backend exports each
-                # panel's arrays to shared memory once, not per rank.
+                # column shares ONE broadcast panel object (and one
+                # pointer array) across its ranks' tasks, so the process
+                # backend exports each panel's arrays to shared memory
+                # once, not per rank.
                 if bulk:
                     parts = world.map_ranks(
-                        _spgemm_multiply_bulk_step,
-                        a_recv,
-                        b_recv,
-                        partial_bytes,
-                        finished_bytes,
-                        sem_pr,
+                        _spgemm_multiply_bulk_step, a_recv, a_ptr_recv, b_recv,
+                        partial_bytes, finished_bytes, sem_pr,
                     )
                     for rank, part in enumerate(parts):
                         if part.nnz:
@@ -655,13 +670,8 @@ class DistSparseMatrix:
                             partial_bytes[rank] += part.nbytes
                 else:
                     acc = world.map_ranks(
-                        _spgemm_multiply_stream_step,
-                        a_recv,
-                        b_recv,
-                        acc,
-                        finished_bytes,
-                        out_block_shape,
-                        sem_pr,
+                        _spgemm_multiply_stream_step, a_recv, a_ptr_recv, b_recv,
+                        acc, finished_bytes, out_block_shape, sem_pr,
                     )
             merged_list = world.map_ranks(
                 _spgemm_finalize_bulk_step if bulk else _spgemm_finalize_stream_step,

@@ -3,16 +3,19 @@
 The kernel joins on the contraction index and accumulates into output
 slots, as CombBLAS's hash / SPA kernel does per column.  With A's entries
 sorted by column and B's by row (the distributed layer sorts each block
-once; a :class:`LocalCoo` remembers its order), :func:`expand_join` lays
-out all (A-entry, B-entry) pairs per shared key with index arithmetic (no
-Python loop over nonzeros).  Each product's fused ``row * ncols + col`` key
-is then ranked among the distinct keys -- through a dense presence table
-when the block has few cells per product, ``np.unique`` otherwise -- and
-that rank is the product's output slot; the products themselves are never
-sorted by coordinate.  A semiring with a ``slot_reduce`` (the seed semiring)
-reduces straight into the slots; any other forms its products with
-``multiply`` and combines them with the segmented ``add_reduce`` behind one
-stable argsort of the slot ids.
+once; a :class:`LocalCoo` remembers its order), A's CSC column pointers
+(:func:`column_pointers`, which the distributed layer builds once per A
+block) lay out all (A-entry, B-entry) pairs B-major with index arithmetic
+(no Python loop over nonzeros): B entry ``(k, c)`` meets the slice of A's
+column ``k``.  B is row-sorted, so every output cell receives its
+products in contraction-index order.  Each product's fused
+``row * ncols + col`` key is then ranked among the distinct keys --
+through a dense presence table when the block has few cells per product,
+``np.unique`` otherwise -- and that rank is the product's output slot;
+the products themselves are never sorted by coordinate.  A semiring with
+a ``slot_reduce`` (the seed semiring) reduces straight into the slots;
+any other forms its products with ``multiply`` and combines them with
+the segmented ``add_reduce`` behind one stable argsort of the slot ids.
 
 Returns both the product and the number of elementary products formed (the
 "flops" of the multiplication) so the distributed layer can charge modeled
@@ -24,11 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SparseFormatError
-from ..util import cumsum0 as _cumsum0, sorted_lookup
-from .coo import LocalCoo, segment_starts
+from ..util import cumsum0 as _cumsum0
+from .coo import LocalCoo
 from .semiring import Semiring
 
-__all__ = ["spgemm_local", "spgemm_symbolic", "expand_join"]
+__all__ = ["spgemm_local", "spgemm_symbolic", "column_pointers"]
 
 
 def _ragged_arange(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -39,31 +42,10 @@ def _ragged_arange(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def expand_join(
-    a_keys_sorted: np.ndarray, b_keys_sorted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs ``(ia, ib)`` with ``a_keys[ia] == b_keys[ib]``.
-
-    Both key arrays must be sorted ascending.  The expansion is fully
-    vectorized: for a key shared by ``ca`` A-entries and ``cb`` B-entries it
-    emits the ``ca * cb`` cross product, in deterministic (A-major) order.
-    """
-    # B's key runs from its boundaries, A's by bisection: in a phased SUMMA
-    # B is the thin column sub-panel, and A is never walked in full
-    starts_b = segment_starts(b_keys_sorted)
-    keys = b_keys_sorted[starts_b]
-    bounds_b = np.append(starts_b, b_keys_sorted.size)
-    cb = bounds_b[1:] - starts_b
-    starts_a = np.searchsorted(a_keys_sorted, keys, side="left")
-    ca = np.searchsorted(a_keys_sorted, keys, side="right") - starts_a
-    # per matched A entry, the run of B entries sharing its key (a key A
-    # lacks has ca == 0 and repeats away); np.repeat then lays the cross
-    # products out A-major with no division
-    a_idx = _ragged_arange(starts_a, ca)
-    run = np.repeat(cb, ca)
-    a_take = np.repeat(a_idx, run)
-    b_take = _ragged_arange(np.repeat(starts_b, ca), run)
-    return a_take, b_take
+def column_pointers(a: LocalCoo) -> np.ndarray:
+    """CSC index pointer of a column-sorted block: column ``k``'s entries
+    are ``a_ptr[k]:a_ptr[k + 1]``."""
+    return np.searchsorted(a.cols, np.arange(a.shape[1] + 1))
 
 
 #: slot ids come from a dense presence table while the output block has at
@@ -82,7 +64,9 @@ def _output_slots(keys: np.ndarray, ncells: int) -> tuple[np.ndarray, np.ndarray
     return slots, out_keys
 
 
-def spgemm_symbolic(a: LocalCoo, b: LocalCoo) -> tuple[np.ndarray, np.ndarray]:
+def spgemm_symbolic(
+    a: LocalCoo, b: LocalCoo, a_counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Symbolic SpGEMM: per-output-column flop and nnz upper bounds.
 
     The structural half of the multiplication only -- no payloads are
@@ -99,7 +83,8 @@ def spgemm_symbolic(a: LocalCoo, b: LocalCoo) -> tuple[np.ndarray, np.ndarray]:
     for the same operands.  The distributed layer's phase planner sums
     these per-column bounds over SUMMA stages to size column phases
     against a :class:`~repro.mpi.memory.MemoryBudget` without ever
-    materializing a partial product.
+    materializing a partial product.  ``a_counts`` is ``a.col_counts()``,
+    for a caller that pairs one A block with many B blocks.
     """
     if a.shape[1] != b.shape[0]:
         raise SparseFormatError(
@@ -109,12 +94,9 @@ def spgemm_symbolic(a: LocalCoo, b: LocalCoo) -> tuple[np.ndarray, np.ndarray]:
     flops = np.zeros(ncols, dtype=np.int64)
     if a.nnz == 0 or b.nnz == 0:
         return flops, flops.copy()
-    # multiplicity of each contraction key (A column), then the expansion
-    # factor of every B entry is the multiplicity of its row key
-    a_keys, a_counts = np.unique(a.cols, return_counts=True)
-    found, pos = sorted_lookup(a_keys, b.rows)
-    per_entry = np.where(found, a_counts[pos], 0)
-    np.add.at(flops, b.cols, per_entry)
+    # every B entry (k, c) expands into as many products as A column k has
+    a_counts = a.col_counts() if a_counts is None else a_counts
+    np.add.at(flops, b.cols, a_counts[b.rows])
     nnz_ub = np.minimum(flops, int(a.shape[0]))
     return flops, nnz_ub
 
@@ -124,6 +106,7 @@ def spgemm_local(
     b: LocalCoo,
     semiring: Semiring,
     exclude_diagonal: bool = False,
+    a_ptr: np.ndarray | None = None,
 ) -> tuple[LocalCoo, int]:
     """Compute ``C = A . B`` over ``semiring`` on local COO blocks.
 
@@ -141,6 +124,9 @@ def spgemm_local(
         reduction.  Only meaningful when the caller knows local coordinates
         coincide with global ones (square blocks on the grid diagonal are
         handled by the distributed layer instead).
+    a_ptr:
+        ``column_pointers`` of ``a`` sorted by column, for a caller that
+        joins one A block against many B blocks; built here when ``None``.
 
     Returns
     -------
@@ -157,15 +143,23 @@ def spgemm_local(
 
     a = a.sorted_by("col")
     b = b.sorted_by("row")
-    a_take, b_take = expand_join(a.cols, b.rows)
+    a_ptr = column_pointers(a) if a_ptr is None else a_ptr
+    # B-major pointer join: B entry (k, c) meets A's column k.  B is
+    # row-sorted, so each output cell receives its products in k order
+    first = a_ptr[b.rows]
+    count = a_ptr[b.rows + 1] - first
+    a_take = _ragged_arange(first, count)
+    b_take = np.repeat(np.arange(b.nnz), count)
     flops = int(a_take.size)
     ncols = out_shape[1]
     # one fused row-major key per product: its rank among the distinct keys
     # is the product's output slot
-    keys = a.rows[a_take] * ncols
-    keys += b.cols[b_take]
+    rows = a.rows[a_take]
+    cols = np.repeat(b.cols, count)
+    keys = rows * ncols
+    keys += cols
     if exclude_diagonal:
-        keep = a.rows[a_take] != b.cols[b_take]
+        keep = rows != cols
         keys, a_take, b_take = keys[keep], a_take[keep], b_take[keep]
     fused = semiring.slot_reduce is not None
     if not fused:

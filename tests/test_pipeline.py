@@ -66,6 +66,32 @@ class TestConfig:
         with pytest.raises(PipelineError):
             PipelineConfig(tr_fuzz=-1).validate()
 
+    @pytest.mark.parametrize(
+        "field, bad, floor",
+        [
+            ("reliable_lo", 0, 1),
+            ("count_limit", 0, 1),
+            ("tr_max_rounds", -1, 0),
+            ("end_margin", -5, 0),
+            ("min_overlap", -1, 0),
+            ("min_contig_reads", -3, 1),
+        ],
+    )
+    def test_values_that_fail_or_empty_the_run_rejected(self, field, bad, floor):
+        """Each used to fail inside a stage or finish "ok" with 0 contigs;
+        now the run is refused before any stage, as is a scaffold round's."""
+        from repro.scaffold import ScaffoldConfig
+
+        with pytest.raises(PipelineError, match=f"{field} must be >= {floor}"):
+            PipelineConfig(**{field: bad}).validate()
+        PipelineConfig(**{field: floor}).validate()
+        if field in ("tr_max_rounds", "end_margin", "min_overlap", "min_contig_reads"):
+            with pytest.raises(PipelineError, match=field):
+                ScaffoldConfig(**{field: bad}).validate()
+        rs = tile_reads(dna.random_codes(np.random.default_rng(5), 600), 200, 100)
+        with pytest.raises(PipelineError, match=field):
+            Pipeline.default().run(rs, PipelineConfig(nprocs=4, **{field: bad}))
+
     def test_machine_resolution(self):
         assert PipelineConfig(machine="summit-cpu").resolve_machine().name == "summit-cpu"
         with pytest.raises(PipelineError):

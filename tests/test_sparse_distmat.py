@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import DistributionError
-from repro.mpi import ProcGrid, SimWorld, cori_haswell, zero_cost
+from repro.mpi import MemoryBudget, ProcGrid, SimWorld, cori_haswell, zero_cost
 from repro.sparse import DistSparseMatrix, LocalCoo, arithmetic_semiring
 from repro.sparse import distmat
+from repro.sparse import spgemm as spgemm_mod
 
 
 def random_dist(grid, n, m, density=0.2, seed=0):
@@ -181,33 +182,92 @@ class TestSpgemm:
         assert w.log.total_bytes(op="bcast") > 0
 
     def test_panels_are_sorted_once_not_per_rank_step(self, monkeypatch):
-        """A phased SUMMA sorts each operand block once (2P sorts); every
-        panel a rank step receives already is in the order the local
-        kernel joins on, across all phases and stages."""
+        """A phased SUMMA prepares each operand block once: P column sorts
+        of A with P pointer builds, P (phase, row, col) sorts of B, and no
+        per-phase ``select``.  Every panel a rank step receives already is
+        in the order the local kernel joins on, with its A pointers."""
         g = ProcGrid(SimWorld(16, zero_cost()))
         _, a = random_dist(g, 40, 40, density=0.3, seed=15)
-        real_sorts, multiplies = [], []
-        sorted_by, spgemm_local = LocalCoo.sorted_by, distmat.spgemm_local
+        # 50 columns per grid column: most of the 32 phases own two
+        _, b = random_dist(g, 40, 200, density=0.3, seed=16)
+        real_sorts, multiplies, pointer_builds, b_sorts, selects = [], [], [], [], []
+        sorted_by, select = LocalCoo.sorted_by, LocalCoo.select
+        spgemm_local, column_pointers = distmat.spgemm_local, distmat.column_pointers
+        phase_panels = distmat._phase_panels
 
         def counting_sorted_by(self, order="row"):
             real_sorts.append(self.order != order)
             return sorted_by(self, order)
 
-        def checking_spgemm_local(a_blk, b_blk, semiring):
-            multiplies.append((a_blk.order, b_blk.order))
-            return spgemm_local(a_blk, b_blk, semiring)
+        def counting_select(self, mask):
+            selects.append(mask)
+            return select(self, mask)
+
+        def counting_column_pointers(blk):
+            pointer_builds.append(blk)
+            return column_pointers(blk)
+
+        def counting_phase_panels(blk, phases):
+            b_sorts.append(phases)
+            return phase_panels(blk, phases)
+
+        def checking_spgemm_local(a_blk, b_blk, semiring, a_ptr=None):
+            # the labels, and the entries really in that order
+            in_order = np.array_equal(
+                np.lexsort((a_blk.rows, a_blk.cols)), np.arange(a_blk.nnz)
+            ) and np.array_equal(
+                np.lexsort((b_blk.cols, b_blk.rows)), np.arange(b_blk.nnz)
+            )
+            multiplies.append((a_blk.order, b_blk.order, in_order, a_ptr is not None))
+            return spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr)
 
         monkeypatch.setattr(LocalCoo, "sorted_by", counting_sorted_by)
+        monkeypatch.setattr(LocalCoo, "select", counting_select)
+        monkeypatch.setattr(distmat, "column_pointers", counting_column_pointers)
+        monkeypatch.setattr(spgemm_mod, "column_pointers", counting_column_pointers)
+        monkeypatch.setattr(distmat, "_phase_panels", counting_phase_panels)
         monkeypatch.setattr(distmat, "spgemm_local", checking_spgemm_local)
-        phased = a.spgemm(a, arithmetic_semiring(), phases=32)
+        phased = a.spgemm(b, arithmetic_semiring(), phases=32)
         monkeypatch.undo()
 
         assert len(multiplies) == 32 * g.q * g.nprocs
-        assert set(multiplies) == {("col", "row")}
-        assert sum(real_sorts) == 2 * g.nprocs
+        assert set(multiplies) == {("col", "row", True, True)}
+        assert sum(real_sorts) == g.nprocs  # A by column
+        assert b_sorts == [32] * g.nprocs
+        assert len(pointer_builds) <= g.nprocs
+        assert not selects
         assert np.array_equal(
-            dense_of(phased), dense_of(a.spgemm(a, arithmetic_semiring()))
+            dense_of(phased), dense_of(a.spgemm(b, arithmetic_semiring()))
         )
+
+    @pytest.mark.parametrize("merge_mode", ["bulk", "stream"])
+    def test_phase_slices_equal_the_unphased_product(self, merge_mode):
+        """B's phase sub-panels are slices of one sort; any phase count --
+        more phases than a grid column has columns included, so some
+        phases own no column -- reproduces the unphased blocks exactly."""
+        g = ProcGrid(SimWorld(16, cori_haswell()))
+        _, a = random_dist(g, 30, 26, density=0.3, seed=20)
+        _, b = random_dist(g, 26, 22, density=0.3, seed=21)
+        sr = arithmetic_semiring()
+        want = a.spgemm(b, sr, merge_mode=merge_mode)
+        for phases in (1, 2, 7, 32):  # 22 columns: 5 or 6 per grid column
+            got = a.spgemm(b, sr, merge_mode=merge_mode, phases=phases)
+            for bg, bw in zip(got.blocks, want.blocks):
+                assert np.array_equal(bg.rows, bw.rows), phases
+                assert np.array_equal(bg.cols, bw.cols), phases
+                assert np.array_equal(bg.vals, bw.vals), phases
+
+    def test_plan_unchanged_on_a_fixed_budgeted_case(self):
+        """The planner reads each block's column counts once; its plan is
+        the one the per-stage symbolic pass produced."""
+        g = ProcGrid(SimWorld(16, cori_haswell()))
+        _, a = random_dist(g, 80, 60, density=0.3, seed=22)
+        plan = a.plan_spgemm(
+            a.transpose(), arithmetic_semiring(), MemoryBudget(20_000.0)
+        )
+        assert plan.fits and plan.phases == 4
+        assert plan.est_peak_bytes == 19752.0
+        assert plan.est_by_phases == {1: 41640.0, 2: 26976.0, 4: 19752.0}
 
 
 class TestRowReduce:

@@ -13,9 +13,10 @@ from repro.sparse import (
     KMER_POS_DTYPE,
     SEED_DTYPE,
     LocalCoo,
+    Semiring,
     arithmetic_semiring,
+    column_pointers,
     count_semiring,
-    expand_join,
     seed_semiring,
     spgemm_local,
 )
@@ -25,24 +26,61 @@ def to_coo(m: sp.coo_matrix) -> LocalCoo:
     return LocalCoo(m.shape, m.row, m.col, m.data)
 
 
-class TestExpandJoin:
-    def test_simple_join(self):
-        a = np.array([1, 2, 2, 5])
-        b = np.array([2, 2, 3, 5, 5])
-        ia, ib = expand_join(a, b)
-        pairs = set(zip(ia.tolist(), ib.tolist()))
-        # key 2: a idx {1,2} x b idx {0,1}; key 5: a idx {3} x b idx {3,4}
-        assert pairs == {(1, 0), (1, 1), (2, 0), (2, 1), (3, 3), (3, 4)}
+def pair_semiring() -> Semiring:
+    """Order-sensitive on purpose: a product is its ``(A id, B id)`` pair
+    and each output cell keeps the first one that arrives."""
+    return Semiring(
+        name="first-pair",
+        out_dtype=np.dtype(np.int64),
+        multiply=lambda a, b: a * 1000 + b,
+        add_reduce=lambda vals, starts: vals[starts],
+    )
 
-    def test_no_common_keys(self):
-        ia, ib = expand_join(np.array([1, 2]), np.array([3, 4]))
-        assert ia.size == 0 and ib.size == 0
 
-    def test_deterministic_order(self):
-        a = np.array([7, 7])
-        b = np.array([7, 7])
-        ia, ib = expand_join(a, b)
-        assert list(zip(ia, ib)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+def ids_block(shape, rows, cols) -> LocalCoo:
+    """A block whose payload is each entry's position as given."""
+    return LocalCoo(shape, rows, cols, np.arange(len(rows), dtype=np.int64))
+
+
+class TestPointerJoin:
+    def test_column_pointers_skip_empty_columns(self):
+        a = ids_block((3, 5), [2, 0, 1], [4, 1, 1]).sorted_by("col")
+        # columns 0, 2 and 3 are empty
+        assert column_pointers(a).tolist() == [0, 0, 2, 2, 2, 3]
+
+    def test_empty_columns(self):
+        a = ids_block((3, 5), [2, 0, 1], [4, 1, 1])
+        b = ids_block((5, 2), [0, 1, 3, 4, 4], [1, 0, 0, 0, 1])
+        c, flops = spgemm_local(a, b, pair_semiring())
+        # B(1, 0) meets A(0, 1) and A(1, 1); B(4, *) meets A(2, 4)
+        assert flops == 4
+        cells = dict(zip(zip(c.rows.tolist(), c.cols.tolist()), c.vals.tolist()))
+        assert cells == {(0, 0): 1 * 1000 + 1, (1, 0): 2 * 1000 + 1,
+                         (2, 0): 0 * 1000 + 3, (2, 1): 0 * 1000 + 4}
+        given, given_flops = spgemm_local(
+            a, b, pair_semiring(), a_ptr=column_pointers(a.sorted_by("col"))
+        )
+        assert given_flops == flops and np.array_equal(given.vals, c.vals)
+
+    def test_b_rows_with_no_a_column(self):
+        a = ids_block((3, 4), [0, 1, 2], [0, 0, 2])
+        b = ids_block((4, 3), [1, 1, 3], [0, 2, 1])
+        c, flops = spgemm_local(a, b, pair_semiring())
+        assert c.nnz == 0 and flops == 0 and c.shape == (3, 3)
+
+    def test_b_without_entries(self):
+        a = ids_block((3, 4), [0, 1, 2], [0, 0, 2]).sorted_by("col")
+        b = LocalCoo.empty((4, 6), np.dtype(np.int64))
+        c, flops = spgemm_local(a, b, pair_semiring(), a_ptr=column_pointers(a))
+        assert c.nnz == 0 and flops == 0 and c.shape == (3, 6)
+
+    def test_each_cell_takes_its_products_in_contraction_order(self):
+        # cell (0, 0) is reached through k = 3, 1, 2 in storage order; the
+        # first product to arrive is k = 1's, whichever side is stored first
+        a = ids_block((1, 4), [0, 0, 0], [3, 1, 2])
+        b = ids_block((4, 1), [2, 3, 1], [0, 0, 0])
+        c, flops = spgemm_local(a, b, pair_semiring())
+        assert flops == 3 and c.vals.tolist() == [1 * 1000 + 2]
 
 
 class TestSpgemmLocal:
@@ -130,17 +168,28 @@ def kmer_block(rng, shape, nnz, max_pos):
     return LocalCoo(shape, cells // shape[1], cells % shape[1], vals)
 
 
-def seed_reference(a, b, exclude_diagonal):
-    """The definition, one product at a time: count the products of each
-    output cell and keep the seed of the smallest pos_a, first on ties."""
-    a, b = a.sorted_by("col"), b.sorted_by("row")
+def contraction_order_products(a, b, exclude_diagonal):
+    """Every product ``(cell, ia, ib)`` as a plain nested loop over the
+    contraction index ``k`` (the blocks hold no duplicate coordinates, so
+    a cell meets at most one product per ``k``)."""
+    for k in range(a.shape[1]):
+        for ia in np.flatnonzero(a.cols == k):
+            for ib in np.flatnonzero(b.rows == k):
+                cell = (int(a.rows[ia]), int(b.cols[ib]))
+                if not (exclude_diagonal and cell[0] == cell[1]):
+                    yield cell, ia, ib
+
+
+def seed_reference(a, b, exclude_diagonal, first_wins=False):
+    """The definition, one product at a time in contraction order: count
+    the products of each output cell and keep the seed of the smallest
+    pos_a, first on ties (or simply the first, with ``first_wins``)."""
     cells = {}
-    for ia, ib in zip(*expand_join(a.cols, b.rows)):
-        cell = (int(a.rows[ia]), int(b.cols[ib]))
-        if exclude_diagonal and cell[0] == cell[1]:
-            continue
+    for cell, ia, ib in contraction_order_products(a, b, exclude_diagonal):
         count, best = cells.get(cell, (0, None))
-        if best is None or a.vals["pos"][ia] < a.vals["pos"][best[0]]:
+        if best is None or (
+            not first_wins and a.vals["pos"][ia] < a.vals["pos"][best[0]]
+        ):
             best = (ia, ib)
         cells[cell] = (count + 1, best)
     out = np.zeros(len(cells), dtype=SEED_DTYPE)
@@ -187,6 +236,40 @@ class TestSeedSlotReduction:
         a = kmer_block(rng, (n, k), int(fill_a * n * k), max_pos)
         b = kmer_block(rng, (k, m), int(fill_b * k * m), max_pos)
         assert_seed_paths_agree(a, b, exclude_diagonal)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        k=st.integers(1, 8),
+        m=st.integers(1, 30),
+        fill_a=st.floats(0.0, 1.0),
+        fill_b=st.floats(0.0, 1.0),
+        max_pos=st.sampled_from([1, 3]),
+        exclude_diagonal=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_order_sensitive_add_sees_contraction_order(
+        self, seed, n, k, m, fill_a, fill_b, max_pos, exclude_diagonal
+    ):
+        """A first-wins ``add_reduce`` (no ``slot_reduce``) keeps, per cell,
+        the product of the smallest contraction index: the order the join
+        promises.  Few positions make many seeds tie on everything but it."""
+
+        def first_wins(vals, starts):
+            out = vals[starts].copy()
+            out["count"] = np.add.reduceat(vals["count"], starts)
+            return out
+
+        first = dataclasses.replace(
+            seed_semiring(), add_reduce=first_wins, slot_reduce=None
+        )
+        rng = np.random.default_rng(seed)
+        a = kmer_block(rng, (n, k), int(fill_a * n * k), max_pos)
+        b = kmer_block(rng, (k, m), int(fill_b * k * m), max_pos)
+        got, _ = spgemm_local(a, b, first, exclude_diagonal)
+        rows, cols, vals = seed_reference(a, b, exclude_diagonal, first_wins=True)
+        assert np.array_equal(got.rows, rows) and np.array_equal(got.cols, cols)
+        assert np.array_equal(got.vals, vals)
 
     @pytest.mark.parametrize(
         "shape, nnz, dense", [((12, 3), 30, True), ((400, 50), 120, False)]

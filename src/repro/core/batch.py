@@ -79,8 +79,8 @@ def build_edge_table(csc, degrees: np.ndarray) -> VertexEdgeTable:
     nv = csc.shape[1]
     rows = csc.ir
     cols = np.repeat(np.arange(nv, dtype=np.int64), np.diff(csc.jc))
-    # CSC is already (col, row)-sorted, so a stable row sort yields
-    # (row, col) order without a full lexsort
+    # CSC is already (col, row)-sorted, so a stable sort by row alone
+    # yields (row, col) order
     order = np.argsort(rows, kind="stable")
     srows, scols, svals = rows[order], cols[order], csc.val[order]
     outdeg = np.bincount(srows, minlength=nv) if rows.size else np.zeros(

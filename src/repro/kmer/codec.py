@@ -6,6 +6,11 @@ k-mers is a k-step rolling shift over the code array (O(k * n) word ops, no
 per-k-mer Python); reverse complementation uses the classic 2-bit-group
 bit-reversal; the *canonical* form is the lexicographic min of a k-mer and
 its reverse complement, with the orientation flag the overlap semiring needs.
+
+:func:`shard_kmers` is the bulk form the distributed stages use: one
+rolling shift over a rank's whole packed read buffer, the windows that
+straddle a read boundary dropped, one canonicalization -- no loop over
+reads.  :func:`encode_kmers` stays the single-sequence codec.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ import numpy as np
 
 from ..errors import KmerError
 from ..seq import dna
+from ..util import ragged_arange
 
 __all__ = [
     "MAX_K",
     "encode_kmers",
+    "shard_kmers",
     "revcomp_kmers",
     "canonical_kmers",
     "kmer_to_string",
@@ -58,6 +65,33 @@ def encode_kmers(codes: np.ndarray, k: int) -> np.ndarray:
         out <<= two
         out |= codes[offset : n - k + 1 + offset]
     return out
+
+
+def shard_kmers(
+    buffer: np.ndarray, offsets: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical k-mers of every read of a packed buffer, in one pass.
+
+    Read ``j`` is ``buffer[offsets[j]:offsets[j + 1]]`` (the
+    :class:`~repro.seq.readstore.PackedReads` layout).  Returns ``(read,
+    canonical, orient, pos)``, one entry per k-mer occurrence: the read's
+    index ``j``, the :func:`canonical_kmers` value and orientation, and the
+    start within the read -- in exactly the order that concatenating
+    :func:`encode_kmers` + :func:`canonical_kmers` over the reads gives.
+    ``k`` and the codes are checked once; read ``j`` keeps the window
+    starts ``offsets[j] .. offsets[j+1] - k`` of one rolling shift over the
+    whole buffer.  ``read`` and ``pos`` are int32 unless the buffer needs
+    int64.
+    """
+    kmers = encode_kmers(buffer, k)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    per_read = np.maximum(np.diff(offsets) - (k - 1), 0)
+    starts = ragged_arange(offsets[:-1], per_read)
+    idtype = np.int32 if offsets[-1] < (1 << 31) else np.int64
+    read = np.repeat(np.arange(per_read.size, dtype=idtype), per_read)
+    pos = (starts - offsets[read]).astype(idtype)
+    canonical, orient = canonical_kmers(kmers[starts], k)
+    return read, canonical, orient, pos
 
 
 def revcomp_kmers(kmers: np.ndarray, k: int) -> np.ndarray:

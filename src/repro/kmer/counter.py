@@ -2,7 +2,8 @@
 
 The standard owner-computes pattern of diBELLA/HipMer-family assemblers:
 
-1. every rank extracts the canonical k-mers of its local reads;
+1. every rank extracts the canonical k-mers of its local reads, in one
+   pass over its packed read buffer (:func:`~repro.kmer.codec.shard_kmers`);
 2. a hash of the k-mer value assigns each k-mer an *owner* rank; one
    routed exchange (:meth:`SimComm.route <repro.mpi.comm.SimComm.route>`)
    sends the k-mers to their owners;
@@ -28,7 +29,7 @@ from ..errors import KmerError
 from ..mpi.grid import ProcGrid
 from ..util import cumsum0, sorted_lookup
 from ..seq.readstore import DistReadStore
-from .codec import canonical_kmers, encode_kmers
+from .codec import _check_k, shard_kmers
 
 __all__ = ["KmerTable", "count_kmers"]
 
@@ -113,11 +114,13 @@ def count_kmers(
     reads:
         The block-distributed read store.
     k:
-        k-mer length (<= 31).
+        k-mer length in ``[1, 31]`` (:class:`KmerError` otherwise, checked
+        before any superstep, even when no rank holds a read).
     reliable_lo, reliable_hi:
         Multiplicity bounds of the reliable-k-mer filter.  ``reliable_hi``
         of None disables the upper bound.
     """
+    _check_k(k)
     if reliable_lo < 1:
         raise KmerError(f"reliable_lo must be >= 1, got {reliable_lo}")
     if reliable_hi is not None and reliable_hi < reliable_lo:
@@ -131,15 +134,7 @@ def count_kmers(
     # supersteps (extraction and counting) run through the executor
     # backend; outputs and charges are independent of it.
     def _extract_step(ctx, shard):
-        parts = []
-        for i in range(shard.count):
-            kmers = encode_kmers(shard.codes(i), k)
-            if kmers.size:
-                canon, _orient = canonical_kmers(kmers, k)
-                parts.append(canon)
-        mine = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-        )
+        _read, mine, _orient, _pos = shard_kmers(shard.buffer, shard.offsets, k)
         ctx.charge_compute(shard.total_bases * 2)
         return mine, _owner_of(mine, P)
 

@@ -7,7 +7,9 @@ k-mer occurs several times in one read only the first occurrence is kept
 (deterministic, mirroring BELLA's single-seed-per-pair bookkeeping).
 
 The builder is fully distributed: each rank produces triples for its own
-reads, resolves k-mer column ids through the distributed
+reads in one pass over its packed read buffer
+(:func:`~repro.kmer.codec.shard_kmers`), resolves k-mer column ids through
+the distributed
 :class:`~repro.kmer.counter.KmerTable`, and the triples are routed to their
 2D block owners by :meth:`DistSparseMatrix.from_rank_triples`.
 """
@@ -19,7 +21,7 @@ import numpy as np
 from ..seq.readstore import DistReadStore
 from ..sparse.distmat import DistSparseMatrix
 from ..sparse.types import KMER_POS_DTYPE
-from .codec import canonical_kmers, encode_kmers
+from .codec import shard_kmers
 from .counter import KmerTable
 
 __all__ = ["build_kmer_matrix"]
@@ -33,53 +35,26 @@ def _keep_first(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def build_kmer_matrix(reads: DistReadStore, table: KmerTable) -> DistSparseMatrix:
     """Assemble the distributed A matrix from reads and the k-mer table."""
     grid, world = reads.grid, reads.grid.world
-    P = grid.nprocs
     k = table.k
 
-    # per-rank raw occurrences: (read_gid, kmer_value, pos, orient)
-    raw_ids: list[np.ndarray] = []
-    raw_kmers: list[np.ndarray] = []
-    raw_pos: list[np.ndarray] = []
-    raw_orient: list[np.ndarray] = []
-    for r in range(P):
-        shard = reads.shards[r]
-        ids_parts, kmer_parts, pos_parts, orient_parts = [], [], [], []
-        for i in range(shard.count):
-            codes = shard.codes(i)
-            kmers = encode_kmers(codes, k)
-            if not kmers.size:
-                continue
-            canon, orient = canonical_kmers(kmers, k)
-            ids_parts.append(
-                np.full(canon.size, shard.ids[i], dtype=np.int64)
-            )
-            kmer_parts.append(canon)
-            pos_parts.append(np.arange(canon.size, dtype=np.int32))
-            orient_parts.append(orient.astype(np.int8))
-        raw_ids.append(
-            np.concatenate(ids_parts) if ids_parts else np.empty(0, np.int64)
-        )
-        raw_kmers.append(
-            np.concatenate(kmer_parts) if kmer_parts else np.empty(0, np.uint64)
-        )
-        raw_pos.append(
-            np.concatenate(pos_parts) if pos_parts else np.empty(0, np.int32)
-        )
-        raw_orient.append(
-            np.concatenate(orient_parts) if orient_parts else np.empty(0, np.int8)
-        )
+    # per-rank raw occurrences: (local read, kmer_value, orient, pos)
+    raw = []
+    for r, shard in enumerate(reads.shards):
+        raw.append(shard_kmers(shard.buffer, shard.offsets, k))
         world.charge_compute(r, shard.total_bases * 2)
 
     # resolve k-mer values to column ids (distributed lookup)
-    col_ids = table.lookup(raw_kmers)
+    col_ids = table.lookup([kmers for _read, kmers, _orient, _pos in raw])
 
     per_rank = []
-    for r in range(P):
+    for r, (shard, (read, _kmers, orient, pos)) in enumerate(
+        zip(reads.shards, raw)
+    ):
         keep = col_ids[r] >= 0
         vals = np.empty(int(keep.sum()), dtype=KMER_POS_DTYPE)
-        vals["pos"] = raw_pos[r][keep]
-        vals["orient"] = raw_orient[r][keep]
-        per_rank.append((raw_ids[r][keep], col_ids[r][keep], vals))
+        vals["pos"] = pos[keep]
+        vals["orient"] = orient[keep]
+        per_rank.append((shard.ids[read[keep]], col_ids[r][keep], vals))
         world.charge_compute(r, keep.size)
 
     return DistSparseMatrix.from_rank_triples(

@@ -35,6 +35,11 @@ def detect_overlaps(
     kernel, so this is where the paper's §7 memory-reduction plan bites.
     """
     semiring = seed_semiring()
+    # sorted by column once, before the transpose: A^T then arrives
+    # row-sorted, so neither operand is sorted again inside the SpGEMM
+    A = DistSparseMatrix(
+        A.grid, A.shape, [blk.sorted_by("col") for blk in A.blocks]
+    )
     At = A.transpose()
     plan = None
     if phases is None and budget is not None and not budget.unlimited:

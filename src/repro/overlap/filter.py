@@ -42,6 +42,7 @@ from ..align.batch import (
     iter_classified_chunks,
 )
 from ..seq.readstore import DistReadStore, PackedReads
+from ..sparse.coo import segment_order
 from ..sparse.distmat import DistSparseMatrix
 from ..sparse.types import OVERLAP_DTYPE
 from ..util import cumsum0
@@ -99,11 +100,8 @@ class AlignmentStats:
 
 
 def _best_score(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Duplicate edge policy: keep the highest-scoring record."""
-    bounds = np.append(starts, vals.shape[0])
-    seg_ids = np.repeat(np.arange(starts.size, dtype=np.int64), np.diff(bounds))
-    order = np.lexsort((-vals["score"], seg_ids))
-    return vals[order[starts]].copy()
+    """Duplicate edge policy: keep the highest-scoring record (ties: first)."""
+    return vals[segment_order(-vals["score"].astype(np.int64), starts)[starts]]
 
 
 def _redistribute_tasks(

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kmer.codec import canonical_kmers, encode_kmers
+from ..kmer.codec import shard_kmers
+from ..util import cumsum0
 
 __all__ = ["ReadSetStats", "read_stats", "kmer_spectrum", "estimate_depth"]
 
@@ -102,16 +103,11 @@ def kmer_spectrum(reads, k: int, max_multiplicity: int = 64) -> np.ndarray:
     (``m`` capped at ``max_multiplicity``; index 0 is always zero).
     """
     read_list = [np.asarray(r, dtype=np.uint8) for r in getattr(reads, "reads", reads)]
-    parts = []
-    for r in read_list:
-        kmers = encode_kmers(r, k)
-        if kmers.size:
-            canon, _ = canonical_kmers(kmers, k)
-            parts.append(canon)
+    offsets = cumsum0([r.size for r in read_list])
+    buffer = np.concatenate(read_list) if read_list else np.empty(0, np.uint8)
+    _read, canon, _orient, _pos = shard_kmers(buffer, offsets, k)
     counts = np.zeros(max_multiplicity + 1, dtype=np.int64)
-    if not parts:
-        return counts
-    _, mult = np.unique(np.concatenate(parts), return_counts=True)
+    _, mult = np.unique(canon, return_counts=True)
     mult = np.minimum(mult, max_multiplicity)
     np.add.at(counts, mult, 1)
     return counts

@@ -60,11 +60,11 @@ class LocalCsc:
     @classmethod
     def from_coo(cls, coo: LocalCoo) -> "LocalCsc":
         """Compress a (possibly unsorted) COO block by column."""
-        order = np.lexsort((coo.rows, coo.cols))
-        counts = np.bincount(coo.cols[order], minlength=coo.shape[1])
+        coo = coo.sorted_by("col")
+        counts = np.bincount(coo.cols, minlength=coo.shape[1])
         jc = np.zeros(coo.shape[1] + 1, dtype=np.int64)
         np.cumsum(counts, out=jc[1:])
-        return cls(coo.shape, jc, coo.rows[order], coo.vals[order])
+        return cls(coo.shape, jc, coo.rows, coo.vals)
 
     def to_coo(self) -> LocalCoo:
         cols = np.repeat(np.arange(self.shape[1], dtype=np.int64), np.diff(self.jc))

@@ -84,10 +84,8 @@ class Dcsc:
     @classmethod
     def from_coo(cls, coo: LocalCoo) -> "Dcsc":
         """Build from a COO block (duplicates must already be combined)."""
-        order = np.lexsort((coo.rows, coo.cols))
-        cols = coo.cols[order]
-        rows = coo.rows[order]
-        vals = coo.vals[order]
+        coo = coo.sorted_by("col")
+        cols, rows, vals = coo.cols, coo.rows, coo.vals
         if cols.size == 0:
             return cls(
                 coo.shape,

@@ -39,7 +39,7 @@ from ..mpi.comm import block_range
 from ..mpi.grid import ProcGrid
 from ..mpi.memory import MemoryBudget
 from ..util import cumsum0, sorted_lookup
-from .coo import LocalCoo
+from .coo import LocalCoo, fused_key
 from .semiring import Semiring
 from .spgemm import column_pointers, spgemm_local, spgemm_symbolic
 from .distvec import DistVector
@@ -207,13 +207,18 @@ def _concat_coo(shape: tuple[int, int], parts: list[LocalCoo], dtype) -> LocalCo
 
 
 def _phase_panels(blk: LocalCoo, phases: int) -> list[LocalCoo]:
-    """``blk``'s column-phase sub-panels, row-sorted: slices of one sort by
-    (phase, row, col), equal to column masks of the row-sorted block."""
+    """``blk``'s column-phase sub-panels, row-sorted: slices of one stable
+    sort by the fused (phase, row, col) key, equal to column masks of the
+    row-sorted block."""
     if phases == 1:
         return [blk.sorted_by("row")]
-    lows = [block_range(blk.shape[1], phases, p)[0] for p in range(phases)]
+    nrows, ncols = blk.shape
+    lows = [block_range(ncols, phases, p)[0] for p in range(phases)]
     phase = np.searchsorted(lows, blk.cols, side="right") - 1
-    perm = np.lexsort((blk.cols, blk.rows, phase))
+    perm = np.argsort(
+        fused_key(fused_key(phase, blk.rows, nrows), blk.cols, ncols),
+        kind="stable",
+    )
     rows, cols, vals = blk.rows[perm], blk.cols[perm], blk.vals[perm]
     cuts = cumsum0(np.bincount(phase, minlength=phases))
     return [
@@ -441,8 +446,8 @@ class DistSparseMatrix:
     def to_global_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gather all triples in global coordinates (test convenience)."""
         r, c, v = map(np.concatenate, zip(*self.edge_triples_per_rank()))
-        perm = np.lexsort((c, r))
-        return r[perm], c[perm], v[perm]
+        coo = LocalCoo(self.shape, r, c, v).sorted_by("row")
+        return coo.rows, coo.cols, coo.vals
 
     # ------------------------------------------------------------------
     # local (no-communication) operations

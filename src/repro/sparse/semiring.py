@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .coo import segment_order
 from .types import DIRMIN_DTYPE, KMER_POS_DTYPE, SEED_DTYPE, SUFFIX_INF
 
 __all__ = [
@@ -169,15 +170,9 @@ def seed_semiring() -> Semiring:
 
     def add(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
         counts = np.add.reduceat(vals["count"], starts)
-        # pick, per segment, the entry with minimal pos_a (ties: first)
-        bounds = np.append(starts, vals.shape[0])
-        seg_ids = np.repeat(
-            np.arange(starts.size, dtype=np.int64), np.diff(bounds)
-        )
-        # within-segment argmin via stable sort on (segment, pos_a)
-        order = np.lexsort((vals["pos_a"], seg_ids))
-        first_of_seg = order[starts]
-        out = vals[first_of_seg].copy()
+        # pick, per segment, the entry with minimal pos_a (ties: first),
+        # by a stable sort on (segment, pos_a)
+        out = vals[segment_order(vals["pos_a"], starts)[starts]]
         out["count"] = counts
         return out
 

@@ -27,19 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SparseFormatError
-from ..util import cumsum0 as _cumsum0
+from ..util import cumsum0 as _cumsum0, ragged_arange
 from .coo import LocalCoo
 from .semiring import Semiring
 
 __all__ = ["spgemm_local", "spgemm_symbolic", "column_pointers"]
-
-
-def _ragged_arange(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(f, f + c) for f, c in zip(firsts, counts)])``."""
-    offsets = _cumsum0(counts)
-    out = np.arange(offsets[-1], dtype=np.int64)
-    out -= np.repeat(offsets[:-1] - firsts, counts)
-    return out
 
 
 def column_pointers(a: LocalCoo) -> np.ndarray:
@@ -148,7 +140,7 @@ def spgemm_local(
     # row-sorted, so each output cell receives its products in k order
     first = a_ptr[b.rows]
     count = a_ptr[b.rows + 1] - first
-    a_take = _ragged_arange(first, count)
+    a_take = ragged_arange(first, count)
     b_take = np.repeat(np.arange(b.nnz), count)
     flops = int(a_take.size)
     ncols = out_shape[1]

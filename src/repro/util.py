@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sorted_lookup", "cumsum0", "gather_pieces"]
+__all__ = ["sorted_lookup", "cumsum0", "ragged_arange", "gather_pieces"]
 
 
 def sorted_lookup(table: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,6 +31,14 @@ def cumsum0(counts: np.ndarray) -> np.ndarray:
     """Exclusive prefix sum (offsets of packed groups)."""
     out = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
+    return out
+
+
+def ragged_arange(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(f, f + c) for f, c in zip(firsts, counts)])``."""
+    offsets = cumsum0(counts)
+    out = np.arange(offsets[-1], dtype=np.int64)
+    out -= np.repeat(offsets[:-1] - firsts, counts)
     return out
 
 

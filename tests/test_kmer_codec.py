@@ -12,6 +12,7 @@ from repro.kmer import (
     encode_kmers,
     kmer_to_string,
     revcomp_kmers,
+    shard_kmers,
     string_to_kmer,
 )
 from repro.seq import dna
@@ -112,6 +113,96 @@ class TestCanonical:
         canon, _ = canonical_kmers(kmers, k)
         rc = revcomp_kmers(kmers, k)
         assert np.array_equal(canon, np.minimum(kmers, rc))
+
+
+def per_read_kmers(reads, k):
+    """Reference for ``shard_kmers``: the per-read codec, concatenated."""
+    read, canon, orient, pos = [], [], [], []
+    for j, codes in enumerate(reads):
+        kmers = encode_kmers(codes, k)
+        c, o = canonical_kmers(kmers, k)
+        read.append(np.full(kmers.size, j))
+        canon.append(c)
+        orient.append(o)
+        pos.append(np.arange(kmers.size))
+    return tuple(
+        np.concatenate(parts) if parts else np.empty(0)
+        for parts in (read, canon, orient, pos)
+    )
+
+
+def packed(reads):
+    offsets = np.zeros(len(reads) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in reads], out=offsets[1:])
+    buffer = np.concatenate(reads) if reads else np.empty(0, dtype=np.uint8)
+    return buffer, offsets
+
+
+SHARD_KS = (1, 2, 17, 21, 31)
+
+
+@st.composite
+def shard_corpus(draw):
+    """A k and reads of lengths around it: empty, k - 1, k, k + 1, any."""
+    k = draw(st.sampled_from(SHARD_KS))
+    lengths = st.one_of(
+        st.sampled_from([0, max(k - 1, 0), k, k + 1]), st.integers(0, 80)
+    )
+    reads = draw(
+        st.lists(
+            lengths.flatmap(
+                lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)
+            ),
+            max_size=8,
+        )
+    )
+    return k, [np.array(r, dtype=np.uint8) for r in reads]
+
+
+class TestShardKmers:
+    @given(shard_corpus())
+    @settings(max_examples=120, deadline=None)
+    def test_property_equals_per_read_codec(self, corpus):
+        k, reads = corpus
+        got = shard_kmers(*packed(reads), k)
+        want = per_read_kmers(reads, k)
+        for name, g, w in zip(("read", "canonical", "orient", "pos"), got, want):
+            assert np.array_equal(g, w), name
+        read, canon, orient, pos = got
+        assert canon.dtype == np.uint64 and orient.dtype == np.int8
+        assert read.dtype == pos.dtype == np.int32
+
+    @pytest.mark.parametrize("k", SHARD_KS)
+    def test_boundary_windows_are_dropped(self, k):
+        # lengths k - 1, k, k + 1 and an empty read: 0 + 1 + 2 + 0 windows
+        rng = np.random.default_rng(k)
+        reads = [dna.random_codes(rng, n) for n in (k - 1, k, 0, k + 1)]
+        read, _canon, _orient, pos = shard_kmers(*packed(reads), k)
+        assert read.tolist() == [1, 3, 3]
+        assert pos.tolist() == [0, 0, 1]
+
+    def test_empty_buffer(self):
+        for reads in ([], [np.empty(0, dtype=np.uint8)] * 3):
+            got = shard_kmers(*packed(reads), 5)
+            assert all(arr.size == 0 for arr in got)
+
+    @pytest.mark.parametrize("where", [0, 7, 19])
+    def test_code_above_three_anywhere_raises(self, where):
+        # the bad code may sit in a read shorter than k, whose windows
+        # are all dropped: it is still rejected
+        reads = [np.zeros(n, dtype=np.uint8) for n in (3, 10, 7)]
+        buffer, offsets = packed(reads)
+        buffer[where] = 4
+        with pytest.raises(KmerError):
+            shard_kmers(buffer, offsets, 5)
+
+    def test_k_bounds(self):
+        buffer, offsets = packed([dna.encode("ACGT")])
+        for k in (0, MAX_K + 1):
+            with pytest.raises(KmerError):
+                shard_kmers(buffer, offsets, k)
+        with pytest.raises(KmerError):
+            shard_kmers(*packed([]), 0)
 
 
 class TestStringHelpers:

@@ -89,6 +89,55 @@ class TestCounting:
         with pytest.raises(KmerError):
             count_kmers(store, 9, reliable_lo=3, reliable_hi=2)
 
+    @pytest.mark.parametrize(
+        "reads", [[], [dna.encode("ACGTACG")] * 6], ids=["empty", "shorter_than_k"]
+    )
+    def test_impossible_k_is_refused_up_front(self, grid4, reads, monkeypatch):
+        """k is checked before any superstep or charge, even when no rank
+        holds a read to encode."""
+        store = DistReadStore.from_global(grid4, reads)
+        world = grid4.world
+        events, charged = len(world.log), world.clock.total_seconds()
+        supersteps = []
+        map_ranks = world.map_ranks
+
+        def counting_map_ranks(*args, **kwargs):
+            supersteps.append(args[0])
+            return map_ranks(*args, **kwargs)
+
+        monkeypatch.setattr(world, "map_ranks", counting_map_ranks)
+        for k in (0, 32, 40):
+            with pytest.raises(KmerError, match="k must be in"):
+                count_kmers(store, k)
+        assert not supersteps
+        assert len(world.log) == events
+        assert world.clock.total_seconds() == charged
+        assert count_kmers(store, 21, reliable_lo=1).total == 0
+        assert supersteps
+
+
+class TestPerShardExtraction:
+    def test_one_rolling_encode_per_shard_not_per_read(self, grid4, monkeypatch):
+        """count_kmers + build_kmer_matrix encode each rank's packed buffer
+        once per stage: at most 2 * P rolling encodes for 40 reads."""
+        from repro.kmer import build_kmer_matrix, codec
+
+        calls = []
+        real = codec.encode_kmers
+
+        def counting_encode(codes, k):
+            calls.append(np.asarray(codes).size)
+            return real(codes, k)
+
+        monkeypatch.setattr(codec, "encode_kmers", counting_encode)
+        reads = random_reads(n=40, seed=7)
+        store = DistReadStore.from_global(grid4, reads)
+        table = count_kmers(store, 9, reliable_lo=1)
+        A = build_kmer_matrix(store, table)
+        assert len(calls) <= 2 * grid4.nprocs < len(reads)
+        assert sum(calls) == 2 * sum(r.size for r in reads)
+        assert A.nnz() > 0
+
 
 class TestLookup:
     def test_lookup_resolves_known_and_unknown(self, grid4):

@@ -59,6 +59,31 @@ class TestDetect:
         assert np.any(vals["same_strand"] == 0)
         assert np.any(vals["same_strand"] == 1)
 
+    def test_a_is_sorted_once_before_the_transpose(self, grid4, monkeypatch):
+        """A's blocks are sorted by column before ``A.transpose()``, so
+        A^T arrives row-sorted: an unphased A.A^T sorts each A block once
+        (P sorts, not 2 * P), and the product is unchanged."""
+        from repro.sparse import LocalCoo
+
+        _, _, _, A = overlap_setup(grid4)
+        want, _ = detect_overlaps(A)
+        sorts = []
+        sorted_by = LocalCoo.sorted_by
+
+        def counting_sorted_by(self, order="row"):
+            if self.order != order:
+                sorts.append(order)
+            return sorted_by(self, order)
+
+        monkeypatch.setattr(LocalCoo, "sorted_by", counting_sorted_by)
+        got, _ = detect_overlaps(A)
+        monkeypatch.undo()
+        assert sorts == ["col"] * grid4.nprocs
+        for g, w in zip(got.blocks, want.blocks):
+            assert np.array_equal(g.rows, w.rows)
+            assert np.array_equal(g.cols, w.cols)
+            assert np.array_equal(g.vals, w.vals)
+
 
 class TestBuildOverlapGraph:
     def test_r_is_symmetric_with_mirrored_payloads(self, grid4):

@@ -113,6 +113,31 @@ class TestKmerSpectrum:
         assert kmer_spectrum([], 21).sum() == 0
         assert kmer_spectrum([np.zeros(5, dtype=np.uint8)], 21).sum() == 0
 
+    @pytest.mark.parametrize("k", [1, 5, 21])
+    def test_spectrum_equals_per_read_reference(self, k):
+        """One pass over the packed reads counts what the per-read codec
+        counts, with empty reads and reads shorter than k mixed in."""
+        from collections import Counter
+
+        from repro.kmer.codec import canonical_kmers, encode_kmers
+
+        rng = np.random.default_rng(k)
+        g = genome_of(400, seed=11)
+        reads = [np.empty(0, dtype=np.uint8), g[:k - 1], g[:k]]
+        for _ in range(30):
+            start = int(rng.integers(0, 300))
+            reads.append(g[start : start + int(rng.integers(0, 100))])
+        reads.append(np.empty(0, dtype=np.uint8))
+        mult = Counter(
+            int(x)
+            for r in reads
+            for x in canonical_kmers(encode_kmers(r, k), k)[0]
+        )
+        want = np.zeros(9, dtype=np.int64)
+        for m in mult.values():
+            want[min(m, 8)] += 1
+        assert np.array_equal(kmer_spectrum(reads, k, max_multiplicity=8), want)
+
     def test_estimate_depth_degenerate(self):
         assert estimate_depth(np.zeros(3, dtype=np.int64)) == 0.0
         assert estimate_depth(np.array([0, 10], dtype=np.int64)) == 0.0

@@ -3,9 +3,11 @@
 The distributed SpGEMM contracts over the k-mer dimension with the *seed
 semiring*: every k-mer shared by two reads contributes one seed (position
 pair + strand agreement), duplicates are combined by counting and keeping a
-deterministic representative seed.  The diagonal (a read against itself) is
-excluded, and pairs sharing fewer than ``min_shared`` k-mers are pruned --
-BELLA's defense against chance collisions.
+deterministic representative seed.  ``A . A^T`` is symmetric and a read
+trivially overlaps itself, so only the strict upper triangle (row < col) is
+formed -- each unordered candidate pair once, which is all the alignment
+stage needs -- and pairs sharing fewer than ``min_shared`` k-mers are
+pruned: BELLA's defense against chance collisions.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ def detect_overlaps(
     """Build the candidate overlap matrix C from the k-mer matrix A.
 
     Returns ``(C, plan)``: a |reads| x |reads| matrix of
-    :data:`SEED_DTYPE` entries whose pattern is symmetric (both (i, j)
-    and (j, i) are present), plus the :class:`SpgemmPlan` the memory
+    :data:`SEED_DTYPE` entries holding the strict upper triangle (global
+    row < col: one entry per unordered candidate pair, its seed as seen
+    from the lower read id), plus the :class:`SpgemmPlan` the memory
     budget produced (``None`` without a budget).  ``merge_mode="stream"``
     selects the low-memory SUMMA accumulation and ``phases``/``budget``
     column-block the product -- C = A.A^T is the pipeline's peak-memory
@@ -43,14 +46,14 @@ def detect_overlaps(
     At = A.transpose()
     plan = None
     if phases is None and budget is not None and not budget.unlimited:
-        plan = A.plan_spgemm(At, semiring, budget)
+        plan = A.plan_spgemm(At, semiring, budget, strict_upper=True)
     C = A.spgemm(
         At,
         semiring,
-        exclude_diagonal=True,
         merge_mode=merge_mode,
         phases=phases,
         plan=plan,
+        strict_upper=True,
     )
     if min_shared > 1:
         C = C.prune(lambda v, r, c: v["count"] < min_shared)

@@ -9,12 +9,15 @@ Implements Algorithm 1 lines 7-9:
 * ``Prune(R, IsContainedRead())`` -- reads fully contained in another read
   are redundant vertices (§2) and their rows/columns are cleared.
 
-Each unordered pair is aligned exactly once: the upper triangle of the
-(pattern-symmetric) C supplies the task list.  Because the upper triangle
-concentrates in the above-diagonal blocks of the 2D grid, the tasks are
-first **redistributed round-robin** across ranks (one exclusive-scan
-allgather + one all-to-all) so alignment -- the most expensive stage of the
-pipeline -- stays load-balanced.
+Each unordered pair is aligned exactly once: C's strict upper triangle
+(row < col) supplies the task list.  :func:`~repro.overlap.detect_overlaps`
+forms nothing else; a C that holds both triangles (a checkpoint, stage
+cache or injected artifact written when the SpGEMM formed the full
+symmetric product) is cut to it by a prune that removes nothing from a
+fresh C.  Because the upper triangle concentrates in the above-diagonal
+blocks of the 2D grid, the tasks are first **redistributed round-robin**
+across ranks (one exclusive-scan allgather + one all-to-all) so alignment
+-- the most expensive stage of the pipeline -- stays load-balanced.
 
 Within a rank the tasks are processed in chunks of
 ``AlignmentParams.batch_size`` through the **batched alignment engine**
@@ -251,8 +254,9 @@ def build_overlap_graph(
     grid, world = C.grid, C.grid.world
     stats = AlignmentStats()
 
-    # upper triangle only: each unordered pair aligned exactly once;
-    # then rebalance the tasks round-robin across ranks
+    # upper triangle only: each unordered pair aligned exactly once (a
+    # fresh C has nothing else; a symmetric one from an older checkpoint
+    # does); then rebalance the tasks round-robin across ranks
     upper = C.prune(lambda v, r, c: r >= c)
     tasks = _redistribute_tasks(upper)
 

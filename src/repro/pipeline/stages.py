@@ -3,7 +3,9 @@
 Each class wraps one phase of the paper's Fig. 1 as a :class:`Stage`:
 
 1. ``CountKmer``      distributed k-mer counting (reliable filter)
-2. ``DetectOverlap``  A, A^T, C = A . A^T (SUMMA SpGEMM, seed semiring)
+2. ``DetectOverlap``  A, A^T, C = A . A^T (SUMMA SpGEMM, seed semiring;
+                      the strict upper triangle: one entry per unordered
+                      candidate pair, so ``counts["C_nnz"]`` counts pairs)
 3. ``Alignment``      x-drop on every candidate, prune, containment removal
 4. ``TrReduction``    bidirected transitive reduction -> S
 5. ``ExtractContig``  Algorithm 2 (this paper's contribution), with the §7
@@ -78,7 +80,7 @@ class DetectOverlapStage(Stage):
         )
         if plan is not None:
             ctx.counts["overlap_spgemm_phases"] = plan.phases
-        ctx.counts["C_nnz"] = C.nnz()
+        ctx.counts["C_nnz"] = C.nnz()  # unordered candidate pairs
         ctx.publish("C", C)
 
 

@@ -15,7 +15,10 @@ pattern the real library uses, charged to the cost model):
   locally produced triple to its block owner;
 * :meth:`DistSparseMatrix.spgemm` -- SUMMA: sqrt(P) stages of row/column
   broadcasts followed by local semiring multiplies, which join through
-  column pointers built once per A block and per multiplication;
+  column pointers built once per A block and per multiplication; with
+  ``strict_upper`` (``A . A^T``, whose pairs are unordered) only the strict
+  upper triangle is formed: ranks below the grid diagonal multiply
+  nothing and diagonal ranks join a prefix of each A column;
 * :meth:`DistSparseMatrix.transpose` -- pairwise exchange with the grid-
   transposed partner;
 * :meth:`DistSparseMatrix.apply` / :meth:`prune` -- embarrassingly local;
@@ -41,7 +44,7 @@ from ..mpi.memory import MemoryBudget
 from ..util import cumsum0, sorted_lookup
 from .coo import LocalCoo, fused_key
 from .semiring import Semiring
-from .spgemm import column_pointers, spgemm_local, spgemm_symbolic
+from .spgemm import column_key, column_pointers, spgemm_local, spgemm_symbolic
 from .distvec import DistVector
 
 __all__ = ["DistSparseMatrix", "SpgemmPlan"]
@@ -70,7 +73,10 @@ class SpgemmPlan:
     fits the :class:`~repro.mpi.memory.MemoryBudget`.  ``b = 1``
     reproduces the unphased SUMMA bit-identically, so an unlimited budget
     always plans one phase.  Estimates are upper bounds: a plan that fits
-    guarantees the executor's *modeled* working set fits too.
+    guarantees the executor's *modeled* working set fits too.  A
+    ``strict_upper`` plan counts only the products that multiplication
+    forms: none below the grid diagonal (those ranks still receive the
+    panels), a column prefix on it.
     """
 
     phases: int
@@ -89,12 +95,15 @@ class SpgemmPlan:
         semiring: Semiring,
         budget: MemoryBudget | None,
         max_phases: int = 64,
+        *,
+        strict_upper: bool = False,
     ) -> "SpgemmPlan":
         """Plan ``a . b`` against ``budget`` (symbolic pass + agreement).
 
         Charges the symbolic pass's modeled compute (structure-only, one
-        walk over both operands' nonzeros per stage) and one small
-        allreduce for the plan agreement every rank must reach.
+        walk over both operands' nonzeros per stage, on every rank that
+        multiplies) and one small allreduce for the plan agreement every
+        rank must reach.
         """
         grid, world = a.grid, a.grid.world
         if b.grid is not grid:
@@ -103,6 +112,7 @@ class SpgemmPlan:
             raise DistributionError(
                 f"inner dimensions disagree: {a.shape} x {b.shape}"
             )
+        _check_triangle((a.shape[0], b.shape[1]), strict_upper)
         limit = None if budget is None else budget.limit_bytes
         if limit is None:
             return cls(
@@ -125,17 +135,24 @@ class SpgemmPlan:
             i, j = grid.coords_of(rank)
             a_ranks = [grid.rank_of(i, s) for s in range(q)]
             b_ranks = [grid.rank_of(s, j) for s in range(q)]
-            partial_ub = sum(
-                spgemm_symbolic(a.blocks[ar], b.blocks[br], a_counts[ar])[1]
-                for ar, br in zip(a_ranks, b_ranks)
-            )
+            below = strict_upper and i > j  # multiplies nothing
+            partial_ub = np.zeros(chi - clo, dtype=np.int64)
+            # each A block meets one diagonal rank, so its (col, row) key
+            # is built once per plan
+            for ar, br in [] if below else zip(a_ranks, b_ranks):
+                partial_ub += spgemm_symbolic(
+                    a.blocks[ar], b.blocks[br], a_counts[ar],
+                    strict_upper=strict_upper and i == j,
+                )[1]
             out_ub = np.minimum(partial_ub, rhi - rlo)
             cum_counts = np.zeros((q, chi - clo + 1), dtype=np.int64)
             np.cumsum([b_counts[br] for br in b_ranks], axis=1, out=cum_counts[:, 1:])
             a_panel = max(a.blocks[ar].nbytes for ar in a_ranks)
             per_rank.append((a_panel, cumsum0(partial_ub), cumsum0(out_ub), cum_counts))
             sym_ops.append(
-                sum(a.blocks[ar].nnz for ar in a_ranks)
+                0
+                if below
+                else sum(a.blocks[ar].nnz for ar in a_ranks)
                 + sum(b.blocks[br].nnz for br in b_ranks)
             )
         world.charge_compute_all(sym_ops)
@@ -189,6 +206,16 @@ class SpgemmPlan:
         )
 
 
+def _check_triangle(shape: tuple[int, int], strict_upper: bool) -> None:
+    """A strict-upper product must be square: then its row and column
+    blocks share bounds, and every grid block lies wholly above, on or
+    below the diagonal."""
+    if strict_upper and shape[0] != shape[1]:
+        raise DistributionError(
+            f"strict_upper needs a square product, got shape {shape}"
+        )
+
+
 def _block_shapes(grid: ProcGrid, shape: tuple[int, int]) -> list[tuple[int, int]]:
     """Local block shape of every rank, in rank order."""
     return [
@@ -239,17 +266,31 @@ def _phase_panels(blk: LocalCoo, phases: int) -> list[LocalCoo]:
 # ---------------------------------------------------------------------------
 
 
+def _stage_product(a_blk, a_ptr, a_key, b_blk, semiring, below):
+    """One stage's local product and its flops.  In a strict-upper
+    product a rank ``below`` the grid diagonal forms nothing, and a
+    diagonal rank (given the A panel's ``a_key``) joins column prefixes."""
+    if below:
+        shape = (a_blk.shape[0], b_blk.shape[1])
+        return LocalCoo.empty(shape, semiring.out_dtype), 0
+    return spgemm_local(
+        a_blk, b_blk, semiring, a_ptr=a_ptr,
+        strict_upper=a_key is not None, a_key=a_key,
+    )
+
+
 def _spgemm_multiply_bulk_step(
-    ctx, a_blk, a_ptr, b_blk, partial_nbytes, base_bytes, semiring
+    ctx, a_blk, a_ptr, a_key, b_blk, partial_nbytes, base_bytes, semiring, below
 ):
     """One SUMMA stage's local multiply under bulk (once-per-phase) merge.
 
-    ``a_ptr`` is the A panel's column pointers, built once per SpGEMM.
-    Returns the stage's partial product; the driver appends it to the
-    rank's phase partials (when nonempty) and tracks their byte total,
-    which arrives here as ``partial_nbytes`` the next stage.
+    ``a_ptr`` (and on a strict-upper diagonal rank ``a_key``) is the A
+    panel's column pointers, built once per SpGEMM.  Returns the stage's
+    partial product; the driver appends it to the rank's phase partials
+    (when nonempty) and tracks their byte total, which arrives here as
+    ``partial_nbytes`` the next stage.
     """
-    part, flops = spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr)
+    part, flops = _stage_product(a_blk, a_ptr, a_key, b_blk, semiring, below)
     ctx.charge_compute(max(flops, 1))
     received = a_blk.nbytes + b_blk.nbytes
     live = partial_nbytes + (part.nbytes if part.nnz else 0)
@@ -258,10 +299,10 @@ def _spgemm_multiply_bulk_step(
 
 
 def _spgemm_multiply_stream_step(
-    ctx, a_blk, a_ptr, b_blk, prev, base_bytes, shape, semiring
+    ctx, a_blk, a_ptr, a_key, b_blk, prev, base_bytes, shape, semiring, below
 ):
     """One SUMMA stage's local multiply folded into a running accumulator."""
-    part, flops = spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr)
+    part, flops = _stage_product(a_blk, a_ptr, a_key, b_blk, semiring, below)
     ctx.charge_compute(max(flops, 1))
     received = a_blk.nbytes + b_blk.nbytes
     live = (prev.nbytes if prev is not None else 0) + part.nbytes
@@ -536,9 +577,13 @@ class DistSparseMatrix:
         semiring: Semiring,
         budget: MemoryBudget | None,
         max_phases: int = 64,
+        *,
+        strict_upper: bool = False,
     ) -> SpgemmPlan:
         """Symbolic planning pass for :meth:`spgemm` (see :class:`SpgemmPlan`)."""
-        return SpgemmPlan.choose(self, other, semiring, budget, max_phases)
+        return SpgemmPlan.choose(
+            self, other, semiring, budget, max_phases, strict_upper=strict_upper
+        )
 
     def spgemm(
         self,
@@ -549,6 +594,8 @@ class DistSparseMatrix:
         phases: int | None = None,
         budget: MemoryBudget | None = None,
         plan: SpgemmPlan | None = None,
+        *,
+        strict_upper: bool = False,
     ) -> "DistSparseMatrix":
         """Column-blocked SUMMA SpGEMM: ``C = self . other`` over ``semiring``.
 
@@ -586,6 +633,14 @@ class DistSparseMatrix:
         :class:`~repro.mpi.memory.MemoryMeter`; with ``exclude_diagonal``
         the diagonal mask is folded into the phase merge, so pruned
         entries never count toward modeled memory.
+
+        ``strict_upper`` (square products only) keeps the entries with
+        global ``row < col`` and never forms another: a rank below the grid
+        diagonal skips its multiplies (it still receives the panels, and
+        every broadcast and collective runs as before), and a diagonal rank
+        joins each B entry ``(k, c)`` with the rows ``< c`` of A's column
+        ``k``.  It excludes the diagonal by itself.  ``A . A^T`` is
+        symmetric, so its upper triangle holds every unordered pair once.
         """
         if self.shape[1] != other.shape[0]:
             raise DistributionError(
@@ -598,16 +653,19 @@ class DistSparseMatrix:
         grid, world = self.grid, self.grid.world
         if other.grid is not grid:
             raise DistributionError("operands must share a process grid")
+        out_shape = (self.shape[0], other.shape[1])
+        _check_triangle(out_shape, strict_upper)
         if phases is None:
             if plan is None and budget is not None and not budget.unlimited:
-                plan = self.plan_spgemm(other, semiring, budget)
+                plan = self.plan_spgemm(
+                    other, semiring, budget, strict_upper=strict_upper
+                )
             phases = plan.phases if plan is not None else 1
         phases = int(phases)
         if phases < 1:
             raise DistributionError(f"phases must be >= 1, got {phases}")
         q = grid.q
         nprocs = grid.nprocs
-        out_shape = (self.shape[0], other.shape[1])
 
         out_block_shape = _block_shapes(grid, out_shape)
         offsets = [
@@ -622,17 +680,22 @@ class DistSparseMatrix:
         # the bytes of already finalized phase outputs, which stay live
         # to the end.
         # Derived once here, not per phase x stage x rank: A's blocks are
-        # sorted by column with their column pointers beside them, B's
-        # are cut into row-sorted phase sub-panels.  The pointers are
-        # read off the broadcast panel, so nothing is charged for them.
+        # sorted by column with their column pointers (and, for a strict
+        # upper product, their (col, row) keys) beside them, B's are cut
+        # into row-sorted phase sub-panels.  Pointers and keys are read
+        # off the broadcast panel, so nothing is charged for them.
         a_blocks = [blk.sorted_by("col") for blk in self.blocks]
         a_ptrs = [column_pointers(blk) for blk in a_blocks]
+        a_keys = [column_key(blk) if strict_upper else None for blk in a_blocks]
         b_panels = [_phase_panels(blk, phases) for blk in other.blocks]
         bulk = merge_mode == "bulk"
         finished: list[list[LocalCoo]] = [[] for _ in range(nprocs)]
         finished_bytes = [0] * nprocs
         sem_pr = [semiring] * nprocs
         excl_pr = [exclude_diagonal] * nprocs
+        below_pr = [
+            strict_upper and i > j for i, j in map(grid.coords_of, range(nprocs))
+        ]
 
         for p in range(phases):
             partials: list[list[LocalCoo]] = [[] for _ in range(nprocs)]
@@ -642,6 +705,8 @@ class DistSparseMatrix:
                 # broadcast A(:, s) along grid rows (full blocks, every phase)
                 a_recv: list[LocalCoo] = [None] * nprocs
                 a_ptr_recv: list[np.ndarray] = [None] * nprocs
+                # only the diagonal rank of a grid row joins column prefixes
+                a_key_recv: list[np.ndarray | None] = [None] * nprocs
                 for i in range(q):
                     root_world_rank = grid.rank_of(i, s)
                     got = grid.row_comms[i].bcast(
@@ -650,6 +715,7 @@ class DistSparseMatrix:
                     for j in range(q):
                         a_recv[grid.rank_of(i, j)] = got[j]
                         a_ptr_recv[grid.rank_of(i, j)] = a_ptrs[root_world_rank]
+                    a_key_recv[grid.rank_of(i, i)] = a_keys[root_world_rank]
                 # broadcast B(s, :)'s phase column sub-panels along grid columns
                 b_recv: list[LocalCoo] = [None] * nprocs
                 for j in range(q):
@@ -666,8 +732,9 @@ class DistSparseMatrix:
                 # once, not per rank.
                 if bulk:
                     parts = world.map_ranks(
-                        _spgemm_multiply_bulk_step, a_recv, a_ptr_recv, b_recv,
-                        partial_bytes, finished_bytes, sem_pr,
+                        _spgemm_multiply_bulk_step, a_recv, a_ptr_recv,
+                        a_key_recv, b_recv, partial_bytes, finished_bytes,
+                        sem_pr, below_pr,
                     )
                     for rank, part in enumerate(parts):
                         if part.nnz:
@@ -675,8 +742,9 @@ class DistSparseMatrix:
                             partial_bytes[rank] += part.nbytes
                 else:
                     acc = world.map_ranks(
-                        _spgemm_multiply_stream_step, a_recv, a_ptr_recv, b_recv,
-                        acc, finished_bytes, out_block_shape, sem_pr,
+                        _spgemm_multiply_stream_step, a_recv, a_ptr_recv,
+                        a_key_recv, b_recv, acc, finished_bytes,
+                        out_block_shape, sem_pr, below_pr,
                     )
             merged_list = world.map_ranks(
                 _spgemm_finalize_bulk_step if bulk else _spgemm_finalize_stream_step,

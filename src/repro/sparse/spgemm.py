@@ -17,6 +17,13 @@ a ``slot_reduce`` (the seed semiring) reduces straight into the slots;
 any other forms its products with ``multiply`` and combines them with
 the segmented ``add_reduce`` behind one stable argsort of the slot ids.
 
+``strict_upper`` forms only the products with ``row < col``.  A is sorted
+by the fused ``(col, row)`` key, so rows ascend inside each A column and
+B entry ``(k, c)`` joins a *prefix* of column ``k``: the entries before
+``(k, min(c, nrows))`` in that key (:func:`column_key`, which the
+distributed layer builds once per A block).  No lower-triangle product is
+ever expanded.
+
 Returns both the product and the number of elementary products formed (the
 "flops" of the multiplication) so the distributed layer can charge modeled
 compute time.
@@ -28,16 +35,27 @@ import numpy as np
 
 from ..errors import SparseFormatError
 from ..util import cumsum0 as _cumsum0, ragged_arange
-from .coo import LocalCoo
+from .coo import LocalCoo, fused_key
 from .semiring import Semiring
 
-__all__ = ["spgemm_local", "spgemm_symbolic", "column_pointers"]
+__all__ = ["spgemm_local", "spgemm_symbolic", "column_pointers", "column_key"]
 
 
 def column_pointers(a: LocalCoo) -> np.ndarray:
     """CSC index pointer of a column-sorted block: column ``k``'s entries
     are ``a_ptr[k]:a_ptr[k + 1]``."""
     return np.searchsorted(a.cols, np.arange(a.shape[1] + 1))
+
+
+def column_key(a: LocalCoo) -> np.ndarray:
+    """The fused ``(col, row)`` key of a column-sorted block, ascending."""
+    return fused_key(a.cols, a.rows, a.shape[0])
+
+
+def _upper_ends(a_key: np.ndarray, nrows: int, b: LocalCoo) -> np.ndarray:
+    """Per B entry ``(k, c)``: the end of A column ``k``'s rows below ``c``
+    -- the first index whose ``(col, row)`` key reaches ``(k, min(c, nrows))``."""
+    return np.searchsorted(a_key, b.rows * nrows + np.minimum(b.cols, nrows))
 
 
 #: slot ids come from a dense presence table while the output block has at
@@ -57,7 +75,10 @@ def _output_slots(keys: np.ndarray, ncells: int) -> tuple[np.ndarray, np.ndarray
 
 
 def spgemm_symbolic(
-    a: LocalCoo, b: LocalCoo, a_counts: np.ndarray | None = None
+    a: LocalCoo,
+    b: LocalCoo,
+    a_counts: np.ndarray | None = None,
+    strict_upper: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symbolic SpGEMM: per-output-column flop and nnz upper bounds.
 
@@ -71,6 +92,10 @@ def spgemm_symbolic(
     * ``nnz_ub[c]``: an upper bound on the nonzeros of output column ``c``
       after the semiring reduction, ``min(flops[c], a.shape[0])``.
 
+    With ``strict_upper`` both count only the products :func:`spgemm_local`
+    forms under the same flag -- the A entries of column ``k`` with row
+    ``< c`` -- and ``nnz_ub[c]`` is also at most ``c``.
+
     ``flops.sum()`` equals the ``flops`` count :func:`spgemm_local` reports
     for the same operands.  The distributed layer's phase planner sums
     these per-column bounds over SUMMA stages to size column phases
@@ -82,14 +107,22 @@ def spgemm_symbolic(
         raise SparseFormatError(
             f"inner dimensions disagree: {a.shape} x {b.shape}"
         )
-    ncols = b.shape[1]
+    nrows, ncols = a.shape[0], b.shape[1]
     flops = np.zeros(ncols, dtype=np.int64)
     if a.nnz == 0 or b.nnz == 0:
         return flops, flops.copy()
+    if strict_upper:
+        # B entry (k, c) expands into A column k's rows below c
+        a_key = column_key(a.sorted_by("col"))
+        counts = _upper_ends(a_key, nrows, b) - np.searchsorted(
+            a_key, b.rows * nrows
+        )
+        np.add.at(flops, b.cols, counts)
+        return flops, np.minimum(flops, np.minimum(np.arange(ncols), nrows))
     # every B entry (k, c) expands into as many products as A column k has
     a_counts = a.col_counts() if a_counts is None else a_counts
     np.add.at(flops, b.cols, a_counts[b.rows])
-    nnz_ub = np.minimum(flops, int(a.shape[0]))
+    nnz_ub = np.minimum(flops, int(nrows))
     return flops, nnz_ub
 
 
@@ -99,6 +132,8 @@ def spgemm_local(
     semiring: Semiring,
     exclude_diagonal: bool = False,
     a_ptr: np.ndarray | None = None,
+    strict_upper: bool = False,
+    a_key: np.ndarray | None = None,
 ) -> tuple[LocalCoo, int]:
     """Compute ``C = A . B`` over ``semiring`` on local COO blocks.
 
@@ -119,6 +154,14 @@ def spgemm_local(
     a_ptr:
         ``column_pointers`` of ``a`` sorted by column, for a caller that
         joins one A block against many B blocks; built here when ``None``.
+    strict_upper:
+        Form only the products with ``row < col`` (so the diagonal is
+        excluded too): each B entry joins a prefix of its A column.  Like
+        ``exclude_diagonal``, local coordinates are taken as global ones --
+        the distributed layer asks for it on diagonal grid blocks only.
+    a_key:
+        ``column_key`` of ``a`` sorted by column, for ``strict_upper``;
+        built here when ``None``.
 
     Returns
     -------
@@ -136,10 +179,15 @@ def spgemm_local(
     a = a.sorted_by("col")
     b = b.sorted_by("row")
     a_ptr = column_pointers(a) if a_ptr is None else a_ptr
-    # B-major pointer join: B entry (k, c) meets A's column k.  B is
-    # row-sorted, so each output cell receives its products in k order
+    # B-major pointer join: B entry (k, c) meets A's column k (with
+    # strict_upper, the prefix of it with row < c).  B is row-sorted, so
+    # each output cell receives its products in k order
     first = a_ptr[b.rows]
-    count = a_ptr[b.rows + 1] - first
+    if strict_upper:
+        a_key = column_key(a) if a_key is None else a_key
+        count = _upper_ends(a_key, out_shape[0], b) - first
+    else:
+        count = a_ptr[b.rows + 1] - first
     a_take = ragged_arange(first, count)
     b_take = np.repeat(np.arange(b.nnz), count)
     flops = int(a_take.size)

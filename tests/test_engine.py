@@ -4,6 +4,7 @@ import dataclasses
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro import CollectingObserver, Pipeline, PipelineConfig
@@ -20,6 +21,7 @@ from repro.pipeline import MAIN_STAGES, STAGE_REGISTRY, Stage, register_stage
 from repro.pipeline.config import EXECUTION_FIELDS
 from repro.seq import DistReadStore, GenomeSpec, make_genome, tile_reads
 from repro.service import JobCancelled
+from repro.sparse import seed_semiring
 from repro.telemetry import TelemetryError, Tracer
 
 
@@ -120,6 +122,33 @@ class TestArtifactInjection:
             "DetectOverlap",
         }
         assert _sequences(res) == _sequences(full_run)
+
+    def test_symmetric_candidate_matrix_still_accepted(self, tiled, cfg, full_run):
+        """A C holding both triangles -- what a checkpoint, stage cache or
+        injected artifact from before the strict-upper A.A^T holds -- gives
+        the same R, alignment stats and contigs as the upper triangle."""
+        _, rs = tiled
+        pipe = Pipeline.default()
+        kept = dataclasses.replace(cfg, keep_graphs=True)
+        partial = pipe.run(rs, kept, until="DetectOverlap")
+        A, upper = partial.artifacts["A"], partial.artifacts["C"]
+        symmetric = A.spgemm(A.transpose(), seed_semiring(), exclude_diagonal=True)
+        assert symmetric.nnz() == 2 * upper.nnz()
+        runs = [
+            pipe.run(rs, kept, from_artifacts={"C": C}) for C in (upper, symmetric)
+        ]
+        r_upper, r_sym = (run.artifacts["R"] for run in runs)
+        for got, want in zip(r_sym.blocks, r_upper.blocks):
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.cols, want.cols)
+            assert np.array_equal(got.vals, want.vals)
+        s_upper, s_sym = (run.align_stats for run in runs)
+        assert s_sym.per_kind == s_upper.per_kind
+        assert s_sym.pairs_aligned == s_upper.pairs_aligned == upper.nnz()
+        assert s_sym.contained_reads == s_upper.contained_reads
+        assert np.array_equal(s_sym.contained_ids, s_upper.contained_ids)
+        assert runs[1].contig_digest() == runs[0].contig_digest()
+        assert runs[0].contig_digest() == full_run.contig_digest()
 
     def test_injected_matrix_rehomed_to_new_world(self, tiled, cfg, full_run):
         _, rs = tiled
@@ -332,7 +361,7 @@ class TestGoldenRun:
             "run": MAIN_STAGES,
             "skipped": [],
             "stage_spans": MAIN_STAGES,
-            "span_cats": "89 collective 5 kernel 61 rank 1 run 5 stage 16 superstep",
+            "span_cats": "89 collective 5 kernel 60 rank 1 run 5 stage 16 superstep",
             "faults": 0,
             "digest": full_run.contig_digest(),
         }
@@ -367,7 +396,7 @@ class TestGoldenRun:
                 "Alignment{'failed': 'RankFailure', 'attempt': 1}",
                 "Alignment{'attempt': 1}", "TrReduction", "ExtractContig",
             ],
-            "span_cats": "93 collective 5 kernel 61 rank 1 run 6 stage 16 superstep",
+            "span_cats": "93 collective 5 kernel 60 rank 1 run 6 stage 16 superstep",
             "faults": 2,
             "digest": full_run.contig_digest(),
         }
@@ -399,7 +428,7 @@ class TestGoldenRun:
                 "Alignment{'skipped': 'checkpoint'}", "TrReduction",
                 "ExtractContig{'skipped': 'checkpoint'}",
             ],
-            "span_cats": "31 collective 48 rank 1 run 5 stage 12 superstep",
+            "span_cats": "31 collective 47 rank 1 run 5 stage 12 superstep",
             "faults": 1,
             "digest": full_run.contig_digest(),
         }

@@ -47,22 +47,22 @@ RUNS = {
 PINS = {
     "diag_p16": (
         "0f616bdf0d85fe5d2044551da3f5ed3d4e11b6f4e2d19a40cdbb78801d16f66c",
-        "38f9e8c0932a35fe808fbb202765d53d6fcb9419fba7909b03c5374a4da70ec1",
-        "0.0019566094222222227",
+        "3f544c4c96dfbcdbb6dd061b3c6e7a4d5694f0d62e5694308219e2e0ee227176",
+        "0.0019518988222222227",
         194,
-        180464.0,
+        173380.0,
     ),
     "dp_p4": (
         "60f5ee70f1b624eeecb059b8bb6f0316f9a65aeb4fadd07928259c6be1e505ce",
-        "63ab20237ff5a85a0f79c7fc07155b672cdeb822dee34844a87e40edd00cbd01",
-        "0.00047608860000000026",
+        "31982b0ce7e4494bdc001c186e45fdf873f33edf86619142d50ffff125599392",
+        "0.00047219940000000027",
         101,
-        155094.0,
+        151900.0,
     ),
     "budget_p16": (
         "cfcf677293b1e42a3662689ff960f23009258a2aaa9f30e589a210dad632b534",
-        "cfd6a5167b5e6f3fa8cbb1c40da3c13371ccc40603e964064801e4e97c2b4d8f",
-        "0.0020200735999999987",
+        "9cefc8b571b6ff27368b3e9daf4d5dd52326c08d923d1c2d4bf0e93054794a88",
+        "0.002012424199999999",
         663,
         50632.0,
     ),

@@ -6,6 +6,7 @@ import pytest
 from repro.kmer import build_kmer_matrix, count_kmers
 from repro.overlap import AlignmentParams, build_overlap_graph, detect_overlaps
 from repro.seq import DistReadStore, GenomeSpec, dna, make_genome, tile_reads
+from repro.sparse.semiring import seed_semiring
 from repro.sparse.types import OVERLAP_DTYPE, SEED_DTYPE
 
 
@@ -33,11 +34,18 @@ class TestDetect:
         assert all(r != c for r, c in pair_set)
 
     def test_pattern_symmetric(self, grid4):
+        """C holds the strict upper triangle of the symmetric A.A^T: every
+        entry has r < c, and C mirrored is the full off-diagonal pattern."""
         _, _, _, A = overlap_setup(grid4)
         C, _ = detect_overlaps(A)
         rows, cols, _ = C.to_global_coo()
+        assert np.all(rows < cols)
+        full = A.spgemm(A.transpose(), seed_semiring(), exclude_diagonal=True)
+        frows, fcols, _ = full.to_global_coo()
         pairs = set(zip(rows.tolist(), cols.tolist()))
-        assert all((c, r) in pairs for r, c in pairs)
+        assert pairs | {(c, r) for r, c in pairs} == set(
+            zip(frows.tolist(), fcols.tolist())
+        )
 
     def test_min_shared_prunes(self, grid4):
         _, _, _, A = overlap_setup(grid4)
@@ -105,7 +113,7 @@ class TestBuildOverlapGraph:
         genome, rs, store, A = overlap_setup(grid4)
         C, _ = detect_overlaps(A)
         _, stats = build_overlap_graph(C, store, AlignmentParams(k=15, end_margin=5))
-        assert stats.pairs_aligned == C.nnz() // 2
+        assert stats.pairs_aligned == C.nnz()
         assert stats.dovetails > 0
         assert (
             stats.dovetails + stats.contained + stats.internal + stats.low_score

@@ -211,15 +211,18 @@ class TestSpgemm:
             b_sorts.append(phases)
             return phase_panels(blk, phases)
 
-        def checking_spgemm_local(a_blk, b_blk, semiring, a_ptr=None):
+        def checking_spgemm_local(a_blk, b_blk, semiring, a_ptr=None, **triangle):
             # the labels, and the entries really in that order
             in_order = np.array_equal(
                 np.lexsort((a_blk.rows, a_blk.cols)), np.arange(a_blk.nnz)
             ) and np.array_equal(
                 np.lexsort((b_blk.cols, b_blk.rows)), np.arange(b_blk.nnz)
             )
-            multiplies.append((a_blk.order, b_blk.order, in_order, a_ptr is not None))
-            return spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr)
+            multiplies.append(
+                (a_blk.order, b_blk.order, in_order, a_ptr is not None,
+                 triangle["strict_upper"])
+            )
+            return spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr, **triangle)
 
         monkeypatch.setattr(LocalCoo, "sorted_by", counting_sorted_by)
         monkeypatch.setattr(LocalCoo, "select", counting_select)
@@ -231,7 +234,7 @@ class TestSpgemm:
         monkeypatch.undo()
 
         assert len(multiplies) == 32 * g.q * g.nprocs
-        assert set(multiplies) == {("col", "row", True, True)}
+        assert set(multiplies) == {("col", "row", True, True, False)}
         assert sum(real_sorts) == g.nprocs  # A by column
         assert b_sorts == [32] * g.nprocs
         assert len(pointer_builds) <= g.nprocs

@@ -14,25 +14,35 @@ The contracts under test (ISSUE 5):
   a budget the unphased run violates, and budget violations are recorded
   per stage when no plan can fit;
 * the pipeline / CLI wiring (``memory_budget_mb`` / ``--memory-budget-mb``)
-  is bit-identical to an unbudgeted run and surfaces violations.
+  is bit-identical to an unbudgeted run and surfaces violations;
+* the strict-upper ``A . A^T`` of ``detect_overlaps`` equals the full
+  product pruned to ``r < c`` for every P, phase count, merge mode and
+  ``min_shared``, its symbolic flops are the products it forms, and ranks
+  below the grid diagonal form none.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DistributionError, PipelineError
+from repro.kmer import build_kmer_matrix, count_kmers
 from repro.mpi import MemoryBudget, MemoryMeter, ProcGrid, SimWorld, cori_haswell
+from repro.overlap import detect_overlaps
 from repro.pipeline import Pipeline, PipelineConfig
-from repro.seq import dna, tile_reads
+from repro.seq import DistReadStore, GenomeSpec, dna, make_genome, tile_reads
 from repro.sparse import (
     DistSparseMatrix,
     LocalCoo,
     SpgemmPlan,
     arithmetic_semiring,
     count_semiring,
+    seed_semiring,
     spgemm_local,
     spgemm_symbolic,
 )
+from repro.sparse import distmat
 from repro.strgraph import transitive_reduction
 
 from tests.test_strgraph import build_R
@@ -459,3 +469,149 @@ class TestGraphAndPipelineWiring:
         assert build_pipeline_config(args).memory_budget_mb is None
         with pytest.raises(SystemExit):
             parser.parse_args(["--memory-budget-mb", "-3"])
+
+
+# ---------------------------------------------------------------------------
+# strict upper triangle: A . A^T forms each unordered pair once
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def overlap_reads():
+    genome = make_genome(GenomeSpec(length=3000, seed=29))
+    return tile_reads(genome, 200, 40, "alternate").reads
+
+
+def kmer_matrix(reads, nprocs, **world_kw):
+    grid = ProcGrid(SimWorld(nprocs, cori_haswell(), **world_kw))
+    store = DistReadStore.from_global(grid, reads)
+    return build_kmer_matrix(store, count_kmers(store, 15, reliable_lo=1))
+
+
+def dense_block(rng, shape, density):
+    fill = (rng.random(shape) < density) * rng.integers(1, 5, shape)
+    return LocalCoo.from_dense(fill.astype(np.int64))
+
+
+class TestStrictUpper:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        k=st.integers(1, 10),
+        m=st.integers(1, 30),
+        density=st.floats(0.0, 0.7),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_symbolic_flops_are_the_formed_products(
+        self, seed, n, k, m, density
+    ):
+        """With the triangle, the symbolic flops are exactly the products
+        the kernel forms, and the product is the full one cut to r < c --
+        rectangular blocks too, where a column past the last row keeps
+        every row."""
+        rng = np.random.default_rng(seed)
+        a, b = dense_block(rng, (n, k), density), dense_block(rng, (k, m), density)
+        sr = arithmetic_semiring(np.int64)
+        flops, nnz_ub = spgemm_symbolic(a, b, strict_upper=True)
+        got, got_flops = spgemm_local(a, b, sr, strict_upper=True)
+        assert int(flops.sum()) == got_flops
+        full, _ = spgemm_local(a, b, sr)
+        want = full.select(full.rows < full.cols)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.array_equal(got.vals, want.vals)
+        assert (np.bincount(got.cols, minlength=m) <= nnz_ub).all()
+        assert (nnz_ub <= flops).all()
+
+    @pytest.mark.parametrize("nprocs", [1, 4, 9, 16])
+    def test_detect_equals_the_full_product_cut_to_r_below_c(
+        self, overlap_reads, nprocs
+    ):
+        """``detect_overlaps`` == ``spgemm(exclude_diagonal=True)`` pruned
+        to r < c, bit for bit, for every phase count (more phases than a
+        grid column has columns included), merge mode and ``min_shared``."""
+        A = kmer_matrix(overlap_reads, nprocs)
+        width = -(-A.shape[0] // A.grid.q)
+        full = A.spgemm(A.transpose(), seed_semiring(), exclude_diagonal=True)
+        upper = full.prune(lambda v, r, c: r >= c)
+        assert 0 < upper.nnz() < full.nnz()
+        for min_shared in (1, 2):
+            want = upper.prune(lambda v, r, c: v["count"] < min_shared)
+            for mode in ("bulk", "stream"):
+                for phases in (1, 3, 32, width + 1):
+                    C, _ = detect_overlaps(
+                        A, min_shared=min_shared, merge_mode=mode, phases=phases
+                    )
+                    assert_blocks_identical(
+                        C, want, ctx=(min_shared, mode, phases)
+                    )
+
+    def test_below_diagonal_ranks_form_no_products(self, overlap_reads, monkeypatch):
+        """Only ranks on or above the grid diagonal multiply -- the diagonal
+        ones joining column prefixes -- and each A block's key is built
+        once per SpGEMM, not per call."""
+        from repro.sparse import spgemm as spgemm_mod
+
+        A = kmer_matrix(overlap_reads, 16, executor="serial")
+        grid, q, phases = A.grid, A.grid.q, 3
+        calls, key_builds = [], []
+        column_key = distmat.column_key
+
+        def recording_spgemm_local(a_blk, b_blk, semiring, **kw):
+            part, flops = spgemm_local(a_blk, b_blk, semiring, **kw)
+            calls.append((kw["strict_upper"], flops))
+            return part, flops
+
+        def counting_column_key(blk):
+            key_builds.append(blk)
+            return column_key(blk)
+
+        monkeypatch.setattr(distmat, "spgemm_local", recording_spgemm_local)
+        monkeypatch.setattr(distmat, "column_key", counting_column_key)
+        monkeypatch.setattr(spgemm_mod, "column_key", counting_column_key)
+        C, _ = detect_overlaps(A, phases=phases)
+        monkeypatch.undo()
+
+        # q(q + 1) / 2 ranks multiply per stage, q of them on the diagonal
+        assert len(calls) == phases * q * q * (q + 1) // 2
+        assert sum(strict for strict, _ in calls) == phases * q * q
+        assert len(key_builds) == grid.nprocs
+        for rank, blk in enumerate(C.blocks):
+            i, j = grid.coords_of(rank)
+            if i > j:
+                assert blk.nnz == 0, rank
+            elif i == j:  # neighbouring reads overlap on every diagonal block
+                assert blk.nnz > 0, rank
+
+    def test_strict_plan_bounds_the_strict_run(self, overlap_reads):
+        """A strict-upper plan counts only the triangle's products: on this
+        input, where diagonal ranks hold the peak, it estimates less than
+        the full plan, and it still bounds the modeled peak of the
+        multiplication it plans."""
+        A = kmer_matrix(overlap_reads, 16)
+        At, sr = A.transpose(), seed_semiring()
+        budget = MemoryBudget(1.0)  # nothing fits: every candidate estimated
+        full = SpgemmPlan.choose(A, At, sr, budget, max_phases=8)
+        strict = SpgemmPlan.choose(
+            A, At, sr, budget, max_phases=8, strict_upper=True
+        )
+        assert strict.phases == full.phases == 8
+        for phases, est in strict.est_by_phases.items():
+            assert est < full.est_by_phases[phases], phases
+            fresh = kmer_matrix(overlap_reads, 16)
+            world = fresh.grid.world
+            with world.stage_scope("Mult"):
+                fresh.spgemm(fresh.transpose(), sr, phases=phases, strict_upper=True)
+            assert world.memory.stage_peak("Mult") <= est, phases
+
+    def test_strict_upper_needs_a_square_product(self):
+        grid = ProcGrid(SimWorld(4, cori_haswell()))
+        A = random_dist(grid, (12, 9), 0.3, seed=4)
+        B = random_dist(grid, (9, 7), 0.3, seed=5)
+        sr = arithmetic_semiring(np.int64)
+        for attempt in (
+            lambda: A.spgemm(B, sr, strict_upper=True),
+            lambda: A.plan_spgemm(B, sr, MemoryBudget(1.0), strict_upper=True),
+        ):
+            with pytest.raises(DistributionError, match="square"):
+                attempt()

@@ -8,6 +8,9 @@ shape claims of §6.1:
   (the paper reports 64-80% at its largest configuration);
 * Cori Haswell faster than Summit CPU end-to-end (the alignment SIMD
   penalty plus slower network).
+
+The C. elegans tables add a P = 256 row, report-only: no assertion reads
+it (``paper_scale_gate.py`` pins that run and P = 1 024).
 """
 
 import pytest
@@ -34,11 +37,33 @@ def celegans_sweeps(c_elegans):
 
 
 @pytest.fixture(scope="module")
+def celegans_p256(c_elegans):
+    """C. elegans at P = 256, the paper's scale: report-only, one more row
+    of the rendered tables that no shape assertion reads."""
+    return {
+        m: sweep_pipeline(c_elegans, m, [256])
+        for m in ("cori-haswell", "summit-cpu")
+    }
+
+
+@pytest.fixture(scope="module")
 def osativa_sweeps(o_sativa):
     return {
         m: sweep_pipeline(o_sativa, m, [1, 4, 16, 64])
         for m in ("cori-haswell", "summit-cpu")
     }
+
+
+def _tables(celegans_sweeps, celegans_p256, osativa_sweeps) -> list[str]:
+    blocks = []
+    for label, sweeps, extra in (
+        ("C. elegans", celegans_sweeps, celegans_p256),
+        ("O. sativa", osativa_sweeps, {}),
+    ):
+        for machine, results in sweeps.items():
+            rows = results + extra.get(machine, [])
+            blocks.append(scaling_table(f"{label} / {machine}", rows))
+    return blocks
 
 
 def _chart(celegans_sweeps, osativa_sweeps) -> str:
@@ -63,14 +88,10 @@ def _chart(celegans_sweeps, osativa_sweeps) -> str:
 
 
 class TestFig4:
-    def test_render(self, write_artifact, celegans_sweeps, osativa_sweeps):
-        blocks = []
-        for label, sweeps in (
-            ("C. elegans", celegans_sweeps),
-            ("O. sativa", osativa_sweeps),
-        ):
-            for machine, results in sweeps.items():
-                blocks.append(scaling_table(f"{label} / {machine}", results))
+    def test_render(
+        self, write_artifact, celegans_sweeps, celegans_p256, osativa_sweeps
+    ):
+        blocks = _tables(celegans_sweeps, celegans_p256, osativa_sweeps)
         blocks.append(_chart(celegans_sweeps, osativa_sweeps))
         text = "Figure 4 -- ELBA strong scaling\n\n" + "\n\n".join(blocks)
         write_artifact("fig4_strong_scaling", text)
@@ -113,17 +134,13 @@ class TestFig4:
         assert rep.misassemblies <= 2
 
 
-def test_bench_fig4_full(benchmark, write_artifact, celegans_sweeps, osativa_sweeps):
+def test_bench_fig4_full(
+    benchmark, write_artifact, celegans_sweeps, celegans_p256, osativa_sweeps
+):
     """Aggregated Fig. 4 reproduction (runs under --benchmark-only)."""
 
     def regenerate():
-        blocks = []
-        for label, sweeps in (
-            ("C. elegans", celegans_sweeps),
-            ("O. sativa", osativa_sweeps),
-        ):
-            for machine, results in sweeps.items():
-                blocks.append(scaling_table(f"{label} / {machine}", results))
+        blocks = _tables(celegans_sweeps, celegans_p256, osativa_sweeps)
         # shape assertions: monotone speedup, Cori faster than Summit
         for sweeps in (celegans_sweeps, osativa_sweeps):
             for machine, results in sweeps.items():

@@ -86,13 +86,14 @@ def connected_components(
     n = L.shape[0]
     f = DistVector.arange(grid, n)
 
-    # per-rank edge endpoint lists in global coordinates (fixed for the run)
+    # per-rank edge endpoints in global coordinates: fixed, so planned once
     edge_u, edge_v, _vals = zip(*L.edge_triples_per_rank())
+    plan_u, plan_v = f.route(edge_u), f.route(edge_v)
 
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        pu = f.gather(edge_u)
-        pv = f.gather(edge_v)
+        pu = f.gather(edge_u, plan=plan_u)
+        pv = f.gather(edge_v, plan=plan_v)
         gpu = f.gather(pu)
         gpv = f.gather(pv)
         hook_idx: list[np.ndarray] = []

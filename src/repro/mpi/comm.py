@@ -22,12 +22,14 @@ is :meth:`SimComm.route`: the caller names a destination rank per row, and
 the returned :class:`RoutePlan` sends any number of row-aligned columns
 -- NumPy arrays, or ragged ``(values, offsets)`` pairs such as packed reads
 -- in one ``alltoallv`` (``send``) and returns answers in request order
-(``reply``).  ``alltoall`` is the generic-object form of the same
-collective, kept as the reference the route tests compare against.
+(``reply``), each through one receiver-major permutation of all rows.
+``alltoall`` is the generic-object form of the same collective, kept as
+the reference the route tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -71,9 +73,7 @@ def payload_nbytes(obj: Any) -> int:
         return 0
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, str):
+    if isinstance(obj, (bytes, bytearray, memoryview, str)):
         return len(obj)
     if isinstance(obj, (int, float, np.integer, np.floating, bool)):
         return 8
@@ -511,8 +511,7 @@ class SimComm:
         :class:`RoutePlan` moves any number of row-aligned columns
         (:meth:`RoutePlan.send`) and carries answers back in request order
         (:meth:`RoutePlan.reply`), one ``alltoallv`` event each.  ``dests``
-        may be a generator, so a caller can derive one rank's owners at a
-        time instead of holding all P arrays.
+        may be any iterable of P integer arrays.
         """
         return RoutePlan(self, dests)
 
@@ -521,10 +520,7 @@ class SimComm:
         self._check_input(per_rank, "allreduce")
         sizes = [payload_nbytes(x) for x in per_rank]
         self._charge("allreduce", sum(sizes), max(sizes, default=0), self.size - 1)
-        acc = per_rank[0]
-        for val in per_rank[1:]:
-            acc = op(acc, val)
-        return acc
+        return functools.reduce(op, per_rank)
 
     def reduce(self, per_rank: Sequence[Any], op: Callable[[Any, Any], Any], root: int = 0) -> Any:
         """Reduce per-rank values to ``root``."""
@@ -533,10 +529,7 @@ class SimComm:
             raise CommunicatorError(f"root {root} out of range [0, {self.size})")
         sizes = [payload_nbytes(x) for x in per_rank]
         self._charge("reduce", sum(sizes), max(sizes, default=0), self.size - 1)
-        acc = per_rank[0]
-        for val in per_rank[1:]:
-            acc = op(acc, val)
-        return acc
+        return functools.reduce(op, per_rank)
 
     def reduce_scatter(
         self,
@@ -573,21 +566,13 @@ class SimComm:
         nbytes = sum(int(np.asarray(a).nbytes) for a in per_rank_arrays)
         self._charge("reduce_scatter", nbytes, int(first.nbytes), self.size - 1)
         n = total.shape[0]
-        out = []
         if block_sizes is None:
-            for i in range(self.size):
-                lo, hi = block_range(n, self.size, i)
-                out.append(total[lo:hi].copy())
+            bounds = [block_range(n, self.size, i)[0] for i in range(self.size)] + [n]
+        elif int(sum(block_sizes)) == n:
+            bounds = cumsum0(block_sizes).tolist()
         else:
-            if int(sum(block_sizes)) != n:
-                raise CommunicatorError(
-                    f"block sizes sum to {sum(block_sizes)}, expected {n}"
-                )
-            lo = 0
-            for size in block_sizes:
-                out.append(total[lo : lo + size].copy())
-                lo += size
-        return out
+            raise CommunicatorError(f"block sizes sum to {sum(block_sizes)}, expected {n}")
+        return [total[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # -- point-to-point ----------------------------------------------------
     def sendrecv(self, payloads: Sequence[Any], partners: Sequence[int]) -> list[Any]:
@@ -609,137 +594,160 @@ class SimComm:
                     f"partners must be an involution: partners[{i}]={j} "
                     f"but partners[{j}]={partners[j]}"
                 )
-        nbytes = sum(
-            payload_nbytes(payloads[i]) for i, j in enumerate(partners) if i != j
-        )
-        messages = sum(1 for i, j in enumerate(partners) if i != j)
-        if messages:
-            sizes = [
-                payload_nbytes(payloads[i])
-                for i, j in enumerate(partners)
-                if i != j
-            ]
-            self._charge("ptp", nbytes, max(sizes, default=0), messages)
+        sizes = [payload_nbytes(payloads[i]) for i, j in enumerate(partners) if i != j]
+        if sizes:
+            self._charge("ptp", sum(sizes), max(sizes), len(sizes))
         return [payloads[partners[i]] for i in range(self.size)]
-
-
-def _regroup(arrays: Sequence[np.ndarray], counts: np.ndarray) -> Iterator[np.ndarray]:
-    """The data movement of an alltoallv over flat per-sender arrays.
-
-    ``arrays[s]`` is sender ``s``'s rows as consecutive runs of
-    ``counts[s, t]`` rows for receivers ``t = 0..P-1``; receiver ``t`` gets
-    its runs concatenated in sender order.  Runs are views of the senders'
-    arrays until the one concatenation per receiver, and receivers are
-    produced one at a time.
-    """
-    bounds = [cumsum0(row) for row in counts]
-    for t in range(len(arrays)):
-        yield np.concatenate([a[b[t] : b[t + 1]] for a, b in zip(arrays, bounds)])
 
 
 class RoutePlan:
     """A planned owner-routed exchange (see :meth:`SimComm.route`).
 
     The one implementation of *send each row to the rank that owns it,
-    sometimes answer back*: a stable sort by destination per rank groups
-    the rows, and a P x P count matrix says how many go where -- from it
-    follow both the slices to move and the bytes to charge.
+    sometimes answer back*.  A P x P count matrix says how many rows go
+    where, which is what the event charges.  One stable sort of all ranks'
+    destinations, concatenated in rank order, is the receiver-major
+    permutation: it keeps each receiver's rows grouped by sender in each
+    sender's order, and its inverse carries answers back -- one gather per
+    receiver, however many of the P x P cells are empty.  A ragged
+    column's values are never concatenated whole: they are read one piece
+    per non-empty cell.
 
     A column is, per rank, an array with one row per destination or -- a
     *ragged* column, for rows of varying length such as packed reads -- a
     ``(values, offsets)`` tuple with row ``k`` at
     ``values[offsets[k]:offsets[k + 1]]``; it is received in the same form.
+    Receivers get fresh arrays (never views of a whole-world buffer) of the
+    dtype ``np.concatenate`` gives over all senders' arrays, empty included.
     """
 
-    __slots__ = ("comm", "counts", "_perms")
+    __slots__ = ("comm", "counts", "_order", "_inverse")
 
     def __init__(self, comm: SimComm, dests: Iterable[np.ndarray]) -> None:
         P = comm.size
         # the narrowest dtype that holds a rank: 8- and 16-bit keys make
-        # numpy's stable sort a radix sort, and the cast copy is small
+        # numpy's stable sort a radix sort, and the cast copies are small
         narrow = np.min_scalar_type(P)
-        perms, counts = [], []
+        narrowed, counts = [], []
         for r, dest in enumerate(dests):
             dest = np.asarray(dest)
+            if dest.size and dest.dtype.kind not in "iu":
+                raise CommunicatorError(
+                    f"route: rank {r} has {dest.dtype} destinations, not ranks"
+                )
             if dest.size and not (0 <= dest.min() and dest.max() < P):
                 raise CommunicatorError(
                     f"route: rank {r} has a destination outside [0, {P})"
                 )
-            dest = dest.astype(narrow, copy=False)
-            perm = np.argsort(dest, kind="stable")
-            if dest.size <= np.iinfo(np.int32).max:
-                # the plan holds one entry per row for its whole life
-                perm = perm.astype(np.int32)
-            perms.append(perm)
-            counts.append(np.bincount(dest, minlength=P))
-        comm._check_input(perms, "route")
+            narrowed.append(dest.astype(narrow, copy=False))
+            counts.append(np.bincount(narrowed[-1], minlength=P))
+        comm._check_input(narrowed, "route")
         self.comm = comm
         #: ``counts[r, o]``: rows rank ``r`` sends to rank ``o``
         self.counts = np.array(counts, dtype=np.int64)
-        self._perms = perms
+        # the plan holds one entry per row for its whole life (and one more,
+        # the inverse, from its first reply on)
+        flat = np.concatenate(narrowed)
+        index = np.int32 if flat.size < 2**31 else np.int64
+        self._order = np.argsort(flat, kind="stable").astype(index)
+        self._inverse = None
 
-    def _record(
-        self, columns: Sequence[Sequence[Any]], counts: np.ndarray, perms: Any
-    ) -> list[Any]:
-        """Validate ``columns`` against ``counts`` and record the event
-        :meth:`SimComm.alltoall` records for the same rows: every sender's
-        off-diagonal row count times its bytes per row, plus, per ragged
-        column, the values of those rows and one offsets array per message.
-        ``perms`` puts each sender's rows in destination order (``None``:
-        they are); a ragged column comes back in that order."""
-        comm = self.comm
-        rows = counts.sum(axis=1)
-        away = rows - counts.diagonal()
-        row_bytes, ragged_bytes = np.zeros((2, comm.size), dtype=np.int64)
+    def _exchange(self, columns: Sequence[Sequence[Any]], back: bool) -> list[list[Any]]:
+        """Validate ``columns``, record their event and move them: from
+        the senders to the receivers, or ``back`` from the receivers.
+
+        The event is the one :meth:`SimComm.alltoall` records for the same
+        rows: every source's off-diagonal row count times its bytes per
+        row, plus, per ragged column, the values of those rows and one
+        offsets array per message.  Nothing is recorded if a column is
+        refused.
+        """
+        comm, P = self.comm, self.comm.size
+        cells = self.counts.T if back else self.counts
+        rows = cells.sum(axis=1)
+        away = rows - cells.diagonal()
+        rows = rows.tolist()
+        # destination row i is source row perm[i] of a concatenated column
+        perm = self._inverse if back else self._order
+        sent = np.zeros(P, dtype=np.int64)
         checked: list[Any] = []
         for col in columns:
             comm._check_input(col, "route column")
-            if isinstance(col[0], tuple):
-                values, lengths, nvals = [], [], np.empty_like(counts)
-                for r, (v, o) in enumerate(col):
-                    v, o = np.asarray(v), np.asarray(o)
-                    if (
-                        o.shape != (rows[r] + 1,)
-                        or (o[0], o[-1]) != (0, len(v))
-                        or (np.diff(o) < 0).any()
-                    ):
+            ragged = isinstance(col[0], tuple)
+            kind = "a (values, offsets) pair" if ragged else "an array"
+            for r, entry in enumerate(col):
+                if isinstance(entry, tuple) != ragged or ragged and len(entry) != 2:
+                    raise CommunicatorError(f"route: rank {r} column entry is not {kind}")
+            if not ragged:
+                col = [np.asarray(a) for a in col]
+                for r, a in enumerate(col):
+                    if a.shape[:1] != (rows[r],):
                         raise CommunicatorError(
-                            f"route: rank {r} ragged column needs {rows[r] + 1} "
-                            f"non-decreasing offsets spanning its {len(v)} values"
+                            f"route: rank {r} column has shape {a.shape}, "
+                            f"expected {rows[r]} rows"
                         )
-                    ragged_bytes[r] += (away[r] + comm.size - 1) * o.itemsize
-                    if perms is not None:
-                        v, o = gather_pieces(v, o[perms[r]], np.diff(o)[perms[r]])
-                    nvals[r] = np.diff(o[cumsum0(counts[r])])
-                    ragged_bytes[r] += (len(v) - nvals[r, r]) * v.itemsize
-                    values.append(v)
-                    lengths.append(np.diff(o))
-                checked.append((values, lengths, nvals))
+                sent += away * [a.itemsize * math.prod(a.shape[1:]) for a in col]
+                checked.append(col)
                 continue
-            col = [np.asarray(a) for a in col]
-            for r, a in enumerate(col):
-                if a.shape[:1] != (rows[r],):
+            values, lengths, sizes = [], [], []
+            for r, (v, o) in enumerate(col):
+                v, o = np.asarray(v), np.asarray(o)
+                n = np.diff(o) if o.shape == (rows[r] + 1,) else None
+                if n is None or (o[0], o[-1]) != (0, len(v)) or (n < 0).any():
                     raise CommunicatorError(
-                        f"route: rank {r} column has shape {a.shape}, "
-                        f"expected {rows[r]} rows"
+                        f"route: rank {r} ragged column needs {rows[r] + 1} "
+                        f"non-decreasing offsets spanning its {len(v)} values"
                     )
-                row_bytes[r] += a.dtype.itemsize * math.prod(a.shape[1:])
-            checked.append(col)
-        sent = away * row_bytes + ragged_bytes
-        comm._charge(
-            "alltoallv", int(sent.sum()), int(sent.max()), comm.size * (comm.size - 1)
-        )
-        return checked
+                values.append(v)
+                lengths.append(n)
+                sizes.append((o.itemsize, len(v), v.itemsize))
+            lengths = np.concatenate(lengths)
+            # cell[t, s]: first row of the rows s sends t in the receiver-major
+            # order; a rank keeps the values of its own cell
+            cell = cumsum0(self.counts.T.ravel())[:-1].reshape(P, P)
+            ends, own = cumsum0(lengths if back else lengths[perm]), cell.diagonal()
+            kept = ends[own + self.counts.diagonal()] - ends[own]
+            offset_size, nvalues, value_size = np.array(sizes, dtype=np.int64).T
+            sent += (away + P - 1) * offset_size + (nvalues - kept) * value_size
+            checked.append((values, lengths, cell))
+        comm._charge("alltoallv", int(sent.sum()), int(sent.max()), P * (P - 1))
+        bounds = cumsum0(cells.sum(axis=0)).tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        return [self._move(col, perm, spans, back) for col in checked]
 
-    @staticmethod
-    def _move(col: Any, counts: np.ndarray, perms: Any) -> Iterator[Any]:
-        """One checked column, receiver by receiver."""
-        if isinstance(col, list):
-            if perms is not None:
-                col = [a[p] for a, p in zip(col, perms)]
-            return _regroup(col, counts)
-        values, lengths, nvals = col
-        return zip(_regroup(values, nvals), map(cumsum0, _regroup(lengths, counts)))
+    def _move(self, col: Any, perm: np.ndarray, spans: list, back: bool) -> list[Any]:
+        """One checked column, gathered per destination.  A plain column is
+        concatenated once (and freed on return, so columns are not all
+        copied at once); a ragged column's values never are: a destination
+        reads one piece per rank it has rows from."""
+        if not isinstance(col, tuple):
+            flat = np.concatenate(col)
+            return [flat[perm[a:b]] for a, b in spans]
+        (values, lengths, cell), counts = col, self.counts
+        # rows tile each rank's values: a row starts where the rows before
+        # it end, less the values of the ranks before
+        first, base = cumsum0(lengths), cumsum0([len(v) for v in values])
+        proto = [np.concatenate([v[:0] for v in values])]  # receivers' dtype
+        out = []
+        for d, (a, b) in enumerate(spans):
+            rows, nz = perm[a:b], np.flatnonzero(counts[d] if back else counts[:, d])
+            if back:
+                # d's answers from one rank are one run of its values: pool
+                # the runs, then gather them in d's row order
+                lo, hi = first[cell[nz, d]], first[cell[nz, d] + counts[d, nz]]
+                pool = [values[o][x - base[o] : y - base[o]] for o, x, y in zip(nz, lo, hi)]
+                k = np.searchsorted(cell[nz, d], rows, side="right") - 1
+                at = first[rows] - lo[k] + cumsum0(hi - lo)[k]
+                out.append(gather_pieces(np.concatenate(proto + pool), at, lengths[rows]))
+                continue
+            # d's rows from one rank are one run of perm: one gather each
+            runs = [perm[x : x + n] for x, n in zip(cell[d, nz], counts[nz, d])]
+            pieces = [
+                gather_pieces(values[s], first[r] - base[s], lengths[r])[0]
+                for s, r in zip(nz, runs)
+            ]
+            out.append((np.concatenate(proto + pieces), cumsum0(lengths[rows])))
+        return out
 
     def send(self, *columns: Sequence[Any]) -> tuple[list[Any], ...]:
         """Move row-aligned columns to their destinations in one event.
@@ -749,27 +757,15 @@ class RoutePlan:
         ``o``'s array is the rows addressed to it, grouped by source rank
         with each sender's order kept.
         """
-        return tuple(
-            list(self._move(col, self.counts, self._perms))
-            for col in self._record(columns, self.counts, self._perms)
-        )
+        return tuple(self._exchange(columns, back=False))
 
     def reply(self, answers: Sequence[Any]) -> list[Any]:
         """The trip back: ``answers[o]`` holds one row per row receiver
         ``o`` got from :meth:`send`, in that order.  Returns, per original
         sender, the answers to its rows in its own row order."""
-        back = self.counts.T
-        (answers,) = self._record((answers,), back, None)
-        out = []
-        for flat, perm in zip(self._move(answers, back, None), self._perms):
-            if isinstance(flat, tuple):
-                values, offsets = flat
-                asked = np.argsort(perm)
-                out.append(
-                    gather_pieces(values, offsets[asked], np.diff(offsets)[asked])
-                )
-                continue
-            restored = np.empty_like(flat)
-            restored[perm] = flat
-            out.append(restored)
+        if self._inverse is None:
+            order = self._order
+            self._inverse = np.empty_like(order)
+            self._inverse[order] = np.arange(len(order), dtype=order.dtype)
+        (out,) = self._exchange((answers,), back=True)
         return out

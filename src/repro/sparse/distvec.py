@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import DistributionError
+from ..mpi.comm import RoutePlan
 from ..mpi.grid import ProcGrid
 
 __all__ = ["DistVector"]
@@ -135,36 +136,38 @@ class DistVector:
         return out
 
     # -- communication --------------------------------------------------
-    def _owners(self, indices: Sequence[np.ndarray], what: str):
-        """Owner rank of every global index, one rank's array at a time
-        (range-checked: nothing is routed or charged on a bad index)."""
+    def route(self, indices: Sequence[np.ndarray]) -> RoutePlan:
+        """The plan sending every rank's global indices to their owners
+        (range-checked: nothing is routed or charged on a bad index); pass
+        it as ``gather(indices, plan=...)`` to fetch the same indices again."""
         for idx in indices:
             if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-                raise DistributionError(
-                    f"{what} index out of range [0, {self.n})"
-                )
-            yield self.grid.owner_of_vec(self.n, idx)
+                raise DistributionError(f"index out of range [0, {self.n})")
+        # one rank's owners at a time, not a whole-world copy of the indices
+        owners = (self.grid.owner_of_vec(self.n, idx) for idx in indices)
+        return self.grid.world.comm.route(owners)
 
-    def gather(self, requests: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def gather(
+        self, requests: Sequence[np.ndarray], plan: RoutePlan | None = None
+    ) -> list[np.ndarray]:
         """Fetch remote elements by global index for every rank.
 
         ``requests[r]`` is rank r's array of global indices; the result's
         r-th entry holds the corresponding values in request order.  One
         route plan: requests sent to owners, owners reply with values.
+        ``plan`` (optional) is this vector's :meth:`route` of ``requests``.
         """
         grid, world = self.grid, self.grid.world
         if len(requests) != grid.nprocs:
             raise DistributionError(f"expected {grid.nprocs} request arrays")
         requests = [np.asarray(idx, dtype=np.int64) for idx in requests]
-        plan = world.comm.route(self._owners(requests, "gather"))
-        for r, idx in enumerate(requests):
-            world.charge_compute(r, idx.size)
+        if plan is None:
+            plan = self.route(requests)
+        world.charge_compute_all([idx.size for idx in requests])
         (asked,) = plan.send(requests)
         lows = grid.vec_bounds(self.n)
-        answers = []
-        for o, idx in enumerate(asked):
-            answers.append(self.blocks[o][idx - lows[o]])
-            world.charge_compute(o, idx.size)
+        answers = [blk[idx - lo] for blk, idx, lo in zip(self.blocks, asked, lows)]
+        world.charge_compute_all([idx.size for idx in asked])
         return plan.reply(answers)
 
     def scatter_update(
@@ -186,13 +189,12 @@ class DistVector:
         values = [np.asarray(val) for val in values]
         if [idx.shape for idx in indices] != [val.shape[:1] for val in values]:
             raise DistributionError("indices/values length mismatch")
-        plan = world.comm.route(self._owners(indices, "scatter_update"))
-        for r, idx in enumerate(indices):
-            world.charge_compute(r, idx.size)
+        plan = self.route(indices)
+        world.charge_compute_all([idx.size for idx in indices])
         (recv_i,) = plan.send(indices)
         (recv_v,) = plan.send(values)
         lows = grid.vec_bounds(self.n)
         for o, (idx, val) in enumerate(zip(recv_i, recv_v)):
             if idx.size:
                 _COMBINE[combine](self.blocks[o], idx - lows[o], val)
-            world.charge_compute(o, idx.size)
+        world.charge_compute_all([idx.size for idx in recv_i])

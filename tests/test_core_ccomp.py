@@ -80,6 +80,46 @@ class TestConnectedComponents:
         got = connected_components(L).labels.to_global()
         assert np.array_equal(got, np.arange(6))
 
+    def test_edge_gathers_are_planned_once_per_call(self, monkeypatch):
+        """The endpoint lists never change, so their two gather plans are
+        built once per call, not once per hooking round; labels and every
+        recorded event equal a run that plans them each round."""
+        from repro.mpi import ProcGrid, RoutePlan, SimWorld, cori_haswell
+
+        built = []
+        init = RoutePlan.__init__
+
+        def counting_init(self, comm, dests):
+            built.append(1)
+            init(self, comm, dests)
+
+        monkeypatch.setattr(RoutePlan, "__init__", counting_init)
+        # a path through shuffled vertex ids takes several hooking rounds
+        n = 64
+        perm = np.random.default_rng(2).permutation(n)
+        edges = [(int(a), int(b)) for a, b in zip(perm, perm[1:])]
+
+        def run():
+            world = SimWorld(4, cori_haswell())
+            built.clear()
+            result = connected_components(dist_graph(ProcGrid(world), n, edges))
+            return result, world, len(built)
+
+        once, world_once, plans_once = run()
+        gather = DistVector.gather
+        monkeypatch.setattr(
+            DistVector, "gather", lambda self, requests, plan=None: gather(self, requests)
+        )
+        per_round, world_per_round, plans_per_round = run()
+        assert once.rounds == per_round.rounds >= 3
+        # ignoring the passed plans rebuilds both edge plans every round
+        assert plans_per_round - plans_once == 2 * once.rounds
+        assert np.array_equal(once.labels.to_global(), per_round.labels.to_global())
+        assert world_once.log.events == world_per_round.log.events
+        assert repr(world_once.clock.total_seconds()) == repr(
+            world_per_round.clock.total_seconds()
+        )
+
 
 class TestContigSizes:
     def test_sizes_at_label_positions(self, grid4):

@@ -138,6 +138,17 @@ class TestCollectives:
         out = w.comm.sendrecv(["a", "b", "c", "d"], partners)
         assert out == ["a", "c", "b", "d"]
 
+    def test_reduce_scatter_custom_blocks(self):
+        w = SimWorld(3, zero_cost())
+        out = w.comm.reduce_scatter([np.arange(6)] * 3, block_sizes=[0, 4, 2])
+        assert [o.tolist() for o in out] == [[], [0, 3, 6, 9], [12, 15]]
+
+    def test_sendrecv_charges_only_the_pairs_that_move(self):
+        w = SimWorld(4, cori_haswell())
+        w.comm.sendrecv([b"ab", b"c", b"def", b"g"], [0, 2, 1, 3])
+        (e,) = w.log.events
+        assert (e.op, e.total_bytes, e.max_bytes, e.messages) == ("ptp", 4, 3, 2)
+
     def test_sendrecv_requires_involution(self):
         w = SimWorld(3, zero_cost())
         with pytest.raises(CommunicatorError):
@@ -225,6 +236,12 @@ def _route_case(P, scenario, rng):
         dests = [np.full(n, P - 1) for n in sizes]
     elif scenario == "self_only":
         dests = [np.full(n, r) for r, n in enumerate(sizes)]
+    elif scenario == "sparse":
+        # each sender talks to at most 4 receivers: most cells are empty
+        dests = [
+            rng.choice(rng.choice(P, size=min(P, 4), replace=False), size=n)
+            for n in sizes
+        ]
     return dests
 
 
@@ -289,9 +306,9 @@ def _event_fields(world):
             e.modeled_seconds)
 
 
-@pytest.mark.parametrize("P", [1, 4, 9, 16])
+@pytest.mark.parametrize("P", [1, 4, 9, 16, 64, 256])
 @pytest.mark.parametrize(
-    "scenario", ["random", "empty_ranks", "all_to_one", "self_only"]
+    "scenario", ["random", "empty_ranks", "all_to_one", "self_only", "sparse"]
 )
 class TestRouteAgainstAlltoall:
     """``RoutePlan`` must deliver the rows, and record the event, that the
@@ -313,6 +330,8 @@ class TestRouteAgainstAlltoall:
             (_ragged_column(dests, rng),),  # a ragged column alone
             (_route_columns(dests, rng)[0], _ragged_column(dests, rng)),
         )
+        if P > 16:  # the P x P reference is slow: every kind in one send
+            column_sets = (_route_columns(dests, rng) + (_ragged_column(dests, rng),),)
         for columns in column_sets:
             got = plan.send(*columns)
             cells = [
@@ -375,6 +394,111 @@ class TestRouteAgainstAlltoall:
         assert _event_fields(world) == _event_fields(twin)
 
 
+class TestRouteReceivers:
+    DESTS = [np.array([0, 1, 1, 3]), np.array([3, 0]), np.empty(0, np.int64),
+             np.array([2, 1, 0])]
+
+    def test_receiver_dtype_is_the_concatenation_over_all_senders(self):
+        """int32 on even ranks, int64 on odd ranks and one empty float64
+        array: every receiver gets ``np.concatenate``'s dtype over all
+        senders, whether or not the float rank sends it anything."""
+        world = SimWorld(4, cori_haswell())
+        plan = world.comm.route(self.DESTS)
+        col = [(np.arange(d.size) + 10 * r).astype(np.int32 if r % 2 == 0 else np.int64)
+               for r, d in enumerate(self.DESTS)]
+        col[2] = np.empty(0, np.float64)
+        (got,) = plan.send(col)
+        want = np.concatenate(col).dtype
+        assert want == np.float64
+        for o, arr in enumerate(got):
+            assert arr.dtype == want
+            expected = np.concatenate([c[d == o] for c, d in zip(col, self.DESTS)])
+            assert np.array_equal(arr, expected)
+        # the trip back follows the same rule over the answers
+        answers = [a.astype(np.int32 if o % 2 else np.int64) for o, a in enumerate(got)]
+        answers[1] = answers[1].astype(np.uint8)
+        back = plan.reply(answers)
+        want = np.concatenate(answers).dtype
+        for c, b in zip(col, back):
+            assert b.dtype == want and np.array_equal(b, c)
+
+    def test_ragged_receiver_dtype_is_the_concatenation_over_all_senders(self):
+        """The same rule for a ragged column's values, although they are
+        never concatenated: receivers (and the reply) get float64 because
+        rank 2 holds an empty float64 values array."""
+        world = SimWorld(4, cori_haswell())
+        plan = world.comm.route(self.DESTS)
+        col = [(np.arange(2 * d.size).astype(np.int32 if r % 2 == 0 else np.int64),
+                2 * np.arange(d.size + 1)) for r, d in enumerate(self.DESTS)]
+        col[2] = (np.empty(0, np.float64), np.zeros(1, np.int64))
+        (got,) = plan.send(col)
+        for o, (values, offsets) in enumerate(got):
+            assert values.dtype == np.float64
+            want = np.concatenate([v.reshape(-1, 2)[d == o].ravel()
+                                   for (v, _), d in zip(col, self.DESTS)])
+            assert np.array_equal(values, want)
+            assert np.array_equal(offsets, 2 * np.arange(len(want) // 2 + 1))
+        answers = [(v.astype(np.uint8), o) for v, o in got]
+        answers[3] = (answers[3][0].astype(np.float32), answers[3][1])
+        for (values, offsets), (sent, sent_offsets) in zip(plan.reply(answers), col):
+            assert values.dtype == np.float32
+            assert np.array_equal(values, sent) and np.array_equal(offsets, sent_offsets)
+
+    def test_receivers_get_fresh_arrays(self):
+        """Each receiver owns its array: a view would keep a whole-world
+        buffer alive for as long as any receiver holds its part."""
+        world = SimWorld(4, zero_cost())
+        plan = world.comm.route(self.DESTS)
+        col = [np.arange(d.size) for d in self.DESTS]
+        ragged = [(np.ones(2 * d.size, np.uint8), 2 * np.arange(d.size + 1))
+                  for d in self.DESTS]
+        got, got_ragged = plan.send(col, ragged)
+        back = plan.reply(got)
+        back_ragged = plan.reply(got_ragged)
+        for pair in got_ragged + back_ragged:
+            assert isinstance(pair, tuple) and len(pair) == 2
+        for arr in got + back + [a for pair in got_ragged + back_ragged for a in pair]:
+            assert arr.base is None and arr.flags.owndata
+
+    def test_ragged_values_are_never_copied_whole(self):
+        """A ragged send or reply holds at most a few receivers' shares at
+        once on top of its result, never a copy of every rank's values:
+        64 ranks, each sending 4 KB to every rank (16 MB in all)."""
+        import tracemalloc
+
+        P, row = 64, 1024
+        world = SimWorld(P, zero_cost())
+        dests = [np.repeat(np.arange(P), 4) for _ in range(P)]
+        plan = world.comm.route(dests)
+        ragged = [(np.full(d.size * row, r, np.uint8), row * np.arange(d.size + 1))
+                  for r, d in enumerate(dests)]
+        whole = sum(v.nbytes for v, _ in ragged)
+        tracemalloc.start()
+        try:
+            for move in (lambda: plan.send(ragged)[0], lambda: plan.reply(ragged)):
+                tracemalloc.reset_peak()
+                out = move()
+                held, peak = tracemalloc.get_traced_memory()
+                assert peak - held < whole / 4
+                del out
+        finally:
+            tracemalloc.stop()
+
+    def test_one_plan_sent_twice_records_two_identical_events(self):
+        world = SimWorld(4, cori_haswell())
+        plan = world.comm.route(self.DESTS)
+        col = [np.arange(d.size) for d in self.DESTS]
+        ragged = [(np.ones(2 * d.size, np.uint8), 2 * np.arange(d.size + 1))
+                  for d in self.DESTS]
+        first = plan.send(col, ragged)
+        second = plan.send(col, ragged)
+        assert len(world.log) == 2
+        assert world.log.events[0] == world.log.events[1]
+        for a, b in zip(first, second):
+            for x, y in zip(a, b):
+                _assert_same(x, y)
+
+
 class TestRouteValidation:
     def _plan(self, world):
         return world.comm.route([np.array([0, 1, 1]), np.array([3]),
@@ -385,6 +509,36 @@ class TestRouteValidation:
         for bad in (-1, 4):
             with pytest.raises(CommunicatorError, match="outside"):
                 world.comm.route([np.array([0, bad])] + [np.empty(0, np.int64)] * 3)
+        assert len(world.log) == 0
+
+    def test_non_integer_destinations(self):
+        """Float destinations used to be truncated to ranks silently."""
+        world = SimWorld(2, cori_haswell())
+        with pytest.raises(CommunicatorError, match="rank 0 has float64"):
+            world.comm.route([np.array([0.0, 1.7]), np.array([0.9])])
+        with pytest.raises(CommunicatorError, match="rank 1 has bool"):
+            world.comm.route([np.array([0, 1]), np.array([True])])
+        assert len(world.log) == 0
+        # an empty array of any dtype is no destination at all
+        plan = world.comm.route([np.array([1, 1], np.uint8), np.empty(0)])
+        assert plan.counts.tolist() == [[0, 2], [0, 0]]
+
+    def test_column_mixing_ragged_and_plain_entries(self):
+        world = SimWorld(4, cori_haswell())
+        plan = self._plan(world)
+        ragged = [(np.zeros(n, np.uint8), np.arange(n + 1)) for n in (3, 1, 0, 2)]
+        plain = [np.zeros(n) for n in (3, 1, 0, 2)]
+        with pytest.raises(CommunicatorError, match="rank 1 .*not a \\(values, offsets\\) pair"):
+            plan.send(ragged[:1] + plain[1:])
+        with pytest.raises(CommunicatorError, match="rank 2 .*not an array"):
+            plan.send(plain[:2] + ragged[2:])
+        # a length-2 array is not unpacked as (values, offsets)
+        with pytest.raises(CommunicatorError, match="rank 3"):
+            plan.send(ragged[:3] + [np.zeros(2)])
+        with pytest.raises(CommunicatorError, match="rank 0"):
+            plan.send([(np.zeros(3), np.arange(4), None)] + ragged[1:])
+        with pytest.raises(CommunicatorError, match="rank 3"):
+            plan.reply([np.zeros(1), np.zeros(2), np.zeros(2), (np.zeros(1), np.arange(2))])
         assert len(world.log) == 0
 
     def test_wrong_number_of_arrays(self):

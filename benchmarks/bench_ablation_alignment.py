@@ -5,10 +5,18 @@ regime); the banded DP survives indels (CLR regime) at a large constant
 cost.  This bench measures both the speed gap and the recovery-rate gap.
 """
 
+import time
+
 import numpy as np
 
 from figures import render_matrix
-from repro.align import extend_banded, extend_gapless
+from repro.align import (
+    batch_xdrop_extend,
+    complemented_pool,
+    extend_banded,
+    extend_gapless,
+    pack_codes,
+)
 from repro.seq import dna
 from repro.seq.simulate import _apply_errors
 
@@ -133,3 +141,75 @@ def test_bench_banded_throughput(benchmark):
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     assert result > 0
+
+
+def gapless_corpus(rng, npairs=2000, k=21):
+    """Seeded candidate pairs shaped like the low-error workloads: reads of
+    300-900 bases, 70 % sharing a region at 1 % substitutions (the rest
+    unrelated, so their extensions die early), strands mixed."""
+    reads, tasks = [], []
+    for _ in range(npairs):
+        base = dna.random_codes(rng, 1800)
+        oa, ob = (int(o) for o in rng.integers(0, 600, 2))
+        a = base[oa : oa + int(rng.integers(300, 900))].copy()
+        b = base[ob : ob + int(rng.integers(300, 900))].copy()
+        lo, hi = max(oa, ob), min(oa + a.size, ob + b.size) - k
+        if hi < lo or rng.random() < 0.3:
+            b = dna.random_codes(rng, b.size)
+            seed_a, seed_b = int(rng.integers(0, a.size - k + 1)), int(rng.integers(0, b.size - k + 1))
+        else:
+            seed = int(rng.integers(lo, hi + 1))
+            seed_a, seed_b = seed - oa, seed - ob
+            hits = rng.random(b.size) < 0.01
+            b[hits] = (b[hits] + 1) % 4
+        same = bool(rng.random() < 0.5)
+        reads += [a, b if same else dna.revcomp(b)]
+        tasks.append((seed_a, seed_b if same else b.size - k - seed_b, same))
+    seed_a, pos_b, same = (np.array(col) for col in zip(*tasks))
+    return reads, seed_a, pos_b, same, k
+
+
+def test_bench_batch_gapless_throughput(benchmark, write_artifact):
+    """``batch_xdrop_extend(mode="diag")`` in 512-pair chunks over one
+    packed buffer and its pool, as the ``Alignment`` stage calls it."""
+    reads, seed_a, pos_b, same, k = gapless_corpus(np.random.default_rng(15))
+    buffer, offsets = pack_codes(reads)
+    a_idx = np.arange(0, len(reads), 2)
+    b_idx = a_idx + 1
+    pool = complemented_pool(buffer)
+
+    def run():
+        out = []
+        for lo in range(0, a_idx.size, 512):
+            sl = slice(lo, lo + 512)
+            out.append(
+                batch_xdrop_extend(
+                    buffer, offsets, a_idx[sl], b_idx[sl], seed_a[sl], pos_b[sl],
+                    same[sl], k, 15, mode="diag", comp_pool=pool,
+                )
+            )
+        return out
+
+    results = run()
+    # cells: the bases each gapless row may scan, both sides of every seed
+    lengths = np.diff(offsets)
+    la, lb = lengths[a_idx], lengths[b_idx]
+    seed_b = np.where(same, pos_b, lb - k - pos_b)
+    cells = int(
+        (np.minimum(la - seed_a - k, lb - seed_b - k) + np.minimum(seed_a, seed_b)).sum()
+    )
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    median = float(np.median(times))
+    text = (
+        "Batched gapless x-drop (numpy tier, x = 15, k = 21)\n"
+        f"pairs {a_idx.size}  cells {cells}  median {median * 1e3:.1f} ms "
+        f"over 5 runs\n"
+        f"{a_idx.size / median:,.0f} pairs/s  {cells / median / 1e6:.1f} Mcells/s"
+    )
+    write_artifact("batch_gapless_throughput", text)
+    assert sum(int((r.a_span > 2 * k).sum()) for r in results) > a_idx.size // 2
+    benchmark.pedantic(run, rounds=3, iterations=1)

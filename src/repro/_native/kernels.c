@@ -2,10 +2,10 @@
  * engines, bit-identical to their numpy references.
  *
  * Each function replaces exactly one loop of the Python tier -- the
- * gapless striped scan of ``repro.align.batch._gapless_side_batch``, the
+ * gapless x-drop scan of ``repro.align.batch._gapless_side_batch``, the
  * banded-DP wavefront of ``_banded_side_batch`` and the lockstep walk
  * advance of ``repro.core.batch._lockstep_walk`` -- while orientation
- * folding, gather geometry, scratch management and accounting stay in
+ * folding, gather geometry and accounting stay in
  * Python.  The contract is *element-wise identity* with the numpy tier
  * (which is itself property-tested against the scalar references), so
  * every computation below follows the reference order of operations: the
@@ -56,7 +56,7 @@ as_array(PyObject *obj, int typenum, int ndim, const char *name)
  * match/mismatch step, stop at the first position whose drop below the
  * running max exceeds x (that position excluded), and report the first
  * position achieving the window maximum -- exactly the scalar
- * ``_gapless_one_side`` and the striped numpy kernel.
+ * ``_gapless_one_side`` and the numpy event kernel.
  */
 static PyObject *
 gapless_scan(PyObject *self, PyObject *args)

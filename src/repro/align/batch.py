@@ -8,14 +8,16 @@ whole seed-and-extend pipeline over *arrays* of pairs at once:
 * **Gather** -- both sequences of every pair are pulled out of one packed
   code buffer into 2D matrices of outward-facing slices.  Reverse
   complement for opposite-strand pairs is folded into the gather itself
-  (a descending index stride into a complemented pool half), so no
-  per-pair ``revcomp`` copies are ever materialized.
-* **Gapless kernel** (``mode="diag"``) -- per-row cumulative score, running
-  max, first-drop cutoff and masked argmax over the whole batch: the exact
-  computation of :func:`~repro.align.xdrop.extend_gapless` lifted to 2D.
-  The scan runs over column *stripes* with row compaction (a pair stops
-  costing work the moment its x-drop fires) and reuses a persistent
-  workspace so no stripe-sized temporaries are allocated per batch.
+  (a descending read of complemented codes), so no per-pair ``revcomp``
+  copies are ever materialized.
+* **Gapless kernel** (``mode="diag"``) -- the exact computation of
+  :func:`~repro.align.xdrop.extend_gapless`, evaluated only where the score
+  can turn: at the *events* (the lower-scoring step's positions, usually
+  the mismatches) plus one terminal event at the slice end.  Between two
+  events the score climbs, so the running max, the first drop and the
+  argmax are all read off the events; rows are bucketed by slice length
+  and gathered as windows of one pool, so the kernel touches each cell
+  for one compare and one ``flatnonzero``.
 * **Banded DP kernel** (``mode="dp"``) -- a wavefront formulation of
   :func:`~repro.align.xdrop.extend_banded`: all pairs advance their
   anti-diagonals in lockstep over int32 parity planes that hold only the
@@ -37,8 +39,6 @@ payloads as plain field arrays ready for one structured fill.
 
 from __future__ import annotations
 
-import os
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,11 +63,7 @@ __all__ = [
     "batch_xdrop_extend",
     "iter_classified_chunks",
     "classify_overlaps",
-    "release_scratch",
 ]
-
-#: Masked-score sentinel of the gapless kernel's int64 path.
-_NEG = np.int64(-(1 << 40))
 
 #: Overlap kind codes of :func:`classify_overlaps` (array analogue of
 #: :class:`~repro.align.classify.OverlapClass`).
@@ -115,20 +111,39 @@ class BatchXdropResult:
         )
 
 
-def complemented_pool(buffer: np.ndarray) -> np.ndarray:
-    """The doubled gather pool ``[buffer, 3 - buffer]`` for strand folding.
+#: The narrowest window of the gapless kernel: shorter slices share it.
+_MIN_WINDOW = 32
 
-    Opposite-strand pairs gather ``b`` from the complemented second half
-    (their descending index stride already handles the reversal).  Chunked
-    callers should build this **once per packed buffer** and pass it as
-    ``comp_pool`` to every :func:`batch_xdrop_extend` call on that buffer;
-    rebuilding it per chunk would re-complement the whole pool each time.
+#: Cells per gathered block of the gapless kernel; a bucket of wider rows
+#: is cut into blocks of fewer rows, which bounds the kernel's footprint.
+_BLOCK_CELLS = 1 << 20
+
+
+def complemented_pool(buffer: np.ndarray) -> np.ndarray:
+    """The gather pool of the gapless kernel: ``g = [buffer, 3 - buffer]``,
+    then ``g`` reversed, then a zero tail of ``max(len(buffer), 32)``.
+
+    Opposite-strand pairs read ``b`` from ``g``'s complemented half, and a
+    slice read backwards from ``g[q]`` is read forwards from the reversed
+    copy at ``2 * len(g) - 1 - q``, so every slice is one forward window
+    of the pool.  A window is at most twice its slice (or 32 columns),
+    which the zero tail leaves room for.  Chunked callers
+    should build this **once per packed buffer** and pass it as
+    ``comp_pool`` to every :func:`batch_xdrop_extend` call on that buffer.
     """
     buffer = np.asarray(buffer, dtype=np.uint8)
-    pool = np.empty(2 * buffer.size, dtype=np.uint8)
-    pool[: buffer.size] = buffer
-    np.subtract(np.uint8(3), buffer, out=pool[buffer.size :])
+    n = buffer.size
+    pool = np.zeros(_pool_size(n), dtype=np.uint8)
+    pool[:n] = buffer
+    np.subtract(np.uint8(3), buffer, out=pool[n : 2 * n])
+    pool[3 * n : 4 * n] = buffer[::-1]
+    np.subtract(np.uint8(3), pool[3 * n : 4 * n], out=pool[2 * n : 3 * n])
     return pool
+
+
+def _pool_size(nbases: int) -> int:
+    """Length of the :func:`complemented_pool` of ``nbases`` bases."""
+    return 4 * nbases + max(nbases, _MIN_WINDOW)
 
 
 def pack_codes(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -157,222 +172,131 @@ def _gather(
     return np.where(comp[:, None], 3 - codes, codes)
 
 
-#: Columns per stripe of the gapless kernel.  Junk extensions fall below
-#: the x-drop within roughly ``2x`` columns, so one stripe retires them;
-#: true overlaps stream through a few stripes of dense NumPy work.
-GAPLESS_STRIPE = 128
-
-# Kernel workspace, reused across calls: freshly allocated NumPy
-# temporaries of stripe size would be page-faulted in on every batch,
-# which is a large fraction of the kernel cost.  Keyed by role; grown
-# geometrically and re-typed on demand.  Sized by pairs-per-batch times
-# stripe width, so the caller's batch size bounds the footprint.
-# Per-executor-worker: thread-local (callers aligning from several
-# threads each need their own workspace for the gapless kernel to stay
-# reentrant) AND pid-validated -- a forked
-# process-pool worker inherits the parent's thread-local table, and
-# growing those pages would copy-on-write the parent's hot workspace,
-# so the table resets on first touch under a new pid.  (Spawned workers
-# start clean; the check makes fork-start pools safe too.)
-_SCRATCH = threading.local()
-
-
-def _scratch(key: str, dtype: np.dtype, rows: int, cols: int) -> np.ndarray:
-    if getattr(_SCRATCH, "pid", None) != os.getpid():
-        _SCRATCH.pid = os.getpid()
-        _SCRATCH.arrays = {}
-    table = _SCRATCH.arrays
-    need = rows * cols
-    arr = table.get(key)
-    if arr is None or arr.dtype != dtype or arr.size < need:
-        arr = np.empty(max(need + (need >> 2), 1), dtype=dtype)
-        table[key] = arr
-    return arr[:need].reshape(rows, cols)
-
-
-def release_scratch() -> None:
-    """Drop this worker's kernel workspaces (frees the pages; the next
-    batch reallocates lazily).  Long-lived pool workers between unrelated
-    jobs can call this to return memory instead of holding peak scratch."""
-    _SCRATCH.pid = None
-    _SCRATCH.arrays = {}
-
-
 def _gapless_side_batch(
-    buffer: np.ndarray,
+    pool: np.ndarray,
+    nbases: int,
     base_a: np.ndarray,
     sign_a: np.ndarray,
     base_b: np.ndarray,
     sign_b: np.ndarray,
-    comp: np.ndarray,
     n: np.ndarray,
     x: int,
     match: int,
     mismatch: int,
-    stripe: int = GAPLESS_STRIPE,
-    comp_pool: np.ndarray | None = None,
     kernel_tier: str = "numpy",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch analogue of ``_gapless_one_side``: (steps_taken, score_gained).
 
-    Pair ``p``'s outward-facing slices are ``buffer[base + sign*t]`` for
-    ``t < n[p]`` (``comp`` rows complemented -- the batch revcomp).  The
-    cumsum / running-max / first-drop / masked-argmax pipeline runs over
-    column *stripes* with row compaction: a pair leaves the active set the
-    moment its drop fires, so dead extensions cost no further columns.
-    Positions past ``n`` take a step of ``-(x + 1)``, which fires the drop
-    at ``n`` at the latest -- making the striped scan agree with the
-    scalar's length-``n`` cumsum everywhere the scalar reads it.
+    Row ``p`` compares ``g[base_a + sign_a*t]`` with ``g[base_b +
+    sign_b*t]`` for ``t < n[p]``, where ``g`` is the doubled pool at the
+    head of ``pool``, the :func:`complemented_pool` of ``nbases`` bases
+    (opposite-strand ``b`` bases already point into its complemented
+    half).
 
-    ``kernel_tier="native"`` routes the scan loop itself through the C
-    extension (bit-identical outputs); the strand folding above stays
-    here either way.
+    The numpy tier evaluates the scan at *events* only.  With ``up`` and
+    ``down`` the higher and lower step score, an event is a position whose
+    step is ``down``, plus a terminal event at ``n``.  Before the event at
+    ``pos`` with ``k`` events ahead of it in its row the score is ``P =
+    up*(pos - k) + down*k``, and between events it climbs, so the running
+    max of the scores before an event is the running max ``R`` of the
+    events' ``P``.  The drop fires at the first event with ``R - P - down
+    > x``; the result is ``R`` there and the first event reaching it.
+    ``R`` is one ``maximum.accumulate`` over keys offset per row, which
+    keeps the rows apart.  Rows with ``x < 0`` or no positive step take
+    ``(0, 0)``, as the scalar does.
+
+    ``kernel_tier="native"`` runs the per-position scan in the C
+    extension instead (bit-identical outputs).
     """
-    npairs = n.size
-    steps_out = np.zeros(npairs, dtype=np.int64)
-    score_out = np.zeros(npairs, dtype=np.int64)
-    total = int(n.max()) if npairs else 0
-    if total == 0:
-        return steps_out, score_out
-    # batch reverse-complement, gather edition: b reads on the opposite
-    # strand gather from the complemented second half of a doubled pool
-    # (their descending index stride already handles the reversal), so the
-    # kernel needs no per-row complement branch at all
-    if comp.any():
-        pool = comp_pool if comp_pool is not None else complemented_pool(buffer)
-        base_b = base_b + np.where(comp, np.int64(buffer.size), np.int64(0))
-    else:
-        pool = buffer
     if kernel_tier == "native":
+        g = pool[: 2 * nbases]
         return native_kernels().gapless_scan(
-            buffer, pool, base_a, sign_a, base_b, sign_b, n,
+            g, g, base_a, sign_a, base_b, sign_b, n,
             int(x), int(match), int(mismatch),
         )
-    # int32 halves the kernel's memory traffic; fall back to int64 when
-    # indices or worst-case |cumsum| could overflow
-    idtype = (
-        np.int32
-        if 2 * int(buffer.size) + total < (1 << 31) - 1
-        else np.int64
-    )
-    sdtype = (
-        np.int32
-        if (total + 1) * max(abs(match), abs(mismatch), x + 1) < (1 << 30)
-        else np.int64
-    )
-    neg = sdtype(-(1 << 30)) if sdtype is np.int32 else _NEG
-    match_s, mis_s, pad_s = sdtype(match), sdtype(mismatch), sdtype(-(x + 1))
-    # int8 step arithmetic replaces np.where (which pays a large scalar-
-    # broadcast penalty); only exotic scoring falls back to the where path
-    int8_steps = max(abs(match), abs(mismatch), x + 1) <= 63
-    base_a = base_a.astype(idtype, copy=False)
-    base_b = base_b.astype(idtype, copy=False)
-    sign_a = sign_a.astype(idtype, copy=False)
-    sign_b = sign_b.astype(idtype, copy=False)
-    act = np.flatnonzero(n > 0)
-    # per-row carry across stripes: cumsum at stripe boundary, running max
-    # of the cumsum and the first column index achieving it
-    carry_sum = np.zeros(npairs, dtype=sdtype)
-    best_val = np.full(npairs, neg, dtype=sdtype)
-    best_idx = np.zeros(npairs, dtype=np.int64)
-    # a trailing stripe up to half a stripe long is merged into its
-    # predecessor, hence the 3/2 cap
-    cap_w = min(total, stripe + stripe // 2)
-    col0 = 0
-    while act.size and col0 < total:
-        width = total - col0
-        if width > cap_w:
-            width = stripe
-        r = int(act.size)
-        t = np.arange(col0, col0 + width, dtype=idtype)
-        nact = n[act]
-        idx_a = _scratch("idx_a", idtype, r, width)
-        idx_b = _scratch("idx_b", idtype, r, width)
-        np.multiply(sign_a[act, None], t[None, :], out=idx_a)
-        idx_a += base_a[act, None]
-        np.multiply(sign_b[act, None], t[None, :], out=idx_b)
-        idx_b += base_b[act, None]
-        codes_a = _scratch("codes_a", np.uint8, r, width)
-        codes_b = _scratch("codes_b", np.uint8, r, width)
-        # mode="clip" folds the bounds clamp into the gather; clamped
-        # positions only occur past n, where the poisoned step takes over
-        np.take(buffer, idx_a, out=codes_a, mode="clip")
-        np.take(pool, idx_b, out=codes_b, mode="clip")
-        eq = _scratch("eq", np.bool_, r, width)
-        np.equal(codes_a, codes_b, out=eq)
-        # a stripe fully inside every active slice needs no padding; only
-        # boundary stripes pay for the mask
-        inside = col0 + width <= int(nact.min())
-        step = _scratch("step", np.int8, r, width)
-        if inside:
-            if int8_steps:
-                np.multiply(eq.view(np.int8), np.int8(match - mismatch), out=step)
-                step += np.int8(mismatch)
-            else:
-                step = np.where(eq, match_s, mis_s)
-        else:
-            # positions past n take a poisoned step so the drop fires there
-            # at the latest (never later than the scalar's slice end)
-            valid = _scratch("valid", np.bool_, r, width)
-            np.less(t[None, :], nact[:, None], out=valid)
-            if int8_steps:
-                np.logical_and(eq, valid, out=eq)
-                np.multiply(eq.view(np.int8), np.int8(match - mismatch), out=step)
-                step += np.int8(mismatch)
-                np.logical_not(valid, out=valid)
-                pad8 = _scratch("pad", np.int8, r, width)
-                np.multiply(
-                    valid.view(np.int8), np.int8(-(x + 1) - mismatch), out=pad8
-                )
-                step += pad8
-            else:
-                step = np.where(valid, np.where(eq, match_s, mis_s), pad_s)
-        score = _scratch("score", sdtype, r, width)
-        acc = _scratch("acc", sdtype, r, width)
-        np.cumsum(step, axis=1, dtype=sdtype, out=score)
-        if col0:
-            score += carry_sum[act, None]
-        np.maximum.accumulate(score, axis=1, out=acc)
-        if col0:
-            # fold the carried best in; safe because a window max that does
-            # not exceed the carry never updates best_* below
-            np.maximum(acc, best_val[act, None], out=acc)
-        drop = _scratch("drop", np.bool_, r, width)
-        diff = _scratch("diff", sdtype, r, width)
-        np.subtract(acc, score, out=diff)
-        np.greater(diff, x, out=drop)
-        fired = drop.any(axis=1)
-        limit = np.where(fired, drop.argmax(axis=1), width)
-        # max over the pre-drop window, read off the running max at column
-        # limit-1 (acc is non-decreasing, so later columns never undercut)
-        smax = acc[:, width - 1].copy()
-        fr = np.flatnonzero(fired)
-        if fr.size:
-            lim_f = limit[fr]
-            pos = lim_f > 0
-            smax[fr[pos]] = acc[fr[pos], lim_f[pos] - 1]
-            smax[fr[~pos]] = neg
-        better = smax > best_val[act]
-        if better.any():
-            rows = np.flatnonzero(better)
-            # first column reaching the window max: count the strictly
-            # smaller running-max prefix (acc rows are non-decreasing)
-            cnt = np.count_nonzero(acc[rows] < smax[rows, None], axis=1)
-            upd = act[rows]
-            best_val[upd] = smax[rows]
-            best_idx[upd] = col0 + cnt
-        # rows whose drop fired are finished; the rest carry into the next
-        # stripe (an unfired row is still entirely inside its slice)
-        carry_sum[act] = score[:, width - 1]
-        if fr.size:
-            keep = np.flatnonzero(~fired)
-            # compact the scratch rows so stripes stay contiguous
-            act = act[keep]
-        col0 += width
-    good = best_val > 0
-    steps_out[good] = best_idx[good] + 1
-    score_out[good] = best_val[good]
-    return steps_out, score_out
+    steps = np.zeros(n.size, dtype=np.int64)
+    score = np.zeros(n.size, dtype=np.int64)
+    up, down = max(match, mismatch), min(match, mismatch)
+    rows = np.flatnonzero(n > 0)
+    if x < 0 or up <= 0 or not rows.size:
+        return steps, score
+    # a backward slice is a forward window of g's reversed copy
+    start_a = np.where(sign_a > 0, base_a, 4 * nbases - 1 - base_a)
+    start_b = np.where(sign_b > 0, base_b, 4 * nbases - 1 - base_b)
+    # the row keys must fit int64: cut the rows into chunks that do
+    longest, top = int(n.max()), max(abs(match), abs(mismatch))
+    per_row = 2 * (longest + 2) * top + 1 + (up - down) * (longest + 1)
+    chunk = max(1, (1 << 62) // per_row)
+    events = np.equal if mismatch > match else np.not_equal
+    for lo in range(0, rows.size, chunk):
+        r = rows[lo : lo + chunk]
+        steps[r], score[r] = _gapless_events(
+            pool, start_a[r], start_b[r], n[r], x, up, down, events
+        )
+    return steps, score
+
+
+def _gapless_events(pool, start_a, start_b, n, x, up, down, events):
+    """The event scan of :func:`_gapless_side_batch` over rows with
+    ``n > 0`` whose windows start at ``start_a`` / ``start_b`` of ``pool``;
+    ``events(a, b)`` marks the ``down`` steps."""
+    # windows of 2**shift > n columns (room for the terminal event at n),
+    # rows sorted by width
+    shift = np.maximum(np.frexp(n)[1], _MIN_WINDOW.bit_length() - 1)
+    order = np.argsort(shift, kind="stable")
+    shift, n = shift[order], n[order]
+    start_a, start_b = start_a[order], start_b[order]
+    nrows = n.size
+    # row r owns cells rowstart[r] .. rowstart[r + 1] of the flattened blocks
+    rowstart = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.left_shift(1, shift), out=rowstart[1:])
+    col_dtype = np.min_scalar_type(1 << int(shift[-1]))
+    n_col = n.astype(col_dtype)
+    cuts = (np.flatnonzero(shift[1:] != shift[:-1]) + 1).tolist()
+    pos_parts, cell_parts = [], []
+    for b0, b1 in zip([0, *cuts], [*cuts, nrows]):
+        sh = int(shift[b0])
+        width = 1 << sh
+        windows = np.ndarray(
+            (pool.size - width + 1, width), np.uint8, pool, strides=(1, 1)
+        )
+        cols = np.arange(width, dtype=col_dtype)
+        step = max(1, _BLOCK_CELLS >> sh)
+        for r0 in range(b0, b1, step):
+            r1 = min(r0 + step, b1)
+            a = windows[start_a[r0:r1]]
+            ev = events(a, windows[start_b[r0:r1]], out=a.view(bool))
+            ev &= cols < n_col[r0:r1, None]
+            ev[np.arange(r1 - r0), n[r0:r1]] = True
+            f = np.flatnonzero(ev)
+            pos_parts.append(f & (width - 1))
+            cell_parts.append(f + rowstart[r0])
+    pos = np.concatenate(pos_parts)
+    # off[r]: the first event of row r; the last one is its terminal
+    off = np.searchsorted(np.concatenate(cell_parts), rowstart)
+    # key = r*(2C + 1) + C + P with C > |P|: rows never mix in the running max
+    big = (int(n.max()) + 2) * max(abs(up), abs(down))
+    row_key = np.arange(nrows, dtype=np.int64) * (2 * big + 1) + big
+    key = np.repeat(row_key + (up - down) * off[:-1], np.diff(off))
+    key += up * pos
+    key -= (up - down) * np.arange(pos.size)
+    # an event at position 0 has no score before it: key below every P
+    at0 = np.flatnonzero(pos[off[:-1]] == 0)
+    key[off[at0]] = row_key[at0] - big
+    best = np.maximum.accumulate(key)
+    drop = best - key > x + down
+    drop[off[at0]] = False
+    drop[off[1:] - 1] = True
+    fired = np.flatnonzero(drop)
+    first = fired[np.searchsorted(fired, off[:-1])]
+    top = best[first]
+    gained = top - row_key
+    steps = np.zeros(nrows, dtype=np.int64)
+    score = np.zeros(nrows, dtype=np.int64)
+    good = gained > 0
+    steps[order[good]] = pos[np.searchsorted(best, top[good])]
+    score[order[good]] = gained[good]
+    return steps, score
 
 
 def _banded_side_batch(
@@ -616,10 +540,10 @@ def batch_xdrop_extend(
         ``"diag"`` for the gapless kernel, ``"dp"`` for the wavefront
         banded DP (``gap``/``band`` apply to the latter only).
     comp_pool:
-        Optional :func:`complemented_pool` of ``buffer``.  Callers that
-        chunk one packed buffer over many calls should build it once and
-        pass it here so opposite-strand gathers do not re-complement the
-        whole pool per chunk.
+        Optional :func:`complemented_pool` of ``buffer`` (``"diag"`` only).
+        Callers that chunk one packed buffer over many calls should build
+        it once and pass it here so the gapless kernel does not rebuild
+        the pool per chunk.
     kernel_tier:
         ``"numpy"`` | ``"native"`` | ``None`` (resolve via
         :func:`repro.kernels.resolve_kernel_tier`).  Both tiers return
@@ -644,10 +568,10 @@ def batch_xdrop_extend(
     same = np.asarray(same_strand, dtype=bool)
     if mode not in ("diag", "dp"):
         raise AlignmentError(f"unknown alignment mode {mode!r}")
-    if comp_pool is not None and comp_pool.size != 2 * buffer.size:
+    if comp_pool is not None and comp_pool.size != _pool_size(buffer.size):
         raise AlignmentError(
-            f"comp_pool size {comp_pool.size} does not match doubled "
-            f"buffer size {2 * buffer.size}"
+            f"comp_pool size {comp_pool.size} is not the "
+            f"{_pool_size(buffer.size)} of this buffer's complemented_pool"
         )
 
     lengths = np.diff(offsets)
@@ -685,22 +609,24 @@ def batch_xdrop_extend(
     tier = resolve_kernel_tier(kernel_tier)
     if mode == "diag":
         # the two directions are independent extensions: stack them as one
-        # 2B-row kernel call (rows retire independently either way)
+        # 2B-row kernel call
         with span(f"{tier}:gapless") if span is not None else nullcontext():
+            pool = comp_pool if comp_pool is not None else complemented_pool(buffer)
+            # opposite-strand b slices read the complemented half
+            fold = np.where(comp, np.int64(buffer.size), np.int64(0))
             steps, gained = _gapless_side_batch(
-                buffer,
+                pool,
+                buffer.size,
                 np.concatenate([a_right[0], a_left[0]]),
                 np.concatenate([a_right[1], a_left[1]]),
-                np.concatenate([b_right[0], b_left[0]]),
+                np.concatenate([b_right[0] + fold, b_left[0] + fold]),
                 np.concatenate([b_right[1], b_left[1]]),
-                np.concatenate([comp, comp]),
                 np.concatenate(
                     [np.minimum(a_right[2], b_right[2]), np.minimum(a_left[2], b_left[2])]
                 ),
                 x,
                 match,
                 mismatch,
-                comp_pool=comp_pool,
                 kernel_tier=tier,
             )
         a_steps_r = b_steps_r = steps[:npairs]
@@ -764,11 +690,7 @@ def iter_classified_chunks(
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.diff(offsets)
     same_strand = np.asarray(same_strand, dtype=bool)
-    pool = (
-        complemented_pool(buffer)
-        if mode == "diag" and not same_strand.all()
-        else None
-    )
+    pool = complemented_pool(buffer) if mode == "diag" and a_idx.size else None
     tier = resolve_kernel_tier(kernel_tier)
     n = int(a_idx.size)
     batch = max(int(batch_size), 1)

@@ -88,11 +88,18 @@ class KmerTable:
         plan = world.comm.route(world.map_ranks(_owner_step, requests))
         (asked,) = plan.send(requests)
 
-        # owner superstep: bisect the sorted tables
+        # owner superstep: bisect the sorted tables with sorted requests
+        # (neighbouring queries share their search path), then scatter the
+        # ids back into request order
         def _bisect_step(ctx, vals, table, base):
-            hit, pos = sorted_lookup(table, vals)
+            order = np.argsort(vals)
+            hit, pos = sorted_lookup(table, vals[order])
             ctx.charge_compute(vals.size)
-            return np.where(hit, base + pos, np.int64(-1)).astype(np.int64)
+            pos += base
+            pos[~hit] = -1
+            ids = np.empty_like(pos)
+            ids[order] = pos
+            return ids
 
         return plan.reply(
             world.map_ranks(

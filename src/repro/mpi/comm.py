@@ -611,7 +611,9 @@ class RoutePlan:
     sender's order, and its inverse carries answers back -- one gather per
     receiver, however many of the P x P cells are empty.  A ragged
     column's values are never concatenated whole: they are read one piece
-    per non-empty cell.
+    per non-empty cell, and a ragged reply to a receiver that addressed its
+    rows in ascending rank order (a fetch of sorted ids) is those pieces
+    as they come, with no second gather.
 
     A column is, per rank, an array with one row per destination or -- a
     *ragged* column, for rows of varying length such as packed reads -- a
@@ -733,12 +735,20 @@ class RoutePlan:
             rows, nz = perm[a:b], np.flatnonzero(counts[d] if back else counts[:, d])
             if back:
                 # d's answers from one rank are one run of its values: pool
-                # the runs, then gather them in d's row order
+                # the runs, then gather them in d's row order -- unless d
+                # addressed its rows in ascending rank order (a fetch of
+                # sorted ids), when the pool already is its row order
                 lo, hi = first[cell[nz, d]], first[cell[nz, d] + counts[d, nz]]
-                pool = [values[o][x - base[o] : y - base[o]] for o, x, y in zip(nz, lo, hi)]
+                pool = np.concatenate(
+                    proto
+                    + [values[o][x - base[o] : y - base[o]] for o, x, y in zip(nz, lo, hi)]
+                )
+                if (rows[1:] > rows[:-1]).all():
+                    out.append((pool, cumsum0(lengths[rows])))
+                    continue
                 k = np.searchsorted(cell[nz, d], rows, side="right") - 1
                 at = first[rows] - lo[k] + cumsum0(hi - lo)[k]
-                out.append(gather_pieces(np.concatenate(proto + pool), at, lengths[rows]))
+                out.append(gather_pieces(pool, at, lengths[rows]))
                 continue
             # d's rows from one rank are one run of perm: one gather each
             runs = [perm[x : x + n] for x, n in zip(cell[d, nz], counts[nz, d])]

@@ -9,6 +9,8 @@ enforce it on randomized corpora plus handcrafted edge cases.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align import (
     KIND_CONTAINED_A,
@@ -194,8 +196,11 @@ class TestBatchEqualsScalar:
         reads, tasks = random_corpus(rng, 40, seed_len=11, max_len=150)
         buffer, offsets = pack_codes(reads)
         pool = complemented_pool(buffer)
-        assert np.array_equal(pool[: buffer.size], buffer)
-        assert np.array_equal(pool[buffer.size :], 3 - buffer)
+        n = buffer.size
+        assert np.array_equal(pool[:n], buffer)
+        assert np.array_equal(pool[n : 2 * n], 3 - buffer)
+        assert np.array_equal(pool[2 * n : 4 * n], pool[: 2 * n][::-1])
+        assert pool.size == 5 * n and not pool[4 * n :].any()
         fresh = run_batch(reads, tasks, 11, 15, "diag")
         reused = run_batch(reads, tasks, 11, 15, "diag", comp_pool=pool)
         for field in ("score", "a_begin", "a_end", "b_begin", "b_end"):
@@ -218,6 +223,93 @@ class TestBatchEqualsScalar:
         reads = [np.zeros(10, dtype=np.uint8), np.zeros(10, dtype=np.uint8)]
         with pytest.raises(AlignmentError):
             run_batch(reads, [(0, 1, 0, 0, True)], 5, 15, "smith-waterman")
+
+
+#: slice lengths on both sides of the gapless kernel's window buckets
+#: (a window has 2**j > n columns, at least 32)
+SLICE_LENGTHS = (0, 1, 2, 30, 31, 32, 33, 63, 64, 65, 127, 128, 255, 256, 511, 512, 600)
+
+
+@st.composite
+def gapless_batches(draw):
+    """One batch of seeded pairs: flank lengths straddling the buckets,
+    both strands, seeds at read ends (zero-length flanks), and flanks that
+    are identical, lightly mutated, heavily mutated or unrelated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 12))
+    flank = st.one_of(st.sampled_from(SLICE_LENGTHS), st.integers(0, 600))
+    reads, tasks = [], []
+    for _ in range(draw(st.integers(1, 16))):
+        la, ra, lb, rb = (draw(flank) for _ in range(4))
+        mid = max(la, lb)
+        core = dna.random_codes(rng, mid + k + max(ra, rb))
+        a = core[mid - la : mid + k + ra].copy()
+        b = core[mid - lb : mid + k + rb].copy()
+        rate = draw(st.sampled_from([0.0, 0.01, 0.3]))
+        hits = rng.random(b.size) < rate
+        b[hits] = (b[hits] + rng.integers(1, 4, int(hits.sum()))) % 4
+        if draw(st.booleans()):
+            b = dna.random_codes(rng, b.size)
+        same = draw(st.booleans())
+        pos_b = lb if same else b.size - k - lb
+        reads += [a, b if same else dna.revcomp(b)]
+        tasks.append((len(reads) - 2, len(reads) - 1, la, pos_b, same))
+    return reads, tasks, k
+
+
+class TestGaplessEventKernel:
+    """``mode="diag"`` against the scalar ``xdrop_extend`` on any scoring:
+    equal, inverted and non-positive step scores, every x-drop from -1
+    up, and scores of 2**22 per base."""
+
+    @given(
+        gapless_batches(),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.one_of(st.integers(-1, 2), st.integers(-1, 25)),
+        st.sampled_from([1, 1 << 22]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar(self, batch, match, mismatch, x, scale):
+        reads, tasks, k = batch
+        kwargs = dict(match=match * scale, mismatch=mismatch * scale)
+        assert_identical(
+            run_batch(reads, tasks, k, x * scale, "diag", **kwargs),
+            scalar_reference(reads, tasks, k, x * scale, "diag", **kwargs),
+        )
+
+    @pytest.mark.parametrize("x", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("match,mismatch", [(1, -1), (2, -3), (1, -3), (-1, 1)])
+    def test_first_step_down_then_climb(self, x, match, mismatch):
+        """Both flanks open with the lower step and then climb: at x = 0
+        the scan must not stop on its first position (there is no score
+        before it to drop from), and x = -1 stops every scan at once."""
+        rng = np.random.default_rng(35)
+        a = dna.random_codes(rng, 81)
+        b = a.copy()
+        b[[29, 51]] = (b[[29, 51]] + 1) % 4  # first base of each flank
+        if mismatch > match:
+            b = (a + 1) % 4
+            b[30:51] = a[30:51]
+            b[[29, 51]] = a[[29, 51]]
+        reads = [a, b, dna.revcomp(b)]
+        tasks = [(0, 1, 30, 30, True), (0, 2, 30, 30, False)]
+        assert_identical(
+            run_batch(reads, tasks, 21, x, "diag", match=match, mismatch=mismatch),
+            scalar_reference(reads, tasks, 21, x, "diag", match=match, mismatch=mismatch),
+        )
+
+    @pytest.mark.parametrize("shift,npairs", [(22, 40), (42, 1200)])
+    def test_int64_scores(self, shift, npairs):
+        """The row keys stay inside int64: at 2**42 per base the ~2000 rows
+        of this batch cannot share one running max and must be split."""
+        rng = np.random.default_rng(34)
+        reads, tasks = random_corpus(rng, npairs, seed_len=11, max_len=600)
+        big = 1 << shift
+        kwargs = dict(match=big, mismatch=-big)
+        got = run_batch(reads, tasks, 11, 7 * big, "diag", **kwargs)
+        assert_identical(got, scalar_reference(reads, tasks, 11, 7 * big, "diag", **kwargs))
+        assert (got.score > 11 * big).any()  # some extension ran
 
 
 def mutate_indels(rng, seq, rate):

@@ -517,34 +517,3 @@ class TestWorkerExecutorKnob:
         assert rb["executor"] == "process"
         assert ra["contig_digest"] == rb["contig_digest"]
         assert ra["contigs"] == rb["contigs"]
-
-
-# ---------------------------------------------------------------------------
-# align.batch scratch: per-executor-worker semantics
-# ---------------------------------------------------------------------------
-
-
-class TestScratchPerWorker:
-    def test_scratch_reuses_buffer_in_same_worker(self):
-        from repro.align.batch import _SCRATCH, _scratch, release_scratch
-
-        release_scratch()
-        a = _scratch("k", np.dtype(np.int64), 4, 8)
-        b = _scratch("k", np.dtype(np.int64), 4, 8)
-        assert a.base is b.base  # same backing allocation
-
-    def test_fork_inherited_table_resets(self):
-        from repro.align.batch import _SCRATCH, _scratch
-
-        _scratch("k", np.dtype(np.int64), 4, 8)
-        table_before = _SCRATCH.arrays
-        _SCRATCH.pid = -1  # what a forked child observes: stale pid
-        _scratch("k", np.dtype(np.int64), 4, 8)
-        assert _SCRATCH.arrays is not table_before
-
-    def test_release_scratch_frees_tables(self):
-        from repro.align.batch import _SCRATCH, _scratch, release_scratch
-
-        _scratch("k", np.dtype(np.float32), 2, 2)
-        release_scratch()
-        assert _SCRATCH.arrays == {}

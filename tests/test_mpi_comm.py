@@ -460,6 +460,39 @@ class TestRouteReceivers:
         for arr in got + back + [a for pair in got_ragged + back_ragged for a in pair]:
             assert arr.base is None and arr.flags.owndata
 
+    @pytest.mark.parametrize("in_run_order", [True, False])
+    def test_ragged_reply_in_and_out_of_run_order(self, in_run_order):
+        """A fetch addresses its rows in ascending rank order, so its
+        answers arrive already in row order; a shuffled request does not.
+        Both get each row's answer, in fresh arrays, under the event the
+        hand-split ``alltoall`` records."""
+
+        def answer(keys):
+            lengths = keys % 4
+            return np.repeat(keys, lengths).astype(np.uint16), cumsum0(lengths)
+
+        rng = np.random.default_rng(41)
+        P = 5
+        dests = [np.sort(rng.integers(0, P, size=n)) for n in (9, 0, 6, 1, 12)]
+        dests[3][:] = 3  # a rank that only asks itself
+        if not in_run_order:
+            dests = [rng.permutation(d) for d in dests]
+        keys = [d * 5 + rng.integers(0, 5, size=d.size) for d in dests]
+        world, twin = SimWorld(P, cori_haswell()), SimWorld(P, cori_haswell())
+        plan = world.comm.route(dests)
+        (asked,) = plan.send(keys)
+        got = plan.reply([answer(a) for a in asked])
+        for key, (values, offsets) in zip(keys, got):
+            _assert_same((values, offsets), answer(key))
+            for k, row in enumerate(key):
+                assert values[offsets[k] : offsets[k + 1]].tolist() == [row] * (row % 4)
+            assert values.base is None and values.flags.owndata
+            assert offsets.base is None and offsets.flags.owndata
+        twin.comm.alltoall(
+            [[answer(keys[r][dests[r] == o]) for r in range(P)] for o in range(P)]
+        )
+        assert _event_fields(world) == _event_fields(twin)
+
     def test_ragged_values_are_never_copied_whole(self):
         """A ragged send or reply holds at most a few receivers' shares at
         once on top of its result, never a copy of every rank's values:

@@ -6,6 +6,7 @@ cost.  This bench measures both the speed gap and the recovery-rate gap.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from repro.align import (
 )
 from repro.seq import dna
 from repro.seq.simulate import _apply_errors
+from repro.telemetry import get_registry
 
 
 def make_pair(rng, length=400, error_rate=0.0, mix=(1.0, 0.0, 0.0)):
@@ -212,4 +214,87 @@ def test_bench_batch_gapless_throughput(benchmark, write_artifact):
     )
     write_artifact("batch_gapless_throughput", text)
     assert sum(int((r.a_span > 2 * k).sum()) for r in results) > a_idx.size // 2
+    benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+def banded_corpus(rng, npairs=2000, k=17):
+    """Seeded candidate pairs shaped like the high-error workload: reads of
+    300-900 bases, 70 % sharing a region at 4 % errors (40 % substitutions,
+    30 % insertions, 30 % deletions; the rest unrelated, so their
+    extensions die early), strands mixed."""
+    reads, tasks = [], []
+    for _ in range(npairs):
+        base = dna.random_codes(rng, 1800)
+        oa, ob = (int(o) for o in rng.integers(0, 600, 2))
+        a = base[oa : oa + int(rng.integers(300, 900))].copy()
+        b = base[ob : ob + int(rng.integers(300, 900))].copy()
+        lo, hi = max(oa, ob), min(oa + a.size, ob + b.size) - k
+        if hi < lo or rng.random() < 0.3:
+            b = dna.random_codes(rng, b.size)
+            seed_a, seed_b = int(rng.integers(0, a.size - k + 1)), int(rng.integers(0, b.size - k + 1))
+        else:
+            seed = int(rng.integers(lo, hi + 1))
+            seed_a, seed_b = seed - oa, seed - ob
+            # errors on both flanks of the seed, which stays exact
+            head, _ = _apply_errors(b[:seed_b], 0.04, rng, WITH_INDELS)
+            tail, _ = _apply_errors(b[seed_b + k :], 0.04, rng, WITH_INDELS)
+            b = np.concatenate([head, b[seed_b : seed_b + k], tail]).astype(np.uint8)
+            seed_b = head.size
+        same = bool(rng.random() < 0.5)
+        reads += [a, b if same else dna.revcomp(b)]
+        tasks.append((seed_a, seed_b if same else b.size - k - seed_b, same))
+    seed_a, pos_b, same = (np.array(col) for col in zip(*tasks))
+    return reads, seed_a, pos_b, same, k
+
+
+def test_bench_batch_banded_throughput(benchmark, write_artifact):
+    """``batch_xdrop_extend(mode="dp")`` in 2 048-pair calls over one packed
+    buffer and its pool, as the ``Alignment`` stage calls it.  Cells are,
+    per pair, the longest slice of each side of ``a`` and ``b`` -- what a
+    per-pair gather of the slices would materialise."""
+    reads, seed_a, pos_b, same, k = banded_corpus(np.random.default_rng(16))
+    buffer, offsets = pack_codes(reads)
+    a_idx = np.arange(0, len(reads), 2)
+    b_idx = a_idx + 1
+    pool = complemented_pool(buffer)
+    lengths = np.diff(offsets)
+    la, lb = lengths[a_idx], lengths[b_idx]
+    seed_b = np.where(same, pos_b, lb - k - pos_b)
+    calls = [slice(lo, lo + 2048) for lo in range(0, a_idx.size, 2048)]
+    sides = (seed_a, la - seed_a - k, seed_b, lb - seed_b - k)
+    cells = sum(a_idx[sl].size * sum(int(s[sl].max()) for s in sides) for sl in calls)
+
+    def run():
+        return [
+            batch_xdrop_extend(
+                buffer, offsets, a_idx[sl], b_idx[sl], seed_a[sl], pos_b[sl],
+                same[sl], k, 7, mode="dp", comp_pool=pool,
+            )
+            for sl in calls
+        ]
+
+    rounds = get_registry().counter("align.banded_rounds")
+    before = rounds.value
+    tracemalloc.start()
+    try:
+        results = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nrounds = int(rounds.value - before)
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    median = float(np.median(times))
+    text = (
+        "Batched banded x-drop (numpy tier, x = 7, k = 17, band 16)\n"
+        f"pairs {a_idx.size}  cells {cells}  median {median * 1e3:.1f} ms "
+        f"over 5 runs\n"
+        f"{a_idx.size / median:,.0f} pairs/s  {cells / median / 1e6:.1f} Mcells/s  "
+        f"peak {peak / cells:.2f} B/cell  {nrounds} wavefront rounds"
+    )
+    write_artifact("batch_banded_throughput", text)
+    assert sum(int((r.a_span > 4 * k).sum()) for r in results) > a_idx.size // 2
     benchmark.pedantic(run, rounds=3, iterations=1)

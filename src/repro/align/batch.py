@@ -5,26 +5,28 @@ diBELLA before it), yet the scalar :func:`~repro.align.xdrop.xdrop_extend`
 pays full Python-call overhead per candidate pair.  This module runs the
 whole seed-and-extend pipeline over *arrays* of pairs at once:
 
-* **Gather** -- both sequences of every pair are pulled out of one packed
-  code buffer into 2D matrices of outward-facing slices.  Reverse
-  complement for opposite-strand pairs is folded into the gather itself
-  (a descending read of complemented codes), so no per-pair ``revcomp``
-  copies are ever materialized.
+* **Windows** -- both sequences of every pair are read as forward
+  windows of one :func:`complemented_pool` of the packed code buffer:
+  reverse complement for opposite-strand pairs is its complemented half,
+  and a slice read backwards is a forward window of its reversed copy, so
+  no per-pair ``revcomp`` copy or index matrix is ever materialized.
 * **Gapless kernel** (``mode="diag"``) -- the exact computation of
   :func:`~repro.align.xdrop.extend_gapless`, evaluated only where the score
   can turn: at the *events* (the lower-scoring step's positions, usually
   the mismatches) plus one terminal event at the slice end.  Between two
   events the score climbs, so the running max, the first drop and the
   argmax are all read off the events; rows are bucketed by slice length
-  and gathered as windows of one pool, so the kernel touches each cell
+  and gathered as windows of the pool, so the kernel touches each cell
   for one compare and one ``flatnonzero``.
 * **Banded DP kernel** (``mode="dp"``) -- a wavefront formulation of
-  :func:`~repro.align.xdrop.extend_banded`: all pairs advance their
-  anti-diagonals in lockstep over int32 parity planes that hold only the
-  cells of the antidiagonal's parity.  A pair retires after two
-  consecutive dead antidiagonals (the x-drop rule), and retired pairs are
-  compacted out of the working set whenever the live count halves, so
-  the pairs that terminate early stop costing work.
+  :func:`~repro.align.xdrop.extend_banded`, one side of the seed at a
+  time: all pairs advance their anti-diagonals in lockstep over int32
+  parity planes that hold only the cells of the antidiagonal's parity,
+  reading a uint8 code matrix copied from the pool's windows and a uint8
+  validity matrix (about 2 bytes per slice cell in all).  A pair retires
+  after two consecutive dead antidiagonals (the x-drop rule), and retired
+  pairs are compacted out of the working set whenever the live count
+  halves, so the pairs that terminate early stop costing work.
 
 Both kernels are **bit-identical** to the scalar reference (enforced by
 the property tests of ``tests/test_align_batch.py``).  The scalar functions
@@ -48,6 +50,7 @@ import numpy as np
 from ..errors import AlignmentError
 from ..kernels import native_kernels, resolve_kernel_tier
 from ..seq.readstore import PackedReads
+from ..telemetry.metrics import get_registry
 from .xdrop import XdropResult
 
 __all__ = [
@@ -120,14 +123,16 @@ _BLOCK_CELLS = 1 << 20
 
 
 def complemented_pool(buffer: np.ndarray) -> np.ndarray:
-    """The gather pool of the gapless kernel: ``g = [buffer, 3 - buffer]``,
-    then ``g`` reversed, then a zero tail of ``max(len(buffer), 32)``.
+    """The pool both kernels read their slices from: ``g = [buffer, 3 -
+    buffer]``, then ``g`` reversed, then a zero tail of ``max(len(buffer),
+    32)``.
 
     Opposite-strand pairs read ``b`` from ``g``'s complemented half, and a
     slice read backwards from ``g[q]`` is read forwards from the reversed
     copy at ``2 * len(g) - 1 - q``, so every slice is one forward window
-    of the pool.  A window is at most twice its slice (or 32 columns),
-    which the zero tail leaves room for.  Chunked callers
+    of the pool.  A gapless window is at most twice its slice (or 32
+    columns) and a banded one at most the longest read, which the zero
+    tail leaves room for.  Chunked callers
     should build this **once per packed buffer** and pass it as
     ``comp_pool`` to every :func:`batch_xdrop_extend` call on that buffer.
     """
@@ -152,24 +157,16 @@ def pack_codes(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return packed.buffer, packed.offsets
 
 
-def _gather(
-    buffer: np.ndarray,
-    base: np.ndarray,
-    sign: np.ndarray,
-    width: int,
-    comp: np.ndarray,
-) -> np.ndarray:
-    """Gather ``buffer[base + sign*t]`` for ``t < width`` into a 2D matrix.
+def _window_starts(base: np.ndarray, sign: np.ndarray, nbases: int) -> np.ndarray:
+    """Where the slices ``g[base + sign*t]`` start as forward windows of the
+    :func:`complemented_pool` of ``nbases`` bases: a backward slice is read
+    forwards from ``g``'s reversed copy."""
+    return np.where(sign > 0, base, 4 * nbases - 1 - base)
 
-    ``comp`` rows are complemented (``3 - code``) during the gather -- the
-    batch reverse-complement.  Out-of-range positions are clamped; their
-    codes are garbage but every kernel masks them by per-pair length.
-    """
-    t = np.arange(width, dtype=np.int64)
-    idx = base[:, None] + sign[:, None] * t[None, :]
-    np.clip(idx, 0, max(buffer.size - 1, 0), out=idx)
-    codes = buffer[idx]
-    return np.where(comp[:, None], 3 - codes, codes)
+
+def _windows(pool: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-column window of ``pool`` as rows of one strided view."""
+    return np.ndarray((pool.size - width + 1, width), np.uint8, pool, strides=(1, 1))
 
 
 def _gapless_side_batch(
@@ -220,9 +217,8 @@ def _gapless_side_batch(
     rows = np.flatnonzero(n > 0)
     if x < 0 or up <= 0 or not rows.size:
         return steps, score
-    # a backward slice is a forward window of g's reversed copy
-    start_a = np.where(sign_a > 0, base_a, 4 * nbases - 1 - base_a)
-    start_b = np.where(sign_b > 0, base_b, 4 * nbases - 1 - base_b)
+    start_a = _window_starts(base_a, sign_a, nbases)
+    start_b = _window_starts(base_b, sign_b, nbases)
     # the row keys must fit int64: cut the rows into chunks that do
     longest, top = int(n.max()), max(abs(match), abs(mismatch))
     per_row = 2 * (longest + 2) * top + 1 + (up - down) * (longest + 1)
@@ -257,9 +253,7 @@ def _gapless_events(pool, start_a, start_b, n, x, up, down, events):
     for b0, b1 in zip([0, *cuts], [*cuts, nrows]):
         sh = int(shift[b0])
         width = 1 << sh
-        windows = np.ndarray(
-            (pool.size - width + 1, width), np.uint8, pool, strides=(1, 1)
-        )
+        windows = _windows(pool, width)
         cols = np.arange(width, dtype=col_dtype)
         step = max(1, _BLOCK_CELLS >> sh)
         for r0 in range(b0, b1, step):
@@ -299,9 +293,53 @@ def _gapless_events(pool, start_a, start_b, n, x, up, down, events):
     return steps, score
 
 
+#: Lanes per block when a side's slices are copied into its code matrix
+#: (bounds the transposing copy's scratch to a few hundred rows).
+_COPY_LANES = 256
+
+
+def _code_rows(
+    pool: np.ndarray,
+    start_a: np.ndarray,
+    start_b: np.ndarray,
+    na: np.ndarray,
+    nb: np.ndarray,
+    acols: int,
+    bcols: int,
+    pad: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The position-major code and validity matrices of
+    :func:`_banded_side_batch`, one column per lane.
+
+    With ``bo = acols + 2 * pad``, code row ``pad + t`` holds ``a[t]`` and
+    row ``bo + pad + bcols - 1 - t`` holds ``b[t]``, copied from the
+    pool's windows a block of lanes at a time; every other row is 0.  Row
+    ``r < bo`` stands for cell ``i = r - pad + 1``, row ``r >= bo`` for
+    ``j = bo + pad + bcols - r``, and the validity row is 1 where that
+    cell lies in ``[0, na]`` (``[0, nb]``).
+    """
+    bo = acols + 2 * pad
+    nrows = bo + bcols + 2 * pad
+    codes = np.zeros((nrows, na.size), dtype=np.uint8)
+    a_rows = codes[pad : pad + acols]
+    b_rows = codes[bo + pad : bo + pad + bcols][::-1]
+    win_a, win_b = _windows(pool, acols), _windows(pool, bcols)
+    for l0 in range(0, na.size, _COPY_LANES):
+        l1 = l0 + _COPY_LANES
+        a_rows[:, l0:l1] = win_a[start_a[l0:l1]].T
+        b_rows[:, l0:l1] = win_b[start_b[l0:l1]].T
+    valid = np.empty(codes.shape, dtype=np.uint8)
+    np.less_equal(np.arange(1 - pad, bo + 1 - pad)[:, None], na, out=valid[:bo])
+    np.less_equal(np.arange(pad + bcols, -pad, -1)[:, None], nb, out=valid[bo:])
+    valid[: pad - 1] = 0
+    valid[nrows - pad + 1 :] = 0
+    return codes, valid
+
+
 def _banded_side_batch(
-    amat: np.ndarray,
-    bmat: np.ndarray,
+    pool: np.ndarray,
+    start_a: np.ndarray,
+    start_b: np.ndarray,
     na: np.ndarray,
     nb: np.ndarray,
     x: int,
@@ -312,6 +350,10 @@ def _banded_side_batch(
     kernel_tier: str = "numpy",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch analogue of ``_banded_one_side``: (a_steps, b_steps, score).
+
+    Lane ``p`` extends the ``na[p]`` bases at ``pool[start_a[p]:]``
+    against the ``nb[p]`` bases at ``pool[start_b[p]:]``, both forward
+    windows of a :func:`complemented_pool` (:func:`_window_starts`).
 
     One compacting wavefront: each iteration advances antidiagonal ``s``
     of every lane (pair) still in the working set, position-major so
@@ -324,11 +366,13 @@ def _banded_side_batch(
       ``s - 2``, the diagonal move's source -- and reads its gap moves
       as two shifted slices of the other plane (``s - 1``); no cell of
       the wrong parity is ever computed.
-    * **Codes gathered once.**  ``a`` is laid out forward and ``b``
+    * **Codes copied once.**  ``a`` is laid out forward and ``b``
       reversed, so the cells of ``s`` read ``a[i - 1]`` and ``b[j - 1]``
-      as two contiguous row ranges.  A penalty matrix on the same rows
-      pushes cells outside a lane's sequences (or before their starts)
-      below every threshold, which replaces the per-cell validity mask.
+      as two contiguous row ranges; the rows are copied straight from the
+      pool's windows, and stop where the band leaves the other sequence.
+      A uint8 validity matrix on the same rows (1 where ``i`` lies in
+      ``[0, na]``, or ``j`` in ``[0, nb]``) is multiplied into every cell,
+      so a cell outside a lane's sequences is dead.
     * **Offset, scaled int32 scores.**  A cell stores ``off + score *
       2**low`` and a dead cell is 0, so the x-drop is one compare and one
       multiply.  A descending slot ramp in the low bits makes the round's
@@ -340,13 +384,15 @@ def _banded_side_batch(
       dead antidiagonals, exactly like the scalar oracle.  Once the live
       count halves, retired lanes are compacted out of every matrix.
 
-    ``kernel_tier="native"`` runs the per-pair antidiagonal recurrence in
-    the C extension instead (bit-identical outputs).
+    The rounds run are added to the ``align.banded_rounds`` counter of
+    the metrics registry.  ``kernel_tier="native"`` runs the per-pair
+    antidiagonal recurrence in the C extension instead (bit-identical
+    outputs).
     """
     if kernel_tier == "native":
         return native_kernels().banded_batch(
-            np.ascontiguousarray(amat),
-            np.ascontiguousarray(bmat),
+            _windows(pool, max(int(na.max(initial=0)), 1))[start_a],
+            _windows(pool, max(int(nb.max(initial=0)), 1))[start_b],
             na, nb, int(x), int(match), int(mismatch), int(gap), int(band),
         )
     npairs = na.size
@@ -363,42 +409,42 @@ def _banded_side_batch(
     top = max(abs(match), abs(mismatch), abs(gap))
     # scores stay within +-max_anti * top, so a wider x-drop never fires
     x = min(x, 2 * max_anti * top + 1)
-    # with off = 2**bits a cell inside the sequences lies in (0, 2 * off),
-    # a dead one is 0 and a penalized one stays above -5 * off
+    # with off = 2**bits a cell inside the sequences lies in (0, 2 * off)
+    # and a dead one is 0
     bits = 28 if ((max_anti + 4) * top + x) << low < 1 << 28 else 60
     dtype = np.int32 if bits == 28 else np.int64
-    off, pen = 1 << bits, dtype(-(1 << (bits + 1)))
+    off = 1 << bits
 
-    # position-major codes: row pad + t holds a[t], row bo + pad + bcols
-    # - 1 - t holds b[t]; every other row is outside the sequences
+    # position-major codes and validity (see _code_rows).  A cell inside
+    # the band has i <= j + band, so a lane never reads a past
+    # min(na, nb + band) (nor b past its mirror)
     pad = band + 2
-    acols, bcols = amat.shape[1], bmat.shape[1]
+    acols = int(np.minimum(na, nb + band).max())
+    bcols = int(np.minimum(nb, na + band).max())
     bo = acols + 2 * pad
-    codes = np.zeros((bo + bcols + 2 * pad, lanes.size), dtype=np.uint8)
-    codes[pad : pad + acols] = amat[lanes].T
-    codes[bo + pad : bo + pad + bcols] = bmat[lanes, ::-1].T
-    # penalties on the same rows: the mismatch score (folded in here, see
-    # gap_s below) where cell i lies inside a, `pen` outside a or b
-    row_i = np.arange(bo)[:, None] - pad + 1
-    row_j = bo + pad + bcols - np.arange(bo, codes.shape[0])[:, None]
-    pens = np.concatenate(
-        [
-            np.where((row_i < 0) | (row_i > na), pen, dtype(mismatch << low)),
-            np.where((row_j < 0) | (row_j > nb), pen, dtype(0)),
-        ]
+    codes, valid = _code_rows(
+        pool, start_a[lanes], start_b[lanes], na, nb, acols, bcols, pad
     )
+
     # parity plane c = rows base[c] .. base[c] + cnt[c] + 1 of `planes`;
     # slot k = c + 2m sits at row base[c] + 1 + m, guards either side
     cnt = (band + 1, band)
     base = (0, band + 3)
     planes = np.zeros((2 * band + 5, lanes.size), dtype=dtype)
     planes[base[band & 1] + 1 + band // 2] = off  # the empty extension
+    # one full-width ramp per plane: a same-shape add is twice as fast as
+    # a broadcast one
     ramp = [
-        np.arange((1 << low) - 1, (1 << low) - 1 - n, -1, dtype=dtype)[:, None]
+        np.repeat(
+            np.arange((1 << low) - 1, (1 << low) - 1 - n, -1, dtype=dtype)[:, None],
+            lanes.size,
+            axis=1,
+        )
         for n in cnt
     ]
     high = dtype(-(1 << low))
-    gap_s = dtype((gap - mismatch) << low)
+    gap_s = dtype(gap << low)
+    mis_s = dtype(mismatch << low)
     sub_s = dtype((match - mismatch) << low)
     x_s = x << low
 
@@ -415,8 +461,14 @@ def _banded_side_batch(
         best_j[lanes[rows]] = s - i
         best_score[lanes[rows]] = (best[rows] - off) >> low
 
-    work = np.empty((2, band + 1, lanes.size), dtype=dtype)
-    hit = np.empty((band + 1, lanes.size), dtype=bool)
+    def scratch(width):
+        return (
+            np.empty((2, band + 1, width), dtype=dtype),
+            np.empty((band + 1, width), dtype=bool),
+            np.empty((band + 1, width), dtype=np.uint8),
+        )
+
+    work, hit, inside = scratch(lanes.size)
     for s in range(1, max_anti + 1):
         c = (s + band) & 1
         n = cnt[c]
@@ -433,9 +485,11 @@ def _banded_side_batch(
         np.equal(codes[ra : ra + n], codes[rb : rb + n], out=h)
         np.multiply(h, sub_s, out=d)
         d += cur
+        d += mis_s
         np.maximum(g, d, out=cur)
-        cur += pens[ra : ra + n]
-        cur += pens[rb : rb + n]
+        # cells outside either sequence are dead
+        np.multiply(valid[ra : ra + n], valid[rb : rb + n], out=inside[:n])
+        cur *= inside[:n]
         # round max and its first slot in one reduction
         np.add(cur, ramp[c], out=g)
         key = np.maximum.reduce(g, axis=0, initial=0)  # band 0: n may be 0
@@ -457,11 +511,15 @@ def _banded_side_batch(
         if 2 * nlive <= lanes.size:
             retire(np.flatnonzero(~live))
             keep = np.flatnonzero(live)
-            planes, codes, pens = planes[:, keep], codes[:, keep], pens[:, keep]
+            # one matrix at a time, so only one old copy is alive
+            planes = planes[:, keep]
+            codes = codes[:, keep]
+            valid = valid[:, keep]
             best, best_key, best_s = best[keep], best_key[keep], best_s[keep]
             alive_prev, lanes = alive_prev[keep], lanes[keep]
-            work = np.empty((2, band + 1, keep.size), dtype=dtype)
-            hit = np.empty((band + 1, keep.size), dtype=bool)
+            work, hit, inside = scratch(keep.size)
+            ramp = [r[:, : keep.size] for r in ramp]
+    get_registry().counter("align.banded_rounds").inc(s)
     retire(np.arange(lanes.size))
     return best_i, best_j, best_score
 
@@ -540,10 +598,10 @@ def batch_xdrop_extend(
         ``"diag"`` for the gapless kernel, ``"dp"`` for the wavefront
         banded DP (``gap``/``band`` apply to the latter only).
     comp_pool:
-        Optional :func:`complemented_pool` of ``buffer`` (``"diag"`` only).
-        Callers that chunk one packed buffer over many calls should build
-        it once and pass it here so the gapless kernel does not rebuild
-        the pool per chunk.
+        Optional :func:`complemented_pool` of ``buffer``; both kernels
+        read their slices as windows of it.  Callers that chunk one packed
+        buffer over many calls should build it once and pass it here so
+        the kernels do not rebuild the pool per chunk.
     kernel_tier:
         ``"numpy"`` | ``"native"`` | ``None`` (resolve via
         :func:`repro.kernels.resolve_kernel_tier`).  Both tiers return
@@ -600,20 +658,19 @@ def batch_xdrop_extend(
         empty = np.empty(0, dtype=np.int64)
         return BatchXdropResult(empty, empty.copy(), empty.copy(), empty.copy(), empty.copy())
 
-    comp = ~same
-    no_comp = np.zeros(npairs, dtype=bool)
     a_right, a_left, b_right, b_left = _oriented_side_geometry(
         a_off, b_off, seed_a, seed_b, alen, blen, same, seed_len
     )
 
     tier = resolve_kernel_tier(kernel_tier)
-    if mode == "diag":
-        # the two directions are independent extensions: stack them as one
-        # 2B-row kernel call
-        with span(f"{tier}:gapless") if span is not None else nullcontext():
-            pool = comp_pool if comp_pool is not None else complemented_pool(buffer)
-            # opposite-strand b slices read the complemented half
-            fold = np.where(comp, np.int64(buffer.size), np.int64(0))
+    kernel = "gapless" if mode == "diag" else "banded"
+    with span(f"{tier}:{kernel}") if span is not None else nullcontext():
+        pool = comp_pool if comp_pool is not None else complemented_pool(buffer)
+        # opposite-strand b slices read the complemented half
+        fold = np.where(same, np.int64(0), np.int64(buffer.size))
+        if mode == "diag":
+            # the two directions are independent extensions: stack them as
+            # one 2B-row kernel call
             steps, gained = _gapless_side_batch(
                 pool,
                 buffer.size,
@@ -629,22 +686,20 @@ def batch_xdrop_extend(
                 mismatch,
                 kernel_tier=tier,
             )
-        a_steps_r = b_steps_r = steps[:npairs]
-        a_steps_l = b_steps_l = steps[npairs:]
-        right_score, left_score = gained[:npairs], gained[npairs:]
-    else:
-        with span(f"{tier}:banded") if span is not None else nullcontext():
-            amat_r = _gather(buffer, a_right[0], a_right[1], int(a_right[2].max()), no_comp)
-            bmat_r = _gather(buffer, b_right[0], b_right[1], int(b_right[2].max()), comp)
-            amat_l = _gather(buffer, a_left[0], a_left[1], int(a_left[2].max()), no_comp)
-            bmat_l = _gather(buffer, b_left[0], b_left[1], int(b_left[2].max()), comp)
-            a_steps_r, b_steps_r, right_score = _banded_side_batch(
-                amat_r, bmat_r, a_right[2], b_right[2], x, match, mismatch, gap, band,
-                kernel_tier=tier,
-            )
-            a_steps_l, b_steps_l, left_score = _banded_side_batch(
-                amat_l, bmat_l, a_left[2], b_left[2], x, match, mismatch, gap, band,
-                kernel_tier=tier,
+            a_steps_r = b_steps_r = steps[:npairs]
+            a_steps_l = b_steps_l = steps[npairs:]
+            right_score, left_score = gained[:npairs], gained[npairs:]
+        else:
+            # one side at a time, so one side's matrices are alive at once
+            (a_steps_r, b_steps_r, right_score), (a_steps_l, b_steps_l, left_score) = (
+                _banded_side_batch(
+                    pool,
+                    _window_starts(a[0], a[1], buffer.size),
+                    _window_starts(b[0] + fold, b[1], buffer.size),
+                    a[2], b[2], x, match, mismatch, gap, band,
+                    kernel_tier=tier,
+                )
+                for a, b in ((a_right, b_right), (a_left, b_left))
             )
 
     return BatchXdropResult(
@@ -690,7 +745,7 @@ def iter_classified_chunks(
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.diff(offsets)
     same_strand = np.asarray(same_strand, dtype=bool)
-    pool = complemented_pool(buffer) if mode == "diag" and a_idx.size else None
+    pool = complemented_pool(buffer) if a_idx.size else None
     tier = resolve_kernel_tier(kernel_tier)
     n = int(a_idx.size)
     batch = max(int(batch_size), 1)

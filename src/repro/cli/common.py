@@ -97,7 +97,8 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--align-batch-size", type=positive_int, default=None,
-        help="candidate pairs per batched-aligner kernel call",
+        help="candidate pairs per batched-aligner kernel call, counted "
+        "across the ranks of one alignment segment (default 2048)",
     )
     parser.add_argument(
         "--contig-engine", choices=("batch", "scalar"), default=None,

@@ -25,6 +25,13 @@ the returned :class:`RoutePlan` sends any number of row-aligned columns
 (``reply``), each through one receiver-major permutation of all rows.
 ``alltoall`` is the generic-object form of the same collective, kept as
 the reference the route tests compare against.
+
+The local half of a superstep goes through :meth:`SimWorld.map_ranks`
+(one step call per rank) or :meth:`SimWorld.map_segments` (one call per
+contiguous rank range, for steps whose cost is per-call overhead); both
+share one superstep -- validation, fault injection, the in-step guard,
+the rank-ordered merge and the tracer record -- and both run through the
+world's :mod:`~repro.mpi.executor` backend.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ from .executor import (
     Executor,
     RankContext,
     RankStep,
-    _RemoteGuardedStep,
+    SegmentStep,
+    _GuardedStep,
     make_executor,
 )
 from .memory import MemoryMeter
@@ -129,10 +137,11 @@ class SimWorld:
     """The simulated machine: P ranks, a cost model, clocks and logs.
 
     ``executor`` selects the backend that runs per-rank local compute
-    submitted through :meth:`map_ranks` -- ``"serial"`` (the default and
-    the reference: ranks in order on the calling thread) or ``"process"``
-    (a persistent spawn-safe process pool).  Backends are observationally
-    identical: artifacts, clocks and logs do not depend on the choice.
+    submitted through :meth:`map_ranks` / :meth:`map_segments` --
+    ``"serial"`` (the default and the reference: ranks in order on the
+    calling thread) or ``"process"`` (a persistent spawn-safe process
+    pool).  Backends are observationally identical: artifacts, clocks and
+    logs do not depend on the choice.
     """
 
     def __init__(
@@ -240,13 +249,41 @@ class SimWorld:
         after all ranks drain) and *no* buffered charges are merged --
         a failed superstep charges nothing on any backend.
         """
+        return self._superstep(fn, per_rank_args, segmented=False)
+
+    def map_segments(
+        self, fn: SegmentStep, *per_rank_args: Sequence[Any]
+    ) -> list[Any]:
+        """Run ``fn(ctxs, *arg_lists)`` once per contiguous rank range.
+
+        The segment form of :meth:`map_ranks`, for supersteps whose cost
+        is per-call overhead: the serial backend calls ``fn`` once over
+        ``[0, P)``, the process backend once per worker chunk.  ``ctxs``
+        are the range's contexts in rank order and ``arg_lists`` the
+        range's slices of ``per_rank_args``; ``fn`` returns one result per
+        rank and charges each rank through its own context (see
+        :class:`~repro.mpi.executor.SegmentStep`).  Everything else --
+        argument validation, fault injection (a segment raises its lowest
+        crashed rank's crash), the in-step guard, the transactional
+        rank-ordered merge and the tracer's superstep record -- is
+        :meth:`map_ranks`'s, so a segment step behaves identically under
+        either backend and any cut into segments.
+        """
+        return self._superstep(fn, per_rank_args, segmented=True)
+
+    def _superstep(
+        self, fn: Any, per_rank_args: Sequence[Sequence[Any]], segmented: bool
+    ) -> list[Any]:
+        """The superstep both :meth:`map_ranks` and :meth:`map_segments`
+        run: ``fn`` per rank, or per segment when ``segmented``."""
+        what = "map_segments" if segmented else "map_ranks"
         # nesting is always a bug: a step has no business launching a
         # superstep of its own
-        self._check_not_in_rank_step("SimWorld.map_ranks")
+        self._check_not_in_rank_step(f"SimWorld.{what}")
         for pos, seq in enumerate(per_rank_args):
             if len(seq) != self.nprocs:
                 raise CommunicatorError(
-                    f"map_ranks arg {pos} expects {self.nprocs} per-rank "
+                    f"{what} arg {pos} expects {self.nprocs} per-rank "
                     f"entries, got {len(seq)}"
                 )
         base_stage = tuple(self._stage_stack)
@@ -276,28 +313,17 @@ class SimWorld:
             # while a step runs in-process, direct world accounting is
             # an error (a detached step could not do it at all; raising
             # keeps the backend-identical contract enforceable)
-            def _guarded(ctx, *args):
-                prior = getattr(self._in_rank_step, "active", False)
-                self._in_rank_step.active = True
-                try:
-                    exc = crash_excs.get(int(ctx))
-                    if exc is not None:
-                        raise exc
-                    return fn(ctx, *args)
-                finally:
-                    self._in_rank_step.active = prior
-
-            runner: Any = _guarded
+            runner: Any = _GuardedStep(fn, crash_excs, segmented, self._in_rank_step)
         elif crash_excs:
             # worker processes have no world to guard (detached contexts
             # refuse collectives structurally); only the pre-decided
             # crash decisions need to travel with the step
-            runner = _RemoteGuardedStep(fn, crash_excs)
+            runner = _GuardedStep(fn, crash_excs, segmented)
         else:
             runner = fn
 
         wall0 = time.perf_counter()
-        results = self._executor.run(runner, tasks)
+        results = self._executor.run(runner, tasks, segmented)
         wall = time.perf_counter() - wall0
         tracer = self.tracer
         if tracer is not None:

@@ -4,17 +4,27 @@ Every superstep of the simulated pipeline has the same shape: each rank
 performs *local* work on its own block, then a collective moves data
 between ranks.  The collectives were always centralized in
 :class:`~repro.mpi.comm.SimComm`; this module centralizes the other half.
-A superstep's per-rank work is expressed as data -- a :data:`RankStep`
-callable plus per-rank argument lists -- and
-:meth:`~repro.mpi.comm.SimWorld.map_ranks` runs it through one of two
-:class:`Executor` backends:
+A superstep's per-rank work is expressed as data -- a step callable plus
+per-rank argument lists -- in one of two shapes:
 
-* ``serial`` -- ranks run one after another on the calling thread: the
-  default, and the reference every test compares against;
+* a :data:`RankStep` is called once per rank
+  (:meth:`~repro.mpi.comm.SimWorld.map_ranks`);
+* a :data:`SegmentStep` is called once per contiguous rank range with
+  that range's contexts and argument lists
+  (:meth:`~repro.mpi.comm.SimWorld.map_segments`), for steps whose cost
+  is per-call overhead rather than arithmetic: one wide kernel call
+  serves every rank of the segment.
+
+Either shape runs through one of two :class:`Executor` backends:
+
+* ``serial`` -- ranks run one after another on the calling thread (a
+  segment step runs once, over ``[0, P)``): the default, and the
+  reference every test compares against;
 * ``process`` -- ranks run on a persistent spawn-safe process pool
   (:class:`~repro.mpi.procexec.ProcessExecutor`), the paper's execution
   model (ranks are processes with private memory), with large read-only
-  arrays shipped zero-copy via :mod:`~repro.mpi.shm`.
+  arrays shipped zero-copy via :mod:`~repro.mpi.shm`; a segment step runs
+  once per worker chunk.
 
 Measured on the ``BENCHMARK.json`` workloads (2 cores, see CHANGES.md):
 ``process`` wins when the work per superstep is large (1.35x on
@@ -22,10 +32,11 @@ Measured on the ``BENCHMARK.json`` workloads (2 cores, see CHANGES.md):
 are many and tiny (0.53x on ``lowerr_budget_p16``, 0.97x on
 ``contig_sweep_p16``): each one pays pickling and a pool round-trip.
 
-Backends must be observationally identical: results come back in rank
-order, and all cost accounting (compute charges, memory observations,
-stage attribution) is buffered per rank in a :class:`RankContext` and
-merged into the world's clocks in rank order at the superstep barrier.
+Backends and segmentations must be observationally identical: results
+come back in rank order, and all cost accounting (compute charges,
+memory observations, stage attribution) is buffered per rank in a
+:class:`RankContext` and merged into the world's clocks in rank order at
+the superstep barrier.
 The process backend ships each rank a *detached* context -- the same
 buffered records, minus the world reference -- gets one
 :class:`RankOutcome` per rank back, and splices those records into the
@@ -59,6 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RankContext",
     "RankStep",
+    "SegmentStep",
     "KernelSpan",
     "RankOutcome",
     "Executor",
@@ -67,6 +79,7 @@ __all__ = [
     "make_executor",
     "default_executor",
     "apply_remote_outcomes",
+    "run_segment",
 ]
 
 
@@ -96,6 +109,16 @@ class RankOutcome:
     memory: list[tuple[str, float]] = field(default_factory=list)
     spans: list[KernelSpan] = field(default_factory=list)
     error: BaseException | None = None
+
+
+def _split_tier(name: str) -> tuple[str, str | None]:
+    """``"<tier>:<kernel>"`` -> ``(kernel, tier)``; other names pass through."""
+    from ..kernels import KERNEL_TIERS
+
+    prefix, sep, rest = name.partition(":")
+    if sep and prefix in KERNEL_TIERS:
+        return rest, prefix
+    return name, None
 
 
 def _restore_context(rank, machine, stack, compute, memory, spans=()):
@@ -229,13 +252,7 @@ class RankContext(int):
         """
         import time as _time
 
-        from ..kernels import KERNEL_TIERS
-
-        tier = None
-        if ":" in name:
-            prefix, rest = name.split(":", 1)
-            if prefix in KERNEL_TIERS:
-                tier, name = prefix, rest
+        name, tier = _split_tier(name)
         modeled0 = sum(sec for _, sec in self._compute)
         wall0 = _time.perf_counter()
         try:
@@ -248,6 +265,17 @@ class RankContext(int):
                     _time.perf_counter() - wall0, tier,
                 )
             )
+
+    def record_span(self, name: str, wall: float) -> None:
+        """Record a finished kernel section that served this rank inside a
+        segment step, ``wall`` being this rank's share of its wall time.
+
+        The section is shared by the segment's ranks, so none of this
+        rank's charges falls inside it: its modeled width is 0.  ``name``
+        splits into kernel and tier as in :meth:`span`.
+        """
+        name, tier = _split_tier(name)
+        self._spans.append(KernelSpan(name, self.stage, 0.0, wall, tier))
 
     def _merge(self) -> None:
         """Apply the buffered charges to the world (rank-ordered barrier merge)."""
@@ -283,18 +311,46 @@ class RankStep(Protocol):
     def __call__(self, ctx: RankContext, *args: Any) -> Any: ...
 
 
-class _RemoteGuardedStep:
-    """Picklable wrapper injecting pre-decided rank crashes into a step.
+class SegmentStep(Protocol):
+    """The segment protocol: the local work of a contiguous rank range.
 
-    The in-process equivalent is a closure over the world inside
-    ``map_ranks``; worker processes have no world, so the crash decisions
-    (already made deterministically in the parent) travel as a plain
-    ``{rank: exception}`` dict alongside the step.
+    Called as ``step(ctxs, *arg_lists)`` where ``ctxs`` are the range's
+    :class:`RankContext` objects in rank order and each of ``arg_lists``
+    holds the range's entries of one per-rank argument list given to
+    :meth:`~repro.mpi.comm.SimWorld.map_segments`.  It returns one result
+    per rank, in rank order, and charges each rank through that rank's
+    own context, so accounting is what a :class:`RankStep` would buffer.
+    The rules of :class:`RankStep` apply; in addition a step must give
+    the same per-rank results and charges however the ranks are cut into
+    segments (a backend chooses the cut).
     """
 
-    def __init__(self, fn: Callable[..., Any], crash_excs: dict) -> None:
+    def __call__(self, ctxs: list[RankContext], *arg_lists: list[Any]) -> list[Any]: ...
+
+
+class _GuardedStep:
+    """A superstep's step plus its pre-decided rank crashes.
+
+    Crashes are decided once per superstep, in the parent, and raised
+    inside the step, so a crashed superstep charges nothing on any
+    backend; a segment step raises its lowest crashed rank's crash.  In
+    process, ``guard`` (the world's thread-local in-step flag) is set
+    while the step runs, so direct world accounting and collectives
+    raise.  The guard does not travel across a pickle: worker processes
+    have no world, and their detached contexts refuse it structurally.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[..., Any],
+        crash_excs: dict,
+        segmented: bool,
+        guard: Any = None,
+    ) -> None:
         self.fn = fn
         self.crash_excs = crash_excs
+        self.segmented = segmented
+        self.guard = guard
         # keep serialization error labels pointing at the wrapped step
         self.__qualname__ = (
             getattr(fn, "__qualname__", None)
@@ -303,13 +359,54 @@ class _RemoteGuardedStep:
         )
 
     def __reduce__(self):
-        return (type(self), (self.fn, self.crash_excs))
+        return (type(self), (self.fn, self.crash_excs, self.segmented))
 
-    def __call__(self, ctx: RankContext, *args: Any) -> Any:
-        exc = self.crash_excs.get(int(ctx))
-        if exc is not None:
-            raise exc
-        return self.fn(ctx, *args)
+    def __call__(self, first: Any, *args: Any) -> Any:
+        guard = self.guard
+        if guard is None:
+            return self._call(first, args)
+        prior = getattr(guard, "active", False)
+        guard.active = True
+        try:
+            return self._call(first, args)
+        finally:
+            guard.active = prior
+
+    def _call(self, first: Any, args: tuple) -> Any:
+        if self.crash_excs:
+            ranks = [int(ctx) for ctx in first] if self.segmented else [int(first)]
+            crashed = [r for r in ranks if r in self.crash_excs]
+            if crashed:
+                raise self.crash_excs[min(crashed)]
+        return self.fn(first, *args)
+
+
+def run_segment(
+    fn: Callable[..., Any],
+    tasks: Sequence[tuple[RankContext, tuple]],
+) -> list[Any]:
+    """Call segment step ``fn`` once over ``tasks`` (one contiguous rank
+    range); returns its per-rank results, refusing a wrong count."""
+    ctxs = [ctx for ctx, _args in tasks]
+    arg_lists = [list(col) for col in zip(*(args for _ctx, args in tasks))]
+    results = list(fn(ctxs, *arg_lists))
+    if len(results) != len(ctxs):
+        raise CommunicatorError(
+            f"segment step returned {len(results)} results for "
+            f"{len(ctxs)} ranks"
+        )
+    return results
+
+
+def run_inline(
+    fn: Callable[..., Any],
+    tasks: Sequence[tuple[RankContext, tuple]],
+    segmented: bool,
+) -> list[Any]:
+    """Run ``tasks`` on the calling thread: one segment, or rank by rank."""
+    if segmented:
+        return run_segment(fn, tasks)
+    return [fn(ctx, *args) for ctx, args in tasks]
 
 
 def apply_remote_outcomes(
@@ -352,8 +449,11 @@ class Executor:
         self,
         fn: Callable[..., Any],
         tasks: Sequence[tuple[RankContext, tuple]],
+        segmented: bool = False,
     ) -> list[Any]:
-        """Run ``fn(ctx, *args)`` for every task; results in task order."""
+        """Run ``fn(ctx, *args)`` for every task -- or, ``segmented``, the
+        segment step ``fn`` once per contiguous run of tasks the backend
+        chooses (:func:`run_segment`); results in task order."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -364,12 +464,13 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """The reference backend: ranks run in order on the calling thread."""
+    """The reference backend: ranks run in order on the calling thread, a
+    segment step once over every rank."""
 
     name = "serial"
 
-    def run(self, fn, tasks):
-        return [fn(ctx, *args) for ctx, args in tasks]
+    def run(self, fn, tasks, segmented=False):
+        return run_inline(fn, tasks, segmented)
 
 
 #: Backend names, reference first.

@@ -12,7 +12,8 @@ out-of-process execution realizes in four moves:
    :class:`~repro.mpi.shm.SharedBufferRegistry` (zero-copy attach in the
    workers instead of a per-rank pickle of the same gigabytes);
 2. tasks are dispatched in contiguous chunks (one per worker) so a
-   64-rank superstep costs ~``n_workers`` IPC round-trips, not 64;
+   64-rank superstep costs ~``n_workers`` IPC round-trips, not 64; a
+   segment step runs once per chunk, over the chunk's ranks;
 3. workers run their chunk and return one buffered
    :class:`~repro.mpi.executor.RankOutcome` per rank -- never touching
    shared state, so a mid-superstep failure charges nothing;
@@ -41,6 +42,8 @@ from .executor import (
     RankContext,
     RankOutcome,
     apply_remote_outcomes,
+    run_inline,
+    run_segment,
 )
 from .shm import (
     SHM_THRESHOLD_DEFAULT,
@@ -115,19 +118,34 @@ def _safe_outcome_dumps(outcomes: list[RankOutcome]) -> bytes:
         return cloudpickle.dumps(safe)
 
 
-def run_serialized_chunk(fn_blob: bytes, task_blobs: list[bytes]) -> bytes:
+def run_serialized_chunk(
+    fn_blob: bytes, task_blobs: list[bytes], segmented: bool = False
+) -> bytes:
     """Worker entry point: run a contiguous chunk of rank tasks.
 
     Runs in the pool worker process.  Deserializes the step once, each
     task's ``(ctx, args)`` (attaching shared segments zero-copy), and
     executes ranks in order -- matching serial semantics within the
     chunk.  Every task runs even if an earlier one failed (the drain
-    guarantee), and outcomes come back buffered, never applied.
+    guarantee), and outcomes come back buffered, never applied.  A
+    ``segmented`` chunk is one call of the segment step; if it raises,
+    the chunk's first rank carries the error.
     """
     fn = shm_loads(fn_blob)
-    outcomes: list[RankOutcome] = []
-    for blob in task_blobs:
-        ctx, args = shm_loads(blob)
+    tasks = [shm_loads(blob) for blob in task_blobs]
+    if segmented:
+        try:
+            results = run_segment(fn, tasks)
+        except Exception as exc:
+            outcomes = [RankOutcome(error=exc)] + [RankOutcome() for _ in tasks[1:]]
+        else:
+            outcomes = [
+                RankOutcome(result, ctx._compute, ctx._memory, ctx._spans)
+                for (ctx, _args), result in zip(tasks, results)
+            ]
+        return _safe_outcome_dumps(outcomes)
+    outcomes = []
+    for ctx, args in tasks:
         try:
             result = fn(ctx, *args)
         except Exception as exc:
@@ -210,11 +228,12 @@ class ProcessExecutor(Executor):
         self,
         fn: Any,
         tasks: Sequence[tuple[RankContext, tuple]],
+        segmented: bool = False,
     ) -> list[Any]:
         if len(tasks) <= 1:
             # a single rank gains nothing from IPC; run inline (still
             # bit-identical: same step, same context, same merge)
-            return [fn(ctx, *args) for ctx, args in tasks]
+            return run_inline(fn, tasks, segmented)
 
         registry = self.registry
         fn_blob = dumps_step(fn, registry, self.shm_threshold)
@@ -228,7 +247,9 @@ class ProcessExecutor(Executor):
         bounds = _chunk_bounds(len(tasks), nchunks)
         try:
             futures: list[Future] = [
-                pool.submit(run_serialized_chunk, fn_blob, task_blobs[lo:hi])
+                pool.submit(
+                    run_serialized_chunk, fn_blob, task_blobs[lo:hi], segmented
+                )
                 for lo, hi in bounds
             ]
             wait(futures)

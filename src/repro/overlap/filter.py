@@ -19,21 +19,29 @@ blocks of the 2D grid, the tasks are first **redistributed round-robin**
 across ranks (one exclusive-scan allgather + one all-to-all) so alignment
 -- the most expensive stage of the pipeline -- stays load-balanced.
 
-Within a rank the tasks are processed in chunks of
-``AlignmentParams.batch_size`` through the **batched alignment engine**
-(:mod:`repro.align.batch`): one vectorized x-drop extension and one
-vectorized classification per chunk instead of a Python loop over pairs,
-and a single :data:`~repro.sparse.types.OVERLAP_DTYPE` structured fill per
-rank.  The per-rank alignment superstep itself runs through
-``world.map_ranks`` so the process executor backend can overlap ranks
-on real cores without changing any output.  The classifier emits *both* directed edge payloads per dovetail, and
-a final all-to-all routes them to their 2D block owners, rebuilding the
-full symmetric R.
+The alignment superstep is one **segment step**
+(:meth:`~repro.mpi.comm.SimWorld.map_segments`): a contiguous rank range
+-- every rank under the serial executor, one worker chunk under the
+process executor -- concatenates its ranks' tasks and runs them through the
+**batched alignment engine** (:mod:`repro.align.batch`) in chunks of
+``AlignmentParams.batch_size`` pairs, over one complemented pool of the
+range's fetched reads.  A chunk is one vectorized x-drop extension and one
+vectorized classification instead of a Python loop over pairs, and one
+wide banded wavefront instead of one per rank.  The outcome is split back
+per rank in task order -- edges, contained ids, counts and the aligned
+bases each rank is charged for -- so every output and charge is what a
+per-rank step would give, whatever the cut.  The classifier emits *both*
+directed edge payloads per dovetail, and a final all-to-all routes them to
+their 2D block owners, rebuilding the full symmetric R.
 """
 
 from __future__ import annotations
 
+import functools
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -62,8 +70,9 @@ class AlignmentParams:
     engine; ``min_score`` is the pruning threshold ``t``; ``min_overlap``
     rejects spurious short overlaps; ``end_margin`` is the dovetail
     endpoint slack; ``batch_size`` bounds how many pairs the batched
-    engine extends per kernel call (memory/throughput trade-off -- results
-    are independent of it); ``kernel_tier`` picks the inner-loop
+    engine extends per kernel call, counted across the ranks of one
+    alignment segment (memory/throughput trade-off -- results are
+    independent of it); ``kernel_tier`` picks the inner-loop
     implementation (``numpy`` | ``native``, ``None`` = resolve from the
     environment) -- tiers are bit-identical, so like ``batch_size`` it
     never changes results.
@@ -77,7 +86,7 @@ class AlignmentParams:
     min_score: int = 0
     min_overlap: int = 0
     end_margin: int = 10
-    batch_size: int = 512
+    batch_size: int = 2048
     kernel_tier: str | None = None
 
 
@@ -131,53 +140,91 @@ def _redistribute_tasks(
     return list(zip(*world.comm.route(dest).send(gi, gj, seeds)))
 
 
-def _align_rank_tasks(
-    local: PackedReads,
-    gi_arr: np.ndarray,
-    gj_arr: np.ndarray,
-    seeds: np.ndarray,
+class _KernelClock:
+    """The ``span`` factory a segment hands the batch engine: it keeps the
+    name and wall time of the last kernel call."""
+
+    def __init__(self) -> None:
+        self.name = ""
+        self.wall = 0.0
+
+    @contextmanager
+    def __call__(self, name: str) -> Iterator[None]:
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.name, self.wall = name, time.perf_counter() - t0
+
+
+def _segment_reads(
+    fetched: list[PackedReads], gi: np.ndarray, gj: np.ndarray
+) -> tuple[PackedReads, np.ndarray, np.ndarray]:
+    """One packed buffer holding each of the segment's fetched reads once
+    (its first copy in rank order), and the buffer indices of ``gi`` and
+    ``gj``."""
+    ids = np.concatenate([f.ids for f in fetched])
+    unique, first = np.unique(ids, return_index=True)
+    kept = np.zeros(ids.size, dtype=bool)
+    kept[first] = True
+    starts = cumsum0([f.count for f in fetched])
+    pieces = [
+        f.select(np.flatnonzero(kept[lo:hi]))
+        for f, lo, hi in zip(fetched, starts[:-1], starts[1:])
+    ]
+    reads = PackedReads(
+        np.concatenate([p.buffer for p in pieces]),
+        cumsum0(np.concatenate([p.lengths() for p in pieces])),
+        np.concatenate([p.ids for p in pieces]),
+    )
+    # buffer index of each sorted unique id
+    index = (np.cumsum(kept) - 1)[first]
+    return reads, index[np.searchsorted(unique, gi)], index[np.searchsorted(unique, gj)]
+
+
+def _align_segment(
+    ctxs: list,
+    tasks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    fetched: list[PackedReads],
     params: AlignmentParams,
-    stats: AlignmentStats,
-    span=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Batch-align one rank's task list.
+) -> list[tuple]:
+    """The Alignment superstep over one contiguous rank range.
 
-    Returns ``(src, dst, vals, contained_ids, aligned_bases)``: the
-    interleaved forward/reverse dovetail edge triples (one structured fill
-    for the whole rank), the sorted unique global ids of contained reads,
-    and the total extended bases for the compute-cost model.
+    The ranks' tasks are concatenated in rank order and run through the
+    batch engine in ``params.batch_size`` chunks over one complemented
+    pool of the segment's reads.  The outcome is split back per rank, in
+    task order: ``(src, dst, vals, contained, stats)``, where ``src`` /
+    ``dst`` / ``vals`` interleave each dovetail's forward and reverse edge
+    (the duplicate-edge reduce is stable, so record order is part of the
+    contract) and ``contained`` holds the sorted unique global ids of the
+    rank's contained reads.  Each rank is charged for the bases it
+    aligned and, if it had pairs, gets one kernel span with its share of
+    the kernel wall time.
     """
-    n = int(gi_arr.size)
-    if n == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=OVERLAP_DTYPE),
-            np.empty(0, dtype=np.int64),
-            0,
-        )
-    a_idx = local.indices_of(gi_arr)
-    b_idx = local.indices_of(gj_arr)
-    pos_a = seeds["pos_a"].astype(np.int64)
-    pos_b = seeds["pos_b"].astype(np.int64)
-    same = seeds["same_strand"] != 0
+    nranks = len(ctxs)
+    sizes = np.array([gi.size for gi, _gj, _seeds in tasks], dtype=np.int64)
+    bounds = cumsum0(sizes)
+    gi = np.concatenate([t[0] for t in tasks])
+    gj = np.concatenate([t[1] for t in tasks])
+    seeds = np.concatenate([t[2] for t in tasks])
+    n = int(gi.size)
+    reads, a_idx, b_idx = _segment_reads(fetched, gi, gj)
 
-    aligned_bases = 0
-    contained_chunks: list[np.ndarray] = []
-    u_chunks: list[np.ndarray] = []
-    v_chunks: list[np.ndarray] = []
+    kind = np.empty(n, dtype=np.int8)
+    bases = np.empty(n, dtype=np.int64)
     fwd_chunks: list[tuple] = []
     rev_chunks: list[tuple] = []
     score_chunks: list[np.ndarray] = []
-
+    clock = _KernelClock()
+    kernel_wall = np.zeros(nranks)
     chunks = iter_classified_chunks(
-        local.buffer,
-        local.offsets,
+        reads.buffer,
+        reads.offsets,
         a_idx,
         b_idx,
-        pos_a,
-        pos_b,
-        same,
+        seeds["pos_a"].astype(np.int64),
+        seeds["pos_b"].astype(np.int64),
+        seeds["same_strand"] != 0,
         params.k,
         params.xdrop,
         mode=params.mode,
@@ -188,61 +235,68 @@ def _align_rank_tasks(
         min_overlap=params.min_overlap,
         end_margin=params.end_margin,
         kernel_tier=params.kernel_tier,
-        span=span,
+        span=clock,
     )
-    for sl, res, cls, kind in chunks:
-        aligned_bases += int(res.a_span.sum() + res.b_span.sum())
-        stats.pairs_aligned += int(res.a_span.size)
-        stats.low_score += int(np.count_nonzero(kind == -1))
-        is_ca = kind == KIND_CONTAINED_A
-        is_cb = kind == KIND_CONTAINED_B
-        stats.contained += int(np.count_nonzero(is_ca) + np.count_nonzero(is_cb))
-        stats.internal += int(np.count_nonzero(kind == KIND_INTERNAL))
-        if is_ca.any():
-            contained_chunks.append(gi_arr[sl][is_ca])
-        if is_cb.any():
-            contained_chunks.append(gj_arr[sl][is_cb])
-        dove = kind == KIND_DOVETAIL
-        ndove = int(np.count_nonzero(dove))
-        stats.dovetails += ndove
-        if ndove:
-            u_chunks.append(gi_arr[sl][dove])
-            v_chunks.append(gj_arr[sl][dove])
-            for out, half in ((fwd_chunks, cls.forward), (rev_chunks, cls.reverse)):
-                out.append(
-                    (
-                        half.direction[dove],
-                        half.suffix[dove],
-                        half.pre[dove],
-                        half.post[dove],
-                    )
-                )
-            score_chunks.append(cls.score[dove])
+    for sl, res, cls, chunk_kind in chunks:
+        kind[sl] = chunk_kind
+        bases[sl] = res.a_span + res.b_span
+        # the chunk's kernel wall, shared by its pairs
+        pairs = np.diff(np.clip(bounds, sl.start, sl.stop))
+        kernel_wall += clock.wall * pairs / (sl.stop - sl.start)
+        dove = chunk_kind == KIND_DOVETAIL
+        for out, half in ((fwd_chunks, cls.forward), (rev_chunks, cls.reverse)):
+            out.append(
+                (half.direction[dove], half.suffix[dove], half.pre[dove], half.post[dove])
+            )
+        score_chunks.append(cls.score[dove])
 
-    # one interleaved structured fill per rank: fwd at even slots, rev at
-    # odd slots, preserving task order (the duplicate-edge reduce is
-    # stable, so record order is part of the contract)
-    ndove = sum(int(u.size) for u in u_chunks)
+    # one interleaved structured fill for the segment: fwd at even slots,
+    # rev at odd slots, in task order
+    dove = kind == KIND_DOVETAIL
+    ndove = int(np.count_nonzero(dove))
     src = np.empty(2 * ndove, dtype=np.int64)
     dst = np.empty(2 * ndove, dtype=np.int64)
     vals = np.zeros(2 * ndove, dtype=OVERLAP_DTYPE)
     if ndove:
-        u = np.concatenate(u_chunks)
-        v = np.concatenate(v_chunks)
-        src[0::2], dst[0::2] = u, v
-        src[1::2], dst[1::2] = v, u
+        src[0::2], dst[0::2] = gi[dove], gj[dove]
+        src[1::2], dst[1::2] = gj[dove], gi[dove]
         for half, offset in ((fwd_chunks, 0), (rev_chunks, 1)):
             for name, pos in (("dir", 0), ("suffix", 1), ("pre", 2), ("post", 3)):
                 vals[name][offset::2] = np.concatenate([c[pos] for c in half])
         scores = np.concatenate(score_chunks)
         vals["score"][0::2] = scores
         vals["score"][1::2] = scores
-    contained = (
-        np.unique(np.concatenate(contained_chunks))
-        if contained_chunks
-        else np.empty(0, dtype=np.int64)
+
+    # per rank: outcome counts (columns: low score, then KIND_* 0..3),
+    # aligned bases, and contained ids as one fused (rank, id) key
+    rank = np.repeat(np.arange(nranks), sizes)
+    tally = np.bincount(rank * 5 + kind + 1, minlength=5 * nranks).reshape(nranks, 5)
+    aligned = cumsum0(bases)[bounds]
+    edges = 2 * cumsum0(tally[:, 1 + KIND_DOVETAIL])
+    is_ca, is_cb = kind == KIND_CONTAINED_A, kind == KIND_CONTAINED_B
+    nids = int(max(gi.max(initial=-1), gj.max(initial=-1))) + 1
+    key = np.unique(
+        np.concatenate([rank[is_ca] * nids + gi[is_ca], rank[is_cb] * nids + gj[is_cb]])
     )
-    return src, dst, vals, contained, aligned_bases
+    cuts = np.searchsorted(key, np.arange(nranks + 1) * nids)
+    contained = key - np.repeat(np.arange(nranks) * nids, np.diff(cuts))
+
+    out = []
+    for r, ctx in enumerate(ctxs):
+        low, dovetails, ca, cb, internal = (int(c) for c in tally[r])
+        stats = AlignmentStats(
+            pairs_aligned=int(sizes[r]),
+            dovetails=dovetails,
+            contained=ca + cb,
+            internal=internal,
+            low_score=low,
+        )
+        if sizes[r]:
+            ctx.record_span(clock.name, float(kernel_wall[r]))
+        ctx.charge_compute(int(aligned[r + 1] - aligned[r]), kind="alignment")
+        e = slice(edges[r], edges[r + 1])
+        out.append((src[e], dst[e], vals[e], contained[cuts[r] : cuts[r + 1]], stats))
+    return out
 
 
 def build_overlap_graph(
@@ -265,22 +319,12 @@ def build_overlap_graph(
         [np.unique(np.concatenate([gi, gj])) for gi, gj, _seeds in tasks]
     )
 
-    # per-rank batched alignment: each rank's tasks go through the batch
-    # engine in `params.batch_size` chunks.  The superstep runs through the
-    # world's executor backend; each rank fills a private stats object and
-    # the per-rank counters merge in rank order below, so outcome counts
-    # are backend-independent.
-    def _align_step(ctx, task, local_reads):
-        gi_arr, gj_arr, seeds = task
-        rank_stats = AlignmentStats()
-        src, dst, vals, contained, aligned_bases = _align_rank_tasks(
-            local_reads, gi_arr, gj_arr, seeds, params, rank_stats,
-            span=ctx.span,
-        )
-        ctx.charge_compute(aligned_bases, kind="alignment")
-        return src, dst, vals, contained, rank_stats
-
-    aligned = world.map_ranks(_align_step, tasks, fetched)
+    # one segment step: each segment aligns its ranks' tasks together and
+    # splits the outcome back per rank, whose counters merge in rank order
+    # below, so outcome counts do not depend on the backend or the cut
+    aligned = world.map_segments(
+        functools.partial(_align_segment, params=params), tasks, fetched
+    )
     triples = []
     contained_lists: list[np.ndarray] = []
     for src, dst, vals, contained, rank_stats in aligned:
@@ -301,13 +345,10 @@ def build_overlap_graph(
     )
 
     # remove contained reads entirely (redundant vertices); per-rank lists
-    # are already sorted unique int64 arrays
-    stats.contained_reads = int(sum(ids.size for ids in contained_lists))
-    stats.contained_ids = (
-        np.unique(np.concatenate(contained_lists))
-        if stats.contained_reads
-        else np.empty(0, dtype=np.int64)
-    )
+    # are already sorted unique int64 arrays, and a read contained in
+    # pairs on several ranks counts once
+    stats.contained_ids = np.unique(np.concatenate(contained_lists))
+    stats.contained_reads = int(stats.contained_ids.size)
     if stats.contained_reads:
         R = R.clear_rows_and_cols(contained_lists)
     stats.per_kind = {

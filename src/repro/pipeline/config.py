@@ -36,9 +36,10 @@ class PipelineConfig:
 
     nprocs: int = 4
     machine: str | MachineModel = "cori-haswell"
-    # per-rank compute backend for map_ranks supersteps: "serial" runs
-    # ranks in order on the calling thread (the reference), "process"
-    # runs whole rank steps in a spawn-safe process pool.  Measured (see
+    # per-rank compute backend for supersteps: "serial" runs ranks in
+    # order on the calling thread (the reference; a segment step once over
+    # every rank), "process" runs whole rank steps in a spawn-safe process
+    # pool (a segment step once per worker chunk).  Measured (see
     # CHANGES.md): process wins when per-superstep work is large
     # (lowerr_diag_p16), loses when supersteps are many and tiny
     # (lowerr_budget_p16, contig_sweep_p16).  On hierr_dp_p4 (2 cores,
@@ -60,10 +61,11 @@ class PipelineConfig:
     min_shared_kmers: int = 1
     xdrop: int = 15
     align_mode: str = "diag"
-    # pairs per batched-aligner kernel call (results are independent of it;
-    # larger batches amortize more Python/NumPy overhead, smaller batches
-    # bound the padded gather matrices)
-    align_batch_size: int = 512
+    # pairs per batched-aligner kernel call, counted across the ranks of
+    # one Alignment segment (results are independent of it; larger batches
+    # run fewer, wider wavefronts, smaller batches bound the kernel's
+    # per-call code and validity matrices)
+    align_batch_size: int = 2048
     min_score: int = 0
     min_overlap: int = 0
     end_margin: int = 10

@@ -7,6 +7,8 @@ edge seeds at sequence boundaries, zero-length extensions.  These tests
 enforce it on randomized corpora plus handcrafted edge cases.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,21 +332,20 @@ def mutate_indels(rng, seq, rate):
 
 
 def banded_lanes(pairs):
-    """``(amat, bmat, na, nb)`` of outward-facing slices, padded with junk."""
+    """``(pool, start_a, start_b, na, nb)``: every side packed into one
+    :func:`complemented_pool`, each lane's slices forward windows of it,
+    with junk after each slice."""
+    junk = np.full(7, 2, dtype=np.uint8)
+    seqs = [s for pair in pairs for s in pair]
+    buffer, offsets = pack_codes([np.concatenate([s, junk]) for s in seqs])
     na = np.array([a.size for a, _ in pairs], dtype=np.int64)
     nb = np.array([b.size for _, b in pairs], dtype=np.int64)
-    amat = np.full((len(pairs), max(int(na.max()), 1)), 2, dtype=np.uint8)
-    bmat = np.full((len(pairs), max(int(nb.max()), 1)), 2, dtype=np.uint8)
-    for p, (a, b) in enumerate(pairs):
-        amat[p, : a.size] = a
-        bmat[p, : b.size] = b
-    return amat, bmat, na, nb
+    return complemented_pool(buffer), offsets[0:-1:2], offsets[1:-1:2], na, nb
 
 
 def assert_banded_matches_scalar(pairs, x, match=1, mismatch=-1, gap=-1, band=16):
     """``_banded_side_batch`` equals ``_banded_one_side`` on every lane."""
-    amat, bmat, na, nb = banded_lanes(pairs)
-    got = _banded_side_batch(amat, bmat, na, nb, x, match, mismatch, gap, band)
+    got = _banded_side_batch(*banded_lanes(pairs), x, match, mismatch, gap, band)
     for p, (a, b) in enumerate(pairs):
         ref = _banded_one_side(a, b, x, match, mismatch, gap, band)
         assert tuple(int(v[p]) for v in got) == ref, f"lane {p} ({a.size}, {b.size})"
@@ -420,6 +421,32 @@ class TestBandedWavefront:
         pairs.append((dna.random_codes(rng, 30), dna.random_codes(rng, 45)))
         got = assert_banded_matches_scalar(pairs, x=2**40, band=5)
         assert got[2][0] > 80  # past the valley
+
+    def test_peak_memory_per_gathered_cell(self):
+        """A 2 048-pair ``dp`` call peaks at <= 2.5 bytes per gathered
+        cell: per pair, the longest slice of each side of ``a`` and ``b``,
+        the matrices a per-pair gather would materialise."""
+        rng = np.random.default_rng(35)
+        reads, tasks = random_corpus(rng, 2048, 17, max_len=800)
+        buffer, offsets = pack_codes(reads)
+        a_idx, b_idx, sa, pb = (np.array([t[c] for t in tasks]) for c in range(4))
+        same = np.array([t[4] for t in tasks])
+        lengths = np.diff(offsets)
+        sb = np.where(same, pb, lengths[b_idx] - 17 - pb)
+        sides = (sa, lengths[a_idx] - sa - 17, sb, lengths[b_idx] - sb - 17)
+        cells = len(tasks) * sum(int(side.max()) for side in sides)
+        pool = complemented_pool(buffer)
+        tracemalloc.start()
+        try:
+            res = batch_xdrop_extend(
+                buffer, offsets, a_idx, b_idx, sa, pb, same, 17, 7,
+                mode="dp", comp_pool=pool,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.a_span > 200).sum() > 500  # long extensions ran
+        assert peak <= 2.5 * cells, f"{peak / cells:.2f} bytes per cell"
 
     def test_real_candidate_geometry(self):
         """4 %-error reads with indels at the paper's high-error k = 17,

@@ -196,6 +196,89 @@ class TestInStepGuards:
             w.map_ranks(outer)
 
 
+def _halves(ctxs, values):
+    """A toy segment step: one vectorized call for the whole segment."""
+    doubled = np.asarray(values, dtype=np.int64) * 2
+    for ctx, v in zip(ctxs, values):
+        ctx.charge_compute(v)
+    return doubled.tolist()
+
+
+class TestMapSegments:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_results_in_rank_order(self, backend):
+        w = SimWorld(5, cori_haswell(), executor=backend)
+        assert w.map_segments(_halves, [1, 2, 3, 4, 5]) == [2, 4, 6, 8, 10]
+        assert list(w.clock.per_rank_seconds("default")) == [
+            cori_haswell().op_time(v) for v in [1, 2, 3, 4, 5]
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_arg_length_validated(self, backend):
+        w = SimWorld(4, executor=backend)
+        with pytest.raises(CommunicatorError, match="expects 4 per-rank entries"):
+            w.map_segments(_halves, [1, 2, 3])
+
+    @pytest.mark.parametrize("backend", IN_PROCESS)
+    def test_serial_runs_one_segment(self, backend):
+        w = SimWorld(6, executor=backend)
+        seen = []
+
+        def step(ctxs, values):
+            seen.append([int(c) for c in ctxs])
+            return values
+
+        assert w.map_segments(step, list("abcdef")) == list("abcdef")
+        assert seen == [[0, 1, 2, 3, 4, 5]]
+
+    @pytest.mark.parametrize("backend", IN_PROCESS)
+    def test_result_count_validated(self, backend):
+        w = SimWorld(4, cori_haswell(), executor=backend)
+        with pytest.raises(CommunicatorError, match="3 results for 4 ranks"):
+            w.map_segments(lambda ctxs: [ctx.charge_compute(9) for ctx in ctxs[1:]])
+        assert w.clock.stages() == []
+
+    @pytest.mark.parametrize("backend", IN_PROCESS)
+    def test_collective_rejected(self, backend):
+        w = SimWorld(4, cori_haswell(), executor=backend)
+        with pytest.raises(CommunicatorError, match="collective"):
+            w.map_segments(lambda ctxs: [w.comm.barrier()] * len(ctxs))
+        assert len(w.log) == 0
+
+    @pytest.mark.parametrize("backend", IN_PROCESS)
+    def test_world_charge_rejected(self, backend):
+        w = SimWorld(4, cori_haswell(), executor=backend)
+        with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
+            w.map_segments(lambda ctxs: [w.charge_compute(0, 10)] * len(ctxs))
+        with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
+            w.map_segments(lambda ctxs: [w.charge_compute_all([1] * 4)] * len(ctxs))
+        assert w.clock.stages() == []
+        # the guard lifts after the failed superstep
+        w.charge_compute(0, 10)
+        w.comm.barrier()
+
+    @pytest.mark.parametrize("backend", IN_PROCESS)
+    def test_nested_superstep_rejected(self, backend):
+        w = SimWorld(4, cori_haswell(), executor=backend)
+        with pytest.raises(CommunicatorError, match="SimWorld.map_ranks"):
+            w.map_segments(lambda ctxs: w.map_ranks(lambda ctx: 0))
+        with pytest.raises(CommunicatorError, match="SimWorld.map_segments"):
+            w.map_ranks(lambda ctx: w.map_segments(_halves, [1] * 4))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failure_charges_nothing(self, backend):
+        w = SimWorld(4, cori_haswell(), executor=backend)
+
+        def step(ctxs):
+            for ctx in ctxs:
+                ctx.charge_compute(1000)
+            raise RuntimeError("segment exploded")
+
+        with pytest.raises(RuntimeError, match="segment exploded"):
+            w.map_segments(step)
+        assert w.clock.stages() == []
+
+
 class TestProcessFailureSemantics:
     def test_lowest_rank_exception_wins_and_all_ranks_drain(self, tmp_path):
         """A later rank failing *first in time* does not mask the lowest

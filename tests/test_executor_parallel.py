@@ -30,6 +30,8 @@ from repro.mpi.procexec import ProcessExecutor, _chunk_bounds
 from repro.mpi.shm import SHM_THRESHOLD_DEFAULT, attach_array, shm_dumps, shm_loads
 from repro.seq import GenomeSpec, make_genome, sample_reads
 from repro.service import JobService
+from repro.telemetry import Tracer
+from repro.telemetry.spans import TelemetryError
 
 # ---------------------------------------------------------------------------
 # module-level rank steps (out-of-process backends pickle these by
@@ -63,6 +65,22 @@ def _failing_step(ctx):
     if int(ctx) == 2:
         raise RuntimeError("rank 2 exploded")
     return int(ctx)
+
+
+def _toy_segment_step(ctxs, arrays, scale):
+    """A segment step: one vectorized pass over the segment's concatenated
+    arrays, split back per rank and charged through each rank's context."""
+    sizes = [a.size for a in arrays]
+    flat = np.concatenate(arrays) * np.repeat(scale, sizes)
+    sums = np.diff(np.concatenate([[0.0], np.cumsum(flat)])[np.cumsum([0] + sizes)])
+    for ctx, a in zip(ctxs, arrays):
+        ctx.charge_compute(a.size)
+        with ctx.stage_scope("Seg/inner"):
+            ctx.charge_compute(3 * a.size, kind="alignment")
+        ctx.observe_memory(float(a.nbytes))
+        if a.size:
+            ctx.record_span("numpy:toy", 0.0)
+    return [(int(ctx), float(total)) for ctx, total in zip(ctxs, sums)]
 
 
 def _world_access_step(ctx):
@@ -409,6 +427,84 @@ class TestP64Determinism:
                 w.map_ranks(_sum_step, [np.ones(8)] * P64)
         assert w.clock.stages() == []
         assert w.memory.by_stage() == {}
+
+
+# ---------------------------------------------------------------------------
+# segment steps: one call per contiguous rank range
+# ---------------------------------------------------------------------------
+
+
+def _segment_world(executor, nprocs):
+    w = SimWorld(nprocs, cori_haswell(), executor=executor)
+    tracer = Tracer().attach(w)
+    return w, tracer
+
+
+def _segment_superstep(w):
+    """The toy segment step over random per-rank arrays, one rank empty."""
+    rng = np.random.default_rng(w.nprocs)
+    arrays = [
+        rng.integers(0, 100, int(n)).astype(np.float64)
+        for n in rng.integers(1, 6, w.nprocs)
+    ]
+    arrays[w.nprocs // 2] = np.empty(0)
+    with w.stage_scope("Seg"):
+        out = w.map_segments(
+            _toy_segment_step, arrays, [float(r + 1) for r in range(w.nprocs)]
+        )
+    return out, [r for r, a in enumerate(arrays) if a.size]
+
+
+@pytest.fixture(scope="module", params=[2, 3])
+def segment_pool(request):
+    pool = ProcessExecutor(max_workers=request.param)
+    yield pool
+    pool.shutdown()
+
+
+class TestSegmentSteps:
+    def test_identical_to_serial(self, segment_pool):
+        """Per-rank results, clock, memory samples and tracer spans do not
+        depend on the backend or on how the workers cut the ranks."""
+        for nprocs in (1, 3, 4, 16):
+            ws, ts = _segment_world("serial", nprocs)
+            wp, tp = _segment_world(segment_pool, nprocs)
+            out_s, busy = _segment_superstep(ws)
+            out_p, _ = _segment_superstep(wp)
+            assert out_p == out_s
+            assert [r for r, _ in out_s] == list(range(nprocs))
+            _assert_worlds_identical(ws, wp)
+            assert ws.memory.peak_overall() == wp.memory.peak_overall()
+            assert tp.digest() == ts.digest()
+            for tracer in (ts, tp):
+                kernels = [s for s in tracer.root.walk() if s.cat == "kernel"]
+                assert [(s.rank, s.name, s.tier) for s in kernels] == [
+                    (r, "toy", "numpy") for r in busy
+                ]
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("crashed,expect", [((2, 5), 2), ((5, 4), 4)])
+    def test_crash_raises_lowest_rank_and_charges_nothing(
+        self, backend, crashed, expect
+    ):
+        """With three workers at P = 8 the segments are [0, 3), [3, 6) and
+        [6, 8): ranks 2 and 5 crash in two segments, 4 and 5 in one."""
+        executor = ProcessExecutor(max_workers=3) if backend == "process" else backend
+        w, tracer = _segment_world(executor, 8)
+        w.fault_injector = FaultInjector(
+            FaultPlan(rules=tuple(rank_crash(stage="Seg", rank=r) for r in crashed))
+        )
+        try:
+            with pytest.raises(RankFailure) as err:
+                _segment_superstep(w)
+        finally:
+            if backend == "process":
+                executor.shutdown()
+        assert err.value.rank == expect
+        assert w.clock.stages() == []
+        assert w.memory.by_stage() == {}
+        with pytest.raises(TelemetryError, match="recorded nothing"):
+            tracer.root
 
 
 # ---------------------------------------------------------------------------

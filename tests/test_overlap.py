@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from repro.kmer import build_kmer_matrix, count_kmers
+from repro.mpi import ProcGrid, SimWorld, cori_haswell
+from repro.mpi.executor import SerialExecutor, run_segment
 from repro.overlap import AlignmentParams, build_overlap_graph, detect_overlaps
-from repro.seq import DistReadStore, GenomeSpec, dna, make_genome, tile_reads
+from repro.overlap import filter as filter_mod
+from repro.seq import (
+    DistReadStore,
+    GenomeSpec,
+    dna,
+    make_genome,
+    sample_reads,
+    tile_reads,
+)
 from repro.sparse.semiring import seed_semiring
 from repro.sparse.types import OVERLAP_DTYPE, SEED_DTYPE
+from repro.telemetry import Tracer
 
 
 def overlap_setup(grid, genome_len=2000, read_len=300, stride=120, k=15, pattern="forward"):
@@ -184,3 +195,117 @@ class TestBuildOverlapGraph:
         ids = stats.contained_ids
         assert ids.dtype == np.int64
         assert np.array_equal(ids, np.unique(ids))
+
+    def test_read_contained_on_two_ranks_counts_once(self, grid4):
+        """X sits inside both Y and Z; the three candidate pairs land on
+        three ranks, so X is contained on two of them and still counts as
+        one contained read."""
+        genome = make_genome(GenomeSpec(length=800, seed=5))
+        reads = [genome[0:400], genome[320:390], genome[300:700]]
+        store = DistReadStore.from_global(grid4, reads)
+        A = build_kmer_matrix(store, count_kmers(store, 15, reliable_lo=1))
+        C, _ = detect_overlaps(A)
+        assert C.nnz() == 3
+        _, stats = build_overlap_graph(C, store, AlignmentParams(k=15, end_margin=5))
+        assert stats.contained == 2
+        assert stats.dovetails == 1
+        assert stats.contained_ids.tolist() == [1]
+        assert stats.contained_reads == 1
+
+
+class _CutSegments(SerialExecutor):
+    """The serial backend, with a segment step run once per piece of the
+    rank range cut at ``cuts``."""
+
+    def __init__(self, cuts):
+        self.cuts = list(cuts)
+
+    def run(self, fn, tasks, segmented=False):
+        if not segmented:
+            return super().run(fn, tasks)
+        bounds = [0, *self.cuts, len(tasks)]
+        return [
+            result
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            for result in run_segment(fn, tasks[lo:hi])
+        ]
+
+
+@pytest.fixture(scope="module")
+def segment_reads():
+    genome = make_genome(GenomeSpec(length=1500, seed=8))
+    return sample_reads(
+        genome, depth=8, mean_length=300, rng=9, error_rate=0.01,
+        error_mix=(0.8, 0.1, 0.1),
+    ).reads
+
+
+def _split_tasks(how, nprocs):
+    """A ``_redistribute_tasks`` that re-deals the tasks over the ranks."""
+    original = filter_mod._redistribute_tasks
+
+    def redistribute(upper):
+        gi, gj, seeds = (np.concatenate(col) for col in zip(*original(upper)))
+        rng = np.random.default_rng(len(gi))
+        owner = {
+            "random": rng.integers(0, nprocs, gi.size),
+            "one_rank": np.full(gi.size, nprocs - 2),
+            "empty_ranks": rng.choice([0, 3, 4], gi.size),
+        }[how]
+        return [(gi[owner == r], gj[owner == r], seeds[owner == r]) for r in range(nprocs)]
+
+    return redistribute
+
+
+def _aligned(reads, executor, params):
+    world = SimWorld(9, cori_haswell(), executor=executor)
+    tracer = Tracer().attach(world)
+    store = DistReadStore.from_global(ProcGrid(world), reads)
+    C, _ = detect_overlaps(build_kmer_matrix(store, count_kmers(store, 15, reliable_lo=2)))
+    with world.stage_scope("Alignment"):
+        R, stats = build_overlap_graph(C, store, params)
+    clock = {s: world.clock.per_rank_seconds(s).tolist() for s in world.clock.stages()}
+    return R.to_global_coo(), stats, clock, tracer.digest(), len(world.log)
+
+
+class TestSegmentedAlignment:
+    """One Alignment segment over every rank, one per rank and random cuts
+    give equal R, stats, charges and traces."""
+
+    @pytest.mark.parametrize(
+        "how,mode,batch_size",
+        [
+            (how, mode, b)
+            for how in (None, "random", "one_rank", "empty_ranks")
+            for mode in ("diag", "dp")
+            for b in (7, 2048)
+        ]
+        # one pair per kernel call (slow in dp; the cut is mode-blind)
+        + [("random", "diag", 1)],
+    )
+    def test_segmentation_invariant(self, segment_reads, monkeypatch, how, mode, batch_size):
+        if how is not None:
+            monkeypatch.setattr(filter_mod, "_redistribute_tasks", _split_tasks(how, 9))
+        params = AlignmentParams(
+            k=15, mode=mode, xdrop=7, min_score=60, end_margin=20, batch_size=batch_size
+        )
+        rng = np.random.default_rng(batch_size)
+        runs = [
+            _aligned(segment_reads, executor, params)
+            for executor in (
+                "serial",
+                _CutSegments(range(1, 9)),
+                _CutSegments(np.flatnonzero(rng.random(8) < 0.5) + 1),
+            )
+        ]
+        (rows, cols, vals), stats, clock, digest, nlog = runs[0]
+        assert stats.pairs_aligned > 200 and stats.low_score
+        assert stats.dovetails and stats.contained > stats.contained_reads
+        for (rows2, cols2, vals2), stats2, clock2, digest2, nlog2 in runs[1:]:
+            assert np.array_equal(rows2, rows) and np.array_equal(cols2, cols)
+            assert np.array_equal(vals2, vals)
+            assert np.array_equal(stats2.contained_ids, stats.contained_ids)
+            stats2.contained_ids = stats.contained_ids
+            assert stats2 == stats
+            assert clock2 == clock
+            assert (digest2, nlog2) == (digest, nlog)

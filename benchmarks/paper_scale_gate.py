@@ -2,13 +2,16 @@
 """The paper's rank counts as a gate: the C. elegans bench preset at P = 1 024.
 
 Runs the ``c_elegans`` bench preset on the ``cori-haswell`` model (scaled
-to paper volumes, as Fig. 4 does) at P = 1, 256 and 1 024, then
+to paper volumes, as Fig. 4 does) at P = 1, 256 and 1 024, and once more
+at P = 256 under ``memory_budget_mb=400`` (the phased row: the planner
+cuts A . A^T into 64 column phases), then
 
-* fails if the P = 1 024 run takes longer than ``WALL_BOUND_S`` seconds of
-  wall time;
+* fails if the P = 1 024 run or the phased row takes longer than
+  ``WALL_BOUND_S`` seconds of wall time;
 * fails unless the contig digest, ``repr(modeled_total)`` and the length of
-  the communication log at P = 256 and P = 1 024 equal the pinned values
-  (what a run computes, charges and sends must not depend on how fast the
+  the communication log at P = 256 and P = 1 024 -- and of the phased
+  row, with its modeled memory peak -- equal the pinned values (what a
+  run computes, charges, sends and holds must not depend on how fast the
   simulator is);
 * prints, report-only, the strong-scaling table (modeled efficiency at
   P = 256 / 1 024 against P = 1) and the main stage whose modeled time
@@ -24,8 +27,11 @@ Run from the repository root::
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
+from repro import Pipeline
 from repro.bench import build_bench_dataset, sweep_pipeline
+from repro.mpi.costmodel import MACHINE_PRESETS
 from repro.pipeline import scaling_table
 from repro.pipeline.engine import MAIN_STAGES
 
@@ -35,7 +41,11 @@ PINS = {
     256: (DIGEST, "1.968282388888889", 1664),
     1024: (DIGEST, "1.7803972890625", 6304),
 }
-#: seconds of wall time the P = 1 024 run may take
+#: the phased row: (P, memory_budget_mb) -> (contig digest,
+#: repr(modeled_total), len(world.log), memory.peak_overall())
+PHASED = (256, 400.0)
+PHASED_PINS = (DIGEST, "2.407103201388892", 33923, 627725000.0)
+#: seconds of wall time the P = 1 024 run and the phased row may take
 WALL_BOUND_S = 30.0
 
 
@@ -56,6 +66,23 @@ def main() -> int:
     wall = results[-1].report.wall_seconds
     if wall > WALL_BOUND_S:
         failures.append(f"P={max(PINS)} took {wall:.2f} s > bound {WALL_BOUND_S:.0f} s")
+
+    p, budget_mb = PHASED
+    machine = MACHINE_PRESETS["cori-haswell"]().scaled(ds.scale)
+    phased = Pipeline.default().run(
+        ds.readset, replace(ds.config(p, machine), memory_budget_mb=budget_mb)
+    )
+    got = (phased.contig_digest(), repr(phased.modeled_total),
+           len(phased.world.log), phased.world.memory.peak_overall())
+    wall = phased.report.wall_seconds
+    print(f"P={p:5d}  budget {budget_mb:g} MB  "
+          f"{phased.counts['overlap_spgemm_phases']} phases  digest {got[0][:16]}  "
+          f"modeled_total {got[1]}  log {got[2]}  peak {got[3]:.0f}  "
+          f"wall {wall:.2f} s")
+    if got != PHASED_PINS:
+        failures.append(f"P={p} phased: got {got}, pinned {PHASED_PINS}")
+    if wall > WALL_BOUND_S:
+        failures.append(f"P={p} phased took {wall:.2f} s > bound {WALL_BOUND_S:.0f} s")
 
     lo, hi = sorted(PINS)
     growth = {}

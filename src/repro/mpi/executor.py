@@ -26,11 +26,13 @@ Either shape runs through one of two :class:`Executor` backends:
   arrays shipped zero-copy via :mod:`~repro.mpi.shm`; a segment step runs
   once per worker chunk.
 
-Measured on the ``BENCHMARK.json`` workloads (2 cores, see CHANGES.md):
-``process`` wins when the work per superstep is large (1.35x on
-``lowerr_diag_p16``, 1.06x on ``hierr_dp_p4``) and loses when supersteps
-are many and tiny (0.53x on ``lowerr_budget_p16``, 0.97x on
-``contig_sweep_p16``): each one pays pickling and a pool round-trip.
+Measured on the ``BENCHMARK.json`` workloads (3 workers on a 2-core
+host, median per-op wall, serial time over process time; see
+CHANGES.md): ``process`` loses on all four -- 0.45x on
+``lowerr_diag_p16``, 0.86x on ``hierr_dp_p4``, 0.26x on
+``lowerr_budget_p16``, 0.97x on ``contig_sweep_p16``.  Every superstep
+pays pickling and a pool round-trip, and the budgeted workload runs 178
+of them per op.
 
 Backends and segmentations must be observationally identical: results
 come back in rank order, and all cost accounting (compute charges,

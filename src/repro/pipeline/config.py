@@ -84,10 +84,10 @@ class PipelineConfig:
     # §7 polishing phase: each rank pileup-polishes its own contigs against
     # the reads the sequence exchange already placed on it
     polish: bool = False
-    # memory strategy for the SpGEMM kernels (paper §7 future work):
+    # memory strategy the SpGEMM kernels model (paper §7 future work):
     # "fast" keeps all SUMMA partials live (CombBLAS default), "low"
-    # streams each stage into the accumulator, trading merge passes for a
-    # smaller peak working set
+    # streams each stage into the accumulator, charging merge passes for a
+    # smaller modeled peak working set; the host computes the same either way
     memory_mode: str = "fast"
     # per-rank modeled-memory cap in MB for the SpGEMM kernels (None =
     # unlimited).  When set, the symbolic phase planner column-blocks each

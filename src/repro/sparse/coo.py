@@ -88,6 +88,9 @@ class LocalCoo:
         The caller's promise that the entries already are as
         ``sorted_by(order)`` would leave them (``"row"``, ``"col"`` or
         ``None`` for unknown); it is what lets ``sorted_by`` skip the sort.
+        ``"phase"`` promises a stable sort by (column phase, row, col)
+        for contiguous column phases: each column's entries are in row
+        order, as the local SpGEMM joins B (``sorted_by`` sorts it).
     """
 
     __slots__ = ("shape", "rows", "cols", "vals", "order")
@@ -163,7 +166,7 @@ class LocalCoo:
     def transpose(self) -> "LocalCoo":
         """Swap rows and columns (values unchanged -- payload mirroring, if
         needed, is the caller's responsibility)."""
-        flipped = {"row": "col", "col": "row", None: None}[self.order]
+        flipped = {"row": "col", "col": "row"}.get(self.order)
         return LocalCoo(
             (self.shape[1], self.shape[0]), self.cols, self.rows, self.vals,
             order=flipped,

@@ -15,10 +15,12 @@ pattern the real library uses, charged to the cost model):
   locally produced triple to its block owner;
 * :meth:`DistSparseMatrix.spgemm` -- SUMMA: sqrt(P) stages of row/column
   broadcasts followed by local semiring multiplies, which join through
-  column pointers built once per A block and per multiplication; with
-  ``strict_upper`` (``A . A^T``, whose pairs are unordered) only the strict
-  upper triangle is formed: ranks below the grid diagonal multiply
-  nothing and diagonal ranks join a prefix of each A column;
+  column pointers built once per A block and per multiplication; column
+  phases shape the modeled schedule, while the host joins each stage
+  once; with ``strict_upper`` (``A . A^T``, whose pairs are unordered)
+  only the strict upper triangle is formed: ranks below the grid
+  diagonal multiply nothing and diagonal ranks join a prefix of each A
+  column;
 * :meth:`DistSparseMatrix.transpose` -- pairwise exchange with the grid-
   transposed partner;
 * :meth:`DistSparseMatrix.apply` / :meth:`prune` -- embarrassingly local;
@@ -33,18 +35,28 @@ pattern the real library uses, charged to the cost model):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import DistributionError
-from ..mpi.comm import block_range
+from ..mpi.comm import block_range, block_sizes
 from ..mpi.grid import ProcGrid
 from ..mpi.memory import MemoryBudget
+from ..telemetry.metrics import get_registry
 from ..util import cumsum0, sorted_lookup
 from .coo import LocalCoo, fused_key
 from .semiring import Semiring
-from .spgemm import column_key, column_pointers, spgemm_local, spgemm_symbolic
+from . import spgemm as _kernel
+from .spgemm import (
+    column_key,
+    column_pointers,
+    join_extents,
+    spgemm_local,
+    spgemm_symbolic,
+)
 from .distvec import DistVector
 
 __all__ = ["DistSparseMatrix", "SpgemmPlan"]
@@ -223,8 +235,8 @@ def _block_shapes(grid: ProcGrid, shape: tuple[int, int]) -> list[tuple[int, int
     ]
 
 
-def _concat_coo(shape: tuple[int, int], parts: list[LocalCoo], dtype) -> LocalCoo:
-    parts = [p for p in parts if p.nnz]
+def _concat_coo(shape: tuple[int, int], stages: list, dtype) -> LocalCoo:
+    parts = [p for stage in stages for p in stage if p.nnz]
     if not parts:
         return LocalCoo.empty(shape, dtype)
     rows = np.concatenate([p.rows for p in parts])
@@ -233,135 +245,173 @@ def _concat_coo(shape: tuple[int, int], parts: list[LocalCoo], dtype) -> LocalCo
     return LocalCoo(shape, rows, cols, vals)
 
 
-def _phase_panels(blk: LocalCoo, phases: int) -> list[LocalCoo]:
-    """``blk``'s column-phase sub-panels, row-sorted: slices of one stable
-    sort by the fused (phase, row, col) key, equal to column masks of the
-    row-sorted block."""
+@lru_cache(maxsize=64)
+def _phase_lows(ncols: int, phases: int) -> np.ndarray:
+    """The first column of each of ``phases`` column phases (cached, so
+    read-only)."""
+    lows = cumsum0(block_sizes(ncols, phases))[:-1]
+    lows.flags.writeable = False
+    return lows
+
+
+def _slice(blk: LocalCoo, lo: int, hi: int, order: str = "row") -> LocalCoo:
+    """Entries ``lo:hi`` of ``blk`` as views, promised to be in ``order``."""
+    return LocalCoo(
+        blk.shape, blk.rows[lo:hi], blk.cols[lo:hi], blk.vals[lo:hi], order=order
+    )
+
+
+def _phase_sorted(blk: LocalCoo, phases: int) -> tuple:
+    """``blk`` after one stable sort by the fused (phase, row, col) key,
+    where each column phase's entries start (``phases + 1`` cuts), and its
+    row-sorted phase sub-panels (slices)."""
     if phases == 1:
-        return [blk.sorted_by("row")]
+        whole = blk.sorted_by("row")
+        return whole, np.array([0, blk.nnz]), [whole]
     nrows, ncols = blk.shape
-    lows = [block_range(ncols, phases, p)[0] for p in range(phases)]
-    phase = np.searchsorted(lows, blk.cols, side="right") - 1
+    phase = np.searchsorted(_phase_lows(ncols, phases), blk.cols, side="right") - 1
     perm = np.argsort(
         fused_key(fused_key(phase, blk.rows, nrows), blk.cols, ncols),
         kind="stable",
     )
-    rows, cols, vals = blk.rows[perm], blk.cols[perm], blk.vals[perm]
+    whole = LocalCoo(
+        blk.shape, blk.rows[perm], blk.cols[perm], blk.vals[perm], order="phase"
+    )
     cuts = cumsum0(np.bincount(phase, minlength=phases))
-    return [
-        LocalCoo(blk.shape, rows[lo:hi], cols[lo:hi], vals[lo:hi], order="row")
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
+    return whole, cuts, [_slice(whole, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-# ---------------------------------------------------------------------------
-# SpGEMM rank steps (module level, state-through-arguments)
-#
-# These run under any executor backend, including out-of-process ones, so
-# they cannot mutate enclosing scopes: each rank's accumulation state comes
-# in through per-rank arguments and goes back out through the return value;
-# the driver loop in :meth:`DistSparseMatrix.spgemm` owns the state between
-# supersteps.  Charge/observe ordering is part of the bit-identity contract
-# -- do not reorder.
-# ---------------------------------------------------------------------------
+def _phase_panels(blk: LocalCoo, phases: int) -> list[LocalCoo]:
+    """``blk``'s row-sorted column-phase sub-panels: slices of one stable sort
+    by the fused (phase, row, col) key, equal to column masks of ``blk``."""
+    return _phase_sorted(blk, phases)[2]
 
 
-def _stage_product(a_blk, a_ptr, a_key, b_blk, semiring, below):
-    """One stage's local product and its flops.  In a strict-upper
-    product a rank ``below`` the grid diagonal forms nothing, and a
-    diagonal rank (given the A panel's ``a_key``) joins column prefixes."""
-    if below:
-        shape = (a_blk.shape[0], b_blk.shape[1])
-        return LocalCoo.empty(shape, semiring.out_dtype), 0
-    return spgemm_local(
-        a_blk, b_blk, semiring, a_ptr=a_ptr,
-        strict_upper=a_key is not None, a_key=a_key,
-    )
+def _phase_counts(cols: np.ndarray, lows: np.ndarray) -> np.ndarray:
+    """How many of ``cols`` each column phase holds."""
+    if len(lows) == 1:
+        return np.array([cols.size])
+    phase = np.searchsorted(lows, cols, side="right") - 1
+    return np.bincount(phase, minlength=len(lows))
 
 
-def _spgemm_multiply_bulk_step(
-    ctx, a_blk, a_ptr, a_key, b_blk, partial_nbytes, base_bytes, semiring, below
-):
-    """One SUMMA stage's local multiply under bulk (once-per-phase) merge.
-
-    ``a_ptr`` (and on a strict-upper diagonal rank ``a_key``) is the A
-    panel's column pointers, built once per SpGEMM.  Returns the stage's
-    partial product; the driver appends it to the rank's phase partials
-    (when nonempty) and tracks their byte total, which arrives here as
-    ``partial_nbytes`` the next stage.
-    """
-    part, flops = _stage_product(a_blk, a_ptr, a_key, b_blk, semiring, below)
-    ctx.charge_compute(max(flops, 1))
-    received = a_blk.nbytes + b_blk.nbytes
-    live = partial_nbytes + (part.nbytes if part.nnz else 0)
-    ctx.observe_memory(base_bytes + received + live)
-    return part
+# SpGEMM rank steps: module level (out-of-process backends pickle them), so
+# each rank's state comes in through arguments and goes back out through
+# the return value.  Charge/observe order is part of the bit-identity
+# contract.
 
 
-def _spgemm_multiply_stream_step(
-    ctx, a_blk, a_ptr, a_key, b_blk, prev, base_bytes, shape, semiring, below
-):
-    """One SUMMA stage's local multiply folded into a running accumulator."""
-    part, flops = _stage_product(a_blk, a_ptr, a_key, b_blk, semiring, below)
-    ctx.charge_compute(max(flops, 1))
-    received = a_blk.nbytes + b_blk.nbytes
-    live = (prev.nbytes if prev is not None else 0) + part.nbytes
-    ctx.observe_memory(base_bytes + received + live)
-    if part.nnz or prev is None:
-        pieces = [p for p in (prev, part) if p is not None]
-        merged = _concat_coo(shape, pieces, semiring.out_dtype)
-        merged = merged.deduped(semiring.add_reduce)
-        ctx.charge_compute(merged.nnz)
-        return merged
-    return prev
+class _Ledger:
+    """One rank's part in a phased product: how it joins (not at all
+    ``below`` the grid diagonal, column prefixes ``on`` it) and, per
+    (phase, stage), the bytes received, products formed, partial nonzeros
+    and -- streamed -- distinct keys so far (the accumulator's ``keys``);
+    per phase, the merged and (diagonal-masked) kept nonzeros."""
+
+    def __init__(self, received, entry, stream, exclude_diagonal, below, on, bound):
+        self.received, self.entry, self.bound = received, entry, bound
+        self.stream, self.exclude_diagonal = stream, exclude_diagonal
+        self.below, self.on = below, on
+        self.flops, self.part, self.held = (np.zeros_like(received) for _ in range(3))
+        self.merged = self.kept = np.zeros(received.shape[0], dtype=np.int64)
+        self.keys = np.empty(0, dtype=np.int64)
+
+    def charges(self, phases: int | None = None) -> Iterator[list[tuple[bool, int]]]:
+        """Yield each superstep's ``(is_memory, amount)`` charges: each
+        phase's q stages and finalize, then any assembly (or the first
+        ``phases`` phases' only).  A stage charges its flops, then observes
+        finished phases, received panels and the phase's partials -- bulk:
+        every stage's so far; streamed: the accumulator and this partial,
+        which a stage that formed any (and stage 0) merges, charging the
+        new size.  A finalize charges its merge (bulk) and diagonal mask,
+        and observes its output.  Phase 0's stage ``s`` reads stages
+        ``<= s`` only."""
+        counts = (
+            self.received, self.flops, self.part, self.held, self.merged, self.kept
+        )
+        finished, entry = 0, self.entry
+        for received, flops, part, held, merged, kept in zip(
+            *(c[:phases].tolist() for c in counts)
+        ):
+            before = 0  # the phase's nonzeros held before this stage
+            for s, (r, f, n, h) in enumerate(zip(received, flops, part, held)):
+                step = [(False, max(f, 1)), (True, finished + r + (before + n) * entry)]
+                if self.stream and (n or not s):
+                    step.append((False, h))
+                yield step
+                before = h if self.stream else before + n
+            # a bulk merge and the diagonal mask both charge the merged size
+            times = (not self.stream) + self.exclude_diagonal
+            finished += kept * entry
+            yield [(False, merged)] * times + [(True, finished)]
+        if phases is None and self.kept.size > 1:  # one phase assembles nothing
+            yield [(False, finished // entry), (True, finished)]
 
 
-def _spgemm_mask_diagonal(ctx, merged, offset, exclude_diagonal):
-    """Fold the diagonal mask into the phase merge: pruned entries never
-    reach the finished working set."""
-    if exclude_diagonal:
-        ctx.charge_compute(merged.nnz)
-        if merged.nnz:
-            rlo, clo = offset
-            merged = merged.select((merged.rows + rlo) != (merged.cols + clo))
-    return merged
+def _spgemm_join_step(ctx, a_op, b_op, ledger, s, semiring):
+    """Phase 0, stage ``s`` on one rank: join the A panel against the
+    rank's whole phase-sorted B block in runs of whole phases of at most
+    ``ledger.bound`` products (a larger phase is a run of its own), count
+    every phase's products into the ledger and charge the stage as phase
+    0's.  Returns the runs' products (the phases' partials side by side)
+    and the ledger."""
+    (a_blk, a_ptr, a_key), (whole, cuts) = a_op, b_op
+    a_key = a_key if ledger.on else None
+    phases, ncols = cuts.size - 1, whole.shape[1]
+    lows = _phase_lows(ncols, phases)
+    parts, lo = [], phases if ledger.below else 0
+    if phases > 1 and not ledger.below:  # one phase's join counts its flops
+        ends = cumsum0(join_extents(a_blk, whole, a_ptr, a_key)[1])[cuts]
+        ledger.flops[:, s] = np.diff(ends)
+    while lo < phases:
+        hi = lo + 1 if phases == 1 else max(
+            lo + 1, np.searchsorted(ends, ends[lo] + ledger.bound, "right") - 1
+        )
+        run = whole if hi - lo == phases else _slice(
+            whole, cuts[lo], cuts[hi], "row" if hi == lo + 1 else "phase"
+        )
+        part, formed = spgemm_local(
+            a_blk, run, semiring, a_ptr=a_ptr, strict_upper=a_key is not None,
+            a_key=a_key,
+        )
+        if phases == 1:
+            ledger.flops[0, s] = formed
+        ledger.part[:, s] += _phase_counts(part.cols, lows)
+        parts.append(part)
+        lo = hi
+    if ledger.stream:  # the accumulator's keys, of every phase
+        keys = [fused_key(part.rows, part.cols, ncols) for part in parts]
+        ledger.keys = np.unique(np.concatenate([ledger.keys, *keys]))
+        ledger.held[:, s] = _phase_counts(ledger.keys % ncols, lows)
+    _charge_step([ctx], [next(islice(ledger.charges(1), s, None))])
+    return parts, ledger
 
 
-def _spgemm_finalize_bulk_step(
-    ctx, parts, shape, offset, base_bytes, semiring, exclude_diagonal
-):
-    """Merge one rank's phase partials into that phase's output columns."""
-    merged = _concat_coo(shape, parts, semiring.out_dtype)
+def _spgemm_merge_step(ctx, stage_parts, ledger, shape, offset, semiring):
+    """Phase 0's finalize on one rank: merge the stage partials of every
+    phase at once (one stable sort, the semiring add first on ties, so in
+    stage order; then the diagonal mask), count each phase's merged and
+    kept nonzeros and charge phase 0's finalize.  Returns the rank's
+    output block and the ledger."""
+    merged = _concat_coo(shape, stage_parts, semiring.out_dtype)
     merged = merged.deduped(semiring.add_reduce)
-    ctx.charge_compute(merged.nnz)
-    merged = _spgemm_mask_diagonal(ctx, merged, offset, exclude_diagonal)
-    ctx.observe_memory(base_bytes + merged.nbytes)
-    return merged
+    phases, q = ledger.part.shape
+    lows = _phase_lows(shape[1], phases)
+    ledger.merged = _phase_counts(merged.cols, lows)
+    if ledger.exclude_diagonal and merged.nnz:
+        merged = merged.select(merged.rows + offset[0] != merged.cols + offset[1])
+    ledger.kept = _phase_counts(merged.cols, lows)
+    _charge_step([ctx], [next(islice(ledger.charges(), q, None))])
+    return merged, ledger
 
 
-def _spgemm_finalize_stream_step(
-    ctx, accumulated, shape, offset, base_bytes, semiring, exclude_diagonal
-):
-    """Finalize one rank's streamed accumulator as the phase's output."""
-    merged = (
-        accumulated
-        if accumulated is not None
-        else LocalCoo.empty(shape, semiring.out_dtype)
-    )
-    merged = _spgemm_mask_diagonal(ctx, merged, offset, exclude_diagonal)
-    ctx.observe_memory(base_bytes + merged.nbytes)
-    return merged
-
-
-def _spgemm_assemble_step(ctx, parts, shape, semiring):
-    """Concatenate one rank's finished phase outputs into its C block."""
-    total = _concat_coo(shape, parts, semiring.out_dtype)
-    # phases partition the columns, so deduped() only restores the
-    # row-major order of the unphased merge -- no values change
-    total = total.deduped(semiring.add_reduce)
-    ctx.charge_compute(total.nnz)
-    ctx.observe_memory(total.nbytes)
-    return total
+def _charge_step(ctxs, charges):
+    """Charge each rank of a segment its ``(is_memory, amount)`` charges --
+    all that a superstep of a phased product after phase 0 does."""
+    for ctx, rank_charges in zip(ctxs, charges):
+        for is_memory, amount in rank_charges:
+            (ctx.observe_memory if is_memory else ctx.charge_compute)(amount)
+    return [None] * len(ctxs)
 
 
 class DistSparseMatrix:
@@ -604,43 +654,33 @@ class DistSparseMatrix:
         stages -- the owners of A's block-column ``s`` broadcast along
         their grid rows, the owners of B's block-row ``s`` broadcast *only
         the phase's column sub-panel* along their grid columns, every rank
-        multiplies and accumulates locally -- and then finalizes that
-        phase's output columns before the next phase starts.  Peak live
-        bytes is therefore (broadcast panel + one phase's partials +
-        finished output) instead of a whole-stage working set.  Operands
-        are prepared once per call, not per phase: A's blocks sorted by
-        column with their column pointers, B's blocks sorted by (phase,
-        row, col) so each phase's sub-panel is a slice.
+        multiplies and accumulates -- then finalizes its output columns.
+        ``phases=1`` (the default) is the classic unphased SUMMA; a
+        :class:`~repro.mpi.memory.MemoryBudget` (and no ``phases``) lets
+        the symbolic planner pick the fewest phases that fit.
 
-        ``phases=1`` (the default) reproduces the classic unphased SUMMA
-        bit-identically.  Passing a :class:`~repro.mpi.memory.MemoryBudget`
-        (and no explicit ``phases``) runs the symbolic planner, which picks
-        the smallest phase count whose estimated peak fits the budget.
+        Phases and ``merge_mode`` (the paper's §7 memory-reduction future
+        work) shape the *modeled* working set (panels + a phase's partials
+        + finished output) and charges: ``"bulk"`` (default) keeps every
+        stage's partial and merges once per phase, ``"stream"`` folds each
+        into an accumulator, a smaller peak for sqrt(P)-1 extra merges a
+        phase.  ``exclude_diagonal`` folds the diagonal mask into the phase
+        merge, so pruned entries never count toward modeled memory.
 
-        ``merge_mode`` selects the within-phase accumulation strategy --
-        the paper's §7 memory-reduction future work:
-
-        * ``"bulk"`` (default, CombBLAS-style): keep every stage's partial
-          product and merge once per phase.  Fastest, but the transient
-          working set holds all sqrt(P) partials of the phase
-          simultaneously.
-        * ``"stream"``: fold each stage's partial into a running
-          accumulator with an immediate semiring dedup.  Peak memory drops
-          to (accumulator + one partial) at the cost of sqrt(P)-1 extra
-          merge passes per phase.
-
-        All modes report their transient working set to the world's
-        :class:`~repro.mpi.memory.MemoryMeter`; with ``exclude_diagonal``
-        the diagonal mask is folded into the phase merge, so pruned
-        entries never count toward modeled memory.
+        The host forms each product once, whatever the phases and mode:
+        phase 0's stages join each rank's A panel (sorted by column, with
+        its column pointers) against its whole B block (sorted by (phase,
+        row, col), so a phase is a slice) in runs of whole phases of at
+        most ``spgemm._PRODUCTS_PER_JOIN`` products; its finalize merges
+        them.  Later supersteps charge what those counts derive
+        (:class:`_Ledger`); every broadcast sends its payload.
 
         ``strict_upper`` (square products only) keeps the entries with
         global ``row < col`` and never forms another: a rank below the grid
-        diagonal skips its multiplies (it still receives the panels, and
-        every broadcast and collective runs as before), and a diagonal rank
-        joins each B entry ``(k, c)`` with the rows ``< c`` of A's column
-        ``k``.  It excludes the diagonal by itself.  ``A . A^T`` is
-        symmetric, so its upper triangle holds every unordered pair once.
+        diagonal skips its multiplies (it still receives the panels), and a
+        diagonal rank joins each B entry ``(k, c)`` with the rows ``< c`` of
+        A's column ``k``.  It excludes the diagonal by itself.  ``A . A^T``
+        is symmetric, so its upper triangle holds every unordered pair once.
         """
         if self.shape[1] != other.shape[0]:
             raise DistributionError(
@@ -664,108 +704,68 @@ class DistSparseMatrix:
         phases = int(phases)
         if phases < 1:
             raise DistributionError(f"phases must be >= 1, got {phases}")
-        q = grid.q
-        nprocs = grid.nprocs
+        q, nprocs = grid.q, grid.nprocs
+        coords = [grid.coords_of(rank) for rank in range(nprocs)]
 
-        out_block_shape = _block_shapes(grid, out_shape)
-        offsets = [
-            (rlo, clo) for rlo, _rhi, clo, _chi in grid.block_bounds(out_shape)
-        ]
-
-        # per-rank accumulation state.  The rank steps are module-level
-        # functions (out-of-process executors pickle them), so the state
-        # lives HERE, flowing into each superstep through per-rank
-        # arguments and back out through results.  partials/acc are
-        # per-phase (rebound at each phase start); finished_bytes tracks
-        # the bytes of already finalized phase outputs, which stay live
-        # to the end.
-        # Derived once here, not per phase x stage x rank: A's blocks are
-        # sorted by column with their column pointers (and, for a strict
-        # upper product, their (col, row) keys) beside them, B's are cut
-        # into row-sorted phase sub-panels.  Pointers and keys are read
-        # off the broadcast panel, so nothing is charged for them.
+        # Operands are derived once, not per phase x stage x rank, and read
+        # off the broadcast panels (so uncharged).  Ranks share them by
+        # object, so the process backend exports each array once.
         a_blocks = [blk.sorted_by("col") for blk in self.blocks]
-        a_ptrs = [column_pointers(blk) for blk in a_blocks]
-        a_keys = [column_key(blk) if strict_upper else None for blk in a_blocks]
-        b_panels = [_phase_panels(blk, phases) for blk in other.blocks]
-        bulk = merge_mode == "bulk"
-        finished: list[list[LocalCoo]] = [[] for _ in range(nprocs)]
-        finished_bytes = [0] * nprocs
-        sem_pr = [semiring] * nprocs
-        excl_pr = [exclude_diagonal] * nprocs
-        below_pr = [
-            strict_upper and i > j for i, j in map(grid.coords_of, range(nprocs))
+        a_ops = [
+            (blk, column_pointers(blk), column_key(blk) if strict_upper else None)
+            for blk in a_blocks
         ]
-
-        for p in range(phases):
-            partials: list[list[LocalCoo]] = [[] for _ in range(nprocs)]
-            partial_bytes = [0] * nprocs
-            acc: list[LocalCoo | None] = [None] * nprocs
-            for s in range(q):
-                # broadcast A(:, s) along grid rows (full blocks, every phase)
-                a_recv: list[LocalCoo] = [None] * nprocs
-                a_ptr_recv: list[np.ndarray] = [None] * nprocs
-                # only the diagonal rank of a grid row joins column prefixes
-                a_key_recv: list[np.ndarray | None] = [None] * nprocs
-                for i in range(q):
-                    root_world_rank = grid.rank_of(i, s)
-                    got = grid.row_comms[i].bcast(
-                        a_blocks[root_world_rank], root=s
-                    )
-                    for j in range(q):
-                        a_recv[grid.rank_of(i, j)] = got[j]
-                        a_ptr_recv[grid.rank_of(i, j)] = a_ptrs[root_world_rank]
-                    a_key_recv[grid.rank_of(i, i)] = a_keys[root_world_rank]
-                # broadcast B(s, :)'s phase column sub-panels along grid columns
-                b_recv: list[LocalCoo] = [None] * nprocs
-                for j in range(q):
-                    root_world_rank = grid.rank_of(s, j)
-                    got = grid.col_comms[j].bcast(
-                        b_panels[root_world_rank][p], root=s
-                    )
-                    for i in range(q):
-                        b_recv[grid.rank_of(i, j)] = got[i]
-                # local multiply-accumulate superstep.  Each grid row/
-                # column shares ONE broadcast panel object (and one
-                # pointer array) across its ranks' tasks, so the process
-                # backend exports each panel's arrays to shared memory
-                # once, not per rank.
-                if bulk:
-                    parts = world.map_ranks(
-                        _spgemm_multiply_bulk_step, a_recv, a_ptr_recv,
-                        a_key_recv, b_recv, partial_bytes, finished_bytes,
-                        sem_pr, below_pr,
-                    )
-                    for rank, part in enumerate(parts):
-                        if part.nnz:
-                            partials[rank].append(part)
-                            partial_bytes[rank] += part.nbytes
-                else:
-                    acc = world.map_ranks(
-                        _spgemm_multiply_stream_step, a_recv, a_ptr_recv,
-                        a_key_recv, b_recv, acc, finished_bytes,
-                        out_block_shape, sem_pr, below_pr,
-                    )
-            merged_list = world.map_ranks(
-                _spgemm_finalize_bulk_step if bulk else _spgemm_finalize_stream_step,
-                partials if bulk else acc,
-                out_block_shape,
-                offsets,
-                finished_bytes,
-                sem_pr,
-                excl_pr,
+        b_ops = [_phase_sorted(blk, phases) for blk in other.blocks]
+        b_panels = [panels for _whole, _cuts, panels in b_ops]
+        a_bytes = np.array([blk.nbytes for blk in a_blocks]).reshape(q, q)
+        b_bytes = np.array([[pnl.nbytes for pnl in pnls] for pnls in b_panels])
+        ledgers = [
+            _Ledger(
+                a_bytes[i] + b_bytes.reshape(q, q, phases)[:, j].T,
+                _entry_nbytes(semiring.out_dtype),
+                merge_mode == "stream", exclude_diagonal,
+                below=strict_upper and i > j, on=strict_upper and i == j,
+                bound=_kernel._PRODUCTS_PER_JOIN,
             )
-            for rank, merged in enumerate(merged_list):
-                finished[rank].append(merged)
-                finished_bytes[rank] += merged.nbytes
+            for i, j in coords
+        ]
+        stage_parts = [[] for _ in range(nprocs)]
 
-        if phases == 1:
-            blocks = [finished[rank][0] for rank in range(nprocs)]
-        else:
-            blocks = world.map_ranks(
-                _spgemm_assemble_step, finished, out_block_shape, sem_pr
+        def broadcast(p: int, s: int) -> None:
+            for i in range(q):  # A(:, s) along grid rows, every phase
+                grid.row_comms[i].bcast(a_blocks[grid.rank_of(i, s)], root=s)
+            for j in range(q):  # B(s, :)'s phase sub-panel along columns
+                grid.col_comms[j].bcast(b_panels[grid.rank_of(s, j)][p], root=s)
+
+        # phase 0 forms every phase's products and merges them
+        for s in range(q):
+            broadcast(0, s)
+            results = world.map_ranks(
+                _spgemm_join_step,
+                [a_ops[grid.rank_of(i, s)] for i, _j in coords],
+                [b_ops[grid.rank_of(s, j)][:2] for _i, j in coords],
+                ledgers,
+                [s] * nprocs,
+                [semiring] * nprocs,
             )
-        return DistSparseMatrix(grid, out_shape, blocks)
+            for rank, (parts, ledgers[rank]) in enumerate(results):
+                stage_parts[rank].append(parts)
+        joins = sum(len(parts) for stages in stage_parts for parts in stages)
+        get_registry().counter("sparse.local_joins").inc(joins)
+        offsets = [bounds[::2] for bounds in grid.block_bounds(out_shape)]
+        blocks, ledgers = zip(*world.map_ranks(
+            _spgemm_merge_step, stage_parts, ledgers,
+            _block_shapes(grid, out_shape), offsets, [semiring] * nprocs,
+        ))
+        # every later superstep -- each later phase's stages and finalize,
+        # then the assembly -- only charges what phase 0 counted
+        later = zip(*(islice(ledger.charges(), q + 1, None) for ledger in ledgers))
+        for k, charges in enumerate(later):
+            p, s = divmod(k, q + 1)
+            if s < q and p + 1 < phases:
+                broadcast(p + 1, s)
+            world.map_segments(_charge_step, charges)
+        return DistSparseMatrix(grid, out_shape, list(blocks))
 
     def row_reduce(
         self, value_func: Callable[[np.ndarray], np.ndarray] | None = None

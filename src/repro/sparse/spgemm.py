@@ -7,12 +7,14 @@ once; a :class:`LocalCoo` remembers its order), A's CSC column pointers
 (:func:`column_pointers`, which the distributed layer builds once per A
 block) lay out all (A-entry, B-entry) pairs B-major with index arithmetic
 (no Python loop over nonzeros): B entry ``(k, c)`` meets the slice of A's
-column ``k``.  B is row-sorted, so every output cell receives its
-products in contraction-index order.  Each product's fused
-``row * ncols + col`` key is then ranked among the distinct keys --
-through a dense presence table when the block has few cells per product,
-``np.unique`` otherwise -- and that rank is the product's output slot;
-the products themselves are never sorted by coordinate.  A semiring with
+column ``k`` (:func:`join_extents`).  B lists each column's entries in row
+order -- row-sorted, or a run of the distributed layer's column phases --
+so every output cell receives its products in contraction-index order.
+Each product's fused ``row * ncols + col`` key is then ranked among the
+distinct keys -- through a dense presence table when the block has few
+cells per product, ``np.unique`` otherwise -- and that rank is the
+product's output slot; the products themselves are never sorted by
+coordinate.  A semiring with
 a ``slot_reduce`` (the seed semiring) reduces straight into the slots;
 any other forms its products with ``multiply`` and combines them with
 the segmented ``add_reduce`` behind one stable argsort of the slot ids.
@@ -38,7 +40,13 @@ from ..util import cumsum0 as _cumsum0, ragged_arange
 from .coo import LocalCoo, fused_key
 from .semiring import Semiring
 
-__all__ = ["spgemm_local", "spgemm_symbolic", "column_pointers", "column_key"]
+__all__ = [
+    "spgemm_local",
+    "spgemm_symbolic",
+    "column_pointers",
+    "column_key",
+    "join_extents",
+]
 
 
 def column_pointers(a: LocalCoo) -> np.ndarray:
@@ -58,10 +66,33 @@ def _upper_ends(a_key: np.ndarray, nrows: int, b: LocalCoo) -> np.ndarray:
     return np.searchsorted(a_key, b.rows * nrows + np.minimum(b.cols, nrows))
 
 
+def join_extents(
+    a: LocalCoo, b: LocalCoo, a_ptr: np.ndarray, a_key: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per B entry ``(k, c)``: the first column-sorted A entry it meets and
+    how many -- all of A's column ``k``, or with ``a_key`` (a strict-upper
+    join) the prefix of it with rows ``< c``."""
+    first = a_ptr[b.rows]
+    if a_key is None:
+        return first, a_ptr[b.rows + 1] - first
+    return first, _upper_ends(a_key, a.shape[0], b) - first
+
+
 #: slot ids come from a dense presence table while the output block has at
 #: most this many cells per product; past it, touching every cell costs more
 #: than ``np.unique``'s sort of the keys
 _DENSE_CELLS_PER_PRODUCT = 4
+
+#: a caller joining one A block against many column phases of B joins runs
+#: of whole phases forming at most this many products per call (a larger
+#: phase is a run of its own): few calls, and each join's working set stays
+#: cache-sized
+_PRODUCTS_PER_JOIN = 2**14
+
+#: B orders the join takes as they are: each lists every column's entries
+#: in row order, all the join needs (``"phase"``: a run of column phases,
+#: each row-sorted)
+_JOIN_B_ORDERS = ("row", "phase")
 
 
 def _output_slots(keys: np.ndarray, ncells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +172,11 @@ def spgemm_local(
     ----------
     a, b:
         Local blocks with ``a.shape[1] == b.shape[0]`` (local contraction
-        dimension must agree).
+        dimension must agree).  The join needs only that ``b`` list each
+        column's entries in row order: a ``b`` whose ``order`` is
+        ``"row"`` or ``"phase"`` (contiguous column phases, each
+        row-sorted) is joined as it is, any other is sorted by row first.
+        The product is the same either way.
     semiring:
         The multiply/add pair; if it defines ``valid_mask``, invalid
         products are dropped before reduction.
@@ -177,17 +212,16 @@ def spgemm_local(
         return LocalCoo.empty(out_shape, semiring.out_dtype), 0
 
     a = a.sorted_by("col")
-    b = b.sorted_by("row")
+    if b.order not in _JOIN_B_ORDERS:
+        b = b.sorted_by("row")
     a_ptr = column_pointers(a) if a_ptr is None else a_ptr
+    if strict_upper and a_key is None:
+        a_key = column_key(a)
     # B-major pointer join: B entry (k, c) meets A's column k (with
-    # strict_upper, the prefix of it with row < c).  B is row-sorted, so
-    # each output cell receives its products in k order
-    first = a_ptr[b.rows]
-    if strict_upper:
-        a_key = column_key(a) if a_key is None else a_key
-        count = _upper_ends(a_key, out_shape[0], b) - first
-    else:
-        count = a_ptr[b.rows + 1] - first
+    # strict_upper, the prefix of it with row < c).  Each B column's
+    # entries are in row order, so each output cell receives its products
+    # in k order
+    first, count = join_extents(a, b, a_ptr, a_key if strict_upper else None)
     a_take = ragged_arange(first, count)
     b_take = np.repeat(np.arange(b.nnz), count)
     flops = int(a_take.size)

@@ -5,10 +5,13 @@ sends and holds bit-identical.  These pins make that a tier-1 check
 instead of a hand-made before/after grid: the contigs
 (``contig_digest``), the modeled span tree (``Tracer.digest``), the
 modeled clock (``repr(modeled_total)``), the communication log length and
-the modeled memory peak of three runs that cover the three SpGEMM
-regimes -- the unphased diagonal-heavy multiply at P = 16, the banded DP
-aligner at P = 4, and a budgeted P = 16 multiply the planner cuts into
-several column phases.
+the modeled memory peak of five runs that cover the SpGEMM regimes -- the
+unphased diagonal-heavy multiply at P = 16, the banded DP aligner at
+P = 4, a budgeted P = 16 multiply the planner cuts into several column
+phases, the same input under ``memory_mode="low"`` (streamed merges) with
+a budget that phases both A . A^T and transitive reduction, and a bulk
+run whose transitive-reduction products (``dirmin`` with the diagonal
+excluded) are phased too.
 
 A change that alters the cost model on purpose updates the pinned values
 and says so in its description; any other difference is a regression.
@@ -40,6 +43,19 @@ RUNS = {
         LOWERR,
         dict(nprocs=16, k=21, xdrop=15, end_margin=25, memory_budget_mb=0.05),
     ),
+    "stream_budget_p16": (
+        dict(length=3_000),
+        LOWERR,
+        dict(
+            nprocs=16, k=21, xdrop=15, end_margin=25, memory_budget_mb=0.002,
+            memory_mode="low",
+        ),
+    ),
+    "tr_phased_p16": (
+        dict(length=3_000),
+        LOWERR,
+        dict(nprocs=16, k=21, xdrop=15, end_margin=25, memory_budget_mb=0.002),
+    ),
 }
 
 #: contig digest, trace digest, repr(modeled_total), len(world.log),
@@ -64,6 +80,20 @@ PINS = {
         "9cefc8b571b6ff27368b3e9daf4d5dd52326c08d923d1c2d4bf0e93054794a88",
         "0.002012424199999999",
         663,
+        50632.0,
+    ),
+    "stream_budget_p16": (
+        "cfcf677293b1e42a3662689ff960f23009258a2aaa9f30e589a210dad632b534",
+        "5dd44d71ec52114176030eaac319f7abec07c666e7b87d31cf98dcf9ea49fde5",
+        "0.0023729189333333307",
+        1143,
+        50207.0,
+    ),
+    "tr_phased_p16": (
+        "cfcf677293b1e42a3662689ff960f23009258a2aaa9f30e589a210dad632b534",
+        "781b9a8d367e8236052bf0477438ef7bc3641349aa38d5a06e8dce9a5210cf8e",
+        "0.002372675333333331",
+        1143,
         50632.0,
     ),
 }
@@ -93,11 +123,13 @@ def test_run_matches_its_pins(name):
     )
     assert got == PINS[name]
     assert result.contigs.contigs, "a pinned run must assemble something"
-    if name == "budget_p16":
+    if name not in ("diag_p16", "dp_p4"):
         assert result.counts["overlap_spgemm_phases"] > 1
+    if name in ("stream_budget_p16", "tr_phased_p16"):
+        assert result.counts["tr_spgemm_phases"] > 1
 
 
 def test_pinned_runs_differ():
-    """The three pins are three regimes, not one run thrice."""
+    """The pins are distinct regimes, not one run repeated."""
     assert len({pins[:3] for pins in PINS.values()}) == len(PINS)
     assert all(pins[3] > 0 for pins in PINS.values())

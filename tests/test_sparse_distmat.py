@@ -184,64 +184,83 @@ class TestSpgemm:
     def test_panels_are_sorted_once_not_per_rank_step(self, monkeypatch):
         """A phased SUMMA prepares each operand block once: P column sorts
         of A with P pointer builds, P (phase, row, col) sorts of B, and no
-        per-phase ``select``.  Every panel a rank step receives already is
-        in the order the local kernel joins on, with its A pointers."""
+        per-phase ``select``.  Each rank joins each stage once, against its
+        whole phase-sorted B block -- as runs of whole phases when the
+        product bound splits the stage -- with its A pointers, and no run
+        is re-sorted."""
         g = ProcGrid(SimWorld(16, zero_cost()))
         _, a = random_dist(g, 40, 40, density=0.3, seed=15)
         # 50 columns per grid column: most of the 32 phases own two
         _, b = random_dist(g, 40, 200, density=0.3, seed=16)
-        real_sorts, multiplies, pointer_builds, b_sorts, selects = [], [], [], [], []
         sorted_by, select = LocalCoo.sorted_by, LocalCoo.select
         spgemm_local, column_pointers = distmat.spgemm_local, distmat.column_pointers
-        phase_panels = distmat._phase_panels
+        phase_sorted = distmat._phase_sorted
+        want = dense_of(a.spgemm(b, arithmetic_semiring()))
 
-        def counting_sorted_by(self, order="row"):
-            real_sorts.append(self.order != order)
-            return sorted_by(self, order)
-
-        def counting_select(self, mask):
-            selects.append(mask)
-            return select(self, mask)
-
-        def counting_column_pointers(blk):
-            pointer_builds.append(blk)
-            return column_pointers(blk)
-
-        def counting_phase_panels(blk, phases):
-            b_sorts.append(phases)
-            return phase_panels(blk, phases)
-
-        def checking_spgemm_local(a_blk, b_blk, semiring, a_ptr=None, **triangle):
-            # the labels, and the entries really in that order
-            in_order = np.array_equal(
-                np.lexsort((a_blk.rows, a_blk.cols)), np.arange(a_blk.nnz)
-            ) and np.array_equal(
-                np.lexsort((b_blk.cols, b_blk.rows)), np.arange(b_blk.nnz)
+        for bound, runs_per_stage in ((2**62, 1), (1, None)):
+            real_sorts, multiplies, pointer_builds, b_sorts, selects = (
+                [], [], [], [], []
             )
-            multiplies.append(
-                (a_blk.order, b_blk.order, in_order, a_ptr is not None,
-                 triangle["strict_upper"])
-            )
-            return spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr, **triangle)
 
-        monkeypatch.setattr(LocalCoo, "sorted_by", counting_sorted_by)
-        monkeypatch.setattr(LocalCoo, "select", counting_select)
-        monkeypatch.setattr(distmat, "column_pointers", counting_column_pointers)
-        monkeypatch.setattr(spgemm_mod, "column_pointers", counting_column_pointers)
-        monkeypatch.setattr(distmat, "_phase_panels", counting_phase_panels)
-        monkeypatch.setattr(distmat, "spgemm_local", checking_spgemm_local)
-        phased = a.spgemm(b, arithmetic_semiring(), phases=32)
-        monkeypatch.undo()
+            def counting_sorted_by(self, order="row"):
+                real_sorts.append(self.order != order)
+                return sorted_by(self, order)
 
-        assert len(multiplies) == 32 * g.q * g.nprocs
-        assert set(multiplies) == {("col", "row", True, True, False)}
-        assert sum(real_sorts) == g.nprocs  # A by column
-        assert b_sorts == [32] * g.nprocs
-        assert len(pointer_builds) <= g.nprocs
-        assert not selects
-        assert np.array_equal(
-            dense_of(phased), dense_of(a.spgemm(b, arithmetic_semiring()))
-        )
+            def counting_select(self, mask):
+                selects.append(mask)
+                return select(self, mask)
+
+            def counting_column_pointers(blk):
+                pointer_builds.append(blk)
+                return column_pointers(blk)
+
+            def counting_phase_sorted(blk, phases):
+                b_sorts.append(phases)
+                return phase_sorted(blk, phases)
+
+            def checking_spgemm_local(a_blk, b_blk, semiring, a_ptr=None, **triangle):
+                # the labels, and the entries really in that order: A by
+                # (col, row), B by (phase, row, col) -- so each B column's
+                # entries in row order
+                phase = np.searchsorted(
+                    distmat._phase_lows(b_blk.shape[1], 32), b_blk.cols,
+                    side="right",
+                )
+                in_order = np.array_equal(
+                    np.lexsort((a_blk.rows, a_blk.cols)), np.arange(a_blk.nnz)
+                ) and np.array_equal(
+                    np.lexsort((b_blk.cols, b_blk.rows, phase)),
+                    np.arange(b_blk.nnz),
+                )
+                multiplies.append(
+                    (a_blk.order, in_order, a_ptr is not None,
+                     triangle["strict_upper"], len(np.unique(phase)))
+                )
+                return spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr, **triangle)
+
+            with monkeypatch.context() as m:
+                m.setattr(spgemm_mod, "_PRODUCTS_PER_JOIN", bound)
+                m.setattr(LocalCoo, "sorted_by", counting_sorted_by)
+                m.setattr(LocalCoo, "select", counting_select)
+                m.setattr(distmat, "column_pointers", counting_column_pointers)
+                m.setattr(spgemm_mod, "column_pointers", counting_column_pointers)
+                m.setattr(distmat, "_phase_sorted", counting_phase_sorted)
+                m.setattr(distmat, "spgemm_local", checking_spgemm_local)
+                phased = a.spgemm(b, arithmetic_semiring(), phases=32)
+
+            spans = max(m[-1] for m in multiplies)  # phases in one join
+            if runs_per_stage == 1:  # one join per rank and stage
+                assert len(multiplies) == g.q * g.nprocs
+                assert spans > 1
+            else:  # a bound of one product: a join per phase that forms any
+                assert g.q * g.nprocs < len(multiplies) <= 32 * g.q * g.nprocs
+                assert spans == 1
+            assert {m[:-1] for m in multiplies} == {("col", True, True, False)}
+            assert sum(real_sorts) == g.nprocs  # A by column
+            assert b_sorts == [32] * g.nprocs
+            assert len(pointer_builds) <= g.nprocs
+            assert not selects
+            assert np.array_equal(dense_of(phased), want)
 
     @pytest.mark.parametrize("merge_mode", ["bulk", "stream"])
     def test_phase_slices_equal_the_unphased_product(self, merge_mode):

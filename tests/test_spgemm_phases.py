@@ -18,8 +18,12 @@ The contracts under test (ISSUE 5):
 * the strict-upper ``A . A^T`` of ``detect_overlaps`` equals the full
   product pruned to ``r < c`` for every P, phase count, merge mode and
   ``min_shared``, its symbolic flops are the products it forms, and ranks
-  below the grid diagonal form none.
+  below the grid diagonal form none;
+* how a stage's joins are cut into runs of whole phases (the product
+  bound) changes nothing a run computes, charges, sends or holds.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -42,8 +46,10 @@ from repro.sparse import (
     spgemm_local,
     spgemm_symbolic,
 )
-from repro.sparse import distmat
+from repro.sparse import dirmin_semiring, distmat
+from repro.sparse import spgemm as spgemm_mod
 from repro.strgraph import transitive_reduction
+from repro.telemetry import Tracer, get_registry
 
 from tests.test_strgraph import build_R
 
@@ -547,41 +553,43 @@ class TestStrictUpper:
                     )
 
     def test_below_diagonal_ranks_form_no_products(self, overlap_reads, monkeypatch):
-        """Only ranks on or above the grid diagonal multiply -- the diagonal
-        ones joining column prefixes -- and each A block's key is built
-        once per SpGEMM, not per call."""
-        from repro.sparse import spgemm as spgemm_mod
-
+        """Only ranks on or above the grid diagonal join -- the diagonal
+        ones joining column prefixes -- once per stage whatever the phase
+        count, and each A block's key is built once per SpGEMM, not per
+        call."""
         A = kmer_matrix(overlap_reads, 16, executor="serial")
-        grid, q, phases = A.grid, A.grid.q, 3
-        calls, key_builds = [], []
+        grid, q = A.grid, A.grid.q
         column_key = distmat.column_key
+        # no run bound: a stage is one join however many products it forms
+        monkeypatch.setattr(spgemm_mod, "_PRODUCTS_PER_JOIN", 2**62)
+        for phases in (1, 3, 32):
+            calls, key_builds = [], []
 
-        def recording_spgemm_local(a_blk, b_blk, semiring, **kw):
-            part, flops = spgemm_local(a_blk, b_blk, semiring, **kw)
-            calls.append((kw["strict_upper"], flops))
-            return part, flops
+            def recording_spgemm_local(a_blk, b_blk, semiring, **kw):
+                part, flops = spgemm_local(a_blk, b_blk, semiring, **kw)
+                calls.append((kw["strict_upper"], flops))
+                return part, flops
 
-        def counting_column_key(blk):
-            key_builds.append(blk)
-            return column_key(blk)
+            def counting_column_key(blk):
+                key_builds.append(blk)
+                return column_key(blk)
 
-        monkeypatch.setattr(distmat, "spgemm_local", recording_spgemm_local)
-        monkeypatch.setattr(distmat, "column_key", counting_column_key)
-        monkeypatch.setattr(spgemm_mod, "column_key", counting_column_key)
-        C, _ = detect_overlaps(A, phases=phases)
-        monkeypatch.undo()
+            with monkeypatch.context() as m:
+                m.setattr(distmat, "spgemm_local", recording_spgemm_local)
+                m.setattr(distmat, "column_key", counting_column_key)
+                m.setattr(spgemm_mod, "column_key", counting_column_key)
+                C, _ = detect_overlaps(A, phases=phases)
 
-        # q(q + 1) / 2 ranks multiply per stage, q of them on the diagonal
-        assert len(calls) == phases * q * q * (q + 1) // 2
-        assert sum(strict for strict, _ in calls) == phases * q * q
-        assert len(key_builds) == grid.nprocs
-        for rank, blk in enumerate(C.blocks):
-            i, j = grid.coords_of(rank)
-            if i > j:
-                assert blk.nnz == 0, rank
-            elif i == j:  # neighbouring reads overlap on every diagonal block
-                assert blk.nnz > 0, rank
+            # q(q + 1) / 2 ranks join per stage, q of them on the diagonal
+            assert len(calls) == q * q * (q + 1) // 2, phases
+            assert sum(strict for strict, _ in calls) == q * q, phases
+            assert len(key_builds) == grid.nprocs, phases
+            for rank, blk in enumerate(C.blocks):
+                i, j = grid.coords_of(rank)
+                if i > j:
+                    assert blk.nnz == 0, rank
+                elif i == j:  # neighbouring reads overlap on every diagonal block
+                    assert blk.nnz > 0, rank
 
     def test_strict_plan_bounds_the_strict_run(self, overlap_reads):
         """A strict-upper plan counts only the triangle's products: on this
@@ -615,3 +623,105 @@ class TestStrictUpper:
         ):
             with pytest.raises(DistributionError, match="square"):
                 attempt()
+
+
+# ---------------------------------------------------------------------------
+# join runs: the product bound cuts a stage's joins, nothing else
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def chunking_operands(nprocs):
+    """The three product kinds of a run, on a throwaway world: the
+    strict-upper ``A . A^T`` over the seed semiring, transitive
+    reduction's ``dirmin`` square with the diagonal excluded, and a
+    rectangular arithmetic product."""
+    genome = make_genome(GenomeSpec(length=3000, seed=29))
+    A = kmer_matrix(tile_reads(genome, 200, 40, "alternate").reads, nprocs)
+    _, _, R = build_R(ProcGrid(SimWorld(nprocs, cori_haswell())), stride=100)
+    X = random_dist(A.grid, (41, 29), 0.2, seed=nprocs + 1)
+    Y = random_dist(A.grid, (29, 53), 0.25, seed=nprocs + 70)
+    return {
+        "seed": (A, A.transpose(), seed_semiring(), dict(strict_upper=True)),
+        "dirmin": (R, R, dirmin_semiring(), dict(exclude_diagonal=True)),
+        "arith": (X, Y, arithmetic_semiring(np.int64), {}),
+    }
+
+
+def bounded_run(monkeypatch, bound, nprocs, product, mode, phases, executor="serial"):
+    """One product under join-run bound ``bound``: its blocks, clocks, comm
+    log, every memory sample, peak, trace digest and local join count."""
+    a, b, sr, kw = chunking_operands(nprocs)[product]
+    world = SimWorld(nprocs, cori_haswell(), executor=executor)
+    grid = ProcGrid(world)
+    samples, observe = [], world.memory.observe
+
+    def recording_observe(rank, nbytes, stage="default"):
+        samples.append((rank, nbytes, stage))
+        observe(rank, nbytes, stage=stage)
+
+    monkeypatch.setattr(world.memory, "observe", recording_observe)
+    monkeypatch.setattr(spgemm_mod, "_PRODUCTS_PER_JOIN", bound)
+    tracer = Tracer().attach(world)
+    joins = get_registry().counter("sparse.local_joins")
+    before = joins.value
+    with world.stage_scope("Mult"):
+        C = DistSparseMatrix(grid, a.shape, a.blocks).spgemm(
+            DistSparseMatrix(grid, b.shape, b.blocks), sr,
+            merge_mode=mode, phases=phases, **kw,
+        )
+    return (
+        C, world_accounting(world), samples, world.memory.peak_overall(),
+        tracer.digest(), joins.value - before,
+    )
+
+
+def assert_runs_identical(x, y, ctx):
+    assert_blocks_identical(x[0], y[0], ctx)
+    assert_accounting_equal(x[1], y[1], ctx)
+    assert x[2:5] == y[2:5], ctx
+
+
+class TestJoinRuns:
+    @pytest.mark.parametrize("product", ["seed", "dirmin", "arith"])
+    @pytest.mark.parametrize("nprocs", [1, 4, 9, 16])
+    def test_run_bound_changes_nothing(self, monkeypatch, nprocs, product):
+        """A bound of one product (every run one phase) and none (every
+        run a whole stage) give the same blocks, per-rank clocks, memory
+        samples, peak, comm log and trace digest, for every phase count
+        and merge mode."""
+        for mode in ("bulk", "stream"):
+            for phases in (1, 3, 32):
+                ctx = (nprocs, product, mode, phases)
+                run = functools.partial(bounded_run, monkeypatch)
+                whole = run(2**62, nprocs, product, mode, phases)
+                one = run(1, nprocs, product, mode, phases)
+                assert_runs_identical(one, whole, ctx)
+                # one stage join per rank that multiplies; the bound only
+                # splits a phased stage
+                q = int(round(nprocs**0.5))
+                assert whole[5] == (
+                    q * q * (q + 1) // 2 if product == "seed" else nprocs * q
+                ), ctx
+                assert one[5] > whole[5] if phases > 1 else one[5] == whole[5], ctx
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_process_backend_matches_serial(self, monkeypatch, workers):
+        """Under the process backend, with P = 9 cut into 2 or 3 worker
+        chunks, both bounds reproduce the serial run of 3 phases exactly."""
+        from repro.mpi.procexec import ProcessExecutor
+
+        executor = ProcessExecutor(max_workers=workers)
+        try:
+            for product in ("seed", "dirmin", "arith"):
+                for mode in ("bulk", "stream"):
+                    want = bounded_run(monkeypatch, 2**62, 9, product, mode, 3)
+                    for bound in (1, 2**62):
+                        got = bounded_run(
+                            monkeypatch, bound, 9, product, mode, 3,
+                            executor=executor,
+                        )
+                        ctx = (workers, bound, product, mode)
+                        assert_runs_identical(got, want, ctx)
+        finally:
+            executor.shutdown()

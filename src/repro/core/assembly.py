@@ -1,8 +1,11 @@
 """Local contig assembly: the depth-first linear walk of §4.4.
 
 Each rank holds one or more linear components in a local matrix plus the
-read sequences behind them.  The matrix is converted DCSC -> CSC (only the
-column pointers uncompress; row indices and values are shared), then:
+read sequences behind them.  ELBA uncompresses its DCSC blocks into CSC for
+this walk; here the induced block is a :class:`~repro.sparse.LocalCoo`, so
+its CSC is the column-sorted view (``IR`` / ``VAL``) plus the column
+pointers ``JC`` of :func:`~repro.sparse.spgemm.column_pointers`
+(:func:`local_csc`, shared with the batch engine).  Then:
 
 * scan all vertices for unvisited **root vertices** (degree 1, via
   ``JC[i+1] - JC[i]``);
@@ -29,11 +32,12 @@ import numpy as np
 from ..errors import AssemblyError
 from ..seq import dna
 from ..seq.readstore import PackedReads
-from ..sparse.dcsc import Dcsc
+from ..sparse.coo import LocalCoo
+from ..sparse.spgemm import column_pointers
 from ..strgraph.edgecodec import dst_end_bit, src_end_bit
 from .induced import InducedGraph
 
-__all__ = ["Contig", "LocalAssemblyResult", "local_assembly"]
+__all__ = ["Contig", "LocalAssemblyResult", "local_assembly", "local_csc"]
 
 
 @dataclass
@@ -93,18 +97,51 @@ def _contribution(
     return dna.revcomp(codes[stop : start + 1])
 
 
-def _edge_payload(csc, u: int, v: int):
+def local_csc(coo: LocalCoo) -> tuple[LocalCoo, np.ndarray, LocalCoo]:
+    """The §4.4 CSC of a local block, checked for the walk.
+
+    Returns ``(csc, jc, by_row)``: the column-sorted view, whose ``rows`` /
+    ``vals`` are the paper's ``IR`` / ``VAL``; its column pointers ``JC``
+    (vertex ``i``'s degree is ``jc[i + 1] - jc[i]``); and the row-sorted
+    view, whose row ``u`` holds the payloads of ``u``'s out-edges.  Raises
+    :class:`AssemblyError` on a vertex of degree > 2 or on a pattern that
+    is not symmetric.
+    """
+    csc = coo.sorted_by("col")
+    jc = column_pointers(csc)
+    degrees = np.diff(jc)
+    if degrees.size and degrees.max() > 2:
+        raise AssemblyError(
+            f"local graph has a vertex of degree {int(degrees.max())}; "
+            "branch removal must run first"
+        )
+    by_row = coo.sorted_by("row")
+    # the walk reads neighbors from column u but payloads from row u: both
+    # views agree only on a pattern-symmetric matrix.  With matching
+    # degrees, per-vertex neighbor lists (both ascending) must be equal:
+    # the row-major flat cols against the col-major flat rows.
+    if not (
+        np.array_equal(np.bincount(by_row.rows, minlength=degrees.size), degrees)
+        and np.array_equal(by_row.cols, csc.rows)
+    ):
+        raise AssemblyError(
+            "local matrix pattern is not symmetric: every edge needs its "
+            "mirror for the walk"
+        )
+    return csc, jc, by_row
+
+
+def _edge_payload(csc: LocalCoo, jc: np.ndarray, u: int, v: int):
     """Payload of directed edge (u, v): row u within column v's slice."""
-    lo, hi = csc.jc[v], csc.jc[v + 1]
-    rows = csc.ir[lo:hi]
-    hit = np.flatnonzero(rows == u)
+    lo, hi = jc[v], jc[v + 1]
+    hit = np.flatnonzero(csc.rows[lo:hi] == u)
     if hit.size != 1:
         raise AssemblyError(f"edge ({u}, {v}) not found in local matrix")
-    return csc.val[lo + int(hit[0])]
+    return csc.vals[lo + int(hit[0])]
 
 
 def _walk(
-    csc, start: int, visited: np.ndarray, first_neighbor: int | None = None
+    csc: LocalCoo, jc: np.ndarray, start: int, visited: np.ndarray
 ) -> tuple[list[int], list, bool]:
     """Follow the chain from ``start``; returns (vertices, edges, truncated).
 
@@ -119,14 +156,14 @@ def _walk(
     prev = -1
     entered_bit: int | None = None  # end bit through which cur was entered
     while True:
-        neighbors = csc.slice_indices(cur)
+        neighbors = csc.rows[jc[cur] : jc[cur + 1]]
         nxt = -1
         payload = None
         for cand in neighbors:
             cand = int(cand)
             if cand == prev or visited[cand]:
                 continue
-            rec = _edge_payload(csc, cur, cand)
+            rec = _edge_payload(csc, jc, cur, cand)
             if entered_bit is not None and src_end_bit(int(rec["dir"])) == entered_bit:
                 # would exit through the end we entered: not a valid walk
                 continue
@@ -134,7 +171,8 @@ def _walk(
             break
         if nxt < 0:
             # end of chain: root reached, or truncated mid-path
-            truncated = csc.degree(cur) == 2 and entered_bit is not None and any(
+            degree = jc[cur + 1] - jc[cur]
+            truncated = degree == 2 and entered_bit is not None and any(
                 not visited[int(c)] for c in neighbors
             )
             return path, edges, truncated
@@ -240,17 +278,9 @@ def local_assembly(
             kernel_tier=kernel_tier, span=span,
         )
     result = LocalAssemblyResult()
-    nv = graph.n_vertices
-    if nv == 0:
-        return result
-    csc = Dcsc.from_coo(graph.coo).to_csc()
-    degrees = csc.degrees()
-    if degrees.size and degrees.max() > 2:
-        raise AssemblyError(
-            f"local graph has a vertex of degree {int(degrees.max())}; "
-            "branch removal must run first"
-        )
-    visited = np.zeros(nv, dtype=bool)
+    csc, jc, _by_row = local_csc(graph.coo)
+    degrees = np.diff(jc)
+    visited = np.zeros(graph.n_vertices, dtype=bool)
 
     # pass 1: linear chains from root vertices
     roots = np.flatnonzero(degrees == 1)
@@ -259,14 +289,14 @@ def local_assembly(
         if visited[root]:
             continue
         result.n_roots += 1
-        path, edges, truncated = _walk(csc, root, visited)
+        path, edges, truncated = _walk(csc, jc, root, visited)
         if edges:
             result.contigs.append(
                 _concatenate(graph, reads, path, edges, False, truncated)
             )
 
     # isolated vertices are not contigs ("at least two sequences")
-    result.n_singletons = int(((degrees == 0)).sum())
+    result.n_singletons = int((degrees == 0).sum())
     visited |= degrees == 0
 
     # pass 2: cycles (no root vertex) -- optional extension
@@ -278,9 +308,9 @@ def local_assembly(
         result.n_cycles += 1
         if not emit_cycles:
             # mark the whole cycle visited and skip it, as the paper does
-            path, _edges, _ = _walk(csc, vertex, visited)
+            path, _edges, _ = _walk(csc, jc, vertex, visited)
             continue
-        path, edges, _ = _walk(csc, vertex, visited)
+        path, edges, _ = _walk(csc, jc, vertex, visited)
         if edges:
             contig = _concatenate(graph, reads, path, edges, True, False)
             contig.circular = True

@@ -6,10 +6,12 @@ candidate step and slicing one read piece per vertex -- the same per-element
 Python shape the batched alignment engine (``repro.align.batch``) removed
 from the overlap stage.  This module runs the whole stage on arrays:
 
-* **Edge tables** -- the local degree-<=2 matrix is flattened once into
-  per-vertex slot tables (``nbr``/``dir``/``pre``/``post``, two slots per
-  vertex, ``-1``-padded), so a walk step is a pair of gathers instead of a
-  column re-scan per candidate.
+* **Edge tables** -- the induced block's row-sorted view is flattened once
+  into per-vertex slot tables (``nbr``/``dir``/``pre``/``post``, two slots
+  per vertex, ``-1``-padded), so a walk step is a pair of gathers instead
+  of a column re-scan per candidate.  The degrees and the symmetry check
+  come from the same column-pointer CSC the scalar walks
+  (:func:`~repro.core.assembly.local_csc`).
 * **Component labels** -- a vectorized min-label hook/shortcut loop (the
   local, shared-memory analogue of the LACC rounds in
   :mod:`~repro.core.ccomp`) groups vertices into chains and cycles.
@@ -37,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import AssemblyError
 from ..kernels import native_kernels, resolve_kernel_tier
 from ..seq.readstore import PackedReads
-from ..sparse.dcsc import Dcsc
+from ..sparse.coo import LocalCoo
 from ..util import cumsum0, gather_pieces
+from .assembly import Contig, LocalAssemblyResult, local_csc
 from .induced import InducedGraph
 
 __all__ = [
@@ -69,47 +71,30 @@ class VertexEdgeTable:
     degrees: np.ndarray
 
 
-def build_edge_table(csc, degrees: np.ndarray) -> VertexEdgeTable:
-    """Flatten a CSC block into per-vertex out-edge slot tables.
+def build_edge_table(coo: LocalCoo) -> VertexEdgeTable:
+    """Flatten a local degree-<=2 block into per-vertex out-edge slot tables.
 
     The payload of directed edge ``(u, v)`` lives at row ``u`` of column
     ``v`` (exactly what the scalar ``_edge_payload`` looks up), so the
-    out-edges of ``u`` are the entries whose *row* is ``u``.
+    out-edges of ``u`` are row ``u`` of the row-sorted view, in slot
+    order.  :func:`~repro.core.assembly.local_csc` checks the degrees and
+    the pattern symmetry; on a symmetric pattern row ``u`` starts at
+    ``jc[u]``.
     """
-    nv = csc.shape[1]
-    rows = csc.ir
-    cols = np.repeat(np.arange(nv, dtype=np.int64), np.diff(csc.jc))
-    # CSC is already (col, row)-sorted, so a stable sort by row alone
-    # yields (row, col) order
-    order = np.argsort(rows, kind="stable")
-    srows, scols, svals = rows[order], cols[order], csc.val[order]
-    outdeg = np.bincount(srows, minlength=nv) if rows.size else np.zeros(
-        nv, dtype=np.int64
-    )
-    # the walk reads neighbors from column u but payloads from row u: both
-    # views agree only on a pattern-symmetric matrix.  With matching
-    # degrees, per-vertex neighbor lists (both ascending) must be equal:
-    # the row-major flat cols against the col-major flat rows.
-    if not (
-        np.array_equal(outdeg, np.diff(csc.jc))
-        and np.array_equal(scols, rows)
-    ):
-        raise AssemblyError(
-            "local matrix pattern is not symmetric: every edge needs its "
-            "mirror for the walk"
-        )
-    slot = np.arange(srows.size, dtype=np.int64) - cumsum0(outdeg)[srows]
+    _csc, jc, by_row = local_csc(coo)
+    nv = jc.size - 1
+    srows, svals = by_row.rows, by_row.vals
+    slot = np.arange(srows.size, dtype=np.int64) - jc[srows]
     nbr = np.full((nv, 2), -1, dtype=np.int64)
     edir = np.zeros((nv, 2), dtype=np.int64)
     epre = np.zeros((nv, 2), dtype=np.int64)
     epost = np.zeros((nv, 2), dtype=np.int64)
-    nbr[srows, slot] = scols
+    nbr[srows, slot] = by_row.cols
     edir[srows, slot] = svals["dir"].astype(np.int64)
     epre[srows, slot] = svals["pre"].astype(np.int64)
     epost[srows, slot] = svals["post"].astype(np.int64)
     return VertexEdgeTable(
-        nbr=nbr, dir=edir, pre=epre, post=epost,
-        degrees=np.asarray(degrees, dtype=np.int64),
+        nbr=nbr, dir=edir, pre=epre, post=epost, degrees=np.diff(jc),
     )
 
 
@@ -354,8 +339,6 @@ def _concatenate_batch(
     circular: bool,
 ):
     """Batched ``_concatenate``: every walk's contig in one strided gather."""
-    from .assembly import Contig
-
     W = walks.count
     if W == 0:
         return []
@@ -445,8 +428,6 @@ def local_assembly_batch(
     resolves via :func:`repro.kernels.resolve_kernel_tier`); ``span``, when
     given, wraps each advance round in ``span("<tier>:walk")``.
     """
-    from .assembly import LocalAssemblyResult
-
     tier = resolve_kernel_tier(kernel_tier)
 
     def _walk(tables, visited, starts):
@@ -456,20 +437,11 @@ def local_assembly_batch(
         return _lockstep_walk(tables, visited, starts, kernel_tier=tier)
 
     result = LocalAssemblyResult()
-    nv = graph.n_vertices
-    if nv == 0:
-        return result
-    csc = Dcsc.from_coo(graph.coo).to_csc()
-    degrees = csc.degrees()
-    if degrees.size and degrees.max() > 2:
-        raise AssemblyError(
-            f"local graph has a vertex of degree {int(degrees.max())}; "
-            "branch removal must run first"
-        )
-    table = build_edge_table(csc, degrees)
-    labels = component_labels(table.nbr, nv)
+    table = build_edge_table(graph.coo)
+    degrees = table.degrees
+    labels = component_labels(table.nbr, graph.n_vertices)
     walk_tables = _WalkTables(table)
-    visited = np.zeros(nv, dtype=bool)
+    visited = np.zeros(graph.n_vertices, dtype=bool)
 
     # pass 1: linear chains, peeled from every root at once.  Each round
     # starts at the smallest unvisited root per component (components have

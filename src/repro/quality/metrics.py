@@ -80,10 +80,10 @@ class QualityReport:
         )
 
 
-def _unique_anchor_index(ref: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted k-mer values occurring exactly once in the reference, with
-    their positions."""
-    kmers = encode_kmers(ref, k)
+def _unique_anchor_index(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted k-mer values occurring exactly once in ``codes`` (a reference
+    or a contig), with their positions."""
+    kmers = encode_kmers(codes, k)
     values, first_pos, counts = np.unique(
         kmers, return_index=True, return_counts=True
     )

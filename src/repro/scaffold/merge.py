@@ -249,7 +249,8 @@ def _bridge_candidates(
     contig dovetails with them -- and multiple survivors on one contig end
     would create a branch vertex that masking cuts right back out.
     """
-    from .polish import _anchor_hits, _unique_anchor_index
+    from ..quality.metrics import _unique_anchor_index
+    from .polish import _anchor_hits
 
     indexes = [_unique_anchor_index(c, k) for c in contig_seqs]
     bridges: list[tuple[int, tuple, np.ndarray]] = []

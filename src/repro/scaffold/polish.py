@@ -28,6 +28,7 @@ import numpy as np
 from ..core.assembly import Contig
 from ..errors import PipelineError
 from ..kmer.codec import encode_kmers, revcomp_kmers
+from ..quality.metrics import _unique_anchor_index
 from ..seq import dna
 from ..util import sorted_lookup
 
@@ -98,16 +99,6 @@ class PolishResult:
     @property
     def total_reads_used(self) -> int:
         return sum(s.reads_used for s in self.stats)
-
-
-def _unique_anchor_index(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted k-mers occurring exactly once in ``codes``, with positions."""
-    kmers = encode_kmers(codes, k)
-    values, first_pos, counts = np.unique(
-        kmers, return_index=True, return_counts=True
-    )
-    unique = counts == 1
-    return values[unique], first_pos[unique].astype(np.int64)
 
 
 def _anchor_hits(

@@ -1,14 +1,14 @@
 """Distributed sparse linear algebra with semirings (CombBLAS equivalent).
 
-Local formats (:class:`LocalCoo`, :class:`LocalCsc`, :class:`Dcsc`) carry
-arbitrary structured payloads; :class:`DistSparseMatrix` and
-:class:`DistVector` distribute them over the sqrt(P) x sqrt(P) grid with
-SUMMA SpGEMM, apply/prune, reductions and owner-computes vector gathers.
+The one local format, :class:`LocalCoo`, carries arbitrary structured
+payloads; its column-sorted view plus :func:`column_pointers` is the CSC
+that the SUMMA join and the §4.4 local assembly walk.
+:class:`DistSparseMatrix` and :class:`DistVector` distribute blocks over
+the sqrt(P) x sqrt(P) grid with SUMMA SpGEMM, apply/prune, reductions and
+owner-computes vector gathers.
 """
 
 from .coo import LocalCoo, segment_starts
-from .csr import LocalCsc
-from .dcsc import Dcsc
 from .distmat import DistSparseMatrix, SpgemmPlan
 from .distvec import DistVector
 from .semiring import (
@@ -31,8 +31,6 @@ from .types import (
 
 __all__ = [
     "LocalCoo",
-    "LocalCsc",
-    "Dcsc",
     "DistSparseMatrix",
     "SpgemmPlan",
     "DistVector",

@@ -2,9 +2,10 @@
 
 ``scipy.sparse`` only supports numeric dtypes, so the library carries its own
 minimal COO type: three parallel arrays (row, col, val) plus a shape.  This
-is the interchange format between the distributed layer, the SpGEMM kernel,
-and the compressed formats of :mod:`repro.sparse.csr` /
-:mod:`repro.sparse.dcsc`.
+is the one local format: the distributed layer, the SpGEMM kernel and the
+local assembly all hold blocks as ``LocalCoo``, and a compressed column
+view is ``sorted_by("col")`` plus
+:func:`~repro.sparse.spgemm.column_pointers`.
 
 All operations are NumPy-vectorized; nothing here loops per-nonzero.  Every
 sort by a pair of coordinates is one stable argsort of one fused int64 key

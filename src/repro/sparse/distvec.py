@@ -15,6 +15,7 @@ values) and no reply.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,8 +118,12 @@ class DistVector:
         present = [x for x in locals_ if x is not None]
         if not present:
             raise DistributionError("reduce over an empty vector")
-        padded = [x if x is not None else present[0] for x in locals_]
-        return world.comm.allreduce(padded, combine)
+        # every rank takes part in the one allreduce, an empty rank sending
+        # a stand-in the size of the first held value (the charge); only
+        # held values enter the combine
+        stand_ins = [present[0] if x is None else x for x in locals_]
+        world.comm.allreduce(stand_ins, lambda a, _b: a)
+        return functools.reduce(combine, present)
 
     def select_global_indices(self, pred: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
         """Per-rank global indices where ``pred(block)`` holds.

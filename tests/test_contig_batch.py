@@ -14,7 +14,11 @@ import pytest
 
 import test_core_assembly as fixtures
 from repro.core import InducedGraph, local_assembly
-from repro.core.batch import component_labels, local_assembly_batch
+from repro.core.batch import (
+    build_edge_table,
+    component_labels,
+    local_assembly_batch,
+)
 from repro.errors import AssemblyError
 from repro.seq import PackedReads, dna
 from repro.sparse import LocalCoo
@@ -192,19 +196,26 @@ class TestBatchEqualsScalar:
             local_assembly_batch(graph, packed)
 
     def test_asymmetric_pattern_rejected(self):
-        """A directed edge without its mirror cannot be walked."""
-        rows = np.array([0])
-        cols = np.array([1])
-        vals = np.zeros(1, dtype=OVERLAP_DTYPE)
-        graph = InducedGraph(
-            coo=LocalCoo((2, 2), rows, cols, vals),
-            global_ids=np.arange(2),
-        )
-        packed = PackedReads.from_codes(
-            [dna.encode("ACGT"), dna.encode("ACGT")], np.arange(2)
-        )
-        with pytest.raises(AssemblyError):
-            local_assembly_batch(graph, packed)
+        """A directed edge without its mirror cannot be walked.
+
+        The second input is a directed 3-cycle ``0->1->2->0``: every
+        vertex has one in- and one out-edge, so only the neighbor-list
+        comparison can reject it.
+        """
+        for rows, cols in (([0], [1]), ([0, 1, 2], [1, 2, 0])):
+            n = max(rows + cols) + 1
+            vals = np.zeros(len(rows), dtype=OVERLAP_DTYPE)
+            graph = InducedGraph(
+                coo=LocalCoo((n, n), np.array(rows), np.array(cols), vals),
+                global_ids=np.arange(n),
+            )
+            packed = PackedReads.from_codes(
+                [dna.encode("ACGT")] * n, np.arange(n)
+            )
+            with pytest.raises(AssemblyError, match="not symmetric"):
+                local_assembly_batch(graph, packed)
+            with pytest.raises(AssemblyError, match="not symmetric"):
+                local_assembly(graph, packed, engine="scalar")
 
     def test_unknown_engine_raises(self):
         genome, graph, packed = fixtures.chain_fixture(n_reads=3)
@@ -212,21 +223,44 @@ class TestBatchEqualsScalar:
             local_assembly(graph, packed, engine="simd")
 
 
+class TestEdgeTable:
+    def test_slots_match_coo_triples(self):
+        """Slot ``s`` of vertex ``u`` is ``u``'s ``s``-th out-edge by
+        ascending neighbor, read straight off the COO triples."""
+        for seed in range(6):
+            graph, _packed = random_degree2_graph(
+                np.random.default_rng(seed), n_components=12
+            )
+            coo = graph.coo
+            table = build_edge_table(coo)
+            for u in range(graph.n_vertices):
+                out = np.flatnonzero(coo.rows == u)
+                out = out[np.argsort(coo.cols[out])]
+                assert table.degrees[u] == out.size
+                for s in range(2):
+                    if s < out.size:
+                        e = out[s]
+                        want = (
+                            coo.cols[e], coo.vals["dir"][e],
+                            coo.vals["pre"][e], coo.vals["post"][e],
+                        )
+                    else:
+                        want = (-1, 0, 0, 0)
+                    got = (
+                        table.nbr[u, s], table.dir[u, s],
+                        table.pre[u, s], table.post[u, s],
+                    )
+                    assert got == want, (seed, u, s)
+
+
 class TestComponentLabels:
     def test_paths_and_cycles(self):
         rng = np.random.default_rng(9)
         graph, _packed = random_degree2_graph(rng, n_components=15)
-        from repro.core.batch import build_edge_table
-        from repro.sparse.dcsc import Dcsc
-
-        csc = Dcsc.from_coo(graph.coo).to_csc()
-        table = build_edge_table(csc, csc.degrees())
+        table = build_edge_table(graph.coo)
         labels = component_labels(table.nbr, graph.n_vertices)
         # labels constant along every edge, and equal to the component min
-        cols = np.repeat(
-            np.arange(graph.n_vertices, dtype=np.int64), np.diff(csc.jc)
-        )
-        assert np.array_equal(labels[csc.ir], labels[cols])
+        assert np.array_equal(labels[graph.coo.rows], labels[graph.coo.cols])
         for lab in np.unique(labels):
             members = np.flatnonzero(labels == lab)
             assert lab == members.min()

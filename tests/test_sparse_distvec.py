@@ -51,6 +51,13 @@ class TestMapReduceSelect:
         total = v.reduce(lambda b: int(b.sum()), lambda a, b: a + b)
         assert total == 45
 
+    def test_reduce_skips_empty_ranks(self):
+        """At P = 16 a 5-element vector leaves 11 ranks empty: they take
+        part in the allreduce but must not enter the combine."""
+        v = DistVector.from_global(ProcGrid(SimWorld(16)), np.arange(1, 6))
+        assert v.reduce(lambda b: int(b.sum()), lambda a, b: a + b) == 15
+        assert v.reduce(lambda b: int(b.max()), max) == 5
+
     def test_select_global_indices(self, grid4):
         arr = np.array([0, 5, 1, 7, 2, 9, 3, 8, 4, 6])
         v = DistVector.from_global(grid4, arr)

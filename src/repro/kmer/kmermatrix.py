@@ -57,10 +57,12 @@ def build_kmer_matrix(reads: DistReadStore, table: KmerTable) -> DistSparseMatri
         per_rank.append((shard.ids[read[keep]], col_ids[r][keep], vals))
         world.charge_compute(r, keep.size)
 
+    # column-sorted, the order overlap detection's SpGEMM joins A in
     return DistSparseMatrix.from_rank_triples(
         grid,
         (reads.nreads, table.total),
         per_rank,
         add_reduce=_keep_first,
         dtype=KMER_POS_DTYPE,
+        order="col",
     )

@@ -38,8 +38,9 @@ def detect_overlaps(
     kernel, so this is where the paper's §7 memory-reduction plan bites.
     """
     semiring = seed_semiring()
-    # sorted by column once, before the transpose: A^T then arrives
-    # row-sorted, so neither operand is sorted again inside the SpGEMM
+    # sorted by column (as ``build_kmer_matrix`` assembles it) before the
+    # transpose: A^T then arrives row-sorted, so neither operand is sorted
+    # again inside the SpGEMM
     A = DistSparseMatrix(
         A.grid, A.shape, [blk.sorted_by("col") for blk in A.blocks]
     )

@@ -89,9 +89,6 @@ class LocalCoo:
         The caller's promise that the entries already are as
         ``sorted_by(order)`` would leave them (``"row"``, ``"col"`` or
         ``None`` for unknown); it is what lets ``sorted_by`` skip the sort.
-        ``"phase"`` promises a stable sort by (column phase, row, col)
-        for contiguous column phases: each column's entries are in row
-        order, as the local SpGEMM joins B (``sorted_by`` sorts it).
     """
 
     __slots__ = ("shape", "rows", "cols", "vals", "order")
@@ -157,6 +154,15 @@ class LocalCoo:
         """Live bytes of the triple arrays (the modeled working-set unit)."""
         return int(self.rows.nbytes + self.cols.nbytes + self.vals.nbytes)
 
+    def slice(self, lo: int, hi: int, order: str | None = None) -> "LocalCoo":
+        """Entries ``lo:hi`` as views, promised to be in ``order``.  A range
+        of a valid block is valid, so it skips the constructor's checks."""
+        part = object.__new__(LocalCoo)
+        part.shape, part.order = self.shape, order
+        part.rows, part.cols = self.rows[lo:hi], self.cols[lo:hi]
+        part.vals = self.vals[lo:hi]
+        return part
+
     def copy(self) -> "LocalCoo":
         return LocalCoo(
             self.shape, self.rows.copy(), self.cols.copy(), self.vals.copy(),
@@ -173,43 +179,51 @@ class LocalCoo:
             order=flipped,
         )
 
+    def _order_key(self, order: str) -> np.ndarray:
+        """The fused key sorting entries row-major (``"row"``) or
+        col-major (``"col"``)."""
+        nr, nc = self.shape
+        if order == "row":
+            return fused_key(self.rows, self.cols, nc)
+        if order == "col":
+            return fused_key(self.cols, self.rows, nr)
+        raise ValueError(f"order must be 'row' or 'col', got {order!r}")
+
     def sorted_by(self, order: str = "row") -> "LocalCoo":
         """Sorted row-major (``"row"``) or col-major (``"col"``): a sorted
         copy, or ``self`` when it is known to be in that order already."""
         if order == self.order:
             return self
-        nr, nc = self.shape
-        if order == "row":
-            key = fused_key(self.rows, self.cols, nc)
-        elif order == "col":
-            key = fused_key(self.cols, self.rows, nr)
-        else:
-            raise ValueError(f"order must be 'row' or 'col', got {order!r}")
-        perm = np.argsort(key, kind="stable")
+        perm = np.argsort(self._order_key(order), kind="stable")
         return LocalCoo(
             self.shape, self.rows[perm], self.cols[perm], self.vals[perm],
             order=order,
         )
 
     def deduped(
-        self, add_reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
+        self,
+        add_reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        order: str = "row",
     ) -> "LocalCoo":
-        """Combine duplicate coordinates with a segmented semiring add.
+        """Combine duplicate coordinates with a segmented semiring add,
+        leaving the block sorted row-major (``"row"``) or col-major
+        (``"col"``).
 
         ``add_reduce(vals_sorted, seg_starts)`` must return one value per
         segment of equal coordinates; the sort is stable, so a segment's
-        values arrive in input order.
+        values arrive in input order -- the same segments, in the same
+        order, whichever ``order`` sorts them.
         """
         if self.nnz == 0:
             return self
-        keys = fused_key(self.rows, self.cols, self.shape[1])
+        keys = self._order_key(order)
         perm = np.argsort(keys, kind="stable")
         r, c, v = self.rows[perm], self.cols[perm], self.vals[perm]
         starts = segment_starts(keys[perm])
         if starts.size == r.size:  # already duplicate-free
-            return LocalCoo(self.shape, r, c, v, order="row")
+            return LocalCoo(self.shape, r, c, v, order=order)
         return LocalCoo(
-            self.shape, r[starts], c[starts], add_reduce(v, starts), order="row"
+            self.shape, r[starts], c[starts], add_reduce(v, starts), order=order
         )
 
     def select(self, mask: np.ndarray) -> "LocalCoo":

@@ -14,10 +14,12 @@ pattern the real library uses, charged to the cost model):
   :meth:`SimComm.route <repro.mpi.comm.SimComm.route>` plan sends every
   locally produced triple to its block owner;
 * :meth:`DistSparseMatrix.spgemm` -- SUMMA: sqrt(P) stages of row/column
-  broadcasts followed by local semiring multiplies, which join through
-  column pointers built once per A block and per multiplication; column
-  phases shape the modeled schedule, while the host joins each stage
-  once; with ``strict_upper`` (``A . A^T``, whose pairs are unordered)
+  broadcasts followed by local semiring multiplies.  The stages and any
+  column phases exist in the cost model only: each rank forms its whole
+  product in one step, joining its A row panel (the grid row's blocks
+  side by side, with column pointers built once) against its B column
+  panel (the grid column's blocks stacked) in runs of whole output
+  columns; with ``strict_upper`` (``A . A^T``, whose pairs are unordered)
   only the strict upper triangle is formed: ranks below the grid
   diagonal multiply nothing and diagonal ranks join a prefix of each A
   column;
@@ -35,14 +37,12 @@ pattern the real library uses, charged to the cost model):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import DistributionError
-from ..mpi.comm import block_range, block_sizes
+from ..mpi.comm import block_sizes
 from ..mpi.grid import ProcGrid
 from ..mpi.memory import MemoryBudget
 from ..telemetry.metrics import get_registry
@@ -54,8 +54,7 @@ from .spgemm import (
     column_key,
     column_pointers,
     join_extents,
-    spgemm_local,
-    spgemm_symbolic,
+    spgemm_run,
 )
 from .distvec import DistVector
 
@@ -74,10 +73,13 @@ def _entry_nbytes(dtype) -> int:
 class SpgemmPlan:
     """A memory-budgeted execution plan for one distributed SpGEMM.
 
-    The planner runs the *symbolic* SpGEMM (:func:`spgemm_symbolic` summed
-    over SUMMA stages, per rank) to bound every output column's flops and
-    nonzeros without forming a value, then picks the smallest phase count
-    ``b`` whose estimated peak per-rank working set
+    The planner runs the *symbolic* SpGEMM -- one :func:`join_extents`
+    pass per multiplying rank over the panels the multiplication joins,
+    bounded stage by stage as :func:`spgemm_symbolic` bounds one stage's
+    blocks -- to bound every output column's flops and nonzeros without
+    forming a value, then picks the smallest phase count ``b`` (every
+    phase of a candidate estimated at once) whose estimated peak per-rank
+    working set
 
     ``max over phases of (A panel + B phase sub-panel + phase partial
     upper bound + finished output so far)``
@@ -136,62 +138,79 @@ class SpgemmPlan:
         b_entry = _entry_nbytes(b.dtype)
         scale = world.machine.volume_scale
 
-        # per-rank symbolic column profiles, summed over the q SUMMA stages,
-        # from each block's column counts (read once, not once per stage)
-        a_counts = [blk.col_counts() for blk in a.blocks]
-        b_counts = [blk.col_counts() for blk in b.blocks]
-        per_rank = []
-        sym_ops = []
-        out_bounds = grid.block_bounds((a.shape[0], b.shape[1]))
-        for rank, (rlo, rhi, clo, chi) in enumerate(out_bounds):
-            i, j = grid.coords_of(rank)
-            a_ranks = [grid.rank_of(i, s) for s in range(q)]
-            b_ranks = [grid.rank_of(s, j) for s in range(q)]
-            below = strict_upper and i > j  # multiplies nothing
-            partial_ub = np.zeros(chi - clo, dtype=np.int64)
-            # each A block meets one diagonal rank, so its (col, row) key
-            # is built once per plan
-            for ar, br in [] if below else zip(a_ranks, b_ranks):
-                partial_ub += spgemm_symbolic(
-                    a.blocks[ar], b.blocks[br], a_counts[ar],
-                    strict_upper=strict_upper and i == j,
-                )[1]
-            out_ub = np.minimum(partial_ub, rhi - rlo)
-            cum_counts = np.zeros((q, chi - clo + 1), dtype=np.int64)
-            np.cumsum([b_counts[br] for br in b_ranks], axis=1, out=cum_counts[:, 1:])
-            a_panel = max(a.blocks[ar].nbytes for ar in a_ranks)
-            per_rank.append((a_panel, cumsum0(partial_ub), cumsum0(out_ub), cum_counts))
-            sym_ops.append(
-                0
-                if below
-                else sum(a.blocks[ar].nnz for ar in a_ranks)
-                + sum(b.blocks[br].nnz for br in b_ranks)
+        # per-rank symbolic column profiles, stage by stage, from one join
+        # over each multiplying rank's panels, built once per grid row and
+        # column as the multiplication builds them (a prefix join needs A
+        # sorted by column; a whole-column count only its pointers)
+        a_blocks = a.blocks
+        if strict_upper:
+            a_blocks = [blk.sorted_by("col") for blk in a.blocks]
+        a_rows = _row_panels(grid, a_blocks, a.shape, strict_upper)
+        a_panel = [
+            max(a.blocks[grid.rank_of(i, s)].nbytes for s in range(q))
+            for i in range(q)
+        ]
+        b_cols = []
+        for panel, stage in _column_panels(grid, b.blocks, b.shape, a_blocks, a_rows):
+            width = panel.shape[1]
+            cell = stage * width + panel.cols  # (stage, column)
+            cum_counts = np.zeros((q, width + 1), dtype=np.int64)
+            np.cumsum(
+                np.bincount(cell, minlength=q * width).reshape(q, width),
+                axis=1, out=cum_counts[:, 1:],
             )
+            b_cols.append((panel, cell, cum_counts))
+        # ranks grouped by block width, so each candidate's estimate is a
+        # few array ops per group
+        groups: dict[int, list] = {}
+        sym_ops = []
+        for rank, (rlo, rhi, clo, chi) in enumerate(
+            grid.block_bounds((a.shape[0], b.shape[1]))
+        ):
+            i, j = grid.coords_of(rank)
+            (a_coo, a_ptr, a_key), (b_coo, cell, cum_counts) = a_rows[i], b_cols[j]
+            nrows, width = rhi - rlo, chi - clo
+            below = strict_upper and i > j  # multiplies nothing
+            partial_ub = np.zeros(width, dtype=np.int64)
+            if not below:
+                on = strict_upper and i == j  # joins column prefixes
+                count = join_extents(a_coo, b_coo, a_ptr, a_key if on else None)[1]
+                flops = np.bincount(cell, weights=count, minlength=q * width)
+                # each stage's bound, as the per-stage symbolic pass gives it
+                bound = np.minimum(np.arange(width), nrows) if on else nrows
+                partial_ub = np.minimum(
+                    flops.astype(np.int64).reshape(q, width), bound
+                ).sum(axis=0)
+            out_ub = np.minimum(partial_ub, nrows)
+            groups.setdefault(width, []).append(
+                (a_panel[i], cumsum0(partial_ub), cumsum0(out_ub), cum_counts)
+            )
+            sym_ops.append(0 if below else a_coo.nnz + b_coo.nnz)
         world.charge_compute_all(sym_ops)
+        stacked = {
+            width: tuple(np.array(x) for x in zip(*ranks))
+            for width, ranks in groups.items()
+        }
 
         def estimate(phase_count: int) -> float:
             worst = 0.0
-            for a_panel, cum_partial, cum_out, cum_counts in per_rank:
-                width = cum_partial.size - 1
+            for width, (a_bytes, cum_partial, cum_out, cum_counts) in stacked.items():
+                bounds = cumsum0(block_sizes(width, phase_count))
+                lo, hi = bounds[:-1], bounds[1:]
+                panel = (cum_counts[:, :, hi] - cum_counts[:, :, lo]).max(axis=1)
+                # the same operations, in the same order, as one phase at a
+                # time: (A panel + B sub-panel) + partial bound, + finished
+                transient = (a_bytes[:, None] + panel * b_entry) + (
+                    cum_partial[:, hi] - cum_partial[:, lo]
+                ).astype(np.float64) * out_entry
+                finished = cum_out[:, lo].astype(np.float64) * out_entry
                 # the fully assembled output is observed once at the end
-                peak = float(cum_out[-1]) * out_entry
-                for p in range(phase_count):
-                    lo, hi = block_range(width, phase_count, p)
-                    panel = (
-                        int((cum_counts[:, hi] - cum_counts[:, lo]).max())
-                        * b_entry
-                    )
-                    transient = (
-                        a_panel
-                        + panel
-                        + float(cum_partial[hi] - cum_partial[lo]) * out_entry
-                    )
-                    finished = float(cum_out[lo]) * out_entry
-                    peak = max(peak, transient + finished)
-                worst = max(worst, peak)
+                assembled = cum_out[:, -1].astype(np.float64) * out_entry
+                peak = np.maximum(assembled, (transient + finished).max(axis=1))
+                worst = max(worst, float(peak.max()))
             return worst * scale
 
-        max_width = max(chi - clo for _rlo, _rhi, clo, chi in out_bounds)
+        max_width = max(stacked)
         candidates = [1]
         while candidates[-1] * 2 <= min(max_phases, max(max_width, 1)):
             candidates.append(candidates[-1] * 2)
@@ -235,64 +254,90 @@ def _block_shapes(grid: ProcGrid, shape: tuple[int, int]) -> list[tuple[int, int
     ]
 
 
-def _concat_coo(shape: tuple[int, int], stages: list, dtype) -> LocalCoo:
-    parts = [p for stage in stages for p in stage if p.nnz]
-    if not parts:
-        return LocalCoo.empty(shape, dtype)
-    rows = np.concatenate([p.rows for p in parts])
-    cols = np.concatenate([p.cols for p in parts])
-    vals = np.concatenate([p.vals for p in parts])
-    return LocalCoo(shape, rows, cols, vals)
+def _row_panels(
+    grid: ProcGrid, blocks: list[LocalCoo], shape: tuple[int, int], keyed: bool
+) -> list[tuple[LocalCoo, np.ndarray, np.ndarray | None]]:
+    """Each grid row's A row panel, built once: its q ``blocks`` side by
+    side (columns shifted to the global contraction index, so column-sorted
+    blocks make a column-sorted panel), the panel's column pointers and --
+    ``keyed``, for the diagonal rank's strict-upper join -- its ``(col,
+    row)`` key."""
+    q = grid.q
+    col_lo = cumsum0(block_sizes(shape[1], q))
+    panels = []
+    for i in range(q):
+        row = [blocks[grid.rank_of(i, s)] for s in range(q)]
+        panel = LocalCoo(
+            (row[0].shape[0], shape[1]),
+            np.concatenate([blk.rows for blk in row]),
+            np.concatenate([blk.cols + lo for blk, lo in zip(row, col_lo)]),
+            np.concatenate([blk.vals for blk in row]),
+            order="col" if all(blk.order == "col" for blk in row) else None,
+        )
+        panels.append(
+            (panel, column_pointers(panel), column_key(panel) if keyed else None)
+        )
+    return panels
 
 
-@lru_cache(maxsize=64)
-def _phase_lows(ncols: int, phases: int) -> np.ndarray:
-    """The first column of each of ``phases`` column phases (cached, so
-    read-only)."""
-    lows = cumsum0(block_sizes(ncols, phases))[:-1]
-    lows.flags.writeable = False
-    return lows
+def _column_panels(
+    grid: ProcGrid,
+    blocks: list[LocalCoo],
+    shape: tuple[int, int],
+    a_blocks: list[LocalCoo] | None = None,
+    row_panels: list | None = None,
+) -> list[tuple[LocalCoo, np.ndarray]]:
+    """Each grid column's B column panel, built once: its q ``blocks``
+    stacked in stage order (rows shifted to the global contraction index,
+    so row-sorted blocks make a row-sorted panel), and each entry's SUMMA
+    stage (the block it came from, ascending).
+
+    When ``blocks`` are the transposes of the ``a_blocks`` that
+    ``row_panels`` were built from (``A . A^T``), grid column ``j``'s panel
+    is row panel ``j`` transposed: a view, not a second copy."""
+    q = grid.q
+    if row_panels is not None and all(
+        b.rows is a.cols and b.cols is a.rows and b.vals is a.vals
+        for b, a in (
+            (blocks[grid.rank_of(s, j)], a_blocks[grid.rank_of(j, s)])
+            for j in range(q)
+            for s in range(q)
+        )
+    ):
+        return [
+            (
+                panel.transpose(),
+                np.repeat(
+                    np.arange(q), [a_blocks[grid.rank_of(j, s)].nnz for s in range(q)]
+                ),
+            )
+            for j, (panel, *_pointers) in enumerate(row_panels)
+        ]
+    row_lo = cumsum0(block_sizes(shape[0], q))
+    panels = []
+    for j in range(q):
+        col = [blocks[grid.rank_of(s, j)] for s in range(q)]
+        panel = LocalCoo(
+            (shape[0], col[0].shape[1]),
+            np.concatenate([blk.rows + lo for blk, lo in zip(col, row_lo)]),
+            np.concatenate([blk.cols for blk in col]),
+            np.concatenate([blk.vals for blk in col]),
+            order="row" if all(blk.order == "row" for blk in col) else None,
+        )
+        panels.append((panel, np.repeat(np.arange(q), [blk.nnz for blk in col])))
+    return panels
 
 
-def _slice(blk: LocalCoo, lo: int, hi: int, order: str = "row") -> LocalCoo:
-    """Entries ``lo:hi`` of ``blk`` as views, promised to be in ``order``."""
-    return LocalCoo(
-        blk.shape, blk.rows[lo:hi], blk.cols[lo:hi], blk.vals[lo:hi], order=order
+def _stable_groups(group: np.ndarray, ngroups: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stable order of entries by ``group`` (in ``[0, ngroups)``; a
+    radix sort for small counts) and where each group starts (``ngroups +
+    1`` cuts)."""
+    small = np.uint8 if ngroups <= 2**8 else np.uint16 if ngroups <= 2**16 else None
+    key = group.astype(small) if small is not None else group
+    return (
+        np.argsort(key, kind="stable"),
+        cumsum0(np.bincount(group, minlength=ngroups)),
     )
-
-
-def _phase_sorted(blk: LocalCoo, phases: int) -> tuple:
-    """``blk`` after one stable sort by the fused (phase, row, col) key,
-    where each column phase's entries start (``phases + 1`` cuts), and its
-    row-sorted phase sub-panels (slices)."""
-    if phases == 1:
-        whole = blk.sorted_by("row")
-        return whole, np.array([0, blk.nnz]), [whole]
-    nrows, ncols = blk.shape
-    phase = np.searchsorted(_phase_lows(ncols, phases), blk.cols, side="right") - 1
-    perm = np.argsort(
-        fused_key(fused_key(phase, blk.rows, nrows), blk.cols, ncols),
-        kind="stable",
-    )
-    whole = LocalCoo(
-        blk.shape, blk.rows[perm], blk.cols[perm], blk.vals[perm], order="phase"
-    )
-    cuts = cumsum0(np.bincount(phase, minlength=phases))
-    return whole, cuts, [_slice(whole, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-
-
-def _phase_panels(blk: LocalCoo, phases: int) -> list[LocalCoo]:
-    """``blk``'s row-sorted column-phase sub-panels: slices of one stable sort
-    by the fused (phase, row, col) key, equal to column masks of ``blk``."""
-    return _phase_sorted(blk, phases)[2]
-
-
-def _phase_counts(cols: np.ndarray, lows: np.ndarray) -> np.ndarray:
-    """How many of ``cols`` each column phase holds."""
-    if len(lows) == 1:
-        return np.array([cols.size])
-    phase = np.searchsorted(lows, cols, side="right") - 1
-    return np.bincount(phase, minlength=len(lows))
 
 
 # SpGEMM rank steps: module level (out-of-process backends pickle them), so
@@ -301,117 +346,154 @@ def _phase_counts(cols: np.ndarray, lows: np.ndarray) -> np.ndarray:
 # contract.
 
 
-class _Ledger:
-    """One rank's part in a phased product: how it joins (not at all
-    ``below`` the grid diagonal, column prefixes ``on`` it) and, per
-    (phase, stage), the bytes received, products formed, partial nonzeros
-    and -- streamed -- distinct keys so far (the accumulator's ``keys``);
-    per phase, the merged and (diagonal-masked) kept nonzeros."""
+def _panel_product(a_op, b_op, shape, phases, offset, job):
+    """One rank's whole product: its A row panel joined against its
+    row-sorted B column panel in runs of whole output columns of at most
+    ``bound`` products each (a column forming more is a run of its own).
 
-    def __init__(self, received, entry, stream, exclude_diagonal, below, on, bound):
-        self.received, self.entry, self.bound = received, entry, bound
-        self.stream, self.exclude_diagonal = stream, exclude_diagonal
-        self.below, self.on = below, on
-        self.flops, self.part, self.held = (np.zeros_like(received) for _ in range(3))
-        self.merged = self.kept = np.zeros(received.shape[0], dtype=np.int64)
-        self.keys = np.empty(0, dtype=np.int64)
-
-    def charges(self, phases: int | None = None) -> Iterator[list[tuple[bool, int]]]:
-        """Yield each superstep's ``(is_memory, amount)`` charges: each
-        phase's q stages and finalize, then any assembly (or the first
-        ``phases`` phases' only).  A stage charges its flops, then observes
-        finished phases, received panels and the phase's partials -- bulk:
-        every stage's so far; streamed: the accumulator and this partial,
-        which a stage that formed any (and stage 0) merges, charging the
-        new size.  A finalize charges its merge (bulk) and diagonal mask,
-        and observes its output.  Phase 0's stage ``s`` reads stages
-        ``<= s`` only."""
-        counts = (
-            self.received, self.flops, self.part, self.held, self.merged, self.kept
+    Returns the output block (row-sorted, diagonal-masked), the counts the
+    stage-by-stage schedule charges -- per (phase, stage) the products
+    formed, the partial's nonzeros and (streamed) the accumulator's
+    distinct keys so far; per phase the merged and kept nonzeros -- and the
+    number of joins."""
+    semiring, _entry, stream, exclude_diagonal, bound, q = job
+    (a, a_ptr, a_key), (b, stage, col_stage, phase_lo) = a_op, b_op
+    ncols = shape[1]
+    first, count = join_extents(a, b, a_ptr, a_key)
+    # products by (output column, stage), summed over columns: a product's
+    # stage is its B entry's, its phase its column's
+    by_col = np.zeros((ncols + 1, q), dtype=np.int64)
+    formed = np.bincount(col_stage, weights=count, minlength=ncols * q)
+    np.cumsum(formed.astype(np.int64).reshape(ncols, q), axis=0, out=by_col[1:])
+    flops = np.diff(by_col[phase_lo], axis=0)
+    ends = by_col.sum(axis=1)  # products before each output column
+    cuts, lo = [0], 0
+    while lo < ncols:  # greedy runs of whole columns
+        fit = int(np.searchsorted(ends, ends[lo] + bound, "right")) - 1
+        lo = min(ncols, max(lo + 1, fit))
+        cuts.append(lo)
+    if len(cuts) > 2:  # each run's entries, still row-sorted
+        run = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))[b.cols]
+        entries, starts = _stable_groups(run, len(cuts) - 1)
+        first, count = first[entries], count[entries]
+    else:
+        run, entries, starts = 0, np.arange(b.nnz), [0, b.nnz]
+    # how many of each run's entries each stage holds
+    sizes = np.bincount(run * q + stage, minlength=(len(starts) - 1) * q)
+    pieces = [
+        spgemm_run(
+            a, b, semiring, entries[e0:e1], first[e0:e1], count[e0:e1],
+            sizes[r * q : (r + 1) * q],
         )
-        finished, entry = 0, self.entry
-        for received, flops, part, held, merged, kept in zip(
-            *(c[:phases].tolist() for c in counts)
-        ):
-            before = 0  # the phase's nonzeros held before this stage
-            for s, (r, f, n, h) in enumerate(zip(received, flops, part, held)):
-                step = [(False, max(f, 1)), (True, finished + r + (before + n) * entry)]
-                if self.stream and (n or not s):
-                    step.append((False, h))
-                yield step
-                before = h if self.stream else before + n
-            # a bulk merge and the diagonal mask both charge the merged size
-            times = (not self.stream) + self.exclude_diagonal
-            finished += kept * entry
-            yield [(False, merged)] * times + [(True, finished)]
-        if phases is None and self.kept.size > 1:  # one phase assembles nothing
-            yield [(False, finished // entry), (True, finished)]
-
-
-def _spgemm_join_step(ctx, a_op, b_op, ledger, s, semiring):
-    """Phase 0, stage ``s`` on one rank: join the A panel against the
-    rank's whole phase-sorted B block in runs of whole phases of at most
-    ``ledger.bound`` products (a larger phase is a run of its own), count
-    every phase's products into the ledger and charge the stage as phase
-    0's.  Returns the runs' products (the phases' partials side by side)
-    and the ledger."""
-    (a_blk, a_ptr, a_key), (whole, cuts) = a_op, b_op
-    a_key = a_key if ledger.on else None
-    phases, ncols = cuts.size - 1, whole.shape[1]
-    lows = _phase_lows(ncols, phases)
-    parts, lo = [], phases if ledger.below else 0
-    if phases > 1 and not ledger.below:  # one phase's join counts its flops
-        ends = cumsum0(join_extents(a_blk, whole, a_ptr, a_key)[1])[cuts]
-        ledger.flops[:, s] = np.diff(ends)
-    while lo < phases:
-        hi = lo + 1 if phases == 1 else max(
-            lo + 1, np.searchsorted(ends, ends[lo] + ledger.bound, "right") - 1
+        for r, (e0, e1) in enumerate(zip(starts[:-1], starts[1:]))
+    ]
+    # the runs' cells are disjoint: side by side, they are the block's
+    rows, cols, vals = (
+        np.concatenate(part) for part in zip(*(triples for triples, _ in pieces))
+    )
+    seen = np.concatenate([seen for _triples, seen in pieces], axis=1)
+    phase = np.searchsorted(phase_lo, cols, "right") - 1
+    cell_stage, cell = np.nonzero(seen)
+    part = np.bincount(
+        phase[cell] * q + cell_stage, minlength=phases * q
+    ).reshape(phases, q)
+    held = np.zeros_like(part)
+    if stream:  # a cell joins the accumulator at its first stage
+        held = np.bincount(
+            phase * q + seen.argmax(axis=0), minlength=phases * q
+        ).reshape(phases, q).cumsum(axis=1)
+    merged = kept = np.bincount(phase, minlength=phases)
+    if len(pieces) > 1:  # runs are row-sorted column ranges
+        perm = np.argsort(fused_key(rows, cols, ncols), kind="stable")
+        rows, cols, vals = rows[perm], cols[perm], vals[perm]
+    if exclude_diagonal and rows.size:
+        keep = rows + offset[0] != cols + offset[1]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        kept = np.bincount(
+            np.searchsorted(phase_lo, cols, "right") - 1, minlength=phases
         )
-        run = whole if hi - lo == phases else _slice(
-            whole, cuts[lo], cuts[hi], "row" if hi == lo + 1 else "phase"
-        )
-        part, formed = spgemm_local(
-            a_blk, run, semiring, a_ptr=a_ptr, strict_upper=a_key is not None,
-            a_key=a_key,
-        )
-        if phases == 1:
-            ledger.flops[0, s] = formed
-        ledger.part[:, s] += _phase_counts(part.cols, lows)
-        parts.append(part)
-        lo = hi
-    if ledger.stream:  # the accumulator's keys, of every phase
-        keys = [fused_key(part.rows, part.cols, ncols) for part in parts]
-        ledger.keys = np.unique(np.concatenate([ledger.keys, *keys]))
-        ledger.held[:, s] = _phase_counts(ledger.keys % ncols, lows)
-    _charge_step([ctx], [next(islice(ledger.charges(1), s, None))])
-    return parts, ledger
+    block = LocalCoo(shape, rows, cols, vals, order="row")
+    return block, (flops, part, held, merged, kept), len(pieces)
 
 
-def _spgemm_merge_step(ctx, stage_parts, ledger, shape, offset, semiring):
-    """Phase 0's finalize on one rank: merge the stage partials of every
-    phase at once (one stable sort, the semiring add first on ties, so in
-    stage order; then the diagonal mask), count each phase's merged and
-    kept nonzeros and charge phase 0's finalize.  Returns the rank's
-    output block and the ledger."""
-    merged = _concat_coo(shape, stage_parts, semiring.out_dtype)
-    merged = merged.deduped(semiring.add_reduce)
-    phases, q = ledger.part.shape
-    lows = _phase_lows(shape[1], phases)
-    ledger.merged = _phase_counts(merged.cols, lows)
-    if ledger.exclude_diagonal and merged.nnz:
-        merged = merged.select(merged.rows + offset[0] != merged.cols + offset[1])
-    ledger.kept = _phase_counts(merged.cols, lows)
-    _charge_step([ctx], [next(islice(ledger.charges(), q, None))])
-    return merged, ledger
+def _rank_charges(received, counts, entry, stream):
+    """One rank's ``(compute, memory, merge)`` charge of every superstep of
+    a product, as a ``(3, supersteps)`` array: each phase's q stages and
+    finalize, then -- phased -- the assembly.
+
+    A stage charges its products (at least 1), then observes finished
+    phases, received panels and the phase's partials -- bulk: every
+    stage's so far; streamed: the accumulator and this partial, which a
+    stage that formed any (and stage 0) merges, charging the new size (a
+    merge of ``-1`` charges nothing).  A finalize charges its merge (bulk)
+    and diagonal mask (:func:`_step_times` times), and observes its
+    output; the assembly charges and observes the whole output."""
+    flops, part, held, merged, kept = counts
+    phases, q = received.shape
+    finished = cumsum0(kept * entry)  # bytes finished before each phase
+    if stream:  # the accumulator held before each stage
+        before = np.pad(held[:, :-1], ((0, 0), (1, 0)))
+    else:
+        before = np.cumsum(part, axis=1) - part
+    charges = np.full((3, phases, q + 1), -1, dtype=np.int64)
+    charges[0, :, :q] = np.maximum(flops, 1)
+    charges[1, :, :q] = finished[:-1, None] + received + (before + part) * entry
+    if stream:
+        merges = (part > 0) | (np.arange(q) == 0)
+        charges[2, :, :q] = np.where(merges, held, -1)
+    charges[0, :, q] = merged
+    charges[1, :, q] = finished[1:]
+    charges = charges.reshape(3, -1)
+    if phases > 1:  # one phase assembles nothing
+        total = finished[-1]
+        charges = np.hstack([charges, [[total // entry], [total], [-1]]])
+    return charges
+
+
+def _step_times(phases, q, stream, exclude_diagonal):
+    """How many times each superstep charges its compute: once, but a
+    finalize once for a bulk merge and once for the diagonal mask (each
+    charging the merged size)."""
+    times = np.ones((phases, q + 1), dtype=np.int64)
+    times[:, q] = (not stream) + exclude_diagonal
+    return times.ravel().tolist() + [1] * (phases > 1)
 
 
 def _charge_step(ctxs, charges):
-    """Charge each rank of a segment its ``(is_memory, amount)`` charges --
-    all that a superstep of a phased product after phase 0 does."""
-    for ctx, rank_charges in zip(ctxs, charges):
-        for is_memory, amount in rank_charges:
-            (ctx.observe_memory if is_memory else ctx.charge_compute)(amount)
+    """Charge each rank of a segment one superstep's ``(compute, memory,
+    merge, times)`` -- all that a SUMMA superstep after the join does: its
+    compute ``times`` times, its working set, then any merge (``-1``:
+    none)."""
+    for ctx, (op, held, merge, times) in zip(ctxs, charges):
+        for _ in range(times):
+            ctx.charge_compute(op)
+        ctx.observe_memory(held)
+        if merge >= 0:
+            ctx.charge_compute(merge)
     return [None] * len(ctxs)
+
+
+def _spgemm_step(ctx, a_op, b_op, received, role, offset, job):
+    """The product's first superstep on one rank: form its whole product
+    (nothing ``below`` the grid diagonal, column prefixes ``on`` it),
+    derive every superstep's charges and charge phase 0's stage 0.
+    Returns the output block, the charges and the number of joins."""
+    semiring, entry, stream, exclude_diagonal, _bound, q = job
+    phases = received.shape[0]
+    shape = (a_op[0].shape[0], b_op[0].shape[1])
+    if role == "below":
+        zeros = np.zeros((phases, q), dtype=np.int64)
+        counts = (zeros, zeros, zeros, zeros[:, 0], zeros[:, 0])
+        block, joins = LocalCoo.empty(shape, semiring.out_dtype), 0
+    else:
+        if role != "on":
+            a_op = a_op[:2] + (None,)
+        block, counts, joins = _panel_product(
+            a_op, b_op, shape, phases, offset, job
+        )
+    charges = _rank_charges(received, counts, entry, stream)
+    _charge_step([ctx], [(*charges[:, 0].tolist(), 1)])
+    return block, charges, joins
 
 
 class DistSparseMatrix:
@@ -480,6 +562,7 @@ class DistSparseMatrix:
         per_rank: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
         add_reduce: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         dtype: np.dtype | None = None,
+        order: str = "row",
     ) -> "DistSparseMatrix":
         """Build from per-rank *global* triples, routing each to its owner.
 
@@ -487,7 +570,8 @@ class DistSparseMatrix:
         triples it produced locally (e.g. k-mer occurrences from its reads),
         one routed exchange sends them to the 2D block owners, and
         duplicates are combined with ``add_reduce`` (kept as-is when
-        ``None``).  ``dtype`` is the payload dtype (default: as given).
+        ``None``), leaving each block sorted by ``order`` (``"row"`` or
+        ``"col"``).  ``dtype`` is the payload dtype (default: as given).
         """
         world = grid.world
         rows = [np.asarray(gr, dtype=np.int64) for gr, _gc, _gv in per_rank]
@@ -504,7 +588,7 @@ class DistSparseMatrix:
         ):
             blk = LocalCoo((rhi - rlo, chi - clo), gr - rlo, gc - clo, gv)
             if add_reduce is not None:
-                blk = blk.deduped(add_reduce)
+                blk = blk.deduped(add_reduce, order)
             blocks.append(blk)
         world.charge_compute_all([blk.nnz for blk in blocks])
         return cls(grid, shape, blocks)
@@ -668,12 +752,19 @@ class DistSparseMatrix:
         merge, so pruned entries never count toward modeled memory.
 
         The host forms each product once, whatever the phases and mode:
-        phase 0's stages join each rank's A panel (sorted by column, with
-        its column pointers) against its whole B block (sorted by (phase,
-        row, col), so a phase is a slice) in runs of whole phases of at
-        most ``spgemm._PRODUCTS_PER_JOIN`` products; its finalize merges
-        them.  Later supersteps charge what those counts derive
-        (:class:`_Ledger`); every broadcast sends its payload.
+        the first superstep joins each rank's A row panel (the grid row's
+        blocks side by side, sorted by column, with column pointers built
+        once per grid row) against its B column panel (the grid column's
+        blocks stacked, sorted by row) in runs of whole output columns of
+        at most ``spgemm._PRODUCTS_PER_JOIN`` products.  A run's cells are
+        its own and reach their products in contraction order, so no
+        stage merge follows.  The join also counts what the stage-by-stage
+        schedule holds -- per (phase, stage) the products, partial
+        nonzeros and accumulator keys, per phase the merged and kept
+        nonzeros -- from which each rank's charges for every superstep are
+        derived once, as arrays (:func:`_rank_charges`).  Every later
+        superstep -- stages 1..q-1, each finalize, later phases and the
+        assembly -- only charges them; every broadcast sends its payload.
 
         ``strict_upper`` (square products only) keeps the entries with
         global ``row < col`` and never forms another: a rank below the grid
@@ -707,64 +798,78 @@ class DistSparseMatrix:
         q, nprocs = grid.q, grid.nprocs
         coords = [grid.coords_of(rank) for rank in range(nprocs)]
 
-        # Operands are derived once, not per phase x stage x rank, and read
-        # off the broadcast panels (so uncharged).  Ranks share them by
-        # object, so the process backend exports each array once.
+        # Operands are sorted and paneled once, not per phase x stage x
+        # rank, and read off the broadcast blocks (so uncharged): A by
+        # column, B by row (so both panels are concatenations).  Ranks
+        # share panels by object, so the process backend exports each
+        # array once.
         a_blocks = [blk.sorted_by("col") for blk in self.blocks]
-        a_ops = [
-            (blk, column_pointers(blk), column_key(blk) if strict_upper else None)
-            for blk in a_blocks
-        ]
-        b_ops = [_phase_sorted(blk, phases) for blk in other.blocks]
-        b_panels = [panels for _whole, _cuts, panels in b_ops]
+        b_blocks = [blk.sorted_by("row") for blk in other.blocks]
+        a_ops = _row_panels(grid, a_blocks, self.shape, strict_upper)
+        b_ops = []
+        for panel, stage in _column_panels(
+            grid, b_blocks, other.shape, a_blocks, a_ops
+        ):
+            # each entry's (output column, stage), and where phases start
+            phase_lo = cumsum0(block_sizes(panel.shape[1], phases))
+            b_ops.append((panel, stage, panel.cols * q + stage, phase_lo))
+        # each B block stably grouped by column phase: the phase
+        # sub-panels (row-sorted slices) its broadcasts send
+        b_phased = []
+        for rank, blk in enumerate(b_blocks):
+            cuts = np.array([0, blk.nnz])
+            if phases > 1:
+                phase_lo = b_ops[grid.coords_of(rank)[1]][3]
+                phase = np.searchsorted(phase_lo, blk.cols, "right") - 1
+                perm, cuts = _stable_groups(phase, phases)
+                blk = LocalCoo(
+                    blk.shape, blk.rows[perm], blk.cols[perm], blk.vals[perm]
+                )
+            b_phased.append((blk, cuts))
         a_bytes = np.array([blk.nbytes for blk in a_blocks]).reshape(q, q)
-        b_bytes = np.array([[pnl.nbytes for pnl in pnls] for pnls in b_panels])
-        ledgers = [
-            _Ledger(
-                a_bytes[i] + b_bytes.reshape(q, q, phases)[:, j].T,
-                _entry_nbytes(semiring.out_dtype),
-                merge_mode == "stream", exclude_diagonal,
-                below=strict_upper and i > j, on=strict_upper and i == j,
-                bound=_kernel._PRODUCTS_PER_JOIN,
-            )
-            for i, j in coords
-        ]
-        stage_parts = [[] for _ in range(nprocs)]
+        b_bytes = np.array([np.diff(cuts) for _blk, cuts in b_phased])
+        b_bytes = (b_bytes * _entry_nbytes(other.dtype)).reshape(q, q, phases)
+        stream = merge_mode == "stream"
+        job = (
+            semiring, _entry_nbytes(semiring.out_dtype), stream, exclude_diagonal,
+            _kernel._PRODUCTS_PER_JOIN, q,
+        )
 
         def broadcast(p: int, s: int) -> None:
             for i in range(q):  # A(:, s) along grid rows, every phase
                 grid.row_comms[i].bcast(a_blocks[grid.rank_of(i, s)], root=s)
             for j in range(q):  # B(s, :)'s phase sub-panel along columns
-                grid.col_comms[j].bcast(b_panels[grid.rank_of(s, j)][p], root=s)
+                blk, cuts = b_phased[grid.rank_of(s, j)]
+                grid.col_comms[j].bcast(blk.slice(*cuts[p : p + 2], "row"), root=s)
 
-        # phase 0 forms every phase's products and merges them
-        for s in range(q):
-            broadcast(0, s)
-            results = world.map_ranks(
-                _spgemm_join_step,
-                [a_ops[grid.rank_of(i, s)] for i, _j in coords],
-                [b_ops[grid.rank_of(s, j)][:2] for _i, j in coords],
-                ledgers,
-                [s] * nprocs,
-                [semiring] * nprocs,
-            )
-            for rank, (parts, ledgers[rank]) in enumerate(results):
-                stage_parts[rank].append(parts)
-        joins = sum(len(parts) for stages in stage_parts for parts in stages)
-        get_registry().counter("sparse.local_joins").inc(joins)
-        offsets = [bounds[::2] for bounds in grid.block_bounds(out_shape)]
-        blocks, ledgers = zip(*world.map_ranks(
-            _spgemm_merge_step, stage_parts, ledgers,
-            _block_shapes(grid, out_shape), offsets, [semiring] * nprocs,
+        # the first superstep forms every rank's whole product ...
+        broadcast(0, 0)
+        blocks, charges, joins = zip(*world.map_ranks(
+            _spgemm_step,
+            [a_ops[i] for i, _j in coords],
+            [b_ops[j] for _i, j in coords],
+            [a_bytes[i] + b_bytes[:, j].T for i, j in coords],
+            [
+                "below" if strict_upper and i > j
+                else "on" if strict_upper and i == j else "multiply"
+                for i, j in coords
+            ],
+            [bounds[::2] for bounds in grid.block_bounds(out_shape)],
+            [job] * nprocs,
         ))
-        # every later superstep -- each later phase's stages and finalize,
-        # then the assembly -- only charges what phase 0 counted
-        later = zip(*(islice(ledger.charges(), q + 1, None) for ledger in ledgers))
-        for k, charges in enumerate(later):
+        get_registry().counter("sparse.local_joins").inc(sum(joins))
+        # ... and every later superstep -- phase 0's other stages and
+        # finalize, each later phase's, then the assembly -- only charges
+        ops, nbytes, merges = np.stack(charges, axis=2).tolist()
+        times = _step_times(phases, q, stream, exclude_diagonal)
+        for k in range(1, len(times)):
             p, s = divmod(k, q + 1)
-            if s < q and p + 1 < phases:
-                broadcast(p + 1, s)
-            world.map_segments(_charge_step, charges)
+            if p < phases and s < q:
+                broadcast(p, s)
+            world.map_segments(
+                _charge_step,
+                list(zip(ops[k], nbytes[k], merges[k], [times[k]] * nprocs)),
+            )
         return DistSparseMatrix(grid, out_shape, list(blocks))
 
     def row_reduce(

@@ -80,28 +80,35 @@ class TestDetect:
 
     def test_a_is_sorted_once_before_the_transpose(self, grid4, monkeypatch):
         """A's blocks are sorted by column before ``A.transpose()``, so
-        A^T arrives row-sorted: an unphased A.A^T sorts each A block once
-        (P sorts, not 2 * P), and the product is unchanged."""
-        from repro.sparse import LocalCoo
+        A^T arrives row-sorted: an unphased A.A^T sorts each A block at
+        most once -- not at all when ``build_kmer_matrix`` assembled A
+        column-sorted, P sorts for a row-sorted A -- and the product is
+        unchanged."""
+        from repro.sparse import DistSparseMatrix, LocalCoo
 
         _, _, _, A = overlap_setup(grid4)
+        assert {blk.order for blk in A.blocks} == {"col"}
         want, _ = detect_overlaps(A)
-        sorts = []
+        by_row = DistSparseMatrix(
+            A.grid, A.shape, [blk.sorted_by("row") for blk in A.blocks]
+        )
         sorted_by = LocalCoo.sorted_by
+        for operand, want_sorts in ((A, []), (by_row, ["col"] * grid4.nprocs)):
+            sorts = []
 
-        def counting_sorted_by(self, order="row"):
-            if self.order != order:
-                sorts.append(order)
-            return sorted_by(self, order)
+            def counting_sorted_by(self, order="row"):
+                if self.order != order:
+                    sorts.append(order)
+                return sorted_by(self, order)
 
-        monkeypatch.setattr(LocalCoo, "sorted_by", counting_sorted_by)
-        got, _ = detect_overlaps(A)
-        monkeypatch.undo()
-        assert sorts == ["col"] * grid4.nprocs
-        for g, w in zip(got.blocks, want.blocks):
-            assert np.array_equal(g.rows, w.rows)
-            assert np.array_equal(g.cols, w.cols)
-            assert np.array_equal(g.vals, w.vals)
+            monkeypatch.setattr(LocalCoo, "sorted_by", counting_sorted_by)
+            got, _ = detect_overlaps(operand)
+            monkeypatch.undo()
+            assert sorts == want_sorts
+            for g, w in zip(got.blocks, want.blocks):
+                assert np.array_equal(g.rows, w.rows)
+                assert np.array_equal(g.cols, w.cols)
+                assert np.array_equal(g.vals, w.vals)
 
 
 class TestBuildOverlapGraph:

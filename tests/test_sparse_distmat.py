@@ -183,27 +183,26 @@ class TestSpgemm:
 
     def test_panels_are_sorted_once_not_per_rank_step(self, monkeypatch):
         """A phased SUMMA prepares each operand block once: P column sorts
-        of A with P pointer builds, P (phase, row, col) sorts of B, and no
-        per-phase ``select``.  Each rank joins each stage once, against its
-        whole phase-sorted B block -- as runs of whole phases when the
-        product bound splits the stage -- with its A pointers, and no run
-        is re-sorted."""
+        of A, P row sorts of B, one set of column pointers per A row panel,
+        and no per-phase ``select``.  Each rank forms its whole product in
+        one step -- one join, or runs of whole output columns when the
+        product bound splits it -- and each run gets every B entry of its
+        columns, in row order, and no run is re-sorted."""
         g = ProcGrid(SimWorld(16, zero_cost()))
         _, a = random_dist(g, 40, 40, density=0.3, seed=15)
         # 50 columns per grid column: most of the 32 phases own two
         _, b = random_dist(g, 40, 200, density=0.3, seed=16)
         sorted_by, select = LocalCoo.sorted_by, LocalCoo.select
-        spgemm_local, column_pointers = distmat.spgemm_local, distmat.column_pointers
-        phase_sorted = distmat._phase_sorted
+        spgemm_run, column_pointers = distmat.spgemm_run, distmat.column_pointers
+        panel_product = distmat._panel_product
         want = dense_of(a.spgemm(b, arithmetic_semiring()))
 
-        for bound, runs_per_stage in ((2**62, 1), (1, None)):
-            real_sorts, multiplies, pointer_builds, b_sorts, selects = (
-                [], [], [], [], []
-            )
+        for bound, one_join in ((2**62, True), (1, False)):
+            real_sorts, runs, pointer_builds, products, selects = [], [], [], [], []
 
             def counting_sorted_by(self, order="row"):
-                real_sorts.append(self.order != order)
+                if self.order != order:
+                    real_sorts.append(order)
                 return sorted_by(self, order)
 
             def counting_select(self, mask):
@@ -214,51 +213,38 @@ class TestSpgemm:
                 pointer_builds.append(blk)
                 return column_pointers(blk)
 
-            def counting_phase_sorted(blk, phases):
-                b_sorts.append(phases)
-                return phase_sorted(blk, phases)
+            def counting_panel_product(*args):
+                products.append(runs[:])
+                return panel_product(*args)
 
-            def checking_spgemm_local(a_blk, b_blk, semiring, a_ptr=None, **triangle):
-                # the labels, and the entries really in that order: A by
-                # (col, row), B by (phase, row, col) -- so each B column's
-                # entries in row order
-                phase = np.searchsorted(
-                    distmat._phase_lows(b_blk.shape[1], 32), b_blk.cols,
-                    side="right",
-                )
-                in_order = np.array_equal(
-                    np.lexsort((a_blk.rows, a_blk.cols)), np.arange(a_blk.nnz)
-                ) and np.array_equal(
-                    np.lexsort((b_blk.cols, b_blk.rows, phase)),
-                    np.arange(b_blk.nnz),
-                )
-                multiplies.append(
-                    (a_blk.order, in_order, a_ptr is not None,
-                     triangle["strict_upper"], len(np.unique(phase)))
-                )
-                return spgemm_local(a_blk, b_blk, semiring, a_ptr=a_ptr, **triangle)
+            def checking_spgemm_run(a_pnl, b_pnl, semiring, entries, *rest):
+                # A by (col, row); the run's B entries in row order, and
+                # all of its columns' entries
+                cols = np.unique(b_pnl.cols[entries])
+                runs.append((
+                    a_pnl.order,
+                    bool(np.all(np.diff(b_pnl.rows[entries]) >= 0)),
+                    np.isin(b_pnl.cols, cols).sum() == entries.size,
+                ))
+                return spgemm_run(a_pnl, b_pnl, semiring, entries, *rest)
 
             with monkeypatch.context() as m:
                 m.setattr(spgemm_mod, "_PRODUCTS_PER_JOIN", bound)
                 m.setattr(LocalCoo, "sorted_by", counting_sorted_by)
                 m.setattr(LocalCoo, "select", counting_select)
                 m.setattr(distmat, "column_pointers", counting_column_pointers)
-                m.setattr(spgemm_mod, "column_pointers", counting_column_pointers)
-                m.setattr(distmat, "_phase_sorted", counting_phase_sorted)
-                m.setattr(distmat, "spgemm_local", checking_spgemm_local)
+                m.setattr(distmat, "_panel_product", counting_panel_product)
+                m.setattr(distmat, "spgemm_run", checking_spgemm_run)
                 phased = a.spgemm(b, arithmetic_semiring(), phases=32)
 
-            spans = max(m[-1] for m in multiplies)  # phases in one join
-            if runs_per_stage == 1:  # one join per rank and stage
-                assert len(multiplies) == g.q * g.nprocs
-                assert spans > 1
-            else:  # a bound of one product: a join per phase that forms any
-                assert g.q * g.nprocs < len(multiplies) <= 32 * g.q * g.nprocs
-                assert spans == 1
-            assert {m[:-1] for m in multiplies} == {("col", True, True, False)}
-            assert sum(real_sorts) == g.nprocs  # A by column
-            assert b_sorts == [32] * g.nprocs
-            assert len(pointer_builds) <= g.nprocs
+            assert len(products) == g.nprocs  # every rank multiplies, once
+            if one_join:
+                assert len(runs) == g.nprocs
+            else:  # a bound of one product: a run per column that forms any
+                assert g.nprocs < len(runs) <= 200 * g.q
+            assert set(runs) == {("col", True, True)}
+            assert sorted(real_sorts) == ["col"] * g.nprocs + ["row"] * g.nprocs
+            assert len(pointer_builds) == g.q
             assert not selects
             assert np.array_equal(dense_of(phased), want)
 

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.comm import block_range
+from repro.mpi import ProcGrid, SimWorld, zero_cost
+from repro.mpi.comm import block_owner, block_range
 from repro.overlap.filter import _best_score
-from repro.sparse import LocalCoo, seed_semiring
-from repro.sparse.distmat import _phase_panels
+from repro.sparse import DistSparseMatrix, LocalCoo, seed_semiring
+from repro.sparse.distmat import _column_panels, _row_panels
 from repro.sparse.types import OVERLAP_DTYPE, SEED_DTYPE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,21 +37,24 @@ def ref_sorted(blk, order):
     return blk.rows[perm], blk.cols[perm], blk.vals[perm]
 
 
-def ref_deduped_first(blk):
-    r, c, v = ref_sorted(blk, "row")
+def ref_deduped_first(blk, order="row"):
+    r, c, v = ref_sorted(blk, order)
     first = np.ones(r.size, dtype=bool)
     first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
     return r[first], c[first], v[first]
 
 
-def ref_phase_panels(blk, phases):
-    lows = [block_range(blk.shape[1], phases, p)[0] for p in range(phases)]
-    phase = np.searchsorted(lows, blk.cols, side="right") - 1
-    perm = np.lexsort((blk.cols, blk.rows, phase))
-    return [
-        (blk.rows[perm][sel], blk.cols[perm][sel], blk.vals[perm][sel])
-        for sel in (phase[perm] == p for p in range(phases))
-    ]
+def ref_column_panel(blk, grid, j):
+    """Grid column ``j``'s entries of global ``blk`` by (row, col), ties in
+    input order, and each one's stage (its row block)."""
+    n, m = blk.shape
+    mine = block_owner(m, grid.q, blk.cols) == j
+    rows, cols, vals = blk.rows[mine], blk.cols[mine], blk.vals[mine]
+    perm = np.lexsort((cols, rows))
+    return (
+        (rows[perm], cols[perm] - block_range(m, grid.q, j)[0], vals[perm]),
+        block_owner(n, grid.q, rows[perm]),
+    )
 
 
 def segment_ids(starts, n):
@@ -120,25 +124,45 @@ class TestOneKeySortsEqualLexsort:
         assert got.order == order
         assert_triples_equal((got.rows, got.cols, got.vals), ref_sorted(blk, order))
 
-    @given(blocks())
+    @given(blocks(), st.sampled_from(["row", "col"]))
     @settings(max_examples=150, deadline=None)
-    def test_deduped_keeps_the_first_duplicate(self, blk):
-        got = blk.deduped(lambda v, starts: v[starts])
+    def test_deduped_keeps_the_first_duplicate(self, blk, order):
+        got = blk.deduped(lambda v, starts: v[starts], order=order)
         if blk.nnz:
-            assert got.order == "row"
-        assert_triples_equal((got.rows, got.cols, got.vals), ref_deduped_first(blk))
+            assert got.order == order
+        assert_triples_equal(
+            (got.rows, got.cols, got.vals), ref_deduped_first(blk, order)
+        )
 
-    @given(blocks(), st.sampled_from([1, 3, 32]), st.booleans())
+    @given(blocks(), st.sampled_from([1, 4, 9]))
     @settings(max_examples=150, deadline=None)
-    def test_phase_panels(self, blk, phases, presorted):
-        if presorted:  # the A^T operand arrives row-sorted
-            blk = blk.sorted_by("row")
-        got = _phase_panels(blk, phases)
-        want = ref_phase_panels(blk, phases)
-        assert len(got) == len(want) == phases
-        for panel, ref in zip(got, want):
+    def test_column_panels(self, blk, nprocs):
+        """A SUMMA B column panel -- the grid column's row-sorted blocks
+        stacked in stage order -- is the lexsort of its entries by (row,
+        col), each tagged with its stage, duplicates in input order."""
+        grid = ProcGrid(SimWorld(nprocs, zero_cost()))
+        dist = DistSparseMatrix.from_global_coo(
+            grid, blk.shape, blk.rows, blk.cols, blk.vals
+        )
+        blocks = [b.sorted_by("row") for b in dist.blocks]
+        stacked = _column_panels(grid, blocks, blk.shape)
+        for j, (panel, stage) in enumerate(stacked):
+            (rows, cols, vals), want_stage = ref_column_panel(blk, grid, j)
             assert panel.order == "row"
-            assert_triples_equal((panel.rows, panel.cols, panel.vals), ref)
+            assert_triples_equal((panel.rows, panel.cols, panel.vals), (rows, cols, vals))
+            assert np.array_equal(stage, want_stage)
+        # B = A^T: each column panel is an A row panel transposed, a view
+        # equal to the stacked one
+        a = dist.transpose()
+        a_blocks = [b.sorted_by("col") for b in a.blocks]
+        at = DistSparseMatrix(grid, a.shape, a_blocks).transpose()
+        rows = _row_panels(grid, a_blocks, a.shape, keyed=False)
+        shared = _column_panels(grid, at.blocks, at.shape, a_blocks, rows)
+        for (panel, stage), (view, view_stage), (row, *_) in zip(stacked, shared, rows):
+            assert view.rows is row.cols
+            assert view.order == "row"
+            assert_triples_equal((view.rows, view.cols, view.vals), (panel.rows, panel.cols, panel.vals))
+            assert np.array_equal(view_stage, stage)
 
     @given(segmented(SEED_DTYPE, "pos_a"))
     @settings(max_examples=150, deadline=None)

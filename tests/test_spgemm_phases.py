@@ -12,15 +12,18 @@ The contracts under test (ISSUE 5):
 * stream / phased peak modeled bytes never exceed bulk's;
 * the planner picks a phase count whose estimated and observed peaks fit
   a budget the unphased run violates, and budget violations are recorded
-  per stage when no plan can fit;
+  per stage when no plan can fit; planning on the panels estimates
+  exactly what a per-stage symbolic loop does;
 * the pipeline / CLI wiring (``memory_budget_mb`` / ``--memory-budget-mb``)
   is bit-identical to an unbudgeted run and surfaces violations;
 * the strict-upper ``A . A^T`` of ``detect_overlaps`` equals the full
   product pruned to ``r < c`` for every P, phase count, merge mode and
   ``min_shared``, its symbolic flops are the products it forms, and ranks
   below the grid diagonal form none;
-* how a stage's joins are cut into runs of whole phases (the product
-  bound) changes nothing a run computes, charges, sends or holds.
+* how a rank's one join is cut into runs of whole output columns (the
+  product bound) changes nothing a run computes, charges, sends or holds,
+  and what the join counts for the cost model equals what per-stage
+  ``spgemm_local`` calls form.
 """
 
 import functools
@@ -33,6 +36,7 @@ from hypothesis import strategies as st
 from repro.errors import DistributionError, PipelineError
 from repro.kmer import build_kmer_matrix, count_kmers
 from repro.mpi import MemoryBudget, MemoryMeter, ProcGrid, SimWorld, cori_haswell
+from repro.mpi.comm import block_range
 from repro.overlap import detect_overlaps
 from repro.pipeline import Pipeline, PipelineConfig
 from repro.seq import DistReadStore, GenomeSpec, dna, make_genome, tile_reads
@@ -251,7 +255,84 @@ class TestPhasedIdentity:
 # ---------------------------------------------------------------------------
 
 
+def reference_plan(a, b, semiring, limit, max_phases, strict_upper):
+    """The planner as a per-stage loop: ``spgemm_symbolic`` per rank and
+    SUMMA stage, and each candidate's estimate one phase at a time."""
+    grid, q = a.grid, a.grid.q
+    out_entry = 16 + semiring.out_dtype.itemsize
+    b_entry = 16 + b.dtype.itemsize
+    per_rank = []
+    out_bounds = grid.block_bounds((a.shape[0], b.shape[1]))
+    for rank, (rlo, rhi, clo, chi) in enumerate(out_bounds):
+        i, j = grid.coords_of(rank)
+        a_ranks = [grid.rank_of(i, s) for s in range(q)]
+        b_ranks = [grid.rank_of(s, j) for s in range(q)]
+        partial_ub = np.zeros(chi - clo, dtype=np.int64)
+        for ar, br in [] if strict_upper and i > j else zip(a_ranks, b_ranks):
+            partial_ub += spgemm_symbolic(
+                a.blocks[ar], b.blocks[br], strict_upper=strict_upper and i == j
+            )[1]
+        out_ub = np.minimum(partial_ub, rhi - rlo)
+        cum_counts = np.zeros((q, chi - clo + 1), dtype=np.int64)
+        np.cumsum(
+            [b.blocks[br].col_counts() for br in b_ranks], axis=1, out=cum_counts[:, 1:]
+        )
+        a_panel = max(a.blocks[ar].nbytes for ar in a_ranks)
+        per_rank.append(
+            (a_panel, np.cumsum([0, *partial_ub]), np.cumsum([0, *out_ub]), cum_counts)
+        )
+
+    def estimate(phase_count):
+        worst = 0.0
+        for a_panel, cum_partial, cum_out, cum_counts in per_rank:
+            width = cum_partial.size - 1
+            peak = float(cum_out[-1]) * out_entry
+            for p in range(phase_count):
+                lo, hi = block_range(width, phase_count, p)
+                panel = int((cum_counts[:, hi] - cum_counts[:, lo]).max()) * b_entry
+                transient = (
+                    a_panel + panel + float(cum_partial[hi] - cum_partial[lo]) * out_entry
+                )
+                peak = max(peak, transient + float(cum_out[lo]) * out_entry)
+            worst = max(worst, peak)
+        return worst * a.grid.world.machine.volume_scale
+
+    max_width = max(chi - clo for _rlo, _rhi, clo, chi in out_bounds)
+    candidates = [1]
+    while candidates[-1] * 2 <= min(max_phases, max(max_width, 1)):
+        candidates.append(candidates[-1] * 2)
+    est_by_phases, chosen, fits = {}, candidates[-1], False
+    for cand in candidates:
+        est_by_phases[cand] = estimate(cand)
+        if est_by_phases[cand] <= limit:
+            chosen, fits = cand, True
+            break
+    return chosen, fits, est_by_phases[chosen], est_by_phases
+
+
 class TestPlanner:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("nprocs", [1, 4, 9, 16])
+    def test_panel_planner_equals_the_per_stage_loop(self, nprocs, strict):
+        """One symbolic join per rank over its panels, and every phase of
+        a candidate estimated at once, plan exactly what a per-stage
+        symbolic pass estimated one phase at a time: the phase count,
+        whether it fits, the chosen estimate and every candidate's."""
+        grid = ProcGrid(SimWorld(nprocs, cori_haswell()))
+        sr = arithmetic_semiring(np.int64)
+        for seed in range(3):
+            a = random_dist(grid, (70, 50), 0.2, seed=seed + 40)
+            b = a.transpose() if strict else random_dist(grid, (50, 90), 0.15, seed=seed)
+            unlimited = SpgemmPlan.choose(a, b, sr, MemoryBudget(1.0), strict_upper=strict)
+            for limit in (1.0, unlimited.est_by_phases[1] * 0.7, 1e12):
+                got = SpgemmPlan.choose(
+                    a, b, sr, MemoryBudget(limit), max_phases=32, strict_upper=strict
+                )
+                want = reference_plan(a, b, sr, limit, 32, strict)
+                assert (
+                    got.phases, got.fits, got.est_peak_bytes, got.est_by_phases
+                ) == want, (seed, limit)
+
     def _operand(self, nprocs=16, seed=3):
         world = SimWorld(nprocs, cori_haswell())
         grid = ProcGrid(world)
@@ -554,36 +635,37 @@ class TestStrictUpper:
 
     def test_below_diagonal_ranks_form_no_products(self, overlap_reads, monkeypatch):
         """Only ranks on or above the grid diagonal join -- the diagonal
-        ones joining column prefixes -- once per stage whatever the phase
-        count, and each A block's key is built once per SpGEMM, not per
-        call."""
+        ones joining column prefixes -- each once, whatever the phase
+        count, and each A row panel's key is built once per SpGEMM, not
+        per rank."""
         A = kmer_matrix(overlap_reads, 16, executor="serial")
         grid, q = A.grid, A.grid.q
-        column_key = distmat.column_key
-        # no run bound: a stage is one join however many products it forms
+        column_key, panel_product = distmat.column_key, distmat._panel_product
+        # no run bound: a rank's product is one join however many it forms
         monkeypatch.setattr(spgemm_mod, "_PRODUCTS_PER_JOIN", 2**62)
         for phases in (1, 3, 32):
-            calls, key_builds = [], []
+            products, key_builds = [], []
 
-            def recording_spgemm_local(a_blk, b_blk, semiring, **kw):
-                part, flops = spgemm_local(a_blk, b_blk, semiring, **kw)
-                calls.append((kw["strict_upper"], flops))
-                return part, flops
+            def recording_panel_product(a_op, *args):
+                block, counts, joins = panel_product(a_op, *args)
+                products.append((a_op[2] is not None, joins))
+                return block, counts, joins
 
             def counting_column_key(blk):
                 key_builds.append(blk)
                 return column_key(blk)
 
             with monkeypatch.context() as m:
-                m.setattr(distmat, "spgemm_local", recording_spgemm_local)
+                m.setattr(distmat, "_panel_product", recording_panel_product)
                 m.setattr(distmat, "column_key", counting_column_key)
                 m.setattr(spgemm_mod, "column_key", counting_column_key)
                 C, _ = detect_overlaps(A, phases=phases)
 
-            # q(q + 1) / 2 ranks join per stage, q of them on the diagonal
-            assert len(calls) == q * q * (q + 1) // 2, phases
-            assert sum(strict for strict, _ in calls) == q * q, phases
-            assert len(key_builds) == grid.nprocs, phases
+            # q(q + 1) / 2 ranks multiply, q of them on the diagonal
+            assert len(products) == q * (q + 1) // 2, phases
+            assert sum(strict for strict, _ in products) == q, phases
+            assert all(joins == 1 for _, joins in products), phases
+            assert len(key_builds) == q, phases
             for rank, blk in enumerate(C.blocks):
                 i, j = grid.coords_of(rank)
                 if i > j:
@@ -626,25 +708,28 @@ class TestStrictUpper:
 
 
 # ---------------------------------------------------------------------------
-# join runs: the product bound cuts a stage's joins, nothing else
+# join runs: the product bound cuts a rank's join, nothing else
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
 def chunking_operands(nprocs):
-    """The three product kinds of a run, on a throwaway world: the
-    strict-upper ``A . A^T`` over the seed semiring, transitive
-    reduction's ``dirmin`` square with the diagonal excluded, and a
-    rectangular arithmetic product."""
+    """The product kinds of a run, on a throwaway world: the strict-upper
+    ``A . A^T`` over the seed semiring, transitive reduction's ``dirmin``
+    square with the diagonal excluded, a rectangular arithmetic product
+    and a square count product with the diagonal excluded."""
     genome = make_genome(GenomeSpec(length=3000, seed=29))
     A = kmer_matrix(tile_reads(genome, 200, 40, "alternate").reads, nprocs)
     _, _, R = build_R(ProcGrid(SimWorld(nprocs, cori_haswell())), stride=100)
     X = random_dist(A.grid, (41, 29), 0.2, seed=nprocs + 1)
     Y = random_dist(A.grid, (29, 53), 0.25, seed=nprocs + 70)
+    Z = random_dist(A.grid, (37, 37), 0.2, seed=nprocs + 90)
     return {
         "seed": (A, A.transpose(), seed_semiring(), dict(strict_upper=True)),
         "dirmin": (R, R, dirmin_semiring(), dict(exclude_diagonal=True)),
         "arith": (X, Y, arithmetic_semiring(np.int64), {}),
+        # a square product with diagonal cells for the mask to drop
+        "count": (Z, Z, count_semiring(), dict(exclude_diagonal=True)),
     }
 
 
@@ -676,6 +761,39 @@ def bounded_run(monkeypatch, bound, nprocs, product, mode, phases, executor="ser
     )
 
 
+def per_stage_ledger(nprocs, product, phases):
+    """Each rank's ledger counts from q ``spgemm_local`` calls per column
+    phase, one per SUMMA stage: A(i, s) against B(s, j)'s phase columns."""
+    a, b, sr, kw = chunking_operands(nprocs)[product]
+    grid, q = a.grid, a.grid.q
+    strict = kw.get("strict_upper", False)
+    exclude = kw.get("exclude_diagonal", False)
+    ledgers = []
+    for rank, (rlo, _rhi, clo, chi) in enumerate(
+        grid.block_bounds((a.shape[0], b.shape[1]))
+    ):
+        i, j = grid.coords_of(rank)
+        counts = [np.zeros((phases, q), dtype=np.int64) for _ in range(3)]
+        merged, kept = (np.zeros(phases, dtype=np.int64) for _ in range(2))
+        for p in range(0 if strict and i > j else phases):
+            lo, hi = block_range(chi - clo, phases, p)
+            cells = set()
+            for s in range(q):
+                b_blk = b.blocks[grid.rank_of(s, j)]
+                part, formed = spgemm_local(
+                    a.blocks[grid.rank_of(i, s)],
+                    b_blk.select((b_blk.cols >= lo) & (b_blk.cols < hi)),
+                    sr, strict_upper=strict and i == j,
+                )
+                cells |= set(zip(part.rows.tolist(), part.cols.tolist()))
+                counts[0][p, s], counts[1][p, s] = formed, part.nnz
+                counts[2][p, s] = len(cells)
+            merged[p] = len(cells)
+            kept[p] = sum(not exclude or r + rlo != c + clo for r, c in cells)
+        ledgers.append((*counts, merged, kept))
+    return ledgers
+
+
 def assert_runs_identical(x, y, ctx):
     assert_blocks_identical(x[0], y[0], ctx)
     assert_accounting_equal(x[1], y[1], ctx)
@@ -686,10 +804,10 @@ class TestJoinRuns:
     @pytest.mark.parametrize("product", ["seed", "dirmin", "arith"])
     @pytest.mark.parametrize("nprocs", [1, 4, 9, 16])
     def test_run_bound_changes_nothing(self, monkeypatch, nprocs, product):
-        """A bound of one product (every run one phase) and none (every
-        run a whole stage) give the same blocks, per-rank clocks, memory
-        samples, peak, comm log and trace digest, for every phase count
-        and merge mode."""
+        """A bound of one product (every run one column) and none (every
+        rank's product one run) give the same blocks, per-rank clocks,
+        memory samples, peak, comm log and trace digest, for every phase
+        count and merge mode."""
         for mode in ("bulk", "stream"):
             for phases in (1, 3, 32):
                 ctx = (nprocs, product, mode, phases)
@@ -697,13 +815,42 @@ class TestJoinRuns:
                 whole = run(2**62, nprocs, product, mode, phases)
                 one = run(1, nprocs, product, mode, phases)
                 assert_runs_identical(one, whole, ctx)
-                # one stage join per rank that multiplies; the bound only
-                # splits a phased stage
+                # one join per rank that multiplies, whatever the phases;
+                # the bound only cuts a rank's product into column runs
                 q = int(round(nprocs**0.5))
                 assert whole[5] == (
-                    q * q * (q + 1) // 2 if product == "seed" else nprocs * q
+                    q * (q + 1) // 2 if product == "seed" else nprocs
                 ), ctx
-                assert one[5] > whole[5] if phases > 1 else one[5] == whole[5], ctx
+                assert one[5] > whole[5], ctx
+
+    @pytest.mark.parametrize("nprocs", [1, 4, 9, 16])
+    def test_one_join_ledger_equals_the_per_stage_products(self, monkeypatch, nprocs):
+        """What a rank's one join counts for the cost model -- per (phase,
+        stage) the products formed, the partial's nonzeros and (streamed)
+        the accumulator's distinct keys; per phase the merged and kept
+        nonzeros -- equals what q separate ``spgemm_local`` calls per
+        phase, one per SUMMA stage, form."""
+        recorded, rank_charges = [], distmat._rank_charges
+
+        def recording_rank_charges(received, counts, *args):
+            recorded.append(counts)
+            return rank_charges(received, counts, *args)
+
+        monkeypatch.setattr(distmat, "_rank_charges", recording_rank_charges)
+        for product in ("seed", "dirmin", "arith", "count"):
+            for phases in (1, 3, 32):
+                want = per_stage_ledger(nprocs, product, phases)
+                for mode in ("bulk", "stream"):
+                    recorded.clear()
+                    bounded_run(monkeypatch, 2**15, nprocs, product, mode, phases)
+                    assert len(recorded) == nprocs
+                    for rank, (got, ref) in enumerate(zip(recorded, want)):
+                        ctx = (product, phases, mode, rank)
+                        flops, part, held, merged, kept = ref
+                        if mode == "bulk":  # no accumulator
+                            held = np.zeros_like(held)
+                        for g, w in zip(got, (flops, part, held, merged, kept)):
+                            assert np.array_equal(g, w), ctx
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_process_backend_matches_serial(self, monkeypatch, workers):

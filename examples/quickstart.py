@@ -38,14 +38,9 @@ def main() -> None:
     print(f"simulated {reads.count} reads "
           f"({reads.depth():.1f}x coverage, mean {reads.mean_length():.0f} bp)")
 
-    # 2. run the stage pipeline on a simulated 2x2 process grid.
-    #    PipelineConfig(executor=...) picks the per-rank compute backend:
-    #    "serial" (the default, and the reference) or "process" (a
-    #    spawn-safe process pool; wall-clock drops on multi-core hosts
-    #    when the work per superstep is large, while modeled seconds and
-    #    every artifact stay bit-identical).  Left unset here so the
-    #    REPRO_EXECUTOR env var (or --executor on the CLI) picks the
-    #    backend: try REPRO_EXECUTOR=process.
+    # 2. run the stage pipeline on a simulated 2x2 process grid.  The four
+    #    ranks run one after another in this process; the modeled clock
+    #    says what four real ranks would have taken.
     config = PipelineConfig(
         nprocs=4,
         k=21,

@@ -14,8 +14,8 @@ Quickstart::
 
     genome = make_genome(GenomeSpec(length=20_000, seed=1))
     reads = sample_reads(genome, depth=20, mean_length=600, rng=2)
-    # executor="process" runs the ranks on a process pool instead of one
-    # after another; the contigs are bit-identical, only wall time moves
+    # the P simulated ranks run one after another in this process; the
+    # modeled clock says what P real ranks would have taken
     cfg = PipelineConfig(nprocs=4, k=21)
     result = Pipeline.default().run(reads, cfg)
     print(result.contigs.count, "contigs,", result.contigs.longest(), "bp longest")
@@ -41,7 +41,7 @@ Partial runs, injection, checkpoint/resume, hooks::
     # tracing and fault injection attach the same way, as observers
     tracer = repro.telemetry.Tracer()
     pipe.run(reads, cfg, observers=[tracer])
-    tracer.digest()                 # identical on every executor backend
+    tracer.digest()                 # identical on every run of this input
 """
 
 from .errors import ReproError

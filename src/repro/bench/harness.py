@@ -42,10 +42,10 @@ SCALING_P = [1, 4, 16, 36, 64]
 
 
 def machine_stamp() -> dict:
-    """Identify the physical machine and executor behind a bench entry.
+    """Identify the physical machine behind a bench entry.
 
     Wall-clock throughputs are only comparable between runs on the same
-    hardware with the same executor backend: ``benchmarks/e2e/run.py``
+    hardware: ``benchmarks/e2e/run.py``
     stamps every result file, and the perf gate (``benchmarks/e2e/
     compare.py A B``) is meant for two files of one host.  Modeled times
     need no stamp -- they are deterministic by construction.
@@ -58,7 +58,6 @@ def machine_stamp() -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "executor": os.environ.get("REPRO_EXECUTOR", "serial"),
     }
 
 

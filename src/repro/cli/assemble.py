@@ -255,9 +255,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             contigs = polished.contigs
         seqs = [c.codes for c in contigs]
         if args.scaffold:
-            scaffolded = scaffold_contigs(
-                seqs, ScaffoldConfig(executor=cfg.executor)
-            )
+            scaffolded = scaffold_contigs(seqs, ScaffoldConfig())
             print(
                 f"scaffold: {len(seqs)} contigs -> {scaffolded.count} "
                 f"in {scaffolded.n_rounds} round(s)",
@@ -265,9 +263,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             )
             seqs = scaffolded.contigs
         if args.gap_fill:
-            filled = gap_fill(
-                seqs, reads, ScaffoldConfig(min_overlap=25, executor=cfg.executor)
-            )
+            filled = gap_fill(seqs, reads, ScaffoldConfig(min_overlap=25))
             print(
                 f"gap-fill: {len(seqs)} contigs -> {filled.count}",
                 file=out,

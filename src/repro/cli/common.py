@@ -7,7 +7,6 @@ import argparse
 from ..errors import ReproError
 from ..kernels import KERNEL_TIERS
 from ..mpi.costmodel import MACHINE_PRESETS
-from ..mpi.executor import EXECUTOR_BACKENDS
 from ..pipeline import PipelineConfig
 from ..seq.datasets import PRESETS
 
@@ -105,12 +104,6 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         help="local-assembly traversal: vectorized batch or scalar reference",
     )
     parser.add_argument(
-        "--executor", choices=tuple(EXECUTOR_BACKENDS), default=None,
-        help="per-rank compute backend: serial loop or spawn-safe "
-        "process pool over shared-memory buffers; outputs are "
-        "bit-identical on both; default from $REPRO_EXECUTOR",
-    )
-    parser.add_argument(
         "--kernel-tier", choices=tuple(KERNEL_TIERS), default=None,
         help="inner-loop kernel implementation: vectorized numpy or the "
         "compiled C extension (falls back to numpy when not built); "
@@ -155,8 +148,6 @@ def build_pipeline_config(args, ds=None) -> PipelineConfig:
         cfg.align_batch_size = args.align_batch_size
     if getattr(args, "contig_engine", None) is not None:
         cfg.contig_engine = args.contig_engine
-    if getattr(args, "executor", None) is not None:
-        cfg.executor = args.executor
     if getattr(args, "kernel_tier", None) is not None:
         cfg.kernel_tier = args.kernel_tier
     if getattr(args, "memory_budget_mb", None) is not None:

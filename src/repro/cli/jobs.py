@@ -28,7 +28,6 @@ import time
 from ..errors import ReproError
 from ..faults import FaultPlan, RetryPolicy
 from ..kernels import KERNEL_TIERS
-from ..mpi.executor import EXECUTOR_BACKENDS
 from ..service import JobService, TERMINAL_STATES
 from .common import CliError, positive_float, positive_int
 
@@ -145,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-plan", default=None, metavar="FILE",
                    help="JSON fault plan (repro.faults.FaultPlan schema) "
                    "injected into every job this worker runs")
-    p.add_argument("--executor", default=None, choices=EXECUTOR_BACKENDS,
-                   help="run every job's stages on this executor backend, "
-                   "overriding job specs and REPRO_EXECUTOR (e.g. "
-                   "'process' for a multi-core worker)")
     p.add_argument("--kernel-tier", default=None, choices=KERNEL_TIERS,
                    help="run every job's kernels on this tier, overriding "
                    "job specs and REPRO_KERNEL_TIER (tiers are "
@@ -389,7 +384,6 @@ def _cmd_worker(svc: JobService, args, out) -> int:
         max_jobs=args.max_jobs,
         worker_id=args.worker_id,
         fault_plan=fault_plan,
-        executor=args.executor,
         kernel_tier=args.kernel_tier,
     )
     for record in done:

@@ -18,6 +18,7 @@ Stages:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -71,6 +72,27 @@ class ContigSet:
         return sorted(self.contigs, key=lambda c: c.length, reverse=True)
 
 
+def _assemble_step(ctx, graph, shard, **walk):
+    """The traversal superstep: one rank walks its own induced subgraph."""
+    res = local_assembly(graph, shard, span=ctx.span, **walk)
+    ctx.charge_compute(graph.coo.nnz + sum(c.length for c in res.contigs))
+    return res
+
+
+def _polish_step(ctx, res, shard, polish_config):
+    """One rank pileup-polishes its contigs against the reads it holds."""
+    if not res.contigs:
+        return res
+    # deferred import: scaffold builds on core, not the reverse
+    from ..scaffold.polish import polish_packed
+
+    polished, stats = polish_packed(res.contigs, shard, polish_config)
+    res.contigs = polished
+    # pileup cost: one vote per covered base per mapped read
+    ctx.charge_compute(sum(s.mean_depth * s.length for s in stats))
+    return res
+
+
 def contig_generation(
     S: DistSparseMatrix,
     reads: DistReadStore,
@@ -121,39 +143,19 @@ def contig_generation(
         exchange = exchange_sequences(reads, p, count_limit=count_limit)
 
     with world.stage_scope(f"{STAGE_PREFIX}/LocalAssembly"):
-        # the traversal superstep: every rank walks its own induced
-        # subgraph through the executor backend
-        def _assemble_step(ctx, graph, shard):
-            res = local_assembly(
-                graph, shard, emit_cycles=emit_cycles, engine=assembly_engine,
-                kernel_tier=kernel_tier, span=ctx.span,
-            )
-            ctx.charge_compute(
-                graph.coo.nnz + sum(c.length for c in res.contigs)
-            )
-            return res
-
+        step = partial(
+            _assemble_step, emit_cycles=emit_cycles, engine=assembly_engine,
+            kernel_tier=kernel_tier,
+        )
         per_rank: list[LocalAssemblyResult] = world.map_ranks(
-            _assemble_step, graphs, exchange.shards
+            step, graphs, exchange.shards
         )
         contigs: list[Contig] = [c for res in per_rank for c in res.contigs]
 
     if polish:
-        # deferred import: scaffold builds on core, not the reverse
-        from ..scaffold.polish import polish_packed
-
         with world.stage_scope(f"{STAGE_PREFIX}/Polish"):
-
-            def _polish_step(ctx, res, shard):
-                if not res.contigs:
-                    return res
-                polished, stats = polish_packed(res.contigs, shard, polish_config)
-                res.contigs = polished
-                # pileup cost: one vote per covered base per mapped read
-                ctx.charge_compute(sum(s.mean_depth * s.length for s in stats))
-                return res
-
-            per_rank = world.map_ranks(_polish_step, per_rank, exchange.shards)
+            step = partial(_polish_step, polish_config=polish_config)
+            per_rank = world.map_ranks(step, per_rank, exchange.shards)
             contigs = [c for res in per_rank for c in res.contigs]
 
     return ContigSet(

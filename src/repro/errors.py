@@ -74,15 +74,6 @@ class RankFailure(ReproError):
         self.stage = stage
         self.superstep = superstep
 
-    def __reduce__(self):
-        # Default exception pickling replays only ``args`` (the message),
-        # dropping the provenance attributes.  Out-of-process executors
-        # ship these across a pool boundary, so keep the full signature.
-        return (
-            type(self),
-            (self.args[0], self.rank, self.stage, self.superstep),
-        )
-
 
 class FaultPlanError(ReproError):
     """A fault plan or retry policy is malformed (bad rule, bad JSON)."""

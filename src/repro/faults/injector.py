@@ -9,10 +9,9 @@ is consulted at three sites:
 * **superstep boundaries** -- :class:`~repro.mpi.comm.SimWorld.map_ranks`
   asks :meth:`superstep_actions` before launching a superstep; matching
   ``rank_crash`` rules make that rank raise
-  :class:`~repro.errors.RankFailure` inside the step (so the failure
-  propagates identically on every executor backend and the transactional
-  accounting charges nothing), matching ``stall`` rules charge modeled
-  straggler seconds after the superstep succeeds;
+  :class:`~repro.errors.RankFailure` in place of its step (so the
+  transactional accounting charges nothing), matching ``stall`` rules
+  charge modeled straggler seconds after the superstep succeeds;
 * **checkpoint save/load** -- the engine's :meth:`on_checkpoint` hook
   corrupts a just-saved artifact or tears one out from under a load
   (``cache_evict_race``), exercising the ``CheckpointLoadError`` ->

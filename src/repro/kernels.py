@@ -10,10 +10,9 @@ each have two implementations of their dominant inner loop:
 Both tiers are **bit-identical** (the property corpus in
 ``tests/test_kernels.py`` and the CI kernel smoke enforce element-wise
 equality, and full pipeline runs must agree on ``contig_digest()``), so
-the tier is a pure throughput knob: like the executor backend it is
-deliberately *not* checkpoint-fingerprinted, and selection mirrors
-:func:`~repro.mpi.executor.make_executor` -- an explicit spec wins,
-otherwise the ``REPRO_KERNEL_TIER`` env var, otherwise ``numpy``.
+the tier is a pure throughput knob: it is deliberately *not*
+checkpoint-fingerprinted, and an explicit spec wins, otherwise the
+``REPRO_KERNEL_TIER`` env var, otherwise ``numpy``.
 
 Resolution degrades gracefully: asking for ``native`` on a host where the
 extension is missing or failed to build resolves to ``numpy`` (the

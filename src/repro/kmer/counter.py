@@ -22,6 +22,7 @@ occurrences into column indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +49,44 @@ def _owner_of(kmers: np.ndarray, nprocs: int) -> np.ndarray:
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(32)
     return (x % np.uint64(nprocs)).astype(np.min_scalar_type(nprocs))
+
+
+def _extract_step(ctx, shard, k, nprocs):
+    """One rank's canonical k-mers and their hash owners."""
+    _read, mine, _orient, _pos = shard_kmers(shard.buffer, shard.offsets, k)
+    ctx.charge_compute(shard.total_bases * 2)
+    return mine, _owner_of(mine, nprocs)
+
+
+def _count_step(ctx, received, reliable_lo, reliable_hi):
+    """An owner counts the k-mers it received and keeps the reliable ones."""
+    uniq, cnt = np.unique(received, return_counts=True)
+    keep = cnt >= reliable_lo
+    if reliable_hi is not None:
+        keep &= cnt <= reliable_hi
+    uniq, cnt = uniq[keep], cnt[keep]
+    ctx.charge_compute(received.size + uniq.size)
+    return uniq, cnt.astype(np.int64)
+
+
+def _owner_step(ctx, vals, nprocs):
+    """Hash one rank's lookup requests to their owners."""
+    ctx.charge_compute(vals.size)
+    return _owner_of(vals, nprocs)
+
+
+def _bisect_step(ctx, vals, table, base):
+    """An owner bisects its sorted table with sorted requests (neighbouring
+    queries share their search path), then scatters the ids back into
+    request order."""
+    order = np.argsort(vals)
+    hit, pos = sorted_lookup(table, vals[order])
+    ctx.charge_compute(vals.size)
+    pos += base
+    pos[~hit] = -1
+    ids = np.empty_like(pos)
+    ids[order] = pos
+    return ids
 
 
 @dataclass
@@ -81,26 +120,11 @@ class KmerTable:
         requests = [np.asarray(req, dtype=np.uint64) for req in requests]
 
         # local superstep: hash each rank's requests to their owners
-        def _owner_step(ctx, vals):
-            ctx.charge_compute(vals.size)
-            return _owner_of(vals, P)
-
-        plan = world.comm.route(world.map_ranks(_owner_step, requests))
+        owners = world.map_ranks(partial(_owner_step, nprocs=P), requests)
+        plan = world.comm.route(owners)
         (asked,) = plan.send(requests)
 
-        # owner superstep: bisect the sorted tables with sorted requests
-        # (neighbouring queries share their search path), then scatter the
-        # ids back into request order
-        def _bisect_step(ctx, vals, table, base):
-            order = np.argsort(vals)
-            hit, pos = sorted_lookup(table, vals[order])
-            ctx.charge_compute(vals.size)
-            pos += base
-            pos[~hit] = -1
-            ids = np.empty_like(pos)
-            ids[order] = pos
-            return ids
-
+        # owner superstep: bisect the sorted tables, reply in request order
         return plan.reply(
             world.map_ranks(
                 _bisect_step, asked, self.kmers_by_owner, list(self.offsets[:P])
@@ -137,29 +161,18 @@ def count_kmers(
     grid, world = reads.grid, reads.grid.world
     P = grid.nprocs
 
-    # 1-2) extract canonical k-mers and route to hash owners.  Both local
-    # supersteps (extraction and counting) run through the executor
-    # backend; outputs and charges are independent of it.
-    def _extract_step(ctx, shard):
-        _read, mine, _orient, _pos = shard_kmers(shard.buffer, shard.offsets, k)
-        ctx.charge_compute(shard.total_bases * 2)
-        return mine, _owner_of(mine, P)
-
-    extracted = world.map_ranks(_extract_step, reads.shards)
+    # 1-2) extract canonical k-mers and route to hash owners
+    extracted = world.map_ranks(
+        partial(_extract_step, k=k, nprocs=P), reads.shards
+    )
     plan = world.comm.route(owner for _mine, owner in extracted)
     (recv,) = plan.send([mine for mine, _owner in extracted])
 
     # 3) owners count and filter
-    def _count_step(ctx, received):
-        uniq, cnt = np.unique(received, return_counts=True)
-        keep = cnt >= reliable_lo
-        if reliable_hi is not None:
-            keep &= cnt <= reliable_hi
-        uniq, cnt = uniq[keep], cnt[keep]
-        ctx.charge_compute(received.size + uniq.size)
-        return uniq, cnt.astype(np.int64)
-
-    counted = world.map_ranks(_count_step, recv)
+    counted = world.map_ranks(
+        partial(_count_step, reliable_lo=reliable_lo, reliable_hi=reliable_hi),
+        recv,
+    )
     kmers_by_owner = [uniq for uniq, _cnt in counted]
     counts_by_owner = [cnt for _uniq, cnt in counted]
     retained = np.array([uniq.size for uniq in kmers_by_owner], dtype=np.int64)

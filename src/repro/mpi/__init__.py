@@ -16,17 +16,7 @@ from .comm import (
     block_sizes,
     payload_nbytes,
 )
-from .executor import (
-    EXECUTOR_BACKENDS,
-    Executor,
-    RankContext,
-    RankStep,
-    SerialExecutor,
-    default_executor,
-    make_executor,
-)
-from .procexec import ProcessExecutor
-from .shm import SharedArrayHandle, SharedBufferRegistry
+from .executor import RankContext, RankStep
 from .costmodel import (
     MACHINE_PRESETS,
     MachineModel,
@@ -43,16 +33,8 @@ __all__ = [
     "SimWorld",
     "SimComm",
     "RoutePlan",
-    "Executor",
-    "SerialExecutor",
     "RankContext",
     "RankStep",
-    "EXECUTOR_BACKENDS",
-    "make_executor",
-    "default_executor",
-    "ProcessExecutor",
-    "SharedArrayHandle",
-    "SharedBufferRegistry",
     "ProcGrid",
     "MachineModel",
     "cori_haswell",

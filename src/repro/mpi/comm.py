@@ -27,11 +27,11 @@ the returned :class:`RoutePlan` sends any number of row-aligned columns
 the reference the route tests compare against.
 
 The local half of a superstep goes through :meth:`SimWorld.map_ranks`
-(one step call per rank) or :meth:`SimWorld.map_segments` (one call per
-contiguous rank range, for steps whose cost is per-call overhead); both
+(one step call per rank) or :meth:`SimWorld.map_segments` (one call over
+every rank, for steps whose cost is per-call overhead); both
 share one superstep -- validation, fault injection, the in-step guard,
-the rank-ordered merge and the tracer record -- and both run through the
-world's :mod:`~repro.mpi.executor` backend.
+the rank-ordered merge and the tracer record -- and both run on the
+calling thread (see :mod:`~repro.mpi.executor`).
 """
 
 from __future__ import annotations
@@ -49,14 +49,7 @@ from ..errors import CommunicatorError
 from ..telemetry.metrics import get_registry
 from ..util import cumsum0, gather_pieces
 from .costmodel import MachineModel, zero_cost
-from .executor import (
-    Executor,
-    RankContext,
-    RankStep,
-    SegmentStep,
-    _GuardedStep,
-    make_executor,
-)
+from .executor import RankContext, RankStep, SegmentStep
 from .memory import MemoryMeter
 from .stats import CommEvent, CommLog, StageClock
 
@@ -136,22 +129,23 @@ def block_owner(n: int, parts: int, index: np.ndarray | int):
 class SimWorld:
     """The simulated machine: P ranks, a cost model, clocks and logs.
 
-    ``executor`` selects the backend that runs per-rank local compute
-    submitted through :meth:`map_ranks` / :meth:`map_segments` --
-    ``"serial"`` (the default and the reference: ranks in order on the
-    calling thread) or ``"process"`` (a persistent spawn-safe process
-    pool).  Backends are observationally identical: artifacts, clocks and
-    logs do not depend on the choice.
+    Per-rank local compute submitted through :meth:`map_ranks` /
+    :meth:`map_segments` runs on the calling thread, in rank order.
+    ``executor`` accepts only ``"serial"``, the one way supersteps run.
     """
 
     def __init__(
         self,
         nprocs: int,
         machine: MachineModel | None = None,
-        executor: "str | Executor" = "serial",
+        executor: str = "serial",
     ) -> None:
         if nprocs < 1:
             raise CommunicatorError(f"world size must be >= 1, got {nprocs}")
+        if executor != "serial":
+            raise CommunicatorError(
+                f"unknown executor {executor!r}; supersteps run serially"
+            )
         self.nprocs = nprocs
         self.machine = machine if machine is not None else zero_cost()
         self.clock = StageClock(nprocs)
@@ -172,7 +166,6 @@ class SimWorld:
         #: (attached via ``Tracer.attach``; every hook is a None-guard so
         #: untraced runs pay one attribute read per site)
         self.tracer = None
-        self._executor = make_executor(executor)
         self.comm = SimComm(self, list(range(nprocs)), label="world")
 
     # -- stage scoping ----------------------------------------------------
@@ -206,27 +199,9 @@ class SimWorld:
         finally:
             stack.pop()
 
-    # -- per-rank compute (the executor API) -------------------------------
-    @property
-    def executor(self) -> Executor:
-        """The backend running :meth:`map_ranks` supersteps."""
-        return self._executor
-
-    def use_executor(self, spec: "str | Executor") -> None:
-        """Swap the per-rank compute backend (any
-        :data:`~repro.mpi.executor.EXECUTOR_BACKENDS` name or instance).
-
-        The replaced executor is shut down so a retired pool's workers
-        exit deterministically rather than waiting for GC (``shutdown``
-        is idempotent and pools rebuild lazily on reuse).
-        """
-        new = make_executor(spec)
-        if new is not self._executor:
-            self._executor.shutdown()
-        self._executor = new
-
+    # -- per-rank compute (supersteps) ------------------------------------
     def map_ranks(self, fn: RankStep, *per_rank_args: Sequence[Any]) -> list[Any]:
-        """Run ``fn(ctx, *args)`` for every rank through the executor.
+        """Run ``fn(ctx, *args)`` for every rank, in rank order.
 
         Each of ``per_rank_args`` is a length-``nprocs`` sequence; rank
         ``r`` receives entry ``r`` of every sequence.  ``ctx`` is a
@@ -234,40 +209,32 @@ class SimWorld:
         plus ``charge_compute`` / ``observe_memory`` / ``stage_scope``
         methods that buffer cost accounting per rank and merge it into
         the world's clocks in rank order once all ranks finish.  Results
-        come back in rank order regardless of backend, so a superstep
-        behaves identically under ``serial`` and ``process`` execution.
+        come back in rank order.  Ranks share nothing: a step takes its
+        state through its per-rank arguments and returns it (see
+        :class:`~repro.mpi.executor.RankStep`).
 
-        The process backend receives the step and tasks *pickled*
-        (contexts travel detached; buffered accounting records splice
-        back before the merge), so steps bound for it must avoid
-        capturing worlds, locks or open handles and must not rely on
-        mutating enclosing scopes -- pass state through per-rank
-        arguments and return it instead.
-
-        Accounting is transactional per superstep: if any rank's step
-        raises, the exception propagates (lowest failing rank first,
-        after all ranks drain) and *no* buffered charges are merged --
-        a failed superstep charges nothing on any backend.
+        Accounting is transactional per superstep: if a rank's step
+        raises, the exception propagates (the lowest failing rank's, as
+        ranks run in order) and *no* buffered charges are merged -- a
+        failed superstep charges nothing.
         """
         return self._superstep(fn, per_rank_args, segmented=False)
 
     def map_segments(
         self, fn: SegmentStep, *per_rank_args: Sequence[Any]
     ) -> list[Any]:
-        """Run ``fn(ctxs, *arg_lists)`` once per contiguous rank range.
+        """Run ``fn(ctxs, *arg_lists)`` once, over every rank.
 
         The segment form of :meth:`map_ranks`, for supersteps whose cost
-        is per-call overhead: the serial backend calls ``fn`` once over
-        ``[0, P)``, the process backend once per worker chunk.  ``ctxs``
-        are the range's contexts in rank order and ``arg_lists`` the
-        range's slices of ``per_rank_args``; ``fn`` returns one result per
-        rank and charges each rank through its own context (see
+        is per-call overhead: ``fn`` is called once over ``[0, P)``.
+        ``ctxs`` are the contexts in rank order and ``arg_lists`` the
+        ``per_rank_args``; ``fn`` returns one result per rank and charges
+        each rank through its own context (see
         :class:`~repro.mpi.executor.SegmentStep`).  Everything else --
-        argument validation, fault injection (a segment raises its lowest
-        crashed rank's crash), the in-step guard, the transactional
+        argument validation, fault injection (the segment raises its
+        lowest crashed rank's crash), the in-step guard, the transactional
         rank-ordered merge and the tracer's superstep record -- is
-        :meth:`map_ranks`'s, so a segment step behaves identically under
-        either backend and any cut into segments.
+        :meth:`map_ranks`'s.
         """
         return self._superstep(fn, per_rank_args, segmented=True)
 
@@ -275,7 +242,7 @@ class SimWorld:
         self, fn: Any, per_rank_args: Sequence[Sequence[Any]], segmented: bool
     ) -> list[Any]:
         """The superstep both :meth:`map_ranks` and :meth:`map_segments`
-        run: ``fn`` per rank, or per segment when ``segmented``."""
+        run: ``fn`` per rank, or once over every rank when ``segmented``."""
         what = "map_segments" if segmented else "map_ranks"
         # nesting is always a bug: a step has no business launching a
         # superstep of its own
@@ -288,48 +255,51 @@ class SimWorld:
                 )
         base_stage = tuple(self._stage_stack)
         ctxs = [RankContext(self, r, base_stage) for r in range(self.nprocs)]
-        tasks = [
-            (ctxs[r], tuple(seq[r] for seq in per_rank_args))
-            for r in range(self.nprocs)
-        ]
 
         # fault injection decisions are made once per superstep, before
-        # the executor launches anything, so every backend sees the same
-        # crashes (raised inside the step, so accounting stays
-        # transactional) and the same stragglers (charged after success)
+        # any step runs: crashes are raised in place of the crashed rank's
+        # step (so accounting stays transactional), stragglers are charged
+        # after success
         crash_excs: dict[int, Exception] = {}
         stall_actions: list[dict] = []
         injector = self.fault_injector
         if injector is not None:
             for action in injector.superstep_actions(base_stage):
-                if action["kind"] == "rank_crash":
+                if action["kind"] != "rank_crash":
+                    stall_actions.append(action)
+                elif 0 <= action["rank"] < self.nprocs:
                     crash_excs[action["rank"]] = injector.crash_failure(
                         action
                     )
-                else:
-                    stall_actions.append(action)
 
-        if getattr(self._executor, "in_process", True):
-            # while a step runs in-process, direct world accounting is
-            # an error (a detached step could not do it at all; raising
-            # keeps the backend-identical contract enforceable)
-            runner: Any = _GuardedStep(fn, crash_excs, segmented, self._in_rank_step)
-        elif crash_excs:
-            # worker processes have no world to guard (detached contexts
-            # refuse collectives structurally); only the pre-decided
-            # crash decisions need to travel with the step
-            runner = _GuardedStep(fn, crash_excs, segmented)
-        else:
-            runner = fn
-
+        # while a step runs, direct world accounting and collectives are
+        # an error: a rank charges through its context only
+        guard = self._in_rank_step
+        prior = getattr(guard, "active", False)
+        guard.active = True
         wall0 = time.perf_counter()
-        results = self._executor.run(runner, tasks, segmented)
+        try:
+            if segmented:
+                if crash_excs:
+                    raise crash_excs[min(crash_excs)]
+                results = list(fn(ctxs, *[list(seq) for seq in per_rank_args]))
+                if len(results) != self.nprocs:
+                    raise CommunicatorError(
+                        f"segment step returned {len(results)} results for "
+                        f"{self.nprocs} ranks"
+                    )
+            else:
+                results = []
+                for r, ctx in enumerate(ctxs):
+                    if r in crash_excs:
+                        raise crash_excs[r]
+                    results.append(fn(ctx, *[seq[r] for seq in per_rank_args]))
+        finally:
+            guard.active = prior
         wall = time.perf_counter() - wall0
         tracer = self.tracer
         if tracer is not None:
-            # read the buffered records before the merge clears them; the
-            # records are rank-ordered and backend-independent, so the
-            # resulting spans are too
+            # read the buffered records before the merge clears them
             tracer.superstep(self.stage, ctxs, wall=wall)
         for ctx in ctxs:
             ctx._merge()

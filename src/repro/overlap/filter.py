@@ -20,17 +20,16 @@ across ranks (one exclusive-scan allgather + one all-to-all) so alignment
 -- the most expensive stage of the pipeline -- stays load-balanced.
 
 The alignment superstep is one **segment step**
-(:meth:`~repro.mpi.comm.SimWorld.map_segments`): a contiguous rank range
--- every rank under the serial executor, one worker chunk under the
-process executor -- concatenates its ranks' tasks and runs them through the
+(:meth:`~repro.mpi.comm.SimWorld.map_segments`): one call over every rank
+concatenates the ranks' tasks and runs them through the
 **batched alignment engine** (:mod:`repro.align.batch`) in chunks of
 ``AlignmentParams.batch_size`` pairs, over one complemented pool of the
-range's fetched reads.  A chunk is one vectorized x-drop extension and one
+ranks' fetched reads.  A chunk is one vectorized x-drop extension and one
 vectorized classification instead of a Python loop over pairs, and one
 wide banded wavefront instead of one per rank.  The outcome is split back
 per rank in task order -- edges, contained ids, counts and the aligned
 bases each rank is charged for -- so every output and charge is what a
-per-rank step would give, whatever the cut.  The classifier emits *both*
+per-rank step would give.  The classifier emits *both*
 directed edge payloads per dovetail, and a final all-to-all routes them to
 their 2D block owners, rebuilding the full symmetric R.
 """
@@ -319,9 +318,8 @@ def build_overlap_graph(
         [np.unique(np.concatenate([gi, gj])) for gi, gj, _seeds in tasks]
     )
 
-    # one segment step: each segment aligns its ranks' tasks together and
-    # splits the outcome back per rank, whose counters merge in rank order
-    # below, so outcome counts do not depend on the backend or the cut
+    # one segment step: it aligns every rank's tasks together and splits
+    # the outcome back per rank, whose counters merge in rank order below
     aligned = world.map_segments(
         functools.partial(_align_segment, params=params), tasks, fetched
     )

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..errors import PipelineError
 from ..kernels import KERNEL_TIERS, default_kernel_tier
 from ..mpi.bigcount import MPI_COUNT_LIMIT
 from ..mpi.costmodel import MACHINE_PRESETS, MachineModel
-from ..mpi.executor import EXECUTOR_BACKENDS, default_executor
 
 __all__ = ["PipelineConfig", "EXECUTION_FIELDS"]
 
@@ -20,7 +20,7 @@ __all__ = ["PipelineConfig", "EXECUTION_FIELDS"]
 #: ``config_fields`` names one of them -- none can reach a checkpoint
 #: fingerprint.
 EXECUTION_FIELDS = frozenset({
-    "executor", "kernel_tier", "align_batch_size", "contig_engine",
+    "kernel_tier", "align_batch_size", "contig_engine",
     "memory_mode", "memory_budget_mb", "stage_max_retries", "keep_graphs",
 })
 
@@ -36,18 +36,10 @@ class PipelineConfig:
 
     nprocs: int = 4
     machine: str | MachineModel = "cori-haswell"
-    # per-rank compute backend for supersteps: "serial" runs ranks in
-    # order on the calling thread (the reference; a segment step once over
-    # every rank), "process" runs whole rank steps in a spawn-safe process
-    # pool (a segment step once per worker chunk).  Measured (see
-    # CHANGES.md): process wins when per-superstep work is large
-    # (lowerr_diag_p16), loses when supersteps are many and tiny
-    # (lowerr_budget_p16, contig_sweep_p16).  On hierr_dp_p4 (2 cores,
-    # seed 3, median of 10 alternating ops) it was 1.67x serial (1.29 vs
-    # 2.15 s per op) with the per-iteration banded kernel, and is 1.06x
-    # (0.317 vs 0.337 s) with the compacting wavefront.  Env override:
-    # REPRO_EXECUTOR.
-    executor: str = field(default_factory=default_executor)
+    # supersteps run on the calling thread, rank by rank; a constant, not
+    # a field (nothing to choose, nothing to fingerprint), kept for
+    # callers that still read it
+    executor: ClassVar[str] = "serial"
     # inner-loop kernel implementation for the batched engines: "numpy"
     # (vectorized reference, always available) or "native" (the C
     # extension, which degrades gracefully to numpy when not built).
@@ -140,11 +132,6 @@ class PipelineConfig:
             )
         if not 1 <= self.k <= 31:
             raise PipelineError(f"k must be in [1, 31], got {self.k}")
-        if self.executor not in EXECUTOR_BACKENDS:
-            raise PipelineError(
-                f"unknown executor {self.executor!r}; "
-                f"options: {list(EXECUTOR_BACKENDS)}"
-            )
         if self.kernel_tier not in KERNEL_TIERS:
             raise PipelineError(
                 f"unknown kernel_tier {self.kernel_tier!r}; "

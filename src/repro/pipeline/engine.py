@@ -538,15 +538,8 @@ class Pipeline:
                     f"the read store lives on a {world.nprocs}-rank world "
                     f"but config.nprocs is {config.nprocs}"
                 )
-            # a prebuilt store carries its own world; the run's config
-            # governs the backend (backends are output-identical).  A
-            # custom Executor instance survives as long as its name
-            # matches config.executor -- to keep a hand-tuned pool, set
-            # config.executor to that backend's name.
-            if world.executor.name != config.executor:
-                world.use_executor(config.executor)
         else:
-            world = SimWorld(config.nprocs, machine, executor=config.executor)
+            world = SimWorld(config.nprocs, machine)
             grid = ProcGrid(world)
             store = None
             if reads is not None:

@@ -28,7 +28,6 @@ import numpy as np
 from ..core.assembly import Contig
 from ..errors import PipelineError
 from ..mpi.costmodel import MachineModel
-from ..mpi.executor import default_executor
 from ..pipeline import Pipeline, PipelineConfig
 
 __all__ = [
@@ -54,9 +53,6 @@ class ScaffoldConfig:
     k: int = 25
     nprocs: int = 1
     machine: str | MachineModel = "cori-haswell"
-    # per-rank compute backend for the scaffold rounds' worlds; same
-    # REPRO_EXECUTOR-aware default as PipelineConfig.executor
-    executor: str = field(default_factory=default_executor)
     min_shared_kmers: int = 1
     xdrop: int = 15
     align_mode: str = "diag"

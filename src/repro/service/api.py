@@ -116,7 +116,6 @@ class JobService:
         observers=(),
         fault_plan: FaultPlan | None = None,
         fault_injector=None,
-        executor: str | None = None,
         kernel_tier: str | None = None,
     ) -> Worker:
         return Worker(
@@ -126,7 +125,6 @@ class JobService:
             observers=observers,
             fault_plan=fault_plan,
             fault_injector=fault_injector,
-            executor=executor,
             kernel_tier=kernel_tier,
         )
 
@@ -135,11 +133,9 @@ class JobService:
         max_jobs: int | None = None,
         worker_id: str | None = None,
         fault_plan: FaultPlan | None = None,
-        executor: str | None = None,
         kernel_tier: str | None = None,
     ) -> list[JobRecord]:
         """Drain the queue synchronously in this process."""
         return self.worker(
-            worker_id, fault_plan=fault_plan, executor=executor,
-            kernel_tier=kernel_tier,
+            worker_id, fault_plan=fault_plan, kernel_tier=kernel_tier
         ).drain(max_jobs=max_jobs)

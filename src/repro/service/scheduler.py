@@ -241,7 +241,6 @@ class Worker:
         observers: Sequence[PipelineObserver] = (),
         fault_plan: FaultPlan | None = None,
         fault_injector: FaultInjector | None = None,
-        executor: str | None = None,
         kernel_tier: str | None = None,
         trace_jobs: bool = True,
     ) -> None:
@@ -249,22 +248,10 @@ class Worker:
         self.cache = cache
         self.worker_id = worker_id or f"worker-{os.getpid()}"
         self.extra_observers = list(observers)
-        # executor backend override for every job this worker runs (the
-        # ``repro-jobs worker --executor`` flag).  None defers to the job
-        # spec's own setting, which itself defaults from REPRO_EXECUTOR.
-        # Validated eagerly so a typo fails at worker start, not per job.
-        if executor is not None:
-            from ..mpi.executor import EXECUTOR_BACKENDS
-
-            if executor not in EXECUTOR_BACKENDS:
-                raise JobError(
-                    f"unknown executor backend {executor!r}; options: "
-                    f"{list(EXECUTOR_BACKENDS)}"
-                )
-        self.executor = executor
-        # kernel-tier override, mirrored on the executor override above
-        # (the ``repro-jobs worker --kernel-tier`` flag); tiers are
-        # bit-identical so this is a pure throughput knob
+        # kernel-tier override for every job this worker runs (the
+        # ``repro-jobs worker --kernel-tier`` flag); None defers to the job
+        # spec.  Tiers are bit-identical so this is a pure throughput knob,
+        # validated eagerly so a typo fails at worker start, not per job
         if kernel_tier is not None:
             from ..kernels import KERNEL_TIERS
 
@@ -305,8 +292,6 @@ class Worker:
     def _execute(self, record: JobRecord) -> JobRecord:
         try:
             reads, config = materialize_spec(record.spec)
-            if self.executor is not None:
-                config.executor = self.executor
             if self.kernel_tier is not None:
                 config.kernel_tier = self.kernel_tier
         except Exception as exc:
@@ -359,7 +344,6 @@ class Worker:
             summary["cache_hits"] = self.cache.hits - hits0
             summary["cache_misses"] = self.cache.misses - misses0
             summary["faults_injected"] = len(fault_events) - faults0
-            summary["executor"] = config.executor
             # record the tier that actually ran, not the one requested
             # (native silently degrades to numpy when the extension is
             # missing -- perf audits need the truth)

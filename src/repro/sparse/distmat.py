@@ -87,7 +87,7 @@ class SpgemmPlan:
     fits the :class:`~repro.mpi.memory.MemoryBudget`.  ``b = 1``
     reproduces the unphased SUMMA bit-identically, so an unlimited budget
     always plans one phase.  Estimates are upper bounds: a plan that fits
-    guarantees the executor's *modeled* working set fits too.  A
+    guarantees the multiply's *modeled* working set fits too.  A
     ``strict_upper`` plan counts only the products that multiplication
     forms: none below the grid diagonal (those ranks still receive the
     panels), a column prefix on it.
@@ -340,10 +340,9 @@ def _stable_groups(group: np.ndarray, ngroups: int) -> tuple[np.ndarray, np.ndar
     )
 
 
-# SpGEMM rank steps: module level (out-of-process backends pickle them), so
-# each rank's state comes in through arguments and goes back out through
-# the return value.  Charge/observe order is part of the bit-identity
-# contract.
+# SpGEMM rank steps: module level, and each rank's state comes in through
+# arguments and goes back out through the return value (ranks share
+# nothing).  Charge/observe order is part of the bit-identity contract.
 
 
 def _panel_product(a_op, b_op, shape, phases, offset, job):
@@ -800,9 +799,7 @@ class DistSparseMatrix:
 
         # Operands are sorted and paneled once, not per phase x stage x
         # rank, and read off the broadcast blocks (so uncharged): A by
-        # column, B by row (so both panels are concatenations).  Ranks
-        # share panels by object, so the process backend exports each
-        # array once.
+        # column, B by row (so both panels are concatenations).
         a_blocks = [blk.sorted_by("col") for blk in self.blocks]
         b_blocks = [blk.sorted_by("row") for blk in other.blocks]
         a_ops = _row_panels(grid, a_blocks, self.shape, strict_upper)

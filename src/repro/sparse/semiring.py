@@ -148,6 +148,41 @@ def minplus_semiring(dtype=np.int64, inf: int | float | None = None) -> Semiring
 # pipeline semirings
 # ---------------------------------------------------------------------------
 
+def _seed_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.dtype != KMER_POS_DTYPE or b.dtype != KMER_POS_DTYPE:
+        raise TypeError("seed semiring expects KMER_POS_DTYPE inputs")
+    out = np.empty(a.shape[0], dtype=SEED_DTYPE)
+    out["count"] = 1
+    out["pos_a"] = a["pos"]
+    out["pos_b"] = b["pos"]
+    out["same_strand"] = (a["orient"] == b["orient"]).astype(np.int8)
+    return out
+
+
+def _seed_add(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    counts = np.add.reduceat(vals["count"], starts)
+    # pick, per segment, the entry with minimal pos_a (ties: first), by a
+    # stable sort on (segment, pos_a)
+    out = vals[segment_order(vals["pos_a"], starts)[starts]]
+    out["count"] = counts
+    return out
+
+
+def _seed_slot_reduce(avals, a_take, bvals, b_take, slots, nslots) -> np.ndarray:
+    # min over (pos_a, product index) finds each slot's minimal pos_a, first
+    # product on ties, in one pass and with no seed record formed (widened
+    # per A entry first: gathering the packed record's unaligned field per
+    # product is ~6x slower)
+    packed = (avals["pos"].astype(np.int64) << 32)[a_take]
+    packed |= np.arange(packed.size)
+    best = np.full(nslots, np.iinfo(np.int64).max)
+    np.minimum.at(best, slots, packed)
+    winner = best & 0xFFFFFFFF
+    out = _seed_mul(avals[a_take[winner]], bvals[b_take[winner]])
+    out["count"] = np.bincount(slots, minlength=nslots)
+    return out
+
+
 def seed_semiring() -> Semiring:
     """Overlap-detection semiring for ``C = A . A^T``.
 
@@ -157,46 +192,41 @@ def seed_semiring() -> Semiring:
     seed with the smallest position in read *a* (a deterministic stand-in
     for BELLA's best-seed choice).
     """
-
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.dtype != KMER_POS_DTYPE or b.dtype != KMER_POS_DTYPE:
-            raise TypeError("seed semiring expects KMER_POS_DTYPE inputs")
-        out = np.empty(a.shape[0], dtype=SEED_DTYPE)
-        out["count"] = 1
-        out["pos_a"] = a["pos"]
-        out["pos_b"] = b["pos"]
-        out["same_strand"] = (a["orient"] == b["orient"]).astype(np.int8)
-        return out
-
-    def add(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        counts = np.add.reduceat(vals["count"], starts)
-        # pick, per segment, the entry with minimal pos_a (ties: first),
-        # by a stable sort on (segment, pos_a)
-        out = vals[segment_order(vals["pos_a"], starts)[starts]]
-        out["count"] = counts
-        return out
-
-    def slot_reduce(avals, a_take, bvals, b_take, slots, nslots) -> np.ndarray:
-        # min over (pos_a, product index) finds each slot's minimal pos_a,
-        # first product on ties, in one pass and with no seed record formed
-        # (widened per A entry first: gathering the packed record's
-        # unaligned field per product is ~6x slower)
-        packed = (avals["pos"].astype(np.int64) << 32)[a_take]
-        packed |= np.arange(packed.size)
-        best = np.full(nslots, np.iinfo(np.int64).max)
-        np.minimum.at(best, slots, packed)
-        winner = best & 0xFFFFFFFF
-        out = mul(avals[a_take[winner]], bvals[b_take[winner]])
-        out["count"] = np.bincount(slots, minlength=nslots)
-        return out
-
     return Semiring(
         name="seed",
         out_dtype=SEED_DTYPE,
-        multiply=mul,
-        add_reduce=add,
-        slot_reduce=slot_reduce,
+        multiply=_seed_mul,
+        add_reduce=_seed_add,
+        slot_reduce=_seed_slot_reduce,
     )
+
+
+def _dirmin_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    d1 = a["dir"].astype(np.int8)
+    d2 = b["dir"].astype(np.int8)
+    # bit layout: bit1 = suffix-of-source consumed, bit0 = suffix-of-dest
+    mid_in = d1 & 1          # orientation of the k end of edge 1
+    mid_out = (d2 >> 1) & 1  # orientation of the k end of edge 2
+    valid = mid_in != mid_out
+    composed_dir = ((d1 >> 1) << 1) | (d2 & 1)
+    total = a["suffix"].astype(np.int64) + b["suffix"].astype(np.int64)
+    total = np.minimum(total, int(SUFFIX_INF)).astype(np.int32)
+    out = np.empty(a.shape[0], dtype=DIRMIN_DTYPE)
+    out["minsuf"][:] = SUFFIX_INF
+    rows = np.flatnonzero(valid)
+    out["minsuf"][rows, composed_dir[valid]] = total[valid]
+    return out
+
+
+def _dirmin_add(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    out = np.empty(starts.size, dtype=DIRMIN_DTYPE)
+    for d in range(4):
+        out["minsuf"][:, d] = np.minimum.reduceat(vals["minsuf"][:, d], starts)
+    return out
+
+
+def _dirmin_valid(vals: np.ndarray) -> np.ndarray:
+    return (vals["minsuf"] < SUFFIX_INF).any(axis=1)
 
 
 def dirmin_semiring() -> Semiring:
@@ -212,36 +242,10 @@ def dirmin_semiring() -> Semiring:
     each of the four directions -- exactly what the transitive-edge test
     needs to compare against ``suffix(i,j) + fuzz``.
     """
-
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        d1 = a["dir"].astype(np.int8)
-        d2 = b["dir"].astype(np.int8)
-        # bit layout: bit1 = suffix-of-source consumed, bit0 = suffix-of-dest
-        mid_in = d1 & 1          # orientation of the k end of edge 1
-        mid_out = (d2 >> 1) & 1  # orientation of the k end of edge 2
-        valid = mid_in != mid_out
-        composed_dir = ((d1 >> 1) << 1) | (d2 & 1)
-        total = a["suffix"].astype(np.int64) + b["suffix"].astype(np.int64)
-        total = np.minimum(total, int(SUFFIX_INF)).astype(np.int32)
-        out = np.empty(a.shape[0], dtype=DIRMIN_DTYPE)
-        out["minsuf"][:] = SUFFIX_INF
-        rows = np.flatnonzero(valid)
-        out["minsuf"][rows, composed_dir[valid]] = total[valid]
-        return out
-
-    def add(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        out = np.empty(starts.size, dtype=DIRMIN_DTYPE)
-        for d in range(4):
-            out["minsuf"][:, d] = np.minimum.reduceat(vals["minsuf"][:, d], starts)
-        return out
-
-    def valid(vals: np.ndarray) -> np.ndarray:
-        return (vals["minsuf"] < SUFFIX_INF).any(axis=1)
-
     return Semiring(
         name="dirmin",
         out_dtype=DIRMIN_DTYPE,
-        multiply=mul,
-        add_reduce=add,
-        valid_mask=valid,
+        multiply=_dirmin_mul,
+        add_reduce=_dirmin_add,
+        valid_mask=_dirmin_valid,
     )

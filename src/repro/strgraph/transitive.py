@@ -95,6 +95,17 @@ def _removal_marks(
     return rows_per_rank, cols_per_rank, total, used_phases
 
 
+def _remove_step(ctx, blk, join, mblk_bytes):
+    """One rank drops its marked string-matrix entries."""
+    found, mvals = join
+    ctx.charge_compute(blk.nnz)
+    # the mark-matrix block and the join mask/values stay live while the
+    # round rewrites the string-matrix block
+    join_bytes = int(found.nbytes + mvals.nbytes) if blk.nnz else 0
+    ctx.observe_memory(blk.nbytes + mblk_bytes + join_bytes)
+    return blk.select(~found), int(found.sum())
+
+
 def transitive_reduction(
     R: DistSparseMatrix,
     fuzz: int = 100,
@@ -143,16 +154,6 @@ def transitive_reduction(
         )
         joins = S.lookup_join(M)
         mark_bytes = [blk.nbytes for blk in M.blocks]
-
-        def _remove_step(ctx, blk, join, mblk_bytes):
-            found, mvals = join
-            ctx.charge_compute(blk.nnz)
-            # the mark-matrix block and the join mask/values stay live
-            # while the round rewrites the string-matrix block
-            join_bytes = int(found.nbytes + mvals.nbytes) if blk.nnz else 0
-            ctx.observe_memory(blk.nbytes + mblk_bytes + join_bytes)
-            return blk.select(~found), int(found.sum())
-
         results = world.map_ranks(_remove_step, S.blocks, joins, mark_bytes)
         new_blocks = [blk for blk, _ in results]
         removed = sum(n for _, n in results)

@@ -47,21 +47,17 @@ def to_chrome_trace(
     """The trace as a Chrome trace-event JSON object.
 
     ``include_wall`` adds each span's wall-clock duration to its args
-    (timeline positions stay modeled either way, so two backends render
-    the same picture).
+    (timeline positions stay modeled either way, so two runs of one
+    input render the same picture).
     """
     root = _root_of(trace)
-    executor = trace.executor if isinstance(trace, Tracer) else None
-    label = "repro modeled timeline" + (
-        f" ({executor})" if executor else ""
-    )
     events: list[dict] = [
         {
             "name": "process_name",
             "ph": "M",
             "pid": 0,
             "tid": 0,
-            "args": {"name": label},
+            "args": {"name": "repro modeled timeline"},
         },
         {
             "name": "thread_name",
@@ -208,12 +204,10 @@ def summary_table(trace: "Tracer | Span") -> str:
                 "comm_bytes": comm_bytes,
             }
         )
-    executor = trace.executor if isinstance(trace, Tracer) else None
     lines = [
         f"trace summary -- {root.name}  "
         f"modeled total {root.duration:.4f}s"
-        + (f"  wall {root.wall:.3f}s" if root.wall is not None else "")
-        + (f"  [{executor}]" if executor else ""),
+        + (f"  wall {root.wall:.3f}s" if root.wall is not None else ""),
         f"{'stage':<18}{'seconds':>10}{'ssteps':>8}{'colls':>7}"
         f"{'comm(s)':>10}{'comm MB':>9}",
     ]

@@ -16,17 +16,17 @@ Every span is stamped with the **modeled** clock: the tracer keeps one
 cursor per rank and advances it with BSP semantics -- a superstep starts
 at the barrier (max cursor over ranks), each rank's lane runs for its
 buffered compute seconds, a collective synchronizes its participants.
-Modeled charges are bit-identical across the serial and process
-executor backends (buffered per rank, merged in rank order), so the span
-tree is too: :meth:`Tracer.digest` hashes the tree *excluding wall time*
-and must agree across backends.  Wall-clock readings ride along on the
-``wall`` attribute for profiling but never enter the identity.
+Modeled charges are deterministic (buffered per rank, merged in rank
+order), so the span tree is too: :meth:`Tracer.digest` hashes the tree
+*excluding wall time* and must agree across runs and kernel tiers.
+Wall-clock readings ride along on the ``wall`` attribute for profiling
+but never enter the identity.
 
 The tracer is driven from two sides, both on the driver thread (the
 runtime already forbids collectives and world charges inside rank steps):
 
 * the world it is attached to: :meth:`~repro.mpi.comm.SimWorld.map_ranks`
-  calls :meth:`superstep` with the parent-side rank contexts before the
+  calls :meth:`superstep` with the rank contexts before the
   accounting merge, and :meth:`~repro.mpi.comm.SimComm._charge` calls
   :meth:`collective` -- ``if world.tracer is not None`` guards, so an
   untraced run pays one attribute read per site;
@@ -125,7 +125,7 @@ class Tracer:
 
         tracer = Tracer()
         pipeline.run(reads, cfg, observers=[tracer])
-        tracer.digest()                # backend-independent identity
+        tracer.digest()                # wall-free identity
 
     or standalone over a bare world::
 
@@ -137,10 +137,6 @@ class Tracer:
 
     def __init__(self, nprocs: int | None = None) -> None:
         self.nprocs = nprocs
-        #: name of the executor backend the attached world ran on --
-        #: informational, deliberately outside the digested tree (the
-        #: whole point is that backends agree on everything else)
-        self.executor: str | None = None
         self._cursor: np.ndarray | None = (
             np.zeros(nprocs) if nprocs is not None else None
         )
@@ -169,7 +165,6 @@ class Tracer:
         self._prev_tracer = world.tracer
         world.tracer = self
         self._world = world
-        self.executor = getattr(world.executor, "name", None)
         return self
 
     def detach(self) -> None:
@@ -403,7 +398,7 @@ class Tracer:
         """SHA-256 of the canonical tree, wall times excluded.
 
         Two runs produced identical modeled traces iff their digests
-        match -- the property the backend bit-identity tests gate on.
+        match -- the property the identity pins gate on.
         """
         blob = json.dumps(
             self.tree(include_wall=False), sort_keys=True, separators=(",", ":")

@@ -221,6 +221,19 @@ print(json.dumps(chain))
         assert fresh == self._chain_here(reads, cfg)
         assert len(set(fresh)) == 6  # base + 5 distinct stage fingerprints
 
+    def test_default_chain_pinned(self, reads):
+        """The default config's chain on the fixture reads, as computed
+        before ``PipelineConfig.executor`` became a constant: checkpoints
+        and cache entries written then still load without recompute."""
+        assert self._chain_here(reads, PipelineConfig()) == [
+            "e92d58365830f56675a3ead3ebb14f1896ed279dd435c76c14efb8846b7a4674",
+            "6b222e7d93a96340465c2e593961136e41b65d014d3b3aa4560677771160cfa8",
+            "370b062ba65fc088d3c4848656349fe8be91707fe909ea3a2863f7c5f1de2007",
+            "1b29147f03eed47d4ad8c9cc6cf16e17f32ae68a5100e976d60b20b998b55585",
+            "a3ad6e6a6551d366b5a156f994719f007b365d2376dd30c6122a9fc437ef6640",
+            "ebed096da675647b07736d9bd05748dce1aff74f58c50be8935a1efd166df0bb",
+        ]
+
     def test_chain_sensitive_to_reads_and_config(self, reads, cfg):
         import dataclasses
 

@@ -77,24 +77,6 @@ class TestAssembleCli:
         for a, b in zip(seqs["scalar"], seqs["batch"]):
             assert np.array_equal(a, b)
 
-    def test_executor_flag(self, workspace):
-        """Both executor backends assemble bit-identical contig sets."""
-        seqs = {}
-        for executor in ("serial", "process"):
-            out_fa = workspace["tmp"] / f"contigs_{executor}.fa"
-            rc, text = run(
-                assemble_main,
-                ["--fasta", str(workspace["reads_fa"]), "-k", "21", "-P", "4",
-                 "--executor", executor, "-o", str(out_fa)],
-            )
-            assert rc == 0
-            assert "assembled 1 contigs" in text
-            _, contigs = read_fasta(out_fa)
-            seqs[executor] = contigs
-        assert len(seqs["serial"]) == len(seqs["process"])
-        for a, b in zip(seqs["serial"], seqs["process"]):
-            assert np.array_equal(a, b)
-
     def test_breakdown_lists_all_stages(self, workspace):
         rc, text = run(
             assemble_main,

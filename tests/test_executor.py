@@ -1,98 +1,26 @@
-"""Executor-backend semantics: map_ranks, RankContext accounting, and the
-serial/process equivalence contract.
+"""Superstep semantics: map_ranks / map_segments, RankContext accounting,
+the in-step guard and fault injection at the superstep barrier.
 
-The tentpole invariant: a pipeline run produces bit-identical artifacts
-and identical modeled cost/memory accounting whichever backend executes
-the per-rank supersteps.  These tests pin that contract at three levels:
-the raw ``map_ranks`` API, concurrent stage scoping + subcomm collectives,
-and the full five-stage pipeline.
+Supersteps run on the calling thread, rank by rank (a segment step once
+over every rank); what a run computes and charges is pinned end to end by
+``tests/test_identity_pins.py`` and, with every rank step's arguments and
+results pickled, by ``tests/test_rank_isolation.py``.
 """
 
 from __future__ import annotations
 
-import pathlib
+import pickle
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro import Pipeline, PipelineConfig
-from repro.errors import CommunicatorError, PipelineError
-from repro.mpi import (
-    EXECUTOR_BACKENDS,
-    ProcessExecutor,
-    RankContext,
-    SerialExecutor,
-    SimWorld,
-    cori_haswell,
-    make_executor,
-)
-from repro.seq import GenomeSpec, make_genome, sample_reads
-
-BACKENDS = list(EXECUTOR_BACKENDS)
-# Steps that close over the world or mutate enclosing lists only make
-# sense in-process: the process backend rejects them (steps must be
-# picklable, enclosing mutation is lost) and has its own contract suite
-# in test_executor_parallel.py.
-IN_PROCESS = ["serial"]
-
-
-# ---------------------------------------------------------------------------
-# the executor registry
-# ---------------------------------------------------------------------------
-
-
-class TestMakeExecutor:
-    def test_resolves_names(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("process"), ProcessExecutor)
-
-    def test_all_backends_registered(self):
-        assert EXECUTOR_BACKENDS == ("serial", "process")
-        for name in EXECUTOR_BACKENDS:
-            ex = make_executor(name)
-            assert ex.name == name
-            assert make_executor(name) is ex  # shared default instance
-        assert make_executor("serial").in_process
-        assert not make_executor("process").in_process
-
-    def test_instance_passthrough(self):
-        ex = SerialExecutor()
-        assert make_executor(ex) is ex
-
-    def test_unknown_backend(self):
-        with pytest.raises(CommunicatorError, match="unknown executor"):
-            make_executor("fibers")
-
-    def test_bad_worker_count(self):
-        with pytest.raises(CommunicatorError):
-            ProcessExecutor(max_workers=0)
-
-    def test_shutdown_idempotent(self):
-        ex = ProcessExecutor(max_workers=2)
-        w = SimWorld(4, executor=ex)
-        w.map_ranks(lambda ctx: int(ctx) * 2)
-        ex.shutdown()
-        ex.shutdown()
-        # pool is rebuilt lazily after shutdown
-        assert w.map_ranks(lambda ctx: int(ctx)) == [0, 1, 2, 3]
-        ex.shutdown()
-
-    def test_names_resolve_to_shared_instances(self):
-        """Backend names share one instance (and one pool) process-wide."""
-        assert make_executor("process") is make_executor("process")
-        assert make_executor("serial") is make_executor("serial")
-        # explicit construction still yields private instances
-        assert ProcessExecutor() is not make_executor("process")
-
-    def test_world_use_executor_swaps(self):
-        w = SimWorld(4)
-        assert w.executor.name == "serial"
-        w.use_executor("process")
-        assert w.executor.name == "process"
-        with pytest.raises(CommunicatorError):
-            w.use_executor("nope")
+from repro import PipelineConfig
+from repro.errors import CommunicatorError, RankFailure
+from repro.faults import FaultInjector, FaultPlan, rank_crash
+from repro.mpi import RankContext, SimWorld, cori_haswell
+from repro.telemetry import Tracer
+from repro.telemetry.spans import TelemetryError
 
 
 # ---------------------------------------------------------------------------
@@ -101,37 +29,33 @@ class TestMakeExecutor:
 
 
 class TestMapRanks:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_results_in_rank_order(self, backend):
-        w = SimWorld(6, executor=backend)
+    def test_results_in_rank_order(self):
+        w = SimWorld(6)
+        order = []
 
         def step(ctx, x):
-            # later ranks finish first when ranks overlap
-            time.sleep(0.002 * (6 - int(ctx)))
+            order.append(int(ctx))
             return (int(ctx), x * 10)
 
         assert w.map_ranks(step, list(range(6))) == [(r, r * 10) for r in range(6)]
+        assert order == list(range(6))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_multiple_per_rank_args(self, backend):
-        w = SimWorld(4, executor=backend)
+    def test_multiple_per_rank_args(self):
+        w = SimWorld(4)
         out = w.map_ranks(lambda ctx, a, b: a + b, [1, 2, 3, 4], [10, 20, 30, 40])
         assert out == [11, 22, 33, 44]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_no_args(self, backend):
-        w = SimWorld(3, executor=backend)
+    def test_no_args(self):
+        w = SimWorld(3)
         assert w.map_ranks(lambda ctx: int(ctx) ** 2) == [0, 1, 4]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_arg_length_validated(self, backend):
-        w = SimWorld(4, executor=backend)
+    def test_arg_length_validated(self):
+        w = SimWorld(4)
         with pytest.raises(CommunicatorError, match="expects 4 per-rank entries"):
             w.map_ranks(lambda ctx, a: a, [1, 2, 3])
 
-    @pytest.mark.parametrize("backend", IN_PROCESS)
-    def test_context_is_the_rank_integer(self, backend):
-        w = SimWorld(4, executor=backend)
+    def test_context_is_the_rank_integer(self):
+        w = SimWorld(4)
         slots = [None] * 4
 
         def step(ctx):
@@ -143,9 +67,8 @@ class TestMapRanks:
         assert all(w.map_ranks(step))
         assert slots == [100, 101, 102, 103]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exceptions_propagate(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_exceptions_propagate(self):
+        w = SimWorld(4, cori_haswell())
 
         def step(ctx):
             ctx.charge_compute(1000)
@@ -158,36 +81,34 @@ class TestMapRanks:
         assert w.clock.stages() == []
 
 
-@pytest.mark.parametrize("backend", IN_PROCESS)
 class TestInStepGuards:
-    """Direct world accounting inside an in-process step errors -- a
-    detached step (process backend) could not do it at all, so the guard
-    keeps the backend-identical contract enforceable."""
+    """Direct world accounting inside a step errors: a rank charges only
+    through its own context, and collectives stay between supersteps."""
 
-    def test_world_charge_compute_rejected(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_world_charge_compute_rejected(self):
+        w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
             w.map_ranks(lambda ctx: w.charge_compute(int(ctx), 10))
 
-    def test_world_observe_memory_rejected(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_world_observe_memory_rejected(self):
+        w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
             w.map_ranks(lambda ctx: w.observe_memory(int(ctx), 10.0))
 
-    def test_collectives_rejected(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_collectives_rejected(self):
+        w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="collective"):
             w.map_ranks(lambda ctx: w.comm.barrier())
 
-    def test_guard_lifts_after_superstep(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_guard_lifts_after_superstep(self):
+        w = SimWorld(4, cori_haswell())
         w.map_ranks(lambda ctx: ctx.charge_compute(5))
         w.charge_compute(0, 10)  # fine between supersteps
         w.comm.barrier()
 
-    def test_nested_map_ranks_rejected(self, backend):
+    def test_nested_map_ranks_rejected(self):
         """A step has no business launching a superstep; it fails fast."""
-        w = SimWorld(4, cori_haswell(), executor=backend)
+        w = SimWorld(4, cori_haswell())
 
         def outer(ctx):
             w.map_ranks(lambda inner: int(inner))
@@ -205,23 +126,20 @@ def _halves(ctxs, values):
 
 
 class TestMapSegments:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_results_in_rank_order(self, backend):
-        w = SimWorld(5, cori_haswell(), executor=backend)
+    def test_results_in_rank_order(self):
+        w = SimWorld(5, cori_haswell())
         assert w.map_segments(_halves, [1, 2, 3, 4, 5]) == [2, 4, 6, 8, 10]
         assert list(w.clock.per_rank_seconds("default")) == [
             cori_haswell().op_time(v) for v in [1, 2, 3, 4, 5]
         ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_arg_length_validated(self, backend):
-        w = SimWorld(4, executor=backend)
+    def test_arg_length_validated(self):
+        w = SimWorld(4)
         with pytest.raises(CommunicatorError, match="expects 4 per-rank entries"):
             w.map_segments(_halves, [1, 2, 3])
 
-    @pytest.mark.parametrize("backend", IN_PROCESS)
-    def test_serial_runs_one_segment(self, backend):
-        w = SimWorld(6, executor=backend)
+    def test_serial_runs_one_segment(self):
+        w = SimWorld(6)
         seen = []
 
         def step(ctxs, values):
@@ -231,23 +149,20 @@ class TestMapSegments:
         assert w.map_segments(step, list("abcdef")) == list("abcdef")
         assert seen == [[0, 1, 2, 3, 4, 5]]
 
-    @pytest.mark.parametrize("backend", IN_PROCESS)
-    def test_result_count_validated(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_result_count_validated(self):
+        w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="3 results for 4 ranks"):
             w.map_segments(lambda ctxs: [ctx.charge_compute(9) for ctx in ctxs[1:]])
         assert w.clock.stages() == []
 
-    @pytest.mark.parametrize("backend", IN_PROCESS)
-    def test_collective_rejected(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_collective_rejected(self):
+        w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="collective"):
             w.map_segments(lambda ctxs: [w.comm.barrier()] * len(ctxs))
         assert len(w.log) == 0
 
-    @pytest.mark.parametrize("backend", IN_PROCESS)
-    def test_world_charge_rejected(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_world_charge_rejected(self):
+        w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
             w.map_segments(lambda ctxs: [w.charge_compute(0, 10)] * len(ctxs))
         with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
@@ -257,17 +172,15 @@ class TestMapSegments:
         w.charge_compute(0, 10)
         w.comm.barrier()
 
-    @pytest.mark.parametrize("backend", IN_PROCESS)
-    def test_nested_superstep_rejected(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_nested_superstep_rejected(self):
+        w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="SimWorld.map_ranks"):
             w.map_segments(lambda ctxs: w.map_ranks(lambda ctx: 0))
         with pytest.raises(CommunicatorError, match="SimWorld.map_segments"):
             w.map_ranks(lambda ctx: w.map_segments(_halves, [1] * 4))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failure_charges_nothing(self, backend):
-        w = SimWorld(4, cori_haswell(), executor=backend)
+    def test_failure_charges_nothing(self):
+        w = SimWorld(4, cori_haswell())
 
         def step(ctxs):
             for ctx in ctxs:
@@ -279,35 +192,13 @@ class TestMapSegments:
         assert w.clock.stages() == []
 
 
-class TestProcessFailureSemantics:
-    def test_lowest_rank_exception_wins_and_all_ranks_drain(self, tmp_path):
-        """A later rank failing *first in time* does not mask the lowest
-        failing rank, and no orphan step keeps running after the raise."""
-        w = SimWorld(4, executor="process")
-
-        def step(ctx, done_dir):
-            r = int(ctx)
-            if r == 3:
-                pathlib.Path(done_dir, str(r)).touch()
-                raise RuntimeError("rank 3 failed fast")
-            time.sleep(0.005 * (r + 1))
-            pathlib.Path(done_dir, str(r)).touch()
-            if r == 1:
-                raise RuntimeError("rank 1 failed slow")
-
-        with pytest.raises(RuntimeError, match="rank 1"):
-            w.map_ranks(step, [str(tmp_path)] * 4)
-        # every rank drained before the raise
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2", "3"]
-
-
 # ---------------------------------------------------------------------------
 # accounting through RankContext
 # ---------------------------------------------------------------------------
 
 
-def _charged_world(backend):
-    w = SimWorld(4, cori_haswell(), executor=backend)
+def _charged_world():
+    w = SimWorld(4, cori_haswell())
     with w.stage_scope("Super"):
 
         def step(ctx, ops):
@@ -322,18 +213,8 @@ def _charged_world(backend):
 
 
 class TestRankContextAccounting:
-    def test_backends_charge_identically(self):
-        serial, proc = _charged_world("serial"), _charged_world("process")
-        assert serial.clock.stages() == proc.clock.stages() == ["Super", "Super/inner"]
-        for stage in serial.clock.stages():
-            assert np.array_equal(
-                serial.clock.per_rank_seconds(stage),
-                proc.clock.per_rank_seconds(stage),
-            )
-        assert serial.memory.by_stage() == proc.memory.by_stage()
-
     def test_nested_scope_attribution(self):
-        w = _charged_world("process")
+        w = _charged_world()
         machine = cori_haswell()
         outer = w.clock.per_rank_seconds("Super")
         inner = w.clock.per_rank_seconds("Super/inner")
@@ -342,7 +223,7 @@ class TestRankContextAccounting:
             assert inner[rank] == machine.op_time(ops * 2, kind="alignment")
 
     def test_memory_scaled_by_volume_scale(self):
-        w = SimWorld(2, cori_haswell().scaled(8.0), executor="process")
+        w = SimWorld(2, cori_haswell().scaled(8.0))
         w.map_ranks(lambda ctx: ctx.observe_memory(100.0))
         assert w.memory.peak(0) == 800.0
         assert w.memory.peak(1) == 800.0
@@ -352,13 +233,12 @@ class TestRankContextAccounting:
             with ctx.stage_scope("Outer/deep"):
                 ctx.charge_compute(50)
 
-        for backend in BACKENDS:
-            w = SimWorld(4, cori_haswell(), executor=backend)
-            with w.stage_scope("Outer"):
-                w.map_ranks(step)
-                # per-rank scopes never touched the calling thread's stack
-                assert w.stage == "Outer"
-            assert w.clock.stages() == ["Outer/deep"]
+        w = SimWorld(4, cori_haswell())
+        with w.stage_scope("Outer"):
+            w.map_ranks(step)
+            # per-rank scopes never touched the calling thread's stack
+            assert w.stage == "Outer"
+        assert w.clock.stages() == ["Outer/deep"]
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +246,11 @@ class TestRankContextAccounting:
 # ---------------------------------------------------------------------------
 
 
-def _superstep_with_subcomms(backend, seed=11):
+def _superstep_with_subcomms(seed=11):
     """A seeded mini-workload: two supersteps around subcomm collectives."""
     rng = np.random.default_rng(seed)
     payloads = [rng.integers(0, 100, size=64 + 16 * r) for r in range(4)]
-    w = SimWorld(4, cori_haswell(), executor=backend)
+    w = SimWorld(4, cori_haswell())
     with w.stage_scope("Phase"):
         sums = w.map_ranks(
             lambda ctx, arr: (ctx.charge_compute(arr.size), int(arr.sum()))[1],
@@ -388,29 +268,15 @@ def _superstep_with_subcomms(backend, seed=11):
 
 
 class TestSubcommInterleaving:
-    def test_results_identical_across_backends(self):
-        (ws, sums_s, comb_s) = _superstep_with_subcomms("serial")
-        (wt, sums_t, comb_t) = _superstep_with_subcomms("process")
-        assert sums_s == sums_t
-        assert comb_s == comb_t
-        assert ws.clock.stages() == wt.clock.stages()
-        for stage in ws.clock.stages():
-            assert np.array_equal(
-                ws.clock.per_rank_seconds(stage), wt.clock.per_rank_seconds(stage)
-            )
-        assert len(ws.log) == len(wt.log)
-        assert [e.op for e in ws.log.events] == [e.op for e in wt.log.events]
-        assert ws.log.total_bytes() == wt.log.total_bytes()
-
     def test_subcomm_charges_only_member_ranks(self):
-        w, _sums, _comb = _superstep_with_subcomms("process")
+        w, _sums, _comb = _superstep_with_subcomms()
         per_rank = w.clock.per_rank_seconds("Phase")
         assert per_rank.shape == (4,)
         assert (per_rank > 0).all()
 
     def test_collectives_safe_from_worker_threads(self):
         """Misuse tolerance: concurrent collectives keep clock/log intact."""
-        w = SimWorld(4, cori_haswell(), executor="serial")
+        w = SimWorld(4, cori_haswell())
         n_threads, reps = 8, 25
         errors = []
 
@@ -513,115 +379,126 @@ class TestCollectiveValidation:
 
 
 # ---------------------------------------------------------------------------
-# pipeline-level equivalence (the acceptance contract)
+# fault injection at the superstep barrier
 # ---------------------------------------------------------------------------
 
-
-@pytest.fixture(scope="module")
-def small_readset():
-    genome = make_genome(GenomeSpec(length=6000, seed=17))
-    return genome, sample_reads(
-        genome,
-        depth=12,
-        mean_length=450,
-        rng=23,
-        error_rate=0.002,
-        error_mix=(1.0, 0.0, 0.0),
-    )
+P64 = 64
 
 
-def _run(reads, executor, **kwargs):
-    cfg = PipelineConfig(
-        nprocs=4, k=21, end_margin=20, executor=executor, **kwargs
-    )
-    return Pipeline.default().run(reads, cfg)
+def _sum_step(ctx, arr):
+    ctx.charge_compute(arr.size)
+    ctx.observe_memory(float(arr.nbytes))
+    return int(arr.sum())
 
 
-class TestPipelineEquivalence:
-    def test_artifacts_and_accounting_identical(self, small_readset):
-        _genome, reads = small_readset
-        a = _run(reads, "serial")
-        b = _run(reads, "process")
-        # artifacts: bit-identical contig set
-        assert [c.sequence() for c in a.contigs.contigs] == [
-            c.sequence() for c in b.contigs.contigs
-        ]
-        assert [c.read_path for c in a.contigs.contigs] == [
-            c.read_path for c in b.contigs.contigs
-        ]
-        assert [c.orientations for c in a.contigs.contigs] == [
-            c.orientations for c in b.contigs.contigs
-        ]
-        assert a.counts == b.counts
-        # accounting: identical StageClock and CommLog, to the bit
-        assert a.world.clock.stages() == b.world.clock.stages()
-        assert a.report.stage_seconds == b.report.stage_seconds
-        assert a.report.stage_comm_seconds == b.report.stage_comm_seconds
-        for stage in a.world.clock.stages():
-            assert np.array_equal(
-                a.world.clock.per_rank_seconds(stage),
-                b.world.clock.per_rank_seconds(stage),
+def _shared_panel_step(ctx, panel, scale):
+    ctx.charge_compute(panel.size)
+    return float(panel[int(ctx) % panel.size]) * scale
+
+
+def _p64_workload(injector=None):
+    """Two P=64 supersteps around even/odd subcomm collectives."""
+    rng = np.random.default_rng(1234)
+    payloads = [rng.integers(0, 100, size=96 + 8 * r) for r in range(P64)]
+    w = SimWorld(P64, cori_haswell())
+    w.fault_injector = injector
+    with w.stage_scope("Phase"):
+        sums = w.map_ranks(_sum_step, payloads)
+        evens = w.subcomm(list(range(0, P64, 2)), label="even")
+        odds = w.subcomm(list(range(1, P64, 2)), label="odd")
+        tot_e = evens.allreduce(sums[0::2], lambda a, b: a + b)
+        tot_o = odds.allreduce(sums[1::2], lambda a, b: a + b)
+        with w.stage_scope("Phase/combine"):
+            combined = w.map_ranks(
+                _shared_panel_step,
+                [np.array([tot_e, tot_o], dtype=np.float64)] * P64,
+                [1.0] * P64,
             )
-        assert len(a.world.log) == len(b.world.log)
-        assert a.world.log.bytes_by_op() == b.world.log.bytes_by_op()
-        assert a.world.log.bytes_by_stage() == b.world.log.bytes_by_stage()
-        # memory observation path is also backend-independent
-        assert a.world.memory.by_stage() == b.world.memory.by_stage()
-        assert a.peak_memory_bytes == b.peak_memory_bytes
+    return w, sums, combined
 
-    def test_polish_and_low_memory_identical(self, small_readset):
-        _genome, reads = small_readset
-        a = _run(reads, "serial", polish=True, memory_mode="low")
-        b = _run(reads, "process", polish=True, memory_mode="low")
-        assert [c.sequence() for c in a.contigs.contigs] == [
-            c.sequence() for c in b.contigs.contigs
-        ]
-        assert a.report.stage_seconds == b.report.stage_seconds
-        assert a.world.memory.by_stage() == b.world.memory.by_stage()
 
-    def test_config_validates_executor(self):
-        cfg = PipelineConfig(nprocs=4, executor="warp")
-        with pytest.raises(PipelineError, match="unknown executor"):
-            cfg.validate()
+def _assert_worlds_identical(a, b):
+    assert a.clock.stages() == b.clock.stages()
+    for stage in a.clock.stages():
+        assert np.array_equal(
+            a.clock.per_rank_seconds(stage), b.clock.per_rank_seconds(stage)
+        )
+    assert a.memory.by_stage() == b.memory.by_stage()
+    assert len(a.log) == len(b.log)
+    assert [e.op for e in a.log.events] == [e.op for e in b.log.events]
+    assert a.log.total_bytes() == b.log.total_bytes()
 
-    def test_env_override_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert PipelineConfig().executor == "process"
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        assert PipelineConfig().executor == "serial"
 
-    def test_executor_not_fingerprinted(self, small_readset, tmp_path):
-        """Checkpoints written under one backend resume under the other."""
-        _genome, reads = small_readset
-        ckpt = str(tmp_path / "ckpt")
-        cfg_a = PipelineConfig(nprocs=4, k=21, end_margin=20, executor="serial")
-        first = Pipeline.default().run(reads, cfg_a, checkpoint_dir=ckpt)
-        cfg_b = PipelineConfig(nprocs=4, k=21, end_margin=20, executor="process")
-        second = Pipeline.default().run(reads, cfg_b, checkpoint_dir=ckpt)
-        assert second.stages_run == []
-        assert [n for n, why in second.stages_skipped if why == "checkpoint"] == [
-            s for s in first.stages_run
-        ]
-        assert [c.sequence() for c in second.contigs.contigs] == [
-            c.sequence() for c in first.contigs.contigs
-        ]
+def _toy_segment_step(ctxs, arrays, scale):
+    """A segment step: one vectorized pass over the concatenated arrays,
+    split back per rank and charged through each rank's context."""
+    sizes = [a.size for a in arrays]
+    flat = np.concatenate(arrays) * np.repeat(scale, sizes)
+    sums = np.diff(np.concatenate([[0.0], np.cumsum(flat)])[np.cumsum([0] + sizes)])
+    for ctx, a in zip(ctxs, arrays):
+        ctx.charge_compute(a.size)
+        ctx.observe_memory(float(a.nbytes))
+    return [(int(ctx), float(total)) for ctx, total in zip(ctxs, sums)]
+
+
+class TestFaultInjection:
+    def test_chaos_rank_crash_rolls_back_then_recovers(self):
+        plan = FaultPlan(
+            seed=5, rules=(rank_crash(stage="Phase", superstep=0, rank=37),)
+        )
+        injector = FaultInjector(plan)
+        with pytest.raises(RankFailure) as err:
+            _p64_workload(injector=injector)
+        assert err.value.rank == 37
+        assert err.value.superstep == 0
+        # the failed run charged nothing and a fresh world with the now-
+        # exhausted injector reproduces the fault-free run bit-for-bit
+        assert injector.exhausted
+        w_retry, sums, comb = _p64_workload(injector=injector)
+        w_ref, sums_ref, comb_ref = _p64_workload()
+        assert (sums, comb) == (sums_ref, comb_ref)
+        _assert_worlds_identical(w_ref, w_retry)
+
+    @pytest.mark.parametrize("crashed,expect", [((2, 5), 2), ((5, 4), 4)])
+    def test_segment_crash_raises_lowest_rank_and_charges_nothing(
+        self, crashed, expect
+    ):
+        w = SimWorld(8, cori_haswell())
+        tracer = Tracer().attach(w)
+        w.fault_injector = FaultInjector(
+            FaultPlan(rules=tuple(rank_crash(stage="Seg", rank=r) for r in crashed))
+        )
+        arrays = [np.arange(r + 1, dtype=np.float64) for r in range(8)]
+        with w.stage_scope("Seg"):
+            with pytest.raises(RankFailure) as err:
+                w.map_segments(_toy_segment_step, arrays, [1.0] * 8)
+        assert err.value.rank == expect
+        assert w.clock.stages() == []
+        assert w.memory.by_stage() == {}
+        with pytest.raises(TelemetryError, match="recorded nothing"):
+            tracer.root
+
+
+class TestRankFailurePickling:
+    def test_provenance_survives_pickle(self):
+        exc = RankFailure("rank 3 crashed", rank=3, stage="Overlap", superstep=2)
+        out = pickle.loads(pickle.dumps(exc))
+        assert (out.rank, out.stage, out.superstep) == (3, "Overlap", 2)
+        assert "rank 3 crashed" in str(out)
 
 
 # ---------------------------------------------------------------------------
-# the deleted backends are rejected, with a typed error, at every door
+# the executor knob is gone, with a defined result at every door
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("gone", ["thread", "mpi"])
+@pytest.mark.parametrize("gone", ["thread", "mpi", "process"])
 class TestRemovedBackendsRejected:
     def test_config(self, gone):
-        with pytest.raises(PipelineError, match=r"\['serial', 'process'\]"):
-            PipelineConfig(nprocs=4, executor=gone).validate()
-
-    def test_env(self, gone, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", gone)
-        with pytest.raises(PipelineError, match=r"\['serial', 'process'\]"):
-            PipelineConfig(nprocs=4).validate()
+        with pytest.raises(TypeError, match="executor"):
+            PipelineConfig(nprocs=4, executor=gone)
+        with pytest.raises(CommunicatorError, match="unknown executor"):
+            SimWorld(4, executor=gone)
 
     def test_cli_flags(self, gone, tmp_path, capsys):
         from repro.cli import assemble_main
@@ -634,7 +511,7 @@ class TestRemovedBackendsRejected:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
-            assert "invalid choice" in capsys.readouterr().err
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_service_job_fails_on_first_attempt(self, gone, tmp_path):
         from repro.service import JobService
@@ -646,7 +523,7 @@ class TestRemovedBackendsRejected:
         )
         (record,) = svc.run_worker()
         assert record.job_id == job_id and record.state == "failed"
-        assert "unknown executor" in record.error
+        assert "bad config override" in record.error
         # a spec error is terminal: no retry was scheduled, nothing left queued
         assert record.attempts == 1
         assert svc.run_worker() == []

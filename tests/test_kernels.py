@@ -5,7 +5,7 @@ invisible substitution for the numpy reference on every kernel: the
 property corpora here reuse the scalar-reference generators of the batch
 engines (``test_align_batch``/``test_contig_batch``) and assert
 element-wise equality between tiers, plus full-pipeline
-``contig_digest()`` equality across executor backends.  The fallback
+``contig_digest()`` equality.  The fallback
 tests pin the graceful-degradation contract: a missing extension resolves
 ``native`` to ``numpy`` with an observer note, never a crash.
 """
@@ -119,7 +119,7 @@ class TestConfigAndCli:
 
     def test_tier_not_fingerprinted(self):
         # bit-identical knobs stay out of checkpoint fingerprints, like
-        # executor / align_batch_size / contig_engine
+        # align_batch_size / contig_engine
         assert "kernel_tier" not in AlignmentStage.config_fields
         assert "kernel_tier" not in ExtractContigStage.config_fields
 
@@ -255,13 +255,10 @@ class _NoteCollector(PipelineObserver):
 
 @requires_native
 class TestPipelineTierIdentity:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_contig_digest_identical(self, executor, tiny_reads):
+    def test_contig_digest_identical(self, tiny_reads):
         digests = {}
         for tier in KERNEL_TIERS:
-            cfg = PipelineConfig(
-                nprocs=4, k=15, executor=executor, kernel_tier=tier
-            )
+            cfg = PipelineConfig(nprocs=4, k=15, kernel_tier=tier)
             digests[tier] = (
                 Pipeline().run(tiny_reads, config=cfg).contig_digest()
             )

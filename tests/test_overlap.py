@@ -5,7 +5,6 @@ import pytest
 
 from repro.kmer import build_kmer_matrix, count_kmers
 from repro.mpi import ProcGrid, SimWorld, cori_haswell
-from repro.mpi.executor import SerialExecutor, run_segment
 from repro.overlap import AlignmentParams, build_overlap_graph, detect_overlaps
 from repro.overlap import filter as filter_mod
 from repro.seq import (
@@ -220,22 +219,23 @@ class TestBuildOverlapGraph:
         assert stats.contained_reads == 1
 
 
-class _CutSegments(SerialExecutor):
-    """The serial backend, with a segment step run once per piece of the
-    rank range cut at ``cuts``."""
+def _cut_segments(world, cuts):
+    """Make ``world`` call each segment step once per piece of the rank
+    range cut at ``cuts``, inside the one superstep."""
+    map_segments = world.map_segments
+    bounds = [0, *cuts, world.nprocs]
 
-    def __init__(self, cuts):
-        self.cuts = list(cuts)
+    def cut(fn, *per_rank_args):
+        def pieces(ctxs, *arg_lists):
+            return [
+                result
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+                for result in fn(ctxs[lo:hi], *(col[lo:hi] for col in arg_lists))
+            ]
 
-    def run(self, fn, tasks, segmented=False):
-        if not segmented:
-            return super().run(fn, tasks)
-        bounds = [0, *self.cuts, len(tasks)]
-        return [
-            result
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            for result in run_segment(fn, tasks[lo:hi])
-        ]
+        return map_segments(pieces, *per_rank_args)
+
+    world.map_segments = cut
 
 
 @pytest.fixture(scope="module")
@@ -264,8 +264,10 @@ def _split_tasks(how, nprocs):
     return redistribute
 
 
-def _aligned(reads, executor, params):
-    world = SimWorld(9, cori_haswell(), executor=executor)
+def _aligned(reads, cuts, params):
+    world = SimWorld(9, cori_haswell())
+    if cuts is not None:
+        _cut_segments(world, cuts)
     tracer = Tracer().attach(world)
     store = DistReadStore.from_global(ProcGrid(world), reads)
     C, _ = detect_overlaps(build_kmer_matrix(store, count_kmers(store, 15, reliable_lo=2)))
@@ -298,11 +300,11 @@ class TestSegmentedAlignment:
         )
         rng = np.random.default_rng(batch_size)
         runs = [
-            _aligned(segment_reads, executor, params)
-            for executor in (
-                "serial",
-                _CutSegments(range(1, 9)),
-                _CutSegments(np.flatnonzero(rng.random(8) < 0.5) + 1),
+            _aligned(segment_reads, cuts, params)
+            for cuts in (
+                None,
+                range(1, 9),
+                np.flatnonzero(rng.random(8) < 0.5) + 1,
             )
         ]
         (rows, cols, vals), stats, clock, digest, nlog = runs[0]

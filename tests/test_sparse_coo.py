@@ -1,10 +1,11 @@
 """Unit tests for the local COO format."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import SparseFormatError
-from repro.mpi.shm import SharedBufferRegistry, shm_dumps, shm_loads
 from repro.sparse import LocalCoo, segment_starts
 from repro.sparse.types import OVERLAP_DTYPE
 
@@ -165,20 +166,15 @@ class TestOrder:
         assert m.map_vals(lambda v, r, c: v).order is None
         assert m.sorted_by("col").order == "col"
 
-    def test_round_trips_shm_pickling(self):
+    def test_round_trips_pickling(self):
         big = LocalCoo(
             (70_000, 3), np.arange(70_000), np.zeros(70_000, dtype=np.int64),
             np.ones(70_000),
         ).sorted_by("row")
-        reg = SharedBufferRegistry()
-        try:
-            for m in (small().sorted_by("col"), big):
-                for blob in (shm_dumps(m), shm_dumps(m, reg)):
-                    back = shm_loads(blob)
-                    assert back.order == m.order and back.shape == m.shape
-                    assert np.array_equal(back.rows, m.rows)
-        finally:
-            reg.close()
+        for m in (small().sorted_by("col"), big):
+            back = pickle.loads(pickle.dumps(m))
+            assert back.order == m.order and back.shape == m.shape
+            assert np.array_equal(back.rows, m.rows)
 
 
 class TestSegmentStarts:

@@ -4,9 +4,7 @@ The contracts under test (ISSUE 5):
 
 * ``spgemm_symbolic`` bounds are exact on flops and upper bounds on nnz;
 * bulk / stream / phased (b in {1, 2, 4}) SpGEMM produce *bit-identical*
-  matrices under both the serial and process executor backends;
-* for a fixed mode, clocks, comm logs and memory peaks are bit-identical
-  across backends;
+  matrices;
 * ``phases=1`` reproduces the default path exactly (blocks, clocks,
   comm log, memory);
 * stream / phased peak modeled bytes never exceed bulk's;
@@ -58,9 +56,6 @@ from repro.telemetry import Tracer, get_registry
 from tests.test_strgraph import build_R
 
 MODES = [("bulk", 1), ("bulk", 2), ("bulk", 4), ("stream", 1), ("stream", 2), ("stream", 4)]
-BACKENDS = ["serial", "process"]
-
-
 def random_dist(grid, shape, density, seed):
     rng = np.random.default_rng(seed)
     n, m = shape
@@ -84,7 +79,8 @@ def assert_blocks_identical(x: DistSparseMatrix, y: DistSparseMatrix, ctx=None):
 
 
 def world_accounting(world: SimWorld):
-    """Everything a backend could perturb: clocks, comm log, memory."""
+    """Everything a merge mode or phase count could perturb: clocks, comm
+    log, memory."""
     clocks = {
         s: world.clock.per_rank_seconds(s).copy() for s in world.clock.stages()
     }
@@ -144,7 +140,7 @@ class TestSpgemmSymbolic:
 
 
 # ---------------------------------------------------------------------------
-# distributed: modes x phases x backends property corpus
+# distributed: modes x phases property corpus
 # ---------------------------------------------------------------------------
 
 
@@ -211,29 +207,6 @@ class TestPhasedIdentity:
         A = random_dist(grid, (10, 10), 0.3, seed=2)
         with pytest.raises(DistributionError):
             A.spgemm(A, arithmetic_semiring(np.int64), phases=0)
-
-    @pytest.mark.parametrize("mode,b", MODES)
-    def test_backends_identical_accounting(self, mode, b):
-        """For a fixed (mode, b), serial and process executors produce
-        bit-identical matrices, clocks, comm logs and memory peaks."""
-        results = {}
-        for backend in BACKENDS:
-            world = SimWorld(16, cori_haswell(), executor=backend)
-            grid = ProcGrid(world)
-            A = random_dist(grid, (60, 44), 0.2, seed=33)
-            B = random_dist(grid, (44, 60), 0.25, seed=77)
-            with world.stage_scope("Mult"):
-                C = A.spgemm(
-                    B, arithmetic_semiring(np.int64),
-                    merge_mode=mode, phases=b,
-                )
-            results[backend] = (C, world_accounting(world))
-        assert_blocks_identical(
-            results["serial"][0], results["process"][0], ctx=(mode, b)
-        )
-        assert_accounting_equal(
-            results["serial"][1], results["process"][1], ctx=(mode, b)
-        )
 
     def test_stream_and_phased_peaks_never_exceed_bulk(self):
         peaks = {}
@@ -569,8 +542,8 @@ def overlap_reads():
     return tile_reads(genome, 200, 40, "alternate").reads
 
 
-def kmer_matrix(reads, nprocs, **world_kw):
-    grid = ProcGrid(SimWorld(nprocs, cori_haswell(), **world_kw))
+def kmer_matrix(reads, nprocs):
+    grid = ProcGrid(SimWorld(nprocs, cori_haswell()))
     store = DistReadStore.from_global(grid, reads)
     return build_kmer_matrix(store, count_kmers(store, 15, reliable_lo=1))
 
@@ -638,7 +611,7 @@ class TestStrictUpper:
         ones joining column prefixes -- each once, whatever the phase
         count, and each A row panel's key is built once per SpGEMM, not
         per rank."""
-        A = kmer_matrix(overlap_reads, 16, executor="serial")
+        A = kmer_matrix(overlap_reads, 16)
         grid, q = A.grid, A.grid.q
         column_key, panel_product = distmat.column_key, distmat._panel_product
         # no run bound: a rank's product is one join however many it forms
@@ -733,11 +706,11 @@ def chunking_operands(nprocs):
     }
 
 
-def bounded_run(monkeypatch, bound, nprocs, product, mode, phases, executor="serial"):
+def bounded_run(monkeypatch, bound, nprocs, product, mode, phases):
     """One product under join-run bound ``bound``: its blocks, clocks, comm
     log, every memory sample, peak, trace digest and local join count."""
     a, b, sr, kw = chunking_operands(nprocs)[product]
-    world = SimWorld(nprocs, cori_haswell(), executor=executor)
+    world = SimWorld(nprocs, cori_haswell())
     grid = ProcGrid(world)
     samples, observe = [], world.memory.observe
 
@@ -852,23 +825,3 @@ class TestJoinRuns:
                         for g, w in zip(got, (flops, part, held, merged, kept)):
                             assert np.array_equal(g, w), ctx
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_process_backend_matches_serial(self, monkeypatch, workers):
-        """Under the process backend, with P = 9 cut into 2 or 3 worker
-        chunks, both bounds reproduce the serial run of 3 phases exactly."""
-        from repro.mpi.procexec import ProcessExecutor
-
-        executor = ProcessExecutor(max_workers=workers)
-        try:
-            for product in ("seed", "dirmin", "arith"):
-                for mode in ("bulk", "stream"):
-                    want = bounded_run(monkeypatch, 2**62, 9, product, mode, 3)
-                    for bound in (1, 2**62):
-                        got = bounded_run(
-                            monkeypatch, bound, 9, product, mode, 3,
-                            executor=executor,
-                        )
-                        ctx = (workers, bound, product, mode)
-                        assert_runs_identical(got, want, ctx)
-        finally:
-            executor.shutdown()

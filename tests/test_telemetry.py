@@ -1,10 +1,9 @@
 """The telemetry subsystem: span trees, the metrics registry, exporters.
 
-The load-bearing property is **backend bit-identity**: the modeled span
-tree (and therefore :meth:`Tracer.digest`) must agree exactly across the
-serial and process executor backends, standalone and through
-the full pipeline.  Wall-clock readings ride along but never enter the
-digest.
+The load-bearing property is **bit-identity**: the modeled span tree (and
+therefore :meth:`Tracer.digest`) is a function of the workload alone,
+standalone and through the full pipeline.  Wall-clock readings ride along
+but never enter the digest.
 """
 
 import json
@@ -29,9 +28,6 @@ from repro.telemetry import (
     write_jsonl,
 )
 
-BACKENDS = ("serial", "process")
-
-
 def step(ctx, arr):
     """A traced rank step: two named kernels plus an unnamed charge."""
     with ctx.span("sort"):
@@ -42,10 +38,10 @@ def step(ctx, arr):
     return int(arr.sum())
 
 
-def traced_world(backend, nprocs=8, elems=64):
+def traced_world(nprocs=8, elems=64):
     rng = np.random.default_rng(9)
     payloads = [rng.integers(0, 100, size=elems) for _ in range(nprocs)]
-    world = SimWorld(nprocs, cori_haswell(), executor=backend)
+    world = SimWorld(nprocs, cori_haswell())
     tracer = Tracer().attach(world)
     tracer.begin_run(nprocs=nprocs)
     tracer.begin_stage("StageA")
@@ -80,7 +76,6 @@ class TestTracerLifecycle:
         world = SimWorld(4)
         tracer = Tracer().attach(world)
         assert world.tracer is tracer
-        assert tracer.executor == "serial"
         tracer.detach()
         assert world.tracer is None
 
@@ -114,7 +109,7 @@ class TestTracerLifecycle:
 
 class TestTreeStructure:
     def test_superstep_lanes_and_kernels(self):
-        _, tracer, _ = traced_world("serial", nprocs=4)
+        _, tracer, _ = traced_world(nprocs=4)
         cats = {}
         for span in tracer.spans():
             cats.setdefault(span.cat, []).append(span)
@@ -133,7 +128,7 @@ class TestTreeStructure:
             assert lane.t1 > lane.children[1].t1
 
     def test_collective_synchronizes_participants(self):
-        _, tracer, _ = traced_world("serial", nprocs=4)
+        _, tracer, _ = traced_world(nprocs=4)
         coll = next(s for s in tracer.spans() if s.cat == "collective")
         supersteps = [s for s in tracer.spans() if s.cat == "superstep"]
         # the collective starts at its participants' barrier: the end of
@@ -187,35 +182,17 @@ class TestTreeStructure:
         assert span.attrs["attempt"] == 1
 
 
-class TestBackendBitIdentity:
-    def test_digest_identical_across_backends(self):
-        digests = {b: traced_world(b)[1].digest() for b in BACKENDS}
-        assert len(set(digests.values())) == 1, digests
-
-    def test_digest_identical_at_p64(self):
-        digests = {}
-        for backend in BACKENDS:
-            _, tracer, _ = traced_world(backend, nprocs=64, elems=16)
-            digests[backend] = tracer.digest()
-        assert len(set(digests.values())) == 1, digests
-
+class TestDigestIdentity:
     def test_wall_times_do_not_enter_digest(self):
-        _, a, _ = traced_world("serial")
-        _, b, _ = traced_world("serial")
+        _, a, _ = traced_world()
+        _, b, _ = traced_world()
         for span in b.spans():
             span.wall = 123.456
         assert a.digest() == b.digest()
 
-    def test_executor_name_outside_digest(self):
-        _, a, _ = traced_world("serial")
-        _, b, _ = traced_world("process")
-        assert a.executor == "serial"
-        assert b.executor == "process"
-        assert a.digest() == b.digest()
-
     def test_different_workload_different_digest(self):
-        _, a, _ = traced_world("serial", elems=64)
-        _, b, _ = traced_world("serial", elems=65)
+        _, a, _ = traced_world(elems=64)
+        _, b, _ = traced_world(elems=65)
         assert a.digest() != b.digest()
 
 
@@ -226,10 +203,8 @@ def tiny_reads():
 
 
 class TestPipelineIntegration:
-    def _run(self, reads, executor, **kwargs):
-        cfg = PipelineConfig(
-            nprocs=4, k=17, reliable_lo=1, end_margin=5, executor=executor
-        )
+    def _run(self, reads, **kwargs):
+        cfg = PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5)
         tracer = Tracer()
         result = Pipeline.default().run(
             reads, cfg, observers=[tracer], **kwargs
@@ -237,7 +212,7 @@ class TestPipelineIntegration:
         return result, tracer
 
     def test_tracer_observes_the_run(self, tiny_reads):
-        result, tracer = self._run(tiny_reads, "serial")
+        result, tracer = self._run(tiny_reads)
         assert result.world.tracer is None  # detached again
         stage_names = [
             s.name for s in tracer.root.children if s.cat == "stage"
@@ -247,13 +222,8 @@ class TestPipelineIntegration:
         assert tracer.root.wall is not None
         assert tracer.root.duration > 0
 
-    def test_pipeline_digest_serial_equals_process(self, tiny_reads):
-        _, serial = self._run(tiny_reads, "serial")
-        _, process = self._run(tiny_reads, "process")
-        assert serial.digest() == process.digest()
-
     def test_until_records_skipped_stages(self, tiny_reads):
-        _, tracer = self._run(tiny_reads, "serial", until="TrReduction")
+        _, tracer = self._run(tiny_reads, until="TrReduction")
         skipped = {
             s.name: s.attrs["skipped"]
             for s in tracer.root.children
@@ -264,7 +234,7 @@ class TestPipelineIntegration:
     def test_untraced_run_unaffected(self, tiny_reads):
         cfg = PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5)
         result = Pipeline.default().run(tiny_reads, cfg)
-        traced, _ = self._run(tiny_reads, cfg.executor)
+        traced, _ = self._run(tiny_reads)
         assert result.world.tracer is None
         assert result.modeled_total == traced.modeled_total
 
@@ -350,7 +320,7 @@ class TestMetricsRegistry:
 class TestExport:
     @pytest.fixture(scope="class")
     def tracer(self):
-        return traced_world("process", nprocs=4)[1]
+        return traced_world(nprocs=4)[1]
 
     def test_chrome_trace_validates(self, tracer):
         trace = to_chrome_trace(tracer, include_wall=True)
@@ -369,13 +339,12 @@ class TestExport:
             e for e in trace["traceEvents"] if e.get("cat") == "collective"
         ]
         assert sorted(e["tid"] for e in colls) == [1, 2, 3, 4]
-        # the backend is surfaced in the process label, outside the digest
         label = next(
             e["args"]["name"]
             for e in trace["traceEvents"]
             if e["name"] == "process_name"
         )
-        assert "(process)" in label
+        assert label == "repro modeled timeline"
 
     def test_chrome_trace_roundtrips_files(self, tracer, tmp_path):
         path = tmp_path / "t.json"
@@ -404,7 +373,6 @@ class TestExport:
     def test_summary_table_rolls_up_stages(self, tracer):
         text = summary_table(tracer)
         assert "StageA" in text and "StageB" in text
-        assert "[process]" in text
 
     def test_summary_table_marks_skips(self):
         t = Tracer(nprocs=2)

@@ -30,8 +30,8 @@ whole seed-and-extend pipeline over *arrays* of pairs at once:
 
 Both kernels are **bit-identical** to the scalar reference (enforced by
 the property tests of ``tests/test_align_batch.py``).  The scalar functions
-remain the readable specification; this module is the throughput path used
-by the ``Alignment`` stage.
+remain the readable specification those tests compare against; this module
+is the one fast path, the one the ``Alignment`` stage runs.
 
 :func:`classify_overlaps` is the array analogue of
 :func:`~repro.align.classify.classify_overlap`: dovetail / contained /
@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import AlignmentError
-from ..kernels import native_kernels, resolve_kernel_tier
+from ..kernels import resolve_kernel_tier
 from ..seq.readstore import PackedReads
 from ..telemetry.metrics import get_registry
 from .xdrop import XdropResult
@@ -180,7 +180,6 @@ def _gapless_side_batch(
     x: int,
     match: int,
     mismatch: int,
-    kernel_tier: str = "numpy",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch analogue of ``_gapless_one_side``: (steps_taken, score_gained).
 
@@ -190,7 +189,7 @@ def _gapless_side_batch(
     (opposite-strand ``b`` bases already point into its complemented
     half).
 
-    The numpy tier evaluates the scan at *events* only.  With ``up`` and
+    The kernel evaluates the scan at *events* only.  With ``up`` and
     ``down`` the higher and lower step score, an event is a position whose
     step is ``down``, plus a terminal event at ``n``.  Before the event at
     ``pos`` with ``k`` events ahead of it in its row the score is ``P =
@@ -201,16 +200,7 @@ def _gapless_side_batch(
     ``R`` is one ``maximum.accumulate`` over keys offset per row, which
     keeps the rows apart.  Rows with ``x < 0`` or no positive step take
     ``(0, 0)``, as the scalar does.
-
-    ``kernel_tier="native"`` runs the per-position scan in the C
-    extension instead (bit-identical outputs).
     """
-    if kernel_tier == "native":
-        g = pool[: 2 * nbases]
-        return native_kernels().gapless_scan(
-            g, g, base_a, sign_a, base_b, sign_b, n,
-            int(x), int(match), int(mismatch),
-        )
     steps = np.zeros(n.size, dtype=np.int64)
     score = np.zeros(n.size, dtype=np.int64)
     up, down = max(match, mismatch), min(match, mismatch)
@@ -347,7 +337,6 @@ def _banded_side_batch(
     mismatch: int,
     gap: int,
     band: int,
-    kernel_tier: str = "numpy",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch analogue of ``_banded_one_side``: (a_steps, b_steps, score).
 
@@ -385,16 +374,8 @@ def _banded_side_batch(
       count halves, retired lanes are compacted out of every matrix.
 
     The rounds run are added to the ``align.banded_rounds`` counter of
-    the metrics registry.  ``kernel_tier="native"`` runs the per-pair
-    antidiagonal recurrence in the C extension instead (bit-identical
-    outputs).
+    the metrics registry.
     """
-    if kernel_tier == "native":
-        return native_kernels().banded_batch(
-            _windows(pool, max(int(na.max(initial=0)), 1))[start_a],
-            _windows(pool, max(int(nb.max(initial=0)), 1))[start_b],
-            na, nb, int(x), int(match), int(mismatch), int(gap), int(band),
-        )
     npairs = na.size
     best_i = np.zeros(npairs, dtype=np.int64)
     best_j = np.zeros(npairs, dtype=np.int64)
@@ -603,13 +584,12 @@ def batch_xdrop_extend(
         buffer over many calls should build it once and pass it here so
         the kernels do not rebuild the pool per chunk.
     kernel_tier:
-        ``"numpy"`` | ``"native"`` | ``None`` (resolve via
-        :func:`repro.kernels.resolve_kernel_tier`).  Both tiers return
-        bit-identical results.
+        ``None`` or ``"numpy"``, the one tier; any other name raises
+        :class:`~repro.errors.KernelError`.
     span:
         Optional span factory (e.g. ``RankContext.span``); when given,
-        the kernel call is wrapped in ``span("<tier>:gapless")`` /
-        ``span("<tier>:banded")`` so telemetry attributes time per tier.
+        the kernel call is wrapped in ``span("gapless")`` /
+        ``span("banded")``.
 
     Returns
     -------
@@ -617,6 +597,7 @@ def batch_xdrop_extend(
         Entry ``p`` is element-wise identical to
         ``xdrop_extend(a, b_oriented, seed_a, oriented_seed_b, ...)``.
     """
+    resolve_kernel_tier(kernel_tier)
     buffer = np.asarray(buffer, dtype=np.uint8)
     offsets = np.asarray(offsets, dtype=np.int64)
     a_idx = np.asarray(a_idx, dtype=np.int64)
@@ -662,9 +643,8 @@ def batch_xdrop_extend(
         a_off, b_off, seed_a, seed_b, alen, blen, same, seed_len
     )
 
-    tier = resolve_kernel_tier(kernel_tier)
     kernel = "gapless" if mode == "diag" else "banded"
-    with span(f"{tier}:{kernel}") if span is not None else nullcontext():
+    with span(kernel) if span is not None else nullcontext():
         pool = comp_pool if comp_pool is not None else complemented_pool(buffer)
         # opposite-strand b slices read the complemented half
         fold = np.where(same, np.int64(0), np.int64(buffer.size))
@@ -684,7 +664,6 @@ def batch_xdrop_extend(
                 x,
                 match,
                 mismatch,
-                kernel_tier=tier,
             )
             a_steps_r = b_steps_r = steps[:npairs]
             a_steps_l = b_steps_l = steps[npairs:]
@@ -697,7 +676,6 @@ def batch_xdrop_extend(
                     _window_starts(a[0], a[1], buffer.size),
                     _window_starts(b[0] + fold, b[1], buffer.size),
                     a[2], b[2], x, match, mismatch, gap, band,
-                    kernel_tier=tier,
                 )
                 for a, b in ((a_right, b_right), (a_left, b_left))
             )
@@ -729,7 +707,6 @@ def iter_classified_chunks(
     min_score: int | None = None,
     min_overlap: int = 0,
     end_margin: int = 0,
-    kernel_tier: str | None = None,
     span=None,
 ):
     """Run task arrays through the batch engine in classified chunks.
@@ -746,7 +723,6 @@ def iter_classified_chunks(
     lengths = np.diff(offsets)
     same_strand = np.asarray(same_strand, dtype=bool)
     pool = complemented_pool(buffer) if a_idx.size else None
-    tier = resolve_kernel_tier(kernel_tier)
     n = int(a_idx.size)
     batch = max(int(batch_size), 1)
     for lo in range(0, n, batch):
@@ -765,7 +741,6 @@ def iter_classified_chunks(
             match=match,
             mismatch=mismatch,
             comp_pool=pool,
-            kernel_tier=tier,
             span=span,
         )
         keep = np.minimum(res.a_span, res.b_span) >= min_overlap

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 
 from ..errors import ReproError
-from ..kernels import KERNEL_TIERS
 from ..mpi.costmodel import MACHINE_PRESETS
 from ..pipeline import PipelineConfig
 from ..seq.datasets import PRESETS
@@ -100,16 +99,6 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         "across the ranks of one alignment segment (default 2048)",
     )
     parser.add_argument(
-        "--contig-engine", choices=("batch", "scalar"), default=None,
-        help="local-assembly traversal: vectorized batch or scalar reference",
-    )
-    parser.add_argument(
-        "--kernel-tier", choices=tuple(KERNEL_TIERS), default=None,
-        help="inner-loop kernel implementation: vectorized numpy or the "
-        "compiled C extension (falls back to numpy when not built); "
-        "tiers are bit-identical; default from $REPRO_KERNEL_TIER",
-    )
-    parser.add_argument(
         "--memory-mode", choices=("fast", "low"), default="fast",
         help="SpGEMM accumulation strategy (low = stream merge)",
     )
@@ -146,10 +135,6 @@ def build_pipeline_config(args, ds=None) -> PipelineConfig:
         cfg.align_mode = args.align_mode
     if args.align_batch_size is not None:
         cfg.align_batch_size = args.align_batch_size
-    if getattr(args, "contig_engine", None) is not None:
-        cfg.contig_engine = args.contig_engine
-    if getattr(args, "kernel_tier", None) is not None:
-        cfg.kernel_tier = args.kernel_tier
     if getattr(args, "memory_budget_mb", None) is not None:
         cfg.memory_budget_mb = args.memory_budget_mb
     return cfg

@@ -27,7 +27,6 @@ import time
 
 from ..errors import ReproError
 from ..faults import FaultPlan, RetryPolicy
-from ..kernels import KERNEL_TIERS
 from ..service import JobService, TERMINAL_STATES
 from .common import CliError, positive_float, positive_int
 
@@ -144,11 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-plan", default=None, metavar="FILE",
                    help="JSON fault plan (repro.faults.FaultPlan schema) "
                    "injected into every job this worker runs")
-    p.add_argument("--kernel-tier", default=None, choices=KERNEL_TIERS,
-                   help="run every job's kernels on this tier, overriding "
-                   "job specs and REPRO_KERNEL_TIER (tiers are "
-                   "bit-identical; 'native' falls back to numpy when the "
-                   "extension is not built)")
     p.add_argument("--max-attempts", type=positive_int, default=None,
                    help="retry ceiling: a job failing this many attempts "
                    "lands in terminal 'failed' instead of requeueing")
@@ -384,7 +378,6 @@ def _cmd_worker(svc: JobService, args, out) -> int:
         max_jobs=args.max_jobs,
         worker_id=args.worker_id,
         fault_plan=fault_plan,
-        kernel_tier=args.kernel_tier,
     )
     for record in done:
         cached = (record.summary or {}).get("stages_cached", 0)

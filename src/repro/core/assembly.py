@@ -21,6 +21,10 @@ Cyclic components (every vertex degree 2) have no root; the paper's
 algorithm ignores them, and by default so does this one -- pass
 ``emit_cycles=True`` to break each cycle at its smallest vertex and emit a
 (flagged) circular contig, an extension useful for plasmid-like inputs.
+
+This per-vertex walk is the readable oracle: the pipeline runs the batch
+engine of :mod:`~repro.core.batch`, whose property corpus compares
+against it (``local_assembly(..., engine="scalar")``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import AssemblyError
+from ..kernels import resolve_kernel_tier
 from ..seq import dna
 from ..seq.readstore import PackedReads
 from ..sparse.coo import LocalCoo
@@ -264,18 +269,19 @@ def local_assembly(
     ``engine="batch"`` (the default) routes through the vectorized chain
     extractor of :mod:`~repro.core.batch`; ``engine="scalar"`` runs this
     module's per-vertex walk.  Both produce bit-identical results -- the
-    scalar path remains the property-tested reference.  ``kernel_tier`` /
-    ``span`` are forwarded to the batch engine (the scalar walk has no
-    kernel dispatch and ignores them).
+    scalar walk is the oracle the batch engine's property corpus compares
+    against.  ``span`` is forwarded to the batch engine (the scalar walk
+    ignores it); ``kernel_tier`` accepts only ``None`` or ``"numpy"``
+    (:func:`~repro.kernels.resolve_kernel_tier`).
     """
+    resolve_kernel_tier(kernel_tier)
     if engine not in ("batch", "scalar"):
         raise AssemblyError(f"unknown assembly engine {engine!r}")
     if engine == "batch":
         from .batch import local_assembly_batch
 
         return local_assembly_batch(
-            graph, reads, emit_cycles=emit_cycles,
-            kernel_tier=kernel_tier, span=span,
+            graph, reads, emit_cycles=emit_cycles, span=span,
         )
     result = LocalAssemblyResult()
     csc, jc, _by_row = local_csc(graph.coo)

@@ -30,7 +30,8 @@ The output is **bit-identical** to the scalar reference -- same contigs in
 the same order, same ``read_path``/``orientations``/``circular``/
 ``truncated`` flags, same ``n_roots``/``n_cycles``/``n_singletons``
 diagnostics -- which the property corpus in ``tests/test_contig_batch.py``
-and the CI kernel smoke step enforce.
+enforces.  The scalar walk stays as that corpus's oracle; this module is
+the one fast path, the one the ``LocalAssembly`` superstep runs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import native_kernels, resolve_kernel_tier
 from ..seq.readstore import PackedReads
 from ..sparse.coo import LocalCoo
 from ..util import cumsum0, gather_pieces
@@ -186,33 +186,14 @@ class _WalkTables:
 
 def _lockstep_walk(
     t: _WalkTables, visited: np.ndarray, starts: np.ndarray,
-    kernel_tier: str = "numpy",
 ) -> BatchWalks:
     """Advance one walk per start in lockstep until all terminate.
 
     ``starts`` must contain at most one vertex per component: walks then
     never contend for a vertex, and the shared ``visited`` array (updated in
     place) behaves exactly as under the scalar's sequential order.
-
-    ``kernel_tier="native"`` runs the advance rounds in the C extension
-    (walk-major time-ordered output, bit-identical to the numpy path).
     """
     K = starts.size
-    if kernel_tier == "native":
-        starts64 = starts.astype(np.int64, copy=False)
-        n_edges, truncated, src, dst, edir, pre, post = (
-            native_kernels().walk_rounds(
-                t.n0, t.n1, t.sb0, t.sb1, t.d0, t.d1,
-                t.pre0, t.pre1, t.post0, t.post1, t.deg,
-                visited, starts64,
-            )
-        )
-        return BatchWalks(
-            start=starts64.copy(),
-            truncated=truncated,
-            n_edges=n_edges,
-            src=src, dst=dst, dir=edir, pre=pre, post=post,
-        )
     cur = starts.astype(np.int64, copy=True)
     entered = np.full(K, -1, dtype=np.int64)
     truncated = np.zeros(K, dtype=bool)
@@ -416,7 +397,6 @@ def local_assembly_batch(
     graph: InducedGraph,
     reads: PackedReads,
     emit_cycles: bool = False,
-    kernel_tier: str | None = None,
     span=None,
 ):
     """Array-level :func:`~repro.core.assembly.local_assembly`.
@@ -424,17 +404,14 @@ def local_assembly_batch(
     Bit-identical to the scalar walk: same contigs in the same order, same
     flags and diagnostics.
 
-    ``kernel_tier`` selects the walk-advance implementation (``None``
-    resolves via :func:`repro.kernels.resolve_kernel_tier`); ``span``, when
-    given, wraps each advance round in ``span("<tier>:walk")``.
+    ``span``, when given, wraps each advance round in ``span("walk")``.
     """
-    tier = resolve_kernel_tier(kernel_tier)
 
     def _walk(tables, visited, starts):
         if span is not None:
-            with span(f"{tier}:walk"):
-                return _lockstep_walk(tables, visited, starts, kernel_tier=tier)
-        return _lockstep_walk(tables, visited, starts, kernel_tier=tier)
+            with span("walk"):
+                return _lockstep_walk(tables, visited, starts)
+        return _lockstep_walk(tables, visited, starts)
 
     result = LocalAssemblyResult()
     table = build_edge_table(graph.coo)

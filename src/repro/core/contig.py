@@ -22,6 +22,7 @@ from functools import partial
 
 import numpy as np
 
+from ..kernels import resolve_kernel_tier
 from ..mpi.bigcount import MPI_COUNT_LIMIT
 from ..seq.readstore import DistReadStore
 from ..sparse.distmat import DistSparseMatrix
@@ -113,12 +114,12 @@ def contig_generation(
     already placed every contig's reads on its owner rank, so no further
     communication is needed).
 
-    ``assembly_engine`` selects the local traversal implementation
-    (``"batch"`` or ``"scalar"``); both are bit-identical, so the choice
-    never changes the contig set.  ``kernel_tier`` picks the batch
-    engine's walk-advance kernel (``numpy`` | ``native``), also
-    bit-identical.
+    ``assembly_engine`` selects the local traversal: ``"batch"`` (the
+    default) or ``"scalar"``, the oracle it is bit-identical to.
+    ``kernel_tier`` accepts only ``None`` or ``"numpy"``
+    (:func:`~repro.kernels.resolve_kernel_tier`).
     """
+    resolve_kernel_tier(kernel_tier)
     world = S.grid.world
 
     with world.stage_scope(f"{STAGE_PREFIX}/BranchRemoval"):
@@ -145,7 +146,6 @@ def contig_generation(
     with world.stage_scope(f"{STAGE_PREFIX}/LocalAssembly"):
         step = partial(
             _assemble_step, emit_cycles=emit_cycles, engine=assembly_engine,
-            kernel_tier=kernel_tier,
         )
         per_rank: list[LocalAssemblyResult] = world.map_ranks(
             step, graphs, exchange.shards

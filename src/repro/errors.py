@@ -41,7 +41,7 @@ class AlignmentError(ReproError):
 
 
 class KernelError(ReproError):
-    """Kernel-tier registry misuse (unknown tier, unavailable native tier)."""
+    """A kernel tier other than ``"numpy"`` was named."""
 
 
 class AssemblyError(ReproError):

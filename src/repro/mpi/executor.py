@@ -47,18 +47,6 @@ class KernelSpan(NamedTuple):
     #: compute seconds charged inside the section (its modeled width)
     modeled: float
     wall: float
-    #: kernel tier that ran it, or None; kept out of the trace digest
-    tier: str | None = None
-
-
-def _split_tier(name: str) -> tuple[str, str | None]:
-    """``"<tier>:<kernel>"`` -> ``(kernel, tier)``; other names pass through."""
-    from ..kernels import KERNEL_TIERS
-
-    prefix, sep, rest = name.partition(":")
-    if sep and prefix in KERNEL_TIERS:
-        return rest, prefix
-    return name, None
 
 
 class RankContext(int):
@@ -129,17 +117,9 @@ class RankContext(int):
         inside the block (so it nests correctly in the rank's superstep
         lane); wall time is measured alongside for profiling.  Sections
         are flat -- nest stage scopes, not spans.
-
-        A ``"<tier>:<kernel>"`` name (tier one of
-        :data:`~repro.kernels.KERNEL_TIERS`) is split: the span is
-        recorded under the bare kernel name with the tier in a separate
-        channel that the tracer keeps **out of the digest** -- both
-        kernel tiers produce identical trace digests while profiles
-        still attribute wall time per tier.
         """
         import time as _time
 
-        name, tier = _split_tier(name)
         modeled0 = sum(sec for _, sec in self._compute)
         wall0 = _time.perf_counter()
         try:
@@ -148,8 +128,7 @@ class RankContext(int):
             modeled = sum(sec for _, sec in self._compute) - modeled0
             self._spans.append(
                 KernelSpan(
-                    name, self.stage, modeled,
-                    _time.perf_counter() - wall0, tier,
+                    name, self.stage, modeled, _time.perf_counter() - wall0,
                 )
             )
 
@@ -158,11 +137,9 @@ class RankContext(int):
         segment step, ``wall`` being this rank's share of its wall time.
 
         The section is shared by the segment's ranks, so none of this
-        rank's charges falls inside it: its modeled width is 0.  ``name``
-        splits into kernel and tier as in :meth:`span`.
+        rank's charges falls inside it: its modeled width is 0.
         """
-        name, tier = _split_tier(name)
-        self._spans.append(KernelSpan(name, self.stage, 0.0, wall, tier))
+        self._spans.append(KernelSpan(name, self.stage, 0.0, wall))
 
     def _merge(self) -> None:
         """Apply the buffered charges to the world (rank-ordered barrier merge)."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -51,6 +51,7 @@ from ..align.batch import (
     KIND_INTERNAL,
     iter_classified_chunks,
 )
+from ..kernels import resolve_kernel_tier
 from ..seq.readstore import DistReadStore, PackedReads
 from ..sparse.coo import segment_order
 from ..sparse.distmat import DistSparseMatrix
@@ -71,10 +72,9 @@ class AlignmentParams:
     endpoint slack; ``batch_size`` bounds how many pairs the batched
     engine extends per kernel call, counted across the ranks of one
     alignment segment (memory/throughput trade-off -- results are
-    independent of it); ``kernel_tier`` picks the inner-loop
-    implementation (``numpy`` | ``native``, ``None`` = resolve from the
-    environment) -- tiers are bit-identical, so like ``batch_size`` it
-    never changes results.
+    independent of it).  ``kernel_tier`` is checked, not stored: only
+    ``None`` or ``"numpy"`` is accepted
+    (:func:`~repro.kernels.resolve_kernel_tier`).
     """
 
     k: int
@@ -86,7 +86,10 @@ class AlignmentParams:
     min_overlap: int = 0
     end_margin: int = 10
     batch_size: int = 2048
-    kernel_tier: str | None = None
+    kernel_tier: InitVar[str | None] = None
+
+    def __post_init__(self, kernel_tier: str | None) -> None:
+        resolve_kernel_tier(kernel_tier)
 
 
 @dataclass
@@ -233,7 +236,6 @@ def _align_segment(
         min_score=params.min_score,
         min_overlap=params.min_overlap,
         end_margin=params.end_margin,
-        kernel_tier=params.kernel_tier,
         span=clock,
     )
     for sl, res, cls, chunk_kind in chunks:

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 from ..errors import PipelineError
-from ..kernels import KERNEL_TIERS, default_kernel_tier
 from ..mpi.bigcount import MPI_COUNT_LIMIT
 from ..mpi.costmodel import MACHINE_PRESETS, MachineModel
 
@@ -20,8 +19,8 @@ __all__ = ["PipelineConfig", "EXECUTION_FIELDS"]
 #: ``config_fields`` names one of them -- none can reach a checkpoint
 #: fingerprint.
 EXECUTION_FIELDS = frozenset({
-    "kernel_tier", "align_batch_size", "contig_engine",
-    "memory_mode", "memory_budget_mb", "stage_max_retries", "keep_graphs",
+    "align_batch_size", "memory_mode", "memory_budget_mb",
+    "stage_max_retries", "keep_graphs",
 })
 
 
@@ -36,15 +35,13 @@ class PipelineConfig:
 
     nprocs: int = 4
     machine: str | MachineModel = "cori-haswell"
-    # supersteps run on the calling thread, rank by rank; a constant, not
-    # a field (nothing to choose, nothing to fingerprint), kept for
-    # callers that still read it
+    # constants, not fields (nothing to choose, nothing to fingerprint),
+    # kept for callers that still read them: supersteps run on the
+    # calling thread, rank by rank; the numpy batch kernels are the one
+    # kernel tier; local assembly runs the batch engine
     executor: ClassVar[str] = "serial"
-    # inner-loop kernel implementation for the batched engines: "numpy"
-    # (vectorized reference, always available) or "native" (the C
-    # extension, which degrades gracefully to numpy when not built).
-    # Env override: REPRO_KERNEL_TIER.
-    kernel_tier: str = field(default_factory=default_kernel_tier)
+    kernel_tier: ClassVar[str] = "numpy"
+    contig_engine: ClassVar[str] = "batch"
     # k-mer stage
     k: int = 31
     reliable_lo: int = 2
@@ -69,10 +66,6 @@ class PipelineConfig:
     partition_method: str = "lpt"
     emit_cycles: bool = False
     count_limit: int = MPI_COUNT_LIMIT
-    # local-assembly traversal implementation: "batch" (vectorized chain
-    # extraction + one strided gather per rank) or "scalar" (the per-vertex
-    # reference walk)
-    contig_engine: str = "batch"
     # §7 polishing phase: each rank pileup-polishes its own contigs against
     # the reads the sequence exchange already placed on it
     polish: bool = False
@@ -132,11 +125,6 @@ class PipelineConfig:
             )
         if not 1 <= self.k <= 31:
             raise PipelineError(f"k must be in [1, 31], got {self.k}")
-        if self.kernel_tier not in KERNEL_TIERS:
-            raise PipelineError(
-                f"unknown kernel_tier {self.kernel_tier!r}; "
-                f"options: {list(KERNEL_TIERS)}"
-            )
         # integer knobs with a floor: below it a stage fails mid-run or the
         # run silently assembles nothing
         for name, floor in (
@@ -156,11 +144,6 @@ class PipelineConfig:
             )
         if self.align_mode not in ("diag", "dp"):
             raise PipelineError(f"unknown align_mode {self.align_mode!r}")
-        if self.contig_engine not in ("batch", "scalar"):
-            raise PipelineError(
-                f"unknown contig_engine {self.contig_engine!r}; "
-                "options: batch, scalar"
-            )
         if self.partition_method not in ("lpt", "greedy", "round_robin"):
             raise PipelineError(
                 f"unknown partition_method {self.partition_method!r}"

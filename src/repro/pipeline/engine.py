@@ -40,7 +40,6 @@ import numpy as np
 
 from ..core.contig import STAGE_PREFIX, ContigSet
 from ..errors import PipelineError, RankFailure
-from ..kernels import native_import_error, resolve_kernel_tier
 from ..mpi.comm import SimWorld
 from ..mpi.costmodel import MachineModel
 from ..mpi.grid import ProcGrid
@@ -634,16 +633,6 @@ class Pipeline:
             for obs in self.observers + list(observers):
                 _call(obs, "on_run_start", ctx)
                 ctx.observers.append(obs)
-            resolved_tier = resolve_kernel_tier(config.kernel_tier)
-            if resolved_tier != config.kernel_tier:
-                # requested native, extension unavailable: results are
-                # unaffected (tiers are bit-identical) but surface the
-                # degradation so perf runs are not silently slower
-                ctx.note(
-                    "-",
-                    f"kernel tier fallback: {config.kernel_tier!r} unavailable "
-                    f"({native_import_error()}); using {resolved_tier!r}",
-                )
             for stage in stage_slice:
                 if stage.name not in selected:
                     skip(stage, "artifact")

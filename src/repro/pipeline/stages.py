@@ -108,7 +108,6 @@ class AlignmentStage(Stage):
             min_overlap=config.min_overlap,
             end_margin=config.end_margin,
             batch_size=config.align_batch_size,
-            kernel_tier=config.kernel_tier,
         )
         R, align_stats = build_overlap_graph(
             ctx.require("C"), ctx.require("reads"), params
@@ -172,8 +171,6 @@ class ExtractContigStage(Stage):
             emit_cycles=config.emit_cycles,
             count_limit=config.count_limit,
             polish=config.polish,
-            assembly_engine=config.contig_engine,
-            kernel_tier=config.kernel_tier,
         )
         ctx.counts["contigs"] = contigs.count
         ctx.counts["contig_roots"] = contigs.n_roots

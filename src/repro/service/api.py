@@ -116,7 +116,6 @@ class JobService:
         observers=(),
         fault_plan: FaultPlan | None = None,
         fault_injector=None,
-        kernel_tier: str | None = None,
     ) -> Worker:
         return Worker(
             self.store,
@@ -125,7 +124,6 @@ class JobService:
             observers=observers,
             fault_plan=fault_plan,
             fault_injector=fault_injector,
-            kernel_tier=kernel_tier,
         )
 
     def run_worker(
@@ -133,9 +131,8 @@ class JobService:
         max_jobs: int | None = None,
         worker_id: str | None = None,
         fault_plan: FaultPlan | None = None,
-        kernel_tier: str | None = None,
     ) -> list[JobRecord]:
         """Drain the queue synchronously in this process."""
         return self.worker(
-            worker_id, fault_plan=fault_plan, kernel_tier=kernel_tier
+            worker_id, fault_plan=fault_plan
         ).drain(max_jobs=max_jobs)

@@ -241,26 +241,12 @@ class Worker:
         observers: Sequence[PipelineObserver] = (),
         fault_plan: FaultPlan | None = None,
         fault_injector: FaultInjector | None = None,
-        kernel_tier: str | None = None,
         trace_jobs: bool = True,
     ) -> None:
         self.store = store
         self.cache = cache
         self.worker_id = worker_id or f"worker-{os.getpid()}"
         self.extra_observers = list(observers)
-        # kernel-tier override for every job this worker runs (the
-        # ``repro-jobs worker --kernel-tier`` flag); None defers to the job
-        # spec.  Tiers are bit-identical so this is a pure throughput knob,
-        # validated eagerly so a typo fails at worker start, not per job
-        if kernel_tier is not None:
-            from ..kernels import KERNEL_TIERS
-
-            if kernel_tier not in KERNEL_TIERS:
-                raise JobError(
-                    f"unknown kernel tier {kernel_tier!r}; options: "
-                    f"{list(KERNEL_TIERS)}"
-                )
-        self.kernel_tier = kernel_tier
         if fault_injector is None and fault_plan is not None:
             fault_injector = FaultInjector(fault_plan)
         # one injector per worker, shared across every job it runs; pass
@@ -292,8 +278,6 @@ class Worker:
     def _execute(self, record: JobRecord) -> JobRecord:
         try:
             reads, config = materialize_spec(record.spec)
-            if self.kernel_tier is not None:
-                config.kernel_tier = self.kernel_tier
         except Exception as exc:
             record = self.store.finish(
                 record, "failed", error=f"spec error: {exc}"
@@ -344,12 +328,6 @@ class Worker:
             summary["cache_hits"] = self.cache.hits - hits0
             summary["cache_misses"] = self.cache.misses - misses0
             summary["faults_injected"] = len(fault_events) - faults0
-            # record the tier that actually ran, not the one requested
-            # (native silently degrades to numpy when the extension is
-            # missing -- perf audits need the truth)
-            from ..kernels import resolve_kernel_tier
-
-            summary["kernel_tier"] = resolve_kernel_tier(config.kernel_tier)
             trace_file = self._write_trace(record.job_id, tracer)
             if trace_file is not None:
                 summary["trace_file"] = trace_file

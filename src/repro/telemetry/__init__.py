@@ -4,8 +4,8 @@ Three pieces:
 
 * :mod:`~repro.telemetry.spans` -- :class:`Tracer`, a deterministic
   span tree (run -> stage -> superstep -> collective/kernel) stamped
-  with the modeled SimWorld clock; bit-identical across runs and kernel
-  tiers, with optional wall-time annotations;
+  with the modeled SimWorld clock; bit-identical across runs, with
+  optional wall-time annotations;
 * :mod:`~repro.telemetry.metrics` -- a process-wide
   :class:`MetricsRegistry` (counters/gauges/histograms) the mpi,
   service and faults layers publish into;

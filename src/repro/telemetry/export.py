@@ -103,8 +103,6 @@ def to_chrome_trace(
         args: dict[str, Any] = dict(span.attrs)
         if include_wall and span.wall is not None:
             args["wall_seconds"] = span.wall
-        if span.tier is not None:
-            args["kernel_tier"] = span.tier
         events.append(
             {
                 "name": span.name,

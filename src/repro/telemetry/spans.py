@@ -18,7 +18,7 @@ at the barrier (max cursor over ranks), each rank's lane runs for its
 buffered compute seconds, a collective synchronizes its participants.
 Modeled charges are deterministic (buffered per rank, merged in rank
 order), so the span tree is too: :meth:`Tracer.digest` hashes the tree
-*excluding wall time* and must agree across runs and kernel tiers.
+*excluding wall time* and must agree across runs.
 Wall-clock readings ride along on the ``wall`` attribute for profiling
 but never enter the identity.
 
@@ -80,11 +80,6 @@ class Span:
     attrs: dict = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
     wall: float | None = None
-    #: kernel tier ("numpy" | "native") the section ran under -- like
-    #: ``wall``, informational only: excluded from :meth:`to_dict` by
-    #: default and never part of the digest, so both tiers (which are
-    #: bit-identical) produce identical trace identities
-    tier: str | None = None
 
     @property
     def duration(self) -> float:
@@ -103,8 +98,6 @@ class Span:
             out["attrs"] = dict(self.attrs)
         if include_wall and self.wall is not None:
             out["wall"] = self.wall
-        if include_wall and self.tier is not None:
-            out["tier"] = self.tier
         if self.children:
             out["children"] = [
                 c.to_dict(include_wall=include_wall) for c in self.children
@@ -304,7 +297,6 @@ class Tracer:
                             if rec.stage != stage else {}
                         ),
                         wall=rec.wall,
-                        tier=rec.tier,
                     )
                 )
                 t += rec.modeled

@@ -5,7 +5,9 @@ import io
 import numpy as np
 import pytest
 
+from repro import Pipeline, PipelineConfig
 from repro.cli import assemble_main, quality_main, scaling_main
+from repro.core import contig_generation
 from repro.errors import AssemblyError
 from repro.seq import dna, tile_reads
 from repro.seq.fasta import read_fasta, write_fasta
@@ -60,22 +62,18 @@ class TestAssembleCli:
         assert "assembled 1 contigs" in text
 
     def test_contig_engine_flag(self, workspace):
-        """Both traversal engines assemble the same contig set."""
-        seqs = {}
-        for engine in ("scalar", "batch"):
-            out_fa = workspace["tmp"] / f"contigs_{engine}.fa"
-            rc, text = run(
-                assemble_main,
-                ["--fasta", str(workspace["reads_fa"]), "-k", "21", "-P", "4",
-                 "--contig-engine", engine, "-o", str(out_fa)],
-            )
-            assert rc == 0
-            assert "assembled 1 contigs" in text
-            _, contigs = read_fasta(out_fa)
-            seqs[engine] = contigs
-        assert len(seqs["scalar"]) == len(seqs["batch"])
-        for a, b in zip(seqs["scalar"], seqs["batch"]):
-            assert np.array_equal(a, b)
+        """The scalar oracle and the default batch traversal assemble the
+        same contig set from the string graph of the CLI's input."""
+        _, reads = read_fasta(workspace["reads_fa"])
+        cfg = PipelineConfig(nprocs=4, k=21, keep_graphs=True)
+        res = Pipeline.default().run(reads, cfg)
+        S, store = res.artifacts["S"], res.artifacts["reads"]
+        scalar = contig_generation(S, store, assembly_engine="scalar")
+        batch = contig_generation(S, store)
+        assert batch.count == scalar.count == 1
+        for a, b in zip(scalar.contigs, batch.contigs):
+            assert np.array_equal(a.codes, b.codes)
+            assert (a.read_path, a.orientations) == (b.read_path, b.orientations)
 
     def test_breakdown_lists_all_stages(self, workspace):
         rc, text = run(

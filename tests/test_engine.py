@@ -494,9 +494,12 @@ class TestObserverLifecycle:
 
 
 class TestFingerprintBoundary:
-    # ``executor`` is a class constant now, not a field: still refused
+    # ``executor``, ``kernel_tier`` and ``contig_engine`` are class
+    # constants now, not fields: still refused
     @pytest.mark.parametrize(
-        "field", sorted(EXECUTION_FIELDS) + ["executor", "no_such_knob"]
+        "field",
+        sorted(EXECUTION_FIELDS | {"kernel_tier", "contig_engine"})
+        + ["executor", "no_such_knob"],
     )
     def test_register_stage_rejects_unhashable_field(self, field):
         class Leaky(Stage):
@@ -513,7 +516,7 @@ class TestFingerprintBoundary:
             f for name in MAIN_STAGES for f in STAGE_REGISTRY[name].config_fields
         }
         every = {f.name for f in dataclasses.fields(PipelineConfig)}
-        assert len(EXECUTION_FIELDS) == 7 and EXECUTION_FIELDS <= every
+        assert len(EXECUTION_FIELDS) == 5 and EXECUTION_FIELDS <= every
         assert claimed == every - EXECUTION_FIELDS - {"nprocs", "machine"}
 
     def test_memory_mode_flip_resumes_every_stage(self, tiled, cfg, tmp_path):

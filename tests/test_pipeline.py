@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import MAIN_STAGES, Pipeline, PipelineConfig
-from repro.errors import PipelineError
+from repro.errors import KernelError, PipelineError
+from repro.overlap import AlignmentParams
 from repro.pipeline import breakdown_table, parallel_efficiency, scaling_table
 from repro.pipeline.report import ScalingPoint
 from repro.seq import GenomeSpec, dna, make_genome, tile_reads
@@ -50,12 +51,6 @@ class TestConfig:
     def test_negative_xdrop_rejected(self):
         with pytest.raises(PipelineError):
             PipelineConfig(xdrop=-1).validate()
-
-    def test_contig_engine_validated(self):
-        with pytest.raises(PipelineError):
-            PipelineConfig(contig_engine="simd").validate()
-        PipelineConfig(contig_engine="scalar").validate()
-        PipelineConfig(contig_engine="batch").validate()
 
     def test_align_batch_size_below_one_rejected(self):
         with pytest.raises(PipelineError):
@@ -236,3 +231,110 @@ class TestReports:
         base = ScalingPoint(1, 8.0, 0.0)
         fast = ScalingPoint(4, 2.0, 0.0)
         assert fast.speedup_over(base) == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# the kernel tier and contig engine knobs are gone, with a defined result at
+# every door
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value, constant",
+    [("kernel_tier", "native", "numpy"), ("contig_engine", "scalar", "batch")],
+)
+class TestRemovedKnobsRejected:
+    def test_config(self, field, value, constant):
+        with pytest.raises(TypeError, match=field):
+            PipelineConfig(nprocs=4, **{field: value})
+        # a class constant, still read by benchmarks/e2e
+        assert getattr(PipelineConfig(), field) == constant
+
+    def test_cli_flags(self, field, value, constant, tmp_path, capsys):
+        from repro.cli import assemble_main
+        from repro.cli import jobs as jobs_cli
+
+        flag = "--" + field.replace("_", "-")
+        doors = [(assemble_main, ["--preset", "c_elegans", flag, value])]
+        if field == "kernel_tier":
+            doors.append(
+                (jobs_cli.main, ["worker", "--root", str(tmp_path), flag, value])
+            )
+        for main, argv in doors:
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_service_job_fails_on_first_attempt(
+        self, field, value, constant, tmp_path
+    ):
+        from repro.service import JobService
+
+        svc = JobService(tmp_path)
+        job_id = svc.submit(
+            {"kind": "simulate", "length": 2500, "seed": 51},
+            {"nprocs": 4, "k": 17, field: value},
+        )
+        (record,) = svc.run_worker()
+        assert record.job_id == job_id and record.state == "failed"
+        assert "bad config override" in record.error
+        assert record.attempts == 1
+        assert svc.run_worker() == []
+
+
+class TestKernelTierContract:
+    """What ``benchmarks/e2e`` still calls: the one tier answers, any other
+    name is a :class:`KernelError`."""
+
+    def test_registry_stubs(self):
+        from repro.kernels import native_available, resolve_kernel_tier
+
+        assert resolve_kernel_tier() == "numpy"
+        assert resolve_kernel_tier("numpy") == "numpy"
+        assert native_available() is False
+        with pytest.raises(KernelError, match="native"):
+            resolve_kernel_tier("native")
+
+    def test_worker_option_gone(self, tmp_path):
+        from repro.service import JobService
+
+        with pytest.raises(TypeError, match="kernel_tier"):
+            JobService(tmp_path).run_worker(kernel_tier="numpy")
+
+    def test_alignment_params(self):
+        import pickle
+
+        params = AlignmentParams(k=13, kernel_tier="numpy")
+        assert params == AlignmentParams(k=13)
+        assert pickle.loads(pickle.dumps(params)) == params
+        with pytest.raises(KernelError):
+            AlignmentParams(k=13, kernel_tier="native")
+
+    def test_batch_xdrop_extend(self):
+        from repro.align.batch import batch_xdrop_extend, pack_codes
+
+        rng = np.random.default_rng(7)
+        read = dna.random_codes(rng, 60)
+        buffer, offsets = pack_codes([read, read])
+        args = (buffer, offsets, [0], [1], [10], [10], [True], 11, 5)
+        ref = batch_xdrop_extend(*args)
+        got = batch_xdrop_extend(*args, kernel_tier="numpy")
+        assert got.item(0) == ref.item(0) and int(ref.score[0]) == 60
+        with pytest.raises(KernelError):
+            batch_xdrop_extend(*args, kernel_tier="native")
+
+    def test_contig_generation_and_local_assembly(self, tiled):
+        from repro.core import contig_generation, local_assembly
+
+        cfg = PipelineConfig(nprocs=4, k=17, keep_graphs=True)
+        res = Pipeline.default().run(tiled[1], cfg)
+        S, store = res.artifacts["S"], res.artifacts["reads"]
+        got = contig_generation(S, store, kernel_tier="numpy")
+        assert [c.codes.tobytes() for c in got.contigs] == [
+            c.codes.tobytes() for c in res.contigs.contigs
+        ]
+        with pytest.raises(KernelError):
+            contig_generation(S, store, kernel_tier="native")
+        with pytest.raises(KernelError):
+            local_assembly(None, None, kernel_tier="native")

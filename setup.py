@@ -3,9 +3,11 @@
 This file is the only place the project is declared (there is no
 pyproject.toml): the package under ``src/``, the four ``repro-*`` console
 scripts, and the version, which is read from ``repro.__version__`` so it is
-stated once.  ``pip install -e .`` falls back to the classic
-``setup.py develop`` path when no [build-system] table is declared, which
-works on environments whose setuptools lacks the ``wheel`` package.
+stated once.  ``python -m pip install --no-deps -e .`` builds the editable
+install in an isolated environment, so it needs ``setuptools`` and
+``wheel`` from the package index.  Offline, ``python setup.py develop``
+installs the same console scripts with the setuptools already present,
+and ``export PYTHONPATH=src`` runs everything without installing.
 """
 
 import re

@@ -175,9 +175,9 @@ class SimWorld:
 
         Each thread scopes independently: a worker thread that never
         opened a scope charges to ``"default"`` rather than racing on the
-        main thread's stack.  (Rank steps should scope via their
-        :class:`~repro.mpi.executor.RankContext`, which snapshots the
-        submitting thread's stack instead.)
+        main thread's stack.  A superstep's charges belong to the stage
+        open when it starts (its :class:`~repro.mpi.executor.RankContext`
+        records that one name).
         """
         stack = getattr(self._stage_local, "stack", None)
         if stack is None:
@@ -206,10 +206,10 @@ class SimWorld:
         Each of ``per_rank_args`` is a length-``nprocs`` sequence; rank
         ``r`` receives entry ``r`` of every sequence.  ``ctx`` is a
         :class:`~repro.mpi.executor.RankContext` -- the rank id itself,
-        plus ``charge_compute`` / ``observe_memory`` / ``stage_scope``
-        methods that buffer cost accounting per rank and merge it into
-        the world's clocks in rank order once all ranks finish.  Results
-        come back in rank order.  Ranks share nothing: a step takes its
+        plus ``charge_compute`` / ``observe_memory`` methods that buffer
+        cost accounting per rank and merge it into the world's clocks in
+        rank order once all ranks finish, under the stage open at launch.
+        Results come back in rank order.  Ranks share nothing: a step takes its
         state through its per-rank arguments and returns it (see
         :class:`~repro.mpi.executor.RankStep`).
 
@@ -253,8 +253,8 @@ class SimWorld:
                     f"{what} arg {pos} expects {self.nprocs} per-rank "
                     f"entries, got {len(seq)}"
                 )
-        base_stage = tuple(self._stage_stack)
-        ctxs = [RankContext(self, r, base_stage) for r in range(self.nprocs)]
+        stage = self.stage
+        ctxs = [RankContext(self, r, stage) for r in range(self.nprocs)]
 
         # fault injection decisions are made once per superstep, before
         # any step runs: crashes are raised in place of the crashed rank's
@@ -264,7 +264,7 @@ class SimWorld:
         stall_actions: list[dict] = []
         injector = self.fault_injector
         if injector is not None:
-            for action in injector.superstep_actions(base_stage):
+            for action in injector.superstep_actions(self._stage_stack):
                 if action["kind"] != "rank_crash":
                     stall_actions.append(action)
                 elif 0 <= action["rank"] < self.nprocs:
@@ -300,7 +300,7 @@ class SimWorld:
         tracer = self.tracer
         if tracer is not None:
             # read the buffered records before the merge clears them
-            tracer.superstep(self.stage, ctxs, wall=wall)
+            tracer.superstep(stage, ctxs, wall=wall)
         for ctx in ctxs:
             ctx._merge()
         metrics = get_registry()
@@ -310,10 +310,10 @@ class SimWorld:
             if 0 <= action["rank"] < self.nprocs:
                 with self.account_lock:
                     self.clock.charge_compute(
-                        self.stage, action["rank"], action["seconds"]
+                        stage, action["rank"], action["seconds"]
                     )
                 if tracer is not None:
-                    tracer.stall(self.stage, action["rank"], action["seconds"])
+                    tracer.stall(stage, action["rank"], action["seconds"])
         return results
 
     def _check_not_in_rank_step(self, what: str) -> None:
@@ -387,15 +387,6 @@ class SimComm:
     def size(self) -> int:
         return len(self.ranks)
 
-    def local_rank(self, world_rank: int) -> int:
-        """Translate a world rank into this communicator's numbering."""
-        try:
-            return self.ranks.index(world_rank)
-        except ValueError:
-            raise CommunicatorError(
-                f"world rank {world_rank} not in communicator {self.label}"
-            ) from None
-
     # ------------------------------------------------------------------
     def _check_input(self, per_rank: Sequence[Any], what: str) -> None:
         if len(per_rank) != self.size:
@@ -445,9 +436,6 @@ class SimComm:
         metrics.counter("comm.modeled_seconds").inc(seconds)
 
     # -- collectives -----------------------------------------------------
-    def barrier(self) -> None:
-        self._charge("barrier", 0, 0, self.size)
-
     def bcast(self, obj: Any, root: int = 0) -> list[Any]:
         """Broadcast ``obj`` from local rank ``root``; returns one copy per rank."""
         if not 0 <= root < self.size:
@@ -471,13 +459,6 @@ class SimComm:
         sizes = [payload_nbytes(x) for x in per_rank]
         self._charge("allgather", sum(sizes), max(sizes, default=0), self.size - 1)
         return list(per_rank)
-
-    def scatter(self, objs: Sequence[Any], root: int = 0) -> list[Any]:
-        """Rank ``root`` distributes one object to each rank."""
-        self._check_input(objs, "scatter")
-        sizes = [payload_nbytes(x) for x in objs]
-        self._charge("scatter", sum(sizes), max(sizes, default=0), self.size - 1)
-        return list(objs)
 
     def alltoall(self, send: Sequence[Sequence[Any]]) -> list[list[Any]]:
         """Personalized all-to-all: ``recv[j][i] = send[i][j]``."""
@@ -518,15 +499,6 @@ class SimComm:
         self._charge("allreduce", sum(sizes), max(sizes, default=0), self.size - 1)
         return functools.reduce(op, per_rank)
 
-    def reduce(self, per_rank: Sequence[Any], op: Callable[[Any, Any], Any], root: int = 0) -> Any:
-        """Reduce per-rank values to ``root``."""
-        self._check_input(per_rank, "reduce")
-        if not 0 <= root < self.size:
-            raise CommunicatorError(f"root {root} out of range [0, {self.size})")
-        sizes = [payload_nbytes(x) for x in per_rank]
-        self._charge("reduce", sum(sizes), max(sizes, default=0), self.size - 1)
-        return functools.reduce(op, per_rank)
-
     def reduce_scatter(
         self,
         per_rank_arrays: Sequence[np.ndarray],
@@ -559,8 +531,6 @@ class SimComm:
                     f"reduce_scatter shape mismatch: {arr.shape} vs {first.shape}"
                 )
             total = total + arr
-        nbytes = sum(int(np.asarray(a).nbytes) for a in per_rank_arrays)
-        self._charge("reduce_scatter", nbytes, int(first.nbytes), self.size - 1)
         n = total.shape[0]
         if block_sizes is None:
             bounds = [block_range(n, self.size, i)[0] for i in range(self.size)] + [n]
@@ -568,6 +538,8 @@ class SimComm:
             bounds = cumsum0(block_sizes).tolist()
         else:
             raise CommunicatorError(f"block sizes sum to {sum(block_sizes)}, expected {n}")
+        nbytes = sum(int(np.asarray(a).nbytes) for a in per_rank_arrays)
+        self._charge("reduce_scatter", nbytes, int(first.nbytes), self.size - 1)
         return [total[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # -- point-to-point ----------------------------------------------------

@@ -55,8 +55,8 @@ class MachineModel:
         Multiplier on ``gamma`` for alignment-kernel operations (``kind=
         "alignment"``); models missing SIMD intrinsics.
     ranks_per_node:
-        MPI ranks placed on one node; used to convert rank counts into the
-        node counts the paper reports on its x-axes.
+        MPI ranks placed on one node (Table 1's cores per node); the paper
+        reports node counts on its x-axes.
     node_memory_gb:
         Memory per node, used only for capacity sanity checks.
     volume_scale:
@@ -131,8 +131,6 @@ class MachineModel:
         a, b = self.alpha, self.beta
         if p == 1:
             return 0.0
-        if kind == "barrier":
-            return a * logp
         if kind == "bcast":
             # binomial tree broadcast of max_bytes
             return (a + b * max_bytes) * logp
@@ -145,10 +143,6 @@ class MachineModel:
             # Rabenseifner: reduce_scatter + allgather, each moving the
             # per-rank array (max_bytes) once across the all-but-own fraction
             return a * 2 * logp + 2 * b * max_bytes * (p - 1) / p
-        if kind == "reduce":
-            # binomial tree on the per-rank array; bandwidth does not grow
-            # with p because partial sums are combined along the tree
-            return a * logp + b * max_bytes * (p - 1) / p
         if kind == "reduce_scatter":
             # pairwise-exchange halving: each rank sends/receives a shrinking
             # slice of its local array, totalling max_bytes*(p-1)/p
@@ -157,17 +151,7 @@ class MachineModel:
             # pairwise-exchange algorithm: p-1 rounds, bandwidth bound by the
             # heaviest rank's aggregate send volume
             return a * (p - 1) + b * max_bytes
-        if kind == "scatter":
-            return a * logp + b * total_bytes * (p - 1) / p
         raise ValueError(f"unknown collective kind: {kind!r}")
-
-    def nodes_for_ranks(self, nprocs: int) -> float:
-        """Node count occupied by ``nprocs`` ranks (may be fractional)."""
-        return nprocs / self.ranks_per_node
-
-    def with_ranks_per_node(self, ranks_per_node: int) -> "MachineModel":
-        """Return a copy of this model with a different rank placement."""
-        return replace(self, ranks_per_node=ranks_per_node)
 
     def scaled(self, volume_scale: float) -> "MachineModel":
         """Copy of this model extrapolating data volumes by ``volume_scale``."""

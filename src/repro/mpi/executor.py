@@ -20,12 +20,14 @@ rank order, a segment step once over ``[0, P)``.  All cost accounting
 (compute charges, memory observations, kernel sections) is buffered per
 rank in a :class:`RankContext` and merged into the world's clocks in rank
 order at the superstep barrier, so a failed superstep charges nothing.
+A superstep's charges belong to the stage open when it starts: a step
+cannot open a stage of its own.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from .comm import SimWorld
@@ -42,8 +44,6 @@ class KernelSpan(NamedTuple):
     """One finished :meth:`RankContext.span` section."""
 
     name: str
-    #: the stage the section closed under
-    stage: str
     #: compute seconds charged inside the section (its modeled width)
     modeled: float
     wall: float
@@ -58,56 +58,32 @@ class RankContext(int):
     are buffered locally and merged into the world's
     :class:`~repro.mpi.stats.StageClock` / memory meter in rank order at
     the superstep barrier -- and only if every rank's step succeeded.
+    All of them belong to ``stage``, the stage open when the superstep
+    started.
     """
 
-    def __new__(cls, world: "SimWorld", rank: int, base_stage: Sequence[str]):
+    def __new__(cls, world: "SimWorld", rank: int, stage: str):
         self = super().__new__(cls, rank)
         self._world = world
         self._machine = world.machine
-        self._stack = list(base_stage)
-        self._compute: list[tuple[str, float]] = []
-        self._memory: list[tuple[str, float]] = []
+        self.stage = stage
+        #: buffered compute seconds and memory samples, in charge order
+        self._compute: list[float] = []
+        self._memory: list[float] = []
         #: named kernel sections opened via :meth:`span`, in completion
         #: order, buffered exactly like compute charges
         self._spans: list[KernelSpan] = []
         return self
 
-    @property
-    def rank(self) -> int:
-        return int(self)
-
-    @property
-    def world(self) -> "SimWorld":
-        return self._world
-
-    @property
-    def stage(self) -> str:
-        """The stage charges are currently attributed to (innermost scope)."""
-        return self._stack[-1]
-
-    @contextmanager
-    def stage_scope(self, name: str) -> Iterator[None]:
-        """Attribute this rank's charges inside the block to stage ``name``.
-
-        Nested scopes compose exactly like
-        :meth:`~repro.mpi.comm.SimWorld.stage_scope`, but the stack is
-        private to the rank and never touches the world's.
-        """
-        self._stack.append(name)
-        try:
-            yield
-        finally:
-            self._stack.pop()
-
     def charge_compute(self, ops: float, kind: str = "default") -> None:
         """Charge ``ops`` elementary operations of local work to this rank."""
         seconds = self._machine.op_time(ops, kind=kind)
         if seconds:
-            self._compute.append((self.stage, seconds))
+            self._compute.append(seconds)
 
     def observe_memory(self, nbytes: float) -> None:
-        """Record one working-set sample for this rank under the current stage."""
-        self._memory.append((self.stage, nbytes))
+        """Record one working-set sample for this rank."""
+        self._memory.append(nbytes)
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -116,20 +92,18 @@ class RankContext(int):
         The section's *modeled* width is the compute seconds charged
         inside the block (so it nests correctly in the rank's superstep
         lane); wall time is measured alongside for profiling.  Sections
-        are flat -- nest stage scopes, not spans.
+        are flat.
         """
         import time as _time
 
-        modeled0 = sum(sec for _, sec in self._compute)
+        modeled0 = sum(self._compute)
         wall0 = _time.perf_counter()
         try:
             yield
         finally:
-            modeled = sum(sec for _, sec in self._compute) - modeled0
+            modeled = sum(self._compute) - modeled0
             self._spans.append(
-                KernelSpan(
-                    name, self.stage, modeled, _time.perf_counter() - wall0,
-                )
+                KernelSpan(name, modeled, _time.perf_counter() - wall0)
             )
 
     def record_span(self, name: str, wall: float) -> None:
@@ -139,17 +113,17 @@ class RankContext(int):
         The section is shared by the segment's ranks, so none of this
         rank's charges falls inside it: its modeled width is 0.
         """
-        self._spans.append(KernelSpan(name, self.stage, 0.0, wall))
+        self._spans.append(KernelSpan(name, 0.0, wall))
 
     def _merge(self) -> None:
         """Apply the buffered charges to the world (rank-ordered barrier merge)."""
         world = self._world
         scale = world.machine.volume_scale
-        rank = int(self)
+        rank, stage = int(self), self.stage
         with world.account_lock:
-            for stage, seconds in self._compute:
+            for seconds in self._compute:
                 world.clock.charge_compute(stage, rank, seconds)
-            for stage, nbytes in self._memory:
+            for nbytes in self._memory:
                 world.memory.observe(rank, nbytes * scale, stage=stage)
         self._compute.clear()
         self._memory.clear()

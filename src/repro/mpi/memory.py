@@ -163,15 +163,6 @@ class MemoryMeter:
         if nbytes > bucket[rank]:
             bucket[rank] = nbytes
 
-    def observe_all(self, bytes_per_rank, stage: str = "default") -> None:
-        """Record one working-set sample for every rank."""
-        if len(bytes_per_rank) != self.nprocs:
-            raise ValueError(
-                f"expected {self.nprocs} byte counts, got {len(bytes_per_rank)}"
-            )
-        for rank, nbytes in enumerate(bytes_per_rank):
-            self.observe(rank, nbytes, stage=stage)
-
     # ------------------------------------------------------------------
     def peak(self, rank: int) -> float:
         """Highest working set ever observed on one rank (bytes)."""
@@ -180,10 +171,6 @@ class MemoryMeter:
     def peak_overall(self) -> float:
         """Highest working set observed on any rank (bytes)."""
         return float(self._peak.max()) if self.nprocs else 0.0
-
-    def peak_total(self) -> float:
-        """Sum of per-rank peaks: the aggregate footprint bound."""
-        return float(self._peak.sum())
 
     def stages(self) -> list[str]:
         return list(self._order)
@@ -195,29 +182,3 @@ class MemoryMeter:
 
     def by_stage(self) -> dict[str, float]:
         return {s: self.stage_peak(s) for s in self._order}
-
-    def budget_report(self) -> dict[str, dict[str, float]]:
-        """Per-stage budget attribution: peak, headroom, and violations.
-
-        Requires an attached budget; each stage maps to its per-rank peak,
-        the headroom left under the cap (0.0 when over), and the number of
-        violation records charged to that stage.
-        """
-        if self.budget is None:
-            return {}
-        per_stage_violations: dict[str, int] = {}
-        for v in self.budget.violations:
-            per_stage_violations[v.stage] = per_stage_violations.get(v.stage, 0) + 1
-        return {
-            stage: {
-                "peak_bytes": self.stage_peak(stage),
-                "headroom_bytes": self.budget.headroom(self.stage_peak(stage)),
-                "violations": float(per_stage_violations.get(stage, 0)),
-            }
-            for stage in self._order
-        }
-
-    def reset(self) -> None:
-        self._peak[:] = 0.0
-        self._stage_peaks.clear()
-        self._order.clear()

@@ -15,7 +15,6 @@ Two complementary views of a run are collected:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,28 +52,6 @@ class CommLog:
             for e in self.events
             if (op is None or e.op == op) and (stage is None or e.stage == stage)
         )
-
-    def message_count(self, op: str | None = None, stage: str | None = None) -> int:
-        """Total messages sent, optionally filtered by op and stage."""
-        return sum(
-            e.messages
-            for e in self.events
-            if (op is None or e.op == op) and (stage is None or e.stage == stage)
-        )
-
-    def bytes_by_op(self) -> dict[str, int]:
-        """Payload bytes grouped by operation kind."""
-        out: dict[str, int] = defaultdict(int)
-        for e in self.events:
-            out[e.op] += e.total_bytes
-        return dict(out)
-
-    def bytes_by_stage(self) -> dict[str, int]:
-        """Payload bytes grouped by pipeline stage."""
-        out: dict[str, int] = defaultdict(int)
-        for e in self.events:
-            out[e.stage] += e.total_bytes
-        return dict(out)
 
     def clear(self) -> None:
         self.events.clear()
@@ -149,12 +126,7 @@ class StageClock:
 
     def stage_seconds(self, stage: str) -> float:
         """Bulk-synchronous makespan of one stage: max over ranks."""
-        total = np.zeros(self.nprocs)
-        if stage in self._compute:
-            total += self._compute[stage]
-        if stage in self._comm:
-            total += self._comm[stage]
-        return float(total.max()) if self.nprocs else 0.0
+        return float(self.per_rank_seconds(stage).max())
 
     def stage_compute_seconds(self, stage: str) -> float:
         arr = self._compute.get(stage)
@@ -176,35 +148,6 @@ class StageClock:
         if stage in self._comm:
             total += self._comm[stage]
         return total
-
-    def stage_imbalance(self, stage: str) -> float:
-        """Load imbalance of one stage: max over mean of per-rank totals.
-
-        1.0 is a perfectly balanced stage; the paper's LPT-vs-round-robin
-        comparison is exactly a fight over this number.  Stages with no
-        charges (or an all-zero profile) report 1.0 -- nothing is
-        imbalanced about doing nothing.
-        """
-        totals = self.per_rank_seconds(stage)
-        mean = float(totals.mean()) if totals.size else 0.0
-        if mean <= 0.0:
-            return 1.0
-        return float(totals.max()) / mean
-
-    def per_rank_percentile(self, stage: str, q: float) -> float:
-        """The ``q``-th percentile (0-100) of per-rank totals for a stage."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        return float(np.percentile(self.per_rank_seconds(stage), q))
-
-    def merge_stage(self, src: str, dst: str) -> None:
-        """Fold the charges of stage ``src`` into stage ``dst``."""
-        for table in (self._compute, self._comm):
-            if src in table:
-                self._bucket(table, dst)
-                table[dst] = table[dst] + table.pop(src)
-        if src in self._order:
-            self._order.remove(src)
 
 
 @dataclass
@@ -240,19 +183,3 @@ class TimingReport:
             comm_bytes=comm_bytes,
             wall_seconds=wall_seconds,
         )
-
-    def render(self) -> str:
-        """Render a breakdown table in the style of the paper's Figs. 5-6."""
-        lines = [
-            f"machine={self.machine}  P={self.nprocs}  "
-            f"modeled total={self.total_seconds:.4f}s  wall={self.wall_seconds:.3f}s",
-            f"{'stage':<16}{'seconds':>12}{'comm%':>8}{'share%':>9}",
-        ]
-        total = self.total_seconds or 1.0
-        for stage, sec in self.stage_seconds.items():
-            comm = self.stage_comm_seconds.get(stage, 0.0)
-            comm_pct = 100.0 * comm / sec if sec > 0 else 0.0
-            lines.append(
-                f"{stage:<16}{sec:>12.5f}{comm_pct:>7.1f}%{100.0 * sec / total:>8.1f}%"
-            )
-        return "\n".join(lines)

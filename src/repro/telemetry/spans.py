@@ -267,7 +267,9 @@ class Tracer:
         Called *before* the contexts merge (and clear) their buffers.
         Each rank's lane starts at the superstep barrier and runs for the
         sum of its buffered compute seconds; named ``ctx.span`` sections
-        become kernel children laid end to end inside the lane.
+        become kernel children laid end to end inside the lane.  Everything
+        the superstep charged belongs to ``stage``, the stage open when it
+        started.
         """
         cur = self._cursors()
         t0 = self._now()
@@ -281,7 +283,7 @@ class Tracer:
         t1 = t0
         for ctx in ctxs:
             r = int(ctx)
-            total = float(sum(sec for _, sec in ctx._compute))
+            total = float(sum(ctx._compute))
             named = ctx._spans
             if total == 0.0 and not named:
                 cur[r] = max(cur[r], t0)
@@ -292,10 +294,6 @@ class Tracer:
                 lane.children.append(
                     Span(
                         rec.name, "kernel", t, t + rec.modeled, rank=r,
-                        attrs=(
-                            {"stage": rec.stage}
-                            if rec.stage != stage else {}
-                        ),
                         wall=rec.wall,
                     )
                 )

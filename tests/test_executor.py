@@ -59,10 +59,9 @@ class TestMapRanks:
         slots = [None] * 4
 
         def step(ctx):
-            assert isinstance(ctx, RankContext)
-            assert ctx.rank == int(ctx)
+            assert isinstance(ctx, RankContext) and isinstance(ctx, int)
             slots[ctx] = ctx + 100  # indexable and arithmetic like an int
-            return ctx.world is w
+            return True
 
         assert all(w.map_ranks(step))
         assert slots == [100, 101, 102, 103]
@@ -98,13 +97,13 @@ class TestInStepGuards:
     def test_collectives_rejected(self):
         w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="collective"):
-            w.map_ranks(lambda ctx: w.comm.barrier())
+            w.map_ranks(lambda ctx: w.comm.allgather([0] * 4))
 
     def test_guard_lifts_after_superstep(self):
         w = SimWorld(4, cori_haswell())
         w.map_ranks(lambda ctx: ctx.charge_compute(5))
         w.charge_compute(0, 10)  # fine between supersteps
-        w.comm.barrier()
+        w.comm.allgather([0] * 4)
 
     def test_nested_map_ranks_rejected(self):
         """A step has no business launching a superstep; it fails fast."""
@@ -158,7 +157,7 @@ class TestMapSegments:
     def test_collective_rejected(self):
         w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="collective"):
-            w.map_segments(lambda ctxs: [w.comm.barrier()] * len(ctxs))
+            w.map_segments(lambda ctxs: [w.comm.allgather([0] * 4)] * len(ctxs))
         assert len(w.log) == 0
 
     def test_world_charge_rejected(self):
@@ -170,7 +169,7 @@ class TestMapSegments:
         assert w.clock.stages() == []
         # the guard lifts after the failed superstep
         w.charge_compute(0, 10)
-        w.comm.barrier()
+        w.comm.allgather([0] * 4)
 
     def test_nested_superstep_rejected(self):
         w = SimWorld(4, cori_haswell())
@@ -197,48 +196,54 @@ class TestMapSegments:
 # ---------------------------------------------------------------------------
 
 
-def _charged_world():
-    w = SimWorld(4, cori_haswell())
-    with w.stage_scope("Super"):
+def _traced_step(ctx, ops):
+    with ctx.span("work"):
+        ctx.charge_compute(ops)
+    ctx.observe_memory(float(ops))
+    return int(ctx)
 
-        def step(ctx, ops):
-            ctx.charge_compute(ops)
-            with ctx.stage_scope("Super/inner"):
-                ctx.charge_compute(ops * 2, kind="alignment")
-            ctx.observe_memory(float(1000 * (int(ctx) + 1)))
-            return int(ctx)
 
-        w.map_ranks(step, [100, 200, 300, 400])
-    return w
+def _traced_segment(ctxs, ops):
+    return [_traced_step(ctx, n) for ctx, n in zip(ctxs, ops)]
 
 
 class TestRankContextAccounting:
     def test_nested_scope_attribution(self):
-        w = _charged_world()
+        """A superstep's charges, memory samples and kernel spans all
+        belong to the stage open when it starts, for both step shapes."""
         machine = cori_haswell()
-        outer = w.clock.per_rank_seconds("Super")
-        inner = w.clock.per_rank_seconds("Super/inner")
-        for rank, ops in enumerate([100, 200, 300, 400]):
-            assert outer[rank] == machine.op_time(ops)
-            assert inner[rank] == machine.op_time(ops * 2, kind="alignment")
+        w = SimWorld(4, machine)
+        tracer = Tracer().attach(w)
+        ops = [100, 200, 300, 400]
+        with w.stage_scope("A"):
+            w.map_ranks(_traced_step, ops)
+            with w.stage_scope("A/b"):
+                w.map_segments(_traced_segment, [2 * n for n in ops])
+            w.map_segments(_traced_segment, ops)
+        assert w.clock.stages() == ["A", "A/b"]
+        assert list(w.clock.per_rank_seconds("A")) == [
+            machine.op_time(n) + machine.op_time(n) for n in ops
+        ]
+        assert list(w.clock.per_rank_seconds("A/b")) == [
+            machine.op_time(2 * n) for n in ops
+        ]
+        assert w.memory.by_stage() == {"A": 400.0, "A/b": 800.0}
+        steps = [s for s in tracer.spans() if s.cat == "superstep"]
+        assert [s.attrs["stage"] for s in steps] == ["A", "A/b", "A"]
+        for step, scale in zip(steps, (1, 2, 1)):
+            kernels = [s for s in step.walk() if s.cat == "kernel"]
+            assert [(k.name, k.rank, k.attrs) for k in kernels] == [
+                ("work", r, {}) for r in range(4)
+            ]
+            assert [k.duration for k in kernels] == pytest.approx(
+                [machine.op_time(scale * n) for n in ops]
+            )
 
     def test_memory_scaled_by_volume_scale(self):
         w = SimWorld(2, cori_haswell().scaled(8.0))
         w.map_ranks(lambda ctx: ctx.observe_memory(100.0))
         assert w.memory.peak(0) == 800.0
         assert w.memory.peak(1) == 800.0
-
-    def test_worker_scopes_do_not_leak_to_main(self):
-        def step(ctx):
-            with ctx.stage_scope("Outer/deep"):
-                ctx.charge_compute(50)
-
-        w = SimWorld(4, cori_haswell())
-        with w.stage_scope("Outer"):
-            w.map_ranks(step)
-            # per-rank scopes never touched the calling thread's stack
-            assert w.stage == "Outer"
-        assert w.clock.stages() == ["Outer/deep"]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,7 @@ class TestSubcommInterleaving:
         def hammer():
             try:
                 for _ in range(reps):
-                    w.comm.barrier()
+                    w.comm.bcast(None)
                     w.comm.allgather([1, 2, 3, 4])
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -297,7 +302,7 @@ class TestSubcommInterleaving:
         assert len(w.log) == n_threads * reps * 2
         machine = cori_haswell()
         expect = n_threads * reps * (
-            machine.collective_time("barrier", 4)
+            machine.collective_time("bcast", 4)
             + machine.collective_time("allgather", 4, 32, 8)
         )
         got = w.clock.per_rank_seconds("default")

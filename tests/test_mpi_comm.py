@@ -154,9 +154,13 @@ class TestCollectives:
         with pytest.raises(CommunicatorError):
             w.comm.sendrecv(["a", "b", "c"], [1, 2, 0])
 
-    def test_scatter(self):
-        w = SimWorld(3, zero_cost())
-        assert w.comm.scatter([7, 8, 9]) == [7, 8, 9]
+    def test_reduce_scatter_rejected_blocks_charge_nothing(self):
+        w = SimWorld(2, cori_haswell())
+        for bad in ([4], [6, -2], [1, 1]):  # [1, 1] sums to 2, not 4
+            with pytest.raises(CommunicatorError):
+                w.comm.reduce_scatter([np.zeros(4)] * 2, block_sizes=bad)
+            assert len(w.log) == 0
+            assert w.clock.stages() == []
 
     def test_gather(self):
         w = SimWorld(3, zero_cost())
@@ -173,7 +177,7 @@ class TestChargesAndStages:
     def test_stage_scoping_attributes_charges(self):
         w = SimWorld(4, cori_haswell())
         with w.stage_scope("phase-a"):
-            w.comm.barrier()
+            w.comm.allgather([1, 2, 3, 4])
         with w.stage_scope("phase-b"):
             w.comm.allgather([1, 2, 3, 4])
         assert set(w.clock.stages()) == {"phase-a", "phase-b"}
@@ -184,7 +188,7 @@ class TestChargesAndStages:
         w = SimWorld(4, cori_haswell())
         with w.stage_scope("outer"):
             with w.stage_scope("outer/inner"):
-                w.comm.barrier()
+                w.comm.allgather([1, 2, 3, 4])
             assert w.stage == "outer"
         assert "outer/inner" in w.clock.stages()
 
@@ -217,13 +221,6 @@ class TestChargesAndStages:
     def test_world_size_validation(self):
         with pytest.raises(CommunicatorError):
             SimWorld(0)
-
-    def test_local_rank_translation(self):
-        w = SimWorld(4, zero_cost())
-        sub = w.subcomm([2, 3])
-        assert sub.local_rank(3) == 1
-        with pytest.raises(CommunicatorError):
-            sub.local_rank(0)
 
 
 def _route_case(P, scenario, rng):

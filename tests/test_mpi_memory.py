@@ -12,7 +12,6 @@ class TestMemoryMeter:
     def test_initial_peaks_zero(self):
         m = MemoryMeter(4)
         assert m.peak_overall() == 0.0
-        assert m.peak_total() == 0.0
         assert m.stages() == []
 
     def test_high_water_mark_monotone(self):
@@ -30,7 +29,6 @@ class TestMemoryMeter:
         assert m.peak(1) == 0.0
         assert m.peak(2) == 30.0
         assert m.peak_overall() == 30.0
-        assert m.peak_total() == 40.0
 
     def test_stage_attribution(self):
         m = MemoryMeter(2)
@@ -42,16 +40,6 @@ class TestMemoryMeter:
         assert m.stage_peak("nonexistent") == 0.0
         assert m.by_stage() == {"DetectOverlap": 80.0, "TrReduction": 20.0}
         assert m.stages() == ["DetectOverlap", "TrReduction"]
-
-    def test_observe_all(self):
-        m = MemoryMeter(3)
-        m.observe_all([1.0, 2.0, 3.0])
-        assert m.peak_total() == 6.0
-
-    def test_observe_all_length_check(self):
-        m = MemoryMeter(3)
-        with pytest.raises(ValueError):
-            m.observe_all([1.0, 2.0])
 
     def test_bad_rank_rejected(self):
         m = MemoryMeter(2)
@@ -68,13 +56,6 @@ class TestMemoryMeter:
     def test_bad_nprocs_rejected(self):
         with pytest.raises(ValueError):
             MemoryMeter(0)
-
-    def test_reset(self):
-        m = MemoryMeter(2)
-        m.observe(0, 100.0, stage="x")
-        m.reset()
-        assert m.peak_overall() == 0.0
-        assert m.stages() == []
 
     @given(
         samples=st.lists(

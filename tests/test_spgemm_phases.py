@@ -369,11 +369,7 @@ class TestPlanner:
             A.spgemm(A, arithmetic_semiring(np.int64), budget=budget, plan=plan)
         assert budget.violations
         assert budget.violated_stages() == ["Mult"]
-        report = world.memory.budget_report()
-        assert report["Mult"]["violations"] == len(
-            [v for v in budget.violations if v.stage == "Mult"]
-        )
-        assert report["Mult"]["headroom_bytes"] == 0.0
+        assert budget.headroom(world.memory.stage_peak("Mult")) == 0.0
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -399,7 +395,7 @@ class TestPlanner:
         ]
         assert budget.violations[0].excess_bytes == 50.0
         assert budget.violated_stages() == ["a", "b"]
-        assert meter.budget_report()["b"]["peak_bytes"] == 120.0
+        assert meter.stage_peak("b") == 120.0
 
 
 # ---------------------------------------------------------------------------

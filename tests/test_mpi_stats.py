@@ -118,7 +118,7 @@ class TestImbalanceAndPercentiles:
         clock.charge_compute("CountKmer", 0, 0.0)  # opened, charged nothing
         return clock
 
-    def test_stage_imbalance_max_over_mean(self):
+    def test_imbalance_is_max_over_mean(self):
         assert self._footer(self._skewed_clock())["imbal"] == [5.0 / 2.0]
 
     def test_balanced_stage_is_one(self):

@@ -244,6 +244,24 @@ class TestRankContextAccounting:
         assert w.memory.peak(0) == 800.0
         assert w.memory.peak(1) == 800.0
 
+    def test_worker_scopes_do_not_leak_to_main(self):
+        """A scope a step opens neither re-attributes its charges nor
+        outlives the step: they belong to the stage open at launch."""
+        w = SimWorld(4, cori_haswell())
+
+        def step(ctx):
+            with w.stage_scope("Outer/deep"):
+                ctx.charge_compute(50)
+
+        with w.stage_scope("Outer"):
+            w.map_ranks(step)
+            assert w.stage == "Outer"
+        assert w.stage == "default"
+        assert w.clock.stages() == ["Outer"]
+        assert list(w.clock.per_rank_seconds("Outer")) == [
+            cori_haswell().op_time(50)
+        ] * 4
+
 
 # ---------------------------------------------------------------------------
 # supersteps interleaved with subcomm collectives

@@ -55,7 +55,6 @@ from .pipeline import (
     RunContext,
     Stage,
     TraceObserver,
-    register_stage,
 )
 from .scaffold import (
     PolishConfig,
@@ -78,7 +77,6 @@ __all__ = [
     "PipelineObserver",
     "TraceObserver",
     "CollectingObserver",
-    "register_stage",
     "ScaffoldConfig",
     "scaffold_contigs",
     "PolishConfig",

@@ -94,11 +94,6 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         help="gapless (diag) or banded-DP alignment",
     )
     parser.add_argument(
-        "--align-batch-size", type=positive_int, default=None,
-        help="candidate pairs per batched-aligner kernel call, counted "
-        "across the ranks of one alignment segment (default 2048)",
-    )
-    parser.add_argument(
         "--memory-mode", choices=("fast", "low"), default="fast",
         help="SpGEMM accumulation strategy (low = stream merge)",
     )
@@ -133,8 +128,6 @@ def build_pipeline_config(args, ds=None) -> PipelineConfig:
         cfg.xdrop = args.xdrop
     if args.align_mode is not None:
         cfg.align_mode = args.align_mode
-    if args.align_batch_size is not None:
-        cfg.align_batch_size = args.align_batch_size
     if getattr(args, "memory_budget_mb", None) is not None:
         cfg.memory_budget_mb = args.memory_budget_mb
     return cfg

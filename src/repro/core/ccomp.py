@@ -67,7 +67,8 @@ def _shortcut_until_stable(f: DistVector, max_rounds: int = 64) -> int:
                 f.blocks[rank] = gp
             else:
                 stable[rank] = True
-            world.charge_compute(rank, gp.size)
+        # a stable rank requested nothing, so its count is zero
+        world.charge_compute_all([gp.size for gp in grandparents])
         total_changed = world.comm.allreduce(
             [changed if r == 0 else 0 for r in range(world.nprocs)],
             lambda a, b: a + b,
@@ -110,7 +111,7 @@ def connected_components(
             hook_idx.append(idx)
             hook_val.append(val)
             n_hooks += int(idx.size)
-            world.charge_compute(rank, a.size)
+        world.charge_compute_all([a.size for a in pu])
         total_hooks = world.comm.allreduce(
             [int(i.size) for i in hook_idx], lambda x, y: x + y
         )
@@ -142,11 +143,13 @@ def contig_sizes_distributed(labels: DistVector) -> DistVector:
     # for a mostly-empty map -- is replaced by unique-label counting
     uniq: list[np.ndarray] = []
     per_counts: list[np.ndarray] = []
-    for rank, blk in enumerate(labels.blocks):
+    for blk in labels.blocks:
         u, c = np.unique(blk, return_counts=True)
         uniq.append(u.astype(np.int64))
         per_counts.append(c.astype(np.int64))
-        world.charge_compute(rank, blk.size + u.size)
+    world.charge_compute_all(
+        [blk.size + u.size for blk, u in zip(labels.blocks, uniq)]
+    )
 
     # every rank learns the union of present labels (sorted); sizes scale
     # with the number of components, never with P * n
@@ -161,7 +164,7 @@ def contig_sizes_distributed(labels: DistVector) -> DistVector:
         d = np.zeros(union.size, dtype=np.int64)
         d[np.searchsorted(union, uniq[rank])] = per_counts[rank]
         dense.append(d)
-        world.charge_compute(rank, uniq[rank].size)
+    world.charge_compute_all([u.size for u in uniq])
     owner_sizes = np.bincount(grid.owner_of_vec(n, union), minlength=P)
     scattered = world.comm.reduce_scatter(
         dense, block_sizes=[int(s) for s in owner_sizes]
@@ -174,5 +177,5 @@ def contig_sizes_distributed(labels: DistVector) -> DistVector:
     for rank in range(P):
         owned = union[bounds[rank] : bounds[rank + 1]]
         out.blocks[rank][owned - lows[rank]] = scattered[rank]
-        world.charge_compute(rank, owned.size)
+    world.charge_compute_all(owner_sizes)
     return out

@@ -111,9 +111,7 @@ def _route_and_reindex(
 
     # -- step 3: build and route triples ---------------------------------
     dest, us, vs, ws = [], [], [], []
-    for rank, ((gu, gv, vals), (pu, pv)) in enumerate(
-        zip(L.edge_triples_per_rank(), assigned)
-    ):
+    for (gu, gv, vals), (pu, pv) in zip(L.edge_triples_per_rank(), assigned):
         live = (pu >= 0) & (pv >= 0)
         if np.any(pu[live] != pv[live]):
             raise AssemblyError(
@@ -124,12 +122,12 @@ def _route_and_reindex(
         us.append(gu[live])
         vs.append(gv[live])
         ws.append(vals[live])
-        world.charge_compute(rank, gu.size)
+    world.charge_compute_all([blk.nnz for blk in L.blocks])
     received = world.comm.route(dest).send(us, vs, ws)
 
     # -- step 4: local re-indexing ---------------------------------------
     graphs: list[InducedGraph] = []
-    for rank, (gu, gv, vals) in enumerate(zip(*received)):
+    for gu, gv, vals in zip(*received):
         ids = np.unique(np.concatenate([gu, gv]))
         coo = LocalCoo(
             (ids.size, ids.size),
@@ -138,5 +136,5 @@ def _route_and_reindex(
             vals,
         )
         graphs.append(InducedGraph(coo=coo, global_ids=ids))
-        world.charge_compute(rank, gu.size)
+    world.charge_compute_all([gu.size for gu in received[0]])
     return graphs

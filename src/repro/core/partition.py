@@ -117,7 +117,7 @@ def partition_contigs(
         lo, _hi = sizes.local_range(rank)
         nz = np.flatnonzero(blk >= min_contig_reads)
         per_rank_pairs.append((lo + nz, blk[nz]))
-        world.charge_compute(rank, blk.size)
+    world.charge_compute_all([blk.size for blk in sizes.blocks])
     gathered = world.comm.gather(per_rank_pairs, root=0)
 
     # root: sort by label, partition, broadcast
@@ -127,7 +127,8 @@ def partition_contigs(
     all_labels, all_sizes = all_labels[order], all_sizes[order]
     assignment = multiway_partition(all_sizes, P, method=method)
     loads = np.bincount(assignment, weights=all_sizes, minlength=P).astype(np.int64)
-    world.charge_compute(0, all_labels.size * max(int(np.log2(max(all_labels.size, 2))), 1))
+    sort_ops = all_labels.size * max(int(np.log2(max(all_labels.size, 2))), 1)
+    world.charge_compute_all([sort_ops] + [0] * (P - 1))  # the root's sort
     table_labels, table_parts = world.comm.bcast(
         (all_labels, assignment), root=0
     )[0]

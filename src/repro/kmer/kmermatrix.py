@@ -38,10 +38,8 @@ def build_kmer_matrix(reads: DistReadStore, table: KmerTable) -> DistSparseMatri
     k = table.k
 
     # per-rank raw occurrences: (local read, kmer_value, orient, pos)
-    raw = []
-    for r, shard in enumerate(reads.shards):
-        raw.append(shard_kmers(shard.buffer, shard.offsets, k))
-        world.charge_compute(r, shard.total_bases * 2)
+    raw = [shard_kmers(shard.buffer, shard.offsets, k) for shard in reads.shards]
+    world.charge_compute_all([shard.total_bases * 2 for shard in reads.shards])
 
     # resolve k-mer values to column ids (distributed lookup)
     col_ids = table.lookup([kmers for _read, kmers, _orient, _pos in raw])
@@ -55,7 +53,7 @@ def build_kmer_matrix(reads: DistReadStore, table: KmerTable) -> DistSparseMatri
         vals["pos"] = pos[keep]
         vals["orient"] = orient[keep]
         per_rank.append((shard.ids[read[keep]], col_ids[r][keep], vals))
-        world.charge_compute(r, keep.size)
+    world.charge_compute_all([ids.size for ids in col_ids])
 
     # column-sorted, the order overlap detection's SpGEMM joins A in
     return DistSparseMatrix.from_rank_triples(

@@ -325,16 +325,6 @@ class SimWorld:
             )
 
     # -- compute charging ---------------------------------------------------
-    def charge_compute(self, rank: int, ops: float, kind: str = "default") -> None:
-        """Charge ``ops`` elementary operations of local work to one rank."""
-        self._check_not_in_rank_step("SimWorld.charge_compute")
-        seconds = self.machine.op_time(ops, kind=kind)
-        if seconds:
-            with self.account_lock:
-                self.clock.charge_compute(self.stage, rank, seconds)
-            if self.tracer is not None:
-                self.tracer.compute(rank, seconds)
-
     def charge_compute_all(self, ops_per_rank: Sequence[float], kind: str = "default") -> None:
         """Charge per-rank op counts in one vectorized clock call."""
         self._check_not_in_rank_step("SimWorld.charge_compute_all")
@@ -348,16 +338,6 @@ class SimWorld:
                 self.clock.charge_compute_all(self.stage, seconds)
             if self.tracer is not None:
                 self.tracer.compute_all(seconds)
-
-    def observe_memory(self, rank: int, nbytes: float) -> None:
-        """Record one working-set sample under the current stage, scaled by
-        the machine's ``volume_scale`` (modeled bytes extrapolate to paper-
-        sized inputs the same way modeled seconds do)."""
-        self._check_not_in_rank_step("SimWorld.observe_memory")
-        with self.account_lock:
-            self.memory.observe(
-                rank, nbytes * self.machine.volume_scale, stage=self.stage
-            )
 
     def subcomm(self, ranks: Sequence[int], label: str = "sub") -> "SimComm":
         """Create a communicator over a subset of world ranks."""

@@ -4,7 +4,6 @@ from .checkpoint import CheckpointLoadError, CheckpointStore
 from .config import PipelineConfig
 from .engine import (
     MAIN_STAGES,
-    STAGE_REGISTRY,
     CollectingObserver,
     Pipeline,
     PipelineObserver,
@@ -13,7 +12,6 @@ from .engine import (
     Stage,
     StageTiming,
     TraceObserver,
-    register_stage,
 )
 from .report import (
     ScalingPoint,
@@ -35,8 +33,6 @@ __all__ = [
     "PipelineObserver",
     "TraceObserver",
     "CollectingObserver",
-    "STAGE_REGISTRY",
-    "register_stage",
     "CheckpointStore",
     "CheckpointLoadError",
     "ScalingPoint",

@@ -15,12 +15,10 @@ __all__ = ["PipelineConfig", "EXECUTION_FIELDS"]
 #: Knobs that choose *how* a run executes, never *what* it computes: every
 #: artifact comes out bit-identical at any value (the identity tests gate
 #: this per knob), so a checkpoint written under one setting must resume
-#: under any other.  ``register_stage`` therefore rejects a stage whose
-#: ``config_fields`` names one of them -- none can reach a checkpoint
-#: fingerprint.
+#: under any other.  No stage's ``config_fields`` names one of them, so
+#: none can reach a checkpoint fingerprint.
 EXECUTION_FIELDS = frozenset({
-    "align_batch_size", "memory_mode", "memory_budget_mb",
-    "stage_max_retries", "keep_graphs",
+    "memory_mode", "memory_budget_mb", "stage_max_retries", "keep_graphs",
 })
 
 
@@ -51,10 +49,8 @@ class PipelineConfig:
     xdrop: int = 15
     align_mode: str = "diag"
     # pairs per batched-aligner kernel call, counted across the ranks of
-    # one Alignment segment (results are independent of it; larger batches
-    # run fewer, wider wavefronts, smaller batches bound the kernel's
-    # per-call code and validity matrices)
-    align_batch_size: int = 2048
+    # one Alignment segment: a constant, as results are independent of it
+    align_batch_size: ClassVar[int] = 2048
     min_score: int = 0
     min_overlap: int = 0
     end_margin: int = 10
@@ -130,7 +126,7 @@ class PipelineConfig:
         for name, floor in (
             ("stage_max_retries", 0), ("reliable_lo", 1),
             ("min_shared_kmers", 1), ("xdrop", 0), ("tr_fuzz", 0),
-            ("align_batch_size", 1), ("count_limit", 1), ("tr_max_rounds", 0),
+            ("count_limit", 1), ("tr_max_rounds", 0),
             ("end_margin", 0), ("min_overlap", 0), ("min_contig_reads", 1),
         ):
             if getattr(self, name) < floor:

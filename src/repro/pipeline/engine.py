@@ -1,11 +1,12 @@
-"""Composable stage-based pipeline engine.
+"""The stage engine that runs Algorithm 1.
 
-The ELBA pipeline (Algorithm 1) is modeled as a sequence of
-:class:`Stage` objects wired together through named *artifacts* -- the
-distributed data structures each phase produces ("kmer_table", "C", "R",
-"S", "contigs", ...).  A :class:`Pipeline` owns an ordered stage list and
-executes it over a :class:`RunContext` that carries the simulated world,
-the configuration, and the artifact store.
+The ELBA pipeline (Algorithm 1) is its five stages, in ``MAIN_STAGES``
+order, each a :class:`Stage` wired to the others through named
+*artifacts* -- the distributed data structures each phase produces
+("kmer_table", "C", "R", "S", "contigs", ...).  A :class:`Pipeline` holds
+one instance of each stage class of :mod:`repro.pipeline.stages` and
+executes them over a :class:`RunContext` that carries the simulated
+world, the configuration, and the artifact store.
 
 The engine supports three execution modes beyond the classic end-to-end
 run:
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Sequence, TextIO
 
 import numpy as np
@@ -53,7 +54,7 @@ from .checkpoint import (
     adopt_artifact,
     base_fingerprint,
 )
-from .config import EXECUTION_FIELDS, PipelineConfig
+from .config import PipelineConfig
 
 __all__ = [
     "MAIN_STAGES",
@@ -65,8 +66,6 @@ __all__ = [
     "CollectingObserver",
     "Pipeline",
     "PipelineResult",
-    "STAGE_REGISTRY",
-    "register_stage",
 ]
 
 #: Stage names in pipeline order, matching the paper's Fig. 5 legend.
@@ -80,7 +79,7 @@ MAIN_STAGES = [
 
 
 # ---------------------------------------------------------------------------
-# stage protocol and registry
+# stage protocol
 # ---------------------------------------------------------------------------
 
 
@@ -121,38 +120,6 @@ class Stage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Stage {self.name}>"
-
-
-#: Registered stage classes by name (the five paper stages plus custom ones).
-STAGE_REGISTRY: dict[str, type[Stage]] = {}
-
-
-def register_stage(cls: type[Stage]) -> type[Stage]:
-    """Class decorator adding a :class:`Stage` subclass to the registry."""
-    if not cls.name:
-        raise PipelineError(f"stage class {cls.__name__} has no name")
-    hashable = {f.name for f in fields(PipelineConfig)} - EXECUTION_FIELDS
-    bad = [f for f in cls.config_fields if f not in hashable]
-    if bad:
-        raise PipelineError(
-            f"stage {cls.name}: config_fields {bad} cannot feed a checkpoint "
-            f"fingerprint (execution-only knob or not a PipelineConfig field)"
-        )
-    STAGE_REGISTRY[cls.name] = cls
-    return cls
-
-
-def _resolve_stage(spec: "Stage | str | type[Stage]") -> Stage:
-    if isinstance(spec, Stage):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, Stage):
-        return spec()
-    try:
-        return STAGE_REGISTRY[spec]()
-    except KeyError:
-        raise PipelineError(
-            f"unknown stage {spec!r}; registered: {sorted(STAGE_REGISTRY)}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -453,28 +420,18 @@ def _modeled_seconds(world: SimWorld, stage: str) -> float:
 
 
 class Pipeline:
-    """An ordered stage list plus the machinery to run (parts of) it."""
+    """The five paper stages plus the machinery to run (parts of) them."""
 
-    def __init__(
-        self,
-        stages: Sequence[Stage | str | type[Stage]] | None = None,
-        observers: Sequence[Any] = (),
-    ) -> None:
-        from . import stages as _stages  # noqa: F401  (registers stages)
+    def __init__(self, *, observers: Sequence[Any] = ()) -> None:
+        from .stages import PAPER_STAGES  # stages.py imports this module
 
-        if stages is None:
-            stages = list(MAIN_STAGES)
-        self.stages: list[Stage] = [_resolve_stage(s) for s in stages]
-        names = [s.name for s in self.stages]
-        if len(set(names)) != len(names):
-            raise PipelineError(f"duplicate stage names: {names}")
+        self.stages: list[Stage] = [cls() for cls in PAPER_STAGES]
         self.observers: list = list(observers)
 
-    # -- construction helpers -------------------------------------------
     @classmethod
     def default(cls, observers: Sequence[Any] = ()) -> "Pipeline":
         """The five paper stages, in Fig. 1 order."""
-        return cls(list(MAIN_STAGES), observers=observers)
+        return cls(observers=observers)
 
     @property
     def stage_names(self) -> list[str]:

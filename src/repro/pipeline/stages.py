@@ -1,6 +1,8 @@
-"""The registered pipeline stages (Algorithm 1).
+"""The five pipeline stages (Algorithm 1).
 
-Each class wraps one phase of the paper's Fig. 1 as a :class:`Stage`:
+Each class wraps one phase of the paper's Fig. 1 as a :class:`Stage`;
+``PAPER_STAGES`` lists them in that order, and every :class:`Pipeline`
+runs exactly these:
 
 1. ``CountKmer``      distributed k-mer counting (reliable filter)
 2. ``DetectOverlap``  A, A^T, C = A . A^T (SUMMA SpGEMM, seed semiring;
@@ -27,9 +29,10 @@ from ..kmer.kmermatrix import build_kmer_matrix
 from ..overlap.detect import detect_overlaps
 from ..overlap.filter import AlignmentParams, build_overlap_graph
 from ..strgraph.transitive import transitive_reduction
-from .engine import RunContext, Stage, register_stage
+from .engine import RunContext, Stage
 
 __all__ = [
+    "PAPER_STAGES",
     "CountKmerStage",
     "DetectOverlapStage",
     "AlignmentStage",
@@ -38,7 +41,6 @@ __all__ = [
 ]
 
 
-@register_stage
 class CountKmerStage(Stage):
     name = "CountKmer"
     requires = ("reads",)
@@ -57,7 +59,6 @@ class CountKmerStage(Stage):
         ctx.publish("kmer_table", table)
 
 
-@register_stage
 class DetectOverlapStage(Stage):
     name = "DetectOverlap"
     requires = ("reads", "kmer_table")
@@ -84,7 +85,6 @@ class DetectOverlapStage(Stage):
         ctx.publish("C", C)
 
 
-@register_stage
 class AlignmentStage(Stage):
     name = "Alignment"
     requires = ("reads", "C")
@@ -107,7 +107,6 @@ class AlignmentStage(Stage):
             min_score=config.min_score,
             min_overlap=config.min_overlap,
             end_margin=config.end_margin,
-            batch_size=config.align_batch_size,
         )
         R, align_stats = build_overlap_graph(
             ctx.require("C"), ctx.require("reads"), params
@@ -117,7 +116,6 @@ class AlignmentStage(Stage):
         ctx.publish("align_stats", align_stats)
 
 
-@register_stage
 class TrReductionStage(Stage):
     name = "TrReduction"
     requires = ("R",)
@@ -148,7 +146,6 @@ class TrReductionStage(Stage):
         ctx.publish("S", tr.S)
 
 
-@register_stage
 class ExtractContigStage(Stage):
     name = "ExtractContig"
     requires = ("reads", "S")
@@ -177,3 +174,11 @@ class ExtractContigStage(Stage):
         ctx.counts["contig_cycles"] = contigs.n_cycles
         ctx.publish("contigs", contigs)
 
+
+PAPER_STAGES = (
+    CountKmerStage,
+    DetectOverlapStage,
+    AlignmentStage,
+    TrReductionStage,
+    ExtractContigStage,
+)

@@ -579,8 +579,7 @@ class DistSparseMatrix:
         plan = world.comm.route(
             grid.owner_of_entry(shape, gr, gc) for gr, gc in zip(rows, cols)
         )
-        for r, gr in enumerate(rows):
-            world.charge_compute(r, gr.size)
+        world.charge_compute_all([gr.size for gr in rows])
         blocks = []
         for (rlo, rhi, clo, chi), gr, gc, gv in zip(
             grid.block_bounds(shape), *plan.send(rows, cols, vals)
@@ -673,7 +672,7 @@ class DistSparseMatrix:
             raise DistributionError("lookup_join requires aligned matrices")
         world = self.grid.world
         results = []
-        for rank, (blk, oblk) in enumerate(zip(self.blocks, other.blocks)):
+        for blk, oblk in zip(self.blocks, other.blocks):
             m = blk.shape[1]
             keys = blk.rows * m + blk.cols
             osorted = oblk.sorted_by("row")
@@ -685,7 +684,9 @@ class DistSparseMatrix:
                 else np.zeros(keys.size, dtype=other.dtype)
             )
             results.append((found, vals))
-            world.charge_compute(rank, blk.nnz + oblk.nnz)
+        world.charge_compute_all(
+            [blk.nnz + oblk.nnz for blk, oblk in zip(self.blocks, other.blocks)]
+        )
         return results
 
     # ------------------------------------------------------------------
@@ -884,7 +885,7 @@ class DistSparseMatrix:
         q = grid.q
         # 1) local per-row reduction
         local: list[np.ndarray] = []
-        for rank, blk in enumerate(self.blocks):
+        for blk in self.blocks:
             if value_func is None:
                 contrib = blk.row_counts()
             else:
@@ -893,7 +894,7 @@ class DistSparseMatrix:
                     blk.rows, weights=weights, minlength=blk.shape[0]
                 ).astype(np.int64)
             local.append(contrib)
-            world.charge_compute(rank, blk.nnz + blk.shape[0])
+        world.charge_compute_all([blk.nnz + blk.shape[0] for blk in self.blocks])
         # 2) allreduce within each grid row
         row_sums: list[np.ndarray] = [None] * q
         for i in range(q):

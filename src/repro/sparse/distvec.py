@@ -105,16 +105,14 @@ class DistVector:
         for rank, blk in enumerate(self.blocks):
             lo, hi = self.local_range(rank)
             out.append(np.asarray(func(blk, np.arange(lo, hi, dtype=np.int64))))
-            world.charge_compute(rank, blk.shape[0])
+        world.charge_compute_all([blk.shape[0] for blk in self.blocks])
         return DistVector(self.grid, self.n, out)
 
     def reduce(self, op: Callable[[np.ndarray], float], combine: Callable) -> float:
         """Two-level reduction: ``op`` per local block, ``combine`` across ranks."""
         world = self.grid.world
-        locals_ = []
-        for rank, blk in enumerate(self.blocks):
-            locals_.append(op(blk) if blk.size else None)
-            world.charge_compute(rank, blk.shape[0])
+        locals_ = [op(blk) if blk.size else None for blk in self.blocks]
+        world.charge_compute_all([blk.shape[0] for blk in self.blocks])
         present = [x for x in locals_ if x is not None]
         if not present:
             raise DistributionError("reduce over an empty vector")
@@ -137,7 +135,7 @@ class DistVector:
             lo, _hi = self.local_range(rank)
             mask = np.asarray(pred(blk), dtype=bool)
             out.append(lo + np.flatnonzero(mask))
-            world.charge_compute(rank, blk.shape[0])
+        world.charge_compute_all([blk.shape[0] for blk in self.blocks])
         return out
 
     # -- communication --------------------------------------------------

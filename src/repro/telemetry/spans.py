@@ -333,16 +333,12 @@ class Tracer:
             )
         )
 
-    def compute(self, rank: int, seconds: float) -> None:
-        """Advance one rank's cursor for a direct (non-superstep) charge.
-
-        Emits no span -- direct ``world.charge_compute`` calls are the
-        fine-grained bulk path; the enclosing stage span absorbs them.
-        """
-        self._cursors()[rank] += seconds
-
     def compute_all(self, seconds_per_rank) -> None:
-        """Vectorized :meth:`compute` for ``charge_compute_all``."""
+        """Advance every rank's cursor for a ``world.charge_compute_all``.
+
+        Emits no span -- direct charges between supersteps are the bulk
+        path; the enclosing stage span absorbs them.
+        """
         self._cursors()[:] += np.asarray(seconds_per_rank, dtype=np.float64)
 
     def stall(self, stage: str, rank: int, seconds: float) -> None:

@@ -51,16 +51,6 @@ class TestAssembleCli:
         ref = workspace["genome"]
         assert np.array_equal(got, ref) or np.array_equal(got, dna.revcomp(ref))
 
-    def test_align_batch_size_flag(self, workspace):
-        out_fa = workspace["tmp"] / "contigs_bs.fa"
-        rc, text = run(
-            assemble_main,
-            ["--fasta", str(workspace["reads_fa"]), "-k", "21", "-P", "4",
-             "--align-batch-size", "3", "-o", str(out_fa)],
-        )
-        assert rc == 0
-        assert "assembled 1 contigs" in text
-
     def test_contig_engine_flag(self, workspace):
         """The scalar oracle and the default batch traversal assemble the
         same contig set from the string graph of the CLI's input."""

@@ -158,7 +158,7 @@ class TestContigSizes:
         lab[-1] = n - 1
         labels = DistVector.from_global(g, lab)
         ops = []
-        w.charge_compute = lambda rank, o, kind="default": ops.append(int(o))
+        w.charge_compute_all = lambda o, kind="default": ops.append(int(np.sum(o)))
         sizes = contig_sizes_distributed(labels)
         total_ops = sum(ops)
         # old implementation charged sum(blk + n) = n + P*n; the compacted
@@ -171,8 +171,8 @@ class TestContigSizes:
         assert out[0] == n - 1 and out[n - 1] == 1 and out.sum() == n
 
     def test_shortcut_skips_stable_ranks(self, monkeypatch):
-        """Ranks whose block is known stable stop gathering and stop being
-        charged; the expected per-round charges are pinned exactly."""
+        """Ranks whose block is known stable stop gathering and are charged
+        nothing; the expected per-round charges are pinned exactly."""
         from repro.mpi import ProcGrid, SimWorld, zero_cost
 
         w = SimWorld(4, zero_cost())
@@ -194,22 +194,23 @@ class TestContigSizes:
                 in_gather["flag"] = False
 
         charges = []
-        orig_charge = w.charge_compute
+        orig_charge = w.charge_compute_all
 
-        def spy_charge(rank, ops, kind="default"):
+        def spy_charge(ops, kind="default"):
             if not in_gather["flag"]:
-                charges.append((rank, int(ops)))
-            return orig_charge(rank, ops, kind=kind)
+                charges.append([int(o) for o in ops])
+            return orig_charge(ops, kind=kind)
 
         monkeypatch.setattr(DistVector, "gather", spy_gather)
-        monkeypatch.setattr(w, "charge_compute", spy_charge)
+        monkeypatch.setattr(w, "charge_compute_all", spy_charge)
         rounds = _shortcut_until_stable(f)
         assert rounds == 3
         assert np.array_equal(f.to_global(), [0, 0, 0, 0, 4, 4, 4, 4])
         # ranks 0, 2, 3 discover stability in round 1 and gather nothing after
         assert request_rounds == [[2, 2, 2, 2], [0, 2, 0, 0], [0, 2, 0, 0]]
-        # one charge per rank actually comparing/jumping, none once stable
-        assert charges == [(0, 2), (1, 2), (2, 2), (3, 2), (1, 2), (1, 2)]
+        # one charge per round: ops for every rank still comparing/jumping,
+        # zero for a rank once stable
+        assert charges == [[2, 2, 2, 2], [0, 2, 0, 0], [0, 2, 0, 0]]
 
     def test_grid_invariance(self):
         from repro.mpi import ProcGrid, SimWorld, zero_cost

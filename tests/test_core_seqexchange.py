@@ -116,7 +116,8 @@ class TestCountLimit:
 def _exchange_reference(reads, p, count_limit=MPI_COUNT_LIMIT):
     """``exchange_sequences`` as it was before it moved onto
     ``SimComm.route``: P x P ``select``s, one hand-split ``alltoall`` and a
-    per-read repack.  Kept verbatim as the oracle."""
+    per-read repack.  Kept as the oracle, each per-rank loop's charges
+    made in one ``charge_compute_all``."""
     grid, world = reads.grid, reads.grid.world
     P = grid.nprocs
     if p.n != reads.nreads:
@@ -143,10 +144,10 @@ def _exchange_reference(reads, p, count_limit=MPI_COUNT_LIMIT):
                 plan = plan_transfer(int(packed.buffer.size), count_limit)
                 plans.append(plan)
                 total_bytes += plan.nbytes
-        world.charge_compute(r, shard.total_bases)
+    world.charge_compute_all([shard.total_bases for shard in reads.shards])
     recv = world.comm.alltoall(send)
 
-    shards = []
+    shards, ops = [], [0] * P
     for rank in range(P):
         buffers, lengths, ids = [], [], []
         for src in range(P):
@@ -166,7 +167,8 @@ def _exchange_reference(reads, p, count_limit=MPI_COUNT_LIMIT):
         order = np.argsort(all_ids, kind="stable")
         pieces = [big[offsets[i] : offsets[i + 1]] for i in order]
         shards.append(PackedReads.from_codes(pieces, all_ids[order]))
-        world.charge_compute(rank, int(big.size))
+        ops[rank] = int(big.size)
+    world.charge_compute_all(ops)
     return SequenceExchangeResult(
         shards=shards, plans=plans, total_bytes=total_bytes
     )

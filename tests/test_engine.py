@@ -17,8 +17,9 @@ from repro.faults import (
     rank_crash,
 )
 from repro.mpi import ProcGrid, SimWorld
-from repro.pipeline import MAIN_STAGES, STAGE_REGISTRY, Stage, register_stage
+from repro.pipeline import MAIN_STAGES
 from repro.pipeline.config import EXECUTION_FIELDS
+from repro.pipeline.stages import PAPER_STAGES
 from repro.seq import DistReadStore, GenomeSpec, make_genome, tile_reads
 from repro.service import JobCancelled
 from repro.sparse import seed_semiring
@@ -48,43 +49,16 @@ def _sequences(result):
 
 class TestRegistryAndOrdering:
     def test_main_stages_registered(self):
-        Pipeline.default()  # force stage module import
-        for name in MAIN_STAGES:
-            assert name in STAGE_REGISTRY
+        """A pipeline is one instance of each of the five stage classes;
+        no other stage list can be named."""
+        stages = Pipeline.default().stages
+        assert [type(s) for s in stages] == list(PAPER_STAGES)
+        assert [type(s) for s in Pipeline().stages] == list(PAPER_STAGES)
+        with pytest.raises(TypeError):
+            Pipeline(["CountKmer"])
 
     def test_default_order_matches_paper(self):
         assert Pipeline.default().stage_names == MAIN_STAGES
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(PipelineError):
-            Pipeline(["CountKmer", "NoSuchStage"])
-
-    def test_duplicate_stage_rejected(self):
-        with pytest.raises(PipelineError):
-            Pipeline(["CountKmer", "CountKmer"])
-
-    def test_register_requires_name(self):
-        class Nameless(Stage):
-            pass
-
-        with pytest.raises(PipelineError):
-            register_stage(Nameless)
-
-    def test_custom_stage_runs(self, tiled, cfg):
-        _, rs = tiled
-
-        class NnzAudit(Stage):
-            name = "NnzAudit"
-            requires = ("S",)
-            produces = ("s_nnz_audit",)
-
-            def run(self, ctx):
-                ctx.publish("s_nnz_audit", ctx.require("S").nnz())
-
-        pipe = Pipeline(list(MAIN_STAGES) + [NnzAudit()])
-        res = pipe.run(rs, dataclasses.replace(cfg, keep_graphs=True))
-        assert res.artifacts["s_nnz_audit"] == res.counts["S_nnz"]
-        assert res.stages_run[-1] == "NnzAudit"
 
 
 class TestPartialRuns:
@@ -233,20 +207,6 @@ class TestCheckpointFidelity:
         pipe.run(rs, cfg, checkpoint_dir=tmp_path)
         res = pipe.run(rs, cfg, checkpoint_dir=tmp_path, until="TrReduction")
         assert res.artifacts["tr"].S is res.artifacts["S"]
-
-    def test_string_stage_names_resolve_in_fresh_process(self):
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.pipeline import Pipeline; "
-            "print(Pipeline(['CountKmer', 'DetectOverlap']).stage_names)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert "['CountKmer', 'DetectOverlap']" in out.stdout
 
 
 class TestObserverHooks:
@@ -447,12 +407,8 @@ class _RunHooksOnly:
         self.log.append(("end", self.name))
 
 
-class _Exploding(Stage):
-    name = "Exploding"
-    produces = ("nothing",)
-
-    def run(self, ctx):
-        raise ValueError("stage blew up")
+def _explode(ctx):
+    raise ValueError("stage blew up")
 
 
 class _CancelAtFirstStage:
@@ -464,7 +420,7 @@ class _CancelAtFirstStage:
 
 class TestObserverLifecycle:
     @pytest.mark.parametrize("failure", ["run_start", "stage", "cancel"])
-    def test_run_end_mirrors_run_start(self, tiled, cfg, failure):
+    def test_run_end_mirrors_run_start(self, tiled, cfg, failure, monkeypatch):
         """``on_run_end`` reaches, in reverse order, exactly the observers
         whose ``on_run_start`` returned, and whatever attached itself to
         the world is detached again."""
@@ -483,7 +439,8 @@ class TestObserverLifecycle:
             raised = TelemetryError
             observers += [Tracer(nprocs=64), _RunHooksOnly("never", log)]
         elif failure == "stage":
-            pipeline, raised = Pipeline([_Exploding()]), ValueError
+            raised = ValueError  # CountKmer, the first stage, blows up
+            monkeypatch.setattr(pipeline.stages[0], "run", _explode)
         else:
             observers.append(_CancelAtFirstStage())
         with pytest.raises(raised):
@@ -494,29 +451,10 @@ class TestObserverLifecycle:
 
 
 class TestFingerprintBoundary:
-    # ``executor``, ``kernel_tier`` and ``contig_engine`` are class
-    # constants now, not fields: still refused
-    @pytest.mark.parametrize(
-        "field",
-        sorted(EXECUTION_FIELDS | {"kernel_tier", "contig_engine"})
-        + ["executor", "no_such_knob"],
-    )
-    def test_register_stage_rejects_unhashable_field(self, field):
-        class Leaky(Stage):
-            name = "Leaky"
-            config_fields = ("k", field)
-
-        with pytest.raises(PipelineError, match=field):
-            register_stage(Leaky)
-        assert "Leaky" not in STAGE_REGISTRY
-
     def test_every_scientific_field_is_claimed_by_a_main_stage(self):
-        Pipeline.default()  # force stage module import
-        claimed = {
-            f for name in MAIN_STAGES for f in STAGE_REGISTRY[name].config_fields
-        }
+        claimed = {f for s in Pipeline.default().stages for f in s.config_fields}
         every = {f.name for f in dataclasses.fields(PipelineConfig)}
-        assert len(EXECUTION_FIELDS) == 5 and EXECUTION_FIELDS <= every
+        assert len(EXECUTION_FIELDS) == 4 and EXECUTION_FIELDS <= every
         assert claimed == every - EXECUTION_FIELDS - {"nprocs", "machine"}
 
     def test_memory_mode_flip_resumes_every_stage(self, tiled, cfg, tmp_path):

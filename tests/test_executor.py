@@ -86,12 +86,22 @@ class TestInStepGuards:
     def test_world_charge_compute_rejected(self):
         w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
-            w.map_ranks(lambda ctx: w.charge_compute(int(ctx), 10))
+            w.map_ranks(lambda ctx: w.charge_compute_all([10] * 4))
 
     def test_world_observe_memory_rejected(self):
+        """The world has no memory sampler of its own: a step samples
+        through its context, and a world charge in the same step fails
+        the superstep before any sample is merged."""
         w = SimWorld(4, cori_haswell())
+        assert not hasattr(w, "observe_memory")
+
+        def step(ctx):
+            ctx.observe_memory(10.0)
+            w.charge_compute_all([10] * 4)
+
         with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
-            w.map_ranks(lambda ctx: w.observe_memory(int(ctx), 10.0))
+            w.map_ranks(step)
+        assert w.memory.peak_overall() == 0
 
     def test_collectives_rejected(self):
         w = SimWorld(4, cori_haswell())
@@ -101,7 +111,7 @@ class TestInStepGuards:
     def test_guard_lifts_after_superstep(self):
         w = SimWorld(4, cori_haswell())
         w.map_ranks(lambda ctx: ctx.charge_compute(5))
-        w.charge_compute(0, 10)  # fine between supersteps
+        w.charge_compute_all([10, 0, 0, 0])  # fine between supersteps
         w.comm.allgather([0] * 4)
 
     def test_nested_map_ranks_rejected(self):
@@ -162,12 +172,14 @@ class TestMapSegments:
     def test_world_charge_rejected(self):
         w = SimWorld(4, cori_haswell())
         with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
-            w.map_segments(lambda ctxs: [w.charge_compute(0, 10)] * len(ctxs))
+            w.map_segments(
+                lambda ctxs: [w.charge_compute_all([10, 0, 0, 0])] * len(ctxs)
+            )
         with pytest.raises(CommunicatorError, match="inside a map_ranks step"):
             w.map_segments(lambda ctxs: [w.charge_compute_all([1] * 4)] * len(ctxs))
         assert w.clock.stages() == []
         # the guard lifts after the failed superstep
-        w.charge_compute(0, 10)
+        w.charge_compute_all([10, 0, 0, 0])
         w.comm.allgather([0] * 4)
 
     def test_nested_superstep_rejected(self):
@@ -340,7 +352,9 @@ class TestChargeComputeAll:
             bulk.charge_compute_all(ops, kind="alignment")
         with loop.stage_scope("S"):
             for rank, n in enumerate(ops):
-                loop.charge_compute(rank, n, kind="alignment")
+                loop.clock.charge_compute(
+                    "S", rank, machine.op_time(n, kind="alignment")
+                )
         assert np.array_equal(
             bulk.clock.per_rank_seconds("S"), loop.clock.per_rank_seconds("S")
         )

@@ -194,7 +194,7 @@ class TestChargesAndStages:
 
     def test_charge_compute_per_rank(self):
         w = SimWorld(4, cori_haswell())
-        w.charge_compute(2, 1_000_000)
+        w.charge_compute_all([0, 0, 1_000_000, 0])
         per_rank = w.clock.per_rank_seconds("default")
         assert per_rank[2] > 0
         assert per_rank[0] == 0

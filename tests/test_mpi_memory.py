@@ -87,10 +87,10 @@ class TestWorldIntegration:
     def test_observe_memory_uses_current_stage(self):
         world = SimWorld(2, zero_cost())
         with world.stage_scope("MyStage"):
-            world.observe_memory(0, 123.0)
+            world.map_ranks(lambda ctx: ctx.observe_memory(123.0))
         assert world.memory.stage_peak("MyStage") == 123.0
 
     def test_observe_memory_applies_volume_scale(self):
         world = SimWorld(1, cori_haswell().scaled(1000.0))
-        world.observe_memory(0, 10.0)
+        world.map_ranks(lambda ctx: ctx.observe_memory(10.0))
         assert world.memory.peak(0) == 10.0 * 1000.0

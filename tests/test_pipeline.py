@@ -52,11 +52,6 @@ class TestConfig:
         with pytest.raises(PipelineError):
             PipelineConfig(xdrop=-1).validate()
 
-    def test_align_batch_size_below_one_rejected(self):
-        with pytest.raises(PipelineError):
-            PipelineConfig(align_batch_size=0).validate()
-        PipelineConfig(align_batch_size=1).validate()
-
     def test_negative_tr_fuzz_rejected(self):
         with pytest.raises(PipelineError):
             PipelineConfig(tr_fuzz=-1).validate()
@@ -234,14 +229,18 @@ class TestReports:
 
 
 # ---------------------------------------------------------------------------
-# the kernel tier and contig engine knobs are gone, with a defined result at
-# every door
+# the kernel tier, contig engine and align batch size knobs are gone, with
+# a defined result at every door
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "field, value, constant",
-    [("kernel_tier", "native", "numpy"), ("contig_engine", "scalar", "batch")],
+    [
+        ("kernel_tier", "native", "numpy"),
+        ("contig_engine", "scalar", "batch"),
+        ("align_batch_size", "3", 2048),
+    ],
 )
 class TestRemovedKnobsRejected:
     def test_config(self, field, value, constant):

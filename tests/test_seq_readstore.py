@@ -178,8 +178,9 @@ class TestDistReadStore:
 def _fetch_reference(self, requests):
     """``DistReadStore.fetch`` as it was before it moved onto
     ``SimComm.route``: two hand-split ``alltoall``s, P x P ``select``s and a
-    per-read repack.  Kept verbatim as the oracle (it also returns the reply
-    cells, whose ``(buffer, offsets)`` are what the new reply is charged for).
+    per-read repack.  Kept as the oracle, each per-rank loop's charges made
+    in one ``charge_compute_all`` (it also returns the reply cells, whose
+    ``(buffer, offsets)`` are what the new reply is charged for).
     """
     grid = self.grid
     world = grid.world
@@ -190,7 +191,7 @@ def _fetch_reference(self, requests):
         owner = np.asarray(self.owner_of(ids))
         for o in range(P):
             send[r][o] = ids[owner == o]
-        world.charge_compute(r, ids.size)
+    world.charge_compute_all([sum(a.size for a in row) for row in send])
     recv = world.comm.alltoall(send)
     reply = [[None] * P for _ in range(P)]
     for o in range(P):
@@ -199,7 +200,7 @@ def _fetch_reference(self, requests):
         for r in range(P):
             ids = recv[o][r]
             reply[o][r] = shard.select(ids - lo)
-        world.charge_compute(o, sum(a.size for a in recv[o]))
+    world.charge_compute_all([sum(a.size for a in row) for row in recv])
     answers = world.comm.alltoall(reply)
     out = []
     for r in range(P):

@@ -499,15 +499,12 @@ class TestGraphAndPipelineWiring:
 
     def test_budget_not_checkpoint_fingerprinted(self):
         """Identical results => the budget must not invalidate checkpoints."""
-        from repro.pipeline import STAGE_REGISTRY
-
         cfg_a = PipelineConfig(nprocs=4)
         cfg_b = PipelineConfig(nprocs=4, memory_budget_mb=1.0)
-        for name, cls in STAGE_REGISTRY.items():
-            stage = cls()
+        for stage in Pipeline.default().stages:
             assert stage.config_signature(cfg_a) == stage.config_signature(
                 cfg_b
-            ), name
+            ), stage.name
 
     def test_cli_flag_round_trip(self):
         import argparse

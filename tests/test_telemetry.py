@@ -155,7 +155,7 @@ class TestTreeStructure:
         tracer = Tracer().attach(world)
         tracer.begin_run()
         with world.stage_scope("S"):
-            world.charge_compute(0, 1000)
+            world.charge_compute_all([1000, 0])
             world.charge_compute_all(np.array([500, 2000]))
         tracer.end_run()
         tracer.detach()

@@ -37,7 +37,7 @@ def positive_int(text: str) -> int:
 
 def positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
+    if not value > 0:  # NaN compares false either way: "<= 0" would pass it
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
     return value
 

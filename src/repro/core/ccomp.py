@@ -117,7 +117,7 @@ def connected_components(
         )
         if total_hooks == 0:
             break
-        f.scatter_update(hook_idx, hook_val, combine="min")
+        f.scatter_update(hook_idx, hook_val)
         _shortcut_until_stable(f)
     else:  # pragma: no cover - defensive; log-n rounds suffice
         pass

@@ -5,7 +5,7 @@ Mapping from the edge payload conventions of
 
 * every read with at least one string-graph edge becomes a segment
   (``S`` line), carrying its sequence when a read store is supplied and
-  ``LN`` length tags otherwise;
+  a ``*`` body otherwise;
 * every *undirected* edge is written once as a link (``L`` line): the
   source orientation is ``+`` when the overlap leaves through the source's
   suffix end and ``-`` otherwise; the destination orientation is ``+``
@@ -45,7 +45,6 @@ def gfa_lines(
     S: DistSparseMatrix | None = None,
     reads=None,
     contigs: Iterable[Contig] | None = None,
-    include_sequences: bool = True,
 ) -> Iterator[str]:
     """Yield GFA 1 lines for a string matrix and/or a contig set.
 
@@ -55,14 +54,11 @@ def gfa_lines(
         The (symmetric) string matrix whose edges become links.  May be
         None when only contig paths are wanted.
     reads:
-        Read sequences for segment bodies and length tags; segments are
+        Read sequences for segment bodies (and link CIGARs); segments are
         written with ``*`` bodies when omitted.
     contigs:
         Walked contigs (with ``read_path``/``orientations`` provenance)
         to emit as ``P`` lines.
-    include_sequences:
-        Write full segment sequences (set False for ``*`` + ``LN`` tags,
-        the compact convention for large graphs).
     """
     yield "H\tVN:Z:1.0"
     lookup = _read_lookup(reads)
@@ -83,12 +79,8 @@ def gfa_lines(
 
     for rid in sorted(live):
         codes = lookup.get(rid)
-        if codes is not None and include_sequences:
-            yield f"S\tread{rid}\t{dna.decode(codes)}"
-        elif codes is not None:
-            yield f"S\tread{rid}\t*\tLN:i:{codes.size}"
-        else:
-            yield f"S\tread{rid}\t*"
+        body = dna.decode(codes) if codes is not None else "*"
+        yield f"S\tread{rid}\t{body}"
 
     for u, v, direction, suffix in links:
         ou = "+" if exits_forward(direction) else "-"
@@ -112,14 +104,13 @@ def write_gfa(
     S: DistSparseMatrix | None = None,
     reads=None,
     contigs: Iterable[Contig] | None = None,
-    include_sequences: bool = True,
 ) -> int:
     """Write GFA 1 to a path or handle; returns the number of lines."""
     own = not hasattr(path, "write")
     handle = open(Path(path), "w", encoding="ascii") if own else path
     count = 0
     try:
-        for line in gfa_lines(S, reads, contigs, include_sequences):
+        for line in gfa_lines(S, reads, contigs):
             handle.write(line + "\n")
             count += 1
     finally:

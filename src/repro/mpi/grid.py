@@ -79,14 +79,10 @@ class ProcGrid:
         """Global row range owned by grid row ``i`` for an ``n``-row matrix."""
         return block_range(n, self.q, i)
 
-    def col_block(self, n: int, j: int) -> tuple[int, int]:
-        """Global column range owned by grid column ``j``."""
-        return block_range(n, self.q, j)
-
     def block_bounds(self, shape: tuple[int, int]) -> list[tuple[int, int, int, int]]:
         """Every rank's block ``(rlo, rhi, clo, chi)`` of a ``shape`` matrix,
-        in rank order: grid row ``i`` owns rows ``row_block(n, i)`` and grid
-        column ``j`` columns ``col_block(m, j)``."""
+        in rank order: grid row ``i`` owns rows ``block_range(n, q, i)`` and
+        grid column ``j`` columns ``block_range(m, q, j)``."""
         rb = cumsum0(block_sizes(shape[0], self.q)).tolist()
         cb = cumsum0(block_sizes(shape[1], self.q)).tolist()
         return [

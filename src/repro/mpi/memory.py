@@ -43,9 +43,10 @@ class MemoryBudget:
     The budget plays two roles:
 
     * **planning** -- the SpGEMM phase planner
-      (:class:`~repro.sparse.distmat.SpgemmPlan`) asks :meth:`headroom`
-      how many transient bytes a rank may hold and sizes its column
-      phases so the symbolic estimate fits;
+      (:meth:`SpgemmPlan.choose <repro.sparse.distmat.SpgemmPlan.choose>`)
+      reads :attr:`limit_bytes` as the transient bytes a rank may hold and
+      sizes its column phases so the symbolic estimate fits (the service's
+      artifact cache is what asks :meth:`headroom`);
     * **auditing** -- a :class:`MemoryMeter` with the budget attached
       records a :class:`BudgetViolation` whenever an observed working set
       sets a new per-stage high-water mark above the cap.  Violations are
@@ -58,7 +59,8 @@ class MemoryBudget:
     """
 
     def __init__(self, limit_bytes: float | None) -> None:
-        if limit_bytes is not None and limit_bytes <= 0:
+        # NaN compares false either way: ``<= 0`` would let it through
+        if limit_bytes is not None and not limit_bytes > 0:
             raise ValueError(f"budget must be positive, got {limit_bytes}")
         self.limit_bytes = None if limit_bytes is None else float(limit_bytes)
         self.violations: list[BudgetViolation] = []

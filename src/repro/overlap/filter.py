@@ -53,7 +53,6 @@ from ..align.batch import (
 )
 from ..kernels import resolve_kernel_tier
 from ..seq.readstore import DistReadStore, PackedReads
-from ..sparse.coo import segment_order
 from ..sparse.distmat import DistSparseMatrix
 from ..sparse.types import OVERLAP_DTYPE
 from ..util import cumsum0
@@ -111,11 +110,6 @@ class AlignmentStats:
     contained_ids: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
-
-
-def _best_score(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Duplicate edge policy: keep the highest-scoring record (ties: first)."""
-    return vals[segment_order(-vals["score"].astype(np.int64), starts)[starts]]
 
 
 def _redistribute_tasks(
@@ -336,11 +330,13 @@ def build_overlap_graph(
         stats.internal += rank_stats.internal
         stats.low_score += rank_stats.low_score
 
+    # each aligned pair of C's upper triangle yields its two directed edges
+    # once, so no coordinate repeats: the add only asks for row-sorted blocks
     R = DistSparseMatrix.from_rank_triples(
         grid,
         (reads.nreads, reads.nreads),
         triples,
-        add_reduce=_best_score,
+        add_reduce=lambda v, s: v[s],
         dtype=OVERLAP_DTYPE,
     )
 

@@ -146,7 +146,9 @@ def pack_artifact(value: Any) -> tuple[str, Any]:
         }
     if isinstance(value, DistReadStore):
         return "readstore", {
-            "reads": [codes for shard in value.shards for _, codes in shard]
+            "reads": [
+                shard.codes(i) for shard in value.shards for i in range(shard.count)
+            ]
         }
     if isinstance(value, ContigSet):
         return "contigset", {

@@ -149,7 +149,8 @@ class PipelineConfig:
                 f"unknown memory_mode {self.memory_mode!r}; "
                 "options: fast, low"
             )
-        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
+        # NaN compares false either way: ``<= 0`` would let it through
+        if self.memory_budget_mb is not None and not self.memory_budget_mb > 0:
             raise PipelineError(
                 f"memory_budget_mb must be positive, got {self.memory_budget_mb}"
             )

@@ -48,9 +48,6 @@ class DatasetPreset:
         # relative to k-mers while genomes shrink linearly
         return max(int(self.paper_read_length / scale**0.5), 150)
 
-    def build(self, scale: int = DEFAULT_SCALE, seed: int | None = None) -> ReadSet:
-        return build_dataset(self, scale=scale, seed=seed)
-
 
 PRESETS: dict[str, DatasetPreset] = {
     "o_sativa": DatasetPreset(

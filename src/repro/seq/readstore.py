@@ -105,11 +105,6 @@ class PackedReads:
         """Zero-copy view of read ``local_index``'s code array."""
         return self.buffer[self.offsets[local_index] : self.offsets[local_index + 1]]
 
-    def subsequence(self, local_index: int, start: int, stop: int) -> np.ndarray:
-        """Zero-copy view of ``read[start:stop]`` (stored orientation)."""
-        lo = self.offsets[local_index]
-        return self.buffer[lo + start : lo + stop]
-
     def string(self, local_index: int) -> str:
         return dna.decode(self.codes(local_index))
 
@@ -145,10 +140,6 @@ class PackedReads:
             self.offsets[local_indices + 1] - self.offsets[local_indices],
         )
         return PackedReads(buffer, offsets, self.ids[local_indices].copy())
-
-    def __iter__(self):
-        for i in range(self.count):
-            yield self.ids[i], self.codes(i)
 
 
 class DistReadStore:
@@ -198,10 +189,6 @@ class DistReadStore:
 
     def total_bases(self) -> int:
         return sum(s.total_bases for s in self.shards)
-
-    def lengths_global(self) -> np.ndarray:
-        """All read lengths ordered by global id (test/report convenience)."""
-        return np.concatenate([s.lengths() for s in self.shards])
 
     def codes_global(self, read_id: int) -> np.ndarray:
         """Fetch any read's codes regardless of owner (test convenience)."""

@@ -14,10 +14,8 @@ from .distvec import DistVector
 from .semiring import (
     Semiring,
     arithmetic_semiring,
-    boolean_semiring,
     count_semiring,
     dirmin_semiring,
-    minplus_semiring,
     seed_semiring,
 )
 from .spgemm import column_pointers, spgemm_local, spgemm_symbolic
@@ -36,9 +34,7 @@ __all__ = [
     "DistVector",
     "Semiring",
     "arithmetic_semiring",
-    "boolean_semiring",
     "count_semiring",
-    "minplus_semiring",
     "seed_semiring",
     "dirmin_semiring",
     "spgemm_local",

@@ -238,19 +238,6 @@ class LocalCoo:
             order=self.order,
         )
 
-    def map_vals(self, func: Callable[..., np.ndarray]) -> "LocalCoo":
-        """Apply a vectorized function to the payloads (CombBLAS ``Apply``).
-
-        ``func(vals, rows, cols)`` receives coordinates for position-aware
-        transforms; it must return a payload array of the same length.
-        """
-        new_vals = np.asarray(func(self.vals, self.rows, self.cols))
-        if new_vals.shape[0] != self.nnz:
-            raise SparseFormatError(
-                f"map_vals changed nnz: {new_vals.shape[0]} != {self.nnz}"
-            )
-        return LocalCoo(self.shape, self.rows, self.cols, new_vals)
-
     def row_counts(self) -> np.ndarray:
         """Number of nonzeros in each local row."""
         return np.bincount(self.rows, minlength=self.shape[0]).astype(np.int64)

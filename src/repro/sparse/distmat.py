@@ -1,11 +1,12 @@
 """2D block-distributed sparse matrices (the CombBLAS workhorse).
 
 A global ``n x m`` matrix is split into ``sqrt(P) x sqrt(P)`` blocks: grid
-row ``i`` owns global rows ``row_block(n, i)`` and grid column ``j`` owns
-global columns ``col_block(m, j)``; rank ``(i, j)`` stores the intersection
-as a :class:`~repro.sparse.coo.LocalCoo` in local coordinates.  The layout
-itself lives in :class:`~repro.mpi.grid.ProcGrid` (``block_bounds``,
-``owner_of_entry``, ``vec_bounds``); this module only reads it.
+row ``i`` owns global rows ``block_range(n, q, i)`` and grid column ``j``
+owns global columns ``block_range(m, q, j)``; rank ``(i, j)`` stores the
+intersection as a :class:`~repro.sparse.coo.LocalCoo` in local
+coordinates.  The layout itself lives in :class:`~repro.mpi.grid.ProcGrid`
+(``block_bounds``, ``owner_of_entry``, ``vec_bounds``); this module only
+reads it.
 
 Implemented CombBLAS-style operations (each with the same communication
 pattern the real library uses, charged to the cost model):
@@ -25,7 +26,7 @@ pattern the real library uses, charged to the cost model):
   column;
 * :meth:`DistSparseMatrix.transpose` -- pairwise exchange with the grid-
   transposed partner;
-* :meth:`DistSparseMatrix.apply` / :meth:`prune` -- embarrassingly local;
+* :meth:`DistSparseMatrix.prune` -- embarrassingly local;
 * :meth:`DistSparseMatrix.row_reduce` -- local reduction + row-communicator
   allreduce + a routed redistribution to the P-way vector layout;
 * :meth:`DistSparseMatrix.clear_rows_and_cols` -- the branch-masking
@@ -625,21 +626,6 @@ class DistSparseMatrix:
     # ------------------------------------------------------------------
     # local (no-communication) operations
     # ------------------------------------------------------------------
-    def apply(self, func: Callable[..., np.ndarray]) -> "DistSparseMatrix":
-        """CombBLAS ``Apply``: transform payloads in place, keep pattern.
-
-        ``func(vals, global_rows, global_cols) -> vals`` is vectorized per
-        block.  This is the hook the pipeline uses for the alignment step
-        (``Apply(C, Alignment())``).
-        """
-        world = self.grid.world
-        out = [
-            blk.map_vals(lambda v, _r, _c: func(v, rows, cols))
-            for blk, (rows, cols, _v) in zip(self.blocks, self.edge_triples_per_rank())
-        ]
-        world.charge_compute_all([blk.nnz for blk in self.blocks])
-        return DistSparseMatrix(self.grid, self.shape, out)
-
     def prune(self, pred: Callable[..., np.ndarray]) -> "DistSparseMatrix":
         """CombBLAS ``Prune``: drop entries where ``pred`` is True.
 
@@ -870,30 +856,18 @@ class DistSparseMatrix:
             )
         return DistSparseMatrix(grid, out_shape, list(blocks))
 
-    def row_reduce(
-        self, value_func: Callable[[np.ndarray], np.ndarray] | None = None
-    ) -> DistVector:
-        """Summation reduction over the row dimension -> P-way vector.
+    def row_reduce(self) -> DistVector:
+        """Nonzeros per row -> P-way vector: the degree vector **d** of §4.2.
 
-        With the default ``value_func`` (count of nonzeros) this computes
-        the degree vector **d** of §4.2.  Pattern: local bincount, then an
-        allreduce across each grid *row* communicator, then the diagonal
-        ranks redistribute segments to the P-way vector owners.
+        Pattern: local bincount, then an allreduce across each grid *row*
+        communicator, then the diagonal ranks redistribute segments to the
+        P-way vector owners.
         """
         grid, world = self.grid, self.grid.world
         n = self.shape[0]
         q = grid.q
         # 1) local per-row reduction
-        local: list[np.ndarray] = []
-        for blk in self.blocks:
-            if value_func is None:
-                contrib = blk.row_counts()
-            else:
-                weights = value_func(blk.vals)
-                contrib = np.bincount(
-                    blk.rows, weights=weights, minlength=blk.shape[0]
-                ).astype(np.int64)
-            local.append(contrib)
+        local = [blk.row_counts() for blk in self.blocks]
         world.charge_compute_all([blk.nnz + blk.shape[0] for blk in self.blocks])
         # 2) allreduce within each grid row
         row_sums: list[np.ndarray] = [None] * q

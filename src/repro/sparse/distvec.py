@@ -10,12 +10,11 @@ induced-subgraph function use -- as one
 :meth:`SimComm.route <repro.mpi.comm.SimComm.route>` plan: *send* the
 requests to their owners, *reply* with the values.
 :meth:`DistVector.scatter_update` is the same plan with two sends (indices,
-values) and no reply.
+values) and no reply, each owner keeping the minimum (LACC's hooking).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,14 +24,6 @@ from ..mpi.comm import RoutePlan
 from ..mpi.grid import ProcGrid
 
 __all__ = ["DistVector"]
-
-
-def _overwrite(block: np.ndarray, idx: np.ndarray, val: np.ndarray) -> None:
-    block[idx] = val
-
-
-#: ``scatter_update`` combine modes: ``apply(block, local_idx, values)``
-_COMBINE = {"overwrite": _overwrite, "min": np.minimum.at, "add": np.add.at}
 
 
 class DistVector:
@@ -84,16 +75,9 @@ class DistVector:
         return cls(grid, n, blocks)
 
     # -- basics ---------------------------------------------------------
-    @property
-    def dtype(self) -> np.dtype:
-        return self.blocks[0].dtype if self.blocks else np.dtype(np.int64)
-
     def to_global(self) -> np.ndarray:
         """Concatenate all blocks (test/report convenience, no cost charged)."""
         return np.concatenate(self.blocks) if self.blocks else np.empty(0)
-
-    def copy(self) -> "DistVector":
-        return DistVector(self.grid, self.n, [b.copy() for b in self.blocks])
 
     def local_range(self, rank: int) -> tuple[int, int]:
         return self.grid.vec_block(self.n, rank)
@@ -107,21 +91,6 @@ class DistVector:
             out.append(np.asarray(func(blk, np.arange(lo, hi, dtype=np.int64))))
         world.charge_compute_all([blk.shape[0] for blk in self.blocks])
         return DistVector(self.grid, self.n, out)
-
-    def reduce(self, op: Callable[[np.ndarray], float], combine: Callable) -> float:
-        """Two-level reduction: ``op`` per local block, ``combine`` across ranks."""
-        world = self.grid.world
-        locals_ = [op(blk) if blk.size else None for blk in self.blocks]
-        world.charge_compute_all([blk.shape[0] for blk in self.blocks])
-        present = [x for x in locals_ if x is not None]
-        if not present:
-            raise DistributionError("reduce over an empty vector")
-        # every rank takes part in the one allreduce, an empty rank sending
-        # a stand-in the size of the first held value (the charge); only
-        # held values enter the combine
-        stand_ins = [present[0] if x is None else x for x in locals_]
-        world.comm.allreduce(stand_ins, lambda a, _b: a)
-        return functools.reduce(combine, present)
 
     def select_global_indices(self, pred: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
         """Per-rank global indices where ``pred(block)`` holds.
@@ -174,20 +143,14 @@ class DistVector:
         return plan.reply(answers)
 
     def scatter_update(
-        self,
-        indices: Sequence[np.ndarray],
-        values: Sequence[np.ndarray],
-        combine: str = "overwrite",
+        self, indices: Sequence[np.ndarray], values: Sequence[np.ndarray]
     ) -> None:
-        """Route (index, value) updates to owners and apply them in place.
+        """Route (index, value) updates to owners, each keeping the minimum
+        of its element and every value sent to it (LACC's hooking).
 
-        ``combine`` is ``"overwrite"`` (last writer wins deterministically in
-        rank order), ``"min"``, or ``"add"`` -- the modes hooking and counting
-        need.  Arguments are validated before anything is sent or written.
+        Arguments are validated before anything is sent or written.
         """
         grid, world = self.grid, self.grid.world
-        if combine not in _COMBINE:
-            raise ValueError(f"unknown combine mode {combine!r}")
         indices = [np.asarray(idx, dtype=np.int64) for idx in indices]
         values = [np.asarray(val) for val in values]
         if [idx.shape for idx in indices] != [val.shape[:1] for val in values]:
@@ -199,5 +162,5 @@ class DistVector:
         lows = grid.vec_bounds(self.n)
         for o, (idx, val) in enumerate(zip(recv_i, recv_v)):
             if idx.size:
-                _COMBINE[combine](self.blocks[o], idx - lows[o], val)
+                np.minimum.at(self.blocks[o], idx - lows[o], val)
         world.charge_compute_all([idx.size for idx in recv_i])

@@ -11,10 +11,10 @@ and addition operation as needed" (§4).  A :class:`Semiring` bundles:
 Both operate on whole NumPy arrays (possibly with structured dtypes), never
 per element, so pure-Python SpGEMM stays vectorized.
 
-Stock semirings cover the pipeline's needs: arithmetic (testing vs scipy),
-boolean, counting, min-plus, the **seed semiring** of overlap detection
-(C = A . A^T) and the **direction-composing min-plus** semiring of transitive
-reduction.
+The pipeline runs two: the **seed semiring** of overlap detection
+(C = A . A^T) and the **direction-composing min-plus** semiring of
+transitive reduction.  Arithmetic (the SpGEMM result equals scipy's
+matmul) and counting build the tests' inputs.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from .types import DIRMIN_DTYPE, KMER_POS_DTYPE, SEED_DTYPE, SUFFIX_INF
 __all__ = [
     "Semiring",
     "arithmetic_semiring",
-    "boolean_semiring",
     "count_semiring",
-    "minplus_semiring",
     "seed_semiring",
     "dirmin_semiring",
 ]
@@ -73,7 +71,7 @@ class Semiring:
 
 
 # ---------------------------------------------------------------------------
-# numeric semirings (used by tests against scipy and by simple reductions)
+# numeric semirings (test fixtures: scipy comparisons, shared-k-mer counts)
 # ---------------------------------------------------------------------------
 
 def arithmetic_semiring(dtype=np.float64) -> Semiring:
@@ -87,20 +85,6 @@ def arithmetic_semiring(dtype=np.float64) -> Semiring:
         name=f"arith[{dt}]",
         out_dtype=dt,
         multiply=lambda a, b: (a * b).astype(dt, copy=False),
-        add_reduce=add,
-    )
-
-
-def boolean_semiring() -> Semiring:
-    """(or, and) semiring over uint8 0/1 payloads."""
-
-    def add(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        return np.bitwise_or.reduceat(vals, starts)
-
-    return Semiring(
-        name="boolean",
-        out_dtype=np.dtype(np.uint8),
-        multiply=lambda a, b: (a & b).astype(np.uint8, copy=False),
         add_reduce=add,
     )
 
@@ -119,28 +103,6 @@ def count_semiring() -> Semiring:
         out_dtype=np.dtype(np.int64),
         multiply=lambda a, b: np.ones(a.shape[0], dtype=np.int64),
         add_reduce=add,
-    )
-
-
-def minplus_semiring(dtype=np.int64, inf: int | float | None = None) -> Semiring:
-    """Tropical (min, +) semiring used for shortest composed overhangs."""
-    dt = np.dtype(dtype)
-    sentinel = inf if inf is not None else (np.iinfo(dt).max // 2 if dt.kind in "iu" else np.inf)
-
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = a.astype(dt, copy=True)
-        out += b.astype(dt, copy=False)
-        return out
-
-    def add(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(vals, starts)
-
-    return Semiring(
-        name=f"minplus[{dt}]",
-        out_dtype=dt,
-        multiply=mul,
-        add_reduce=add,
-        valid_mask=lambda v: v < sentinel,
     )
 
 

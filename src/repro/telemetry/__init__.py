@@ -7,7 +7,7 @@ Three pieces:
   with the modeled SimWorld clock; bit-identical across runs, with
   optional wall-time annotations;
 * :mod:`~repro.telemetry.metrics` -- a process-wide
-  :class:`MetricsRegistry` (counters/gauges/histograms) the mpi,
+  :class:`MetricsRegistry` (counters and histograms) the mpi,
   service and faults layers publish into;
 * :mod:`~repro.telemetry.export` -- Chrome trace-event JSON, JSONL and
   flat summary renderings with per-rank lanes.
@@ -24,7 +24,6 @@ from .export import (
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -36,7 +35,6 @@ __all__ = [
     "Tracer",
     "TelemetryError",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_registry",

@@ -1,4 +1,4 @@
-"""A process-wide metrics registry: counters, gauges and histograms.
+"""A process-wide metrics registry: counters and histograms.
 
 The runtime layers publish operational metrics here as they work --
 :class:`~repro.mpi.comm.SimComm` counts collectives and payload bytes,
@@ -26,7 +26,6 @@ from typing import Iterable
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_registry",
@@ -52,23 +51,6 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease: {amount}")
         with self._lock:
             self.value += amount
-
-
-class Gauge:
-    """A value that goes up and down (queue depth, cache bytes)."""
-
-    def __init__(self, name: str, lock: threading.Lock) -> None:
-        self.name = name
-        self._lock = lock
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self.value += delta
 
 
 class Histogram:
@@ -98,10 +80,6 @@ class Histogram:
                     return
             self.counts[-1] += 1
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
 
 class MetricsRegistry:
     """Named metrics, created on first use and queryable as one snapshot."""
@@ -109,7 +87,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- construction ----------------------------------------------------
@@ -118,13 +95,6 @@ class MetricsRegistry:
             metric = self._counters.get(name)
             if metric is None:
                 metric = self._counters[name] = Counter(name, self._lock)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge(name, self._lock)
         return metric
 
     def histogram(
@@ -140,8 +110,8 @@ class MetricsRegistry:
 
     # -- queries ---------------------------------------------------------
     def value(self, name: str) -> float:
-        """Current value of a counter or gauge (0.0 when never touched)."""
-        metric = self._counters.get(name) or self._gauges.get(name)
+        """Current value of a counter (0.0 when never touched)."""
+        metric = self._counters.get(name)
         return metric.value if metric is not None else 0.0
 
     def snapshot(self) -> dict:
@@ -150,9 +120,6 @@ class MetricsRegistry:
             return {
                 "counters": {
                     name: c.value for name, c in sorted(self._counters.items())
-                },
-                "gauges": {
-                    name: g.value for name, g in sorted(self._gauges.items())
                 },
                 "histograms": {
                     name: {
@@ -168,14 +135,12 @@ class MetricsRegistry:
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` (e.g. another worker's) into this one.
 
-        Counters and histogram contents add; gauges take the incoming
-        value (last write wins, suitable for per-worker point-in-time
-        readings).
+        Counters and histogram contents add.  Other keys are ignored: a
+        worker's ``"worker"`` id, and the always-empty ``"gauges"`` map
+        that snapshot files written before gauges were removed carry.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(float(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(float(value))
         for name, data in snapshot.get("histograms", {}).items():
             hist = self.histogram(name, data.get("buckets", DEFAULT_BUCKETS))
             counts = data.get("counts", [])
@@ -192,8 +157,6 @@ class MetricsRegistry:
         for name, value in snap["counters"].items():
             text = f"{value:.0f}" if value == int(value) else f"{value:.3f}"
             lines.append(f"{name:<36}{text:>14}")
-        for name, value in snap["gauges"].items():
-            lines.append(f"{name:<36}{value:>14.3f}")
         for name, data in snap["histograms"].items():
             mean = data["sum"] / data["count"] if data["count"] else 0.0
             lines.append(
@@ -206,7 +169,6 @@ class MetricsRegistry:
         """Drop every metric (test isolation helper)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
 
 

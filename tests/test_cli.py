@@ -206,6 +206,16 @@ class TestAssembleCli:
         with pytest.raises(SystemExit):
             assemble_main([])
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_memory_budget_must_be_positive(self, workspace, capsys, value):
+        with pytest.raises(SystemExit) as stop:
+            assemble_main(
+                ["--fasta", str(workspace["reads_fa"]),
+                 "--memory-budget-mb", value]
+            )
+        assert stop.value.code == 2
+        assert "expected a positive number" in capsys.readouterr().err
+
 
 class TestQualityCli:
     @pytest.fixture(scope="class")

@@ -94,17 +94,6 @@ class TestGfa:
             ):
                 assert step == f"read{gid}{'+' if orient == 1 else '-'}"
 
-    def test_without_sequences_uses_ln_tags(self, assembled):
-        recs = parse_gfa(
-            gfa_lines(
-                assembled["S"], assembled["reads"], include_sequences=False
-            )
-        )
-        for seg in recs["S"]:
-            rid = int(seg[1].removeprefix("read"))
-            assert seg[2] == "*"
-            assert seg[3] == f"LN:i:{assembled['reads'][rid].size}"
-
     def test_without_reads_star_bodies(self, assembled):
         recs = parse_gfa(gfa_lines(assembled["S"]))
         assert all(seg[2] == "*" for seg in recs["S"])

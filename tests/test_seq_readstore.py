@@ -23,10 +23,6 @@ class TestPackedReads:
         view = pr.codes(1)
         assert view.base is pr.buffer
 
-    def test_subsequence_view(self):
-        pr = PackedReads.from_strings(["ACGTACGT"])
-        assert dna.decode(pr.subsequence(0, 2, 6)) == "GTAC"
-
     def test_lengths(self):
         pr = PackedReads.from_strings(["A", "ACG", ""])
         assert list(pr.lengths()) == [1, 3, 0]
@@ -83,11 +79,6 @@ class TestPackedReads:
     def test_empty(self):
         pr = PackedReads.empty()
         assert pr.count == 0 and pr.total_bases == 0
-
-    def test_iteration(self):
-        pr = PackedReads.from_strings(["AC", "GT"])
-        items = [(i, dna.decode(c)) for i, c in pr]
-        assert items == [(0, "AC"), (1, "GT")]
 
     def test_validation(self):
         with pytest.raises(SequenceError):
@@ -171,7 +162,8 @@ class TestDistReadStore:
         store = DistReadStore.from_global(grid4, reads)
         assert store.total_bases() == sum(len(r) for r in reads)
         assert np.array_equal(
-            store.lengths_global(), np.array([len(r) for r in reads])
+            np.concatenate([s.lengths() for s in store.shards]),
+            np.array([len(r) for r in reads]),
         )
 
 

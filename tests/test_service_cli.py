@@ -1,6 +1,8 @@
 """Tests for the ``repro-jobs`` command line (repro.cli.jobs)."""
 
 import io
+import json
+import re
 
 import pytest
 
@@ -84,6 +86,26 @@ class TestInspection:
         code, out = run_cli("list", "--root", str(root))
         assert code == 0 and "(no jobs)" in out
 
+    def test_top_merges_worker_snapshot_files(self, root):
+        # the layout a worker publishes; "gauges" is the always-empty map
+        # of snapshot files written while the registry had gauges
+        metrics = root / "jobs" / "metrics"
+        metrics.mkdir(parents=True)
+        for worker, done in (("w1", 2), ("w2", 3)):
+            (metrics / f"{worker}.json").write_text(json.dumps({
+                "counters": {"jobs.done": done},
+                "gauges": {},
+                "histograms": {"jobs.wall": {
+                    "buckets": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1,
+                }},
+                "worker": worker,
+            }))
+        code, out = run_cli("top", "--root", str(root))
+        assert code == 0
+        assert "metrics (2 worker snapshot(s): w1, w2)" in out
+        assert re.search(r"^jobs\.done\s+5$", out, re.MULTILINE)
+        assert re.search(r"^jobs\.wall\s+2 obs  mean=0\.5000s", out, re.MULTILINE)
+
     def test_watch_replays_events_of_done_job(self, root):
         job_id = submit(root)
         run_cli("worker", "--root", str(root))
@@ -149,6 +171,13 @@ class TestErrors:
         monkeypatch.setenv("REPRO_JOBS_ROOT", str(root))
         code, out = run_cli("list")
         assert code == 0 and "(no jobs)" in out
+
+    @pytest.mark.parametrize("value", ["nan", "0"])
+    def test_cache_budget_must_be_positive(self, root, capsys, value):
+        with pytest.raises(SystemExit) as stop:
+            run_cli("worker", "--root", str(root), "--cache-budget-mb", value)
+        assert stop.value.code == 2
+        assert "expected a positive number" in capsys.readouterr().err
 
     def test_unknown_job_is_error(self, root):
         code, _ = run_cli("status", "--root", str(root), "j09999")

@@ -109,15 +109,6 @@ class TestTransforms:
         with pytest.raises(SparseFormatError):
             small().select(np.array([True]))
 
-    def test_map_vals_receives_coords(self):
-        m = small()
-        out = m.map_vals(lambda v, r, c: v + r * 10 + c)
-        assert np.allclose(out.vals, m.vals + m.rows * 10 + m.cols)
-
-    def test_map_vals_must_preserve_nnz(self):
-        with pytest.raises(SparseFormatError):
-            small().map_vals(lambda v, r, c: v[:1])
-
     def test_counts(self):
         m = small()
         assert list(m.row_counts()) == [1, 2, 0, 1]
@@ -163,7 +154,6 @@ class TestOrder:
         m = small().sorted_by("row")
         perm = np.array([3, 0, 2, 1])
         assert LocalCoo(m.shape, m.rows[perm], m.cols[perm], m.vals[perm]).order is None
-        assert m.map_vals(lambda v, r, c: v).order is None
         assert m.sorted_by("col").order == "col"
 
     def test_round_trips_pickling(self):

@@ -93,12 +93,6 @@ class TestCoordinatesOutsideTheMatrix:
 
 
 class TestLocalOps:
-    def test_apply_transforms_with_global_coords(self, grid4):
-        M, dist = random_dist(grid4, 9, 9, seed=5)
-        out = dist.apply(lambda v, r, c: r * 100.0 + c)
-        rr, cc, vv = out.to_global_coo()
-        assert np.allclose(vv, rr * 100.0 + cc)
-
     def test_prune_removes_matching(self, grid4):
         M, dist = random_dist(grid4, 12, 12, seed=6)
         out = dist.prune(lambda v, r, c: r == c)
@@ -284,13 +278,6 @@ class TestRowReduce:
         deg = dist.row_reduce()
         expected = (M.toarray() != 0).sum(axis=1)
         assert np.array_equal(deg.to_global(), expected)
-
-    def test_weighted_reduce(self, grid4):
-        M, dist = random_dist(grid4, 10, 10, seed=16)
-        sums = dist.row_reduce(value_func=lambda v: v)
-        expected = M.toarray().sum(axis=1)
-        # int64 bincount truncation does not apply: weights are float
-        assert np.allclose(sums.to_global(), expected.astype(np.int64), atol=1.0)
 
 
 class TestClearRowsAndCols:

@@ -9,10 +9,8 @@ from repro.sparse import (
     SEED_DTYPE,
     SUFFIX_INF,
     arithmetic_semiring,
-    boolean_semiring,
     count_semiring,
     dirmin_semiring,
-    minplus_semiring,
     seed_semiring,
 )
 from repro.sparse.types import OVERLAP_DTYPE
@@ -26,29 +24,12 @@ class TestNumericSemirings:
         red = sr.add_reduce(np.array([1.0, 2.0, 3.0]), np.array([0, 2]))
         assert list(red) == [3.0, 3.0]
 
-    def test_boolean(self):
-        sr = boolean_semiring()
-        prod = sr.multiply(
-            np.array([1, 1, 0], dtype=np.uint8), np.array([1, 0, 1], dtype=np.uint8)
-        )
-        assert list(prod) == [1, 0, 0]
-        red = sr.add_reduce(np.array([0, 1, 0], dtype=np.uint8), np.array([0, 2]))
-        assert list(red) == [1, 0]
-
     def test_count(self):
         sr = count_semiring()
         prod = sr.multiply(np.zeros(3), np.zeros(3))
         assert list(prod) == [1, 1, 1]
         red = sr.add_reduce(np.ones(4, dtype=np.int64), np.array([0, 1]))
         assert list(red) == [1, 3]
-
-    def test_minplus(self):
-        sr = minplus_semiring()
-        prod = sr.multiply(np.array([3, 4]), np.array([10, 20]))
-        assert list(prod) == [13, 24]
-        red = sr.add_reduce(np.array([5, 2, 9]), np.array([0, 2]))
-        assert list(red) == [2, 9]
-        assert sr.valid_mask is not None
 
 
 class TestSeedSemiring:

@@ -1,10 +1,10 @@
 """One-key sorts equal the two-key ``np.lexsort`` they replace, ties included.
 
 Every ``(row, col)``-style sort in the library is one stable argsort of a
-fused int64 key.  Stability is what keeps keep-first duplicates,
-first-on-ties seeds and best-score choices unchanged, so every input here
-has duplicate coordinates (or equal secondary keys) with distinct payloads:
-a sort that broke ties differently would show.
+fused int64 key.  Stability is what keeps keep-first duplicates and
+first-on-ties seeds unchanged, so every input here has duplicate
+coordinates (or equal secondary keys) with distinct payloads: a sort that
+broke ties differently would show.
 """
 
 from pathlib import Path
@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from repro.mpi import ProcGrid, SimWorld, zero_cost
 from repro.mpi.comm import block_owner, block_range
-from repro.overlap.filter import _best_score
 from repro.sparse import DistSparseMatrix, LocalCoo, seed_semiring
 from repro.sparse.distmat import _column_panels, _row_panels
-from repro.sparse.types import OVERLAP_DTYPE, SEED_DTYPE
+from repro.sparse.types import SEED_DTYPE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -66,11 +65,6 @@ def ref_seed_add(vals, starts):
     out = vals[order[starts]]
     out["count"] = np.add.reduceat(vals["count"], starts)
     return out
-
-
-def ref_best_score(vals, starts):
-    order = np.lexsort((-vals["score"], segment_ids(starts, vals.size)))
-    return vals[order[starts]]
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +164,6 @@ class TestOneKeySortsEqualLexsort:
         vals, starts = data
         got = seed_semiring().add_reduce(vals, starts)
         assert np.array_equal(got, ref_seed_add(vals, starts))
-
-    @given(segmented(OVERLAP_DTYPE, "score"))
-    @settings(max_examples=150, deadline=None)
-    def test_best_score_first_highest(self, data):
-        vals, starts = data
-        assert np.array_equal(_best_score(vals, starts), ref_best_score(vals, starts))
 
     @pytest.mark.parametrize("order", ["row", "col"])
     def test_wide_blocks_do_not_overflow(self, order):

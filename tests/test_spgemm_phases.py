@@ -381,6 +381,13 @@ class TestPlanner:
         assert MemoryBudget.from_mb(None).unlimited
         assert MemoryBudget(None).headroom() == float("inf")
 
+    def test_budget_rejects_nan(self):
+        # NaN compares false: a ``<= 0`` check passes it, and it fits nothing
+        with pytest.raises(ValueError):
+            MemoryBudget(float("nan"))
+        with pytest.raises(ValueError):
+            MemoryBudget.from_mb(float("nan"))
+
     def test_meter_budget_attribution(self):
         meter = MemoryMeter(2)
         budget = MemoryBudget(100.0)
@@ -489,6 +496,12 @@ class TestGraphAndPipelineWiring:
         text = memory_table("demo", [res])
         assert "budget" in text and "violations" in text
         assert "DetectOverlap" in text
+
+    def test_config_validation_rejects_nan(self):
+        # NaN compares false: a ``<= 0`` check passes it, and the run then
+        # reports a phantom violation at every stage high-water mark
+        with pytest.raises(PipelineError, match="memory_budget_mb"):
+            PipelineConfig(nprocs=4, memory_budget_mb=float("nan")).validate()
 
     def test_config_validation(self):
         with pytest.raises(PipelineError):

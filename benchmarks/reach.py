@@ -74,7 +74,6 @@ _POLISH = "the in-run polish fork, decided with ROADMAP 4(d) and 5(c)"
 _RECOVERY = "recovery path: runs only when a stage fails or a checkpoint is lost"
 _PARKED_CALLER = "called only from a parked package"
 _JOBS = "called only by repro-jobs top, in its own process"
-_NEXT = "only its own tests call it: the next deletion (ROADMAP 5(a))"
 
 #: ``module:qualname`` -> why it stays although no run reaches it
 #: (``module:*`` keeps a whole module, ``module:Class.*`` a whole class)
@@ -138,9 +137,6 @@ KEPT = {
     "mpi/memory.py:MemoryBudget.headroom": _PARKED_CALLER + " (the service cache)",
     "telemetry/metrics.py:MetricsRegistry.merge": _JOBS,
     "telemetry/metrics.py:MetricsRegistry.render": _JOBS,
-    # candidates left for the next deletion
-    "sparse/coo.py:LocalCoo.copy": _NEXT,
-    "telemetry/metrics.py:MetricsRegistry.reset": _NEXT,
 }
 
 #: what a rule keeps without a name in KEPT

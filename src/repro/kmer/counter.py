@@ -113,23 +113,27 @@ class KmerTable:
 
         ``requests[r]`` are rank r's k-mer values; they are routed to
         their owners, owners bisect their sorted tables, and the reply
-        returns the ids in request order.
+        returns the ids in request order.  The requests are let go once
+        routed and the owners' copies once answered, so a caller that hands
+        over its only references never holds requests and ids at once.
         """
         grid, world = self.grid, self.grid.world
         P = grid.nprocs
         requests = [np.asarray(req, dtype=np.uint64) for req in requests]
 
         # local superstep: hash each rank's requests to their owners
-        owners = world.map_ranks(partial(_owner_step, nprocs=P), requests)
-        plan = world.comm.route(owners)
+        plan = world.comm.route(
+            world.map_ranks(partial(_owner_step, nprocs=P), requests)
+        )
         (asked,) = plan.send(requests)
+        del requests
 
         # owner superstep: bisect the sorted tables, reply in request order
-        return plan.reply(
-            world.map_ranks(
-                _bisect_step, asked, self.kmers_by_owner, list(self.offsets[:P])
-            )
+        ids = world.map_ranks(
+            _bisect_step, asked, self.kmers_by_owner, list(self.offsets[:P])
         )
+        del asked
+        return plan.reply(ids)
 
 
 def count_kmers(

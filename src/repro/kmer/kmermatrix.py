@@ -12,6 +12,13 @@ reads in one pass over its packed read buffer
 the distributed
 :class:`~repro.kmer.counter.KmerTable`, and the triples are routed to their
 2D block owners by :meth:`DistSparseMatrix.from_rank_triples`.
+
+A is the largest matrix of a run, so each step holds only what the next one
+reads.  The occurrences' k-mer values go to the lookup, which lets them go
+once routed; their reads, orientations and positions live until the
+column ids are back, and each rank's occurrences and ids go as its
+triples form.  ``from_rank_triples`` lets the triples go once routed, and
+each block's received triples once it is deduplicated.
 """
 
 from __future__ import annotations
@@ -32,34 +39,42 @@ def _keep_first(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return vals[starts]
 
 
+def _rank_triples(reads: DistReadStore, raw: list, col_ids: list) -> list:
+    """Each rank's global ``(row, col, payload)`` triples of its reliable
+    occurrences; ``raw`` and ``col_ids`` are emptied rank by rank."""
+    per_rank = []
+    for r, shard in enumerate(reads.shards):
+        (read, orient, pos), ids = raw[r], col_ids[r]
+        raw[r] = col_ids[r] = None
+        keep = ids >= 0
+        vals = np.empty(int(keep.sum()), dtype=KMER_POS_DTYPE)
+        vals["pos"] = pos[keep]
+        vals["orient"] = orient[keep]
+        per_rank.append((shard.ids[read[keep]], ids[keep], vals))
+    return per_rank
+
+
 def build_kmer_matrix(reads: DistReadStore, table: KmerTable) -> DistSparseMatrix:
     """Assemble the distributed A matrix from reads and the k-mer table."""
     grid, world = reads.grid, reads.grid.world
     k = table.k
 
-    # per-rank raw occurrences: (local read, kmer_value, orient, pos)
-    raw = [shard_kmers(shard.buffer, shard.offsets, k) for shard in reads.shards]
+    # per-rank raw occurrences: [local read, kmer_value, orient, pos]
+    raw = [
+        list(shard_kmers(shard.buffer, shard.offsets, k)) for shard in reads.shards
+    ]
     world.charge_compute_all([shard.total_bases * 2 for shard in reads.shards])
 
-    # resolve k-mer values to column ids (distributed lookup)
-    col_ids = table.lookup([kmers for _read, kmers, _orient, _pos in raw])
-
-    per_rank = []
-    for r, (shard, (read, _kmers, orient, pos)) in enumerate(
-        zip(reads.shards, raw)
-    ):
-        keep = col_ids[r] >= 0
-        vals = np.empty(int(keep.sum()), dtype=KMER_POS_DTYPE)
-        vals["pos"] = pos[keep]
-        vals["orient"] = orient[keep]
-        per_rank.append((shard.ids[read[keep]], col_ids[r][keep], vals))
+    # resolve k-mer values to column ids (distributed lookup); the values
+    # leave ``raw`` for the lookup, which lets them go once routed
+    col_ids = table.lookup([occ.pop(1) for occ in raw])
     world.charge_compute_all([ids.size for ids in col_ids])
 
     # column-sorted, the order overlap detection's SpGEMM joins A in
     return DistSparseMatrix.from_rank_triples(
         grid,
         (reads.nreads, table.total),
-        per_rank,
+        _rank_triples(reads, raw, col_ids),
         add_reduce=_keep_first,
         dtype=KMER_POS_DTYPE,
         order="col",

@@ -54,6 +54,9 @@ __all__ = [
     "adopt_artifact",
 ]
 
+#: bumped when a tag's payload changes meaning.  Dropping the read-store tag
+#: left it at 2: no stage produces a read store, so no run ever wrote that
+#: tag and no checkpoint on disk holds one
 CHECKPOINT_VERSION = 2
 
 #: on-disk frame: MAGIC + sha256(payload) + pickled payload.  The digest
@@ -144,12 +147,6 @@ def pack_artifact(value: Any) -> tuple[str, Any]:
             "counts_by_owner": value.counts_by_owner,
             "offsets": value.offsets,
         }
-    if isinstance(value, DistReadStore):
-        return "readstore", {
-            "reads": [
-                shard.codes(i) for shard in value.shards for i in range(shard.count)
-            ]
-        }
     if isinstance(value, ContigSet):
         return "contigset", {
             "contigs": [
@@ -192,8 +189,6 @@ def unpack_artifact(tag: str, payload: Any, ctx: "RunContext") -> Any:
             counts_by_owner=payload["counts_by_owner"],
             offsets=payload["offsets"],
         )
-    if tag == "readstore":
-        return DistReadStore.from_global(ctx.grid, payload["reads"])
     if tag == "contigset":
         return ContigSet(
             contigs=[

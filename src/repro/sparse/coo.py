@@ -8,11 +8,12 @@ view is ``sorted_by("col")`` plus
 :func:`~repro.sparse.spgemm.column_pointers`.
 
 All operations are NumPy-vectorized; nothing here loops per-nonzero.  Every
-sort by a pair of coordinates is one stable argsort of one fused int64 key
-(:func:`fused_key`), not a two-key sort: it costs ~0.55-0.65x as much,
-breaks ties the same way, and numpy's stable int64 sort (timsort) merges
-already-sorted runs -- such as row-sorted SUMMA partials -- almost for
-free.
+sort by a pair of coordinates orders one fused int64 key (:func:`fused_key`)
+through :func:`stable_order`, not a two-key sort: it value-sorts ``key * n +
+index`` -- distinct values, so an unstable sort is stable -- and reads the
+permutation back.  Ties break as in a stable argsort, so keep-first
+duplicates and first-on-ties seeds are unchanged, and on 58 k random keys
+it costs ~1/6 of ``np.argsort(kind="stable")`` (numpy 2.4, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ import numpy as np
 
 from ..errors import SparseFormatError
 
-__all__ = ["LocalCoo", "segment_starts", "segment_order", "fused_key"]
+__all__ = [
+    "LocalCoo", "segment_starts", "segment_order", "fused_key", "stable_order",
+]
+
+#: below this many keys a stable argsort is as fast as the value sort
+#: (break-even at ~500 keys, numpy 2.4)
+_VALUE_SORT_MIN = 512
 
 
 def fused_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
@@ -42,6 +49,25 @@ def fused_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
     return key
 
 
+def stable_order(key: np.ndarray, span: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of int keys in ``[0, span)``.
+
+    Sorts the values ``key * n + index`` (``n`` keys): they are distinct,
+    so the fastest sort orders them as a stable sort orders the keys, and
+    ``value % n`` is the permutation.  That needs ``span * n < 2**63``;
+    past it, and below ``_VALUE_SORT_MIN`` keys, the stable argsort runs
+    instead.
+    """
+    n = key.shape[0]
+    if n < _VALUE_SORT_MIN or int(span) * n >= 2**63:
+        return np.argsort(key, kind="stable")
+    packed = np.multiply(key, n, dtype=np.int64)
+    packed += np.arange(n, dtype=np.int64)
+    packed.sort()
+    packed %= n
+    return packed
+
+
 def segment_order(secondary: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Stable order of the entries by (segment, ``secondary``).
 
@@ -56,9 +82,8 @@ def segment_order(secondary: np.ndarray, starts: np.ndarray) -> np.ndarray:
     )
     offset = secondary.astype(np.int64)
     offset -= offset.min(initial=0)  # initial: an empty input stays valid
-    return np.argsort(
-        fused_key(seg, offset, int(offset.max(initial=0)) + 1), kind="stable"
-    )
+    width = int(offset.max(initial=0)) + 1
+    return stable_order(fused_key(seg, offset, width), starts.size * width)
 
 
 def segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -163,12 +188,6 @@ class LocalCoo:
         part.vals = self.vals[lo:hi]
         return part
 
-    def copy(self) -> "LocalCoo":
-        return LocalCoo(
-            self.shape, self.rows.copy(), self.cols.copy(), self.vals.copy(),
-            order=self.order,
-        )
-
     # -- transforms -----------------------------------------------------------
     def transpose(self) -> "LocalCoo":
         """Swap rows and columns (values unchanged -- payload mirroring, if
@@ -194,7 +213,8 @@ class LocalCoo:
         copy, or ``self`` when it is known to be in that order already."""
         if order == self.order:
             return self
-        perm = np.argsort(self._order_key(order), kind="stable")
+        nr, nc = self.shape
+        perm = stable_order(self._order_key(order), nr * nc)
         return LocalCoo(
             self.shape, self.rows[perm], self.cols[perm], self.vals[perm],
             order=order,
@@ -217,9 +237,11 @@ class LocalCoo:
         if self.nnz == 0:
             return self
         keys = self._order_key(order)
-        perm = np.argsort(keys, kind="stable")
+        nr, nc = self.shape
+        perm = stable_order(keys, nr * nc)
+        keys = keys[perm]
         r, c, v = self.rows[perm], self.cols[perm], self.vals[perm]
-        starts = segment_starts(keys[perm])
+        starts = segment_starts(keys)
         if starts.size == r.size:  # already duplicate-free
             return LocalCoo(self.shape, r, c, v, order=order)
         return LocalCoo(

@@ -48,7 +48,7 @@ from ..mpi.grid import ProcGrid
 from ..mpi.memory import MemoryBudget
 from ..telemetry.metrics import get_registry
 from ..util import cumsum0, sorted_lookup
-from .coo import LocalCoo, fused_key
+from .coo import LocalCoo, fused_key, stable_order
 from .semiring import Semiring
 from . import spgemm as _kernel
 from .spgemm import (
@@ -146,21 +146,20 @@ class SpgemmPlan:
         a_blocks = a.blocks
         if strict_upper:
             a_blocks = [blk.sorted_by("col") for blk in a.blocks]
-        a_rows = _row_panels(grid, a_blocks, a.shape, strict_upper)
+        a_rows = _row_panels(grid, a_blocks, a.shape)
         a_panel = [
             max(a.blocks[grid.rank_of(i, s)].nbytes for s in range(q))
             for i in range(q)
         ]
         b_cols = []
-        for panel, stage in _column_panels(grid, b.blocks, b.shape, a_blocks, a_rows):
+        for panel, stage_lo in _column_panels(grid, b.blocks, b.shape, a_blocks, a_rows):
             width = panel.shape[1]
-            cell = stage * width + panel.cols  # (stage, column)
             cum_counts = np.zeros((q, width + 1), dtype=np.int64)
             np.cumsum(
-                np.bincount(cell, minlength=q * width).reshape(q, width),
+                _stage_bincount(panel.cols, stage_lo, width),
                 axis=1, out=cum_counts[:, 1:],
             )
-            b_cols.append((panel, cell, cum_counts))
+            b_cols.append((panel, stage_lo, cum_counts))
         # ranks grouped by block width, so each candidate's estimate is a
         # few array ops per group
         groups: dict[int, list] = {}
@@ -169,19 +168,18 @@ class SpgemmPlan:
             grid.block_bounds((a.shape[0], b.shape[1]))
         ):
             i, j = grid.coords_of(rank)
-            (a_coo, a_ptr, a_key), (b_coo, cell, cum_counts) = a_rows[i], b_cols[j]
+            (a_coo, a_ptr), (b_coo, stage_lo, cum_counts) = a_rows[i], b_cols[j]
             nrows, width = rhi - rlo, chi - clo
             below = strict_upper and i > j  # multiplies nothing
             partial_ub = np.zeros(width, dtype=np.int64)
             if not below:
                 on = strict_upper and i == j  # joins column prefixes
-                count = join_extents(a_coo, b_coo, a_ptr, a_key if on else None)[1]
-                flops = np.bincount(cell, weights=count, minlength=q * width)
+                a_key = column_key(a_coo) if on else None
+                count = join_extents(a_coo, b_coo, a_ptr, a_key)[1]
+                flops = _stage_bincount(b_coo.cols, stage_lo, width, count)
                 # each stage's bound, as the per-stage symbolic pass gives it
                 bound = np.minimum(np.arange(width), nrows) if on else nrows
-                partial_ub = np.minimum(
-                    flops.astype(np.int64).reshape(q, width), bound
-                ).sum(axis=0)
+                partial_ub = np.minimum(flops.astype(np.int64), bound).sum(axis=0)
             out_ub = np.minimum(partial_ub, nrows)
             groups.setdefault(width, []).append(
                 (a_panel[i], cumsum0(partial_ub), cumsum0(out_ub), cum_counts)
@@ -256,28 +254,28 @@ def _block_shapes(grid: ProcGrid, shape: tuple[int, int]) -> list[tuple[int, int
 
 
 def _row_panels(
-    grid: ProcGrid, blocks: list[LocalCoo], shape: tuple[int, int], keyed: bool
-) -> list[tuple[LocalCoo, np.ndarray, np.ndarray | None]]:
+    grid: ProcGrid, blocks: list[LocalCoo], shape: tuple[int, int]
+) -> list[tuple[LocalCoo, np.ndarray]]:
     """Each grid row's A row panel, built once: its q ``blocks`` side by
     side (columns shifted to the global contraction index, so column-sorted
-    blocks make a column-sorted panel), the panel's column pointers and --
-    ``keyed``, for the diagonal rank's strict-upper join -- its ``(col,
-    row)`` key."""
+    blocks make a column-sorted panel), and the panel's column pointers."""
     q = grid.q
     col_lo = cumsum0(block_sizes(shape[1], q))
     panels = []
     for i in range(q):
         row = [blocks[grid.rank_of(i, s)] for s in range(q)]
+        cols = np.concatenate([blk.cols for blk in row])
+        ends = cumsum0([blk.nnz for blk in row])
+        for lo, e0, e1 in zip(col_lo, ends[:-1], ends[1:]):
+            cols[e0:e1] += lo
         panel = LocalCoo(
             (row[0].shape[0], shape[1]),
             np.concatenate([blk.rows for blk in row]),
-            np.concatenate([blk.cols + lo for blk, lo in zip(row, col_lo)]),
+            cols,
             np.concatenate([blk.vals for blk in row]),
             order="col" if all(blk.order == "col" for blk in row) else None,
         )
-        panels.append(
-            (panel, column_pointers(panel), column_key(panel) if keyed else None)
-        )
+        panels.append((panel, column_pointers(panel)))
     return panels
 
 
@@ -290,8 +288,8 @@ def _column_panels(
 ) -> list[tuple[LocalCoo, np.ndarray]]:
     """Each grid column's B column panel, built once: its q ``blocks``
     stacked in stage order (rows shifted to the global contraction index,
-    so row-sorted blocks make a row-sorted panel), and each entry's SUMMA
-    stage (the block it came from, ascending).
+    so row-sorted blocks make a row-sorted panel), and where each SUMMA
+    stage's entries (the block they came from) start, ``q + 1`` cuts.
 
     When ``blocks`` are the transposes of the ``a_blocks`` that
     ``row_panels`` were built from (``A . A^T``), grid column ``j``'s panel
@@ -308,9 +306,7 @@ def _column_panels(
         return [
             (
                 panel.transpose(),
-                np.repeat(
-                    np.arange(q), [a_blocks[grid.rank_of(j, s)].nnz for s in range(q)]
-                ),
+                cumsum0([a_blocks[grid.rank_of(j, s)].nnz for s in range(q)]),
             )
             for j, (panel, *_pointers) in enumerate(row_panels)
         ]
@@ -325,8 +321,22 @@ def _column_panels(
             np.concatenate([blk.vals for blk in col]),
             order="row" if all(blk.order == "row" for blk in col) else None,
         )
-        panels.append((panel, np.repeat(np.arange(q), [blk.nnz for blk in col])))
+        panels.append((panel, cumsum0([blk.nnz for blk in col])))
     return panels
+
+
+def _stage_bincount(cols, stage_lo, width, weights=None) -> np.ndarray:
+    """``np.bincount`` of each SUMMA stage's entries' ``cols`` (stage ``s``
+    holds entries ``stage_lo[s]:stage_lo[s + 1]``), weighted by
+    ``weights``: a ``(stages, width)`` array."""
+    return np.stack([
+        np.bincount(
+            cols[lo:hi],
+            weights=None if weights is None else weights[lo:hi],
+            minlength=width,
+        )
+        for lo, hi in zip(stage_lo[:-1], stage_lo[1:])
+    ])
 
 
 def _stable_groups(group: np.ndarray, ngroups: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +344,7 @@ def _stable_groups(group: np.ndarray, ngroups: int) -> tuple[np.ndarray, np.ndar
     radix sort for small counts) and where each group starts (``ngroups +
     1`` cuts)."""
     small = np.uint8 if ngroups <= 2**8 else np.uint16 if ngroups <= 2**16 else None
-    key = group.astype(small) if small is not None else group
+    key = group.astype(small, copy=False) if small is not None else group
     return (
         np.argsort(key, kind="stable"),
         cumsum0(np.bincount(group, minlength=ngroups)),
@@ -357,14 +367,15 @@ def _panel_product(a_op, b_op, shape, phases, offset, job):
     distinct keys so far; per phase the merged and kept nonzeros -- and the
     number of joins."""
     semiring, _entry, stream, exclude_diagonal, bound, q = job
-    (a, a_ptr, a_key), (b, stage, col_stage, phase_lo) = a_op, b_op
+    (a, a_ptr, a_key), (b, stage_lo, phase_lo) = a_op, b_op
     ncols = shape[1]
     first, count = join_extents(a, b, a_ptr, a_key)
+    del a_op, a_key  # a diagonal rank's key serves this join only
     # products by (output column, stage), summed over columns: a product's
     # stage is its B entry's, its phase its column's
     by_col = np.zeros((ncols + 1, q), dtype=np.int64)
-    formed = np.bincount(col_stage, weights=count, minlength=ncols * q)
-    np.cumsum(formed.astype(np.int64).reshape(ncols, q), axis=0, out=by_col[1:])
+    formed = _stage_bincount(b.cols, stage_lo, ncols, count)
+    np.cumsum(formed.T.astype(np.int64), axis=0, out=by_col[1:])
     flops = np.diff(by_col[phase_lo], axis=0)
     ends = by_col.sum(axis=1)  # products before each output column
     cuts, lo = [0], 0
@@ -373,19 +384,19 @@ def _panel_product(a_op, b_op, shape, phases, offset, job):
         lo = min(ncols, max(lo + 1, fit))
         cuts.append(lo)
     if len(cuts) > 2:  # each run's entries, still row-sorted
-        run = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))[b.cols]
-        entries, starts = _stable_groups(run, len(cuts) - 1)
+        runs = len(cuts) - 1
+        run = np.arange(runs, dtype=np.min_scalar_type(runs))
+        entries, starts = _stable_groups(np.repeat(run, np.diff(cuts))[b.cols], runs)
         first, count = first[entries], count[entries]
     else:
-        run, entries, starts = 0, np.arange(b.nnz), [0, b.nnz]
-    # how many of each run's entries each stage holds
-    sizes = np.bincount(run * q + stage, minlength=(len(starts) - 1) * q)
+        entries, starts = np.arange(b.nnz), [0, b.nnz]
+    # a run's entries ascend, so each stage's are those between its cuts
     pieces = [
         spgemm_run(
             a, b, semiring, entries[e0:e1], first[e0:e1], count[e0:e1],
-            sizes[r * q : (r + 1) * q],
+            np.diff(np.searchsorted(entries[e0:e1], stage_lo)),
         )
-        for r, (e0, e1) in enumerate(zip(starts[:-1], starts[1:]))
+        for e0, e1 in zip(starts[:-1], starts[1:])
     ]
     # the runs' cells are disjoint: side by side, they are the block's
     rows, cols, vals = (
@@ -404,7 +415,7 @@ def _panel_product(a_op, b_op, shape, phases, offset, job):
         ).reshape(phases, q).cumsum(axis=1)
     merged = kept = np.bincount(phase, minlength=phases)
     if len(pieces) > 1:  # runs are row-sorted column ranges
-        perm = np.argsort(fused_key(rows, cols, ncols), kind="stable")
+        perm = stable_order(fused_key(rows, cols, ncols), shape[0] * ncols)
         rows, cols, vals = rows[perm], cols[perm], vals[perm]
     if exclude_diagonal and rows.size:
         keep = rows + offset[0] != cols + offset[1]
@@ -485,11 +496,11 @@ def _spgemm_step(ctx, a_op, b_op, received, role, offset, job):
         zeros = np.zeros((phases, q), dtype=np.int64)
         counts = (zeros, zeros, zeros, zeros[:, 0], zeros[:, 0])
         block, joins = LocalCoo.empty(shape, semiring.out_dtype), 0
-    else:
-        if role != "on":
-            a_op = a_op[:2] + (None,)
+    else:  # a diagonal rank's prefix join reads the panel's (col, row) key,
+        # which no frame here keeps: the product lets it go after the join
         block, counts, joins = _panel_product(
-            a_op, b_op, shape, phases, offset, job
+            (*a_op, column_key(a_op[0]) if role == "on" else None),
+            b_op, shape, phases, offset, job,
         )
     charges = _rank_charges(received, counts, entry, stream)
     _charge_step([ctx], [(*charges[:, 0].tolist(), 1)])
@@ -572,20 +583,29 @@ class DistSparseMatrix:
         duplicates are combined with ``add_reduce`` (kept as-is when
         ``None``), leaving each block sorted by ``order`` (``"row"`` or
         ``"col"``).  ``dtype`` is the payload dtype (default: as given).
+        The triples are let go once routed, so a caller that hands over its
+        only references (A's builder) never holds them beside the blocks.
         """
         world = grid.world
         rows = [np.asarray(gr, dtype=np.int64) for gr, _gc, _gv in per_rank]
         cols = [np.asarray(gc, dtype=np.int64) for _gr, gc, _gv in per_rank]
         vals = [np.asarray(gv, dtype=dtype) for _gr, _gc, gv in per_rank]
+        del per_rank
         plan = world.comm.route(
             grid.owner_of_entry(shape, gr, gc) for gr, gc in zip(rows, cols)
         )
         world.charge_compute_all([gr.size for gr in rows])
+        received = list(zip(*plan.send(rows, cols, vals)))
+        # the senders' triples (unless the caller keeps them) and the plan
+        # go here; each rank's received arrays go once its block is built
+        del plan, rows, cols, vals
         blocks = []
-        for (rlo, rhi, clo, chi), gr, gc, gv in zip(
-            grid.block_bounds(shape), *plan.send(rows, cols, vals)
-        ):
-            blk = LocalCoo((rhi - rlo, chi - clo), gr - rlo, gc - clo, gv)
+        for rank, (rlo, rhi, clo, chi) in enumerate(grid.block_bounds(shape)):
+            gr, gc, gv = received[rank]
+            received[rank] = None
+            gr -= rlo  # received arrays are fresh: shift them in place
+            gc -= clo
+            blk = LocalCoo((rhi - rlo, chi - clo), gr, gc, gv)
             if add_reduce is not None:
                 blk = blk.deduped(add_reduce, order)
             blocks.append(blk)
@@ -789,21 +809,21 @@ class DistSparseMatrix:
         # column, B by row (so both panels are concatenations).
         a_blocks = [blk.sorted_by("col") for blk in self.blocks]
         b_blocks = [blk.sorted_by("row") for blk in other.blocks]
-        a_ops = _row_panels(grid, a_blocks, self.shape, strict_upper)
-        b_ops = []
-        for panel, stage in _column_panels(
-            grid, b_blocks, other.shape, a_blocks, a_ops
-        ):
-            # each entry's (output column, stage), and where phases start
-            phase_lo = cumsum0(block_sizes(panel.shape[1], phases))
-            b_ops.append((panel, stage, panel.cols * q + stage, phase_lo))
+        a_ops = _row_panels(grid, a_blocks, self.shape)
+        # each B panel with where its stages' entries and its phases start
+        b_ops = [
+            (panel, stage_lo, cumsum0(block_sizes(panel.shape[1], phases)))
+            for panel, stage_lo in _column_panels(
+                grid, b_blocks, other.shape, a_blocks, a_ops
+            )
+        ]
         # each B block stably grouped by column phase: the phase
         # sub-panels (row-sorted slices) its broadcasts send
         b_phased = []
         for rank, blk in enumerate(b_blocks):
             cuts = np.array([0, blk.nnz])
             if phases > 1:
-                phase_lo = b_ops[grid.coords_of(rank)[1]][3]
+                phase_lo = b_ops[grid.coords_of(rank)[1]][2]
                 phase = np.searchsorted(phase_lo, blk.cols, "right") - 1
                 perm, cuts = _stable_groups(phase, phases)
                 blk = LocalCoo(

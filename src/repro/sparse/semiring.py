@@ -132,10 +132,12 @@ def _seed_add(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _seed_slot_reduce(avals, a_take, bvals, b_take, slots, nslots) -> np.ndarray:
     # min over (pos_a, product index) finds each slot's minimal pos_a, first
-    # product on ties, in one pass and with no seed record formed (widened
-    # per A entry first: gathering the packed record's unaligned field per
-    # product is ~6x slower)
-    packed = (avals["pos"].astype(np.int64) << 32)[a_take]
+    # product on ties, in one pass and with no seed record formed (the field
+    # is copied out contiguous first: gathering the packed record's
+    # unaligned field per product is slower, and widening it per A entry
+    # holds two int64 copies of the whole A panel)
+    packed = np.ascontiguousarray(avals["pos"])[a_take].astype(np.int64)
+    packed <<= 32
     packed |= np.arange(packed.size)
     best = np.full(nslots, np.iinfo(np.int64).max)
     np.minimum.at(best, slots, packed)

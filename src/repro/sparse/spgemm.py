@@ -27,7 +27,7 @@ stage-by-stage schedule the cost model charges would have held.
 by the fused ``(col, row)`` key, so rows ascend inside each A column and
 B entry ``(k, c)`` joins a *prefix* of column ``k``: the entries before
 ``(k, min(c, nrows))`` in that key (:func:`column_key`, which the
-distributed layer builds once per diagonal A row panel).  No
+distributed layer builds inside each diagonal rank's step).  No
 lower-triangle product is ever expanded.
 
 :func:`spgemm_local` returns the number of elementary products formed
@@ -57,8 +57,12 @@ __all__ = [
 
 def column_pointers(a: LocalCoo) -> np.ndarray:
     """CSC index pointer of a column-sorted block: column ``k``'s entries
-    are ``a_ptr[k]:a_ptr[k + 1]``."""
-    return _cumsum0(np.bincount(a.cols, minlength=a.shape[1]))
+    are ``a_ptr[k]:a_ptr[k + 1]``.  int32 while the block has fewer than
+    2**31 entries: a row panel's pointers span every contraction column,
+    so they can outweigh the panel's own entries."""
+    ptr = np.zeros(a.shape[1] + 1, np.int32 if a.nnz < 2**31 else np.int64)
+    np.cumsum(np.bincount(a.cols, minlength=a.shape[1]), out=ptr[1:])
+    return ptr
 
 
 def column_key(a: LocalCoo) -> np.ndarray:
@@ -80,7 +84,7 @@ def join_extents(
     join) the prefix of it with rows ``< c``."""
     first = a_ptr[b.rows]
     if a_key is None:
-        return first, a_ptr[b.rows + 1] - first
+        return first, a_ptr[1:][b.rows] - first
     return first, _upper_ends(a_key, a.shape[0], b) - first
 
 
@@ -354,6 +358,7 @@ def spgemm_run(
     stage_ends = offsets[_cumsum0(stage_sizes)[1:]]
     formed = count > 0
     entries, first, starts = entries[formed], first[formed], offsets[:-1][formed]
+    del offsets, formed  # per B entry of the run: the products' arrays follow
     # each product's B entry, from a running count of entry starts: a run
     # splits B's rows, so its counts vary entry to entry, which a gather
     # takes at the same speed and ``np.repeat`` does not

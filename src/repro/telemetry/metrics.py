@@ -165,12 +165,6 @@ class MetricsRegistry:
             )
         return "\n".join(lines) if lines else "(no metrics)"
 
-    def reset(self) -> None:
-        """Drop every metric (test isolation helper)."""
-        with self._lock:
-            self._counters.clear()
-            self._histograms.clear()
-
 
 #: the process-wide registry every runtime layer publishes into
 _GLOBAL = MetricsRegistry()

@@ -702,8 +702,6 @@ def iter_classified_chunks(
     *,
     mode: str = "diag",
     batch_size: int = 512,
-    match: int = 1,
-    mismatch: int = -1,
     min_score: int | None = None,
     min_overlap: int = 0,
     end_margin: int = 0,
@@ -738,8 +736,6 @@ def iter_classified_chunks(
             seed_len,
             x,
             mode=mode,
-            match=match,
-            mismatch=mismatch,
             comp_pool=pool,
             span=span,
         )

@@ -136,7 +136,7 @@ class FaultInjector:
     def superstep_actions(self, stage_stack: Iterable[str]) -> list[dict]:
         """Fired crash/stall events for the superstep about to run.
 
-        ``stage_stack`` is the world's thread-local stage stack; entry 1
+        ``stage_stack`` is the world's stage stack, outermost first; entry 1
         (when present) is the pipeline stage the engine pushed, which is
         the name fault rules match against.  Each call consumes one
         superstep index for that stage.

@@ -30,15 +30,15 @@ The local half of a superstep goes through :meth:`SimWorld.map_ranks`
 (one step call per rank) or :meth:`SimWorld.map_segments` (one call over
 every rank, for steps whose cost is per-call overhead); both
 share one superstep -- validation, fault injection, the in-step guard,
-the rank-ordered merge and the tracer record -- and both run on the
-calling thread (see :mod:`~repro.mpi.executor`).
+the rank-ordered merge and the tracer record.  Everything runs on the
+calling thread, so the world's clocks, log, stage stack and in-step
+guard are plain attributes with no lock (see :mod:`~repro.mpi.executor`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -151,13 +151,12 @@ class SimWorld:
         self.clock = StageClock(nprocs)
         self.log = CommLog()
         self.memory = MemoryMeter(nprocs)
-        #: one lock funnels every clock/log/memory mutation, so collectives
-        #: and charges issued from several threads cannot corrupt
-        #: the shared accounting state
-        self.account_lock = threading.RLock()
-        self._stage_local = threading.local()
-        self._stage_local.stack = ["default"]
-        self._in_rank_step = threading.local()
+        #: open stage names, innermost last; a superstep's charges belong
+        #: to the stage open when it starts
+        self._stage_stack = ["default"]
+        #: set while a superstep's steps run: direct world accounting and
+        #: collectives are then an error
+        self._in_rank_step = False
         #: optional FaultInjector consulted at every superstep boundary
         #: (duck-typed so the MPI layer stays decoupled from repro.faults)
         self.fault_injector = None
@@ -169,22 +168,6 @@ class SimWorld:
         self.comm = SimComm(self, list(range(nprocs)), label="world")
 
     # -- stage scoping ----------------------------------------------------
-    @property
-    def _stage_stack(self) -> list[str]:
-        """The calling thread's stage stack.
-
-        Each thread scopes independently: a worker thread that never
-        opened a scope charges to ``"default"`` rather than racing on the
-        main thread's stack.  A superstep's charges belong to the stage
-        open when it starts (its :class:`~repro.mpi.executor.RankContext`
-        records that one name).
-        """
-        stack = getattr(self._stage_local, "stack", None)
-        if stack is None:
-            stack = ["default"]
-            self._stage_local.stack = stack
-        return stack
-
     @property
     def stage(self) -> str:
         return self._stage_stack[-1]
@@ -254,7 +237,8 @@ class SimWorld:
                     f"entries, got {len(seq)}"
                 )
         stage = self.stage
-        ctxs = [RankContext(self, r, stage) for r in range(self.nprocs)]
+        machine = self.machine
+        ctxs = [RankContext(r, stage, machine) for r in range(self.nprocs)]
 
         # fault injection decisions are made once per superstep, before
         # any step runs: crashes are raised in place of the crashed rank's
@@ -274,9 +258,7 @@ class SimWorld:
 
         # while a step runs, direct world accounting and collectives are
         # an error: a rank charges through its context only
-        guard = self._in_rank_step
-        prior = getattr(guard, "active", False)
-        guard.active = True
+        self._in_rank_step = True
         wall0 = time.perf_counter()
         try:
             if segmented:
@@ -295,29 +277,32 @@ class SimWorld:
                         raise crash_excs[r]
                     results.append(fn(ctx, *[seq[r] for seq in per_rank_args]))
         finally:
-            guard.active = prior
+            self._in_rank_step = False
         wall = time.perf_counter() - wall0
         tracer = self.tracer
         if tracer is not None:
-            # read the buffered records before the merge clears them
             tracer.superstep(stage, ctxs, wall=wall)
-        for ctx in ctxs:
-            ctx._merge()
+        # the barrier: every rank succeeded, so apply the buffered charges
+        # in rank order
+        clock, memory = self.clock, self.memory
+        scale = machine.volume_scale
+        for rank, ctx in enumerate(ctxs):
+            for seconds in ctx._compute:
+                clock.charge_compute(stage, rank, seconds)
+            for nbytes in ctx._memory:
+                memory.observe(rank, nbytes * scale, stage=stage)
         metrics = get_registry()
         metrics.counter("mpi.supersteps").inc()
         metrics.histogram("mpi.superstep_wall_seconds").observe(wall)
         for action in stall_actions:
             if 0 <= action["rank"] < self.nprocs:
-                with self.account_lock:
-                    self.clock.charge_compute(
-                        stage, action["rank"], action["seconds"]
-                    )
+                clock.charge_compute(stage, action["rank"], action["seconds"])
                 if tracer is not None:
                     tracer.stall(stage, action["rank"], action["seconds"])
         return results
 
     def _check_not_in_rank_step(self, what: str) -> None:
-        if getattr(self._in_rank_step, "active", False):
+        if self._in_rank_step:
             raise CommunicatorError(
                 f"{what} is not allowed inside a map_ranks step; charge "
                 f"through the RankContext (ctx.charge_compute / "
@@ -334,8 +319,7 @@ class SimWorld:
             )
         seconds = self.machine.op_time_all(ops_per_rank, kind=kind)
         if seconds.any():
-            with self.account_lock:
-                self.clock.charge_compute_all(self.stage, seconds)
+            self.clock.charge_compute_all(self.stage, seconds)
             if self.tracer is not None:
                 self.tracer.compute_all(seconds)
 
@@ -383,33 +367,30 @@ class SimComm:
         # collectives are whole-world lockstep operations: between
         # supersteps only, never inside a rank step
         self.world._check_not_in_rank_step(f"collective {op!r}")
-        # clock + log mutate under one lock so a collective issued from
-        # another thread cannot interleave with another charge
-        with self.world.account_lock:
-            stage = self.world.stage
-            self.world.clock.charge_comm_all(stage, seconds, ranks=self.ranks)
-            self.world.log.record(
-                CommEvent(
-                    op=op,
-                    stage=stage,
-                    nprocs=self.size,
-                    total_bytes=int(total_bytes),
-                    max_bytes=int(max_bytes),
-                    messages=messages,
-                    modeled_seconds=seconds,
-                )
+        stage = self.world.stage
+        self.world.clock.charge_comm_all(stage, seconds, ranks=self.ranks)
+        self.world.log.record(
+            CommEvent(
+                op=op,
+                stage=stage,
+                nprocs=self.size,
+                total_bytes=int(total_bytes),
+                max_bytes=int(max_bytes),
+                messages=messages,
+                modeled_seconds=seconds,
             )
-            tracer = self.world.tracer
-            if tracer is not None:
-                tracer.collective(
-                    op,
-                    stage,
-                    self.ranks,
-                    seconds,
-                    int(total_bytes),
-                    int(max_bytes),
-                    messages,
-                )
+        )
+        tracer = self.world.tracer
+        if tracer is not None:
+            tracer.collective(
+                op,
+                stage,
+                self.ranks,
+                seconds,
+                int(total_bytes),
+                int(max_bytes),
+                messages,
+            )
         metrics = get_registry()
         metrics.counter("comm.ops").inc()
         metrics.counter("comm.bytes").inc(total_bytes)

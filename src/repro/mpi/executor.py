@@ -18,10 +18,11 @@ one of two shapes:
 Either shape runs on the calling thread: rank steps one after another in
 rank order, a segment step once over ``[0, P)``.  All cost accounting
 (compute charges, memory observations, kernel sections) is buffered per
-rank in a :class:`RankContext` and merged into the world's clocks in rank
-order at the superstep barrier, so a failed superstep charges nothing.
-A superstep's charges belong to the stage open when it starts: a step
-cannot open a stage of its own.
+rank in a :class:`RankContext`; at the superstep barrier the world
+applies the buffers to its clocks in rank order
+(:meth:`~repro.mpi.comm.SimWorld.map_ranks`), so a failed superstep
+charges nothing.  A superstep's charges belong to the stage open when it
+starts: a step cannot open a stage of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .comm import SimWorld
+    from .costmodel import MachineModel
 
 __all__ = [
     "RankContext",
@@ -55,17 +56,16 @@ class RankContext(int):
     The context *is* the rank id (an ``int`` subclass), so step functions
     can index per-rank state with it directly.  Cost accounting goes
     through the context instead of the world: charges and memory samples
-    are buffered locally and merged into the world's
+    are buffered locally, and the world applies them to its
     :class:`~repro.mpi.stats.StageClock` / memory meter in rank order at
     the superstep barrier -- and only if every rank's step succeeded.
     All of them belong to ``stage``, the stage open when the superstep
     started.
     """
 
-    def __new__(cls, world: "SimWorld", rank: int, stage: str):
+    def __new__(cls, rank: int, stage: str, machine: "MachineModel"):
         self = super().__new__(cls, rank)
-        self._world = world
-        self._machine = world.machine
+        self._machine = machine
         self.stage = stage
         #: buffered compute seconds and memory samples, in charge order
         self._compute: list[float] = []
@@ -114,20 +114,6 @@ class RankContext(int):
         rank's charges falls inside it: its modeled width is 0.
         """
         self._spans.append(KernelSpan(name, 0.0, wall))
-
-    def _merge(self) -> None:
-        """Apply the buffered charges to the world (rank-ordered barrier merge)."""
-        world = self._world
-        scale = world.machine.volume_scale
-        rank, stage = int(self), self.stage
-        with world.account_lock:
-            for seconds in self._compute:
-                world.clock.charge_compute(stage, rank, seconds)
-            for nbytes in self._memory:
-                world.memory.observe(rank, nbytes * scale, stage=stage)
-        self._compute.clear()
-        self._memory.clear()
-        self._spans.clear()
 
 
 class RankStep(Protocol):

@@ -46,15 +46,13 @@ def detect_overlaps(
     )
     At = A.transpose()
     plan = None
-    if phases is None and budget is not None and not budget.unlimited:
-        plan = A.plan_spgemm(At, semiring, budget, strict_upper=True)
+    if phases is None:
+        phases = 1
+        if budget is not None and not budget.unlimited:
+            plan = SpgemmPlan.choose(A, At, semiring, budget, strict_upper=True)
+            phases = plan.phases
     C = A.spgemm(
-        At,
-        semiring,
-        merge_mode=merge_mode,
-        phases=phases,
-        plan=plan,
-        strict_upper=True,
+        At, semiring, merge_mode=merge_mode, phases=phases, strict_upper=True
     )
     if min_shared > 1:
         C = C.prune(lambda v, r, c: v["count"] < min_shared)

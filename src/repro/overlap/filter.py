@@ -79,8 +79,6 @@ class AlignmentParams:
     k: int
     xdrop: int = 15
     mode: str = "diag"
-    match: int = 1
-    mismatch: int = -1
     min_score: int = 0
     min_overlap: int = 0
     end_margin: int = 10
@@ -184,7 +182,7 @@ def _align_segment(
     fetched: list[PackedReads],
     params: AlignmentParams,
 ) -> list[tuple]:
-    """The Alignment superstep over one contiguous rank range.
+    """The Alignment superstep: one segment step over every rank.
 
     The ranks' tasks are concatenated in rank order and run through the
     batch engine in ``params.batch_size`` chunks over one complemented
@@ -225,8 +223,6 @@ def _align_segment(
         params.xdrop,
         mode=params.mode,
         batch_size=params.batch_size,
-        match=params.match,
-        mismatch=params.mismatch,
         min_score=params.min_score,
         min_overlap=params.min_overlap,
         end_margin=params.end_margin,

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..core.assembly import Contig
 from ..kmer.codec import encode_kmers, revcomp_kmers
+from ..seq.stats import _nx0
 from ..util import sorted_lookup
 
 __all__ = ["AlignmentBlock", "ContigMapping", "QualityReport", "evaluate_assembly"]
@@ -169,16 +170,6 @@ def _covered_length(intervals: list[tuple[int, int]]) -> int:
             cur_hi = max(cur_hi, hi)
     covered += cur_hi - cur_lo
     return covered
-
-
-def _nx0(lengths: np.ndarray, target: float) -> int:
-    """Length-weighted median-style statistic (N50 when target = total/2)."""
-    if lengths.size == 0:
-        return 0
-    s = np.sort(lengths)[::-1]
-    csum = np.cumsum(s)
-    idx = int(np.searchsorted(csum, target))
-    return int(s[min(idx, s.size - 1)])
 
 
 def evaluate_assembly(

@@ -48,12 +48,15 @@ class ReadSetStats:
         return "\n".join(lines)
 
 
-def _n50(lengths: np.ndarray) -> int:
+def _nx0(lengths: np.ndarray, target: float) -> int:
+    """Length-weighted median-style statistic: the length of the piece
+    whose cumulative sum, longest first, reaches ``target`` (N50 when
+    ``target`` is half the total length, NG50 at half the genome's)."""
     if lengths.size == 0:
         return 0
     s = np.sort(lengths)[::-1]
     csum = np.cumsum(s)
-    idx = int(np.searchsorted(csum, csum[-1] / 2))
+    idx = int(np.searchsorted(csum, target))
     return int(s[min(idx, s.size - 1)])
 
 
@@ -86,7 +89,7 @@ def read_stats(
         n_reads=int(lengths.size),
         total_bases=total,
         mean_length=float(lengths.mean()) if lengths.size else 0.0,
-        read_n50=_n50(lengths),
+        read_n50=_nx0(lengths, total / 2),
         min_length=int(lengths.min()) if lengths.size else 0,
         max_length=int(lengths.max()) if lengths.size else 0,
         gc_content=gc,

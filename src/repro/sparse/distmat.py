@@ -711,29 +711,13 @@ class DistSparseMatrix:
             grid, (self.shape[1], self.shape[0]), new_blocks
         )
 
-    def plan_spgemm(
-        self,
-        other: "DistSparseMatrix",
-        semiring: Semiring,
-        budget: MemoryBudget | None,
-        max_phases: int = 64,
-        *,
-        strict_upper: bool = False,
-    ) -> SpgemmPlan:
-        """Symbolic planning pass for :meth:`spgemm` (see :class:`SpgemmPlan`)."""
-        return SpgemmPlan.choose(
-            self, other, semiring, budget, max_phases, strict_upper=strict_upper
-        )
-
     def spgemm(
         self,
         other: "DistSparseMatrix",
         semiring: Semiring,
         exclude_diagonal: bool = False,
         merge_mode: str = "bulk",
-        phases: int | None = None,
-        budget: MemoryBudget | None = None,
-        plan: SpgemmPlan | None = None,
+        phases: int = 1,
         *,
         strict_upper: bool = False,
     ) -> "DistSparseMatrix":
@@ -745,9 +729,9 @@ class DistSparseMatrix:
         their grid rows, the owners of B's block-row ``s`` broadcast *only
         the phase's column sub-panel* along their grid columns, every rank
         multiplies and accumulates -- then finalizes its output columns.
-        ``phases=1`` (the default) is the classic unphased SUMMA; a
-        :class:`~repro.mpi.memory.MemoryBudget` (and no ``phases``) lets
-        the symbolic planner pick the fewest phases that fit.
+        ``phases=1`` (the default) is the classic unphased SUMMA; under a
+        :class:`~repro.mpi.memory.MemoryBudget` the caller asks
+        :meth:`SpgemmPlan.choose` for the fewest phases that fit.
 
         Phases and ``merge_mode`` (the paper's §7 memory-reduction future
         work) shape the *modeled* working set (panels + a phase's partials
@@ -792,12 +776,6 @@ class DistSparseMatrix:
             raise DistributionError("operands must share a process grid")
         out_shape = (self.shape[0], other.shape[1])
         _check_triangle(out_shape, strict_upper)
-        if phases is None:
-            if plan is None and budget is not None and not budget.unlimited:
-                plan = self.plan_spgemm(
-                    other, semiring, budget, strict_upper=strict_upper
-                )
-            phases = plan.phases if plan is not None else 1
         phases = int(phases)
         if phases < 1:
             raise DistributionError(f"phases must be >= 1, got {phases}")

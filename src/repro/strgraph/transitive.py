@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..mpi.memory import MemoryBudget
-from ..sparse.distmat import DistSparseMatrix
+from ..sparse.distmat import DistSparseMatrix, SpgemmPlan
 from ..sparse.semiring import dirmin_semiring
 from ..sparse.types import SUFFIX_INF
 
@@ -58,20 +58,15 @@ def _removal_marks(
 ) -> tuple[list[np.ndarray], list[np.ndarray], int, int]:
     """Per-rank global (row, col) lists of edges marked transitive."""
     semiring = dirmin_semiring()
-    plan = None
-    if phases is None and budget is not None and not budget.unlimited:
-        # re-plan every round: S shrinks, so later rounds may need fewer
-        # phases than the first
-        plan = S.plan_spgemm(S, semiring, budget)
+    if phases is None:
+        phases = 1
+        if budget is not None and not budget.unlimited:
+            # re-plan every round: S shrinks, so later rounds may need
+            # fewer phases than the first
+            phases = SpgemmPlan.choose(S, S, semiring, budget).phases
     N = S.spgemm(
-        S,
-        semiring,
-        exclude_diagonal=True,
-        merge_mode=merge_mode,
-        phases=phases,
-        plan=plan,
+        S, semiring, exclude_diagonal=True, merge_mode=merge_mode, phases=phases
     )
-    used_phases = phases if phases is not None else (plan.phases if plan else 1)
     joins = S.lookup_join(N)
     rows_per_rank: list[np.ndarray] = []
     cols_per_rank: list[np.ndarray] = []
@@ -92,7 +87,7 @@ def _removal_marks(
         rows_per_rank.append(blk.rows[transitive] + rlo)
         cols_per_rank.append(blk.cols[transitive] + clo)
         total += int(transitive.sum())
-    return rows_per_rank, cols_per_rank, total, used_phases
+    return rows_per_rank, cols_per_rank, total, phases
 
 
 def _remove_step(ctx, blk, join, mblk_bytes):

@@ -14,14 +14,14 @@ absolute values.  Out-of-process workers each accumulate their own
 registry; the job engine persists per-worker :meth:`snapshot` files that
 :func:`merge` folds together for a fleet-wide view.
 
-Everything is guarded by one registry-wide lock; the hot paths do a few
-dict/float operations per event, which is noise next to the kernels they
-instrument.
+The registry is plain process state with no lock: a run publishes from
+its one thread, and each worker process owns its registry.  The hot
+paths do a few dict/float operations per event, which is noise next to
+the kernels they instrument.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable
 
 __all__ = [
@@ -41,27 +41,23 @@ DEFAULT_BUCKETS = (
 class Counter:
     """A monotonically increasing count."""
 
-    def __init__(self, name: str, lock: threading.Lock) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = lock
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease: {amount}")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
 
 class Histogram:
     """Bucketed observations with a running sum and count."""
 
     def __init__(
-        self, name: str, lock: threading.Lock,
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
+        self, name: str, buckets: Iterable[float] = DEFAULT_BUCKETS
     ) -> None:
         self.name = name
-        self._lock = lock
         self.buckets = tuple(sorted(float(b) for b in buckets))
         if not self.buckets:
             raise ValueError(f"histogram {self.name} needs >= 1 bucket")
@@ -71,41 +67,35 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self.sum += value
-            self.count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.counts[i] += 1
-                    return
-            self.counts[-1] += 1
+        self.sum += value
+        self.count += 1
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                self.counts[i] += 1
+                return
+        self.counts[-1] += 1
 
 
 class MetricsRegistry:
     """Named metrics, created on first use and queryable as one snapshot."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- construction ----------------------------------------------------
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                metric = self._counters[name] = Counter(name, self._lock)
+        metric = self._counters.get(name)
+        if metric is None:
+            metric = self._counters[name] = Counter(name)
         return metric
 
     def histogram(
         self, name: str, buckets: Iterable[float] = DEFAULT_BUCKETS
     ) -> Histogram:
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                metric = self._histograms[name] = Histogram(
-                    name, self._lock, buckets
-                )
+        metric = self._histograms.get(name)
+        if metric is None:
+            metric = self._histograms[name] = Histogram(name, buckets)
         return metric
 
     # -- queries ---------------------------------------------------------
@@ -116,21 +106,20 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """A JSON-able copy of every metric (the persistence format)."""
-        with self._lock:
-            return {
-                "counters": {
-                    name: c.value for name, c in sorted(self._counters.items())
-                },
-                "histograms": {
-                    name: {
-                        "buckets": list(h.buckets),
-                        "counts": list(h.counts),
-                        "sum": h.sum,
-                        "count": h.count,
-                    }
-                    for name, h in sorted(self._histograms.items())
-                },
-            }
+        return {
+            "counters": {
+                name: c.value for name, c in sorted(self._counters.items())
+            },
+            "histograms": {
+                name: {
+                    "buckets": list(h.buckets),
+                    "counts": list(h.counts),
+                    "sum": h.sum,
+                    "count": h.count,
+                }
+                for name, h in sorted(self._histograms.items())
+            },
+        }
 
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` (e.g. another worker's) into this one.
@@ -144,11 +133,10 @@ class MetricsRegistry:
         for name, data in snapshot.get("histograms", {}).items():
             hist = self.histogram(name, data.get("buckets", DEFAULT_BUCKETS))
             counts = data.get("counts", [])
-            with self._lock:
-                for i, c in enumerate(counts[: len(hist.counts)]):
-                    hist.counts[i] += int(c)
-                hist.sum += float(data.get("sum", 0.0))
-                hist.count += int(data.get("count", 0))
+            for i, c in enumerate(counts[: len(hist.counts)]):
+                hist.counts[i] += int(c)
+            hist.sum += float(data.get("sum", 0.0))
+            hist.count += int(data.get("count", 0))
 
     def render(self) -> str:
         """A flat human-readable dump (the ``repro-jobs top`` body)."""

@@ -264,7 +264,8 @@ class Tracer:
     ) -> None:
         """Record one map_ranks launch from the parent-side rank contexts.
 
-        Called *before* the contexts merge (and clear) their buffers.
+        Called at the barrier, before the world applies the contexts'
+        buffers.
         Each rank's lane starts at the superstep barrier and runs for the
         sum of its buffered compute seconds; named ``ctx.span`` sections
         become kernel children laid end to end inside the lane.  Everything

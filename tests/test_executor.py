@@ -10,7 +10,6 @@ results pickled, by ``tests/test_rank_isolation.py``.
 from __future__ import annotations
 
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -307,35 +306,6 @@ class TestSubcommInterleaving:
         per_rank = w.clock.per_rank_seconds("Phase")
         assert per_rank.shape == (4,)
         assert (per_rank > 0).all()
-
-    def test_collectives_safe_from_worker_threads(self):
-        """Misuse tolerance: concurrent collectives keep clock/log intact."""
-        w = SimWorld(4, cori_haswell())
-        n_threads, reps = 8, 25
-        errors = []
-
-        def hammer():
-            try:
-                for _ in range(reps):
-                    w.comm.bcast(None)
-                    w.comm.allgather([1, 2, 3, 4])
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(w.log) == n_threads * reps * 2
-        machine = cori_haswell()
-        expect = n_threads * reps * (
-            machine.collective_time("bcast", 4)
-            + machine.collective_time("allgather", 4, 32, 8)
-        )
-        got = w.clock.per_rank_seconds("default")
-        assert np.allclose(got, expect)
 
 
 # ---------------------------------------------------------------------------

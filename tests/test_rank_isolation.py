@@ -10,11 +10,16 @@ rank's arguments and each rank's result round-tripped through plain
 ``pickle`` -- the contexts stay in process -- and asserts the pinned
 digests, clocks, log lengths and peaks.  A step that closes over state,
 or reads another rank's objects by identity, fails here.
+
+The simulator's accounting (clocks, comm log, stage stack, metrics) has
+no locks because every superstep runs on the calling thread; the last
+check pins that premise.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -68,3 +73,26 @@ def test_closure_step_fails_the_check(pickled_supersteps):
 
     with pytest.raises((pickle.PicklingError, AttributeError), match="local"):
         world.map_ranks(step, [1, 2, 3, 4])
+
+
+def test_budgeted_traced_run_starts_no_thread(monkeypatch):
+    """A budgeted, traced run at P = 16 runs every rank step on the
+    calling thread, starts no thread, and leaves none behind."""
+    before = threading.enumerate()
+    caller = threading.current_thread()
+    seen = []
+    superstep = SimWorld._superstep
+
+    def watched(world, fn, per_rank_args, segmented):
+        def probed(*args):
+            seen.append((threading.current_thread(), threading.enumerate()))
+            return fn(*args)
+
+        return superstep(world, probed, per_rank_args, segmented)
+
+    monkeypatch.setattr(SimWorld, "_superstep", watched)
+    result, _tracer = run("budget_p16")
+    assert result.counts["overlap_spgemm_phases"] > 1
+    assert seen
+    assert all(thread is caller and now == before for thread, now in seen)
+    assert threading.enumerate() == before

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.errors import DistributionError
 from repro.mpi import MemoryBudget, ProcGrid, SimWorld, cori_haswell, zero_cost
-from repro.sparse import DistSparseMatrix, LocalCoo, arithmetic_semiring
+from repro.sparse import DistSparseMatrix, LocalCoo, SpgemmPlan, arithmetic_semiring
 from repro.sparse import distmat
 from repro.sparse import spgemm as spgemm_mod
 
@@ -264,8 +264,8 @@ class TestSpgemm:
         the one the per-stage symbolic pass produced."""
         g = ProcGrid(SimWorld(16, cori_haswell()))
         _, a = random_dist(g, 80, 60, density=0.3, seed=22)
-        plan = a.plan_spgemm(
-            a.transpose(), arithmetic_semiring(), MemoryBudget(20_000.0)
+        plan = SpgemmPlan.choose(
+            a, a.transpose(), arithmetic_semiring(), MemoryBudget(20_000.0)
         )
         assert plan.fits and plan.phases == 4
         assert plan.est_peak_bytes == 19752.0

@@ -193,9 +193,9 @@ class TestPhasedIdentity:
                 world = SimWorld(16, cori_haswell())
                 grid = ProcGrid(world)
                 A = random_dist(grid, (50, 50), 0.25, seed=21)
+                given = {} if phases is None else {"phases": phases}
                 C = A.spgemm(
-                    A, arithmetic_semiring(np.int64),
-                    merge_mode=mode, phases=phases,
+                    A, arithmetic_semiring(np.int64), merge_mode=mode, **given
                 )
                 runs[phases] = (C, world_accounting(world))
             assert_blocks_identical(runs[None][0], runs[1][0], ctx=mode)
@@ -315,7 +315,7 @@ class TestPlanner:
         _, A = self._operand()
         sr = arithmetic_semiring(np.int64)
         for budget in (None, MemoryBudget(None)):
-            plan = A.plan_spgemm(A, sr, budget)
+            plan = SpgemmPlan.choose(A, A, sr, budget)
             assert plan.phases == 1 and plan.fits
 
     def test_estimate_is_an_upper_bound(self):
@@ -337,11 +337,11 @@ class TestPlanner:
 
         world2, A2 = self._operand()
         budget = MemoryBudget(bulk_peak * 0.7)
-        plan = A2.plan_spgemm(A2, sr, budget)
+        plan = SpgemmPlan.choose(A2, A2, sr, budget)
         assert plan.phases > 1
         assert plan.fits
         assert plan.est_peak_bytes <= budget.limit_bytes
-        C = A2.spgemm(A2, sr, budget=budget, plan=plan)
+        C = A2.spgemm(A2, sr, phases=plan.phases)
         assert world2.memory.peak_overall() <= budget.limit_bytes
         assert not budget.violations
 
@@ -349,24 +349,14 @@ class TestPlanner:
         ref = A3.spgemm(A3, sr)
         assert_blocks_identical(C, ref)
 
-    def test_budget_only_argument_plans_internally(self):
-        world, A = self._operand()
-        sr = arithmetic_semiring(np.int64)
-        A.spgemm(A, sr)
-        peak = world.memory.peak_overall()
-        world2, A2 = self._operand()
-        world2.memory.set_budget(MemoryBudget(peak * 0.7))
-        A2.spgemm(A2, sr, budget=world2.memory.budget)
-        assert world2.memory.peak_overall() <= peak * 0.7
-
     def test_impossible_budget_records_violations(self):
         world, A = self._operand()
         budget = MemoryBudget(10.0)  # bytes: nothing fits
         world.memory.set_budget(budget)
-        plan = A.plan_spgemm(A, arithmetic_semiring(np.int64), budget)
+        plan = SpgemmPlan.choose(A, A, arithmetic_semiring(np.int64), budget)
         assert not plan.fits
         with world.stage_scope("Mult"):
-            A.spgemm(A, arithmetic_semiring(np.int64), budget=budget, plan=plan)
+            A.spgemm(A, arithmetic_semiring(np.int64), phases=plan.phases)
         assert budget.violations
         assert budget.violated_stages() == ["Mult"]
         assert budget.headroom(world.memory.stage_peak("Mult")) == 0.0
@@ -680,7 +670,7 @@ class TestStrictUpper:
         sr = arithmetic_semiring(np.int64)
         for attempt in (
             lambda: A.spgemm(B, sr, strict_upper=True),
-            lambda: A.plan_spgemm(B, sr, MemoryBudget(1.0), strict_upper=True),
+            lambda: SpgemmPlan.choose(A, B, sr, MemoryBudget(1.0), strict_upper=True),
         ):
             with pytest.raises(DistributionError, match="square"):
                 attempt()

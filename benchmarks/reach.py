@@ -70,7 +70,6 @@ _ORACLE = "scalar oracle: the reference the fast path is tested against"
 _FIXTURE = "test fixture: test files build their inputs with it"
 _ACCESSOR = "accessor of a result that tests read (their subject is the result)"
 _FROZEN = "named by the frozen benchmarks/e2e contract (ROADMAP 4(d))"
-_POLISH = "the in-run polish fork, decided with ROADMAP 4(d) and 5(c)"
 _RECOVERY = "recovery path: runs only when a stage fails or a checkpoint is lost"
 _PARKED_CALLER = "called only from a parked package"
 _JOBS = "called only by repro-jobs top, in its own process"
@@ -122,8 +121,6 @@ KEPT = {
     "sparse/spgemm.py:spgemm_symbolic": _FROZEN,
     "sparse/spgemm.py:spgemm_local": _FROZEN,
     "kernels.py:*": _FROZEN,
-    "core/contig.py:_polish_step": _POLISH,
-    "scaffold/polish.py:polish_packed": _POLISH,
     # recovery paths
     "pipeline/engine.py:RunContext.note": _RECOVERY,
     "pipeline/engine.py:CollectingObserver.on_stage_note": _RECOVERY,

@@ -22,6 +22,7 @@ from functools import partial
 
 import numpy as np
 
+from ..errors import PipelineError
 from ..kernels import resolve_kernel_tier
 from ..mpi.bigcount import MPI_COUNT_LIMIT
 from ..seq.readstore import DistReadStore
@@ -80,20 +81,6 @@ def _assemble_step(ctx, graph, shard, **walk):
     return res
 
 
-def _polish_step(ctx, res, shard, polish_config):
-    """One rank pileup-polishes its contigs against the reads it holds."""
-    if not res.contigs:
-        return res
-    # deferred import: scaffold builds on core, not the reverse
-    from ..scaffold.polish import polish_packed
-
-    polished, stats = polish_packed(res.contigs, shard, polish_config)
-    res.contigs = polished
-    # pileup cost: one vote per covered base per mapped read
-    ctx.charge_compute(sum(s.mean_depth * s.length for s in stats))
-    return res
-
-
 def contig_generation(
     S: DistSparseMatrix,
     reads: DistReadStore,
@@ -102,24 +89,24 @@ def contig_generation(
     emit_cycles: bool = False,
     count_limit: int = MPI_COUNT_LIMIT,
     polish: bool = False,
-    polish_config=None,
     assembly_engine: str = "batch",
     kernel_tier: str | None = None,
 ) -> ContigSet:
     """Generate the contig set from the string matrix S and the reads.
 
-    With ``polish=True`` each rank pileup-polishes its own contigs against
-    the reads it received in the sequence exchange (the paper's §7
-    polishing phase, localized exactly like the traversal: the exchange
-    already placed every contig's reads on its owner rank, so no further
-    communication is needed).
-
     ``assembly_engine`` selects the local traversal: ``"batch"`` (the
     default) or ``"scalar"``, the oracle it is bit-identical to.
     ``kernel_tier`` accepts only ``None`` or ``"numpy"``
-    (:func:`~repro.kernels.resolve_kernel_tier`).
+    (:func:`~repro.kernels.resolve_kernel_tier`), and ``polish`` only
+    ``False``: §7 polishing post-processes the result
+    (:func:`repro.scaffold.polish_contigs`).
     """
     resolve_kernel_tier(kernel_tier)
+    if polish:
+        raise PipelineError(
+            "contig_generation does not polish; run "
+            "repro.scaffold.polish_contigs on its contigs"
+        )
     world = S.grid.world
 
     with world.stage_scope(f"{STAGE_PREFIX}/BranchRemoval"):
@@ -151,12 +138,6 @@ def contig_generation(
             step, graphs, exchange.shards
         )
         contigs: list[Contig] = [c for res in per_rank for c in res.contigs]
-
-    if polish:
-        with world.stage_scope(f"{STAGE_PREFIX}/Polish"):
-            step = partial(_polish_step, polish_config=polish_config)
-            per_rank = world.map_ranks(step, per_rank, exchange.shards)
-            contigs = [c for res in per_rank for c in res.contigs]
 
     return ContigSet(
         contigs=contigs,

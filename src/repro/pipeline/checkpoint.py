@@ -39,7 +39,6 @@ from ..errors import PipelineError
 from ..kmer.counter import KmerTable
 from ..seq.readstore import DistReadStore
 from ..sparse.distmat import DistSparseMatrix
-from ..strgraph.transitive import TransitiveReductionResult
 from .config import PipelineConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,10 +53,11 @@ __all__ = [
     "adopt_artifact",
 ]
 
-#: bumped when a tag's payload changes meaning.  Dropping the read-store tag
-#: left it at 2: no stage produces a read store, so no run ever wrote that
-#: tag and no checkpoint on disk holds one
-CHECKPOINT_VERSION = 2
+#: bumped when a tag's payload or a stage's checkpoint changes meaning.  3:
+#: TrReduction's checkpoint holds S (2 held the reduction result as ``tr``)
+#: and ExtractContig's fingerprint lost ``polish``; the version roots every
+#: fingerprint, so a version-2 file is never found, hence never misread
+CHECKPOINT_VERSION = 3
 
 #: on-disk frame: MAGIC + sha256(payload) + pickled payload.  The digest
 #: makes *any* on-disk corruption -- a flipped bit as much as a truncation
@@ -133,13 +133,6 @@ def pack_artifact(value: Any) -> tuple[str, Any]:
     """Convert an artifact into a (tag, grid-free payload) pair."""
     if isinstance(value, DistSparseMatrix):
         return "distmat", _pack_matrix(value)
-    if isinstance(value, TransitiveReductionResult):
-        return "trresult", {
-            "S": _pack_matrix(value.S),
-            "rounds": value.rounds,
-            "removed_per_round": list(value.removed_per_round),
-            "phases_per_round": list(value.phases_per_round),
-        }
     if isinstance(value, KmerTable):
         return "kmertable", {
             "k": value.k,
@@ -168,13 +161,6 @@ def unpack_artifact(tag: str, payload: Any, ctx: "RunContext") -> Any:
     """Rehydrate a packed artifact onto the current run's grid."""
     if tag == "distmat":
         return _unpack_matrix(payload, ctx)
-    if tag == "trresult":
-        return TransitiveReductionResult(
-            S=_unpack_matrix(payload["S"], ctx),
-            rounds=payload["rounds"],
-            removed_per_round=list(payload["removed_per_round"]),
-            phases_per_round=list(payload.get("phases_per_round", [])),
-        )
     if tag == "kmertable":
         if len(payload["kmers_by_owner"]) != ctx.grid.nprocs:
             raise PipelineError(
@@ -216,8 +202,6 @@ def adopt_artifact(key: str, value: Any, ctx: "RunContext") -> Any:
     pack/unpack round trip so its operations charge this run's clocks.
     """
     foreign_grid = getattr(value, "grid", None)
-    if isinstance(value, TransitiveReductionResult):
-        foreign_grid = value.S.grid
     if foreign_grid is None or foreign_grid is ctx.grid:
         return value
     tag, payload = pack_artifact(value)
@@ -263,10 +247,9 @@ class CheckpointStore:
     ) -> Path:
         """Serialize a just-executed stage's products and counter deltas."""
         self.root.mkdir(parents=True, exist_ok=True)
-        keys = stage.checkpoint_keys if stage.checkpoint_keys is not None else stage.produces
         packed = {
             key: pack_artifact(ctx.artifacts[key])
-            for key in keys
+            for key in stage.produces
             if key in ctx.artifacts
         }
         blob = {
@@ -353,7 +336,6 @@ class CheckpointStore:
             ) from exc
         ctx.artifacts.update(unpacked)
         ctx.counts.update(blob["counts"])
-        stage.after_load(ctx)
 
     # -- cache-support surface ------------------------------------------
     def entries(self) -> list[Path]:

@@ -36,10 +36,12 @@ class PipelineConfig:
     # constants, not fields (nothing to choose, nothing to fingerprint),
     # kept for callers that still read them: supersteps run on the
     # calling thread, rank by rank; the numpy batch kernels are the one
-    # kernel tier; local assembly runs the batch engine
+    # kernel tier; local assembly runs the batch engine; §7 polishing is
+    # no stage (``repro.scaffold.polish_contigs`` post-processes a result)
     executor: ClassVar[str] = "serial"
     kernel_tier: ClassVar[str] = "numpy"
     contig_engine: ClassVar[str] = "batch"
+    polish: ClassVar[bool] = False
     # k-mer stage
     k: int = 31
     reliable_lo: int = 2
@@ -62,9 +64,6 @@ class PipelineConfig:
     partition_method: str = "lpt"
     emit_cycles: bool = False
     count_limit: int = MPI_COUNT_LIMIT
-    # §7 polishing phase: each rank pileup-polishes its own contigs against
-    # the reads the sequence exchange already placed on it
-    polish: bool = False
     # memory strategy the SpGEMM kernels model (paper §7 future work):
     # "fast" keeps all SUMMA partials live (CombBLAS default), "low"
     # streams each stage into the accumulator, charging merge passes for a

@@ -14,7 +14,7 @@ run:
 * **partial runs** -- ``pipeline.run(reads, cfg, until="TrReduction")``
   stops after the named stage and exposes its artifacts on the result;
 * **artifact injection** -- ``pipeline.run(reads, cfg,
-  from_artifacts={"C": C})`` skips every stage whose (demanded) products
+  from_artifacts={"C": C})`` skips every stage whose needed products
   are already present, re-homing injected distributed objects onto the
   run's own process grid;
 * **checkpoint/resume** -- with a ``checkpoint_dir``, each executed
@@ -78,6 +78,13 @@ MAIN_STAGES = [
 ]
 
 
+def in_stage(name: str, stage: str) -> bool:
+    """Whether clock stage ``name`` is ``stage`` or one of its
+    ``"<stage>/..."`` substages -- never an unrelated stage that merely
+    shares the name as a string prefix (``AlignmentExtra``)."""
+    return name == stage or name.startswith(stage + "/")
+
+
 # ---------------------------------------------------------------------------
 # stage protocol
 # ---------------------------------------------------------------------------
@@ -92,6 +99,8 @@ class Stage:
     wraps every ``run`` in ``world.stage_scope(self.name)`` so modeled time
     is attributed exactly as the monolithic driver attributed it.
 
+    ``produces`` is exactly what the stage publishes, and its checkpoint
+    holds exactly those artifacts; intermediates stay locals of ``run``.
     ``config_fields`` lists the :class:`PipelineConfig` attributes the
     stage's *output data* depends on; they feed the checkpoint fingerprint,
     so changing a field invalidates this stage's checkpoints (and every
@@ -102,17 +111,9 @@ class Stage:
     requires: tuple[str, ...] = ()
     produces: tuple[str, ...] = ()
     config_fields: tuple[str, ...] = ()
-    #: subset of ``produces`` worth serializing to a checkpoint; ``None``
-    #: means all of them.  Stages whose products alias each other (e.g. a
-    #: result object and one of its attributes) checkpoint the canonical
-    #: one and rebuild the rest in :meth:`after_load`.
-    checkpoint_keys: tuple[str, ...] | None = None
 
     def run(self, ctx: "RunContext") -> None:
         raise NotImplementedError
-
-    def after_load(self, ctx: "RunContext") -> None:
-        """Republish derived artifacts after a checkpoint load."""
 
     def config_signature(self, config: PipelineConfig) -> dict:
         """The config subset this stage's artifacts depend on."""
@@ -287,7 +288,7 @@ class PipelineResult:
     ``artifacts``, which injected and ``config.keep_graphs`` runs fill too
     (``"R"``, ``"S"``, ``"reads"``, ...).  ``stages_run`` / ``stages_skipped``
     record what the engine actually executed (skip reasons: ``"artifact"``
-    for injected or undemanded products, ``"checkpoint"`` for resumed
+    for injected or unneeded products, ``"checkpoint"`` for resumed
     stages).
     """
 
@@ -317,7 +318,7 @@ class PipelineResult:
         """
         total = 0.0
         for name, sec in self.report.stage_seconds.items():
-            if name == stage or name.startswith(stage + "/"):
+            if in_stage(name, stage):
                 total += sec
         return total
 
@@ -328,7 +329,7 @@ class PipelineResult:
         """Modeled seconds of each ExtractContig substage."""
         out = {}
         for name, sec in self.report.stage_seconds.items():
-            if name.startswith(STAGE_PREFIX + "/"):
+            if name != STAGE_PREFIX and in_stage(name, STAGE_PREFIX):
                 out[name.split("/", 1)[1]] = sec
         return out
 
@@ -415,7 +416,7 @@ def _modeled_seconds(world: SimWorld, stage: str) -> float:
     return sum(
         world.clock.stage_seconds(s)
         for s in world.clock.stages()
-        if s == stage or s.startswith(stage + "/")
+        if in_stage(s, stage)
     )
 
 
@@ -449,35 +450,16 @@ class Pipeline:
         return self.stages[: names.index(until) + 1]
 
     @staticmethod
-    def _plan(stages: list[Stage], artifacts: dict[str, Any]) -> list[Stage]:
-        """Demand-driven stage selection.
-
-        A stage executes only when some product of it is demanded (by a
-        later selected stage, or because the stage is terminal in the
-        slice) and not already present among the artifacts.
-        """
-        # products demanded by later stages, per position
-        later_requires: set[str] = set()
-        terminal_needs: set[str] = set()
-        demanded_after: list[set[str]] = [set()] * len(stages)
-        for i in range(len(stages) - 1, -1, -1):
-            demanded_after[i] = set(later_requires)
-            later_requires |= set(stages[i].requires)
-        for i, st in enumerate(stages):
-            if not (set(st.produces) & demanded_after[i]):
-                terminal_needs |= set(st.produces)
-
-        needed = set(terminal_needs)
-        selected: list[Stage] = []
-        for i in range(len(stages) - 1, -1, -1):
-            st = stages[i]
-            missing = [
-                k for k in st.produces if k in needed and k not in artifacts
-            ]
-            if missing:
-                selected.append(st)
+    def _plan(stages: list[Stage], artifacts: dict[str, Any]) -> set[str]:
+        """Names of the stages to execute, walking the chain backwards from
+        its last stage's products: a stage runs when a product it makes is
+        needed and absent, and then needs what it requires."""
+        needed = set(stages[-1].produces)
+        selected = set()
+        for st in reversed(stages):
+            if any(k in needed and k not in artifacts for k in st.produces):
+                selected.add(st.name)
                 needed |= set(st.requires)
-        selected.reverse()
         return selected
 
     # -- context construction -------------------------------------------
@@ -525,7 +507,10 @@ class Pipeline:
         checkpoint_store: Any = None,
         observers: Sequence[Any] = (),
     ) -> PipelineResult:
-        """Execute the pipeline (or the demanded part of it).
+        """Execute the chain of stages up to ``until``, or the part of it
+        that is needed: a stage runs only when something it produces is
+        needed and absent (:meth:`_plan`), so injected artifacts cut the
+        chain off above them.
 
         Parameters
         ----------
@@ -579,7 +564,7 @@ class Pipeline:
         )
 
         stage_slice = self._slice(until)
-        selected = {s.name for s in self._plan(stage_slice, ctx.artifacts)}
+        selected = self._plan(stage_slice, ctx.artifacts)
         result = PipelineResult(config=config, world=ctx.world, counts=ctx.counts)
 
         def skip(stage: Stage, reason: str) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MAIN_STAGES, PipelineResult
+from .engine import MAIN_STAGES, PipelineResult, in_stage
 
 __all__ = [
     "ScalingPoint",
@@ -134,10 +134,7 @@ def rank_breakdown_table(label: str, result: PipelineResult) -> str:
     charged = clock.stages()
     # a main stage may appear only through its substages (ExtractContig
     # charges everything under "ExtractContig/..."), so match on either
-    stages = [
-        s for s in MAIN_STAGES
-        if s in charged or any(n.startswith(s + "/") for n in charged)
-    ]
+    stages = [s for s in MAIN_STAGES if any(in_stage(n, s) for n in charged)]
     per_rank = {
         s: (
             clock.per_rank_seconds(s)

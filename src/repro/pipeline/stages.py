@@ -5,20 +5,21 @@ Each class wraps one phase of the paper's Fig. 1 as a :class:`Stage`;
 runs exactly these:
 
 1. ``CountKmer``      distributed k-mer counting (reliable filter)
-2. ``DetectOverlap``  A, A^T, C = A . A^T (SUMMA SpGEMM, seed semiring;
-                      the strict upper triangle: one entry per unordered
+2. ``DetectOverlap``  C = A . A^T (SUMMA SpGEMM, seed semiring; the
+                      strict upper triangle: one entry per unordered
                       candidate pair, so ``counts["C_nnz"]`` counts pairs)
 3. ``Alignment``      x-drop on every candidate, prune, containment removal
 4. ``TrReduction``    bidirected transitive reduction -> S
-5. ``ExtractContig``  Algorithm 2 (this paper's contribution), with the §7
-                      per-rank polish when ``config.polish`` is set
+5. ``ExtractContig``  Algorithm 2 (this paper's contribution)
 
-The §7 scaffolding in :mod:`repro.scaffold` is no stage: it post-processes
-a result's contigs, each scaffold round being one run of these five.
+Each stage publishes and checkpoints exactly what it computes: the k-mer
+matrix A is DetectOverlap's local, and transitive reduction's rounds and
+removals go to ``counts``.  The §7 scaffolding and polishing in
+:mod:`repro.scaffold` are no stages: they post-process a result's contigs,
+each scaffold round being one run of these five.
 
 Artifact keys: ``reads`` (DistReadStore, provided by the engine),
-``kmer_table``, ``A``, ``C``, ``R``, ``align_stats``, ``tr``, ``S``,
-``contigs``.
+``kmer_table``, ``C``, ``R``, ``align_stats``, ``S``, ``contigs``.
 """
 
 from __future__ import annotations
@@ -62,17 +63,13 @@ class CountKmerStage(Stage):
 class DetectOverlapStage(Stage):
     name = "DetectOverlap"
     requires = ("reads", "kmer_table")
-    produces = ("A", "C")
+    produces = ("C",)
     config_fields = ("k", "reliable_lo", "reliable_hi", "min_shared_kmers")
-    # A is the run's largest matrix and nothing downstream consumes it;
-    # resumed runs rehydrate only C
-    checkpoint_keys = ("C",)
 
     def run(self, ctx: RunContext) -> None:
         config = ctx.config
         A = build_kmer_matrix(ctx.require("reads"), ctx.require("kmer_table"))
         ctx.counts["A_nnz"] = A.nnz()
-        ctx.publish("A", A)
         C, plan = detect_overlaps(
             A,
             min_shared=config.min_shared_kmers,
@@ -119,14 +116,8 @@ class AlignmentStage(Stage):
 class TrReductionStage(Stage):
     name = "TrReduction"
     requires = ("R",)
-    produces = ("tr", "S")
+    produces = ("S",)
     config_fields = ("tr_fuzz", "tr_max_rounds")
-    # "S" is tr.S: checkpoint only the result object and restore the alias
-    # on load (avoids serializing the run's largest matrix twice)
-    checkpoint_keys = ("tr",)
-
-    def after_load(self, ctx: RunContext) -> None:
-        ctx.publish("S", ctx.require("tr").S)
 
     def run(self, ctx: RunContext) -> None:
         config = ctx.config
@@ -142,7 +133,6 @@ class TrReductionStage(Stage):
         ctx.counts["S_nnz"] = tr.S.nnz()
         ctx.counts["tr_rounds"] = tr.rounds
         ctx.counts["tr_removed"] = tr.total_removed
-        ctx.publish("tr", tr)
         ctx.publish("S", tr.S)
 
 
@@ -155,7 +145,6 @@ class ExtractContigStage(Stage):
         "partition_method",
         "emit_cycles",
         "count_limit",
-        "polish",
     )
 
     def run(self, ctx: RunContext) -> None:
@@ -167,7 +156,6 @@ class ExtractContigStage(Stage):
             partition_method=config.partition_method,
             emit_cycles=config.emit_cycles,
             count_limit=config.count_limit,
-            polish=config.polish,
         )
         ctx.counts["contigs"] = contigs.count
         ctx.counts["contig_roots"] = contigs.n_roots

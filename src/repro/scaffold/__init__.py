@@ -20,8 +20,8 @@ post-process a finished result's ``result.contigs.contigs``:
 * :mod:`repro.scaffold.polish` -- **polishing**: map each contig's
   constituent reads back onto the contig with unique k-mer anchors and take
   a per-column majority vote, correcting residual single-read errors that
-  the verbatim concatenation of §4.4 inherits.  The same vote runs inside a
-  run, per rank, under ``PipelineConfig(polish=True)``.
+  the verbatim concatenation of §4.4 inherits.  It runs after the five
+  stages, never inside a run (``repro-assemble --polish`` calls it).
 """
 
 from .merge import (

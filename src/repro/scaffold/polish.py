@@ -37,7 +37,6 @@ __all__ = [
     "ContigPolishStats",
     "PolishResult",
     "polish_contigs",
-    "polish_packed",
 ]
 
 
@@ -244,33 +243,6 @@ def _polish_loop(
             break
     assert total_stats is not None
     return current, total_stats
-
-
-def polish_packed(
-    contigs: list[Contig],
-    shard,
-    config: PolishConfig | None = None,
-) -> tuple[list[Contig], list[ContigPolishStats]]:
-    """Polish one rank's contigs against its exchanged read shard.
-
-    The distributed pipeline's per-rank entry point: after the induced
-    subgraph and sequence exchange (§4.3), each rank holds exactly the
-    reads of its assigned contigs in a :class:`~repro.seq.readstore.
-    PackedReads` shard, so polishing is embarrassingly parallel -- the
-    same localization argument the paper makes for the traversal itself.
-    """
-    cfg = config or PolishConfig()
-    cfg.validate()
-    reads_by_id = {
-        int(g): shard.codes(i) for i, g in enumerate(shard.ids)
-    }
-    out: list[Contig] = []
-    stats: list[ContigPolishStats] = []
-    for ci, contig in enumerate(contigs):
-        polished, st = _polish_loop(contig, reads_by_id, None, cfg, ci)
-        out.append(polished)
-        stats.append(st)
-    return out, stats
 
 
 def polish_contigs(

@@ -221,18 +221,39 @@ print(json.dumps(chain))
         assert fresh == self._chain_here(reads, cfg)
         assert len(set(fresh)) == 6  # base + 5 distinct stage fingerprints
 
+    #: the same chain under checkpoint version 2, before TrReduction's
+    #: checkpoint held S itself and ExtractContig's fingerprint lost ``polish``
+    V2_CHAIN = [
+        "e92d58365830f56675a3ead3ebb14f1896ed279dd435c76c14efb8846b7a4674",
+        "6b222e7d93a96340465c2e593961136e41b65d014d3b3aa4560677771160cfa8",
+        "370b062ba65fc088d3c4848656349fe8be91707fe909ea3a2863f7c5f1de2007",
+        "1b29147f03eed47d4ad8c9cc6cf16e17f32ae68a5100e976d60b20b998b55585",
+        "a3ad6e6a6551d366b5a156f994719f007b365d2376dd30c6122a9fc437ef6640",
+        "ebed096da675647b07736d9bd05748dce1aff74f58c50be8935a1efd166df0bb",
+    ]
+
     def test_default_chain_pinned(self, reads):
-        """The default config's chain on the fixture reads, as computed
-        before ``PipelineConfig.executor`` became a constant: checkpoints
-        and cache entries written then still load without recompute."""
-        assert self._chain_here(reads, PipelineConfig()) == [
-            "e92d58365830f56675a3ead3ebb14f1896ed279dd435c76c14efb8846b7a4674",
-            "6b222e7d93a96340465c2e593961136e41b65d014d3b3aa4560677771160cfa8",
-            "370b062ba65fc088d3c4848656349fe8be91707fe909ea3a2863f7c5f1de2007",
-            "1b29147f03eed47d4ad8c9cc6cf16e17f32ae68a5100e976d60b20b998b55585",
-            "a3ad6e6a6551d366b5a156f994719f007b365d2376dd30c6122a9fc437ef6640",
-            "ebed096da675647b07736d9bd05748dce1aff74f58c50be8935a1efd166df0bb",
+        """The default config's chain on the fixture reads under checkpoint
+        version 3.  Version 3 changed what TrReduction's checkpoint holds
+        (S itself; version 2 stored the reduction's result object as
+        ``tr``) and dropped ``polish`` from ExtractContig's fingerprint.
+        The version is the chain's root, so every link moved: a directory
+        written under version 2 holds no file that ``has()`` looks for,
+        and each of its stages is recomputed, never misread."""
+        chain = self._chain_here(reads, PipelineConfig())
+        assert chain == [
+            "ea3a2a692541e70df4eff8b08cef22eafccd5fdc92c1729a24786eaa7e245a92",
+            "7ccf958a43273a7d79a73a2fa8f08020736dcf0ae59108ae807f7d9f8740485f",
+            "5147415491d5d8892eb1cabb3e4aa3f4f9af789cf6090533a87a91440a03002a",
+            "4daaf0b49df529f9f45bc7b75baee8af1ad0a2a5435749b9ebf96a4d442f3bb2",
+            "798cb2714008702c0741f889afaf59d5c4d5ec049f19bda155da5f291100d218",
+            "c0e8a02e9d4c6d58ce2eec9c846d08c7e441b2fcc323eac198f87fd59ec1bd4e",
         ]
+        store = CheckpointStore(".")
+        for stage, old, new in zip(
+            Pipeline.default().stages, self.V2_CHAIN[1:], chain[1:]
+        ):
+            assert store.path(stage.name, old) != store.path(stage.name, new)
 
     def test_chain_sensitive_to_reads_and_config(self, reads, cfg):
         import dataclasses

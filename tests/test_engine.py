@@ -16,6 +16,7 @@ from repro.faults import (
     checkpoint_corrupt,
     rank_crash,
 )
+from repro.kmer.kmermatrix import build_kmer_matrix
 from repro.mpi import ProcGrid, SimWorld
 from repro.pipeline import MAIN_STAGES
 from repro.pipeline.config import EXECUTION_FIELDS
@@ -70,6 +71,32 @@ class TestPartialRuns:
         assert ("ExtractContig", "until") in res.stages_skipped
         assert "S" in res.artifacts and "R" in res.artifacts
 
+    def test_artifacts_are_products_of_stages_run(self, tiled, cfg):
+        """A partial run holds the reads plus exactly what its stages
+        produce: no k-mer matrix A, no reduction result beside S.  With
+        the last stage's product injected, nothing runs."""
+        _, rs = tiled
+        pipe = Pipeline.default()
+        overlap = pipe.run(rs, cfg, until="DetectOverlap")
+        assert set(overlap.artifacts) == {"reads", "kmer_table", "C"}
+        reduced = pipe.run(rs, cfg, until="TrReduction")
+        assert set(reduced.artifacts) == {
+            "reads", "kmer_table", "C", "R", "align_stats", "S",
+        }
+        for until, key, source in (
+            ("DetectOverlap", "C", overlap),
+            ("TrReduction", "S", reduced),
+        ):
+            res = pipe.run(
+                rs, cfg, until=until, from_artifacts={key: source.artifacts[key]}
+            )
+            assert res.stages_run == []
+            stop = MAIN_STAGES.index(until) + 1
+            assert res.stages_skipped == (
+                [(name, "artifact") for name in MAIN_STAGES[:stop]]
+                + [(name, "until") for name in MAIN_STAGES[stop:]]
+            )
+
     def test_until_unknown_stage_rejected(self, tiled, cfg):
         _, rs = tiled
         with pytest.raises(PipelineError):
@@ -105,7 +132,10 @@ class TestArtifactInjection:
         pipe = Pipeline.default()
         kept = dataclasses.replace(cfg, keep_graphs=True)
         partial = pipe.run(rs, kept, until="DetectOverlap")
-        A, upper = partial.artifacts["A"], partial.artifacts["C"]
+        upper = partial.artifacts["C"]
+        A = build_kmer_matrix(
+            partial.artifacts["reads"], partial.artifacts["kmer_table"]
+        )
         symmetric = A.spgemm(A.transpose(), seed_semiring(), exclude_diagonal=True)
         assert symmetric.nnz() == 2 * upper.nnz()
         runs = [
@@ -199,14 +229,23 @@ class TestCheckpointResume:
 
 
 class TestCheckpointFidelity:
-    def test_resume_preserves_tr_alias(self, tiled, cfg, tmp_path):
-        """'S' is checkpointed by reference: after a resume it must still
-        be the same object as tr.S (and not serialized twice)."""
+    def test_resume_restores_s_and_tr_counts(self, tiled, cfg, tmp_path):
+        """TrReduction's checkpoint holds S and nothing else; its rounds
+        and removals come back through the checkpoint's counts."""
         _, rs = tiled
         pipe = Pipeline.default()
-        pipe.run(rs, cfg, checkpoint_dir=tmp_path)
+        first = pipe.run(rs, cfg, checkpoint_dir=tmp_path, until="TrReduction")
         res = pipe.run(rs, cfg, checkpoint_dir=tmp_path, until="TrReduction")
-        assert res.artifacts["tr"].S is res.artifacts["S"]
+        assert res.stages_run == []
+        assert ("TrReduction", "checkpoint") in res.stages_skipped
+        for got, want in zip(
+            res.artifacts["S"].to_global_coo(),
+            first.artifacts["S"].to_global_coo(),
+        ):
+            assert np.array_equal(got, want)
+        for key in ("tr_rounds", "tr_removed", "S_nnz"):
+            assert res.counts[key] == first.counts[key]
+        assert first.counts["tr_rounds"] >= 1
 
 
 class TestObserverHooks:

@@ -282,6 +282,27 @@ class TestRemovedKnobsRejected:
         assert svc.run_worker() == []
 
 
+class TestInRunPolishRefused:
+    """§7 polishing post-processes a result (``polish_contigs``); the two
+    names ``benchmarks/e2e`` still passes only accept "no polish"."""
+
+    def test_config(self):
+        with pytest.raises(TypeError, match="polish"):
+            PipelineConfig(nprocs=4, polish=True)
+        assert PipelineConfig().polish is False
+
+    def test_contig_generation(self, tiled):
+        from repro.core import contig_generation
+
+        _, rs = tiled
+        cfg = PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5)
+        partial = Pipeline.default().run(rs, cfg, until="TrReduction")
+        S, reads = partial.artifacts["S"], partial.artifacts["reads"]
+        with pytest.raises(PipelineError, match="polish"):
+            contig_generation(S, reads, polish=True)
+        assert contig_generation(S, reads, polish=False).count >= 1
+
+
 class TestKernelTierContract:
     """What ``benchmarks/e2e`` still calls: the one tier answers, any other
     name is a :class:`KernelError`."""

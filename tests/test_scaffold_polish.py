@@ -171,8 +171,10 @@ class TestInputsAndValidation:
 
 
 class TestInPipelinePolish:
-    """The distributed polishing phase: each rank polishes its contigs
-    against the reads the sequence exchange placed on it."""
+    """Polishing what a distributed run assembled.  §7 polishing is no
+    stage: it post-processes ``result.contigs`` with ``polish_contigs``
+    (what ``repro-assemble --polish`` does), using each contig's
+    ``read_path`` provenance from the run."""
 
     @pytest.fixture(scope="class")
     def noisy_reads(self):
@@ -185,19 +187,18 @@ class TestInPipelinePolish:
         )
         return genome, reads
 
-    def run(self, reads, polish, nprocs=4):
+    def run(self, reads, nprocs=4):
         from repro.pipeline import Pipeline, PipelineConfig
 
         return Pipeline.default().run(
-            reads,
-            PipelineConfig(nprocs=nprocs, k=21, end_margin=20, polish=polish),
-        )
+            reads, PipelineConfig(nprocs=nprocs, k=21, end_margin=20)
+        ).contigs.contigs
 
-    def _mismatches(self, result, genome):
+    def _mismatches(self, contigs, genome):
         from repro.quality import evaluate_assembly
 
         total = 0
-        for c in result.contigs.contigs:
+        for c in contigs:
             rep = evaluate_assembly([c], genome, k=21)
             for b in rep.mappings[0].blocks:
                 ref = genome[b.ref_start : b.ref_end]
@@ -210,61 +211,39 @@ class TestInPipelinePolish:
 
     def test_polish_reduces_base_errors(self, noisy_reads):
         genome, reads = noisy_reads
-        plain = self.run(reads, polish=False)
-        polished = self.run(reads, polish=True)
+        plain = self.run(reads)
+        polished = polish_contigs(plain, reads).contigs
         assert self._mismatches(polished, genome) < self._mismatches(
             plain, genome
         )
 
     def test_structure_unchanged(self, noisy_reads):
         _genome, reads = noisy_reads
-        plain = self.run(reads, polish=False)
-        polished = self.run(reads, polish=True)
-        assert polished.contigs.count == plain.contigs.count
-        for a, b in zip(plain.contigs.contigs, polished.contigs.contigs):
+        plain = self.run(reads)
+        polished = polish_contigs(plain, reads).contigs
+        assert len(polished) == len(plain)
+        for a, b in zip(plain, polished):
             assert a.read_path == b.read_path
             assert a.length == b.length
-
-    def test_polish_stage_charged(self, noisy_reads):
-        _genome, reads = noisy_reads
-        polished = self.run(reads, polish=True)
-        sub = polished.contig_substage_breakdown()
-        assert "Polish" in sub and sub["Polish"] > 0
-        plain = self.run(reads, polish=False)
-        assert "Polish" not in plain.contig_substage_breakdown()
 
     @pytest.mark.parametrize("nprocs", [1, 9])
     def test_grid_invariance(self, noisy_reads, nprocs):
         _genome, reads = noisy_reads
-        base = self.run(reads, polish=True, nprocs=4)
-        other = self.run(reads, polish=True, nprocs=nprocs)
-        a = sorted(c.sequence() for c in base.contigs.contigs)
-        b = sorted(c.sequence() for c in other.contigs.contigs)
+        base = polish_contigs(self.run(reads, nprocs=4), reads).contigs
+        other = polish_contigs(self.run(reads, nprocs=nprocs), reads).contigs
+        a = sorted(c.sequence() for c in base)
+        b = sorted(c.sequence() for c in other)
         assert a == b
-
-    @pytest.mark.parametrize("nprocs", [1, 4, 9])
-    def test_equals_polishing_the_result(self, noisy_reads, nprocs):
-        """The in-run phase is ``polish_contigs`` over the plain run's
-        contigs, contig for contig and in order: one way to polish inside a
-        run, one to post-process a result, and no third."""
-        _genome, reads = noisy_reads
-        plain = self.run(reads, polish=False, nprocs=nprocs)
-        polished = self.run(reads, polish=True, nprocs=nprocs)
-        post = polish_contigs(plain.contigs.contigs, reads)
-        assert post.total_changed >= 1
-        assert [c.sequence() for c in polished.contigs.contigs] == [
-            c.sequence() for c in post.contigs
-        ]
 
     def test_error_free_input_is_noop(self):
-        rng = np.random.default_rng(6)
         g = genome_of(2000, seed=20)
         reads = tiles(g, 250, 100)
-        plain = self.run(reads, polish=False)
-        polished = self.run(reads, polish=True)
-        a = sorted(c.sequence() for c in plain.contigs.contigs)
-        b = sorted(c.sequence() for c in polished.contigs.contigs)
-        assert a == b
+        plain = self.run(reads)
+        post = polish_contigs(plain, reads)
+        assert post.total_changed == 0
+        assert [c.sequence() for c in post.contigs] == [
+            c.sequence() for c in plain
+        ]
 
 
 class TestPolishProperties:

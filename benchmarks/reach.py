@@ -23,8 +23,8 @@ names a function that no longer exists; so a PR that deletes code runs
 this script to show what is left, and one that adds code the runs do
 not reach must say why here.
 
-It is not a CI step: it re-runs every CI command under a profiler
-(about 2 minutes on a 2-core host).  Standard library only, plus the
+CI runs it as a step of its own: it re-runs every CI command under a
+profiler (about 90 s on a 2-core host).  Standard library only, plus the
 pytest that the benches already need::
 
     python benchmarks/reach.py

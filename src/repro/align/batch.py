@@ -20,13 +20,16 @@ whole seed-and-extend pipeline over *arrays* of pairs at once:
   for one compare and one ``flatnonzero``.
 * **Banded DP kernel** (``mode="dp"``) -- a wavefront formulation of
   :func:`~repro.align.xdrop.extend_banded`, one side of the seed at a
-  time: all pairs advance their anti-diagonals in lockstep over int32
-  parity planes that hold only the cells of the antidiagonal's parity,
-  reading a uint8 code matrix copied from the pool's windows and a uint8
-  validity matrix (about 2 bytes per slice cell in all).  A pair retires
-  after two consecutive dead antidiagonals (the x-drop rule), and retired
-  pairs are compacted out of the working set whenever the live count
-  halves, so the pairs that terminate early stop costing work.
+  time: all pairs advance their anti-diagonals in lockstep over parity
+  planes that hold only the cells of the antidiagonal's parity, in the
+  narrowest score dtype the call's inputs prove safe (int16 for the
+  shipped scores and read lengths), reading a uint8 code matrix copied
+  from the pool's windows whose rows past a pair's sequence are marked
+  (about 1 byte per slice cell in all).  A pair retires after two
+  consecutive dead antidiagonals (the x-drop rule); liveness is tested
+  every few antidiagonals, and retired pairs are compacted out of the
+  working set whenever the live count halves, so the pairs that
+  terminate early stop costing work.
 
 Both kernels are **bit-identical** to the scalar reference (enforced by
 the property tests of ``tests/test_align_batch.py``).  The scalar functions
@@ -287,6 +290,37 @@ def _gapless_events(pool, start_a, start_b, n, x, up, down, events):
 #: (bounds the transposing copy's scratch to a few hundred rows).
 _COPY_LANES = 256
 
+#: Antidiagonals per liveness check of the banded wavefront (at least 2):
+#: a lane dead on two consecutive antidiagonals stays dead and keeps its
+#: best, so the early break and the compaction look only every K-th one.
+_CHECK_EVERY = 8
+
+
+def _score_dtype(peak: int, top: int, x: int, low: int) -> tuple[type, int]:
+    """The narrowest score dtype of :func:`_banded_side_batch`, and ``off``.
+
+    A cell stores ``off + score * 2**low`` (0 when dead), plus a ramp
+    below ``2**low`` in the reduction.  ``off`` is the smallest power of
+    two above ``(x + 2 * top) << low``, so a cell computed from a live one
+    stays positive and one computed from dead ones stays below the x-drop
+    threshold.  With ``peak`` bounding every cell's score and ``top`` the
+    largest step, no value the kernel forms reaches ``off + ((peak + 2 *
+    top + 1) << low)``: the dtype is int16 when that bound is below
+    ``2**15``, int32 when below ``2**31``, else int64.
+    """
+    off = 1 << ((x + 2 * top) << low).bit_length()
+    bound = off + ((peak + 2 * top + 1) << low)
+    for dtype in (np.int16, np.int32):
+        if bound < 1 << (8 * np.dtype(dtype).itemsize - 1):
+            return dtype, off
+    return np.int64, off
+
+
+#: Bits a code row carries past a lane's ``a`` (``b``) sequence: a code
+#: from ``_PAST_A`` up is past one of them, and no two such rows of the
+#: two sides, nor one and a base, compare equal.
+_PAST_A, _PAST_B = 4, 8
+
 
 def _code_rows(
     pool: np.ndarray,
@@ -297,16 +331,16 @@ def _code_rows(
     acols: int,
     bcols: int,
     pad: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The position-major code and validity matrices of
-    :func:`_banded_side_batch`, one column per lane.
+) -> np.ndarray:
+    """The position-major code matrix of :func:`_banded_side_batch`, one
+    column per lane.
 
     With ``bo = acols + 2 * pad``, code row ``pad + t`` holds ``a[t]`` and
     row ``bo + pad + bcols - 1 - t`` holds ``b[t]``, copied from the
-    pool's windows a block of lanes at a time; every other row is 0.  Row
-    ``r < bo`` stands for cell ``i = r - pad + 1``, row ``r >= bo`` for
-    ``j = bo + pad + bcols - r``, and the validity row is 1 where that
-    cell lies in ``[0, na]`` (``[0, nb]``).
+    pool's windows a block of lanes at a time.  Row ``r < bo`` stands for
+    cell ``i = r - pad + 1``, row ``r >= bo`` for ``j = bo + pad + bcols -
+    r``; where that cell lies past ``na`` (``nb``) the row has the bit
+    :data:`_PAST_A` (:data:`_PAST_B`) set, and every other row is 0.
     """
     bo = acols + 2 * pad
     nrows = bo + bcols + 2 * pad
@@ -314,16 +348,16 @@ def _code_rows(
     a_rows = codes[pad : pad + acols]
     b_rows = codes[bo + pad : bo + pad + bcols][::-1]
     win_a, win_b = _windows(pool, acols), _windows(pool, bcols)
+    rows = np.arange(nrows)[:, None]
     for l0 in range(0, na.size, _COPY_LANES):
-        l1 = l0 + _COPY_LANES
-        a_rows[:, l0:l1] = win_a[start_a[l0:l1]].T
-        b_rows[:, l0:l1] = win_b[start_b[l0:l1]].T
-    valid = np.empty(codes.shape, dtype=np.uint8)
-    np.less_equal(np.arange(1 - pad, bo + 1 - pad)[:, None], na, out=valid[:bo])
-    np.less_equal(np.arange(pad + bcols, -pad, -1)[:, None], nb, out=valid[bo:])
-    valid[: pad - 1] = 0
-    valid[nrows - pad + 1 :] = 0
-    return codes, valid
+        lb = slice(l0, l0 + _COPY_LANES)
+        a_rows[:, lb] = win_a[start_a[lb]].T
+        b_rows[:, lb] = win_b[start_b[lb]].T
+        past_a = rows[:bo] >= pad + na[lb]
+        past_b = rows[bo:] < bo + pad + bcols - nb[lb]
+        codes[:bo, lb] |= np.multiply(past_a, _PAST_A, dtype=np.uint8)
+        codes[bo:, lb] |= np.multiply(past_b, _PAST_B, dtype=np.uint8)
+    return codes
 
 
 def _banded_side_batch(
@@ -357,24 +391,40 @@ def _banded_side_batch(
       the wrong parity is ever computed.
     * **Codes copied once.**  ``a`` is laid out forward and ``b``
       reversed, so the cells of ``s`` read ``a[i - 1]`` and ``b[j - 1]``
-      as two contiguous row ranges; the rows are copied straight from the
-      pool's windows, and stop where the band leaves the other sequence.
-      A uint8 validity matrix on the same rows (1 where ``i`` lies in
-      ``[0, na]``, or ``j`` in ``[0, nb]``) is multiplied into every cell,
-      so a cell outside a lane's sequences is dead.
-    * **Offset, scaled int32 scores.**  A cell stores ``off + score *
-      2**low`` and a dead cell is 0, so the x-drop is one compare and one
-      multiply.  A descending slot ramp in the low bits makes the round's
-      one reduction yield both the round max and its first-argmax slot.
-      The dtype is int32 unless ``(na + nb)·max|score| + x`` could
-      overflow it (the rule of :func:`_gapless_side_batch`); then int64.
+      as two contiguous row ranges of one uint8 matrix (about 1 byte per
+      slice cell); the rows are copied straight from the pool's windows,
+      and stop where the band leaves the other sequence.
+    * **Cells past a sequence.**  A cell with ``i > na`` or ``j > nb``
+      reads a code row marked :data:`_PAST_A` or :data:`_PAST_B`, which
+      equals nothing, so every move into it scores a gap or a mismatch.
+      Unless one of those is positive, such a cell never tops the best
+      it grew from and feeds no cell inside both sequences, so the
+      x-drop alone retires it.  Otherwise it must be dead: a lane has
+      none before antidiagonal ``w0 = 2 min(na, nb) - band`` and is dead
+      two past its last one (``<= w0 + 2 band``), so with lanes sorted by
+      ``w0`` one narrow column range per antidiagonal is tested.  (Cells
+      with ``i < 0`` or ``j < 0`` are never reached from a live cell.)
+    * **Offset, scaled scores in the narrowest safe dtype.**  A cell
+      stores ``off + score * 2**low`` and a dead cell is 0, so the x-drop
+      is one compare and one multiply.  A descending slot ramp in the low
+      bits makes the round's one reduction yield both the round max and
+      its first-argmax slot.  :func:`_score_dtype` picks int16, int32 or
+      int64 from this call's scores, lengths and ``x``.  The gap and
+      mismatch steps are folded, ``max(g + gap, d + mis) = max(g + (gap -
+      mis), d) + mis``, so equal ones cost one add fewer.
     * **Termination.**  A lane is live while the round max clears
       ``best - x`` on ``s`` or ``s - 1``: it ends after two consecutive
-      dead antidiagonals, exactly like the scalar oracle.  Once the live
-      count halves, retired lanes are compacted out of every matrix.
+      dead antidiagonals, exactly like the scalar oracle.  A lane dead on
+      two consecutive antidiagonals stays dead and keeps its best, so
+      liveness is tested only on every :data:`_CHECK_EVERY`-th
+      antidiagonal (and the one before it): the call stops there once no
+      lane is live, and once the live count halves, retired lanes are
+      compacted out of the working set, with only the code rows later
+      antidiagonals still read.
 
-    The rounds run are added to the ``align.banded_rounds`` counter of
-    the metrics registry.
+    The antidiagonals computed are added to the ``align.banded_rounds``
+    counter of the metrics registry: the last one with a live lane,
+    rounded up to the next check, or the last one with a cell.
     """
     npairs = na.size
     best_i = np.zeros(npairs, dtype=np.int64)
@@ -383,6 +433,10 @@ def _banded_side_batch(
     lanes = np.flatnonzero((na > 0) & (nb > 0))
     if not lanes.size:
         return best_i, best_j, best_score
+    # lanes by the first antidiagonal with a cell past either sequence
+    w0 = 2 * np.minimum(na[lanes], nb[lanes]) - band
+    order = np.argsort(w0, kind="stable")
+    lanes, w0 = lanes[order], w0[order]
     na, nb = na[lanes], nb[lanes]
     # the last antidiagonal with a cell inside both sequences and the band
     max_anti = int(np.minimum(na + nb, 2 * np.minimum(na, nb) + band).max())
@@ -390,22 +444,20 @@ def _banded_side_batch(
     top = max(abs(match), abs(mismatch), abs(gap))
     # scores stay within +-max_anti * top, so a wider x-drop never fires
     x = min(x, 2 * max_anti * top + 1)
-    # with off = 2**bits a cell inside the sequences lies in (0, 2 * off)
-    # and a dead one is 0
-    bits = 28 if ((max_anti + 4) * top + x) << low < 1 << 28 else 60
-    dtype = np.int32 if bits == 28 else np.int64
-    off = 1 << bits
+    # a path to (i, j) makes at most min(i, j) diagonal and i + j gap moves
+    peak = max(match, mismatch, 0) * int(np.minimum(na, nb).max())
+    peak += max(gap, 0) * int((na + nb).max())
+    dtype, off = _score_dtype(peak, top, x, low)
 
-    # position-major codes and validity (see _code_rows).  A cell inside
-    # the band has i <= j + band, so a lane never reads a past
-    # min(na, nb + band) (nor b past its mirror)
+    # position-major codes (see _code_rows).  A cell inside the band has
+    # i <= j + band, so a lane never reads a past min(na, nb + band) (nor
+    # b past its mirror)
     pad = band + 2
     acols = int(np.minimum(na, nb + band).max())
     bcols = int(np.minimum(nb, na + band).max())
     bo = acols + 2 * pad
-    codes, valid = _code_rows(
-        pool, start_a[lanes], start_b[lanes], na, nb, acols, bcols, pad
-    )
+    codes = _code_rows(pool, start_a[lanes], start_b[lanes], na, nb, acols, bcols, pad)
+    row0 = 0  # the code row that codes[0] holds
 
     # parity plane c = rows base[c] .. base[c] + cnt[c] + 1 of `planes`;
     # slot k = c + 2m sits at row base[c] + 1 + m, guards either side
@@ -424,82 +476,103 @@ def _banded_side_batch(
         for n in cnt
     ]
     high = dtype(-(1 << low))
-    gap_s = dtype(gap << low)
+    # max(g + gap, d + mis) = max(g + (gap - mis), d) + mis
+    gap_s = dtype((gap - mismatch) << low)
     mis_s = dtype(mismatch << low)
     sub_s = dtype((match - mismatch) << low)
-    x_s = x << low
+    x_s = dtype(x << low)
 
     best = np.full(lanes.size, off, dtype=dtype)
     best_key = np.full(lanes.size, (1 << low) - 1 - band // 2, dtype=dtype)
     best_s = np.zeros(lanes.size, dtype=np.int64)
-    alive_prev = np.ones(lanes.size, dtype=bool)
+    # every move into a cell past a sequence scores gap or mismatch (its
+    # code equals nothing); unless one is positive, such a cell never tops
+    # the best it grew from and needs no test
+    test_past = gap > 0 or mismatch > 0
 
     def retire(rows):
         s = best_s[rows]
-        m = (1 << low) - 1 - (best_key[rows] & ((1 << low) - 1))
+        m = (1 << low) - 1 - (best_key[rows] & ((1 << low) - 1)).astype(np.int64)
         i = ((s + ((s + band) & 1) - band) >> 1) + m
         best_i[lanes[rows]] = i
         best_j[lanes[rows]] = s - i
-        best_score[lanes[rows]] = (best[rows] - off) >> low
+        best_score[lanes[rows]] = (best[rows].astype(np.int64) - off) >> low
 
-    def scratch(width):
-        return (
-            np.empty((2, band + 1, width), dtype=dtype),
-            np.empty((band + 1, width), dtype=bool),
-            np.empty((band + 1, width), dtype=np.uint8),
-        )
+    def views(planes):
+        """Per parity: the plane, its two gap sources on the other plane,
+        the ramp, and work arrays for g, d and the compares."""
+        width = planes.shape[1]
+        work = np.empty((2, band + 1, width), dtype=dtype)
+        hit = np.empty((band + 1, width), dtype=bool)
+        out = []
+        for c, n in enumerate(cnt):
+            side = base[1 - c] + c
+            out.append((
+                planes[base[c] + 1 : base[c] + 1 + n],
+                planes[side : side + n],
+                planes[side + 1 : side + 1 + n],
+                ramp[c][:, :width],
+                work[0, :n], work[1, :n], hit[:n],
+            ))
+        return out
 
-    work, hit, inside = scratch(lanes.size)
+    per = views(planes)
     for s in range(1, max_anti + 1):
         c = (s + band) & 1
         n = cnt[c]
         i0 = (s + c - band) >> 1  # i of the plane's first cell
-        ra = pad + i0 - 1
-        rb = bo + pad + bcols - (s - i0)
-        cur = planes[base[c] + 1 : base[c] + 1 + n]  # still s - 2 here
-        side = base[1 - c] + c
-        g, d, h = work[0, :n], work[1, :n], hit[:n]
+        ra = pad + i0 - 1 - row0
+        rb = bo + pad + bcols - (s - i0) - row0
+        # cur still holds s - 2 here, left and right are s - 1
+        cur, left, right, ramp_c, g, d, h = per[c]
         # gap moves: the better neighbour slot (k -+ 1) on s - 1
-        np.maximum(planes[side : side + n], planes[side + 1 : side + 1 + n], out=g)
-        g += gap_s
-        # diagonal move: the same slot on s - 2, plus match or mismatch
+        np.maximum(left, right, out=g)
+        if gap_s:
+            g += gap_s
+        # diagonal move: the same slot on s - 2, plus match - mismatch
         np.equal(codes[ra : ra + n], codes[rb : rb + n], out=h)
         np.multiply(h, sub_s, out=d)
         d += cur
-        d += mis_s
         np.maximum(g, d, out=cur)
-        # cells outside either sequence are dead
-        np.multiply(valid[ra : ra + n], valid[rb : rb + n], out=inside[:n])
-        cur *= inside[:n]
+        cur += mis_s
+        if test_past:
+            w = slice(w0.searchsorted(s - 2 * band - 2), w0.searchsorted(s))
+            past = np.maximum(codes[ra : ra + n, w], codes[rb : rb + n, w])
+            cur[:, w] *= past < _PAST_A
         # round max and its first slot in one reduction
-        np.add(cur, ramp[c], out=g)
+        np.add(cur, ramp_c, out=g)
         key = np.maximum.reduce(g, axis=0, initial=0)  # band 0: n may be 0
         rmax = key & high
         improve = rmax > best
-        np.copyto(best_key, key, where=improve)
-        np.copyto(best_s, s, where=improve)
+        # an improving key tops the old one, which is positive
+        np.maximum(best_key, key * improve, out=best_key)
+        np.maximum(best_s, improve * s, out=best_s)
         np.maximum(best, rmax, out=best)
         # x-drop: kill cells too far below the (freshly updated) best
         thr = best - x_s
         np.greater_equal(cur, thr, out=h)
         np.multiply(cur, h, out=cur)
-        alive = rmax >= thr
-        live = alive | alive_prev
-        alive_prev = alive
+        # liveness on the last two antidiagonals of each block of K
+        if s % _CHECK_EVERY == _CHECK_EVERY - 1:
+            alive_prev = rmax >= thr
+        if s % _CHECK_EVERY:
+            continue
+        live = alive_prev | (rmax >= thr)
         nlive = int(np.count_nonzero(live))
         if nlive == 0:
             break
         if 2 * nlive <= lanes.size:
             retire(np.flatnonzero(~live))
             keep = np.flatnonzero(live)
-            # one matrix at a time, so only one old copy is alive
+            # later antidiagonals read a rows from the next one's first
+            # and b rows up to this one's last
+            lo, hi = ra + (c ^ 1), rb + n
             planes = planes[:, keep]
-            codes = codes[:, keep]
-            valid = valid[:, keep]
+            codes = codes[lo:hi, keep]
+            row0 += lo
             best, best_key, best_s = best[keep], best_key[keep], best_s[keep]
-            alive_prev, lanes = alive_prev[keep], lanes[keep]
-            work, hit, inside = scratch(keep.size)
-            ramp = [r[:, : keep.size] for r in ramp]
+            lanes, w0 = lanes[keep], w0[keep]
+            per = views(planes)
     get_registry().counter("align.banded_rounds").inc(s)
     retire(np.arange(lanes.size))
     return best_i, best_j, best_score

@@ -11,13 +11,13 @@ Implements Algorithm 1 lines 7-9:
 
 Each unordered pair is aligned exactly once: C's strict upper triangle
 (row < col) supplies the task list.  :func:`~repro.overlap.detect_overlaps`
-forms nothing else; a C that holds both triangles (a checkpoint, stage
-cache or injected artifact written when the SpGEMM formed the full
-symmetric product) is cut to it by a prune that removes nothing from a
-fresh C.  Because the upper triangle concentrates in the above-diagonal
-blocks of the 2D grid, the tasks are first **redistributed round-robin**
-across ranks (one exclusive-scan allgather + one all-to-all) so alignment
--- the most expensive stage of the pipeline -- stays load-balanced.
+forms nothing else; a C that holds both triangles (an artifact injected
+through ``from_artifacts``, e.g. the full symmetric A.A^T) is cut to it
+by a prune that removes nothing from a fresh C.  Because the upper
+triangle concentrates in the above-diagonal blocks of the 2D grid, the
+tasks are first **redistributed round-robin** across ranks (one
+exclusive-scan allgather + one all-to-all) so alignment -- the most
+expensive stage of the pipeline -- stays load-balanced.
 
 The alignment superstep is one **segment step**
 (:meth:`~repro.mpi.comm.SimWorld.map_segments`): one call over every rank
@@ -299,9 +299,12 @@ def build_overlap_graph(
     grid, world = C.grid, C.grid.world
     stats = AlignmentStats()
 
-    # upper triangle only: each unordered pair aligned exactly once (a
-    # fresh C has nothing else; a symmetric one from an older checkpoint
-    # does); then rebalance the tasks round-robin across ranks
+    # upper triangle only: each unordered pair aligned exactly once.  A
+    # fresh or checkpointed C has nothing else, but from_artifacts takes
+    # any C, and one injected with both triangles must still align each
+    # pair once; the prune keeps that promise (its one charge per
+    # candidate is part of the modeled clock).  Then rebalance the tasks
+    # round-robin across ranks
     upper = C.prune(lambda v, r, c: r >= c)
     tasks = _redistribute_tasks(upper)
 

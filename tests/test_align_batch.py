@@ -27,13 +27,14 @@ from repro.align import (
     pack_codes,
     xdrop_extend,
 )
-from repro.align.batch import _banded_side_batch
+from repro.align.batch import _CHECK_EVERY, _banded_side_batch, _score_dtype
 from repro.align.xdrop import _banded_one_side
 from repro.errors import AlignmentError
 from repro.kmer import build_kmer_matrix, count_kmers
 from repro.mpi import ProcGrid, SimWorld, zero_cost
 from repro.overlap import detect_overlaps
 from repro.seq import DistReadStore, GenomeSpec, dna, make_genome, sample_reads
+from repro.telemetry.metrics import get_registry
 
 KIND_OF_CLASS = {
     OverlapClass.DOVETAIL: KIND_DOVETAIL,
@@ -423,9 +424,9 @@ class TestBandedWavefront:
         assert got[2][0] > 80  # past the valley
 
     def test_peak_memory_per_gathered_cell(self):
-        """A 2 048-pair ``dp`` call peaks at <= 2.5 bytes per gathered
-        cell: per pair, the longest slice of each side of ``a`` and ``b``,
-        the matrices a per-pair gather would materialise."""
+        """A 2 048-pair ``dp`` call peaks at <= 1 byte per gathered cell:
+        per pair, the longest slice of each side of ``a`` and ``b``, the
+        matrices a per-pair gather would materialise."""
         rng = np.random.default_rng(35)
         reads, tasks = random_corpus(rng, 2048, 17, max_len=800)
         buffer, offsets = pack_codes(reads)
@@ -446,7 +447,154 @@ class TestBandedWavefront:
         finally:
             tracemalloc.stop()
         assert (res.a_span > 200).sum() > 500  # long extensions ran
-        assert peak <= 2.5 * cells, f"{peak / cells:.2f} bytes per cell"
+        assert peak <= 1.0 * cells, f"{peak / cells:.2f} bytes per cell"
+
+    @pytest.mark.parametrize(
+        "x,top,low,base",
+        [(7, 1, 0, 15), (7, 2, 5, 15), (7, 1, 0, 31), (3, 4, 2, 31)],
+    )
+    def test_score_dtype_edges(self, x, top, low, base):
+        """The tier changes exactly where the bound reaches ``2**base``:
+        it stays narrow one step below (``2**base - 1`` at ``low = 0``)
+        and widens at and one step above it."""
+        off = 1 << ((x + 2 * top) << low).bit_length()
+        assert off > (x + 2 * top) << low >= off // 2
+        narrow, wide = {15: (np.int16, np.int32), 31: (np.int32, np.int64)}[base]
+        peak = ((1 << base) - off >> low) - 2 * top - 1  # bound at 2**base
+        for step, want in ((-1, narrow), (0, wide), (1, wide)):
+            assert _score_dtype(peak + step, top, x, low) == (want, off)
+
+    @pytest.mark.parametrize(
+        "length,dtype", [(500, np.int16), (501, np.int16), (502, np.int32)]
+    )
+    def test_identical_pairs_at_the_int16_edge(self, length, dtype):
+        """match = 2, band 16, x = 7: identical pairs of 501 bases score
+        the peak 1 002 in the last int16 tier; 502 bases take int32."""
+        rng = np.random.default_rng(length)
+        same = dna.random_codes(rng, length)
+        pairs = [(same, same.copy())]
+        for n in (40, 200, length):
+            a = dna.random_codes(rng, n)
+            pairs.append((a, mutate_indels(rng, a, 0.08)))
+        pairs.append((dna.random_codes(rng, 30), dna.random_codes(rng, 45)))
+        assert _score_dtype(2 * length, 2, 7, 5)[0] is dtype
+        got = assert_banded_matches_scalar(pairs, x=7, match=2)
+        assert got[2][0] == 2 * length
+
+    def test_identical_pairs_at_the_int32_edge(self):
+        """The largest ``match`` whose peak fits int32 and the next one,
+        with mismatch and gap -match, x = 7 match and band 5."""
+        rng = np.random.default_rng(36)
+        same = dna.random_codes(rng, 60)
+        pairs = [(same, same.copy())]
+        for n in (5, 20, 60):
+            a = dna.random_codes(rng, n)
+            pairs.append((a, mutate_indels(rng, a, 0.1)))
+
+        def tier(m):
+            return _score_dtype(60 * m, m, 7 * m, 3)[0]
+
+        lo, hi = 1, 1 << 24  # int32 at lo, int64 at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if tier(mid) is np.int32 else (lo, mid)
+        assert tier(lo) is np.int32 and tier(hi) is np.int64
+        for m in (lo, hi):
+            got = assert_banded_matches_scalar(
+                pairs, x=7 * m, match=m, mismatch=-m, gap=-m, band=5
+            )
+            assert got[2][0] == 60 * m
+
+    @pytest.mark.parametrize("excess", [-1, 0, 1, 1000])
+    def test_xdrop_near_its_clamp(self, excess):
+        """``x`` above ``2 * max_anti * top`` never fires, so it is clamped
+        there; around the clamp every lane matches the oracle."""
+        rng = np.random.default_rng(37)
+        pairs = []
+        for n in (8, 30, 90):
+            a = dna.random_codes(rng, n)
+            pairs.append((a, mutate_indels(rng, a, 0.2)))
+        pairs.append((dna.random_codes(rng, 50), dna.random_codes(rng, 70)))
+        max_anti = max(
+            min(a.size + b.size, 2 * min(a.size, b.size) + 4) for a, b in pairs
+        )
+        x = 2 * max_anti * 2 + 1 + excess
+        assert_banded_matches_scalar(pairs, x=x, match=2, mismatch=-1, gap=-2, band=4)
+
+    def test_lanes_die_on_every_residue_of_the_check(self):
+        """x = 1: an identical pair of h bases is last live on antidiagonal
+        2h, one whose b has one more base on 2h + 1 (the gap cell (h, h +
+        1)); h = 1 .. K covers every residue mod K while long runners keep
+        the wavefront going past the checks."""
+        rng = np.random.default_rng(38)
+        pairs, last = [], []
+        for h in range(1, _CHECK_EVERY + 1):
+            a = dna.random_codes(rng, h)
+            pairs.append((a, a.copy()))
+            pairs.append((a, np.concatenate([a, dna.random_codes(rng, 1)])))
+            last += [2 * h, 2 * h + 1]
+        assert {s % _CHECK_EVERY for s in last} == set(range(_CHECK_EVERY))
+        runners = [
+            (c, mutate_indels(rng, c, 0.02))
+            for c in (dna.random_codes(rng, 150) for _ in range(3))
+        ]
+        order = rng.permutation(len(pairs) + 3)
+        lanes = [(pairs + runners)[i] for i in order]
+        got = assert_banded_matches_scalar(lanes, x=1)
+        for p, i in enumerate(order):
+            if i < len(pairs):
+                h = pairs[i][0].size
+                assert (got[0][p], got[1][p], got[2][p]) == (h, h, h)
+
+    def test_every_lane_dead_before_the_first_check(self):
+        """Complementary pairs die on antidiagonal 2 at x = 0: the call
+        stops at the first check, antidiagonal K, and counts K rounds."""
+        rng = np.random.default_rng(39)
+        pairs = []
+        for n in (20, 60, 100):
+            a = dna.random_codes(rng, n)
+            pairs.append((a, (a + 1) % 4))
+        rounds = get_registry().counter("align.banded_rounds")
+        before = rounds.value
+        got = assert_banded_matches_scalar(pairs, x=0)
+        assert rounds.value - before == _CHECK_EVERY
+        assert not any(v.any() for v in got)
+
+    def test_single_lane_tail(self):
+        """Many short lanes and one long runner: the working set compacts
+        down to one lane, which runs on alone to its last antidiagonal."""
+        rng = np.random.default_rng(40)
+        pairs = []
+        for _ in range(40):
+            a = dna.random_codes(rng, int(rng.integers(3, 40)))
+            pairs.append((a, mutate_indels(rng, a, 0.1)))
+        runner = dna.random_codes(rng, 400)
+        pairs.insert(17, (runner, runner.copy()))
+        rounds = get_registry().counter("align.banded_rounds")
+        before = rounds.value
+        got = assert_banded_matches_scalar(pairs, x=3)
+        assert got[2][17] == 400
+        assert rounds.value - before == 800  # the runner's last antidiagonal
+
+    @pytest.mark.parametrize(
+        "match,mismatch,gap", [(1, 1, -1), (1, -1, 1), (2, 0, 0), (3, 0, -2)]
+    )
+    def test_steps_that_do_not_lose(self, match, mismatch, gap):
+        """A positive gap or mismatch lets a cell past a sequence top the
+        best, so those cells are tested and killed; zero steps tie."""
+        rng = np.random.default_rng(41 + match - 3 * mismatch + 7 * gap)
+        pairs = []
+        for length, count in ((3, 8), (30, 8), (120, 6)):
+            for _ in range(count):
+                a = dna.random_codes(rng, length + int(rng.integers(0, length + 1)))
+                b = mutate_indels(rng, a, float(rng.choice([0.0, 0.04, 0.12])))
+                pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+        pairs.append((dna.random_codes(rng, 90), dna.random_codes(rng, 50)))
+        for band in (0, 3, 8):
+            for x in (0, 7, 30):
+                assert_banded_matches_scalar(
+                    pairs, x, match=match, mismatch=mismatch, gap=gap, band=band
+                )
 
     def test_real_candidate_geometry(self):
         """4 %-error reads with indels at the paper's high-error k = 17,

@@ -92,6 +92,36 @@ class TestSampledReads:
         assert report.completeness > 0.5
 
 
+class TestDpTruthGate:
+    """The paper's high-error setting (k = 17, x = 7, banded DP) on 4 %,
+    indel-heavy reads must reconstruct the genome, not merely run: no
+    misassembly and a genome fraction of at least 0.85, the floor an
+    end-to-end benchmark op must clear, at every grid size."""
+
+    @pytest.fixture(scope="class")
+    def draw(self):
+        genome = make_genome(GenomeSpec(length=5000, seed=95))
+        reads = sample_reads(
+            genome, depth=12, mean_length=500, rng=96,
+            error_rate=0.04, error_mix=(0.2, 0.4, 0.4),
+        )
+        return genome, reads
+
+    @pytest.mark.parametrize("nprocs", [1, 4, 16])
+    def test_no_misassembly_and_genome_fraction(self, draw, nprocs):
+        genome, reads = draw
+        res = Pipeline.default().run(
+            reads,
+            PipelineConfig(
+                nprocs=nprocs, k=17, xdrop=7, align_mode="dp", end_margin=40,
+                tr_fuzz=150, reliable_lo=2,
+            ),
+        )
+        report = evaluate_assembly(res.contigs.contigs, genome, k=17)
+        assert report.misassemblies == 0
+        assert report.completeness >= 0.85
+
+
 class TestRepeats:
     def test_repeats_create_branches_and_are_masked(self):
         genome = make_genome(

@@ -262,7 +262,6 @@ def local_assembly(
     emit_cycles: bool = False,
     engine: str = "batch",
     kernel_tier: str | None = None,
-    span=None,
 ) -> LocalAssemblyResult:
     """Assemble every linear component of one rank's induced subgraph.
 
@@ -270,8 +269,7 @@ def local_assembly(
     extractor of :mod:`~repro.core.batch`; ``engine="scalar"`` runs this
     module's per-vertex walk.  Both produce bit-identical results -- the
     scalar walk is the oracle the batch engine's property corpus compares
-    against.  ``span`` is forwarded to the batch engine (the scalar walk
-    ignores it); ``kernel_tier`` accepts only ``None`` or ``"numpy"``
+    against.  ``kernel_tier`` accepts only ``None`` or ``"numpy"``
     (:func:`~repro.kernels.resolve_kernel_tier`).
     """
     resolve_kernel_tier(kernel_tier)
@@ -280,9 +278,7 @@ def local_assembly(
     if engine == "batch":
         from .batch import local_assembly_batch
 
-        return local_assembly_batch(
-            graph, reads, emit_cycles=emit_cycles, span=span,
-        )
+        return local_assembly_batch(graph, reads, emit_cycles=emit_cycles)
     result = LocalAssemblyResult()
     csc, jc, _by_row = local_csc(graph.coo)
     degrees = np.diff(jc)

@@ -36,7 +36,9 @@ the one fast path, the one the ``LocalAssembly`` superstep runs.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +53,7 @@ __all__ = [
     "BatchWalks",
     "build_edge_table",
     "component_labels",
+    "assemble_ranks",
     "local_assembly_batch",
 ]
 
@@ -314,12 +317,17 @@ def _merge_walks(rounds: list[BatchWalks]) -> BatchWalks:
 
 
 def _concatenate_batch(
-    graph: InducedGraph,
+    global_ids: np.ndarray,
+    read_keys: np.ndarray,
     reads: PackedReads,
     walks: BatchWalks,
     circular: bool,
 ):
-    """Batched ``_concatenate``: every walk's contig in one strided gather."""
+    """Batched ``_concatenate``: every walk's contig in one strided gather.
+
+    Vertex ``v`` is read ``global_ids[v]``, stored in ``reads`` under the
+    id ``read_keys[v]``.
+    """
     W = walks.count
     if W == 0:
         return []
@@ -347,8 +355,8 @@ def _concatenate_batch(
     fwd = np.where(is_first, ((out_dir >> 1) & 1) == 1, (in_dir & 1) == 0)
 
     # one vectorized id -> local-index resolution for every path vertex
-    gids = graph.global_ids[vert]
-    lidx = reads.indices_of(gids)
+    gids = global_ids[vert]
+    lidx = reads.indices_of(read_keys[vert])
     lo = reads.offsets[lidx]
     rlen = reads.offsets[lidx + 1] - lo
 
@@ -376,49 +384,116 @@ def _concatenate_batch(
 
     # per-walk character ranges and provenance
     walk_chars = np.add.reduceat(plen, voff[:-1]) if total_v else _EMPTY
-    woff = cumsum0(walk_chars)
-    orient = np.where(fwd, 1, -1)
-    contigs = []
-    for w in range(W):
-        vs, ve = int(voff[w]), int(voff[w + 1])
-        contigs.append(
-            Contig(
-                codes=codes[woff[w] : woff[w + 1]].copy(),
-                read_path=gids[vs:ve].tolist(),
-                orientations=orient[vs:ve].tolist(),
-                circular=circular,
-                truncated=bool(walks.truncated[w]) and not circular,
-            )
+    woff = cumsum0(walk_chars).tolist()
+    voff = voff.tolist()
+    gids = gids.tolist()
+    orient = np.where(fwd, 1, -1).tolist()
+    truncated = (walks.truncated & (not circular)).tolist()
+    return [
+        Contig(
+            codes=codes[woff[w] : woff[w + 1]].copy(),
+            read_path=gids[voff[w] : voff[w + 1]],
+            orientations=orient[voff[w] : voff[w + 1]],
+            circular=circular,
+            truncated=truncated[w],
         )
-    return contigs
+        for w in range(W)
+    ]
 
 
-def local_assembly_batch(
-    graph: InducedGraph,
-    reads: PackedReads,
-    emit_cycles: bool = False,
-    span=None,
-):
-    """Array-level :func:`~repro.core.assembly.local_assembly`.
+class _Stack(NamedTuple):
+    """Every rank's induced subgraph as one block-diagonal graph.
 
-    Bit-identical to the scalar walk: same contigs in the same order, same
-    flags and diagnostics.
-
-    ``span``, when given, wraps each advance round in ``span("walk")``.
+    Rank ``r``'s vertices are ``offsets[r]:offsets[r + 1]``; ``reads``
+    holds every rank's shard in rank order, vertex ``v``'s read under the
+    key ``read_keys[v]`` (the read id itself when there is one rank).
     """
 
-    def _walk(tables, visited, starts):
-        if span is not None:
-            with span("walk"):
-                return _lockstep_walk(tables, visited, starts)
-        return _lockstep_walk(tables, visited, starts)
+    coo: LocalCoo
+    global_ids: np.ndarray
+    offsets: np.ndarray
+    reads: PackedReads
+    read_keys: np.ndarray
 
-    result = LocalAssemblyResult()
-    table = build_edge_table(graph.coo)
+
+def _stack(graphs: Sequence[InducedGraph], shards: Sequence[PackedReads]) -> _Stack:
+    """Stack the ranks' graphs with vertex offsets, and their shards."""
+    offsets = cumsum0([g.n_vertices for g in graphs])
+    if len(graphs) == 1:
+        (graph,), (reads,) = graphs, shards
+        return _Stack(graph.coo, graph.global_ids, offsets, reads, graph.global_ids)
+    shift = np.repeat(offsets[:-1], [g.coo.nnz for g in graphs])
+    n = int(offsets[-1])
+    coo = LocalCoo(
+        (n, n),
+        np.concatenate([g.coo.rows for g in graphs]) + shift,
+        np.concatenate([g.coo.cols for g in graphs]) + shift,
+        np.concatenate([g.coo.vals for g in graphs]),
+    )
+    global_ids = np.concatenate([g.global_ids for g in graphs])
+    # a read's key is (rank, id) fused: ascending over the rank-major
+    # shards, since each shard is id-sorted
+    span = 1 + max(
+        [int(ids.max()) for ids in [global_ids] + [s.ids for s in shards] if ids.size],
+        default=0,
+    )
+    ranks = np.arange(len(graphs), dtype=np.int64) * span
+    buffers = [s.buffer for s in shards]
+    reads = PackedReads(
+        np.concatenate(buffers),
+        np.append(
+            np.concatenate([s.offsets[:-1] for s in shards])
+            + np.repeat(cumsum0([b.size for b in buffers])[:-1], [s.count for s in shards]),
+            sum(b.size for b in buffers),
+        ),
+        np.concatenate([s.ids for s in shards]) + np.repeat(ranks, [s.count for s in shards]),
+    )
+    read_keys = global_ids + np.repeat(ranks, np.diff(offsets))
+    return _Stack(coo, global_ids, offsets, reads, read_keys)
+
+
+def assemble_ranks(
+    graphs: Sequence[InducedGraph],
+    shards: Sequence[PackedReads],
+    emit_cycles: bool = False,
+) -> tuple[list[LocalAssemblyResult], list[tuple[float, np.ndarray]]]:
+    """The batch traversal over every rank's induced subgraph at once.
+
+    Rank ``r`` walks ``graphs[r]`` over the reads of ``shards[r]``; the
+    graphs are stacked block-diagonally, so components never span ranks
+    and each rank's contigs and diagnostics equal its own
+    :func:`local_assembly_batch` (and so the scalar walk).  Returns one
+    :class:`~repro.core.assembly.LocalAssemblyResult` per rank and, per
+    advance round, its wall seconds and the number of walks each rank
+    started in it.
+    """
+    P = len(graphs)
+    stack = _stack(graphs, shards)
+    table = build_edge_table(stack.coo)
     degrees = table.degrees
-    labels = component_labels(table.nbr, graph.n_vertices)
+    nv = degrees.size
+    rank_of = np.repeat(np.arange(P), np.diff(stack.offsets))
+    labels = component_labels(table.nbr, nv)
     walk_tables = _WalkTables(table)
-    visited = np.zeros(graph.n_vertices, dtype=bool)
+    visited = np.zeros(nv, dtype=bool)
+    rounds: list[tuple[float, np.ndarray]] = []
+
+    def walk(starts: np.ndarray) -> BatchWalks:
+        t0 = time.perf_counter()
+        walks = _lockstep_walk(walk_tables, visited, starts)
+        rounds.append(
+            (time.perf_counter() - t0, np.bincount(rank_of[starts], minlength=P))
+        )
+        return walks
+
+    def concatenate(walks: list[BatchWalks], circular: bool) -> list[list[Contig]]:
+        """Per rank, the contigs of one pass in ascending start order."""
+        merged = _merge_walks(walks)
+        contigs = _concatenate_batch(
+            stack.global_ids, stack.read_keys, stack.reads, merged, circular
+        )
+        cuts = np.searchsorted(merged.start, stack.offsets).tolist()
+        return [contigs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
     # pass 1: linear chains, peeled from every root at once.  Each round
     # starts at the smallest unvisited root per component (components have
@@ -430,15 +505,12 @@ def local_assembly_batch(
         if pending.size == 0:
             break
         _, first = np.unique(labels[pending], return_index=True)
-        starts = np.sort(pending[first])
-        result.n_roots += int(starts.size)
-        rounds1.append(_walk(walk_tables, visited, starts))
-    result.contigs.extend(
-        _concatenate_batch(graph, reads, _merge_walks(rounds1), False)
-    )
+        rounds1.append(walk(np.sort(pending[first])))
+    n_roots = sum((starts for _, starts in rounds), np.zeros(P, np.int64))
+    chains = concatenate(rounds1, False)
 
     # isolated vertices are not contigs ("at least two sequences")
-    result.n_singletons = int((degrees == 0).sum())
+    n_singletons = np.bincount(rank_of[degrees == 0], minlength=P)
     visited |= degrees == 0
 
     # pass 2: cycles (and stranded middles of doubly-truncated chains) --
@@ -449,11 +521,32 @@ def local_assembly_batch(
         if unv.size == 0:
             break
         _, first = np.unique(labels[unv], return_index=True)
-        starts = np.sort(unv[first])
-        result.n_cycles += int(starts.size)
-        rounds2.append(_walk(walk_tables, visited, starts))
-    if emit_cycles:
-        result.contigs.extend(
-            _concatenate_batch(graph, reads, _merge_walks(rounds2), True)
+        rounds2.append(walk(np.sort(unv[first])))
+    n_cycles = sum((starts for _, starts in rounds[len(rounds1):]), np.zeros(P, np.int64))
+    cycles = concatenate(rounds2, True) if emit_cycles else [[]] * P
+
+    results = [
+        LocalAssemblyResult(
+            contigs=chains[r] + cycles[r],
+            n_roots=int(n_roots[r]),
+            n_cycles=int(n_cycles[r]),
+            n_singletons=int(n_singletons[r]),
         )
+        for r in range(P)
+    ]
+    return results, rounds
+
+
+def local_assembly_batch(
+    graph: InducedGraph,
+    reads: PackedReads,
+    emit_cycles: bool = False,
+) -> LocalAssemblyResult:
+    """Array-level :func:`~repro.core.assembly.local_assembly`: the
+    one-rank case of :func:`assemble_ranks`.
+
+    Bit-identical to the scalar walk: same contigs in the same order, same
+    flags and diagnostics.
+    """
+    (result,), _rounds = assemble_ranks([graph], [reads], emit_cycles)
     return result

@@ -11,7 +11,14 @@ the distributed edge blocks and a distributed parent vector:
   toward stars, performed with the owner-computes vector gather.
 
 Both steps are O(nnz / P) local work plus all-to-alls, converging in
-O(log n) rounds -- the same round structure as LACC.  The returned vector
+O(log n) rounds -- the same round structure as LACC.  As in LACC, every
+step is written against whole vectors: the ranks' edge endpoints and the
+parent vector are each one flat array (:class:`~repro.mpi.comm.RankBlocks`,
+:class:`~repro.sparse.distvec.DistVector`), and a rank's share of a step --
+its charge, its hook count -- is a ``bincount`` of the rows' rank ids.  A
+run that does not converge within ``max_rounds`` raises
+:class:`~repro.errors.AssemblyError` rather than return labels that may
+not be components.  The returned vector
 **v** maps every vertex to its component label (the minimum vertex id in
 the component), i.e. the contig index of §4.2.
 
@@ -26,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import AssemblyError
+from ..mpi.comm import RankBlocks
 from ..sparse.distmat import DistSparseMatrix
 from ..sparse.distvec import DistVector
 from ..util import cumsum0
@@ -48,40 +57,42 @@ def _shortcut_until_stable(f: DistVector, max_rounds: int = 64) -> int:
     entirely at roots, and roots never move during shortcutting, so the rank
     is *permanently* stable for the rest of this call -- it stops gathering
     grandparents (empty request) and is charged no further compute.  Only
-    ranks that actually jump pointers pay for the work.
+    ranks that actually jump pointers pay for the work.  Raises
+    :class:`AssemblyError` if a pointer still moves in round ``max_rounds``.
     """
     world = f.grid.world
-    stable = np.zeros(world.nprocs, dtype=bool)
-    empty = np.empty(0, dtype=np.int64)
+    P = world.nprocs
+    sizes = np.diff(f.bounds)
+    rank = np.repeat(np.arange(P), sizes)
+    stable = np.zeros(P, dtype=bool)
     for rounds in range(1, max_rounds + 1):
-        requests = [
-            empty if stable[rank] else blk for rank, blk in enumerate(f.blocks)
-        ]
-        grandparents = f.gather(requests)
-        changed = 0
-        for rank, gp in enumerate(grandparents):
-            if stable[rank]:
-                continue
-            if gp.size and not np.array_equal(gp, f.blocks[rank]):
-                changed += int((gp != f.blocks[rank]).sum())
-                f.blocks[rank] = gp
-            else:
-                stable[rank] = True
-        # a stable rank requested nothing, so its count is zero
-        world.charge_compute_all([gp.size for gp in grandparents])
+        live = ~stable[rank]
+        parents = f.values[live]
+        requests = RankBlocks(parents, cumsum0(np.where(stable, 0, sizes)))
+        grandparents = f.gather(requests).flat
+        changed = np.bincount(rank[live][grandparents != parents], minlength=P)
+        f.values[live] = grandparents
+        # a rank that requested nothing or moved nothing is stable
+        stable |= changed == 0
+        world.charge_compute_all(requests.sizes())
         total_changed = world.comm.allreduce(
-            [changed if r == 0 else 0 for r in range(world.nprocs)],
-            lambda a, b: a + b,
-        ) if world.nprocs > 1 else changed
+            changed.tolist(), lambda a, b: a + b
+        ) if P > 1 else int(changed.sum())
         if total_changed == 0:
             return rounds
-    return max_rounds
+    raise AssemblyError(
+        f"pointer jumping did not converge in {max_rounds} rounds"
+    )
 
 
 def connected_components(
     L: DistSparseMatrix, max_rounds: int = 64
 ) -> ConnectedComponentsResult:
-    """Label the connected components of the (pattern-symmetric) matrix L."""
+    """Label the connected components of the (pattern-symmetric) matrix L.
+
+    Raises :class:`AssemblyError` if hooking still finds edges to hook in
+    round ``max_rounds``.
+    """
     grid, world = L.grid, L.grid.world
     P = grid.nprocs
     n = L.shape[0]
@@ -89,38 +100,34 @@ def connected_components(
 
     # per-rank edge endpoints in global coordinates: fixed, so planned once
     edge_u, edge_v, _vals = zip(*L.edge_triples_per_rank())
+    edge_u = RankBlocks.of(edge_u, dtype=np.int64)
+    edge_v = RankBlocks.of(edge_v, dtype=np.int64)
     plan_u, plan_v = f.route(edge_u), f.route(edge_v)
+    rank = edge_u.ranks()
 
-    rounds = 0
     for rounds in range(1, max_rounds + 1):
         pu = f.gather(edge_u, plan=plan_u)
         pv = f.gather(edge_v, plan=plan_v)
-        gpu = f.gather(pu)
-        gpv = f.gather(pv)
-        hook_idx: list[np.ndarray] = []
-        hook_val: list[np.ndarray] = []
-        n_hooks = 0
-        for rank in range(P):
-            a, b = pu[rank], pv[rank]
-            ga, gb = gpu[rank], gpv[rank]
-            # hook root b onto smaller parent a, and vice versa
-            cond1 = (a < b) & (gb == b)
-            cond2 = (b < a) & (ga == a)
-            idx = np.concatenate([b[cond1], a[cond2]])
-            val = np.concatenate([a[cond1], b[cond2]])
-            hook_idx.append(idx)
-            hook_val.append(val)
-            n_hooks += int(idx.size)
-        world.charge_compute_all([a.size for a in pu])
-        total_hooks = world.comm.allreduce(
-            [int(i.size) for i in hook_idx], lambda x, y: x + y
-        )
+        a, b = pu.flat, pv.flat
+        ga, gb = f.gather(pu).flat, f.gather(pv).flat
+        # hook root b onto smaller parent a, and vice versa
+        onto_a = (a < b) & (gb == b)
+        hook = onto_a | ((b < a) & (ga == a))
+        hooks = np.bincount(rank[hook], minlength=P)
+        world.charge_compute_all(pu.sizes())
+        total_hooks = world.comm.allreduce(hooks.tolist(), lambda x, y: x + y)
         if total_hooks == 0:
             break
-        f.scatter_update(hook_idx, hook_val)
+        bounds = cumsum0(hooks)
+        f.scatter_update(
+            RankBlocks(np.where(onto_a, b, a)[hook], bounds),
+            RankBlocks(np.where(onto_a, a, b)[hook], bounds),
+        )
         _shortcut_until_stable(f)
-    else:  # pragma: no cover - defensive; log-n rounds suffice
-        pass
+    else:
+        raise AssemblyError(
+            f"connected components did not converge in {max_rounds} hooking rounds"
+        )
 
     _shortcut_until_stable(f)
     return ConnectedComponentsResult(labels=f, rounds=rounds)
@@ -140,16 +147,15 @@ def contig_sizes_distributed(labels: DistVector) -> DistVector:
 
     # compact per-rank counts: distinct labels are few (one per component),
     # so a dense length-n bincount per rank -- O(P * n) memory and compute
-    # for a mostly-empty map -- is replaced by unique-label counting
-    uniq: list[np.ndarray] = []
-    per_counts: list[np.ndarray] = []
-    for blk in labels.blocks:
-        u, c = np.unique(blk, return_counts=True)
-        uniq.append(u.astype(np.int64))
-        per_counts.append(c.astype(np.int64))
-    world.charge_compute_all(
-        [blk.size + u.size for blk, u in zip(labels.blocks, uniq)]
+    # for a mostly-empty map -- is replaced by unique-label counting, every
+    # rank's at once under a (rank, label) key
+    sizes = np.diff(labels.bounds)
+    key, per_counts = np.unique(
+        np.repeat(np.arange(P, dtype=np.int64) * n, sizes) + labels.values,
+        return_counts=True,
     )
+    uniq = RankBlocks(key % max(n, 1), np.searchsorted(key, np.arange(P + 1) * n))
+    world.charge_compute_all(sizes + uniq.sizes())
 
     # every rank learns the union of present labels (sorted); sizes scale
     # with the number of components, never with P * n
@@ -159,23 +165,16 @@ def contig_sizes_distributed(labels: DistVector) -> DistVector:
     # densify over the compacted union and reduce_scatter with blocks split
     # by label *owner*, so each rank receives the global totals for exactly
     # the labels it owns in the vertex space
-    dense: list[np.ndarray] = []
-    for rank in range(P):
-        d = np.zeros(union.size, dtype=np.int64)
-        d[np.searchsorted(union, uniq[rank])] = per_counts[rank]
-        dense.append(d)
-    world.charge_compute_all([u.size for u in uniq])
+    dense = np.zeros((P, union.size), dtype=np.int64)
+    dense[uniq.ranks(), np.searchsorted(union, uniq.flat)] = per_counts
+    world.charge_compute_all(uniq.sizes())
     owner_sizes = np.bincount(grid.owner_of_vec(n, union), minlength=P)
     scattered = world.comm.reduce_scatter(
-        dense, block_sizes=[int(s) for s in owner_sizes]
+        list(dense), block_sizes=[int(s) for s in owner_sizes]
     )
 
     # scatter the compacted totals back into the vertex-aligned vector
     out = DistVector.zeros(grid, n, dtype=np.int64)
-    bounds = cumsum0(owner_sizes)
-    lows = grid.vec_bounds(n)
-    for rank in range(P):
-        owned = union[bounds[rank] : bounds[rank + 1]]
-        out.blocks[rank][owned - lows[rank]] = scattered[rank]
+    out.values[union] = np.concatenate(scattered)
     world.charge_compute_all(owner_sizes)
     return out

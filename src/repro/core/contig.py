@@ -13,6 +13,10 @@ Stages:
 4. ``InducedSubgraph``     L, p -> local matrices        (line 5)
    ``ReadExchange``        sequences -> owner ranks      (§4.3)
 5. ``LocalAssembly``       DFS walk + concatenation      (line 6)
+
+The local assembly is one segment step: the ranks' induced subgraphs are
+stacked block-diagonally and walked in one batch traversal, each rank
+charged for its own edges and bases, as a per-rank step would be.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import PipelineError
+from ..errors import AssemblyError, PipelineError
 from ..kernels import resolve_kernel_tier
 from ..mpi.bigcount import MPI_COUNT_LIMIT
 from ..seq.readstore import DistReadStore
 from ..sparse.distmat import DistSparseMatrix
 from .assembly import Contig, LocalAssemblyResult, local_assembly
+from .batch import assemble_ranks
 from .branch import BranchRemovalResult, branch_removal
 from .ccomp import connected_components, contig_sizes_distributed
 from .induced import induced_subgraph
@@ -74,11 +79,29 @@ class ContigSet:
         return sorted(self.contigs, key=lambda c: c.length, reverse=True)
 
 
-def _assemble_step(ctx, graph, shard, **walk):
-    """The traversal superstep: one rank walks its own induced subgraph."""
-    res = local_assembly(graph, shard, span=ctx.span, **walk)
+def _assemble_step(ctx, graph, shard, emit_cycles):
+    """The scalar oracle's traversal superstep: one rank walks its own
+    induced subgraph."""
+    res = local_assembly(graph, shard, emit_cycles=emit_cycles, engine="scalar")
     ctx.charge_compute(graph.coo.nnz + sum(c.length for c in res.contigs))
     return res
+
+
+def _assemble_segment(ctxs, graphs, shards, emit_cycles):
+    """The traversal superstep as one segment step: every rank's induced
+    subgraph walked in one :func:`~repro.core.batch.assemble_ranks` call.
+
+    Each rank gets its own result, one ``"walk"`` kernel span per advance
+    round in which it started walks (its share of the round's wall time),
+    and the charge a rank step would make."""
+    results, rounds = assemble_ranks(graphs, shards, emit_cycles)
+    for wall, starts in rounds:
+        share = wall / starts.sum()
+        for r in np.flatnonzero(starts).tolist():
+            ctxs[r].record_span("walk", share * float(starts[r]))
+    for ctx, graph, res in zip(ctxs, graphs, results):
+        ctx.charge_compute(graph.coo.nnz + sum(c.length for c in res.contigs))
+    return results
 
 
 def contig_generation(
@@ -95,13 +118,18 @@ def contig_generation(
     """Generate the contig set from the string matrix S and the reads.
 
     ``assembly_engine`` selects the local traversal: ``"batch"`` (the
-    default) or ``"scalar"``, the oracle it is bit-identical to.
+    default) walks every rank's induced subgraph in one segment step
+    (:func:`~repro.core.batch.assemble_ranks` through
+    :meth:`~repro.mpi.comm.SimWorld.map_segments`), and ``"scalar"``, the
+    oracle it is bit-identical to, walks one rank per step.
     ``kernel_tier`` accepts only ``None`` or ``"numpy"``
     (:func:`~repro.kernels.resolve_kernel_tier`), and ``polish`` only
     ``False``: §7 polishing post-processes the result
     (:func:`repro.scaffold.polish_contigs`).
     """
     resolve_kernel_tier(kernel_tier)
+    if assembly_engine not in ("batch", "scalar"):
+        raise AssemblyError(f"unknown assembly engine {assembly_engine!r}")
     if polish:
         raise PipelineError(
             "contig_generation does not polish; run "
@@ -131,11 +159,12 @@ def contig_generation(
         exchange = exchange_sequences(reads, p, count_limit=count_limit)
 
     with world.stage_scope(f"{STAGE_PREFIX}/LocalAssembly"):
-        step = partial(
-            _assemble_step, emit_cycles=emit_cycles, engine=assembly_engine,
-        )
-        per_rank: list[LocalAssemblyResult] = world.map_ranks(
-            step, graphs, exchange.shards
+        if assembly_engine == "scalar":
+            run, step = world.map_ranks, _assemble_step
+        else:
+            run, step = world.map_segments, _assemble_segment
+        per_rank: list[LocalAssemblyResult] = run(
+            partial(step, emit_cycles=emit_cycles), graphs, exchange.shards
         )
         contigs: list[Contig] = [c for res in per_rank for c in res.contigs]
 

@@ -8,6 +8,7 @@ process grid (:class:`ProcGrid`), machine cost models, and instrumentation.
 
 from .bigcount import MPI_COUNT_LIMIT, TransferPlan, plan_transfer
 from .comm import (
+    RankBlocks,
     RoutePlan,
     SimComm,
     SimWorld,
@@ -33,6 +34,7 @@ __all__ = [
     "SimWorld",
     "SimComm",
     "RoutePlan",
+    "RankBlocks",
     "RankContext",
     "RankStep",
     "ProcGrid",

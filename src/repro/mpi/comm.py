@@ -58,6 +58,7 @@ __all__ = [
     "SimWorld",
     "SimComm",
     "RoutePlan",
+    "RankBlocks",
     "block_range",
     "block_sizes",
 ]
@@ -529,61 +530,159 @@ class SimComm:
         return [payloads[partners[i]] for i in range(self.size)]
 
 
+
+
+class RankBlocks:
+    """P per-rank arrays held as one flat array plus P + 1 bounds.
+
+    Rank ``r``'s array is the view ``flat[bounds[r]:bounds[r + 1]]``, so a
+    ``RankBlocks`` goes wherever a per-rank list of arrays does (``len``,
+    indexing and iteration give the views), while code that works on every
+    rank at once reads ``flat`` and ``bounds``.  A :class:`RoutePlan`
+    column given as a ``RankBlocks`` moves in one fancy index and is
+    received as one.
+    """
+
+    __slots__ = ("flat", "bounds")
+
+    def __init__(self, flat: np.ndarray, bounds: np.ndarray) -> None:
+        self.flat = flat
+        self.bounds = bounds
+
+    @classmethod
+    def of(cls, arrays: Sequence[Any], dtype: Any = None) -> "RankBlocks":
+        """``arrays`` as one flat array: a ``RankBlocks`` as it is (cast to
+        ``dtype`` if given), any other sequence of P arrays concatenated."""
+        if isinstance(arrays, RankBlocks):
+            if dtype is None:
+                return arrays
+            return cls(arrays.flat.astype(dtype, copy=False), arrays.bounds)
+        parts = [np.asarray(a, dtype=dtype) for a in arrays]
+        flat = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+        return cls(flat, cumsum0([len(a) for a in parts]))
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, rank: int) -> np.ndarray:
+        if not 0 <= rank < len(self):
+            raise IndexError(f"rank {rank} out of range [0, {len(self)})")
+        return self.flat[self.bounds[rank] : self.bounds[rank + 1]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        b, flat = self.bounds.tolist(), self.flat
+        return (flat[lo:hi] for lo, hi in zip(b[:-1], b[1:]))
+
+    def sizes(self) -> np.ndarray:
+        """Rows per rank."""
+        return self.bounds[1:] - self.bounds[:-1]
+
+    def ranks(self) -> np.ndarray:
+        """The rank of every row of ``flat``."""
+        return np.repeat(np.arange(len(self)), self.sizes())
+
+
 class RoutePlan:
     """A planned owner-routed exchange (see :meth:`SimComm.route`).
 
     The one implementation of *send each row to the rank that owns it,
-    sometimes answer back*.  A P x P count matrix says how many rows go
-    where, which is what the event charges.  One stable sort of all ranks'
-    destinations, concatenated in rank order, is the receiver-major
-    permutation: it keeps each receiver's rows grouped by sender in each
-    sender's order, and its inverse carries answers back -- one gather per
-    receiver, however many of the P x P cells are empty.  A ragged
-    column's values are never concatenated whole: they are read one piece
+    sometimes answer back*.  A plan is its sorted rows: one stable sort of
+    all ranks' destinations, concatenated in rank order, is the
+    receiver-major permutation -- it keeps each receiver's rows grouped by
+    sender in each sender's order, and its inverse carries answers back.
+    The run boundaries of that order are the plan's non-empty *cells*
+    (sender, receiver, first row, rows), and every event charge is computed
+    from them, so a plan costs O(rows + P), never P x P.  A plain column
+    moves in one gather per receiver (a :class:`RankBlocks` column in one
+    gather in all).  A ragged column's values are never concatenated
+    whole: a receiver builds one index over its rows and takes one piece
     per non-empty cell, and a ragged reply to a receiver that addressed its
-    rows in ascending rank order (a fetch of sorted ids) is those pieces
-    as they come, with no second gather.
+    rows in ascending rank order (a fetch of sorted ids) is its cells'
+    runs as they come, with no second gather.
 
     A column is, per rank, an array with one row per destination or -- a
     *ragged* column, for rows of varying length such as packed reads -- a
     ``(values, offsets)`` tuple with row ``k`` at
     ``values[offsets[k]:offsets[k + 1]]``; it is received in the same form.
-    Receivers get fresh arrays (never views of a whole-world buffer) of the
-    dtype ``np.concatenate`` gives over all senders' arrays, empty included.
+    Receivers of a list column get fresh arrays (never views of a
+    whole-world buffer) of the dtype ``np.concatenate`` gives over all
+    senders' arrays, empty included.
     """
 
-    __slots__ = ("comm", "counts", "_order", "_inverse")
+    __slots__ = ("comm", "_order", "_inverse", "_sent", "_received", "_cells",
+                 "_recv_cells")
 
     def __init__(self, comm: SimComm, dests: Iterable[np.ndarray]) -> None:
         P = comm.size
+        if isinstance(dests, RankBlocks):
+            comm._check_input(dests, "route")
+            flat, sent = dests.flat, dests.bounds
+            if flat.size and flat.dtype.kind not in "iu":
+                rank = int(np.flatnonzero(np.diff(sent))[0])
+                raise CommunicatorError(
+                    f"route: rank {rank} has {flat.dtype} destinations, not ranks"
+                )
+        else:
+            dests = [np.asarray(d) for d in dests]
+            comm._check_input(dests, "route")
+            for r, dest in enumerate(dests):
+                if dest.size and dest.dtype.kind not in "iu":
+                    raise CommunicatorError(
+                        f"route: rank {r} has {dest.dtype} destinations, not ranks"
+                    )
+            rows = [d for d in dests if d.size]
+            flat = np.concatenate(rows) if rows else np.empty(0, np.int64)
+            sent = cumsum0([d.size for d in dests])
+        # one pass over every destination
+        if flat.size and not (0 <= flat.min() and flat.max() < P):
+            bad = np.flatnonzero((flat < 0) | (flat >= P))[0]
+            rank = int(np.searchsorted(sent, bad, side="right") - 1)
+            raise CommunicatorError(
+                f"route: rank {rank} has a destination outside [0, {P})"
+            )
+        self.comm = comm
+        self._sent = sent
         # the narrowest dtype that holds a rank: 8- and 16-bit keys make
         # numpy's stable sort a radix sort, and the cast copies are small
-        narrow = np.min_scalar_type(P)
-        narrowed, counts = [], []
-        for r, dest in enumerate(dests):
-            dest = np.asarray(dest)
-            if dest.size and dest.dtype.kind not in "iu":
-                raise CommunicatorError(
-                    f"route: rank {r} has {dest.dtype} destinations, not ranks"
-                )
-            if dest.size and not (0 <= dest.min() and dest.max() < P):
-                raise CommunicatorError(
-                    f"route: rank {r} has a destination outside [0, {P})"
-                )
-            narrowed.append(dest.astype(narrow, copy=False))
-            counts.append(np.bincount(narrowed[-1], minlength=P))
-        comm._check_input(narrowed, "route")
-        self.comm = comm
-        #: ``counts[r, o]``: rows rank ``r`` sends to rank ``o``
-        self.counts = np.array(counts, dtype=np.int64)
+        keys = flat.astype(np.min_scalar_type(P), copy=False)
         # the plan holds one entry per row for its whole life (and one more,
         # the inverse, from its first reply on)
-        flat = np.concatenate(narrowed)
-        index = np.int32 if flat.size < 2**31 else np.int64
-        self._order = np.argsort(flat, kind="stable").astype(index)
+        index = np.int32 if keys.size < 2**31 else np.int64
+        self._order = order = np.argsort(keys, kind="stable").astype(index)
         self._inverse = None
+        # cells: the runs of equal (receiver, sender) in the stable order
+        recv = keys.take(order)
+        send = np.repeat(np.arange(P, dtype=keys.dtype), np.diff(sent)).take(order)
+        starts = np.ones(recv.size, dtype=bool)
+        np.not_equal(recv[1:], recv[:-1], out=starts[1:])
+        starts[1:] |= send[1:] != send[:-1]
+        first = np.flatnonzero(starts)
+        del starts
+        cell_recv = recv[first].astype(np.int64)
+        self._cells = (
+            send[first].astype(np.int64),
+            cell_recv,
+            first,
+            np.diff(np.append(first, recv.size)),
+        )
+        #: cells of receiver o: ``_recv_cells[o]`` up to ``_recv_cells[o + 1]``
+        self._recv_cells = np.searchsorted(cell_recv, np.arange(P + 1))
+        self._received = np.append(first, recv.size)[self._recv_cells]
+        metrics = get_registry()
+        metrics.counter("mpi.route_plans").inc()
+        metrics.counter("mpi.route_cells").inc(first.size)
 
-    def _exchange(self, columns: Sequence[Sequence[Any]], back: bool) -> list[list[Any]]:
+    @property
+    def counts(self) -> np.ndarray:
+        """``counts[r, o]``: rows rank ``r`` sends to rank ``o``.  Built on
+        demand as a P x P matrix, for tests and reports; no move reads it."""
+        P = self.comm.size
+        send, recv, _first, rows = self._cells
+        out = np.zeros((P, P), dtype=np.int64)
+        out[send, recv] = rows
+        return out
+
+    def _exchange(self, columns: Sequence[Sequence[Any]], back: bool) -> list[Any]:
         """Validate ``columns``, record their event and move them: from
         the senders to the receivers, or ``back`` from the receivers.
 
@@ -594,9 +693,13 @@ class RoutePlan:
         refused.
         """
         comm, P = self.comm, self.comm.size
-        cells = self.counts.T if back else self.counts
-        rows = cells.sum(axis=1)
-        away = rows - cells.diagonal()
+        send, recv, first, nrows = self._cells
+        bounds = self._received if back else self._sent
+        rows = bounds[1:] - bounds[:-1]
+        # each source's own cell: the rows it keeps
+        own = np.flatnonzero(send == recv)
+        away = rows.copy()
+        away[send[own]] -= nrows[own]
         rows = rows.tolist()
         # destination row i is source row perm[i] of a concatenated column
         perm = self._inverse if back else self._order
@@ -604,6 +707,16 @@ class RoutePlan:
         checked: list[Any] = []
         for col in columns:
             comm._check_input(col, "route column")
+            if isinstance(col, RankBlocks):
+                if not np.array_equal(col.bounds, bounds):
+                    r = int(np.flatnonzero(col.sizes() != np.diff(bounds))[0])
+                    raise CommunicatorError(
+                        f"route: rank {r} column has {col.sizes()[r]} rows, "
+                        f"expected {rows[r]} rows"
+                    )
+                sent += away * (col.flat.itemsize * math.prod(col.flat.shape[1:]))
+                checked.append(col)
+                continue
             ragged = isinstance(col[0], tuple)
             kind = "a (values, offsets) pair" if ragged else "an array"
             for r, entry in enumerate(col):
@@ -633,72 +746,93 @@ class RoutePlan:
                 lengths.append(n)
                 sizes.append((o.itemsize, len(v), v.itemsize))
             lengths = np.concatenate(lengths)
-            # cell[t, s]: first row of the rows s sends t in the receiver-major
-            # order; a rank keeps the values of its own cell
-            cell = cumsum0(self.counts.T.ravel())[:-1].reshape(P, P)
-            ends, own = cumsum0(lengths if back else lengths[perm]), cell.diagonal()
-            kept = ends[own + self.counts.diagonal()] - ends[own]
+            # a source keeps the values of its own cell
+            ends = cumsum0(lengths if back else lengths[perm])
+            kept = np.zeros(P, dtype=np.int64)
+            kept[send[own]] = ends[first[own] + nrows[own]] - ends[first[own]]
             offset_size, nvalues, value_size = np.array(sizes, dtype=np.int64).T
             sent += (away + P - 1) * offset_size + (nvalues - kept) * value_size
-            checked.append((values, lengths, cell))
+            checked.append((values, lengths))
         comm._charge("alltoallv", int(sent.sum()), int(sent.max()), P * (P - 1))
-        bounds = cumsum0(cells.sum(axis=0)).tolist()
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        return [self._move(col, perm, spans, back) for col in checked]
+        return [self._move(col, back) for col in checked]
 
-    def _move(self, col: Any, perm: np.ndarray, spans: list, back: bool) -> list[Any]:
-        """One checked column, gathered per destination.  A plain column is
-        concatenated once (and freed on return, so columns are not all
-        copied at once); a ragged column's values never are: a destination
-        reads one piece per rank it has rows from."""
+    def _move(self, col: Any, back: bool) -> Any:
+        """One checked column, gathered per destination.  A plain list
+        column is concatenated once (and freed on return, so columns are
+        not all copied at once); a ragged column's values never are."""
+        perm = self._inverse if back else self._order
+        bounds = self._sent if back else self._received
+        if isinstance(col, RankBlocks):
+            return RankBlocks(col.flat.take(perm, axis=0), bounds)
+        spans = bounds.tolist()
+        spans = list(zip(spans[:-1], spans[1:]))
         if not isinstance(col, tuple):
             flat = np.concatenate(col)
             return [flat[perm[a:b]] for a, b in spans]
-        (values, lengths, cell), counts = col, self.counts
+        values, lengths = col
+        dtype = np.concatenate([v[:0] for v in values]).dtype  # receivers' dtype
         # rows tile each rank's values: a row starts where the rows before
         # it end, less the values of the ranks before
-        first, base = cumsum0(lengths), cumsum0([len(v) for v in values])
-        proto = [np.concatenate([v[:0] for v in values])]  # receivers' dtype
+        first_value, base = cumsum0(lengths), cumsum0([len(v) for v in values])
         out = []
-        for d, (a, b) in enumerate(spans):
-            rows, nz = perm[a:b], np.flatnonzero(counts[d] if back else counts[:, d])
-            if back:
+        if back:
+            send, recv, first, nrows = self._cells
+            # the cells in (sender, receiver) order: d's cells are a range
+            by_sender = np.argsort(send, kind="stable")
+            send_cells = np.searchsorted(send[by_sender], np.arange(len(spans) + 1)).tolist()
+            for d, (a, b) in enumerate(spans):
                 # d's answers from one rank are one run of its values: pool
                 # the runs, then gather them in d's row order -- unless d
                 # addressed its rows in ascending rank order (a fetch of
                 # sorted ids), when the pool already is its row order
-                lo, hi = first[cell[nz, d]], first[cell[nz, d] + counts[d, nz]]
+                cells = by_sender[send_cells[d] : send_cells[d + 1]]
+                owner, at = recv[cells].tolist(), first[cells]
+                lo, hi = first_value[at], first_value[at + nrows[cells]]
                 pool = np.concatenate(
-                    proto
-                    + [values[o][x - base[o] : y - base[o]] for o, x, y in zip(nz, lo, hi)]
+                    [np.empty(0, dtype)]
+                    + [values[o][x - base[o] : y - base[o]] for o, x, y in zip(owner, lo, hi)]
                 )
+                rows = perm[a:b]
                 if (rows[1:] > rows[:-1]).all():
                     out.append((pool, cumsum0(lengths[rows])))
                     continue
-                k = np.searchsorted(cell[nz, d], rows, side="right") - 1
-                at = first[rows] - lo[k] + cumsum0(hi - lo)[k]
-                out.append(gather_pieces(pool, at, lengths[rows]))
-                continue
-            # d's rows from one rank are one run of perm: one gather each
-            runs = [perm[x : x + n] for x, n in zip(cell[d, nz], counts[nz, d])]
-            pieces = [
-                gather_pieces(values[s], first[r] - base[s], lengths[r])[0]
-                for s, r in zip(nz, runs)
-            ]
-            out.append((np.concatenate(proto + pieces), cumsum0(lengths[rows])))
+                k = np.searchsorted(at, rows, side="right") - 1
+                out.append(gather_pieces(
+                    pool, first_value[rows] - lo[k] + cumsum0(hi - lo)[k], lengths[rows]
+                ))
+            return out
+        # where each row starts within its own rank's values
+        local = first_value[:-1] - np.repeat(base[:-1], np.diff(self._sent))
+        send, _recv, first, nrows = (c.tolist() for c in self._cells)
+        recv_cells = self._recv_cells.tolist()
+        for d, (a, b) in enumerate(spans):
+            # one index over d's rows, then one take per non-empty cell
+            rows = perm[a:b]
+            n = lengths[rows]
+            offsets = cumsum0(n)
+            total = int(offsets[-1])
+            idtype = np.int32 if max(int(base[-1]), total) < (1 << 31) - 1 else np.int64
+            index = np.repeat((local[rows] - offsets[:-1]).astype(idtype), n)
+            index += np.arange(total, dtype=idtype)
+            got = np.empty(total, dtype)
+            for c in range(recv_cells[d], recv_cells[d + 1]):
+                x, y = offsets[first[c] - a], offsets[first[c] - a + nrows[c]]
+                got[x:y] = values[send[c]].take(index[x:y], axis=0)
+            out.append((got, offsets))
         return out
 
-    def send(self, *columns: Sequence[Any]) -> tuple[list[Any], ...]:
+    def send(self, *columns: Sequence[Any]) -> tuple[Any, ...]:
         """Move row-aligned columns to their destinations in one event.
 
         ``columns[c][r]`` holds one row (first axis) per destination of
-        rank ``r``.  Returns one per-receiver list per column: receiver
-        ``o``'s array is the rows addressed to it, grouped by source rank
-        with each sender's order kept.
+        rank ``r``.  Returns one per-receiver list (a :class:`RankBlocks`
+        for a ``RankBlocks`` column) per column: receiver ``o``'s array is
+        the rows addressed to it, grouped by source rank with each sender's
+        order kept.
         """
         return tuple(self._exchange(columns, back=False))
 
-    def reply(self, answers: Sequence[Any]) -> list[Any]:
+    def reply(self, answers: Sequence[Any]) -> Any:
         """The trip back: ``answers[o]`` holds one row per row receiver
         ``o`` got from :meth:`send`, in that order.  Returns, per original
         sender, the answers to its rows in its own row order."""

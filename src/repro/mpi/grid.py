@@ -43,6 +43,7 @@ class ProcGrid:
         self.q = q
         self.nprocs = world.nprocs
         self._vec_bounds: dict[int, np.ndarray] = {}
+        self._vec_owners: dict[int, np.ndarray] = {}
         self.row_comms: list[SimComm] = [
             world.subcomm([self.rank_of(i, j) for j in range(q)], label=f"row{i}")
             for i in range(q)
@@ -135,6 +136,19 @@ class ProcGrid:
             raise GridError(f"rank {rank} outside grid of {self.nprocs}")
         bounds = self.vec_bounds(n)
         return int(bounds[rank]), int(bounds[rank + 1])
+
+    def vec_owners(self, n: int) -> np.ndarray:
+        """The owner rank of every element of a length-``n`` vector, in the
+        narrowest dtype that holds a rank: a lookup table, so routing many
+        indices is one ``take`` rather than a binary search per index.
+        Computed once per ``n`` and shared read-only, as
+        :meth:`vec_bounds` is."""
+        owners = self._vec_owners.get(n)
+        if owners is None:
+            ranks = np.arange(self.nprocs, dtype=np.min_scalar_type(self.nprocs))
+            owners = self._vec_owners[n] = np.repeat(ranks, np.diff(self.vec_bounds(n)))
+            owners.flags.writeable = False
+        return owners
 
     def owner_of_vec(self, n: int, idx):
         """Rank owning vector element(s) ``idx`` (in ``[0, n)``; callers

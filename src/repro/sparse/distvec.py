@@ -3,14 +3,18 @@
 Vectors (degree vector **d**, contig-membership vector **v**, assignment
 vector **p**, ...) are split P ways in rank order, each rank owning a
 contiguous sub-block of ~n/P elements (§4.3; the boundaries are
-:meth:`ProcGrid.vec_bounds <repro.mpi.grid.ProcGrid.vec_bounds>`).  The key
-communication primitive is :meth:`DistVector.gather`: ranks fetch arbitrary
-remote elements by global index -- the owner-computes pattern LACC and the
-induced-subgraph function use -- as one
-:meth:`SimComm.route <repro.mpi.comm.SimComm.route>` plan: *send* the
-requests to their owners, *reply* with the values.
-:meth:`DistVector.scatter_update` is the same plan with two sends (indices,
-values) and no reply, each owner keeping the minimum (LACC's hooking).
+:meth:`ProcGrid.vec_bounds <repro.mpi.grid.ProcGrid.vec_bounds>`).  The
+simulator holds the P blocks as one flat array of length ``n``:
+``blocks`` reads them back as per-rank views
+(:class:`~repro.mpi.comm.RankBlocks`), and whole-vector work is one array
+operation, as LACC writes it.  The key communication primitive is
+:meth:`DistVector.gather`: ranks fetch arbitrary remote elements by global
+index -- the owner-computes pattern LACC and the induced-subgraph function
+use -- as one :meth:`SimComm.route <repro.mpi.comm.SimComm.route>` plan
+(*send* the requests to their owners, *reply* with the values) around one
+fancy index of the owners' elements.  :meth:`DistVector.scatter_update` is
+the same plan with two sends (indices, values) and no reply, each owner
+keeping the minimum (LACC's hooking): one ``minimum.at``.
 """
 
 from __future__ import annotations
@@ -20,45 +24,56 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import DistributionError
-from ..mpi.comm import RoutePlan
+from ..mpi.comm import RankBlocks, RoutePlan
 from ..mpi.grid import ProcGrid
 
 __all__ = ["DistVector"]
 
 
 class DistVector:
-    """A dense vector of length ``n`` split P ways over the grid's ranks."""
+    """A dense vector of length ``n`` split P ways over the grid's ranks.
 
-    __slots__ = ("grid", "n", "blocks")
+    ``values`` holds every rank's block in rank order; rank ``r`` owns
+    ``values[bounds[r]:bounds[r + 1]]``.
+    """
 
-    def __init__(self, grid: ProcGrid, n: int, blocks: list[np.ndarray]) -> None:
+    __slots__ = ("grid", "n", "values")
+
+    def __init__(
+        self, grid: ProcGrid, n: int, blocks: Sequence[np.ndarray]
+    ) -> None:
         if len(blocks) != grid.nprocs:
             raise DistributionError(
                 f"expected {grid.nprocs} blocks, got {len(blocks)}"
             )
-        for rank, (blk, size) in enumerate(zip(blocks, np.diff(grid.vec_bounds(n)))):
-            if blk.shape[0] != size:
-                raise DistributionError(
-                    f"rank {rank} block has {blk.shape[0]} elements, "
-                    f"expected {size}"
-                )
+        blocks = RankBlocks.of(blocks)
+        bounds = grid.vec_bounds(n)
+        if not np.array_equal(blocks.bounds, bounds):
+            sizes, want = blocks.sizes(), np.diff(bounds)
+            rank = int(np.flatnonzero(sizes != want)[0])
+            raise DistributionError(
+                f"rank {rank} block has {sizes[rank]} elements, "
+                f"expected {want[rank]}"
+            )
         self.grid = grid
         self.n = int(n)
-        self.blocks = blocks
+        self.values = blocks.flat
 
     # -- constructors -----------------------------------------------------
     @classmethod
+    def _of(cls, grid: ProcGrid, values: np.ndarray) -> "DistVector":
+        vec = cls.__new__(cls)
+        vec.grid, vec.n, vec.values = grid, int(values.shape[0]), values
+        return vec
+
+    @classmethod
     def from_global(cls, grid: ProcGrid, arr: np.ndarray) -> "DistVector":
         """Distribute a global array (testing / root-side convenience)."""
-        arr = np.asarray(arr)
-        bounds = grid.vec_bounds(arr.shape[0])
-        blocks = [arr[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
-        return cls(grid, arr.shape[0], blocks)
+        return cls._of(grid, np.array(arr))
 
     @classmethod
     def full(cls, grid: ProcGrid, n: int, fill, dtype) -> "DistVector":
-        sizes = np.diff(grid.vec_bounds(n))
-        return cls(grid, n, [np.full(size, fill, dtype=dtype) for size in sizes])
+        return cls._of(grid, np.full(n, fill, dtype=dtype))
 
     @classmethod
     def zeros(cls, grid: ProcGrid, n: int, dtype=np.int64) -> "DistVector":
@@ -67,61 +82,59 @@ class DistVector:
     @classmethod
     def arange(cls, grid: ProcGrid, n: int) -> "DistVector":
         """The identity map: element i holds i (seed of pointer-jumping)."""
-        bounds = grid.vec_bounds(n)
-        blocks = [
-            np.arange(lo, hi, dtype=np.int64)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        return cls(grid, n, blocks)
+        return cls._of(grid, np.arange(n, dtype=np.int64))
 
     # -- basics ---------------------------------------------------------
+    @property
+    def bounds(self) -> np.ndarray:
+        """The P + 1 block boundaries (shared and read-only)."""
+        return self.grid.vec_bounds(self.n)
+
+    @property
+    def blocks(self) -> RankBlocks:
+        """Per-rank views of ``values``: writing into one writes the vector."""
+        return RankBlocks(self.values, self.bounds)
+
     def to_global(self) -> np.ndarray:
-        """Concatenate all blocks (test/report convenience, no cost charged)."""
-        return np.concatenate(self.blocks) if self.blocks else np.empty(0)
+        """A copy of the whole vector (test/report convenience, no cost)."""
+        return self.values.copy()
 
     def local_range(self, rank: int) -> tuple[int, int]:
         return self.grid.vec_block(self.n, rank)
 
     def map(self, func: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "DistVector":
-        """Elementwise transform: ``func(block, global_indices) -> block``."""
-        world = self.grid.world
-        out = []
-        for rank, blk in enumerate(self.blocks):
-            lo, hi = self.local_range(rank)
-            out.append(np.asarray(func(blk, np.arange(lo, hi, dtype=np.int64))))
-        world.charge_compute_all([blk.shape[0] for blk in self.blocks])
-        return DistVector(self.grid, self.n, out)
+        """Elementwise transform: ``func(block, global_indices) -> block``,
+        applied to every rank's block in one call."""
+        out = np.asarray(func(self.values, np.arange(self.n, dtype=np.int64)))
+        self.grid.world.charge_compute_all(np.diff(self.bounds))
+        return DistVector._of(self.grid, out)
 
-    def select_global_indices(self, pred: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
+    def select_global_indices(self, pred: Callable[[np.ndarray], np.ndarray]) -> RankBlocks:
         """Per-rank global indices where ``pred(block)`` holds.
 
         This is the element-wise selection of §4.2 that extracts branching
         vertices (``degree >= 3``) from the degree vector.
         """
-        world = self.grid.world
-        out = []
-        for rank, blk in enumerate(self.blocks):
-            lo, _hi = self.local_range(rank)
-            mask = np.asarray(pred(blk), dtype=bool)
-            out.append(lo + np.flatnonzero(mask))
-        world.charge_compute_all([blk.shape[0] for blk in self.blocks])
-        return out
+        hits = np.flatnonzero(np.asarray(pred(self.values), dtype=bool))
+        bounds = self.bounds
+        self.grid.world.charge_compute_all(np.diff(bounds))
+        return RankBlocks(hits, np.searchsorted(hits, bounds))
 
     # -- communication --------------------------------------------------
     def route(self, indices: Sequence[np.ndarray]) -> RoutePlan:
         """The plan sending every rank's global indices to their owners
         (range-checked: nothing is routed or charged on a bad index); pass
         it as ``gather(indices, plan=...)`` to fetch the same indices again."""
-        for idx in indices:
-            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-                raise DistributionError(f"index out of range [0, {self.n})")
-        # one rank's owners at a time, not a whole-world copy of the indices
-        owners = (self.grid.owner_of_vec(self.n, idx) for idx in indices)
-        return self.grid.world.comm.route(owners)
+        indices = RankBlocks.of(indices)
+        flat = indices.flat
+        if flat.size and (flat.min() < 0 or flat.max() >= self.n):
+            raise DistributionError(f"index out of range [0, {self.n})")
+        owners = self.grid.vec_owners(self.n).take(flat)
+        return self.grid.world.comm.route(RankBlocks(owners, indices.bounds))
 
     def gather(
         self, requests: Sequence[np.ndarray], plan: RoutePlan | None = None
-    ) -> list[np.ndarray]:
+    ) -> RankBlocks:
         """Fetch remote elements by global index for every rank.
 
         ``requests[r]`` is rank r's array of global indices; the result's
@@ -132,14 +145,13 @@ class DistVector:
         grid, world = self.grid, self.grid.world
         if len(requests) != grid.nprocs:
             raise DistributionError(f"expected {grid.nprocs} request arrays")
-        requests = [np.asarray(idx, dtype=np.int64) for idx in requests]
+        requests = RankBlocks.of(requests, dtype=np.int64)
         if plan is None:
             plan = self.route(requests)
-        world.charge_compute_all([idx.size for idx in requests])
+        world.charge_compute_all(requests.sizes())
         (asked,) = plan.send(requests)
-        lows = grid.vec_bounds(self.n)
-        answers = [blk[idx - lo] for blk, idx, lo in zip(self.blocks, asked, lows)]
-        world.charge_compute_all([idx.size for idx in asked])
+        answers = RankBlocks(self.values.take(asked.flat), asked.bounds)
+        world.charge_compute_all(asked.sizes())
         return plan.reply(answers)
 
     def scatter_update(
@@ -150,17 +162,16 @@ class DistVector:
 
         Arguments are validated before anything is sent or written.
         """
-        grid, world = self.grid, self.grid.world
-        indices = [np.asarray(idx, dtype=np.int64) for idx in indices]
-        values = [np.asarray(val) for val in values]
-        if [idx.shape for idx in indices] != [val.shape[:1] for val in values]:
+        world = self.grid.world
+        indices = RankBlocks.of(indices, dtype=np.int64)
+        values = RankBlocks.of(values)
+        if len(indices) != len(values) or not np.array_equal(
+            indices.bounds, values.bounds
+        ):
             raise DistributionError("indices/values length mismatch")
         plan = self.route(indices)
-        world.charge_compute_all([idx.size for idx in indices])
+        world.charge_compute_all(indices.sizes())
         (recv_i,) = plan.send(indices)
         (recv_v,) = plan.send(values)
-        lows = grid.vec_bounds(self.n)
-        for o, (idx, val) in enumerate(zip(recv_i, recv_v)):
-            if idx.size:
-                np.minimum.at(self.blocks[o], idx - lows[o], val)
-        world.charge_compute_all([idx.size for idx in recv_i])
+        np.minimum.at(self.values, recv_i.flat, recv_v.flat)
+        world.charge_compute_all(recv_i.sizes())

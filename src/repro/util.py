@@ -76,4 +76,6 @@ def gather_pieces(
         idx += np.repeat(
             (base - sign * offsets[:-1]).astype(idtype), lengths
         )
-    return buffer[idx], offsets
+    # ``take`` is the same gather as ``buffer[idx]``, ~1/3 faster on a
+    # uint8 pool (numpy 2.4)
+    return buffer.take(idx, axis=0), offsets

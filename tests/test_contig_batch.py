@@ -292,3 +292,60 @@ class TestScalarVectorizedLookup:
         vectorized = packed.indices_of(gids)
         scalar = [packed.index_of(int(g)) for g in gids]
         assert vectorized.tolist() == scalar
+
+
+class TestSegmentStep:
+    """``assemble_ranks`` -- every rank's graph walked in one call -- equals
+    per-rank ``local_assembly`` (and so the scalar oracle) rank by rank."""
+
+    @staticmethod
+    def rank_inputs(rng, P):
+        graphs, shards = [], []
+        for r in range(P):
+            kind = rng.integers(0, 4)
+            if kind == 0:  # an empty rank
+                graph = InducedGraph(
+                    coo=LocalCoo.empty((0, 0), OVERLAP_DTYPE),
+                    global_ids=np.empty(0, dtype=np.int64),
+                )
+                packed = PackedReads.empty()
+            elif kind == 1:  # singletons only
+                ids = np.sort(rng.choice(5000, size=3, replace=False))
+                graph = InducedGraph(
+                    coo=LocalCoo.empty((3, 3), OVERLAP_DTYPE), global_ids=ids
+                )
+                packed = PackedReads.from_codes(
+                    [dna.random_codes(rng, 20) for _ in ids], ids
+                )
+            else:
+                graph, packed = random_degree2_graph(
+                    rng, n_components=int(rng.integers(1, 8)),
+                    corrupt_prob=0.3 if kind == 2 else 1.0,
+                )
+            graphs.append(graph)
+            shards.append(packed)
+        return graphs, shards
+
+    @pytest.mark.parametrize("emit_cycles", [False, True])
+    @pytest.mark.parametrize("P", [1, 4, 16])
+    def test_equals_per_rank_assembly(self, P, emit_cycles):
+        from repro.core.batch import assemble_ranks
+
+        for seed in range(3):
+            rng = np.random.default_rng(1000 * P + seed)
+            graphs, shards = self.rank_inputs(rng, P)
+            results, rounds = assemble_ranks(graphs, shards, emit_cycles)
+            assert len(results) == P
+            walks = np.zeros(P, dtype=int)
+            for _wall, starts in rounds:
+                walks += starts > 0
+            for r, (graph, packed) in enumerate(zip(graphs, shards)):
+                scalar = local_assembly(
+                    graph, packed, emit_cycles=emit_cycles, engine="scalar"
+                )
+                assert_results_identical(results[r], scalar)
+                (alone,), own_rounds = assemble_ranks([graph], [packed], emit_cycles)
+                assert_results_identical(alone, scalar)
+                # a "walk" span per round in which the rank started walks:
+                # as many as the rank walking alone runs rounds
+                assert walks[r] == len(own_rounds)

@@ -224,3 +224,29 @@ class TestContigSizes:
             sizes = contig_sizes_distributed(labels).to_global()
             outs.append((labels.to_global().tolist(), sizes.tolist()))
         assert all(o == outs[0] for o in outs[1:])
+
+
+class TestNonConvergence:
+    """A run cut off by ``max_rounds`` raises instead of returning labels
+    that may not be components."""
+
+    def test_hooking_needs_more_rounds_than_allowed(self, grid4):
+        from repro.errors import AssemblyError
+
+        # a path through shuffled vertex ids takes several hooking rounds
+        n = 64
+        perm = np.random.default_rng(2).permutation(n)
+        L = dist_graph(grid4, n, [(int(a), int(b)) for a, b in zip(perm, perm[1:])])
+        assert connected_components(L).rounds >= 3
+        with pytest.raises(AssemblyError, match="1 hooking rounds"):
+            connected_components(L, max_rounds=1)
+
+    def test_shortcut_needs_more_rounds_than_allowed(self):
+        from repro.errors import AssemblyError
+        from repro.mpi import ProcGrid, SimWorld, zero_cost
+
+        g = ProcGrid(SimWorld(4, zero_cost()))
+        # a chain 7 -> 6 -> ... -> 0 needs three jumps and a stable round
+        f = DistVector.from_global(g, np.maximum(np.arange(8) - 1, 0))
+        with pytest.raises(AssemblyError, match="2 rounds"):
+            _shortcut_until_stable(f, max_rounds=2)

@@ -21,13 +21,21 @@ cuts A . A^T into 64 column phases), then
   P = 16 by ``bench_fig4``, not here: 1 070 reads over 1 024 ranks leave
   most ranks with one read.
 
+Beside the local joins it bounds the route plans and their non-empty
+cells (``mpi.route_plans`` / ``mpi.route_cells``) of both rows.
+``--probe P`` instead runs the preset once at P ranks and reports its
+wall, peak RSS, counters and whether its digest equals the gate's; it
+gates nothing.
+
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/paper_scale_gate.py
+    PYTHONPATH=src python benchmarks/paper_scale_gate.py --probe 4096
 """
 
 from __future__ import annotations
 
+import resource
 import sys
 from dataclasses import replace
 
@@ -54,16 +62,56 @@ WALL_BOUND_S = 30.0
 JOIN_BOUND = 3 * 1024
 
 
+#: route plans and their non-empty (sender, receiver) cells the P = 1 024
+#: run and the phased row may build (ROADMAP 10(a); a bound only goes
+#: down).  Measured when set: 33 plans each, 452 598 and 243 293 cells
+ROUTE_PLAN_BOUND = {1024: 36, PHASED: 36}
+ROUTE_CELL_BOUND = {1024: 480_000, PHASED: 260_000}
+COUNTERS = ("sparse.local_joins", "mpi.route_plans", "mpi.route_cells")
+
+
 def counted_run(run):
-    """``run()``'s result and the local joins it made."""
-    joins = get_registry().counter("sparse.local_joins")
-    before = joins.value
+    """``run()``'s result and what it added to each of ``COUNTERS``."""
+    counters = [get_registry().counter(name) for name in COUNTERS]
+    before = [c.value for c in counters]
     result = run()
-    return result, int(joins.value - before)
+    return result, {
+        name: int(c.value - b) for name, c, b in zip(COUNTERS, counters, before)
+    }
 
 
-def main() -> int:
+def counter_failures(label, key, counts):
+    """Print ``counts`` and return the bounds they break."""
+    print(f"{label}  " + "  ".join(f"{k} {v}" for k, v in counts.items()))
+    bounds = {
+        "sparse.local_joins": JOIN_BOUND if key == max(PINS) else None,
+        "mpi.route_plans": ROUTE_PLAN_BOUND[key],
+        "mpi.route_cells": ROUTE_CELL_BOUND[key],
+    }
+    return [
+        f"{label} made {counts[k]} {k} > bound {b}"
+        for k, b in bounds.items()
+        if b is not None and counts[k] > b
+    ]
+
+
+def probe(ds, p: int) -> int:
+    """Report-only: one run at ``p`` ranks -- wall, peak RSS, the counters
+    and whether its contig digest equals the gate's.  Not a gate."""
+    result, counts = counted_run(lambda: sweep_pipeline(ds, "cori-haswell", [p])[0])
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    same = "equals" if result.contig_digest() == DIGEST else "differs from"
+    print(f"probe P={p}  wall {result.report.wall_seconds:.2f} s  "
+          f"peak RSS {rss_mb:.0f} MB  "
+          + "  ".join(f"{k} {v}" for k, v in counts.items())
+          + f"  digest {same} the gate's")
+    return 0
+
+
+def main(argv: list[str]) -> int:
     ds = build_bench_dataset("c_elegans")
+    if argv[:1] == ["--probe"]:
+        return probe(ds, int(argv[1]))
     results, joins = zip(*(
         counted_run(lambda p=p: sweep_pipeline(ds, "cori-haswell", [p])[0])
         for p in (1, *PINS)
@@ -80,13 +128,10 @@ def main() -> int:
         if got != pins:
             failures.append(f"P={p}: got {got}, pinned {pins}")
     wall = results[-1].report.wall_seconds
-    print(f"P={max(PINS):5d}  wall {wall:.2f} s  sparse.local_joins {joins[-1]}")
+    print(f"P={max(PINS):5d}  wall {wall:.2f} s")
     if wall > WALL_BOUND_S:
         failures.append(f"P={max(PINS)} took {wall:.2f} s > bound {WALL_BOUND_S:.0f} s")
-    if joins[-1] > JOIN_BOUND:
-        failures.append(
-            f"P={max(PINS)} made {joins[-1]} local joins > bound {JOIN_BOUND}"
-        )
+    failures += counter_failures(f"P={max(PINS):5d}", max(PINS), joins[-1])
 
     p, budget_mb = PHASED
     machine = MACHINE_PRESETS["cori-haswell"]().scaled(ds.scale)
@@ -99,7 +144,8 @@ def main() -> int:
     print(f"P={p:5d}  budget {budget_mb:g} MB  "
           f"{phased.counts['overlap_spgemm_phases']} phases  digest {got[0][:16]}  "
           f"modeled_total {got[1]}  log {got[2]}  peak {got[3]:.0f}  "
-          f"wall {wall:.2f} s  sparse.local_joins {phased_joins}")
+          f"wall {wall:.2f} s")
+    failures += counter_failures(f"P={p:5d}  phased", PHASED, phased_joins)
     if got != PHASED_PINS:
         failures.append(f"P={p} phased: got {got}, pinned {PHASED_PINS}")
     if wall > WALL_BOUND_S:
@@ -120,4 +166,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -84,6 +84,13 @@ KEPT = {
     "align/classify.py:_edge_fields": _ORACLE,
     "seq/readstore.py:PackedReads.codes": _ORACLE + " (its read access)",
     "mpi/comm.py:SimComm.alltoall": "the reference SimComm.route is tested against",
+    "mpi/comm.py:RoutePlan.counts": "the P x P count matrix the route tests compare a plan's cells against",
+    "core/contig.py:_assemble_step": _ORACLE + " (its per-rank LocalAssembly step)",
+    "mpi/executor.py:RankContext.span": (
+        "the kernel-section API of a rank step, which the telemetry and executor "
+        "tests drive; no pipeline step opens one since LocalAssembly became a "
+        "segment step (it records its walk spans with record_span)"
+    ),
     "sparse/semiring.py:_seed_add": "the add the seed semiring's slot_reduce is tested against",
     "sparse/coo.py:segment_order": "the stable segment sort _seed_add uses",
     "strgraph/edgecodec.py:*": "called by the serial OLC oracle in tests/oracle",

@@ -659,6 +659,7 @@ class RoutePlan:
         first = np.flatnonzero(starts)
         del starts
         cell_recv = recv[first].astype(np.int64)
+        #: per cell: sender, receiver, first row in the stable order, rows
         self._cells = (
             send[first].astype(np.int64),
             cell_recv,

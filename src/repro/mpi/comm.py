@@ -22,9 +22,13 @@ is :meth:`SimComm.route`: the caller names a destination rank per row, and
 the returned :class:`RoutePlan` sends any number of row-aligned columns
 -- NumPy arrays, or ragged ``(values, offsets)`` pairs such as packed reads
 -- in one ``alltoallv`` (``send``) and returns answers in request order
-(``reply``), each through one receiver-major permutation of all rows.
-``alltoall`` is the generic-object form of the same collective, kept as
-the reference the route tests compare against.
+(``reply``), each through one receiver-major permutation of all rows.  A
+plan is its sorted rows: the non-empty (sender, receiver) cells are runs of
+that permutation and every event charge comes from them, so planning costs
+O(rows + P) and no plan holds a P x P array.  Per-rank inputs may be given
+as a :class:`RankBlocks` -- one flat array plus P + 1 bounds -- which a
+plan moves with one gather.  ``alltoall`` is the generic-object form of the
+same collective, kept as the reference the route tests compare against.
 
 The local half of a superstep goes through :meth:`SimWorld.map_ranks`
 (one step call per rank) or :meth:`SimWorld.map_segments` (one call over

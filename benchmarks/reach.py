@@ -9,7 +9,7 @@ besides the test suite:
 * one round of timed ops plus the traced pass of each ``benchmarks/e2e``
   workload (what ``run.py --trace 1`` runs in its child);
 * the paper-shape and ablation benches (``bench_fig*``, ``bench_table*``,
-  ``bench_ablation_*``) through ``pytest.main``;
+  ``bench_cloud_scaling``, ``bench_ablation_*``) through ``pytest.main``;
 * ``repro-assemble`` with every output flag, then a resume from its
   checkpoints, and ``repro-quality`` on its contigs.
 
@@ -85,7 +85,6 @@ KEPT = {
     "seq/readstore.py:PackedReads.codes": _ORACLE + " (its read access)",
     "mpi/comm.py:SimComm.alltoall": "the reference SimComm.route is tested against",
     "mpi/comm.py:RoutePlan.counts": "the P x P count matrix the route tests compare a plan's cells against",
-    "core/contig.py:_assemble_step": _ORACLE + " (its per-rank LocalAssembly step)",
     "mpi/executor.py:RankContext.span": (
         "the kernel-section API of a rank step, which the telemetry and executor "
         "tests drive; no pipeline step opens one since LocalAssembly became a "
@@ -345,7 +344,12 @@ def run_benches(reach: Reach) -> None:
     bench = ROOT / "benchmarks"
     files = sorted(
         str(p)
-        for pattern in ("bench_fig*.py", "bench_table*.py", "bench_ablation_*.py")
+        for pattern in (
+            "bench_fig*.py",
+            "bench_table*.py",
+            "bench_cloud_scaling.py",
+            "bench_ablation_*.py",
+        )
         for p in bench.glob(pattern)
     )
     args = ["-q", "-p", "no:cacheprovider", "--rootdir", str(bench)]

@@ -8,8 +8,8 @@ high-error dataset) and pipeline sweeps over P and machines.
 
 Modeled times are extrapolated to paper-scale volumes through
 ``MachineModel.scaled(scale)``: payload bytes and op counts scale linearly
-with genome size while collective *counts* (the latency terms) do not --
-see DESIGN.md.
+with genome size while collective *counts* (the latency terms) do not
+(see :meth:`~repro.mpi.costmodel.MachineModel.scaled`).
 """
 
 from __future__ import annotations

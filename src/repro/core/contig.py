@@ -31,13 +31,13 @@ from ..kernels import resolve_kernel_tier
 from ..mpi.bigcount import MPI_COUNT_LIMIT
 from ..seq.readstore import DistReadStore
 from ..sparse.distmat import DistSparseMatrix
-from .assembly import Contig, LocalAssemblyResult, local_assembly
+from .assembly import Contig, LocalAssemblyResult
 from .batch import assemble_ranks
 from .branch import BranchRemovalResult, branch_removal
 from .ccomp import connected_components, contig_sizes_distributed
 from .induced import induced_subgraph
 from .partition import PartitionResult, partition_contigs
-from .seqexchange import exchange_sequences
+from .seqexchange import check_count_limit, exchange_sequences
 
 __all__ = ["ContigSet", "contig_generation", "STAGE_PREFIX"]
 
@@ -79,21 +79,13 @@ class ContigSet:
         return sorted(self.contigs, key=lambda c: c.length, reverse=True)
 
 
-def _assemble_step(ctx, graph, shard, emit_cycles):
-    """The scalar oracle's traversal superstep: one rank walks its own
-    induced subgraph."""
-    res = local_assembly(graph, shard, emit_cycles=emit_cycles, engine="scalar")
-    ctx.charge_compute(graph.coo.nnz + sum(c.length for c in res.contigs))
-    return res
-
-
 def _assemble_segment(ctxs, graphs, shards, emit_cycles):
     """The traversal superstep as one segment step: every rank's induced
     subgraph walked in one :func:`~repro.core.batch.assemble_ranks` call.
 
     Each rank gets its own result, one ``"walk"`` kernel span per advance
     round in which it started walks (its share of the round's wall time),
-    and the charge a rank step would make."""
+    and a charge of its graph's edges plus the bases it emitted."""
     results, rounds = assemble_ranks(graphs, shards, emit_cycles)
     for wall, starts in rounds:
         share = wall / starts.sum()
@@ -117,24 +109,27 @@ def contig_generation(
 ) -> ContigSet:
     """Generate the contig set from the string matrix S and the reads.
 
-    ``assembly_engine`` selects the local traversal: ``"batch"`` (the
-    default) walks every rank's induced subgraph in one segment step
-    (:func:`~repro.core.batch.assemble_ranks` through
-    :meth:`~repro.mpi.comm.SimWorld.map_segments`), and ``"scalar"``, the
-    oracle it is bit-identical to, walks one rank per step.
-    ``kernel_tier`` accepts only ``None`` or ``"numpy"``
-    (:func:`~repro.kernels.resolve_kernel_tier`), and ``polish`` only
-    ``False``: §7 polishing post-processes the result
+    Every rank's induced subgraph is walked in one segment step
+    (:func:`~repro.core.batch.assemble_ranks`); ``assembly_engine``
+    accepts only ``"batch"``, the scalar oracle being
+    ``local_assembly(..., engine="scalar")``.  A ``count_limit`` below 1
+    raises before any stage runs.  ``kernel_tier`` accepts only ``None``
+    or ``"numpy"`` (:func:`~repro.kernels.resolve_kernel_tier`), and
+    ``polish`` only ``False``: §7 polishing post-processes the result
     (:func:`repro.scaffold.polish_contigs`).
     """
     resolve_kernel_tier(kernel_tier)
-    if assembly_engine not in ("batch", "scalar"):
-        raise AssemblyError(f"unknown assembly engine {assembly_engine!r}")
+    if assembly_engine != "batch":
+        raise AssemblyError(
+            f"unknown assembly engine {assembly_engine!r}; the scalar oracle "
+            'is local_assembly(..., engine="scalar")'
+        )
     if polish:
         raise PipelineError(
             "contig_generation does not polish; run "
             "repro.scaffold.polish_contigs on its contigs"
         )
+    check_count_limit(count_limit)
     world = S.grid.world
 
     with world.stage_scope(f"{STAGE_PREFIX}/BranchRemoval"):
@@ -159,13 +154,8 @@ def contig_generation(
         exchange = exchange_sequences(reads, p, count_limit=count_limit)
 
     with world.stage_scope(f"{STAGE_PREFIX}/LocalAssembly"):
-        if assembly_engine == "scalar":
-            run, step = world.map_ranks, _assemble_step
-        else:
-            run, step = world.map_segments, _assemble_segment
-        per_rank: list[LocalAssemblyResult] = run(
-            partial(step, emit_cycles=emit_cycles), graphs, exchange.shards
-        )
+        step = partial(_assemble_segment, emit_cycles=emit_cycles)
+        per_rank = world.map_segments(step, graphs, exchange.shards)
         contigs: list[Contig] = [c for res in per_rank for c in res.contigs]
 
     return ContigSet(

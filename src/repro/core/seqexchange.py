@@ -43,6 +43,12 @@ class SequenceExchangeResult:
         return any(p.method == "contiguous-datatype" for p in self.plans)
 
 
+def check_count_limit(count_limit: int) -> None:
+    """Refuse a count limit below 1 before anything is routed or charged."""
+    if count_limit < 1:
+        raise DistributionError(f"count_limit must be >= 1, got {count_limit}")
+
+
 def exchange_sequences(
     reads: DistReadStore,
     p: DistVector,
@@ -52,9 +58,11 @@ def exchange_sequences(
 
     Reads whose assignment is -1 (masked branch vertices, contained reads,
     singletons) are not needed by any local assembly and are dropped; any
-    other value outside ``[0, P)`` is a :class:`DistributionError`.
+    other value outside ``[0, P)`` is a :class:`DistributionError`, as is
+    a ``count_limit`` below 1, even when no message needs planning.
     Received shards are id-sorted so lookups can bisect.
     """
+    check_count_limit(count_limit)
     world, P = reads.grid.world, reads.grid.nprocs
     if p.n != reads.nreads:
         raise DistributionError(

@@ -53,7 +53,7 @@ class PipelineError(ReproError):
 
 
 class RankFailure(ReproError):
-    """One simulated rank died mid-superstep (injected or detected).
+    """One simulated rank failed a superstep (injected or detected).
 
     Carries enough provenance (``rank``, ``stage``, ``superstep``) for the
     engine's recovery path to record what it survived.  The superstep that

@@ -6,12 +6,13 @@ To the pipeline engine it is an observer like any other
 the run's world in ``on_run_start``, disarms it in ``on_run_end``, and
 is consulted at three sites:
 
-* **superstep boundaries** -- :class:`~repro.mpi.comm.SimWorld.map_ranks`
-  asks :meth:`superstep_actions` before launching a superstep; matching
-  ``rank_crash`` rules make that rank raise
-  :class:`~repro.errors.RankFailure` in place of its step (so the
-  transactional accounting charges nothing), matching ``stall`` rules
-  charge modeled straggler seconds after the superstep succeeds;
+* **superstep boundaries** -- every superstep of
+  :class:`~repro.mpi.comm.SimWorld` asks :meth:`superstep_actions`
+  before its step runs; a matching ``rank_crash`` rule makes the
+  superstep raise that rank's :class:`~repro.errors.RankFailure` (the
+  lowest crashed rank's) before any rank's step runs, so nothing is
+  charged, and matching ``stall`` rules charge modeled straggler seconds
+  after the superstep succeeds;
 * **checkpoint save/load** -- the engine's :meth:`on_checkpoint` hook
   corrupts a just-saved artifact or tears one out from under a load
   (``cache_evict_race``), exercising the ``CheckpointLoadError`` ->

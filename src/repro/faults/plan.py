@@ -147,7 +147,8 @@ def rank_crash(
     rank: int = 0,
     max_fires: int = 1,
 ) -> FaultRule:
-    """Rank ``rank`` raises mid-superstep; ``None`` stage/superstep = any."""
+    """Rank ``rank`` fails a superstep before any rank's step runs;
+    ``None`` stage/superstep = any."""
     return FaultRule(
         kind="rank_crash", stage=stage, superstep=superstep, rank=rank,
         max_fires=max_fires,

@@ -30,13 +30,12 @@ as a :class:`RankBlocks` -- one flat array plus P + 1 bounds -- which a
 plan moves with one gather.  ``alltoall`` is the generic-object form of the
 same collective, kept as the reference the route tests compare against.
 
-The local half of a superstep goes through :meth:`SimWorld.map_ranks`
-(one step call per rank) or :meth:`SimWorld.map_segments` (one call over
-every rank, for steps whose cost is per-call overhead); both
-share one superstep -- validation, fault injection, the in-step guard,
-the rank-ordered merge and the tracer record.  Everything runs on the
-calling thread, so the world's clocks, log, stage stack and in-step
-guard are plain attributes with no lock (see :mod:`~repro.mpi.executor`).
+The local half of a superstep is one call over every rank
+(:meth:`SimWorld.map_segments`; :meth:`SimWorld.map_ranks` makes it call a
+per-rank step once per rank) inside validation, fault injection, the
+in-step guard, the rank-ordered merge and the tracer record.  Everything
+runs on the calling thread, so the world's clocks, log, stage stack and
+in-step guard are plain attributes with no lock (see :mod:`~repro.mpi.executor`).
 """
 
 from __future__ import annotations
@@ -131,12 +130,16 @@ def block_owner(n: int, parts: int, index: np.ndarray | int):
     return owner if isinstance(index, np.ndarray) else int(owner)
 
 
+def _each_rank(fn: RankStep, ctxs: list, *arg_lists: list) -> list[Any]:
+    """The segment step of :meth:`SimWorld.map_ranks`: ``fn`` per rank, in order."""
+    return [fn(ctx, *args) for ctx, *args in zip(ctxs, *arg_lists)]
+
+
 class SimWorld:
     """The simulated machine: P ranks, a cost model, clocks and logs.
 
-    Per-rank local compute submitted through :meth:`map_ranks` /
-    :meth:`map_segments` runs on the calling thread, in rank order.
-    ``executor`` accepts only ``"serial"``, the one way supersteps run.
+    Per-rank local compute (:meth:`map_segments`, :meth:`map_ranks`) runs
+    on the calling thread.  ``executor`` accepts only ``"serial"``.
     """
 
     def __init__(
@@ -201,37 +204,35 @@ class SimWorld:
         state through its per-rank arguments and returns it (see
         :class:`~repro.mpi.executor.RankStep`).
 
-        Accounting is transactional per superstep: if a rank's step
-        raises, the exception propagates (the lowest failing rank's, as
-        ranks run in order) and *no* buffered charges are merged -- a
-        failed superstep charges nothing.
+        It is :meth:`map_segments`' superstep running :func:`_each_rank`:
+        an injected crash raises before any step runs, and a step's
+        exception propagates (the lowest failing rank's) with *no*
+        buffered charges merged -- a failed superstep charges nothing.
         """
-        return self._superstep(fn, per_rank_args, segmented=False)
+        step = functools.partial(_each_rank, fn)
+        return self._superstep(step, per_rank_args, "map_ranks")
 
     def map_segments(
         self, fn: SegmentStep, *per_rank_args: Sequence[Any]
     ) -> list[Any]:
         """Run ``fn(ctxs, *arg_lists)`` once, over every rank.
 
-        The segment form of :meth:`map_ranks`, for supersteps whose cost
-        is per-call overhead: ``fn`` is called once over ``[0, P)``.
-        ``ctxs`` are the contexts in rank order and ``arg_lists`` the
-        ``per_rank_args``; ``fn`` returns one result per rank and charges
-        each rank through its own context (see
-        :class:`~repro.mpi.executor.SegmentStep`).  Everything else --
-        argument validation, fault injection (the segment raises its
-        lowest crashed rank's crash), the in-step guard, the transactional
-        rank-ordered merge and the tracer's superstep record -- is
-        :meth:`map_ranks`'s.
+        For steps whose cost is per-call overhead: ``fn`` is called once
+        over ``[0, P)`` with the contexts in rank order and the
+        ``per_rank_args``, returns one result per rank and charges each
+        rank through its own context (see
+        :class:`~repro.mpi.executor.SegmentStep`).  Around the call:
+        argument validation, fault injection (the lowest crashed rank's
+        crash raises before ``fn`` runs), the in-step guard, the
+        transactional rank-ordered merge and the tracer record.
         """
-        return self._superstep(fn, per_rank_args, segmented=True)
+        return self._superstep(fn, per_rank_args, "map_segments")
 
     def _superstep(
-        self, fn: Any, per_rank_args: Sequence[Sequence[Any]], segmented: bool
+        self, fn: SegmentStep, per_rank_args: Sequence[Sequence[Any]], what: str
     ) -> list[Any]:
-        """The superstep both :meth:`map_ranks` and :meth:`map_segments`
-        run: ``fn`` per rank, or once over every rank when ``segmented``."""
-        what = "map_segments" if segmented else "map_ranks"
+        """The one superstep: segment step ``fn`` once over every rank;
+        ``what`` names the caller in errors."""
         # nesting is always a bug: a step has no business launching a
         # superstep of its own
         self._check_not_in_rank_step(f"SimWorld.{what}")
@@ -243,12 +244,11 @@ class SimWorld:
                 )
         stage = self.stage
         machine = self.machine
-        ctxs = [RankContext(r, stage, machine) for r in range(self.nprocs)]
+        ctxs = [RankContext(r, machine) for r in range(self.nprocs)]
 
         # fault injection decisions are made once per superstep, before
-        # any step runs: crashes are raised in place of the crashed rank's
-        # step (so accounting stays transactional), stragglers are charged
-        # after success
+        # the step runs: the lowest crashed rank's crash replaces the step
+        # (so nothing is charged), stragglers are charged after success
         crash_excs: dict[int, Exception] = {}
         stall_actions: list[dict] = []
         injector = self.fault_injector
@@ -257,30 +257,21 @@ class SimWorld:
                 if action["kind"] != "rank_crash":
                     stall_actions.append(action)
                 elif 0 <= action["rank"] < self.nprocs:
-                    crash_excs[action["rank"]] = injector.crash_failure(
-                        action
-                    )
+                    crash_excs[action["rank"]] = injector.crash_failure(action)
 
         # while a step runs, direct world accounting and collectives are
         # an error: a rank charges through its context only
         self._in_rank_step = True
         wall0 = time.perf_counter()
         try:
-            if segmented:
-                if crash_excs:
-                    raise crash_excs[min(crash_excs)]
-                results = list(fn(ctxs, *[list(seq) for seq in per_rank_args]))
-                if len(results) != self.nprocs:
-                    raise CommunicatorError(
-                        f"segment step returned {len(results)} results for "
-                        f"{self.nprocs} ranks"
-                    )
-            else:
-                results = []
-                for r, ctx in enumerate(ctxs):
-                    if r in crash_excs:
-                        raise crash_excs[r]
-                    results.append(fn(ctx, *[seq[r] for seq in per_rank_args]))
+            if crash_excs:
+                raise crash_excs[min(crash_excs)]
+            results = list(fn(ctxs, *[list(seq) for seq in per_rank_args]))
+            if len(results) != self.nprocs:
+                raise CommunicatorError(
+                    f"segment step returned {len(results)} results for "
+                    f"{self.nprocs} ranks"
+                )
         finally:
             self._in_rank_step = False
         wall = time.perf_counter() - wall0
@@ -315,14 +306,14 @@ class SimWorld:
             )
 
     # -- compute charging ---------------------------------------------------
-    def charge_compute_all(self, ops_per_rank: Sequence[float], kind: str = "default") -> None:
+    def charge_compute_all(self, ops_per_rank: Sequence[float]) -> None:
         """Charge per-rank op counts in one vectorized clock call."""
         self._check_not_in_rank_step("SimWorld.charge_compute_all")
         if len(ops_per_rank) != self.nprocs:
             raise CommunicatorError(
                 f"expected {self.nprocs} op counts, got {len(ops_per_rank)}"
             )
-        seconds = self.machine.op_time_all(ops_per_rank, kind=kind)
+        seconds = self.machine.op_time_all(ops_per_rank)
         if seconds.any():
             self.clock.charge_compute_all(self.stage, seconds)
             if self.tracer is not None:

@@ -88,15 +88,14 @@ class MachineModel:
         scale = self.simd_penalty if kind == "alignment" else 1.0
         return float(ops) * self.volume_scale * self.gamma * scale
 
-    def op_time_all(self, ops, kind: str = "default") -> np.ndarray:
-        """Vectorized :meth:`op_time`: seconds for an array of op counts."""
+    def op_time_all(self, ops) -> np.ndarray:
+        """Vectorized :meth:`op_time` of default-kind ops."""
         arr = np.asarray(ops, dtype=np.float64)
         if arr.size and arr.min() < 0:
             raise ValueError(f"negative op count in {arr}")
-        scale = self.simd_penalty if kind == "alignment" else 1.0
         # multiply in the same order as the scalar path so per-element
         # float64 results match op_time bit for bit
-        return arr * self.volume_scale * self.gamma * scale
+        return arr * self.volume_scale * self.gamma
 
     # ------------------------------------------------------------------
     # communication primitives (time charged to each participating rank)

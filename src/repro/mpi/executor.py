@@ -4,25 +4,21 @@ Every superstep of the simulated pipeline has the same shape: each rank
 performs *local* work on its own block, then a collective moves data
 between ranks.  The collectives live in :class:`~repro.mpi.comm.SimComm`;
 this module holds the other half.  A superstep's per-rank work is
-expressed as data -- a step callable plus per-rank argument lists -- in
-one of two shapes:
+expressed as data -- a step callable plus per-rank argument lists.  The
+superstep runs a :data:`SegmentStep`: one call over all ranks with their
+contexts and argument lists
+(:meth:`~repro.mpi.comm.SimWorld.map_segments`), so a step whose cost
+is per-call overhead rather than arithmetic serves every rank with one
+wide kernel call.  A :data:`RankStep` is the per-rank form
+(:meth:`~repro.mpi.comm.SimWorld.map_ranks`): the same superstep calls
+it once per rank, in rank order.
 
-* a :data:`RankStep` is called once per rank
-  (:meth:`~repro.mpi.comm.SimWorld.map_ranks`);
-* a :data:`SegmentStep` is called once over all ranks with their
-  contexts and argument lists
-  (:meth:`~repro.mpi.comm.SimWorld.map_segments`), for steps whose cost
-  is per-call overhead rather than arithmetic: one wide kernel call
-  serves every rank.
-
-Either shape runs on the calling thread: rank steps one after another in
-rank order, a segment step once over ``[0, P)``.  All cost accounting
-(compute charges, memory observations, kernel sections) is buffered per
-rank in a :class:`RankContext`; at the superstep barrier the world
-applies the buffers to its clocks in rank order
-(:meth:`~repro.mpi.comm.SimWorld.map_ranks`), so a failed superstep
-charges nothing.  A superstep's charges belong to the stage open when it
-starts: a step cannot open a stage of its own.
+Everything runs on the calling thread.  All cost accounting (compute
+charges, memory observations, kernel sections) is buffered per rank in a
+:class:`RankContext`; at the superstep barrier the world applies the
+buffers to its clocks in rank order, so a failed superstep charges
+nothing.  A superstep's charges belong to the stage open when it starts:
+a step cannot open a stage of its own.
 """
 
 from __future__ import annotations
@@ -59,14 +55,12 @@ class RankContext(int):
     are buffered locally, and the world applies them to its
     :class:`~repro.mpi.stats.StageClock` / memory meter in rank order at
     the superstep barrier -- and only if every rank's step succeeded.
-    All of them belong to ``stage``, the stage open when the superstep
-    started.
+    All of them belong to the stage open when the superstep started.
     """
 
-    def __new__(cls, rank: int, stage: str, machine: "MachineModel"):
+    def __new__(cls, rank: int, machine: "MachineModel"):
         self = super().__new__(cls, rank)
         self._machine = machine
-        self.stage = stage
         #: buffered compute seconds and memory samples, in charge order
         self._compute: list[float] = []
         self._memory: list[float] = []
@@ -117,7 +111,7 @@ class RankContext(int):
 
 
 class RankStep(Protocol):
-    """The superstep protocol: one rank's local work.
+    """The per-rank protocol: one rank's local work.
 
     Called once per rank as ``step(ctx, *args)`` where ``ctx`` is the
     :class:`RankContext` (usable directly as the rank integer) and
@@ -135,7 +129,7 @@ class RankStep(Protocol):
 
 
 class SegmentStep(Protocol):
-    """The segment protocol: the local work of every rank in one call.
+    """The superstep protocol: the local work of every rank in one call.
 
     Called as ``step(ctxs, *arg_lists)`` where ``ctxs`` are the ranks'
     :class:`RankContext` objects in rank order and each of ``arg_lists``

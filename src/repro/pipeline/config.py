@@ -35,12 +35,13 @@ class PipelineConfig:
     machine: str | MachineModel = "cori-haswell"
     # constants, not fields (nothing to choose, nothing to fingerprint),
     # kept for callers that still read them: supersteps run on the
-    # calling thread, rank by rank; the numpy batch kernels are the one
-    # kernel tier; local assembly runs the batch engine; §7 polishing is
-    # no stage (``repro.scaffold.polish_contigs`` post-processes a result)
+    # calling thread; the numpy batch kernels are the one kernel tier;
+    # local assembly runs the batch engine under MPI's count limit; §7
+    # polishing is no stage (``repro.scaffold.polish_contigs`` does it)
     executor: ClassVar[str] = "serial"
     kernel_tier: ClassVar[str] = "numpy"
     contig_engine: ClassVar[str] = "batch"
+    count_limit: ClassVar[int] = MPI_COUNT_LIMIT
     polish: ClassVar[bool] = False
     # k-mer stage
     k: int = 31
@@ -63,7 +64,6 @@ class PipelineConfig:
     min_contig_reads: int = 2
     partition_method: str = "lpt"
     emit_cycles: bool = False
-    count_limit: int = MPI_COUNT_LIMIT
     # memory strategy the SpGEMM kernels model (paper §7 future work):
     # "fast" keeps all SUMMA partials live (CombBLAS default), "low"
     # streams each stage into the accumulator, charging merge passes for a
@@ -125,7 +125,7 @@ class PipelineConfig:
         for name, floor in (
             ("stage_max_retries", 0), ("reliable_lo", 1),
             ("min_shared_kmers", 1), ("xdrop", 0), ("tr_fuzz", 0),
-            ("count_limit", 1), ("tr_max_rounds", 0),
+            ("tr_max_rounds", 0),
             ("end_margin", 0), ("min_overlap", 0), ("min_contig_reads", 1),
         ):
             if getattr(self, name) < floor:

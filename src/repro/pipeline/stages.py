@@ -140,12 +140,7 @@ class ExtractContigStage(Stage):
     name = "ExtractContig"
     requires = ("reads", "S")
     produces = ("contigs",)
-    config_fields = (
-        "min_contig_reads",
-        "partition_method",
-        "emit_cycles",
-        "count_limit",
-    )
+    config_fields = ("min_contig_reads", "partition_method", "emit_cycles")
 
     def run(self, ctx: RunContext) -> None:
         config = ctx.config
@@ -155,7 +150,6 @@ class ExtractContigStage(Stage):
             min_contig_reads=config.min_contig_reads,
             partition_method=config.partition_method,
             emit_cycles=config.emit_cycles,
-            count_limit=config.count_limit,
         )
         ctx.counts["contigs"] = contigs.count
         ctx.counts["contig_roots"] = contigs.n_roots

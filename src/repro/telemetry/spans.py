@@ -6,7 +6,7 @@ one structured tree per run::
 
     run
       stage (CountKmer, DetectOverlap, ...)
-        superstep k          -- one map_ranks launch
+        superstep k          -- one map_ranks / map_segments superstep
           rank r             -- that rank's buffered compute lane
             kernel spans     -- ctx.span("sort") sections inside the step
         collective (bcast, alltoallv, ...)
@@ -25,9 +25,11 @@ but never enter the identity.
 The tracer is driven from two sides, both on the driver thread (the
 runtime already forbids collectives and world charges inside rank steps):
 
-* the world it is attached to: :meth:`~repro.mpi.comm.SimWorld.map_ranks`
-  calls :meth:`superstep` with the rank contexts before the
-  accounting merge, and :meth:`~repro.mpi.comm.SimComm._charge` calls
+* the world it is attached to: its one superstep
+  (:meth:`~repro.mpi.comm.SimWorld.map_segments` /
+  :meth:`~repro.mpi.comm.SimWorld.map_ranks`) calls :meth:`superstep`
+  with the rank contexts before the accounting merge, and
+  :meth:`~repro.mpi.comm.SimComm._charge` calls
   :meth:`collective` -- ``if world.tracer is not None`` guards, so an
   untraced run pays one attribute read per site;
 * the pipeline engine, to which a tracer is just one more observer
@@ -262,7 +264,7 @@ class Tracer:
         ctxs: Sequence["RankContext"],
         wall: float | None = None,
     ) -> None:
-        """Record one map_ranks launch from the parent-side rank contexts.
+        """Record one superstep from its rank contexts.
 
         Called at the barrier, before the world applies the contexts'
         buffers.

@@ -239,7 +239,11 @@ print(json.dumps(chain))
         ``tr``) and dropped ``polish`` from ExtractContig's fingerprint.
         The version is the chain's root, so every link moved: a directory
         written under version 2 holds no file that ``has()`` looks for,
-        and each of its stages is recomputed, never misread."""
+        and each of its stages is recomputed, never misread.
+
+        ``count_limit`` later left ExtractContig's fingerprint (it is a
+        class constant now), which moved that one link
+        (``c0e8a02e...`` before); the five upstream links stayed."""
         chain = self._chain_here(reads, PipelineConfig())
         assert chain == [
             "ea3a2a692541e70df4eff8b08cef22eafccd5fdc92c1729a24786eaa7e245a92",
@@ -247,7 +251,7 @@ print(json.dumps(chain))
             "5147415491d5d8892eb1cabb3e4aa3f4f9af789cf6090533a87a91440a03002a",
             "4daaf0b49df529f9f45bc7b75baee8af1ad0a2a5435749b9ebf96a4d442f3bb2",
             "798cb2714008702c0741f889afaf59d5c4d5ec049f19bda155da5f291100d218",
-            "c0e8a02e9d4c6d58ce2eec9c846d08c7e441b2fcc323eac198f87fd59ec1bd4e",
+            "338aa9dd1c2ed2da70a46d222bacd09ff5f587c957b1acdb4a3f2f32f8ea40ad",
         ]
         store = CheckpointStore(".")
         for stage, old, new in zip(

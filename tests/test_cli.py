@@ -7,7 +7,15 @@ import pytest
 
 from repro import Pipeline, PipelineConfig
 from repro.cli import assemble_main, quality_main, scaling_main
-from repro.core import contig_generation
+from repro.core import (
+    branch_removal,
+    connected_components,
+    contig_sizes_distributed,
+    exchange_sequences,
+    induced_subgraph,
+    local_assembly,
+    partition_contigs,
+)
 from repro.errors import AssemblyError
 from repro.seq import dna, tile_reads
 from repro.seq.fasta import read_fasta, write_fasta
@@ -52,16 +60,27 @@ class TestAssembleCli:
         assert np.array_equal(got, ref) or np.array_equal(got, dna.revcomp(ref))
 
     def test_contig_engine_flag(self, workspace):
-        """The scalar oracle and the default batch traversal assemble the
-        same contig set from the string graph of the CLI's input."""
+        """The scalar oracle, walked rank by rank on Algorithm 2's induced
+        subgraphs and exchanged reads, and the pipeline's batch traversal
+        assemble the same contigs, in the same order, from the string
+        graph of the CLI's input."""
         _, reads = read_fasta(workspace["reads_fa"])
         cfg = PipelineConfig(nprocs=4, k=21, keep_graphs=True)
         res = Pipeline.default().run(reads, cfg)
         S, store = res.artifacts["S"], res.artifacts["reads"]
-        scalar = contig_generation(S, store, assembly_engine="scalar")
-        batch = contig_generation(S, store)
-        assert batch.count == scalar.count == 1
-        for a, b in zip(scalar.contigs, batch.contigs):
+        branch = branch_removal(S)
+        labels = connected_components(branch.L).labels
+        p, _ = partition_contigs(labels, contig_sizes_distributed(labels))
+        graphs = induced_subgraph(branch.L, p)
+        shards = exchange_sequences(store, p).shards
+        scalar = [
+            contig
+            for graph, shard in zip(graphs, shards)
+            for contig in local_assembly(graph, shard, engine="scalar").contigs
+        ]
+        batch = res.contigs.contigs
+        assert len(batch) == len(scalar) == 1
+        for a, b in zip(scalar, batch):
             assert np.array_equal(a.codes, b.codes)
             assert (a.read_path, a.orientations) == (b.read_path, b.orientations)
 

@@ -158,7 +158,7 @@ class TestContigSizes:
         lab[-1] = n - 1
         labels = DistVector.from_global(g, lab)
         ops = []
-        w.charge_compute_all = lambda o, kind="default": ops.append(int(np.sum(o)))
+        w.charge_compute_all = lambda o: ops.append(int(np.sum(o)))
         sizes = contig_sizes_distributed(labels)
         total_ops = sum(ops)
         # old implementation charged sum(blk + n) = n + P*n; the compacted
@@ -196,10 +196,10 @@ class TestContigSizes:
         charges = []
         orig_charge = w.charge_compute_all
 
-        def spy_charge(ops, kind="default"):
+        def spy_charge(ops):
             if not in_gather["flag"]:
                 charges.append([int(o) for o in ops])
-            return orig_charge(ops, kind=kind)
+            return orig_charge(ops)
 
         monkeypatch.setattr(DistVector, "gather", spy_gather)
         monkeypatch.setattr(w, "charge_compute_all", spy_charge)

@@ -42,8 +42,8 @@ CHAINS = [[0, 1, 2, 3], [4, 5], [6, 7, 8], [9, 10, 11, 12]]
 
 class TestInducedSubgraph:
     def test_edges_preserved_exactly(self, grid):
-        """Union of local edge sets == edges of L with assigned endpoints
-        (invariant 7 of DESIGN.md), payloads intact."""
+        """Union of local edge sets == edges of L with assigned endpoints,
+        payloads intact: no edge is lost or invented."""
         n = 13
         L, p = setup(grid, n, CHAINS)
         graphs = induced_subgraph(L, p)

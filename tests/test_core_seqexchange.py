@@ -96,6 +96,41 @@ class TestCountLimit:
         tiny = run(4)
         assert unlimited == tiny
 
+    @pytest.mark.parametrize("P", [1, 4])
+    def test_limit_below_one_rejected_up_front(self, P):
+        """A count limit below 1 is refused before any route or charge,
+        even where no message needs planning (P = 1, and P = 4 with every
+        read on its own rank): by the exchange, and by
+        ``contig_generation`` before its first stage."""
+        from repro import Pipeline, PipelineConfig
+        from repro.core import contig_generation
+        from repro.seq import tile_reads
+
+        grid = ProcGrid(SimWorld(P, cori_haswell()))
+        reads, store = make_store(grid, n=12, seed=9)
+        # every read assigned to the rank that holds it
+        bounds = [grid.vec_block(len(reads), r) for r in range(P)]
+        home = np.repeat(np.arange(P), [hi - lo for lo, hi in bounds])
+        p = DistVector.from_global(grid, home)
+        for limit in (0, -1):
+            with pytest.raises(DistributionError, match="count_limit must be >= 1"):
+                exchange_sequences(store, p, count_limit=limit)
+        assert len(grid.world.log) == 0
+        assert grid.world.clock.total_seconds() == 0.0
+        assert exchange_sequences(store, p, count_limit=1).plans == []
+
+        rs = tile_reads(dna.random_codes(np.random.default_rng(5), 1500), 250, 100)
+        run = Pipeline.default().run(
+            rs, PipelineConfig(nprocs=P, k=21), until="TrReduction"
+        )
+        S, dist_reads = run.artifacts["S"], run.artifacts["reads"]
+        world = S.grid.world
+        events, seconds = len(world.log), world.clock.total_seconds()
+        with pytest.raises(DistributionError, match="count_limit must be >= 1"):
+            contig_generation(S, dist_reads, count_limit=0)
+        assert (len(world.log), world.clock.total_seconds()) == (events, seconds)
+        assert contig_generation(S, dist_reads, count_limit=1).count == 1
+
     def test_total_bytes_accounting(self, grid4):
         reads, store = make_store(grid4, n=12, seed=7)
         p = DistVector.from_global(

@@ -319,12 +319,10 @@ class TestChargeComputeAll:
         bulk, loop = SimWorld(4, machine), SimWorld(4, machine)
         ops = [10, 0, 345, 7]
         with bulk.stage_scope("S"):
-            bulk.charge_compute_all(ops, kind="alignment")
+            bulk.charge_compute_all(ops)
         with loop.stage_scope("S"):
             for rank, n in enumerate(ops):
-                loop.clock.charge_compute(
-                    "S", rank, machine.op_time(n, kind="alignment")
-                )
+                loop.clock.charge_compute("S", rank, machine.op_time(n))
         assert np.array_equal(
             bulk.clock.per_rank_seconds("S"), loop.clock.per_rank_seconds("S")
         )
@@ -464,6 +462,33 @@ class TestFaultInjection:
         w_ref, sums_ref, comb_ref = _p64_workload()
         assert (sums, comb) == (sums_ref, comb_ref)
         _assert_worlds_identical(w_ref, w_retry)
+
+    def test_map_ranks_crash_runs_no_rank_step(self):
+        """An injected crash is raised before the superstep's step runs,
+        as a segment's is: no rank's step runs (not even those below the
+        crashed rank), nothing is charged and no superstep is traced."""
+        w = SimWorld(4, cori_haswell())
+        tracer = Tracer().attach(w)
+        w.fault_injector = FaultInjector(
+            FaultPlan(rules=(rank_crash(stage="Step", rank=2),))
+        )
+        seen = []
+
+        def step(ctx, x):
+            seen.append(int(ctx))
+            ctx.charge_compute(x)
+            ctx.observe_memory(float(x))
+            return x
+
+        with w.stage_scope("Step"):
+            with pytest.raises(RankFailure) as err:
+                w.map_ranks(step, [100, 200, 300, 400])
+        assert err.value.rank == 2
+        assert seen == []
+        assert w.clock.stages() == []
+        assert w.memory.by_stage() == {}
+        with pytest.raises(TelemetryError, match="recorded nothing"):
+            tracer.root
 
     @pytest.mark.parametrize("crashed,expect", [((2, 5), 2), ((5, 4), 4)])
     def test_segment_crash_raises_lowest_rank_and_charges_nothing(

@@ -10,6 +10,7 @@ IndexError or produce silently wrong output.
 import numpy as np
 import pytest
 
+from repro.core import contig_generation
 from repro.errors import PipelineError, SequenceError
 from repro.kmer.codec import encode_kmers
 from repro.mpi import ProcGrid, SimWorld, zero_cost
@@ -188,15 +189,17 @@ class TestExtensionRobustness:
 
 class TestCountLimitInjection:
     def test_tiny_count_limit_pipeline_identical(self):
-        """Forcing the MPI big-count workaround onto every message must
-        not change the assembly (invariant 9 of DESIGN.md)."""
+        """Forcing the MPI big-count workaround onto every message of the
+        read exchange must not change the assembly: contig generation on
+        the run's own S under a 64-byte limit gives the run's contigs."""
         rng = np.random.default_rng(8)
         genome = dna.random_codes(rng, 2000)
         rs = tile_reads(genome, 250, 100)
-        normal = Pipeline.default().run(rs, PipelineConfig(nprocs=4, k=21))
-        forced = Pipeline.default().run(
-            rs, PipelineConfig(nprocs=4, k=21, count_limit=64)
+        normal = Pipeline.default().run(
+            rs, PipelineConfig(nprocs=4, k=21, keep_graphs=True)
         )
-        a = sorted(c.sequence() for c in normal.contigs.contigs)
-        b = sorted(c.sequence() for c in forced.contigs.contigs)
-        assert a == b
+        S, reads = normal.artifacts["S"], normal.artifacts["reads"]
+        forced = contig_generation(S, reads, count_limit=64)
+        a = [c.sequence() for c in normal.contigs.contigs]
+        b = [c.sequence() for c in forced.contigs]
+        assert a and a == b

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import MAIN_STAGES, Pipeline, PipelineConfig
-from repro.errors import KernelError, PipelineError
+from repro.errors import AssemblyError, KernelError, PipelineError
+from repro.mpi.bigcount import MPI_COUNT_LIMIT
 from repro.overlap import AlignmentParams
 from repro.pipeline import breakdown_table, parallel_efficiency, scaling_table
 from repro.pipeline.report import ScalingPoint
@@ -60,7 +61,6 @@ class TestConfig:
         "field, bad, floor",
         [
             ("reliable_lo", 0, 1),
-            ("count_limit", 0, 1),
             ("tr_max_rounds", -1, 0),
             ("end_margin", -5, 0),
             ("min_overlap", -1, 0),
@@ -229,8 +229,8 @@ class TestReports:
 
 
 # ---------------------------------------------------------------------------
-# the kernel tier, contig engine and align batch size knobs are gone, with
-# a defined result at every door
+# the kernel tier, contig engine, align batch size and count limit knobs are
+# gone, with a defined result at every door
 # ---------------------------------------------------------------------------
 
 
@@ -240,6 +240,7 @@ class TestReports:
         ("kernel_tier", "native", "numpy"),
         ("contig_engine", "scalar", "batch"),
         ("align_batch_size", "3", 2048),
+        ("count_limit", "64", MPI_COUNT_LIMIT),
     ],
 )
 class TestRemovedKnobsRejected:
@@ -301,6 +302,26 @@ class TestInRunPolishRefused:
         with pytest.raises(PipelineError, match="polish"):
             contig_generation(S, reads, polish=True)
         assert contig_generation(S, reads, polish=False).count >= 1
+
+
+class TestScalarTraversalRefused:
+    """The pipeline runs one traversal; the scalar walk is the tests'
+    oracle, reached through ``local_assembly(..., engine="scalar")``."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "native"])
+    def test_contig_generation(self, tiled, engine):
+        from repro.core import contig_generation
+
+        _, rs = tiled
+        cfg = PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5)
+        partial = Pipeline.default().run(rs, cfg, until="TrReduction")
+        S, reads = partial.artifacts["S"], partial.artifacts["reads"]
+        world = S.grid.world
+        events, seconds = len(world.log), world.clock.total_seconds()
+        with pytest.raises(AssemblyError, match=r'engine="scalar"'):
+            contig_generation(S, reads, assembly_engine=engine)
+        assert (len(world.log), world.clock.total_seconds()) == (events, seconds)
+        assert contig_generation(S, reads, assembly_engine="batch").count >= 1
 
 
 class TestKernelTierContract:

@@ -143,7 +143,8 @@ class TestSpgemm:
         assert np.allclose(dense_of(dC), (A @ B).toarray())
 
     def test_grid_size_invariance(self):
-        """Results are bit-identical across P (invariant 3 of DESIGN.md)."""
+        """Results are bit-identical across P: the process grid changes
+        where entries live, never their values."""
         rng = np.random.default_rng(12)
         A = sp.random(21, 21, density=0.2, random_state=rng, format="coo")
         references = []
